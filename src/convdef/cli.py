@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 1 input error (io/syntax/reference/dimension/axiom),
+Exit codes: 0 success, 1 input error (usage/io/syntax/reference/dimension/axiom),
 2 mathematical failure (failed validation report, nonzero obstruction for
 `deform`, non-invertible morphism for `invert`).  Human-readable summary
 goes to stdout; `--out` writes a stable machine-readable JSON report.
@@ -9,13 +9,12 @@ goes to stdout; `--out` writes a stable machine-readable JSON report.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
 
 from .cohomology import Cochain, ComplexSpec
 from .coalgebra import Coalgebra
-from .convolution import takeuchi_invert
+from .convolution import MultiMap, takeuchi_invert
 from .deformation import (
     classify,
     mc_solve,
@@ -29,6 +28,8 @@ from .specfile import (
     SpecFile,
     cochain_to_obj,
     morphism_to_obj,
+    parse_cochain_file,
+    parse_filtration_file,
     parse_path,
     render_report,
 )
@@ -38,8 +39,17 @@ class MathFailure(Exception):
     """A mathematically negative answer (exit code 2)."""
 
 
+def _task_str(task: dict, key: str, cli_value: Optional[str], default: Optional[str] = None):
+    v = cli_value or task.get(key)
+    if v is None:
+        return default
+    if not isinstance(v, str):
+        raise SpecFileError("syntax", f"task {key!r} must be a string")
+    return v
+
+
 def _pick(table: dict, kind: str, task: dict, cli_value: Optional[str]):
-    name = cli_value or task.get(kind)
+    name = _task_str(task, kind, cli_value)
     if name is not None:
         if name not in table:
             raise SpecFileError("reference", f"unknown {kind} {name!r}")
@@ -63,8 +73,11 @@ def _default_comodule(c: Coalgebra) -> Comodule:
 
 def _int_param(task: dict, key: str, cli_value: Optional[int], what: str) -> int:
     v = cli_value if cli_value is not None else task.get(key)
+    flag = f"--{key.replace('_', '-')}"
     if not isinstance(v, int) or isinstance(v, bool):
-        raise SpecFileError("dimension", f"{what} required (flag --{key.replace('_', '-')})")
+        raise SpecFileError("dimension", f"{what} required (flag {flag})")
+    if v < 0:
+        raise SpecFileError("dimension", f"{what} must be >= 0 (flag {flag}), got {v}")
     return v
 
 
@@ -78,38 +91,9 @@ def _load_filtration(spec_arg: str, c: Coalgebra) -> list[Subspace]:
     if spec_arg == "grading":
         return c.grading_filtration()
     if spec_arg.startswith("file:"):
-        path = spec_arg[5:]
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise SpecFileError("io", f"cannot read filtration file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SpecFileError("syntax", f"filtration file: {exc.msg}", exc.lineno, exc.colno) from exc
-        layers = doc.get("layers")
-        if not isinstance(layers, list) or not layers:
-            raise SpecFileError("dimension", "filtration file needs a nonempty 'layers' list")
-        f = c.field
-        out = []
-        for layer in layers:
-            vecs = [[f.coerce(x) for x in v] for v in layer]
-            out.append(Subspace.span(f, c.dim, vecs))
-        return out
+        layers = parse_filtration_file(spec_arg[5:], c.field, c.dim)
+        return [Subspace.span(c.field, c.dim, vecs) for vecs in layers]
     raise SpecFileError("syntax", f"bad --filtration value {spec_arg!r}")
-
-
-def _load_user_cochains(path: str) -> dict[int, list]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SpecFileError("io", f"cannot read cochain file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecFileError("syntax", f"cochain file: {exc.msg}", exc.lineno, exc.colno) from exc
-    out = {}
-    for key, mats in doc.items():
-        out[int(key)] = mats
-    return out
 
 
 def _report_header(sf: SpecFile, command: str) -> dict:
@@ -259,28 +243,16 @@ def cmd_series(sf: SpecFile, args) -> dict:
     if alg.coalgebra.dim != 1:
         raise SpecFileError("reference", "series needs the base algebra over a one-dimensional coalgebra")
     n_max = _int_param(sf.task, "max_degree", args.max_degree, "maximum degree")
-    strategy = args.strategy or sf.task.get("strategy", "first")
+    strategy = _task_str(sf.task, "strategy", args.strategy, "first")
     user_cochains = None
     if strategy.startswith("file:"):
-        raw = _load_user_cochains(strategy[5:])
         user_cochains = {}
-        from .convolution import MultiMap
-        from .linalg import Matrix
-
-        for degree, mats in raw.items():
-            layer = d_coalg.degree_indices(degree)
-            if not isinstance(mats, list) or len(mats) != len(layer):
+        for degree, mats in parse_cochain_file(strategy[5:], sf.field, alg.a_dim).items():
+            if len(mats) != len(d_coalg.degree_indices(degree)):
                 raise SpecFileError(
                     "dimension", f"cochain file: degree {degree} needs one matrix per layer element"
                 )
-            try:
-                maps = tuple(
-                    MultiMap(alg.a_dim, 2, 1, Matrix.from_rows(sf.field, mats[s]))
-                    for s in range(len(layer))
-                )
-            except (TypeError, ValueError) as exc:
-                raise SpecFileError("syntax", f"cochain file: bad scalar ({exc})") from exc
-            user_cochains[degree] = Cochain(2, maps)
+            user_cochains[degree] = Cochain(2, tuple(MultiMap(alg.a_dim, 2, 1, m) for m in mats))
         strategy = "user"
     m0 = alg.m.components[0]
     result = series_deform(m0, d_coalg, n_max, strategy=strategy, user_cochains=user_cochains)
@@ -316,7 +288,7 @@ def cmd_series(sf: SpecFile, args) -> dict:
 
 def cmd_unit_gauge(sf: SpecFile, args) -> dict:
     aname, alg = _pick(sf.algebras, "algebra", sf.task, args.algebra)
-    base_name = args.base_algebra or sf.task.get("base_algebra")
+    base_name = _task_str(sf.task, "base_algebra", args.base_algebra)
     if base_name is None or base_name not in sf.algebras:
         raise SpecFileError("reference", "unit-gauge needs a base_algebra block with the unit")
     base = sf.algebras[base_name]
@@ -335,7 +307,7 @@ def cmd_unit_gauge(sf: SpecFile, args) -> dict:
 
 def cmd_invert(sf: SpecFile, args) -> dict:
     mname, mor = _pick(sf.morphisms, "morphism", sf.task, args.morphism)
-    filt_arg = args.filtration or sf.task.get("filtration", "grading")
+    filt_arg = _task_str(sf.task, "filtration", args.filtration, "grading")
     filtration = _load_filtration(filt_arg, mor.coalgebra)
     try:
         inv = takeuchi_invert(mor, filtration)
@@ -345,8 +317,16 @@ def cmd_invert(sf: SpecFile, args) -> dict:
     return {"morphism": mname, "inverse": morphism_to_obj(inv)}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1); argparse's own code 2 means "no" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SpecFileError("syntax", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convdef",
         description="Exact deformation computations over coalgebra extensions",
     )
@@ -381,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         strict = args.command != "validate"
         sf, failures = parse_path(args.specfile, strict=strict)
         if args.command == "validate":

@@ -26,14 +26,21 @@ from .linalg import Matrix, Subspace, Vector, preimage, unit_vec
 Triples = tuple[tuple[int, int, object], ...]
 
 
-def _normalize_triples(field: Field, dim: int, raw, what: str) -> tuple[Triples, ...]:
-    """Merge duplicates, drop zeros, sort; one tuple of triples per basis index."""
+def normalize_triples(field: Field, raw, dims: tuple[int, int], what: str) -> tuple[Triples, ...]:
+    """Merge duplicates, drop zeros, sort; one tuple of triples per source index.
+
+    Every structure-constant table (Delta, a coaction, a 2-cocycle) is
+    stored this way.  `dims` bounds the two indices of a triple; `what`
+    names the table in the range error.
+    """
+    left, right = dims
+    where = "for" if what == "delta" else "at"
     out = []
-    for i in range(dim):
+    for i, triples in enumerate(raw):
         acc: dict[tuple[int, int], object] = {}
-        for j, k, c in raw[i]:
-            if not (0 <= j < dim and 0 <= k < dim):
-                raise ShapeError(f"{what} triple ({j},{k}) out of range for index {i}")
+        for j, k, c in triples:
+            if not (0 <= j < left and 0 <= k < right):
+                raise ShapeError(f"{what} triple ({j},{k}) out of range {where} index {i}")
             c = field.coerce(c)
             key = (j, k)
             acc[key] = field.add(acc[key], c) if key in acc else c
@@ -41,6 +48,23 @@ def _normalize_triples(field: Field, dim: int, raw, what: str) -> tuple[Triples,
             tuple((j, k, c) for (j, k), c in sorted(acc.items()) if not field.is_zero(c))
         )
     return tuple(out)
+
+
+def triples_matrix(field: Field, triples, dims: tuple[int, int], flip: bool = False) -> Matrix:
+    """A triples table as a dense (left * right) x (number of sources) matrix.
+
+    Column i holds coeff at row j * right + k for each triple (j, k, coeff)
+    of source i; `flip` swaps the tensor factors, putting it at k * left + j.
+    """
+    left, right = dims
+    cols = []
+    for per_source in triples:
+        col = [field.zero] * (left * right)
+        for j, k, c in per_source:
+            r = k * left + j if flip else j * right + k
+            col[r] = field.add(col[r], c)
+        cols.append(col)
+    return Matrix(field, left * right, len(cols), tuple(zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -100,7 +124,7 @@ class Coalgebra:
             raise ShapeError("coalgebras here are nonzero")
         if len(delta) != self.dim or len(counit) != self.dim:
             raise ShapeError("delta/counit length must equal dim")
-        self.delta = _normalize_triples(field, self.dim, delta, "delta")
+        self.delta = normalize_triples(field, delta, (self.dim, self.dim), "delta")
         self.counit = tuple(field.coerce(x) for x in counit)
         self.grading = tuple(int(g) for g in grading) if grading is not None else None
         if self.grading is not None and len(self.grading) != self.dim:
@@ -129,14 +153,7 @@ class Coalgebra:
     @cached_property
     def delta_matrix(self) -> Matrix:
         """Delta as a dim^2 x dim matrix, rows indexed j*dim + k."""
-        f, d = self.field, self.dim
-        cols = []
-        for i in range(d):
-            col = [f.zero] * (d * d)
-            for j, k, c in self.delta[i]:
-                col[j * d + k] = f.add(col[j * d + k], c)
-            cols.append(col)
-        return Matrix(f, d * d, d, tuple(zip(*cols)))
+        return triples_matrix(self.field, self.delta, (self.dim, self.dim))
 
     @cached_property
     def counit_matrix(self) -> Matrix:

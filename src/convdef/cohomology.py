@@ -17,7 +17,7 @@ from .convolution import ConvMorphism, MultiMap, conv_compose, conv_tensor, epsi
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field
-from .linalg import Matrix, Subspace, Vector, image, kernel_basis, unit_vec
+from .linalg import Matrix, Subspace, Vector, image, kernel_space, unit_vec
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,8 @@ class CohomologyResult:
     representatives: tuple[Cochain, ...]
     d_matrix: Matrix
     d_prev_matrix: Optional[Matrix]
+    z_space: Subspace
+    b_space: Subspace
 
 
 class ComplexSpec:
@@ -186,7 +188,7 @@ class ComplexSpec:
         """Z^n = ker d^n, B^n = im d^(n-1), with RREF-canonical H^n representatives."""
         f = self.field
         dn = self.differential_matrix(n)
-        z_space = Subspace.span(f, self.cochain_dim(n), kernel_basis(dn))
+        z_space = kernel_space(dn)
         if n == 0:
             d_prev = None
             b_space = Subspace.zero(f, self.cochain_dim(n))
@@ -195,20 +197,20 @@ class ComplexSpec:
             b_space = image(d_prev)
         if not z_space.contains_space(b_space):
             raise ShapeError("differential does not square to zero; complex is inconsistent")
-        reps = []
-        span = b_space
-        for row in z_space.basis.data:
-            if not span.contains_vector(row):
-                reps.append(Cochain.from_flat(f, self.a_dim, self.x_dim, n, row))
-                span = span.sum(Subspace.span(f, span.ambient, [row]))
+        reps = tuple(
+            Cochain.from_flat(f, self.a_dim, self.x_dim, n, row)
+            for row in z_space.quotient_basis(b_space)
+        )
         return CohomologyResult(
             degree=n,
             dim_z=z_space.dim,
             dim_b=b_space.dim,
             dim_h=z_space.dim - b_space.dim,
-            representatives=tuple(reps),
+            representatives=reps,
             d_matrix=dn,
             d_prev_matrix=d_prev,
+            z_space=z_space,
+            b_space=b_space,
         )
 
 

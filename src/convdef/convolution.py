@@ -242,7 +242,7 @@ def _invert_on_bottom(f: ConvMorphism, bottom: Subspace) -> ConvMorphism:
     k = len(rows)
     if k == 0:
         raise NotInvertible("empty bottom layer")
-    pivots = [next(j for j, x in enumerate(row) if not field.is_zero(x)) for row in rows]
+    pivots = bottom.pivots
     # Coefficient of unknown G_{r'} in the constraint for basis row r.
     coeff_mats = [[Matrix.zeros(field, d, d) for _ in range(k)] for _ in range(k)]
     for r, brow in enumerate(rows):

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .extension import Extension, graded_extension
 from .fields import Field
-from .linalg import Matrix, Subspace, Vector, image, kernel_basis, solve
+from .linalg import Matrix, image, solve
 
 
 @dataclass(frozen=True)
@@ -182,17 +182,12 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
     d2 = spec.differential_matrix(2)
     res = solve(d2, zeta.flatten())
     h2 = spec.cohomology(2)
-    z2 = tuple(
-        Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, row)
-        for row in Subspace.span(f, spec.cochain_dim(2), kernel_basis(d2)).basis.data
-    )
-    b2_space = image(spec.differential_matrix(1))
-    b2 = tuple(Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, row) for row in b2_space.basis.data)
+    z2 = tuple(Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, row) for row in h2.z_space.basis.data)
+    b2 = tuple(Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, row) for row in h2.b_space.basis.data)
     coset_count = f.char ** h2.dim_h if f.char else None
     if res is None:
         # canonical representative of [zeta] inside H^3
-        b3 = image(d2)
-        rep_flat = _reduce_mod(f, zeta.flatten(), b3)
+        rep_flat = image(d2).reduce(zeta.flatten())
         return DeformationReport(
             zeta=zeta,
             obstruction_vanishes=False,
@@ -225,17 +220,6 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
         coset_count=coset_count,
         zeta_class_rep=None,
     )
-
-
-def _reduce_mod(f: Field, vec: Vector, space: Subspace) -> Vector:
-    """Canonical coset representative: reduce against the RREF basis rows."""
-    v = list(f.coerce(x) for x in vec)
-    for row in space.basis.data:
-        piv = next(j for j, x in enumerate(row) if not f.is_zero(x))
-        factor = v[piv]
-        if not f.is_zero(factor):
-            v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
-    return tuple(v)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,9 @@ being the flip of the right one) and whose C (x) C term is omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
-from .coalgebra import Coalgebra, GroupLikeSet
+from .coalgebra import Coalgebra, GroupLikeSet, normalize_triples, triples_matrix
 from .errors import (
     CocycleViolation,
     EmptyLayer,
@@ -38,7 +37,7 @@ from .linalg import (
 class Comodule:
     """Right C-comodule by structure constants: rho(e_s) = sum c * e_t (x) c_u."""
 
-    __slots__ = ("base", "dim", "coaction", "__dict__")
+    __slots__ = ("base", "dim", "coaction")
 
     def __init__(self, base: Coalgebra, dim: int, coaction):
         self.base = base
@@ -47,23 +46,8 @@ class Comodule:
             raise ShapeError("comodules here are nonzero")
         if len(coaction) != dim:
             raise ShapeError("coaction must give triples for every basis vector")
-        fixed = []
-        for s in range(dim):
-            for t, u, _c in coaction[s]:
-                if not (0 <= t < dim and 0 <= u < base.dim):
-                    raise ShapeError(f"coaction triple ({t},{u}) out of range at index {s}")
-            fixed.append(coaction[s])
-        # reuse the coalgebra normalizer: indices (t, u) live in X x C
-        self.coaction = tuple(
-            tuple(
-                (t, u, c)
-                for (t, u), c in sorted(
-                    _merge_triples(base.field, fixed[s]).items()
-                )
-                if not base.field.is_zero(c)
-            )
-            for s in range(dim)
-        )
+        # indices (t, u) live in X x C
+        self.coaction = normalize_triples(base.field, coaction, (dim, base.dim), "coaction")
 
     def __eq__(self, other) -> bool:
         return (
@@ -78,30 +62,6 @@ class Comodule:
 
     def __repr__(self) -> str:
         return f"Comodule(dim {self.dim} over {self.base!r})"
-
-    @cached_property
-    def coaction_matrix(self) -> Matrix:
-        """rho_r as a (dim X * dim C) x (dim X) matrix, rows indexed t*dimC + u."""
-        f, dx, dc = self.base.field, self.dim, self.base.dim
-        cols = []
-        for s in range(dx):
-            col = [f.zero] * (dx * dc)
-            for t, u, c in self.coaction[s]:
-                col[t * dc + u] = f.add(col[t * dc + u], c)
-            cols.append(col)
-        return Matrix(f, dx * dc, dx, tuple(zip(*cols)))
-
-    @cached_property
-    def left_coaction_matrix(self) -> Matrix:
-        """rho_l := flip o rho_r, a (dim C * dim X) x (dim X) matrix."""
-        f, dx, dc = self.base.field, self.dim, self.base.dim
-        cols = []
-        for s in range(dx):
-            col = [f.zero] * (dc * dx)
-            for t, u, c in self.coaction[s]:
-                col[u * dx + t] = f.add(col[u * dx + t], c)
-            cols.append(col)
-        return Matrix(f, dc * dx, dx, tuple(zip(*cols)))
 
     def validate(self) -> list[str]:
         """Return the list of failed comodule axioms (empty when valid)."""
@@ -134,15 +94,6 @@ class Comodule:
             raise CocycleViolation(f"invalid comodule: {', '.join(failures)}")
 
 
-def _merge_triples(field, triples):
-    acc: dict[tuple[int, int], object] = {}
-    for a, b, c in triples:
-        key = (a, b)
-        c = field.coerce(c)
-        acc[key] = field.add(acc[key], c) if key in acc else c
-    return acc
-
-
 def _acc(field, store, key, val):
     store[key] = field.add(store[key], val) if key in store else val
 
@@ -164,25 +115,14 @@ def grouplike_comodule(base: Coalgebra, dim: int, grouplike: Sequence) -> Comodu
 class Cocycle2:
     """Symmetric normalized 2-cocycle omega: X -> C (x) C over a comodule."""
 
-    __slots__ = ("comodule", "omega", "__dict__")
+    __slots__ = ("comodule", "omega")
 
     def __init__(self, comodule: Comodule, omega):
         self.comodule = comodule
         f, dc = comodule.base.field, comodule.base.dim
         if len(omega) != comodule.dim:
             raise ShapeError("omega must give triples for every X basis vector")
-        for s in range(comodule.dim):
-            for j, k, _c in omega[s]:
-                if not (0 <= j < dc and 0 <= k < dc):
-                    raise ShapeError(f"omega triple ({j},{k}) out of range at index {s}")
-        self.omega = tuple(
-            tuple(
-                (j, k, c)
-                for (j, k), c in sorted(_merge_triples(f, omega[s]).items())
-                if not f.is_zero(c)
-            )
-            for s in range(comodule.dim)
-        )
+        self.omega = normalize_triples(f, omega, (dc, dc), "omega")
 
     def __eq__(self, other) -> bool:
         return (
@@ -194,27 +134,15 @@ class Cocycle2:
     def __hash__(self) -> int:
         return hash((self.comodule, self.omega))
 
-    @cached_property
-    def omega_matrix(self) -> Matrix:
-        f, dx, dc = self.comodule.base.field, self.comodule.dim, self.comodule.base.dim
-        cols = []
-        for s in range(dx):
-            col = [f.zero] * (dc * dc)
-            for j, k, c in self.omega[s]:
-                col[j * dc + k] = f.add(col[j * dc + k], c)
-            cols.append(col)
-        return Matrix(f, dc * dc, dx, tuple(zip(*cols)))
-
     def validate(self) -> list[str]:
         """Failed identities among: symmetry, normalization, the 2-cocycle identity."""
         com = self.comodule
         c = com.base
-        f, dc = c.field, c.dim
+        f, dc, dx = c.field, c.dim, com.dim
         failures = []
-        om = self.omega_matrix
+        om = triples_matrix(f, self.omega, (dc, dc))
         # symmetry: omega = flip o omega
-        flip_rows = tuple(om.data[k * dc + j] for j in range(dc) for k in range(dc))
-        if om.data != flip_rows:
+        if triples_matrix(f, self.omega, (dc, dc), flip=True) != om:
             failures.append("symmetry")
         eye_c = Matrix.identity(f, dc)
         eps = c.counit_matrix
@@ -222,10 +150,10 @@ class Cocycle2:
             failures.append("normalization")
         dm = c.delta_matrix
         lhs = (
-            eye_c.kron(om) @ com.left_coaction_matrix
+            eye_c.kron(om) @ triples_matrix(f, com.coaction, (dx, dc), flip=True)
             - dm.kron(eye_c) @ om
             + eye_c.kron(dm) @ om
-            - om.kron(eye_c) @ com.coaction_matrix
+            - om.kron(eye_c) @ triples_matrix(f, com.coaction, (dx, dc))
         )
         if not lhs.is_zero():
             failures.append("2-cocycle identity")

@@ -103,10 +103,10 @@ class PrimeField:
     """The prime field F_p, elements stored as ints in [0, p)."""
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= 2**31:
+            raise ValueError(f"{p} too large (must be a prime < 2^31)")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p >= 2**31:
-            raise ValueError(f"prime {p} too large (must be < 2^31)")
         self.p = p
         self.char = p
         self.name = f"Fp {p}"

@@ -1,10 +1,11 @@
 """Dense exact linear algebra over Q and F_p.
 
 Everything here is immutable after construction.  Matrices are dense
-tuple-of-tuples in row-major order; vectors are plain tuples.  Subspaces
-are kept in reduced row-echelon form so that equal subspaces compare
-equal as values.  Target sizes are tiny (ambient dimension well under a
-hundred), so no sparse formats and no fraction-free tricks.
+tuple-of-tuples in row-major order; vectors are plain tuples.  A
+`Subspace` holds its basis as reduced row-echelon rows together with
+their pivot columns, so equal subspaces compare equal as values, and
+every reduction of a vector against a basis goes through
+`Subspace.reduce`.
 """
 
 from __future__ import annotations
@@ -176,18 +177,6 @@ class Matrix:
         return cls(field, rows, cols, data)
 
 
-def vec_add(field: Field, u: Sequence, v: Sequence) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-def vec_sub(field: Field, u: Sequence, v: Sequence) -> Vector:
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-def vec_scale(field: Field, c, v: Sequence) -> Vector:
-    return tuple(field.mul(c, a) for a in v)
-
-def vec_is_zero(field: Field, v: Sequence) -> bool:
-    return all(field.is_zero(a) for a in v)
-
 def unit_vec(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one if j == i else field.zero for j in range(n))
 
@@ -224,21 +213,25 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     return out, tuple(pivots), r
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Canonical basis of ker(m): one vector per free column, free entry 1."""
-    f = m.field
-    red, pivots, _rank = rref(m)
+def _kernel_from_rref(field: Field, rows: Sequence, pivots: Sequence[int], ncols: int) -> list[Vector]:
+    """Canonical kernel basis read off RREF rows: one vector per free column, free entry 1."""
     piv_set = set(pivots)
     basis = []
-    for free in range(m.cols):
+    for free in range(ncols):
         if free in piv_set:
             continue
-        v = [f.zero] * m.cols
-        v[free] = f.one
-        for r_i, c in enumerate(pivots):
-            v[c] = f.neg(red.data[r_i][free])
+        v = [field.zero] * ncols
+        v[free] = field.one
+        for row, c in zip(rows, pivots):
+            v[c] = field.neg(row[free])
         basis.append(tuple(v))
     return basis
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Canonical basis of ker(m): one vector per free column, free entry 1."""
+    red, pivots, _rank = rref(m)
+    return _kernel_from_rref(m.field, red.data, pivots, m.cols)
 
 
 def solve(m: Matrix, b: Sequence) -> tuple[Vector, list[Vector]] | None:
@@ -251,36 +244,26 @@ def solve(m: Matrix, b: Sequence) -> tuple[Vector, list[Vector]] | None:
     if len(b) != m.rows:
         raise ShapeError(f"rhs length {len(b)} vs {m.rows} rows")
     f = m.field
-    aug = m.hstack(Matrix.column(f, b))
-    red, pivots, _rank = rref(aug)
+    red, pivots, _rank = rref(m.hstack(Matrix.column(f, b)))
     if m.cols in pivots:
         return None
-    m_pivots = [c for c in pivots if c < m.cols]
     x = [f.zero] * m.cols
-    for r_i, c in enumerate(m_pivots):
-        x[c] = red.data[r_i][m.cols]
-    piv_set = set(m_pivots)
-    kernel = []
-    for free in range(m.cols):
-        if free in piv_set:
-            continue
-        v = [f.zero] * m.cols
-        v[free] = f.one
-        for r_i, c in enumerate(m_pivots):
-            v[c] = f.neg(red.data[r_i][free])
-        kernel.append(tuple(v))
-    return tuple(x), kernel
+    for row, c in zip(red.data, pivots):
+        x[c] = row[m.cols]
+    return tuple(x), _kernel_from_rref(f, red.data, pivots, m.cols)
 
 
 class Subspace:
-    """Subspace of F^n held as an RREF row basis (canonical form)."""
+    """Subspace of F^n held as RREF basis rows and their pivot columns (canonical form)."""
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "pivots")
 
-    def __init__(self, ambient: int, basis: Matrix):
-        # Trusted constructor: basis must be RREF with no zero rows.
+    def __init__(self, ambient: int, basis: Matrix, pivots: tuple[int, ...]):
+        # Trusted constructor: basis must be RREF with no zero rows, pivots
+        # the column of each row's leading one.
         self.ambient = ambient
         self.basis = basis
+        self.pivots = pivots
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
@@ -289,17 +272,17 @@ class Subspace:
             if len(v) != ambient:
                 raise ShapeError(f"vector length {len(v)} vs ambient {ambient}")
         if not vecs:
-            return cls(ambient, Matrix(field, 0, ambient, ()))
-        red, _piv, rank = rref(Matrix(field, len(vecs), ambient, tuple(vecs)))
-        return cls(ambient, Matrix(field, rank, ambient, red.data[:rank]))
+            return cls.zero(field, ambient)
+        red, pivots, rank = rref(Matrix(field, len(vecs), ambient, tuple(vecs)))
+        return cls(ambient, Matrix(field, rank, ambient, red.data[:rank]), pivots)
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> Subspace:
-        return cls(ambient, Matrix(field, 0, ambient, ()))
+        return cls(ambient, Matrix(field, 0, ambient, ()), ())
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> Subspace:
-        return cls(ambient, Matrix.identity(field, ambient))
+        return cls(ambient, Matrix.identity(field, ambient), tuple(range(ambient)))
 
     @property
     def field(self) -> Field:
@@ -322,17 +305,20 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
 
-    def contains_vector(self, v: Sequence) -> bool:
+    def reduce(self, v: Sequence) -> Vector:
+        """Canonical representative of v modulo this subspace: zero at every pivot."""
         f = self.field
         if len(v) != self.ambient:
             raise ShapeError(f"vector length {len(v)} vs ambient {self.ambient}")
-        v = list(f.coerce(x) for x in v)
-        piv = [next(j for j, x in enumerate(row) if not f.is_zero(x)) for row in self.basis.data]
-        for row, c in zip(self.basis.data, piv):
+        v = [f.coerce(x) for x in v]
+        for row, c in zip(self.basis.data, self.pivots):
             factor = v[c]
             if not f.is_zero(factor):
                 v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
-        return all(f.is_zero(x) for x in v)
+        return tuple(v)
+
+    def contains_vector(self, v: Sequence) -> bool:
+        return all(self.field.is_zero(x) for x in self.reduce(v))
 
     def contains_space(self, other: Subspace) -> bool:
         return all(self.contains_vector(row) for row in other.basis.data)
@@ -358,13 +344,25 @@ class Subspace:
         ]
         return Subspace.span(f, n, inter)
 
+    def quotient_basis(self, sub: Subspace) -> list[Vector]:
+        """Basis rows kept by a greedy scan: each row not in sub + the rows before it.
+
+        Their classes form a basis of self / sub; sub must lie inside self.
+        A vector of sub has coordinates v[p] in this basis, p running over
+        the pivots.  Row i is skipped exactly when some vector of sub has its
+        last nonzero coordinate at i, that is when i is a pivot of those
+        coordinates read right to left: one elimination of a dim sub x
+        dim self matrix.
+        """
+        k = self.dim
+        coords = [tuple(row[c] for c in reversed(self.pivots)) for row in sub.basis.data]
+        left_out = {k - 1 - c for c in Subspace.span(self.field, k, coords).pivots}
+        return [row for i, row in enumerate(self.basis.data) if i not in left_out]
+
     def equation_matrix(self) -> Matrix:
         """Rows z with z . x = 0 exactly cutting out this subspace."""
-        f = self.field
-        if self.dim == 0:
-            return Matrix.identity(f, self.ambient)
-        eqs = kernel_basis(self.basis)
-        return Matrix(f, len(eqs), self.ambient, tuple(eqs))
+        eqs = _kernel_from_rref(self.field, self.basis.data, self.pivots, self.ambient)
+        return Matrix(self.field, len(eqs), self.ambient, tuple(eqs))
 
     def _check_compatible(self, other: Subspace) -> None:
         require_same_field(self.field, other.field)

@@ -46,6 +46,19 @@ def _need(obj: dict, key: str, kind: str, where: str):
     return obj[key]
 
 
+def _is_name(x, table) -> bool:
+    """True when x is a string naming an entry of table; JSON may put any value there."""
+    return isinstance(x, str) and x in table
+
+
+def _entries(block: dict, key: str, where: str, shape: str, required: bool = True) -> list:
+    """The [src, a, b, coeff] entries of a delta, coaction or omega list."""
+    entries = _need(block, key, "dimension", where) if required else block.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 4 for e in entries):
+        raise SpecFileError("dimension", f"{where}: {key} entries are {shape}")
+    return entries
+
+
 def _scalar(f: Field, x, where: str):
     if isinstance(x, bool) or isinstance(x, float):
         raise SpecFileError("syntax", f"non-exact scalar literal {x!r} in {where}")
@@ -84,15 +97,12 @@ def _parse_coalgebra(f: Field, name: str, block: dict) -> Coalgebra:
     index = {b: i for i, b in enumerate(basis)}
 
     def look(n_: str, what: str) -> int:
-        if n_ not in index:
+        if not _is_name(n_, index):
             raise SpecFileError("reference", f"{where}: {what} references unknown basis name {n_!r}")
         return index[n_]
 
     delta = [[] for _ in basis]
-    for triple in _need(block, "delta", "dimension", where):
-        if not isinstance(triple, list) or len(triple) != 4:
-            raise SpecFileError("dimension", f"{where}: delta entries are [src, left, right, coeff]")
-        src, left, right, coeff = triple
+    for src, left, right, coeff in _entries(block, "delta", where, "[src, left, right, coeff]"):
         delta[look(src, "delta")].append(
             (look(left, "delta"), look(right, "delta"), _scalar(f, coeff, where))
         )
@@ -118,22 +128,20 @@ def _parse_coalgebra(f: Field, name: str, block: dict) -> Coalgebra:
 def _parse_comodule(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra]) -> Comodule:
     where = f"comodule {name!r}"
     base_name = _need(block, "base", "reference", where)
-    if base_name not in coalgebras:
+    if not _is_name(base_name, coalgebras):
         raise SpecFileError("reference", f"{where}: unknown coalgebra {base_name!r}")
     base = coalgebras[base_name]
     basis = _need(block, "basis", "dimension", where)
-    if not isinstance(basis, list) or not basis:
+    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis) or not basis:
         raise SpecFileError("dimension", f"{where}: basis must be a nonempty list of names")
     xindex = {b: i for i, b in enumerate(basis)}
     cindex = {b: i for i, b in enumerate(base.names)}
     coaction = [[] for _ in basis]
-    for triple in _need(block, "coaction", "dimension", where):
-        if not isinstance(triple, list) or len(triple) != 4:
-            raise SpecFileError("dimension", f"{where}: coaction entries are [src, x, c, coeff]")
+    for triple in _entries(block, "coaction", where, "[src, x, c, coeff]"):
         src, xo, co, coeff = triple
-        if src not in xindex or xo not in xindex:
+        if not (_is_name(src, xindex) and _is_name(xo, xindex)):
             raise SpecFileError("reference", f"{where}: unknown X basis name in {triple[:3]!r}")
-        if co not in cindex:
+        if not _is_name(co, cindex):
             raise SpecFileError("reference", f"{where}: unknown coalgebra basis name {co!r}")
         coaction[xindex[src]].append((xindex[xo], cindex[co], _scalar(f, coeff, where)))
     return Comodule(base, len(basis), coaction)
@@ -144,20 +152,18 @@ def _parse_cocycle(
 ) -> Cocycle2:
     where = f"cocycle {name!r}"
     com_name = _need(block, "comodule", "reference", where)
-    if com_name not in comodules:
+    if not _is_name(com_name, comodules):
         raise SpecFileError("reference", f"{where}: unknown comodule {com_name!r}")
     com = comodules[com_name]
     names = xnames[com_name]
     xindex = {b: i for i, b in enumerate(names)}
     cindex = {b: i for i, b in enumerate(com.base.names)}
     omega = [[] for _ in range(com.dim)]
-    for triple in block.get("omega", []):
-        if not isinstance(triple, list) or len(triple) != 4:
-            raise SpecFileError("dimension", f"{where}: omega entries are [src, c, c, coeff]")
+    for triple in _entries(block, "omega", where, "[src, c, c, coeff]", required=False):
         src, ca, cb, coeff = triple
-        if src not in xindex:
+        if not _is_name(src, xindex):
             raise SpecFileError("reference", f"{where}: unknown X basis name {src!r}")
-        if ca not in cindex or cb not in cindex:
+        if not (_is_name(ca, cindex) and _is_name(cb, cindex)):
             raise SpecFileError("reference", f"{where}: unknown coalgebra basis name in {triple!r}")
         omega[xindex[src]].append((cindex[ca], cindex[cb], _scalar(f, coeff, where)))
     return Cocycle2(com, omega)
@@ -166,13 +172,13 @@ def _parse_cocycle(
 def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra]) -> AlgebraMC:
     where = f"algebra {name!r}"
     over = _need(block, "over", "reference", where)
-    if over not in coalgebras:
+    if not _is_name(over, coalgebras):
         raise SpecFileError("reference", f"{where}: unknown coalgebra {over!r}")
     c = coalgebras[over]
     dim = block.get("dim")
-    if dim is None and "basis" in block:
+    if dim is None and isinstance(block.get("basis"), list):
         dim = len(block["basis"])
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SpecFileError("dimension", f"{where}: positive dimension required (dim or basis)")
     mult = block.get("mult", {})
     if not isinstance(mult, dict):
@@ -209,15 +215,17 @@ def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalg
 def _parse_morphism(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra]) -> ConvMorphism:
     where = f"morphism {name!r}"
     over = _need(block, "over", "reference", where)
-    if over not in coalgebras:
+    if not _is_name(over, coalgebras):
         raise SpecFileError("reference", f"{where}: unknown coalgebra {over!r}")
     c = coalgebras[over]
     a_dim = _need(block, "a_dim", "dimension", where)
     p = block.get("source_arity", 1)
     q = block.get("target_arity", 1)
-    if not all(isinstance(v, int) and v >= 0 for v in (a_dim, p, q)) or a_dim < 1:
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (a_dim, p, q)) or a_dim < 1:
         raise SpecFileError("dimension", f"{where}: a_dim, source_arity, target_arity must be ints")
     comp_spec = block.get("components", {})
+    if not isinstance(comp_spec, dict):
+        raise SpecFileError("dimension", f"{where}: components must map basis names to matrices")
     comps = []
     for cname in c.names:
         if cname in comp_spec:
@@ -252,6 +260,17 @@ def _axiom_failures(sf: SpecFile) -> list[str]:
     return failures
 
 
+def _section(doc: dict, key: str) -> list[tuple[str, dict]]:
+    """The named blocks of one top-level section, sorted by name."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise SpecFileError("syntax", f"{key!r} must be an object of named blocks")
+    for name, block in section.items():
+        if not isinstance(block, dict):
+            raise SpecFileError("syntax", f"{key!r} block {name!r} must be an object")
+    return sorted(section.items())
+
+
 def parse_text(text: str, strict: bool = True) -> tuple[SpecFile, list[str]]:
     """Parse and validate a spec document.
 
@@ -275,21 +294,21 @@ def parse_text(text: str, strict: bool = True) -> tuple[SpecFile, list[str]]:
     if f is None:
         raise SpecFileError("syntax", f"bad field block {fname!r}")
     coalgebras: dict[str, Coalgebra] = {}
-    for name, block in sorted(doc.get("coalgebras", {}).items()):
+    for name, block in _section(doc, "coalgebras"):
         coalgebras[name] = _parse_coalgebra(f, name, block)
     comodules: dict[str, Comodule] = {}
     xnames: dict[str, list[str]] = {}
-    for name, block in sorted(doc.get("comodules", {}).items()):
+    for name, block in _section(doc, "comodules"):
         comodules[name] = _parse_comodule(f, name, block, coalgebras)
         xnames[name] = list(block["basis"])
     cocycles: dict[str, Cocycle2] = {}
-    for name, block in sorted(doc.get("cocycles", {}).items()):
+    for name, block in _section(doc, "cocycles"):
         cocycles[name] = _parse_cocycle(f, name, block, comodules, xnames)
     algebras: dict[str, AlgebraMC] = {}
-    for name, block in sorted(doc.get("algebras", {}).items()):
+    for name, block in _section(doc, "algebras"):
         algebras[name] = _parse_algebra(f, name, block, coalgebras)
     morphisms: dict[str, ConvMorphism] = {}
-    for name, block in sorted(doc.get("morphisms", {}).items()):
+    for name, block in _section(doc, "morphisms"):
         morphisms[name] = _parse_morphism(f, name, block, coalgebras)
     task = doc.get("task", {})
     if not isinstance(task, dict):
@@ -315,7 +334,55 @@ def parse_path(path: str, strict: bool = True) -> tuple[SpecFile, list[str]]:
             text = fh.read()
     except OSError as exc:
         raise SpecFileError("io", f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError("syntax", f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return parse_text(text, strict=strict)
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SpecFileError("io", f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError("syntax", f"{what} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise SpecFileError("syntax", f"{what}: {exc.msg}", exc.lineno, exc.colno) from exc
+
+
+def parse_cochain_file(path: str, f: Field, a_dim: int) -> dict[int, list[Matrix]]:
+    """The `--strategy file:` document: degree -> one a x a^2 matrix per layer element."""
+    doc = _read_json(path, "cochain file")
+    if not isinstance(doc, dict):
+        raise SpecFileError("syntax", "cochain file must map degrees to lists of matrices")
+    out = {}
+    for key, mats in doc.items():
+        try:
+            degree = int(key)
+        except ValueError as exc:
+            raise SpecFileError("syntax", f"cochain file: degree {key!r} is not an integer") from exc
+        if not isinstance(mats, list):
+            raise SpecFileError(
+                "dimension", f"cochain file: degree {degree} needs one matrix per layer element"
+            )
+        where = f"cochain file degree {degree}"
+        out[degree] = [_matrix(f, m, a_dim, a_dim * a_dim, where) for m in mats]
+    return out
+
+
+def parse_filtration_file(path: str, f: Field, dim: int) -> list[list[list]]:
+    """The `--filtration file:` document: {"layers": [[vector, ...], ...]}."""
+    doc = _read_json(path, "filtration file")
+    layers = doc.get("layers") if isinstance(doc, dict) else None
+    if not isinstance(layers, list) or not layers:
+        raise SpecFileError("dimension", "filtration file needs a nonempty 'layers' list")
+    out = []
+    for n, layer in enumerate(layers):
+        if not isinstance(layer, list):
+            raise SpecFileError("dimension", f"filtration file: layer {n} must be a list of vectors")
+        out.append([_vector(f, v, dim, f"filtration file layer {n}") for v in layer])
+    return out
 
 
 # -- serialization ----------------------------------------------------------

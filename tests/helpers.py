@@ -217,6 +217,24 @@ def xsq_deformation_algebra(field):
     return AlgebraMC(m=ConvMorphism(c, (m0, m1)))
 
 
+def greedy_quotient_rows(total, sub):
+    """Oracle for Subspace.quotient_basis: the span-and-check loop it replaced.
+
+    Walks the RREF rows of `total` and keeps each row that is not yet in
+    the span of `sub` and the rows kept so far, re-eliminating that span
+    after every kept row.
+    """
+    from convdef import Subspace
+
+    kept = []
+    span = sub
+    for row in total.basis.data:
+        if not span.contains_vector(row):
+            kept.append(row)
+            span = span.sum(Subspace.span(total.field, total.ambient, [row]))
+    return kept
+
+
 def unit_column(field, dim, index=0) -> MultiMap:
     rows = [[field.one if r == index else field.zero] for r in range(dim)]
     return MultiMap(dim, 0, 1, Matrix.from_rows(field, rows))

@@ -40,7 +40,7 @@ from convdef import (
     trivial_k,
     unit_gauge,
 )
-from convdef.deformation import _gauge_from_cochain, _reduce_mod
+from convdef.deformation import _gauge_from_cochain
 from convdef.fields import QQ
 from convdef.linalg import kernel_basis
 from convdef.specfile import parse_path, parse_text, serialize
@@ -407,12 +407,12 @@ def test_c09_equivalence_classification_f2():
             predicted.add(nu.flatten())
         assert sols == predicted
         b2 = Subspace.span(F2, 8, [b.flatten() for b in report.b2_basis])
-        cosets = {_reduce_mod(F2, s, b2) for s in sols}
+        cosets = {b2.reduce(s) for s in sols}
         assert len(cosets) == 2**report.dim_h2 == report.coset_count
         # classify materializes exactly one representative per coset
         result = classify(alg, ext)
         assert len(result.representatives) == len(cosets)
-        rep_cosets = {_reduce_mod(F2, r.m_x.flatten(), b2) for r in result.representatives}
+        rep_cosets = {b2.reduce(r.m_x.flatten()) for r in result.representatives}
         assert rep_cosets == cosets
         total_checked += 1
     _ok(9, f"exhaustive F2 solution sets equal base + Z^2 with 2^dim H^2 cosets "

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from convdef.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -114,3 +116,82 @@ def test_input_errors_exit_1(tmp_path, capsys):
     empty.write_text("")
     assert main(["validate", str(empty)]) == 1
     assert main(["cohomology", fx("mat2.json"), "--degree", "2", "--algebra", "nope"]) == 1
+    # negative degrees are refused before any cochain is built
+    assert main(["cohomology", fx("dual_numbers.json"), "--degree", "-1"]) == 1
+    assert main(["cohomology", fx("dual_numbers.json"), "--degree=-3"]) == 1
+    assert main(["series", fx("poly_t2_dual.json"), "--algebra", "A0", "--coalgebra", "D",
+                 "--max-degree", "-1"]) == 1
+    # argparse usage errors are input errors, not the "mathematical no" code 2
+    assert main(["cohomology", fx("dual_numbers.json"), "--degree", "abc"]) == 1
+    assert main(["cohomology"]) == 1
+    assert main(["no-such-command", fx("trivial.json")]) == 1
+    assert main([]) == 1
+    # a section or a block inside it that is not an object
+    doc = json.loads((FIXTURES / "poly_t2_dual.json").read_text())
+    for section in ("coalgebras", "comodules", "cocycles", "algebras"):
+        for bad in ([doc[section]], "x", {"blk": []}, {"blk": 3}):
+            path = tmp_path / "bad_section.json"
+            path.write_text(json.dumps(dict(doc, **{section: bad})))
+            assert main(["validate", str(path)]) == 1, (section, bad)
+    inv = json.loads((FIXTURES / "invert.json").read_text())
+    for bad in ([inv["morphisms"]], {"f": None}):
+        path = tmp_path / "bad_morphisms.json"
+        path.write_text(json.dumps(dict(inv, morphisms=bad)))
+        assert main(["invert", str(path)]) == 1
+    # a spec file that is not UTF-8
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b'{"schema": "convdef-spec v1", "field": "Q\xff\xfe"}\n')
+    assert main(["validate", str(latin)]) == 1
+    assert "UTF-8" in capsys.readouterr().err
+    # a prime field tag too large to be used is refused before any primality test
+    huge = tmp_path / "huge_prime.json"
+    huge.write_text(json.dumps({"schema": "convdef-spec v1", "field": "Fp 1000000000000000000000000000057"}))
+    assert main(["validate", str(huge)]) == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+def _series_with_cochain_file(tmp_path, doc) -> int:
+    path = tmp_path / "cochains.json"
+    path.write_text(json.dumps(doc))
+    return main(["series", fx("poly_t2_dual.json"), "--algebra", "A0", "--coalgebra", "D",
+                 "--max-degree", "2", "--strategy", "file:" + str(path)])
+
+
+def test_cochain_file_list_document_exits_1(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "xsq_t_cochain.json").read_text())
+    assert _series_with_cochain_file(tmp_path, [doc]) == 1
+
+
+def test_cochain_file_non_integer_degree_exits_1(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "xsq_t_cochain.json").read_text())
+    assert _series_with_cochain_file(tmp_path, {"one": doc["1"]}) == 1
+    assert "not an integer" in capsys.readouterr().err
+
+
+def _invert_with_layers_file(tmp_path, doc) -> int:
+    path = tmp_path / "layers.json"
+    path.write_text(json.dumps(doc))
+    return main(["invert", fx("invert.json"), "--filtration", "file:" + str(path)])
+
+
+def test_layers_file_list_document_exits_1(tmp_path, capsys):
+    assert _invert_with_layers_file(tmp_path, [[["1", "0", "0", "0"]]]) == 1
+
+
+def test_layers_file_float_scalar_exits_1(tmp_path, capsys):
+    layers = [[[1.0, 0, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
+    assert _invert_with_layers_file(tmp_path, {"layers": layers}) == 1
+    assert "non-exact scalar" in capsys.readouterr().err
+
+
+def test_layers_file_is_read(tmp_path, capsys):
+    # the grading filtration of k[t]_{<=3}, spelled out in a layers file
+    eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    layers = [eye[: n + 1] for n in range(4)]
+    assert _invert_with_layers_file(tmp_path, {"layers": layers}) == 0

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from convdef import (
     Coalgebra,
     DegreeMismatch,
     NotExhaustive,
+    ShapeError,
     Subspace,
     UnsupportedSearch,
     coradical_filtration,
@@ -18,7 +20,7 @@ from convdef import (
     polynomial_multi,
     trivial_k,
 )
-from convdef.coalgebra import is_coalgebra_filtration
+from convdef.coalgebra import is_coalgebra_filtration, normalize_triples, triples_matrix
 from convdef.linalg import unit_vec
 from convdef.fields import QQ, PrimeField
 
@@ -191,3 +193,27 @@ def test_polynomial_multi_layer_dims():
 def test_grading_filtration_is_coalgebra_filtration():
     for c in (divided_power_t(3, QQ), polynomial_multi(2, 2, F5)):
         assert is_coalgebra_filtration(c, c.grading_filtration())
+
+
+def test_normalize_triples_merges_sorts_and_drops_zeros():
+    raw = [[(1, 0, 1), (0, 1, 2), (1, 0, "1/2"), (0, 0, 0)], [(0, 1, 1), (0, 1, -1)]]
+    assert normalize_triples(QQ, raw, (2, 2), "delta") == (((0, 1, 2), (1, 0, Fraction(3, 2))), ())
+
+
+def test_normalize_triples_range_errors_keep_their_messages():
+    with pytest.raises(ShapeError, match=r"^delta triple \(0,2\) out of range for index 1$"):
+        Coalgebra(QQ, ["a", "b"], [[(0, 0, 1)], [(0, 2, 1)]], [1, 0])
+    with pytest.raises(ShapeError, match=r"^delta triple \(-1,0\) out of range for index 0$"):
+        normalize_triples(QQ, [[(-1, 0, 1)]], (1, 1), "delta")
+
+
+def test_triples_matrix_layouts():
+    # one source, triples in a 2 x 3 index range
+    triples = (((0, 2, 5), (1, 0, 7)),)
+    plain = triples_matrix(QQ, triples, (2, 3))
+    flipped = triples_matrix(QQ, triples, (2, 3), flip=True)
+    assert plain.rows == flipped.rows == 6 and plain.cols == 1
+    assert plain.col(0) == (0, 0, 5, 7, 0, 0)    # row j * 3 + k
+    assert flipped.col(0) == (0, 7, 0, 0, 5, 0)  # row k * 2 + j
+    c = divided_power_t(2, QQ)
+    assert c.delta_matrix == triples_matrix(QQ, c.delta, (3, 3))

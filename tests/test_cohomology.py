@@ -29,6 +29,7 @@ import oracle_hochschild as oracle
 from helpers import (
     F5,
     dual_numbers,
+    greedy_quotient_rows,
     mat2_mult,
     random_algebra,
     rank_one_square,
@@ -239,6 +240,19 @@ def test_cohomology_representatives_are_cocycles():
     assert res.dim_h == res.dim_z - res.dim_b == 1
     for rep in res.representatives:
         assert spec.differential(rep).is_zero()
+
+
+def test_cohomology_representatives_match_greedy_oracle():
+    rng = random.Random(61)
+    for field in (QQ, F5):
+        for _ in range(6):
+            spec = hochschild_spec_of(random_algebra(field, 2, rng))
+            for n in (0, 1, 2):
+                res = spec.cohomology(n)
+                assert res.z_space.contains_space(res.b_space)
+                assert res.dim_z == res.z_space.dim and res.dim_b == res.b_space.dim
+                oracle_rows = greedy_quotient_rows(res.z_space, res.b_space)
+                assert [r.flatten() for r in res.representatives] == oracle_rows
 
 
 def test_rank1_reduction_counit_case():

@@ -199,10 +199,8 @@ def test_equiv_distinguishes_cosets():
     d2 = make_deformation(alg, ext, shifted)
     assert equiv_check(d1, d2) is None
     # and they reduce to different canonical coset representatives
-    from convdef.deformation import _reduce_mod
-
     b2 = Subspace.span(QQ, len(shifted.flatten()), [b.flatten() for b in report.b2_basis])
-    assert _reduce_mod(QQ, d1.m_x.flatten(), b2) != _reduce_mod(QQ, d2.m_x.flatten(), b2)
+    assert b2.reduce(d1.m_x.flatten()) != b2.reduce(d2.m_x.flatten())
 
 
 def test_equiv_requires_same_extension():

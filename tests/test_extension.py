@@ -8,6 +8,7 @@ from convdef import (
     Matrix,
     NotAnExtension,
     RetractNotNormalized,
+    ShapeError,
     UnsupportedCoaction,
     build_extension,
     decompose_completely_reducible,
@@ -201,3 +202,19 @@ def test_comodule_validation_catches_bad_coaction():
     d = divided_power_t(1, QQ)
     bad = Comodule(d, 1, [[(0, 1, 1)]])  # rho(x) = x (x) t fails the counit axiom
     assert "coaction counit axiom" in bad.validate()
+
+
+def test_normalize_triples_range_errors_for_coaction_and_omega():
+    d = divided_power_t(1, QQ)
+    with pytest.raises(ShapeError, match=r"^coaction triple \(1,0\) out of range at index 0$"):
+        Comodule(d, 1, [[(1, 0, 1)]])
+    with pytest.raises(ShapeError, match=r"^coaction triple \(0,2\) out of range at index 0$"):
+        Comodule(d, 1, [[(0, 2, 1)]])
+    com = Comodule(d, 1, [[(0, 0, 1)]])
+    with pytest.raises(ShapeError, match=r"^omega triple \(0,2\) out of range at index 0$"):
+        Cocycle2(com, [[(0, 2, 1)]])
+    # duplicates merge, zeros drop, entries sort, as for Delta
+    com2 = Comodule(d, 1, [[(0, 1, 1), (0, 0, 1), (0, 1, -1)]])
+    assert com2.coaction == (((0, 0, 1),),)
+    w = Cocycle2(com, [[(1, 1, 2), (0, 0, 0), (1, 1, -1)]])
+    assert w.omega == (((1, 1, 1),),)

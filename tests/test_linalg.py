@@ -17,6 +17,8 @@ from convdef import (
 )
 from convdef.fields import QQ, PrimeField
 
+from helpers import greedy_quotient_rows
+
 F2 = PrimeField(2)
 F5 = PrimeField(5)
 
@@ -165,3 +167,83 @@ def test_kernel_basis_canonical():
     assert len(ker) == 2
     for k in ker:
         assert all(v == 0 for v in m.mul_vec(k))
+
+
+def _random_subspace(field, n, count, rng):
+    return Subspace.span(field, n, [tuple(field.random_element(rng) for _ in range(n)) for _ in range(count)])
+
+
+def test_subspace_pivots_are_leading_columns():
+    rng = random.Random(41)
+    for field in (QQ, F2, F5):
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            u = _random_subspace(field, n, rng.randint(0, n + 1), rng)
+            assert len(u.pivots) == u.dim
+            assert list(u.pivots) == sorted(set(u.pivots))
+            for row, p in zip(u.basis.data, u.pivots):
+                assert row[p] == field.one
+                assert all(field.is_zero(x) for x in row[:p])
+    assert Subspace.zero(QQ, 3).pivots == ()
+    assert Subspace.full(F5, 3).pivots == (0, 1, 2)
+
+
+def test_subspace_reduce_properties():
+    rng = random.Random(43)
+    for field in (QQ, F2, F5):
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            u = _random_subspace(field, n, rng.randint(0, n), rng)
+            v = tuple(field.random_element(rng) for _ in range(n))
+            r = u.reduce(v)
+            assert all(field.is_zero(r[p]) for p in u.pivots)
+            assert u.contains_vector(tuple(field.sub(a, b) for a, b in zip(v, r)))
+            # the representative depends only on the coset
+            w = tuple(field.add(a, b) for a, b in zip(v, u.basis.data[0])) if u.dim else v
+            assert u.reduce(w) == r
+            assert u.contains_vector(v) == all(field.is_zero(x) for x in r)
+    with pytest.raises(ShapeError):
+        Subspace.full(QQ, 2).reduce((1, 2, 3))
+
+
+def test_quotient_basis_matches_greedy_oracle():
+    rng = random.Random(47)
+    for field in (QQ, F2, F5):
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            z = _random_subspace(field, n, rng.randint(0, n), rng)
+            combos = [
+                tuple(
+                    field.normalize(sum(field.mul(c, row[j]) for c, row in zip(coeffs, z.basis.data)))
+                    for j in range(n)
+                )
+                for coeffs in (
+                    [field.random_element(rng) for _ in range(z.dim)] for _ in range(rng.randint(0, z.dim + 1))
+                )
+            ]
+            b = Subspace.span(field, n, combos)
+            assert z.contains_space(b)
+            kept = z.quotient_basis(b)
+            assert kept == greedy_quotient_rows(z, b)
+            assert len(kept) == z.dim - b.dim
+
+
+def test_quotient_basis_keeps_later_rows_when_sub_hits_earlier_ones():
+    z = Subspace.full(QQ, 3)
+    # e0 + e2 lies in sub: the greedy scan keeps e0, e1 and skips e2
+    b = Subspace.span(QQ, 3, [(1, 0, 1)])
+    assert z.quotient_basis(b) == [(1, 0, 0), (0, 1, 0)]
+    assert z.quotient_basis(b) == greedy_quotient_rows(z, b)
+
+
+def test_equation_matrix_cuts_out_subspace():
+    rng = random.Random(53)
+    for field in (QQ, F5):
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            u = _random_subspace(field, n, rng.randint(0, n), rng)
+            eqs = u.equation_matrix()
+            assert eqs.rows == n - u.dim
+            assert preimage(Matrix.identity(field, n), u) == u
+            for row in u.basis.data:
+                assert all(field.is_zero(x) for x in eqs.mul_vec(row))
