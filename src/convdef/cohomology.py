@@ -4,7 +4,18 @@ Cochains of degree n are linear maps from the comodule X into
 Hom(A^(x)n, A).  The coface maps weave the multiplication through the
 coaction; their alternating sum is the differential.  Flattened cochain
 coordinates are X-index major, then row-major over the map matrix, i.e.
-flat[s * a^(n+1) + r * a^n + c] = maps[s].mat[r][c].
+flat[s * a^(n+1) + r * a^n + c] = maps[s].mat[r][c], and a column index
+of A^(x)n is read as n base-a digits, the first factor most significant.
+
+d^n is assembled once from the structure constants.  For each term
+c * e_t (x) c_u of rho(e_s) and each nonzero v = m_u[r][p*a + q], with J'
+running over a^n:
+  - i = 0 adds c*v at row (s, r, p*a^n + J'), column (t, q, J');
+  - i = n+1 adds (-1)^(n+1) c*v at row (s, r, J'*a + q), column (t, p, J');
+  - each 1 <= i <= n adds (-1)^i c*v at row (s, r', (h, p, q, l)), column
+    (t, r', (h, r, l)), for every r' < a, h in a^(i-1) and l in a^(n-i).
+The composition-based cofaces these families expand live in the test
+suite as the independent oracle (`tests/helpers.py`, `oracle_coface`).
 """
 
 from __future__ import annotations
@@ -16,8 +27,8 @@ from .coalgebra import trivial_k
 from .convolution import ConvMorphism, MultiMap, conv_compose, conv_tensor, epsilon_embed, identity_conv
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
-from .fields import Field
-from .linalg import Matrix, Subspace, Vector, image, kernel_space, unit_vec
+from .fields import Field, require_same_field
+from .linalg import Matrix, Subspace, Vector, image, kernel_space
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,7 @@ class ComplexSpec:
         self.a_dim = m.a_dim
         self.x_dim = comodule.dim
         self.field = m.field
+        self._entries_cache: dict[int, tuple] = {}
         self._dmat_cache: dict[int, Matrix] = {}
 
     def cochain_dim(self, n: int) -> int:
@@ -135,52 +147,74 @@ class ComplexSpec:
     def zero_cochain(self, n: int) -> Cochain:
         return Cochain.zero(self.field, self.a_dim, self.x_dim, n)
 
-    def coface(self, i: int, n: int, nu: Cochain) -> Cochain:
-        """The i-th coface C^n -> C^(n+1), 0 <= i <= n+1."""
-        if nu.degree != n or nu.x_dim != self.x_dim:
-            raise ShapeError("cochain does not match the complex")
-        if not 0 <= i <= n + 1:
-            raise ShapeError(f"coface index {i} out of range for degree {n}")
+    def differential_entries(self, n: int) -> tuple[tuple[int, int, object], ...]:
+        """The nonzero entries (row, col, value) of d^n, built from the structure constants."""
+        if n in self._entries_cache:
+            return self._entries_cache[n]
         f, a = self.field, self.a_dim
-        ident = MultiMap.identity(f, a, 1)
-        maps = []
+        an = a**n
+        blk_in, blk_out = a * an, a * a * an
+        m_entries = [
+            [
+                (r, divmod(pq, a), v)
+                for r, row in enumerate(comp.mat.data)
+                for pq, v in enumerate(row)
+                if not f.is_zero(v)
+            ]
+            for comp in self.m.components
+        ]
+        acc: dict[tuple[int, int], object] = {}
+
+        def put(row: int, col: int, v) -> None:
+            key = (row, col)
+            acc[key] = f.add(acc[key], v) if key in acc else v
+
         for s in range(self.x_dim):
-            acc = MultiMap.zero(f, a, n + 1, 1)
-            for t, u, coeff in self.comodule.coaction[s]:
-                m_u = self.m.components[u]
-                nu_t = nu.maps[t]
-                if i == 0:
-                    term = m_u.compose(ident.tensor(nu_t))
-                elif i == n + 1:
-                    term = m_u.compose(nu_t.tensor(ident))
-                else:
-                    mid = MultiMap.identity(f, a, i - 1).tensor(m_u).tensor(
-                        MultiMap.identity(f, a, n - i)
-                    )
-                    term = nu_t.compose(mid)
-                acc = acc + term.scale(coeff)
-            maps.append(acc)
-        return Cochain(n + 1, tuple(maps))
+            for t, u, c in self.comodule.coaction[s]:
+                out0, in0 = s * blk_out, t * blk_in
+                for r, (p, q), v in m_entries[u]:
+                    cv = f.mul(c, v)
+                    neg = f.neg(cv)
+                    last = cv if n % 2 else neg
+                    # the outer cofaces i = 0 and i = n+1
+                    for j in range(an):
+                        put(out0 + r * blk_in + p * an + j, in0 + q * an + j, cv)
+                        put(out0 + r * blk_in + j * a + q, in0 + p * an + j, last)
+                    # the inner cofaces: m_u in tensor slot i of the argument
+                    for i in range(1, n + 1):
+                        sv = neg if i % 2 else cv
+                        lo = a ** (n - i)
+                        for r2 in range(a):
+                            for h in range(a ** (i - 1)):
+                                row0 = out0 + r2 * blk_in + ((h * a + p) * a + q) * lo
+                                col0 = in0 + r2 * an + (h * a + r) * lo
+                                for l in range(lo):
+                                    put(row0 + l, col0 + l, sv)
+        out = tuple((row, col, v) for (row, col), v in acc.items() if not f.is_zero(v))
+        self._entries_cache[n] = out
+        return out
 
     def differential(self, nu: Cochain) -> Cochain:
-        """d^n = sum of (-1)^i cofaces."""
-        n = nu.degree
-        acc = self.coface(0, n, nu)
-        for i in range(1, n + 2):
-            term = self.coface(i, n, nu)
-            acc = acc - term if i % 2 else acc + term
-        return acc
+        """d^n applied to a cochain through the sparse entries of d^n."""
+        if nu.x_dim != self.x_dim or nu.a_dim != self.a_dim:
+            raise ShapeError("cochain does not match the complex")
+        f, n = require_same_field(self.field, nu.field), nu.degree
+        x = nu.flatten()
+        out = [f.zero] * self.cochain_dim(n + 1)
+        for row, col, v in self.differential_entries(n):
+            if not f.is_zero(x[col]):
+                out[row] = f.add(out[row], f.mul(v, x[col]))
+        return Cochain.from_flat(f, self.a_dim, self.x_dim, n + 1, out)
 
     def differential_matrix(self, n: int) -> Matrix:
         if n in self._dmat_cache:
             return self._dmat_cache[n]
         f = self.field
         dim_in = self.cochain_dim(n)
-        cols = []
-        for j in range(dim_in):
-            basis = Cochain.from_flat(f, self.a_dim, self.x_dim, n, unit_vec(f, dim_in, j))
-            cols.append(self.differential(basis).flatten())
-        out = Matrix(f, self.cochain_dim(n + 1), dim_in, tuple(zip(*cols)))
+        rows = [[f.zero] * dim_in for _ in range(self.cochain_dim(n + 1))]
+        for row, col, v in self.differential_entries(n):
+            rows[row][col] = v
+        out = Matrix(f, len(rows), dim_in, tuple(map(tuple, rows)))
         self._dmat_cache[n] = out
         return out
 

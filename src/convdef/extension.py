@@ -29,7 +29,7 @@ from .linalg import (
     image,
     kernel_basis,
     rref,
-    solve,
+    solve_many,
     unit_vec,
 )
 
@@ -288,12 +288,9 @@ def split_extension(
     kmat = Matrix(f, dx, d, tuple(kb))
     eye = Matrix.identity(f, d)
     phi = iota @ lam
-    p_cols = []
-    for j in range(d):
-        res = solve(kmat.transpose(), (eye - phi).col(j))
-        if res is None:
-            raise NotAnExtension("id - iota lambda does not land in ker(lambda)")
-        p_cols.append(res[0])
+    p_cols = solve_many(kmat.transpose(), [(eye - phi).col(j) for j in range(d)])
+    if p_cols is None:
+        raise NotAnExtension("id - iota lambda does not land in ker(lambda)")
     proj = Matrix(f, dx, d, tuple(zip(*p_cols)))
     dm = ctilde.delta_matrix
     coaction = []
@@ -330,13 +327,10 @@ def _restrict_coalgebra_along(ctilde: Coalgebra, iota: Matrix, eps_c: Matrix) ->
     f = ctilde.field
     d, dc = ctilde.dim, iota.cols
     delta = []
-    ii = iota.kron(iota)
-    for i in range(dc):
-        dz = ctilde.delta_matrix.mul_vec(iota.col(i))
-        res = solve(ii, dz)
-        if res is None:
-            raise NotAnExtension("iota is not a coalgebra morphism")
-        coeffs = res[0]
+    sols = solve_many(iota.kron(iota), [ctilde.delta_matrix.mul_vec(iota.col(i)) for i in range(dc)])
+    if sols is None:
+        raise NotAnExtension("iota is not a coalgebra morphism")
+    for coeffs in sols:
         delta.append(
             [
                 (j, k, coeffs[j * dc + k])
@@ -435,12 +429,10 @@ def decompose_completely_reducible(
                 if tt == t:
                     row[u] = f.add(row[u], c)
             rows_by_st[(s, t)] = row
-    coeffs: dict[tuple[int, int], Vector] = {}
-    for (s, t), row in rows_by_st.items():
-        res = solve(gmat.transpose(), tuple(row))
-        if res is None:
-            raise UnsupportedCoaction("coaction is not supported on the span of the group-likes")
-        coeffs[(s, t)] = res[0]
+    sols = solve_many(gmat.transpose(), list(rows_by_st.values()))
+    if sols is None:
+        raise UnsupportedCoaction("coaction is not supported on the span of the group-likes")
+    coeffs = dict(zip(rows_by_st, sols))
     for gi in range(len(gs)):
         data = tuple(tuple(coeffs[(s, t)][gi] for s in range(dx)) for t in range(dx))
         ops.append(Matrix(f, dx, dx, data))

@@ -8,9 +8,15 @@ operations go through `require_same_field`.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import FieldMismatch
+
+# Python refuses int() literals of more than 4300 digits; a decimal exponent
+# is held to the same ceiling, so 10**e is never expanded past that size.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
 
 
 def _is_prime(p: int) -> bool:
@@ -73,6 +79,13 @@ class RationalField:
         return a == 0
 
     def parse(self, s: str) -> Fraction:
+        exp = _EXPONENT.search(s)
+        if exp:
+            digits = exp.group(1).replace("_", "").lstrip("+-").lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                raise ValueError(
+                    f"exponent {exp.group(1)} of rational literal exceeds {MAX_EXPONENT} in absolute value"
+                )
         try:
             return Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:

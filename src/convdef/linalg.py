@@ -234,6 +234,31 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return _kernel_from_rref(m.field, red.data, pivots, m.cols)
 
 
+def _solve_block(m: Matrix, rhs_columns: list) -> tuple[Matrix, tuple[int, ...], list[Vector] | None]:
+    """RREF of [m | B], its pivots, and the canonical particular solution of each b in B.
+
+    The solutions are None when some b is not in the image.  When every b
+    is solvable, [m | B] has the rank of m, so its RREF has no pivot in B
+    and restricts to the RREF of each [m | b]: every solution is the one an
+    elimination of [m | b] alone gives, free variables set to zero.
+    """
+    f = m.field
+    for b in rhs_columns:
+        if len(b) != m.rows:
+            raise ShapeError(f"rhs length {len(b)} vs {m.rows} rows")
+    cols = [tuple(f.coerce(x) for x in b) for b in rhs_columns]
+    red, pivots, _rank = rref(m.hstack(Matrix(f, m.rows, len(cols), tuple(zip(*cols)))))
+    if pivots and pivots[-1] >= m.cols:
+        return red, pivots, None
+    sols = []
+    for k in range(m.cols, m.cols + len(cols)):
+        x = [f.zero] * m.cols
+        for row, c in zip(red.data, pivots):
+            x[c] = row[k]
+        sols.append(tuple(x))
+    return red, pivots, sols
+
+
 def solve(m: Matrix, b: Sequence) -> tuple[Vector, list[Vector]] | None:
     """Solve m x = b exactly.
 
@@ -241,16 +266,19 @@ def solve(m: Matrix, b: Sequence) -> tuple[Vector, list[Vector]] | None:
     particular solution (free variables set to zero) and the canonical
     kernel basis.
     """
-    if len(b) != m.rows:
-        raise ShapeError(f"rhs length {len(b)} vs {m.rows} rows")
-    f = m.field
-    red, pivots, _rank = rref(m.hstack(Matrix.column(f, b)))
-    if m.cols in pivots:
+    red, pivots, sols = _solve_block(m, [b])
+    if sols is None:
         return None
-    x = [f.zero] * m.cols
-    for row, c in zip(red.data, pivots):
-        x[c] = row[m.cols]
-    return tuple(x), _kernel_from_rref(f, red.data, pivots, m.cols)
+    return sols[0], _kernel_from_rref(m.field, red.data, pivots, m.cols)
+
+
+def solve_many(m: Matrix, rhs_columns: Sequence[Sequence]) -> list[Vector] | None:
+    """`solve`'s particular solutions for every right-hand side, from one elimination.
+
+    Returns None when some right-hand side is not in the image.
+    """
+    rhs_columns = list(rhs_columns)
+    return _solve_block(m, rhs_columns)[2] if rhs_columns else []
 
 
 class Subspace:

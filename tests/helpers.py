@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 from convdef import (
     AlgebraMC,
@@ -17,6 +18,8 @@ from convdef import (
     takeuchi_invert,
 )
 from convdef.fields import PrimeField
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -74,16 +77,16 @@ def square_zero_3(field) -> MultiMap:
     )
 
 
-def truncated_poly_3(field) -> MultiMap:
-    # k[x]/(x^3)
+def truncated_poly(field, k) -> MultiMap:
+    # k[x]/(x^k) in the monomial basis 1, x, ..., x^(k-1)
     return mult_from_table(
         field,
-        [
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-            [(0, 1, 0), (0, 0, 1), (0, 0, 0)],
-            [(0, 0, 1), (0, 0, 0), (0, 0, 0)],
-        ],
+        [[tuple(int(i + j == r) for r in range(k)) for j in range(k)] for i in range(k)],
     )
+
+
+def truncated_poly_3(field) -> MultiMap:
+    return truncated_poly(field, 3)
 
 
 def mat2_mult(field) -> MultiMap:
@@ -238,3 +241,89 @@ def greedy_quotient_rows(total, sub):
 def unit_column(field, dim, index=0) -> MultiMap:
     rows = [[field.one if r == index else field.zero] for r in range(dim)]
     return MultiMap(dim, 0, 1, Matrix.from_rows(field, rows))
+
+
+def oracle_coface(spec, i, n, nu):
+    """The i-th coface C^n -> C^(n+1), 0 <= i <= n+1, by dense composition of multimaps.
+
+    Independent of the sparse assembly in `ComplexSpec`: it composes m
+    with identity tensors exactly as the cosimplicial structure is defined.
+    """
+    from convdef import Cochain, ShapeError
+
+    if nu.degree != n or nu.x_dim != spec.x_dim:
+        raise ShapeError("cochain does not match the complex")
+    if not 0 <= i <= n + 1:
+        raise ShapeError(f"coface index {i} out of range for degree {n}")
+    f, a = spec.field, spec.a_dim
+    ident = MultiMap.identity(f, a, 1)
+    maps = []
+    for s in range(spec.x_dim):
+        acc = MultiMap.zero(f, a, n + 1, 1)
+        for t, u, coeff in spec.comodule.coaction[s]:
+            m_u = spec.m.components[u]
+            nu_t = nu.maps[t]
+            if i == 0:
+                term = m_u.compose(ident.tensor(nu_t))
+            elif i == n + 1:
+                term = m_u.compose(nu_t.tensor(ident))
+            else:
+                mid = MultiMap.identity(f, a, i - 1).tensor(m_u).tensor(MultiMap.identity(f, a, n - i))
+                term = nu_t.compose(mid)
+            acc = acc + term.scale(coeff)
+        maps.append(acc)
+    return Cochain(n + 1, tuple(maps))
+
+
+def oracle_differential(spec, nu):
+    """d^n = sum of (-1)^i oracle cofaces."""
+    n = nu.degree
+    acc = oracle_coface(spec, 0, n, nu)
+    for i in range(1, n + 2):
+        term = oracle_coface(spec, i, n, nu)
+        acc = acc - term if i % 2 else acc + term
+    return acc
+
+
+def oracle_differential_matrix(spec, n):
+    """d^n assembled column by column: each unit cochain through `oracle_differential`."""
+    from convdef import Cochain
+    from convdef.linalg import unit_vec
+
+    f = spec.field
+    dim_in = spec.cochain_dim(n)
+    cols = []
+    for j in range(dim_in):
+        basis = Cochain.from_flat(f, spec.a_dim, spec.x_dim, n, unit_vec(f, dim_in, j))
+        cols.append(oracle_differential(spec, basis).flatten())
+    return Matrix(f, spec.cochain_dim(n + 1), dim_in, tuple(zip(*cols)))
+
+
+def fixture_specs():
+    """(label, ComplexSpec) for every algebra of every fixture and each comodule it can pair with.
+
+    The comodules are the fixture's comodule blocks and cocycle comodules
+    over the algebra's coalgebra, and the rank-one comodule of the
+    Hochschild case when that coalgebra is k.
+    """
+    from convdef import ComplexSpec, SpecFileError
+    from convdef.specfile import parse_path
+
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            sf, _failures = parse_path(str(path))
+        except SpecFileError:
+            continue  # a side file (a cochain document), not a spec
+        comodules = list(sf.comodules.items()) + [(w, c.comodule) for w, c in sf.cocycles.items()]
+        for aname, alg in sf.algebras.items():
+            c = alg.coalgebra
+            pairs = [(x, com) for x, com in comodules if com.base == c]
+            if c.dim == 1:
+                pairs.append(("k", Comodule(c, 1, [[(0, 0, 1)]])))
+            seen = []
+            for xname, com in pairs:
+                if com not in seen:
+                    seen.append(com)
+                    out.append((f"{path.name}:{aname}/{xname}", ComplexSpec(alg.m, com, check=False)))
+    return out

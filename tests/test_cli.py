@@ -147,6 +147,14 @@ def test_input_errors_exit_1(tmp_path, capsys):
     huge = tmp_path / "huge_prime.json"
     huge.write_text(json.dumps({"schema": "convdef-spec v1", "field": "Fp 1000000000000000000000000000057"}))
     assert main(["validate", str(huge)]) == 1
+    # a rational scalar whose decimal exponent would expand past 4300 digits
+    for literal in ("1e1000000000", "1e-4301"):
+        big = json.loads((FIXTURES / "invert.json").read_text())
+        big["morphisms"]["f"]["components"]["t"][0][0] = literal
+        path = tmp_path / "big_exponent.json"
+        path.write_text(json.dumps(big))
+        assert main(["invert", str(path)]) == 1
+        assert "exponent" in capsys.readouterr().err
 
 
 def test_help_still_exits_0(capsys):

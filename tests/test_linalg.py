@@ -14,6 +14,7 @@ from convdef import (
     quotient_dim,
     rref,
     solve,
+    solve_many,
 )
 from convdef.fields import QQ, PrimeField
 
@@ -107,6 +108,30 @@ def test_solve_exactness_random():
             for k in ker:
                 assert all(field.is_zero(v) for v in m.mul_vec(k))
             assert len(ker) == m.cols - rref(m)[2]
+
+
+def test_solve_many_matches_per_column_solve():
+    rng = random.Random(17)
+    for field in (QQ, F2, F5):
+        for _ in range(40):
+            m = rand_matrix(field, rng.randint(1, 5), rng.randint(1, 5), rng)
+            if rng.random() < 0.3:
+                m = m.vstack(m)  # rank-deficient: a random rhs is often unsolvable
+            rhs = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.7:
+                    rhs.append(m.mul_vec([field.random_element(rng) for _ in range(m.cols)]))
+                else:
+                    rhs.append(tuple(field.random_element(rng) for _ in range(m.rows)))
+            singles = [solve(m, b) for b in rhs]
+            got = solve_many(m, rhs)
+            if any(res is None for res in singles):
+                assert got is None
+            else:
+                assert got == [res[0] for res in singles]
+    assert solve_many(Matrix.identity(QQ, 2), []) == []
+    with pytest.raises(ShapeError):
+        solve_many(Matrix.identity(QQ, 2), [(1, 2, 3)])
 
 
 def test_subspace_canonical_equality():
