@@ -16,6 +16,18 @@ running over a^n:
     (t, r', (h, r, l)), for every r' < a, h in a^(i-1) and l in a^(n-i).
 The composition-based cofaces these families expand live in the test
 suite as the independent oracle (`tests/helpers.py`, `oracle_coface`).
+
+Associativity is checked on the same nonzero structure constants.  Write
+Delta(c_i) = sum mu c_j (x) c_k and Delta(c_k) = sum nu c_k1 (x) c_k2;
+then m * (m (x) id) and m * (id (x) m) at c_i are, at output r and input
+(x, y, z),
+  - left_i = sum mu*nu*eps(c_k2) sum_s m_j[r][s*a + z] * m_k1[s][x*a + y],
+  - right_i = sum mu*nu*eps(c_k1) sum_s m_j[r][x*a + s] * m_k2[s][y*a + z],
+and m is associative iff left_i = right_i for every i.  The eps factors
+are kept, so no counit axiom is assumed.  The unit axioms are checked the
+same way (`deformation.is_unit_of`).  The dense composition of m with
+m (x) id and id (x) m lives in the test suite as the oracle
+(`tests/helpers.py`, `oracle_is_associative`).
 """
 
 from __future__ import annotations
@@ -24,8 +36,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coalgebra import trivial_k
-from .convolution import ConvMorphism, MultiMap, conv_compose, conv_tensor, epsilon_embed, identity_conv
-from .errors import NotCompletelyReducible, NotRankOne, ShapeError
+from .convolution import ConvMorphism, MultiMap, epsilon_embed
+from .errors import NotCocommutative, NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
 from .linalg import Matrix, Subspace, Vector, image, kernel_space
@@ -154,15 +166,7 @@ class ComplexSpec:
         f, a = self.field, self.a_dim
         an = a**n
         blk_in, blk_out = a * an, a * a * an
-        m_entries = [
-            [
-                (r, divmod(pq, a), v)
-                for r, row in enumerate(comp.mat.data)
-                for pq, v in enumerate(row)
-                if not f.is_zero(v)
-            ]
-            for comp in self.m.components
-        ]
+        m_entries = [comp.entries() for comp in self.m.components]
         acc: dict[tuple[int, int], object] = {}
 
         def put(row: int, col: int, v) -> None:
@@ -249,11 +253,44 @@ class ComplexSpec:
 
 
 def is_associative(m: ConvMorphism) -> bool:
-    """m * (m (x) id) = m * (id (x) m) in the convolution category, exactly."""
-    ida = identity_conv(m.coalgebra, m.a_dim, 1)
-    left = conv_compose(m, conv_tensor(m, ida))
-    right = conv_compose(m, conv_tensor(ida, m))
-    return left == right
+    """m * (m (x) id) = m * (id (x) m) in the convolution category, exactly.
+
+    Both sides are summed over the nonzero structure constants only, as in
+    the module docstring.
+    """
+    c, f = m.coalgebra, m.field
+    if not c.is_cocommutative:
+        raise NotCocommutative("tensor products in the convolution category need cocommutativity")
+    if m.src_arity != 2 or m.tgt_arity != 1:
+        raise ShapeError("multiplication must be a map C -> Hom(A(x)A, A)")
+    entries = [comp.entries() for comp in m.components]
+    by_row: list[dict[int, list]] = []
+    for ent in entries:
+        rows: dict[int, list] = {}
+        for s, (x, y), v in ent:
+            rows.setdefault(s, []).append((x, y, v))
+        by_row.append(rows)
+    for i in range(c.dim):
+        acc: dict[tuple[int, int, int, int], object] = {}
+        for j, k, mu in c.delta[i]:
+            eps_id, id_eps = c.counit_contractions[k]
+            # m_j o (m_k1 (x) id) with weight (id (x) eps) Delta(c_k) at k1
+            for k1, w in id_eps:
+                rows, cw = by_row[k1], mu * w
+                for r, (s, z), v in entries[j]:
+                    for x, y, v1 in rows.get(s, ()):
+                        key = (r, x, y, z)
+                        acc[key] = acc.get(key, 0) + cw * v * v1
+            # m_j o (id (x) m_k2) with weight (eps (x) id) Delta(c_k) at k2
+            for k2, w in eps_id:
+                rows, cw = by_row[k2], mu * w
+                for r, (x, s), v in entries[j]:
+                    for y, z, v1 in rows.get(s, ()):
+                        key = (r, x, y, z)
+                        acc[key] = acc.get(key, 0) - cw * v * v1
+        if not all(f.is_zero(v) for v in acc.values()):
+            return False
+    return True
 
 
 def hochschild_spec(m0: MultiMap) -> ComplexSpec:

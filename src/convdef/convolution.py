@@ -88,6 +88,13 @@ class MultiMap:
     def is_zero(self) -> bool:
         return self.mat.is_zero()
 
+    def entries(self) -> tuple[tuple[int, tuple[int, int], object], ...]:
+        """(r, (p, q), v) for each nonzero v = mat[r][p*a + q] of a map from A (x) A."""
+        f, a = self.field, self.a_dim
+        return tuple(
+            (r, divmod(pq, a), v) for r, row in enumerate(self.mat.data) for pq, v in enumerate(row) if not f.is_zero(v)
+        )
+
     def _like(self, other: MultiMap) -> None:
         if (self.a_dim, self.src_arity, self.tgt_arity) != (
             other.a_dim,
@@ -171,37 +178,49 @@ def identity_conv(c: Coalgebra, a_dim: int, arity: int = 1) -> ConvMorphism:
 
 
 def conv_compose(g: ConvMorphism, f: ConvMorphism) -> ConvMorphism:
-    """(g * f)(c) = sum g(c_(1)) o f(c_(2)) through the sparse Delta of C."""
+    """(g * f)(c) = sum g(c_(1)) o f(c_(2)) through the sparse Delta of C.
+
+    A term that pairs a zero component is skipped.
+    """
     if g.coalgebra != f.coalgebra:
         raise ShapeError("convolution of morphisms over different coalgebras")
     if f.tgt_arity != g.src_arity or f.a_dim != g.a_dim:
         raise ShapeError("arity mismatch in convolution composition")
     c = g.coalgebra
     field = c.field
+    g_zero = [comp.is_zero() for comp in g.components]
+    f_zero = [comp.is_zero() for comp in f.components]
     out = []
     for i in range(c.dim):
         acc = MultiMap.zero(field, g.a_dim, f.src_arity, g.tgt_arity)
         for j, k, coeff in c.delta[i]:
-            acc = acc + g.components[j].compose(f.components[k]).scale(coeff)
+            if not (g_zero[j] or f_zero[k]):
+                acc = acc + g.components[j].compose(f.components[k]).scale(coeff)
         out.append(acc)
     return ConvMorphism(c, tuple(out))
 
 
 def conv_tensor(f: ConvMorphism, g: ConvMorphism) -> ConvMorphism:
-    """(f (x) g)(c) = sum f(c_(1)) (x) g(c_(2)); requires cocommutative C."""
+    """(f (x) g)(c) = sum f(c_(1)) (x) g(c_(2)); requires cocommutative C.
+
+    A term that pairs a zero component is skipped.
+    """
     if f.coalgebra != g.coalgebra:
         raise ShapeError("tensor of morphisms over different coalgebras")
     c = f.coalgebra
     if not c.is_cocommutative:
         raise NotCocommutative("tensor products in the convolution category need cocommutativity")
     field = c.field
+    f_zero = [comp.is_zero() for comp in f.components]
+    g_zero = [comp.is_zero() for comp in g.components]
     out = []
     for i in range(c.dim):
         acc = MultiMap.zero(
             field, f.a_dim, f.src_arity + g.src_arity, f.tgt_arity + g.tgt_arity
         )
         for j, k, coeff in c.delta[i]:
-            acc = acc + f.components[j].tensor(g.components[k]).scale(coeff)
+            if not (f_zero[j] or g_zero[k]):
+                acc = acc + f.components[j].tensor(g.components[k]).scale(coeff)
         out.append(acc)
     return ConvMorphism(c, tuple(out))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .coalgebra import Coalgebra, find_grouplikes
 from .cohomology import Cochain, ComplexSpec, is_associative
@@ -27,6 +27,7 @@ from .convolution import (
 )
 from .errors import (
     ConvDefError,
+    NotCocommutative,
     NotUnital,
     ShapeError,
     SpecMismatch,
@@ -80,12 +81,40 @@ def check_associative(obj) -> bool:
 
 
 def is_unit_of(m: ConvMorphism, u: ConvMorphism) -> bool:
-    """Both unit axioms of u against m, exactly (strict Vect constraints)."""
-    ida = identity_conv(m.coalgebra, m.a_dim, 1)
-    return (
-        conv_compose(m, conv_tensor(u, ida)) == ida
-        and conv_compose(m, conv_tensor(ida, u)) == ida
-    )
+    """Both unit axioms of u against m, exactly (strict Vect constraints).
+
+    With Delta(c_i) = sum mu c_j (x) c_k and Delta(c_k) = sum nu c_k1 (x) c_k2,
+    at output r and input z
+      m * (u (x) id)(c_i) = sum mu*nu*eps(c_k2) sum_x m_j[r][x*a + z] u_k1[x],
+      m * (id (x) u)(c_i) = sum mu*nu*eps(c_k1) sum_y m_j[r][z*a + y] u_k2[y],
+    and both must equal eps(c_i) delta_rz.  Only the nonzero structure
+    constants of m are visited.
+    """
+    c, f, a = m.coalgebra, m.field, m.a_dim
+    if u.coalgebra != c:
+        raise ShapeError("tensor of morphisms over different coalgebras")
+    if not c.is_cocommutative:
+        raise NotCocommutative("tensor products in the convolution category need cocommutativity")
+    if (m.src_arity, m.tgt_arity, u.src_arity, u.tgt_arity) != (2, 1, 0, 1) or u.a_dim != a:
+        raise ShapeError("unit axioms need m: A(x)A -> A and u: k -> A over the same A")
+    entries = [comp.entries() for comp in m.components]
+    units = [comp.mat.col(0) for comp in u.components]
+    for i in range(c.dim):
+        left = {(r, r): f.neg(c.counit[i]) for r in range(a)}
+        right = dict(left)
+        for j, k, mu in c.delta[i]:
+            eps_id, id_eps = c.counit_contractions[k]
+            for k1, w in id_eps:
+                vec, cw = units[k1], mu * w
+                for r, (x, z), v in entries[j]:
+                    left[r, z] = left.get((r, z), 0) + cw * v * vec[x]
+            for k2, w in eps_id:
+                vec, cw = units[k2], mu * w
+                for r, (z, y), v in entries[j]:
+                    right[r, z] = right.get((r, z), 0) + cw * v * vec[y]
+        if not all(f.is_zero(v) for side in (left, right) for v in side.values()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -354,6 +383,7 @@ def series_deform(
     strategy: "first" takes the canonical solution, "user" takes
     `user_cochains[n]` (verified to solve the equation), "all" explores
     every solution over a finite field, capped at `branch_budget`.
+    Branches past the budget are never solved or materialized.
     """
     if d_coalg.grading is None:
         raise ShapeError("series deformation needs a graded coalgebra")
@@ -379,6 +409,8 @@ def series_deform(
         ext = graded_extension(d_coalg, n)
         new_branches = []
         for steps, alg, stopped in branches:
+            if len(new_branches) >= branch_budget:
+                break
             if stopped is not None:
                 new_branches.append((steps, alg, stopped))
                 continue
@@ -390,13 +422,13 @@ def series_deform(
                 continue
             choices = _solution_choices(report, strategy, user_cochains, n, ext, alg)
             for nu in choices:
+                if len(new_branches) >= branch_budget:
+                    break
                 deform = make_deformation(alg, ext, nu, verify=True)
                 nxt = AlgebraMC(m=deform.mtilde)
                 new_branches.append(
                     (steps + [SeriesStep(n, report, nu)], nxt, None)
                 )
-        if len(new_branches) > branch_budget:
-            new_branches = new_branches[:branch_budget]
         branches = new_branches
     return SeriesResult(
         branches=tuple(
@@ -413,7 +445,8 @@ def _solution_choices(
     degree: int,
     ext: Extension,
     alg: AlgebraMC,
-) -> list[Cochain]:
+) -> Iterable[Cochain]:
+    """The solutions to branch on, in order; "all" yields them lazily."""
     base = report.base_solution
     if strategy == "first":
         return [base]
@@ -426,14 +459,10 @@ def _solution_choices(
             raise ShapeError(f"supplied degree-{degree} cochain does not solve the equation")
         return [nu]
     if strategy == "all":
-        f = alg.field
-        out = []
-        for coeffs in itertools.product(range(f.char), repeat=len(report.z2_basis)):
-            nu = base
-            for c, z in zip(coeffs, report.z2_basis):
-                nu = nu + z.scale(c)
-            out.append(nu)
-        return out
+        return (
+            sum((z.scale(c) for c, z in zip(coeffs, report.z2_basis)), base)
+            for coeffs in itertools.product(range(alg.field.char), repeat=len(report.z2_basis))
+        )
     raise ShapeError(f"unknown strategy {strategy!r}")
 
 

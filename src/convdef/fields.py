@@ -11,12 +11,23 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import FieldMismatch
+from .errors import ConvDefError, FieldMismatch
 
-# Python refuses int() literals of more than 4300 digits; a decimal exponent
-# is held to the same ceiling, so 10**e is never expanded past that size.
+# Python refuses int() literals and str() of ints with more than 4300 digits;
+# a decimal exponent is held to the same ceiling, so 10**e is never expanded
+# past that size, and a rational is printed only within it.
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of n > 0, without str() (which refuses past 4300 digits)."""
+    d = int(n.bit_length() * 0.30103)
+    while d > 0 and 10**d > n:
+        d -= 1
+    while 10 ** (d + 1) <= n:
+        d += 1
+    return d + 1
 
 
 def _is_prime(p: int) -> bool:
@@ -93,6 +104,13 @@ class RationalField:
 
     def fmt(self, a) -> str:
         a = self.normalize(a)
+        for part in (abs(a.numerator), a.denominator):
+            # a digit holds over 3 bits, so only a part this long can pass the limit
+            if part.bit_length() > 3 * MAX_EXPONENT and _digit_count(part) > MAX_EXPONENT:
+                raise ConvDefError(
+                    f"rational scalar with a {_digit_count(part)}-digit numerator or denominator"
+                    f" exceeds the {MAX_EXPONENT}-digit printing limit"
+                )
         return str(a)
 
     def random_element(self, rng, nonzero: bool = False) -> Fraction:

@@ -15,6 +15,7 @@ from convdef import (
     conv_tensor,
     divided_power_t,
     epsilon_embed,
+    identity_conv,
     takeuchi_invert,
 )
 from convdef.fields import PrimeField
@@ -241,6 +242,26 @@ def greedy_quotient_rows(total, sub):
 def unit_column(field, dim, index=0) -> MultiMap:
     rows = [[field.one if r == index else field.zero] for r in range(dim)]
     return MultiMap(dim, 0, 1, Matrix.from_rows(field, rows))
+
+
+def oracle_is_associative(m: ConvMorphism) -> bool:
+    """m * (m (x) id) = m * (id (x) m) by dense convolution of Kronecker products.
+
+    Independent of the structure-constant sums in `convdef.is_associative`.
+    """
+    ida = identity_conv(m.coalgebra, m.a_dim, 1)
+    left = conv_compose(m, conv_tensor(m, ida))
+    right = conv_compose(m, conv_tensor(ida, m))
+    return left == right
+
+
+def oracle_is_unit_of(m: ConvMorphism, u: ConvMorphism) -> bool:
+    """Both unit axioms of u against m by dense convolution."""
+    ida = identity_conv(m.coalgebra, m.a_dim, 1)
+    return (
+        conv_compose(m, conv_tensor(u, ida)) == ida
+        and conv_compose(m, conv_tensor(ida, u)) == ida
+    )
 
 
 def oracle_coface(spec, i, n, nu):

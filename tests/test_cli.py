@@ -155,6 +155,15 @@ def test_input_errors_exit_1(tmp_path, capsys):
         path.write_text(json.dumps(big))
         assert main(["invert", str(path)]) == 1
         assert "exponent" in capsys.readouterr().err
+    # an answer too large to print: the inverse holds -10^4300, which has 4301 digits
+    big = json.loads((FIXTURES / "invert.json").read_text())
+    big["morphisms"]["f"]["components"]["t"][0][0] = "1e4300"
+    path = tmp_path / "big_answer.json"
+    path.write_text(json.dumps(big))
+    out = tmp_path / "big_answer_report.json"
+    assert main(["invert", str(path), "--out", str(out)]) == 1
+    assert "4301-digit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_still_exits_0(capsys):

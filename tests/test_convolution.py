@@ -10,6 +10,7 @@ from convdef import (
     NoFiltration,
     NotCocommutative,
     NotInvertible,
+    ShapeError,
     congruent_mod,
     conv_compose,
     conv_tensor,
@@ -17,6 +18,8 @@ from convdef import (
     epsilon_embed,
     grouplike_coalgebra,
     identity_conv,
+    is_associative,
+    is_unit_of,
     pullback,
     takeuchi_invert,
     trivial_k,
@@ -113,6 +116,51 @@ def test_conv_tensor_requires_cocommutative():
     f = rand_conv(c, 2, 1, 1, rng)
     with pytest.raises(NotCocommutative):
         conv_tensor(f, f)
+
+
+def test_axiom_checks_require_cocommutative():
+    rng = random.Random(7)
+    c = non_cocommutative_coalgebra(QQ)
+    m = rand_conv(c, 2, 2, 1, rng)
+    with pytest.raises(NotCocommutative):
+        is_associative(m)
+    with pytest.raises(NotCocommutative):
+        is_unit_of(m, rand_conv(c, 2, 0, 1, rng))
+
+
+def test_axiom_checks_refuse_wrong_arity():
+    rng = random.Random(9)
+    c = divided_power_t(1, QQ)
+    m = rand_conv(c, 2, 2, 1, rng)
+    for bad in (rand_conv(c, 2, 1, 1, rng), rand_conv(c, 2, 2, 2, rng)):
+        with pytest.raises(ShapeError):
+            is_associative(bad)
+        with pytest.raises(ShapeError):
+            is_unit_of(bad, rand_conv(c, 2, 0, 1, rng))
+    with pytest.raises(ShapeError):
+        is_unit_of(m, rand_conv(c, 2, 1, 1, rng))
+
+
+def unskipped(c, f, g, op):
+    """The convolution sum over every Delta-triple, zero components included."""
+    out = []
+    for i in range(c.dim):
+        terms = [op(f.components[j], g.components[k]).scale(coeff) for j, k, coeff in c.delta[i]]
+        out.append(sum(terms[1:], terms[0]))
+    return ConvMorphism(c, tuple(out))
+
+
+def test_zero_component_skip_matches_unskipped_sums():
+    rng = random.Random(10)
+    for field in (QQ, F5, PrimeField(2)):
+        for c in (divided_power_t(3, field), grouplike_coalgebra(2, field)):
+            for _ in range(4):
+                f, g = (rand_conv(c, 2, 1, 1, rng) for _ in range(2))
+                zero = MultiMap.zero(field, 2, 1, 1)
+                f = ConvMorphism(c, tuple(zero if rng.random() < 0.5 else x for x in f.components))
+                g = ConvMorphism(c, tuple(zero if rng.random() < 0.5 else x for x in g.components))
+                assert conv_compose(g, f) == unskipped(c, g, f, MultiMap.compose)
+                assert conv_tensor(f, g) == unskipped(c, f, g, MultiMap.tensor)
 
 
 def test_pullback_identity_and_epsilon():

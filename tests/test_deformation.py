@@ -39,6 +39,7 @@ from convdef.fields import QQ
 
 from helpers import (
     F2,
+    F3,
     F5,
     dual_numbers,
     mat2_mult,
@@ -306,6 +307,17 @@ def test_series_all_strategy_enumerates_over_finite_field():
     assert len(res.branches) == 2**step0.report.dim_z2
     for b in res.branches:
         assert is_associative(b.final.m)
+
+
+def test_series_branch_budget_keeps_a_prefix():
+    for field in (F2, F3):
+        for top in (2, 3):
+            d = divided_power_t(top, field)
+            full = series_deform(dual_numbers(field), d, top, strategy="all", branch_budget=9).branches
+            assert len(full) == 9
+            for budget in (0, 1, 2, 5, 8):
+                res = series_deform(dual_numbers(field), d, top, strategy="all", branch_budget=budget)
+                assert res.branches == full[:budget]
 
 
 def test_series_all_strategy_needs_finite_field():
