@@ -3,12 +3,16 @@
 Exit codes: 0 success, 1 input error (usage/io/syntax/reference/dimension/axiom),
 2 mathematical failure (failed validation report, nonzero obstruction for
 `deform`, non-invertible morphism for `invert`).  Human-readable summary
-goes to stdout; `--out` writes a stable machine-readable JSON report.
+goes to stdout; `--out` writes a stable machine-readable JSON report.  The
+summary is held back until the report has rendered, so an answer that
+cannot be reported (exit 1) prints nothing on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from typing import Optional
 
@@ -361,25 +365,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    summary = io.StringIO()  # a command's stdout, shown only once its report has rendered
     try:
         args = parser.parse_args(argv)
         strict = args.command != "validate"
         sf, failures = parse_path(args.specfile, strict=strict)
-        if args.command == "validate":
-            payload = cmd_validate(sf, failures, args)
-        else:
-            payload = args.fn(sf, args)
+        with contextlib.redirect_stdout(summary):
+            if args.command == "validate":
+                payload = cmd_validate(sf, failures, args)
+            else:
+                payload = args.fn(sf, args)
         _write_out(args.out, dict(_report_header(sf, args.command), **payload))
-        return 0
     except SpecFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except MathFailure as exc:
+        sys.stdout.write(summary.getvalue())
         print(f"no: {exc}", file=sys.stderr)
         return 2
     except ConvDefError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.write(summary.getvalue())
+    return 0
 
 
 if __name__ == "__main__":

@@ -337,24 +337,62 @@ class Coalgebra:
 
 
 def is_coalgebra_filtration(c: Coalgebra, layers: Sequence[Subspace]) -> bool:
-    """Check increasing, exhaustive, and Delta(C_n) inside sum C_i (x) C_{n-i}."""
+    """Check increasing, exhaustive, and Delta(C_n) inside sum C_i (x) C_{n-i}.
+
+    The last test runs in one sweep over Delta on a basis adapted to the
+    layers, never on spans inside C (x) C.  Nested subspaces in RREF have
+    nested pivot sets, so each pivot p has a level lvl(p), the first layer
+    whose pivots contain it, and a row b_p, that layer's RREF row with
+    pivot p; {b_p : lvl(p) <= n} is a basis of C_n.  Each product
+    b_p (x) b_q has leading coefficient 1 at the flat position p*dim + q,
+    and these positions are distinct, so the products form an echelon
+    basis of C (x) C, and sum_i C_i (x) C_{n-i} is spanned by the products
+    with lvl(p) + lvl(q) <= n.  Hence Delta(C_n) lies in that sum for every
+    n exactly when each Delta(b_r) has no nonzero coordinate at a product
+    with lvl(p) + lvl(q) > lvl(r): the b_r with lvl(r) <= n span C_n, and
+    the sum grows with n.  The coordinates are read off by a forward sweep
+    over the leading positions, first factor then second; on a grading
+    filtration every b_p is a unit vector and the sweep only compares
+    degrees over the nonzero Delta-triples.
+    """
     f, d = c.field, c.dim
     if not layers or layers[-1].dim != d:
         return False
     for lo, hi in zip(layers, layers[1:]):
         if not hi.contains_space(lo):
             return False
+    if layers[-1].ambient != d:
+        raise ShapeError(f"filtration layers lie in F^{layers[-1].ambient}, the coalgebra has dim {d}")
+    level: dict[int, int] = {}
+    tail: dict[int, list] = {}  # b_p = e_p + sum of x * e_i over (i, x) in tail[p], each i > p
     for n, layer in enumerate(layers):
-        vecs = []
-        for i in range(n + 1):
-            a, b = layers[i], layers[n - i]
-            for u in a.basis.data:
-                for v in b.basis.data:
-                    vecs.append(tuple(f.mul(x, y) for x in u for y in v))
-        target = Subspace.span(f, d * d, vecs)
-        for row in layer.basis.data:
-            if not target.contains_vector(c.delta_matrix.mul_vec(row)):
-                return False
+        for p, row in zip(layer.pivots, layer.basis.data):
+            if p not in level:
+                level[p] = n
+                tail[p] = [(i, x) for i, x in enumerate(row) if i > p and not f.is_zero(x)]
+    for r, top in level.items():
+        # Delta(b_r) by first tensor factor: rows[j][k] is the coefficient of e_j (x) e_k.
+        rows: dict[int, dict[int, object]] = {}
+        for i, x in [(r, f.one)] + tail[r]:
+            for j, k, mu in c.delta[i]:
+                row = rows.setdefault(j, {})
+                row[k] = f.add(row.get(k, f.zero), f.mul(x, mu))
+        while rows:
+            p = min(rows)
+            y = rows.pop(p)  # the second factor paired with b_p
+            for i, x in tail[p]:
+                row = rows.setdefault(i, {})
+                for k, v in y.items():
+                    row[k] = f.sub(row.get(k, f.zero), f.mul(x, v))
+            while y:
+                q = min(y)
+                v = y.pop(q)  # the coordinate at b_p (x) b_q
+                if f.is_zero(v):
+                    continue
+                if level[p] + level[q] > top:
+                    return False
+                for k, x in tail[q]:
+                    y[k] = f.sub(y.get(k, f.zero), f.mul(x, v))
     return True
 
 

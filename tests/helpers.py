@@ -117,20 +117,17 @@ def random_invertible(field, dim, rng: random.Random) -> Matrix:
             return m
 
 
-def conjugate_mult(m: MultiMap, p: Matrix) -> MultiMap:
-    """Transport of structure: m'(a, b) = p^{-1} m(p a, p b)."""
+def matrix_inverse(p: Matrix) -> Matrix:
     from convdef import solve
 
-    f = m.field
-    dim = m.a_dim
-    cols = []
-    eye = Matrix.identity(f, dim)
-    inv_cols = []
-    for j in range(dim):
-        res = solve(p, eye.col(j))
-        inv_cols.append(res[0])
-    p_inv = Matrix(f, dim, dim, tuple(zip(*inv_cols)))
-    return MultiMap(dim, 2, 1, p_inv @ m.mat @ p.kron(p))
+    eye = Matrix.identity(p.field, p.rows)
+    cols = [solve(p, eye.col(j))[0] for j in range(p.rows)]
+    return Matrix(p.field, p.rows, p.rows, tuple(zip(*cols)))
+
+
+def conjugate_mult(m: MultiMap, p: Matrix) -> MultiMap:
+    """Transport of structure: m'(a, b) = p^{-1} m(p a, p b)."""
+    return MultiMap(m.a_dim, 2, 1, matrix_inverse(p) @ m.mat @ p.kron(p))
 
 
 def random_algebra(field, dim, rng: random.Random) -> MultiMap:
@@ -142,11 +139,7 @@ def random_grouplike_comodule(cg, dim_x, rng: random.Random) -> Comodule:
     """Comodule over a group-like coalgebra: conjugated coordinate projections."""
     f = cg.field
     p = random_invertible(f, dim_x, rng)
-    from convdef import solve
-
-    eye = Matrix.identity(f, dim_x)
-    inv_cols = [solve(p, eye.col(j))[0] for j in range(dim_x)]
-    p_inv = Matrix(f, dim_x, dim_x, tuple(zip(*inv_cols)))
+    p_inv = matrix_inverse(p)
     assignment = [rng.randrange(cg.dim) for _ in range(dim_x)]
     coaction = [[] for _ in range(dim_x)]
     for g in range(cg.dim):
@@ -178,11 +171,8 @@ def random_nilpotent_comodule(c_graded, dim_x, rng: random.Random) -> Comodule:
             strict[i][i + 1] = f.random_element(rng)
         pos += length
     p = random_invertible(f, dim_x, rng)
-    from convdef import solve
-
+    p_inv = matrix_inverse(p)
     eye = Matrix.identity(f, dim_x)
-    inv_cols = [solve(p, eye.col(j))[0] for j in range(dim_x)]
-    p_inv = Matrix(f, dim_x, dim_x, tuple(zip(*inv_cols)))
     rho1 = p @ Matrix(f, dim_x, dim_x, tuple(tuple(r) for r in strict)) @ p_inv
     coaction = [[] for _ in range(dim_x)]
     power = eye
@@ -262,6 +252,59 @@ def oracle_is_unit_of(m: ConvMorphism, u: ConvMorphism) -> bool:
         conv_compose(m, conv_tensor(u, ida)) == ida
         and conv_compose(m, conv_tensor(ida, u)) == ida
     )
+
+
+def oracle_is_coalgebra_filtration(c, layers) -> bool:
+    """Nested, exhaustive, and Delta(C_n) inside sum C_i (x) C_{n-i}, by dense spans in C (x) C.
+
+    Independent of the adapted-basis sweep in `convdef.is_coalgebra_filtration`:
+    for every layer it echelonizes all products u (x) v, u in C_i and v in
+    C_{n-i}, and reduces Delta of each basis row against that span.
+    """
+    from convdef import Subspace
+
+    f, d = c.field, c.dim
+    if not layers or layers[-1].dim != d:
+        return False
+    for lo, hi in zip(layers, layers[1:]):
+        if not hi.contains_space(lo):
+            return False
+    for n, layer in enumerate(layers):
+        vecs = []
+        for i in range(n + 1):
+            for u in layers[i].basis.data:
+                for v in layers[n - i].basis.data:
+                    vecs.append(tuple(f.mul(x, y) for x in u for y in v))
+        target = Subspace.span(f, d * d, vecs)
+        for row in layer.basis.data:
+            if not target.contains_vector(c.delta_matrix.mul_vec(row)):
+                return False
+    return True
+
+
+def transport_coalgebra(c, p: Matrix):
+    """The coalgebra p(C), Delta' = (p (x) p) Delta p^-1 and eps' = eps p^-1, with p of its grading layers.
+
+    Returns (c', layers): c' is ungraded, and the layers are the images of
+    the grading filtration of c, so their RREF rows are not unit vectors
+    in general.
+    """
+    from convdef import Coalgebra, Subspace
+
+    f, d = c.field, c.dim
+    p_inv = matrix_inverse(p)
+    delta_mat = p.kron(p) @ c.delta_matrix @ p_inv
+    delta = [
+        [(r // d, r % d, delta_mat.data[r][i]) for r in range(d * d) if not f.is_zero(delta_mat.data[r][i])]
+        for i in range(d)
+    ]
+    counit = (c.counit_matrix @ p_inv).data[0]
+    moved = Coalgebra(f, [f"p({name})" for name in c.names], delta, counit)
+    layers = [
+        Subspace.span(f, d, [p.mul_vec(row) for row in layer.basis.data])
+        for layer in c.grading_filtration()
+    ]
+    return moved, layers
 
 
 def oracle_coface(spec, i, n, nu):

@@ -3,7 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from convdef import Matrix, divided_power_t
 from convdef.cli import main
+from convdef.fields import QQ
+
+from helpers import matrix_inverse, transport_coalgebra
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -162,7 +166,9 @@ def test_input_errors_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(big))
     out = tmp_path / "big_answer_report.json"
     assert main(["invert", str(path), "--out", str(out)]) == 1
-    assert "4301-digit" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "4301-digit" in captured.err
+    assert captured.out == ""  # no success line for an answer that could not be reported
     assert not out.exists()
 
 
@@ -212,3 +218,62 @@ def test_layers_file_is_read(tmp_path, capsys):
     eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     layers = [eye[: n + 1] for n in range(4)]
     assert _invert_with_layers_file(tmp_path, {"layers": layers}) == 0
+
+
+def test_layers_that_are_not_a_coalgebra_filtration_exit_1(tmp_path, capsys):
+    eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    one, t, t2 = eye[0], eye[1], eye[2]
+    for layers in (
+        [[t], [one, t], [one, t, t2], eye],  # L_0 = span(t): Delta(t) leaves L_0 (x) L_0
+        [[one], [one, t, t2], eye],  # t^2 in layer 1: t (x) t is not in L_0 (x) L_1 + L_1 (x) L_0
+        [[one], [one, t], [one, t2], eye],  # not nested
+    ):
+        assert _invert_with_layers_file(tmp_path, {"layers": layers}) == 1
+        captured = capsys.readouterr()
+        assert "do not form a coalgebra filtration" in captured.err
+        assert captured.out == ""
+
+
+def test_transported_layers_file_gives_the_unique_inverse(tmp_path):
+    # invert.json moved along p: the layers p(C_{<=n}) have RREF rows that are not
+    # unit vectors, and the one-layer filtration {C} must give the same inverse
+    p = Matrix.from_rows(QQ, [[1, 0, 2, 0], [1, 1, 0, -1], [0, 3, 1, 0], [2, 0, 1, 1]])
+    moved, layers = transport_coalgebra(divided_power_t(3, QQ), p)
+    assert any(sum(x != 0 for x in row) > 1 for layer in layers for row in layer.basis.data)
+    p_inv = matrix_inverse(p)
+    f = [[[1, 0], [0, 1]], [[1, 2], [3, 4]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    components = {  # f' = f o p^-1
+        name: [[str(sum(p_inv.data[j][i] * f[j][r][s] for j in range(4))) for s in range(2)] for r in range(2)]
+        for i, name in enumerate(moved.names)
+    }
+    spec = {
+        "schema": "convdef-spec v1",
+        "field": "Q",
+        "coalgebras": {
+            "D": {
+                "basis": list(moved.names),
+                "counit": {name: str(e) for name, e in zip(moved.names, moved.counit)},
+                "delta": [
+                    [moved.names[i], moved.names[j], moved.names[k], str(mu)]
+                    for i, triples in enumerate(moved.delta)
+                    for j, k, mu in triples
+                ],
+            }
+        },
+        "morphisms": {
+            "f": {"over": "D", "a_dim": 2, "source_arity": 1, "target_arity": 1, "components": components}
+        },
+    }
+    spec_path = tmp_path / "moved.json"
+    spec_path.write_text(json.dumps(spec))
+    reports = []
+    for label, rows in (
+        ("adapted", [layer.basis.data for layer in layers]),
+        ("one", [[[1 if i == j else 0 for j in range(4)] for i in range(4)]]),
+    ):
+        layers_path = tmp_path / f"{label}_layers.json"
+        layers_path.write_text(json.dumps({"layers": [[[str(x) for x in row] for row in layer] for layer in rows]}))
+        out = tmp_path / f"{label}_report.json"
+        assert main(["invert", str(spec_path), "--filtration", "file:" + str(layers_path), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

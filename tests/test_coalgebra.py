@@ -20,12 +20,21 @@ from convdef import (
     polynomial_multi,
     trivial_k,
 )
-from convdef.coalgebra import is_coalgebra_filtration, normalize_triples, triples_matrix
+from convdef.coalgebra import normalize_triples, triples_matrix
+from convdef.errors import SpecFileError
 from convdef.linalg import unit_vec
-from convdef.fields import QQ, PrimeField
+from convdef.fields import QQ
+from convdef.specfile import parse_path
 
-F2 = PrimeField(2)
-F5 = PrimeField(5)
+from helpers import (
+    F2,
+    F3,
+    F5,
+    FIXTURES,
+    oracle_is_coalgebra_filtration,
+    random_invertible,
+    transport_coalgebra,
+)
 
 
 def test_validate_trivial():
@@ -193,6 +202,91 @@ def test_polynomial_multi_layer_dims():
 def test_grading_filtration_is_coalgebra_filtration():
     for c in (divided_power_t(3, QQ), polynomial_multi(2, 2, F5)):
         assert is_coalgebra_filtration(c, c.grading_filtration())
+
+
+def _fixture_coalgebras() -> list:
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            sf, _failures = parse_path(str(path))
+        except SpecFileError:
+            continue  # a side file (a cochain document), not a spec
+        out.extend(c for c in sf.coalgebras.values() if c not in out)
+    return out
+
+
+def _layer_lists(base: list, rng: random.Random) -> list:
+    """A filtration and broken variants: reversed, a layer dropped or repeated, perturbed, shifted."""
+    f, d = base[0].field, base[0].ambient
+
+    def noise():
+        return tuple(f.random_element(rng) for _ in range(d))
+
+    out = [base, base[::-1], [Subspace.zero(f, d)] + base]
+    for n, layer in enumerate(base):
+        out.append(base[:n] + base[n + 1 :])
+        out.append(base[: n + 1] + base[n:])
+        if layer.dim:
+            rows = list(layer.basis.data)
+            rows[-1] = tuple(f.add(x, y) for x, y in zip(rows[-1], noise()))
+            out.append(base[:n] + [Subspace.span(f, d, rows)] + base[n + 1 :])
+            out.append(base[:n] + [layer.sum(Subspace.span(f, d, [noise()]))] + base[n + 1 :])
+    return out
+
+
+def _random_chain(f, d, rng: random.Random) -> list:
+    rows = [tuple(f.random_element(rng) for _ in range(d)) for _ in range(d)]
+    cuts = sorted(rng.sample(range(1, d + 1), rng.randint(1, d)))
+    if cuts[-1] != d:
+        cuts.append(d)
+    layers = [Subspace.span(f, d, rows[:k]) for k in cuts]
+    return layers if layers[-1].dim == d else layers + [Subspace.full(f, d)]
+
+
+def _has_non_unit_row(layers) -> bool:
+    return any(
+        sum(not layer.field.is_zero(x) for x in row) > 1 for layer in layers for row in layer.basis.data
+    )
+
+
+def test_filtration_check_matches_dense_oracle():
+    # the adapted-basis sweep against dense spans in C (x) C, on unit-vector and general layers
+    rng = random.Random(11)
+    outcomes = {False: 0, True: 0}
+    cases = 0
+    for field in (QQ, F2, F3, F5):
+        coalgebras = [
+            divided_power_t(3, field),
+            polynomial_multi(2, 2, field),
+            grouplike_coalgebra(3, field),
+            direct_sum([divided_power_t(2, field), grouplike_coalgebra(1, field), divided_power_t(1, field)]),
+        ] + [Coalgebra(field, c.names, c.delta, c.counit, grading=c.grading) for c in _fixture_coalgebras()]
+        for c in coalgebras:
+            moved, moved_layers = transport_coalgebra(c, random_invertible(field, c.dim, rng))
+            assert moved.validate().ok and oracle_is_coalgebra_filtration(moved, moved_layers)
+            for target, base in ((c, c.grading_filtration()), (moved, moved_layers)):
+                lists = _layer_lists(base, rng) + [_random_chain(field, c.dim, rng) for _ in range(3)]
+                for layers in lists:
+                    got = is_coalgebra_filtration(target, layers)
+                    assert got == oracle_is_coalgebra_filtration(target, layers), (target, layers)
+                    cases += 1
+                    if _has_non_unit_row(layers):
+                        outcomes[got] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+    assert cases > 500
+
+
+def test_filtration_layers_of_the_wrong_ambient_raise():
+    c = divided_power_t(2, QQ)
+    wide = [unit_vec(QQ, 4, i) for i in range(3)]
+    for layers in (
+        [Subspace.span(QQ, 4, wide[:1]), Subspace.full(QQ, 3)],  # nesting compares F^4 with F^3
+        [Subspace.span(QQ, 4, wide)],  # exhaustive by dimension, but in F^4
+        [Subspace.span(QQ, 4, wide[:1]), Subspace.span(QQ, 4, wide)],
+    ):
+        for check in (is_coalgebra_filtration, oracle_is_coalgebra_filtration):
+            with pytest.raises(ShapeError):
+                check(c, layers)
 
 
 def test_normalize_triples_merges_sorts_and_drops_zeros():
