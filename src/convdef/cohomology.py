@@ -16,6 +16,9 @@ running over a^n:
     (t, r', (h, r, l)), for every r' < a, h in a^(i-1) and l in a^(n-i).
 The composition-based cofaces these families expand live in the test
 suite as the independent oracle (`tests/helpers.py`, `oracle_coface`).
+d^n is never densified: `ComplexSpec` eliminates its rows once (Z^n is
+their null space) and its columns once (they span B^(n+1)), each into a
+sparse `Echelon` cached per degree.
 
 Associativity is checked on the same nonzero structure constants.  Write
 Delta(c_i) = sum mu c_j (x) c_k and Delta(c_k) = sum nu c_k1 (x) c_k2;
@@ -40,7 +43,7 @@ from .convolution import ConvMorphism, MultiMap, epsilon_embed
 from .errors import NotCocommutative, NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
-from .linalg import Matrix, Subspace, Vector, image, kernel_space
+from .linalg import Echelon, Matrix, SparseMatrix, Subspace, Vector, augmented_echelon
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,6 @@ class CohomologyResult:
     dim_b: int
     dim_h: int
     representatives: tuple[Cochain, ...]
-    d_matrix: Matrix
-    d_prev_matrix: Optional[Matrix]
     z_space: Subspace
     b_space: Subspace
 
@@ -151,7 +152,8 @@ class ComplexSpec:
         self.x_dim = comodule.dim
         self.field = m.field
         self._entries_cache: dict[int, tuple] = {}
-        self._dmat_cache: dict[int, Matrix] = {}
+        self._row_echelons: dict[int, Echelon] = {}  # RREF of the rows of d^n: Z^n is its null space
+        self._col_echelons: dict[int, Echelon] = {}  # RREF of the columns of d^n: B^(n+1)
 
     def cochain_dim(self, n: int) -> int:
         return self.x_dim * self.a_dim ** (n + 1)
@@ -210,29 +212,45 @@ class ComplexSpec:
                 out[row] = f.add(out[row], f.mul(v, x[col]))
         return Cochain.from_flat(f, self.a_dim, self.x_dim, n + 1, out)
 
-    def differential_matrix(self, n: int) -> Matrix:
-        if n in self._dmat_cache:
-            return self._dmat_cache[n]
-        f = self.field
-        dim_in = self.cochain_dim(n)
-        rows = [[f.zero] * dim_in for _ in range(self.cochain_dim(n + 1))]
-        for row, col, v in self.differential_entries(n):
-            rows[row][col] = v
-        out = Matrix(f, len(rows), dim_in, tuple(map(tuple, rows)))
-        self._dmat_cache[n] = out
-        return out
+    def differential_matrix(self, n: int) -> SparseMatrix:
+        """d^n as its sparse entries, cochain_dim(n+1) x cochain_dim(n)."""
+        return SparseMatrix(self.field, self.cochain_dim(n + 1), self.cochain_dim(n), self.differential_entries(n))
+
+    def row_echelon(self, n: int) -> Echelon:
+        """The RREF of the rows of d^n, eliminated once and cached."""
+        if n not in self._row_echelons:
+            self._row_echelons[n] = self.differential_matrix(n).echelon()
+        return self._row_echelons[n]
+
+    def image_echelon(self, n: int) -> Echelon:
+        """The RREF of the columns of d^n, a basis of B^(n+1); eliminated once and cached."""
+        if n not in self._col_echelons:
+            self._col_echelons[n] = self.differential_matrix(n).transpose().echelon()
+        return self._col_echelons[n]
+
+    def coboundaries(self, n: int) -> Subspace:
+        """B^n = im d^(n-1), zero for n = 0."""
+        if n == 0:
+            return Subspace.zero(self.field, self.cochain_dim(0))
+        return Subspace(self.image_echelon(n - 1))
+
+    def solve(self, n: int, rhs: Sequence) -> Optional[Vector]:
+        """The canonical solution of d^n x = rhs (free variables zero), or None off B^(n+1).
+
+        One elimination of [d^n | rhs]; its left block is the RREF of the
+        rows of d^n, which is cached for Z^n unless already there.
+        """
+        d = self.differential_matrix(n)
+        aug = augmented_echelon(self.field, d.row_dicts(), d.cols, [rhs])
+        self._row_echelons.setdefault(n, aug.restrict(d.cols))
+        sols = aug.solutions(d.cols)
+        return None if sols is None else sols[0]
 
     def cohomology(self, n: int) -> CohomologyResult:
         """Z^n = ker d^n, B^n = im d^(n-1), with RREF-canonical H^n representatives."""
         f = self.field
-        dn = self.differential_matrix(n)
-        z_space = kernel_space(dn)
-        if n == 0:
-            d_prev = None
-            b_space = Subspace.zero(f, self.cochain_dim(n))
-        else:
-            d_prev = self.differential_matrix(n - 1)
-            b_space = image(d_prev)
+        z_space = Subspace(Echelon(f, self.cochain_dim(n), self.row_echelon(n).kernel()))
+        b_space = self.coboundaries(n)
         if not z_space.contains_space(b_space):
             raise ShapeError("differential does not square to zero; complex is inconsistent")
         reps = tuple(
@@ -245,8 +263,6 @@ class ComplexSpec:
             dim_b=b_space.dim,
             dim_h=z_space.dim - b_space.dim,
             representatives=reps,
-            d_matrix=dn,
-            d_prev_matrix=d_prev,
             z_space=z_space,
             b_space=b_space,
         )
@@ -319,11 +335,18 @@ class Rank1Reduction:
     act_matrix: Matrix  # matrix of x |-> chi -> x on X
     hochschild: ComplexSpec
 
-    def partial_matrix(self, n: int) -> Matrix:
-        return self.hochschild.differential_matrix(n)
-
-    def factored_differential_matrix(self, n: int) -> Matrix:
-        return self.act_matrix.transpose().kron(self.partial_matrix(n))
+    def factored_differential_entries(self, n: int) -> dict[tuple[int, int], object]:
+        """The nonzero entries {(row, col): value} of act^T (x) partial^n."""
+        f, hs = self.hochschild.field, self.hochschild
+        rows, cols = hs.cochain_dim(n + 1), hs.cochain_dim(n)
+        partial = hs.differential_entries(n)
+        out = {}
+        for j, act_row in enumerate(self.act_matrix.data):
+            for i, a in enumerate(act_row):
+                if not f.is_zero(a):
+                    for r, c, v in partial:
+                        out[(i * rows + r, j * cols + c)] = f.mul(a, v)
+        return out
 
 
 def rank1_reduce(spec: ComplexSpec, degrees: Sequence[int] = (2,)) -> Rank1Reduction:
@@ -369,7 +392,8 @@ def rank1_reduce(spec: ComplexSpec, degrees: Sequence[int] = (2,)) -> Rank1Reduc
         hochschild=hochschild_spec(base),
     )
     for n in degrees:
-        if red.factored_differential_matrix(n) != spec.differential_matrix(n):
+        direct = {(r, c): v for r, c, v in spec.differential_entries(n)}
+        if red.factored_differential_entries(n) != direct:
             raise NotRankOne("factored differential disagrees with the direct assembly")
     return red
 

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .extension import Extension, graded_extension
 from .fields import Field
-from .linalg import Matrix, image, solve
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -208,15 +208,16 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
     spec = complex_of(alg, ext, check=True)
     zeta = obstruction_zeta(alg, ext)
     f = spec.field
-    d2 = spec.differential_matrix(2)
-    res = solve(d2, zeta.flatten())
+    zeta_flat = zeta.flatten()
+    # one elimination of [d^2 | zeta]: its left block is the RREF of d^2 that cohomology(2) reads Z^2 from
+    sol = spec.solve(2, zeta_flat)
     h2 = spec.cohomology(2)
     z2 = tuple(Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, row) for row in h2.z_space.basis.data)
     b2 = tuple(Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, row) for row in h2.b_space.basis.data)
     coset_count = f.char ** h2.dim_h if f.char else None
-    if res is None:
-        # canonical representative of [zeta] inside H^3
-        rep_flat = image(d2).reduce(zeta.flatten())
+    if sol is None:
+        # canonical representative of [zeta] modulo B^3 = im d^2
+        rep_flat = spec.coboundaries(3).reduce(zeta_flat)
         return DeformationReport(
             zeta=zeta,
             obstruction_vanishes=False,
@@ -231,7 +232,7 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
             coset_count=coset_count,
             zeta_class_rep=Cochain.from_flat(f, spec.a_dim, spec.x_dim, 3, rep_flat),
         )
-    nu0 = Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, res[0])
+    nu0 = Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, sol)
     base_solution = -nu0
     # end-to-end re-verification: the materialized multiplication must be associative
     make_deformation(alg, ext, base_solution, verify=True)
@@ -297,10 +298,10 @@ def equiv_check(d1: Deformation, d2: Deformation) -> Optional[ConvMorphism]:
     spec = complex_of(d1.base, ext)
     f = spec.field
     rhs = (d2.m_x - d1.m_x).flatten()
-    res = solve(spec.differential_matrix(1), rhs)
-    if res is None:
+    sol = spec.solve(1, rhs)
+    if sol is None:
         return None
-    f_x = Cochain.from_flat(f, spec.a_dim, spec.x_dim, 1, res[0])
+    f_x = Cochain.from_flat(f, spec.a_dim, spec.x_dim, 1, sol)
     gauge = _gauge_from_cochain(ext, f_x)
     transported = gauge_transport(d1, gauge)
     if transported.mtilde != d2.mtilde:

@@ -23,12 +23,12 @@ from .errors import (
 )
 from .fields import require_same_field
 from .linalg import (
+    Echelon,
     Matrix,
     Subspace,
     Vector,
     image,
     kernel_basis,
-    rref,
     solve_many,
     unit_vec,
 )
@@ -188,9 +188,6 @@ class Extension:
     def phi(self) -> Matrix:
         return self.iota @ self.lam
 
-    def x_indices(self) -> range:
-        return range(self.base.dim, self.ctilde.dim)
-
     def extension_filtration(self) -> list[Subspace]:
         """The two-step coalgebra filtration iota(C) inside Ctilde."""
         f = self.base.field
@@ -253,7 +250,7 @@ def split_extension(
     dc = iota.cols
     if iota.rows != d or lam.rows != dc or lam.cols != d:
         raise ShapeError("iota must be dimCtilde x dimC and lambda dimC x dimCtilde")
-    if rref(iota)[2] != dc:
+    if Echelon.of_matrix(iota).rank != dc:
         raise NotAnExtension("iota is not injective")
     lam_iota = lam @ iota
     if lam_iota != Matrix.identity(f, dc):
@@ -418,7 +415,7 @@ def decompose_completely_reducible(
         if base.delta_matrix.mul_vec(g) != gg or base.eps(g) != f.one:
             raise ValueError("supplied vector is not group-like")
     gmat = Matrix(f, len(gs), dc, tuple(tuple(f.coerce(x) for x in g) for g in gs))
-    if rref(gmat)[2] != len(gs):
+    if Echelon.of_matrix(gmat).rank != len(gs):
         raise ValueError("group-like vectors must be distinct (they are then independent)")
     ops = []
     rows_by_st: dict[tuple[int, int], list] = {}

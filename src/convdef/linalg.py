@@ -1,15 +1,20 @@
-"""Dense exact linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p, with one sparse elimination kernel.
 
-Everything here is immutable after construction.  Matrices are dense
-tuple-of-tuples in row-major order; vectors are plain tuples.  A
-`Subspace` holds its basis as reduced row-echelon rows together with
-their pivot columns, so equal subspaces compare equal as values, and
-every reduction of a vector against a basis goes through
-`Subspace.reduce`.
+`Echelon` is the only elimination loop: it holds the reduced row-echelon
+form of a set of rows as dicts {column: nonzero}, keyed by pivot column,
+and over F_p it computes on plain ints mod p.  `rref`, `kernel_basis`,
+`solve`, `solve_many`, `image`, `preimage` and every `Subspace` operation
+eliminate through it.  A `Subspace` is a view of the `Echelon` of a
+spanning set, so equal subspaces compare equal as values.  `Matrix` is
+dense, tuple-of-tuples in row-major order, for the small maps of the
+coalgebra layer; `SparseMatrix` holds only the nonzero entries, for the
+differentials d^n.  Vectors are plain tuples.  Everything here is
+immutable after construction.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotASubspace, ShapeError
@@ -181,82 +186,196 @@ def unit_vec(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one if j == i else field.zero for j in range(n))
 
 
+
+
+def _sparse(vec: Sequence) -> dict:
+    """The nonzero entries {index: value} of a vector of normalized field elements."""
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def _dense(field: Field, n: int, vec: dict) -> Vector:
+    out = [field.zero] * n
+    for j, x in vec.items():
+        out[j] = x
+    return tuple(out)
+
+
+def _sub_multiple(dst: dict, factor, src: dict, p: int) -> None:
+    """dst -= factor * src in place, dropping what cancels; over F_p (p > 0) on plain ints mod p."""
+    get = dst.get
+    if p:
+        for c, v in src.items():
+            x = (get(c, 0) - factor * v) % p
+            if x:
+                dst[c] = x
+            else:
+                del dst[c]
+    else:
+        for c, v in src.items():
+            x = get(c, 0) - factor * v
+            if x:
+                dst[c] = x
+            else:
+                del dst[c]
+
+
+class Echelon:
+    """The reduced row-echelon form of a set of rows, held sparse: the one elimination loop.
+
+    `rows` maps each pivot column to its row, a dict {column: nonzero}
+    with a one at the pivot and nothing to its left; callers must not
+    mutate it.  Rows are inserted shortest first, to limit fill-in.  Each
+    is reduced against the pivot rows held so far and takes its least
+    remaining column as its pivot, which is then cleared from every held
+    row.  The new row is zero at every held pivot and a held row has no
+    entry left of its own pivot, so no step puts an entry left of a
+    pivot or at another row's pivot: the held rows are the unique RREF of
+    the span at every step, with no back-reduction pass.
+    """
+
+    __slots__ = ("field", "ncols", "rows", "pivots")
+
+    def __init__(self, field: Field, ncols: int, rows: Iterable[dict] = ()):
+        self.field = field
+        self.ncols = ncols
+        self.rows: dict[int, dict] = {}
+        for row in sorted(rows, key=len):
+            self._insert(self.reduce(row))
+        self.pivots = tuple(sorted(self.rows))
+
+    @classmethod
+    def _held(cls, field: Field, ncols: int, rows: dict[int, dict]) -> Echelon:
+        # Trusted constructor: `rows` must already be an RREF keyed by pivot.
+        out = cls.__new__(cls)
+        out.field, out.ncols, out.rows, out.pivots = field, ncols, rows, tuple(sorted(rows))
+        return out
+
+    @classmethod
+    def of_matrix(cls, m: Matrix) -> Echelon:
+        return cls(m.field, m.cols, map(_sparse, m.data))
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _insert(self, row: dict) -> None:
+        if not row:
+            return
+        held, f, p = self.rows, self.field, self.field.char
+        piv = min(row)
+        lead = row[piv]
+        if lead != 1:
+            inv = f.inv(lead)
+            row = {c: v * inv % p for c, v in row.items()} if p else {c: v * inv for c, v in row.items()}
+        for other in held.values():
+            if piv in other:
+                _sub_multiple(other, other[piv], row, p)
+        held[piv] = row
+
+    def reduce(self, vec: dict) -> dict:
+        """A new dict: vec minus its combination of the rows that leaves it zero at every pivot."""
+        held, p = self.rows, self.field.char
+        out = dict(vec)
+        # a held row is zero at every other pivot, so subtracting it leaves the other factors as they were
+        for c in [c for c in out if c in held]:
+            _sub_multiple(out, out[c], held[c], p)
+        return out
+
+    def restrict(self, ncols: int) -> Echelon:
+        """The RREF of the first ncols columns of the rows, read off this one."""
+        kept = {
+            piv: {c: v for c, v in row.items() if c < ncols} for piv, row in self.rows.items() if piv < ncols
+        }
+        return Echelon._held(self.field, ncols, kept)
+
+    def dense_rows(self) -> tuple[Vector, ...]:
+        return tuple(_dense(self.field, self.ncols, self.rows[piv]) for piv in self.pivots)
+
+    def kernel(self) -> list[dict]:
+        """Canonical null-space basis of the rows: one vector per free column, free entry one."""
+        f = self.field
+        by_free: dict[int, dict] = {}
+        for piv, row in self.rows.items():
+            for c, x in row.items():
+                if c != piv:
+                    by_free.setdefault(c, {})[piv] = f.neg(x)
+        out = []
+        for free in range(self.ncols):
+            if free not in self.rows:
+                vec = by_free.get(free, {})
+                vec[free] = f.one
+                out.append(vec)
+        return out
+
+    def solutions(self, ncols: int) -> list[Vector] | None:
+        """For the RREF of [M | B], M with ncols columns: the canonical solution of M x = b per column b of B.
+
+        Returns None when some b is not in the image.  When every b is
+        solvable there is no pivot in B, and the RREF restricts to the RREF
+        of each [M | b]: every solution is the one an elimination of
+        [M | b] alone gives, free variables set to zero.
+        """
+        if self.pivots and self.pivots[-1] >= ncols:
+            return None
+        z = self.field.zero
+        sols = []
+        for k in range(ncols, self.ncols):
+            x = [z] * ncols
+            for piv, row in self.rows.items():
+                x[piv] = row.get(k, z)
+            sols.append(tuple(x))
+        return sols
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """A rows x cols matrix held as its nonzero entries (row, col, value)."""
+
+    field: Field
+    rows: int
+    cols: int
+    entries: tuple
+
+    @property
+    def nnz(self) -> int:
+        return len(self.entries)
+
+    def transpose(self) -> SparseMatrix:
+        return SparseMatrix(self.field, self.cols, self.rows, tuple((c, r, v) for r, c, v in self.entries))
+
+    def row_dicts(self) -> list[dict]:
+        out: list[dict] = [{} for _ in range(self.rows)]
+        for r, c, v in self.entries:
+            out[r][c] = v
+        return out
+
+    def echelon(self) -> Echelon:
+        return Echelon(self.field, self.cols, self.row_dicts())
+
+
+def augmented_echelon(field: Field, rows: list[dict], ncols: int, rhs_columns: Sequence[Sequence]) -> Echelon:
+    """The RREF of [M | B] from the row dicts of M (taken over) and the columns of B."""
+    for b in rhs_columns:
+        if len(b) != len(rows):
+            raise ShapeError(f"rhs length {len(b)} vs {len(rows)} rows")
+    for k, b in enumerate(rhs_columns, start=ncols):
+        for row, x in zip(rows, b):
+            x = field.coerce(x)
+            if x:
+                row[k] = x
+    return Echelon(field, ncols + len(rhs_columns), rows)
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row-echelon form: (R, pivot columns, rank)."""
-    f = m.field
-    rows = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if not f.is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        lead = rows[r]
-        for i in range(nr):
-            if i != r:
-                factor = rows[i][c]
-                if not f.is_zero(factor):
-                    rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    out = Matrix(f, nr, nc, tuple(tuple(row) for row in rows))
-    return out, tuple(pivots), r
-
-
-def _kernel_from_rref(field: Field, rows: Sequence, pivots: Sequence[int], ncols: int) -> list[Vector]:
-    """Canonical kernel basis read off RREF rows: one vector per free column, free entry 1."""
-    piv_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in piv_set:
-            continue
-        v = [field.zero] * ncols
-        v[free] = field.one
-        for row, c in zip(rows, pivots):
-            v[c] = field.neg(row[free])
-        basis.append(tuple(v))
-    return basis
+    ech = Echelon.of_matrix(m)
+    zero_rows = ((m.field.zero,) * m.cols,) * (m.rows - ech.rank)
+    return Matrix(m.field, m.rows, m.cols, ech.dense_rows() + zero_rows), ech.pivots, ech.rank
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Canonical basis of ker(m): one vector per free column, free entry 1."""
-    red, pivots, _rank = rref(m)
-    return _kernel_from_rref(m.field, red.data, pivots, m.cols)
-
-
-def _solve_block(m: Matrix, rhs_columns: list) -> tuple[Matrix, tuple[int, ...], list[Vector] | None]:
-    """RREF of [m | B], its pivots, and the canonical particular solution of each b in B.
-
-    The solutions are None when some b is not in the image.  When every b
-    is solvable, [m | B] has the rank of m, so its RREF has no pivot in B
-    and restricts to the RREF of each [m | b]: every solution is the one an
-    elimination of [m | b] alone gives, free variables set to zero.
-    """
-    f = m.field
-    for b in rhs_columns:
-        if len(b) != m.rows:
-            raise ShapeError(f"rhs length {len(b)} vs {m.rows} rows")
-    cols = [tuple(f.coerce(x) for x in b) for b in rhs_columns]
-    red, pivots, _rank = rref(m.hstack(Matrix(f, m.rows, len(cols), tuple(zip(*cols)))))
-    if pivots and pivots[-1] >= m.cols:
-        return red, pivots, None
-    sols = []
-    for k in range(m.cols, m.cols + len(cols)):
-        x = [f.zero] * m.cols
-        for row, c in zip(red.data, pivots):
-            x[c] = row[k]
-        sols.append(tuple(x))
-    return red, pivots, sols
+    return [_dense(m.field, m.cols, v) for v in Echelon.of_matrix(m).kernel()]
 
 
 def solve(m: Matrix, b: Sequence) -> tuple[Vector, list[Vector]] | None:
@@ -266,10 +385,11 @@ def solve(m: Matrix, b: Sequence) -> tuple[Vector, list[Vector]] | None:
     particular solution (free variables set to zero) and the canonical
     kernel basis.
     """
-    red, pivots, sols = _solve_block(m, [b])
+    ech = augmented_echelon(m.field, [_sparse(r) for r in m.data], m.cols, [b])
+    sols = ech.solutions(m.cols)
     if sols is None:
         return None
-    return sols[0], _kernel_from_rref(m.field, red.data, pivots, m.cols)
+    return sols[0], [_dense(m.field, m.cols, v) for v in ech.restrict(m.cols).kernel()]
 
 
 def solve_many(m: Matrix, rhs_columns: Sequence[Sequence]) -> list[Vector] | None:
@@ -278,99 +398,90 @@ def solve_many(m: Matrix, rhs_columns: Sequence[Sequence]) -> list[Vector] | Non
     Returns None when some right-hand side is not in the image.
     """
     rhs_columns = list(rhs_columns)
-    return _solve_block(m, rhs_columns)[2] if rhs_columns else []
+    if not rhs_columns:
+        return []
+    return augmented_echelon(m.field, [_sparse(r) for r in m.data], m.cols, rhs_columns).solutions(m.cols)
 
 
 class Subspace:
-    """Subspace of F^n held as RREF basis rows and their pivot columns (canonical form)."""
+    """Subspace of F^n: a view of the `Echelon` of a spanning set (canonical form)."""
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("echelon", "field", "ambient", "pivots", "dim", "_basis")
 
-    def __init__(self, ambient: int, basis: Matrix, pivots: tuple[int, ...]):
-        # Trusted constructor: basis must be RREF with no zero rows, pivots
-        # the column of each row's leading one.
-        self.ambient = ambient
-        self.basis = basis
-        self.pivots = pivots
+    def __init__(self, echelon: Echelon):
+        self.echelon = echelon
+        self.field, self.ambient, self.pivots, self.dim = echelon.field, echelon.ncols, echelon.pivots, echelon.rank
+        self._basis = None
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
-        vecs = [tuple(field.coerce(x) for x in v) for v in vectors]
-        for v in vecs:
+        rows = []
+        for v in vectors:
             if len(v) != ambient:
                 raise ShapeError(f"vector length {len(v)} vs ambient {ambient}")
-        if not vecs:
-            return cls.zero(field, ambient)
-        red, pivots, rank = rref(Matrix(field, len(vecs), ambient, tuple(vecs)))
-        return cls(ambient, Matrix(field, rank, ambient, red.data[:rank]), pivots)
+            rows.append(_sparse([field.coerce(x) for x in v]))
+        return cls(Echelon(field, ambient, rows))
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> Subspace:
-        return cls(ambient, Matrix(field, 0, ambient, ()), ())
+        return cls(Echelon(field, ambient))
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> Subspace:
-        return cls(ambient, Matrix.identity(field, ambient), tuple(range(ambient)))
+        return cls(Echelon._held(field, ambient, {i: {i: field.one} for i in range(ambient)}))
 
     @property
-    def field(self) -> Field:
-        return self.basis.field
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
+    def basis(self) -> Matrix:
+        """The RREF basis rows, densified on first use."""
+        if self._basis is None:
+            self._basis = Matrix(self.field, self.dim, self.ambient, self.echelon.dense_rows())
+        return self._basis
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
+            and self.field == other.field
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self.echelon.rows == other.echelon.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self.pivots))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Canonical representative of v modulo this subspace: zero at every pivot."""
-        f = self.field
+    def _reduce_sparse(self, v: Sequence) -> dict:
         if len(v) != self.ambient:
             raise ShapeError(f"vector length {len(v)} vs ambient {self.ambient}")
-        v = [f.coerce(x) for x in v]
-        for row, c in zip(self.basis.data, self.pivots):
-            factor = v[c]
-            if not f.is_zero(factor):
-                v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
-        return tuple(v)
+        f = self.field
+        return self.echelon.reduce(_sparse([f.coerce(x) for x in v]))
+
+    def reduce(self, v: Sequence) -> Vector:
+        """Canonical representative of v modulo this subspace: zero at every pivot."""
+        return _dense(self.field, self.ambient, self._reduce_sparse(v))
 
     def contains_vector(self, v: Sequence) -> bool:
-        return all(self.field.is_zero(x) for x in self.reduce(v))
+        return not self._reduce_sparse(v)
 
     def contains_space(self, other: Subspace) -> bool:
         return all(self.contains_vector(row) for row in other.basis.data)
 
     def sum(self, other: Subspace) -> Subspace:
         self._check_compatible(other)
-        return Subspace.span(self.field, self.ambient, self.basis.data + other.basis.data)
+        rows = list(self.echelon.rows.values()) + list(other.echelon.rows.values())
+        return Subspace(Echelon(self.field, self.ambient, rows))
 
     def intersect(self, other: Subspace) -> Subspace:
         # Zassenhaus: echelonize [A A; B 0]; rows with zero left half carry
         # the intersection in their right half.
         self._check_compatible(other)
-        f, n = self.field, self.ambient
-        z = (f.zero,) * n
-        block = [row + row for row in self.basis.data] + [row + z for row in other.basis.data]
-        if not block:
-            return Subspace.zero(f, n)
-        red, _piv, rank = rref(Matrix(f, len(block), 2 * n, tuple(block)))
-        inter = [
-            row[n:]
-            for row in red.data[:rank]
-            if all(f.is_zero(x) for x in row[:n])
-        ]
-        return Subspace.span(f, n, inter)
+        n = self.ambient
+        block = [{**row, **{c + n: x for c, x in row.items()}} for row in self.echelon.rows.values()]
+        block += other.echelon.rows.values()
+        red = Echelon(self.field, 2 * n, block)
+        inter = ({c - n: x for c, x in row.items()} for piv, row in red.rows.items() if piv >= n)
+        return Subspace(Echelon(self.field, n, inter))
 
     def quotient_basis(self, sub: Subspace) -> list[Vector]:
         """Basis rows kept by a greedy scan: each row not in sub + the rows before it.
@@ -383,14 +494,15 @@ class Subspace:
         dim self matrix.
         """
         k = self.dim
-        coords = [tuple(row[c] for c in reversed(self.pivots)) for row in sub.basis.data]
-        left_out = {k - 1 - c for c in Subspace.span(self.field, k, coords).pivots}
+        rev = {p: k - 1 - i for i, p in enumerate(self.pivots)}
+        coords = ({rev[c]: x for c, x in row.items() if c in rev} for row in sub.echelon.rows.values())
+        left_out = {k - 1 - c for c in Echelon(self.field, k, coords).pivots}
         return [row for i, row in enumerate(self.basis.data) if i not in left_out]
 
     def equation_matrix(self) -> Matrix:
         """Rows z with z . x = 0 exactly cutting out this subspace."""
-        eqs = _kernel_from_rref(self.field, self.basis.data, self.pivots, self.ambient)
-        return Matrix(self.field, len(eqs), self.ambient, tuple(eqs))
+        eqs = tuple(_dense(self.field, self.ambient, v) for v in self.echelon.kernel())
+        return Matrix(self.field, len(eqs), self.ambient, eqs)
 
     def _check_compatible(self, other: Subspace) -> None:
         require_same_field(self.field, other.field)
@@ -400,11 +512,11 @@ class Subspace:
 
 def image(m: Matrix) -> Subspace:
     """Column space of m as a subspace of F^rows."""
-    return Subspace.span(m.field, m.rows, m.transpose().data)
+    return Subspace(Echelon(m.field, m.rows, map(_sparse, zip(*m.data))))
 
 
 def kernel_space(m: Matrix) -> Subspace:
-    return Subspace.span(m.field, m.cols, kernel_basis(m))
+    return Subspace(Echelon(m.field, m.cols, Echelon.of_matrix(m).kernel()))
 
 
 def preimage(m: Matrix, target: Subspace) -> Subspace:

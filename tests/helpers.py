@@ -90,17 +90,21 @@ def truncated_poly_3(field) -> MultiMap:
     return truncated_poly(field, 3)
 
 
-def mat2_mult(field) -> MultiMap:
-    # 2x2 matrix units, basis index (i, j) -> 2 i + j
-    dim = 4
+def matrix_units(field, n) -> MultiMap:
+    # M_n in the matrix units e_ij, basis index (i, j) -> n i + j
+    dim = n * n
     table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
     for a in range(dim):
         for b in range(dim):
-            i, j = divmod(a, 2)
-            k, l = divmod(b, 2)
+            i, j = divmod(a, n)
+            k, l = divmod(b, n)
             if j == k:
-                table[a][b][2 * i + l] = 1
+                table[a][b][n * i + l] = 1
     return mult_from_table(field, table)
+
+
+def mat2_mult(field) -> MultiMap:
+    return matrix_units(field, 2)
 
 
 CATALOG_2 = (dual_numbers, split_pair, zero_mult, rank_one_square)
@@ -361,6 +365,52 @@ def oracle_differential_matrix(spec, n):
         basis = Cochain.from_flat(f, spec.a_dim, spec.x_dim, n, unit_vec(f, dim_in, j))
         cols.append(oracle_differential(spec, basis).flatten())
     return Matrix(f, spec.cochain_dim(n + 1), dim_in, tuple(zip(*cols)))
+
+
+def dense_differential_matrix(spec, n):
+    """d^n as a dense Matrix, filled in from the sparse entries `ComplexSpec` assembles."""
+    f = spec.field
+    dim_in = spec.cochain_dim(n)
+    rows = [[f.zero] * dim_in for _ in range(spec.cochain_dim(n + 1))]
+    for row, col, v in spec.differential_entries(n):
+        rows[row][col] = v
+    return Matrix(f, len(rows), dim_in, tuple(map(tuple, rows)))
+
+
+def oracle_rref(m: Matrix):
+    """Dense Gauss-Jordan elimination: (R, pivot columns, rank).
+
+    The column-by-column loop `convdef.rref` ran before the sparse
+    `Echelon`; independent of it, so it serves as the oracle.
+    """
+    f = m.field
+    rows = [list(r) for r in m.data]
+    nr, nc = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        pivot_row = None
+        for i in range(r, nr):
+            if not f.is_zero(rows[i][c]):
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        lead = rows[r]
+        for i in range(nr):
+            if i != r:
+                factor = rows[i][c]
+                if not f.is_zero(factor):
+                    rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    out = Matrix(f, nr, nc, tuple(tuple(row) for row in rows))
+    return out, tuple(pivots), r
 
 
 def fixture_specs():

@@ -50,6 +50,7 @@ from helpers import (
     CATALOG_2,
     F2,
     F5,
+    dense_differential_matrix,
     dual_numbers,
     mat2_mult,
     mult_from_table,
@@ -149,7 +150,7 @@ def _random_graded_instance(trial: int, rng):
         from convdef import hochschild_spec
 
         hs = hochschild_spec(m0)
-        z2 = kernel_basis(hs.differential_matrix(2))
+        z2 = kernel_basis(dense_differential_matrix(hs, 2))
         comps = [MultiMap.zero(field, a_dim, 2, 1)] * ext.base.dim
         comps[0] = m0
         if z2 and ext.base.grading.count(1) > 0:

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -29,13 +30,16 @@ import oracle_hochschild as oracle
 from helpers import (
     F3,
     F5,
+    dense_differential_matrix,
     dual_numbers,
     fixture_specs,
     greedy_quotient_rows,
     mat2_mult,
+    matrix_units,
     oracle_coface,
     oracle_differential,
     oracle_differential_matrix,
+    oracle_rref,
     random_algebra,
     random_gauge_transported_mult,
     random_grouplike_comodule,
@@ -175,6 +179,17 @@ def _d2_manual(spec, nu):
 GATE_MAX_DIM = 128
 
 
+@functools.lru_cache(maxsize=None)
+def fixture_oracle_differentials(max_dim=GATE_MAX_DIM):
+    """(label, spec, n, oracle d^n) for every fixture spec and n <= 3 with cochain_dim(n+1) <= max_dim."""
+    return tuple(
+        (label, spec, n, oracle_differential_matrix(spec, n))
+        for label, spec in fixture_specs()
+        for n in range(4)
+        if spec.cochain_dim(n + 1) <= max_dim
+    )
+
+
 def check_fixture_differentials(max_dim=GATE_MAX_DIM):
     """d^n from the structure constants equals the column-by-column oracle assembly.
 
@@ -182,16 +197,24 @@ def check_fixture_differentials(max_dim=GATE_MAX_DIM):
     returns the number of matrices compared.
     """
     compared = 0
-    for label, spec in fixture_specs():
-        for n in range(4):
-            if spec.cochain_dim(n + 1) <= max_dim:
-                assert spec.differential_matrix(n) == oracle_differential_matrix(spec, n), (label, n)
-                compared += 1
+    for label, spec, n, oracle_d in fixture_oracle_differentials(max_dim):
+        assert dense_differential_matrix(spec, n) == oracle_d, (label, n)
+        compared += 1
     return compared
 
 
 def test_differential_matrix_matches_oracle_on_fixtures():
     assert check_fixture_differentials() >= 20
+
+
+def test_cached_echelons_match_oracle_rref_on_fixtures():
+    # the row echelon (Z^n) and column echelon (B^(n+1)) of each d^n against dense Gauss-Jordan
+    for label, spec, n, oracle_d in fixture_oracle_differentials(GATE_MAX_DIM):
+        for ech, dense in ((spec.row_echelon(n), oracle_d), (spec.image_echelon(n), oracle_d.transpose())):
+            red, pivots, rank = oracle_rref(dense)
+            assert (ech.pivots, ech.rank) == (pivots, rank), (label, n)
+            assert ech.dense_rows() == red.data[:rank], (label, n)
+        assert spec.row_echelon(n) is spec.row_echelon(n)
 
 
 def _random_spec(kind, rng):
@@ -267,7 +290,7 @@ def test_trivial_base_differential_matches_oracle_entrywise():
         spec = hochschild_spec_of(m0)
         table = table_from_mult(m0)
         for n in (0, 1, 2):
-            mine = spec.differential_matrix(n)
+            mine = dense_differential_matrix(spec, n)
             theirs = oracle.boundary_matrix(field, 2, table, n)
             assert [list(r) for r in mine.data] == [list(r) for r in theirs]
 
@@ -286,7 +309,13 @@ F32003 = PrimeField(32003)
 def test_hochschild_of_m2_vanishes_morita():
     # Morita invariance: HH^n(M_2) = HH^n(k) = 0 for n >= 1 (Loday, Cyclic Homology)
     assert hochschild_dims(mat2_mult(F32003), [1, 2, 3]) == {1: 0, 2: 0, 3: 0}
-    assert hochschild_dims(mat2_mult(QQ), [1, 2]) == {1: 0, 2: 0}
+    assert hochschild_dims(mat2_mult(QQ), [1, 2, 3]) == {1: 0, 2: 0, 3: 0}
+
+
+def test_hochschild_of_m3_vanishes_morita():
+    # the ladder size: d^2 of M_3 is 6561 x 729, eliminated sparse from its 7392 entries
+    for field in (F32003, QQ):
+        assert hochschild_dims(matrix_units(field, 3), [1, 2]) == {1: 0, 2: 0}
 
 
 def _holm_dim(k, n, char):
@@ -344,6 +373,18 @@ def test_rank1_reduction_counit_case():
     assert spec.cohomology(2).dim_h == 2 * red.hochschild.cohomology(2).dim_h == 2
 
 
+def test_rank1_factored_entries_are_the_dense_kronecker_product():
+    # the sparse comparison in rank1_reduce reads the entries of act^T (x) partial^n
+    c = grouplike_coalgebra(2, QQ)
+    m = ConvMorphism(c, (dual_numbers(QQ), dual_numbers(QQ).scale(3)))
+    x = Comodule(c, 3, [[(0, 0, 1)], [(1, 1, 1)], [(2, 0, 1)]])
+    red = rank1_reduce(ComplexSpec(m, x), degrees=(1, 2))
+    for n in (1, 2):
+        dense = red.act_matrix.transpose().kron(dense_differential_matrix(red.hochschild, n))
+        nonzero = {(r, c): v for r, row in enumerate(dense.data) for c, v in enumerate(row) if v}
+        assert red.factored_differential_entries(n) == nonzero
+
+
 def test_rank1_rejects_zero_and_mixed():
     c = divided_power_t(1, QQ)
     x = Comodule(c, 1, [[(0, 0, 1)]])
@@ -363,7 +404,7 @@ def test_rank1_zero_weight_block_vanishes():
     spec = ComplexSpec(m, x)
     red = rank1_reduce(spec, degrees=(1, 2))
     assert red.chi == (QQ.one, QQ.zero)
-    d1 = spec.differential_matrix(1)
+    d1 = dense_differential_matrix(spec, 1)
     block = spec.a_dim ** 2
     # columns of the x2 block map to zero
     for col in range(block, 2 * block):

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from convdef import (
+    Echelon,
     FieldMismatch,
     Matrix,
     NotASubspace,
@@ -18,7 +20,7 @@ from convdef import (
 )
 from convdef.fields import QQ, PrimeField
 
-from helpers import greedy_quotient_rows
+from helpers import F3, greedy_quotient_rows, oracle_rref
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -272,3 +274,81 @@ def test_equation_matrix_cuts_out_subspace():
             assert preimage(Matrix.identity(field, n), u) == u
             for row in u.basis.data:
                 assert all(field.is_zero(x) for x in eqs.mul_vec(row))
+
+
+def _matrix(field, rows, cols):
+    return Matrix(field, len(rows), cols, tuple(tuple(field.coerce(x) for x in row) for row in rows))
+
+
+@st.composite
+def matrices(draw):
+    """Zero-heavy matrices up to 9 x 9 over Q, F_2, F_3 and F_5, some with repeated rows."""
+    field = draw(st.sampled_from((QQ, F2, F3, F5)))
+    nr, nc = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if field.char:
+        nonzero = st.integers(1, field.char - 1)
+    else:
+        nonzero = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    entry = st.one_of(st.just(0), st.just(0), nonzero)
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if rows and draw(st.booleans()):
+        # duplicates and multiples make the matrix rank-deficient
+        for _ in range(draw(st.integers(1, 3))):
+            src, c = rows[draw(st.integers(0, nr - 1))], draw(nonzero)
+            rows.append([x * c for x in src])
+    return _matrix(field, rows, nc)
+
+
+def _oracle_kernel(m):
+    red, pivots, _rank = oracle_rref(m)
+    f, basis = m.field, []
+    for free in range(m.cols):
+        if free not in pivots:
+            v = [f.zero] * m.cols
+            v[free] = f.one
+            for row, c in zip(red.data, pivots):
+                v[c] = f.neg(row[free])
+            basis.append(tuple(v))
+    return basis
+
+
+# empty (0 x k, k x 0, 0 x 0), all-zero, duplicate-row, rank-deficient, tall and wide
+EDGE_MATRICES = [
+    Matrix(QQ, 0, 3, ()),
+    Matrix(F2, 3, 0, ((),) * 3),
+    Matrix(F5, 0, 0, ()),
+    Matrix.zeros(QQ, 4, 3),
+    Matrix.zeros(F3, 2, 5),
+    _matrix(F2, [[1, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 0]], 3),
+    _matrix(QQ, [[0, 2, 4, 0], [0, 1, 2, 0], [0, 0, 0, 3]], 4),
+    _matrix(F5, [[1, 2], [3, 4], [0, 1], [2, 2], [4, 0], [1, 1]], 2),
+    _matrix(F3, [[0, 1, 2, 0, 1, 0, 2, 1]], 8),
+]
+
+
+def check_echelon_against_oracle(m):
+    red, pivots, rank = oracle_rref(m)
+    assert rref(m) == (red, pivots, rank)
+    ech = Echelon.of_matrix(m)
+    assert (ech.pivots, ech.rank) == (pivots, rank)
+    assert ech.dense_rows() == red.data[:rank]
+    # the RREF is unique: any insertion order gives the same rows
+    backwards = Echelon(m.field, m.cols, [{j: x for j, x in enumerate(r) if x} for r in reversed(m.data)])
+    assert backwards.rows == ech.rows
+    assert kernel_basis(m) == _oracle_kernel(m)
+    # the left block of an echelon is the echelon of the left block
+    k = m.cols // 2
+    left = Matrix(m.field, m.rows, k, tuple(r[:k] for r in m.data))
+    assert ech.restrict(k).rows == Echelon.of_matrix(left).rows
+    red_t, _pivots_t, rank_t = oracle_rref(m.transpose())
+    assert image(m).basis.data == red_t.data[:rank_t]
+
+
+@given(matrices())
+def test_echelon_matches_dense_gauss_jordan(m):
+    check_echelon_against_oracle(m)
+
+
+@pytest.mark.parametrize("m", EDGE_MATRICES, ids=repr)
+def test_echelon_edge_cases_match_dense_gauss_jordan(m):
+    check_echelon_against_oracle(m)
