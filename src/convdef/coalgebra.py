@@ -74,15 +74,12 @@ class CoalgebraReport:
     counit_right: bool
     cocommutative: bool
     grading_compatible: Optional[bool] = None
-    filtration_compatible: Optional[bool] = None
 
     @property
     def ok(self) -> bool:
         checks = [self.coassociative, self.counit_left, self.counit_right]
         if self.grading_compatible is not None:
             checks.append(self.grading_compatible)
-        if self.filtration_compatible is not None:
-            checks.append(self.filtration_compatible)
         return all(checks)
 
     def failures(self) -> list[str]:
@@ -95,8 +92,6 @@ class CoalgebraReport:
             out.append("right counit axiom")
         if self.grading_compatible is False:
             out.append("grading compatibility")
-        if self.filtration_compatible is False:
-            out.append("filtration compatibility")
         return out
 
 
@@ -106,7 +101,7 @@ class GroupLikeSet:
 
 
 class Coalgebra:
-    __slots__ = ("field", "dim", "names", "delta", "counit", "grading", "filtration", "__dict__")
+    __slots__ = ("field", "dim", "names", "delta", "counit", "grading", "__dict__")
 
     def __init__(
         self,
@@ -115,7 +110,6 @@ class Coalgebra:
         delta,
         counit: Sequence,
         grading: Optional[Sequence[int]] = None,
-        filtration: Optional[Sequence[Subspace]] = None,
     ):
         self.field = field
         self.names = tuple(names)
@@ -129,7 +123,6 @@ class Coalgebra:
         self.grading = tuple(int(g) for g in grading) if grading is not None else None
         if self.grading is not None and len(self.grading) != self.dim:
             raise ShapeError("grading length must equal dim")
-        self.filtration = tuple(filtration) if filtration is not None else None
 
     def __eq__(self, other) -> bool:
         return (
@@ -139,7 +132,6 @@ class Coalgebra:
             and self.delta == other.delta
             and self.counit == other.counit
             and self.grading == other.grading
-            and self.filtration == other.filtration
         )
 
     def __hash__(self) -> int:
@@ -266,16 +258,12 @@ class Coalgebra:
             ) and all(
                 f.is_zero(self.counit[i]) for i in range(d) if self.grading[i] > 0
             )
-        filt_ok = None
-        if self.filtration is not None:
-            filt_ok = is_coalgebra_filtration(self, list(self.filtration))
         return CoalgebraReport(
             coassociative=coassoc,
             counit_left=counit_l,
             counit_right=counit_r,
             cocommutative=self.is_cocommutative,
             grading_compatible=grading_ok,
-            filtration_compatible=filt_ok,
         )
 
     def require_valid(self) -> None:
@@ -417,7 +405,6 @@ def coradical_filtration(c: Coalgebra, c0: Subspace) -> list[Subspace]:
     for row in c0.basis.data:
         if not c0c0.contains_vector(c.delta_matrix.mul_vec(row)):
             raise ShapeError("C0 is not a subcoalgebra")
-    eye = Subspace.full(f, d)
     chain = [c0]
     while True:
         cur = chain[-1]

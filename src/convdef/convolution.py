@@ -21,7 +21,7 @@ from .errors import (
     ShapeError,
 )
 from .fields import require_same_field
-from .linalg import Matrix, Subspace, solve
+from .linalg import Matrix, Subspace, augmented_echelon
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,9 @@ def _invert_on_bottom(f: ConvMorphism, bottom: Subspace) -> ConvMorphism:
     Unknowns are the components of g at the pivot indices of the layer's
     echelon basis (zero elsewhere); this parameterizes every possible
     restriction of g to the layer, which is all the convolution sees.
+    Entry (x, z) of (f * g)(b_r) is the sum of b_ri mu f_j[x][y] G_k[y][z]
+    over Delta(c_i) = sum mu c_j (x) c_k with k the s-th pivot: equation
+    (r*d + x)*d + z, unknown (s*d + y)*d + z, right-hand side eps(b_r) delta_xz.
     """
     c = f.coalgebra
     field = c.field
@@ -258,54 +261,38 @@ def _invert_on_bottom(f: ConvMorphism, bottom: Subspace) -> ConvMorphism:
     if f.src_arity != f.tgt_arity:
         raise NotInvertible("only square-arity morphisms can be inverted")
     rows = bottom.basis.data
-    k = len(rows)
-    if k == 0:
+    if not rows:
         raise NotInvertible("empty bottom layer")
-    pivots = bottom.pivots
-    # Coefficient of unknown G_{r'} in the constraint for basis row r.
-    coeff_mats = [[Matrix.zeros(field, d, d) for _ in range(k)] for _ in range(k)]
+    slot = {piv: s for s, piv in enumerate(bottom.pivots)}
+    n_unknowns = len(slot) * d * d
+    eqs: list[dict] = [{} for _ in range(len(rows) * d * d)]
     for r, brow in enumerate(rows):
         for i, bi in enumerate(brow):
-            if field.is_zero(bi):
+            if not bi:
                 continue
-            for j, k2, mu in c.delta[i]:
-                if k2 in pivots:
-                    rp = pivots.index(k2)
-                    coeff_mats[r][rp] = coeff_mats[r][rp] + f.components[j].mat.scale(
-                        field.mul(bi, mu)
-                    )
-    big_rows = d * d * k
-    eye = Matrix.identity(field, d)
-    blocks = []
-    for r in range(k):
-        row_blocks = [coeff_mats[r][rp].kron(eye) for rp in range(k)]
-        stacked = row_blocks[0]
-        for blk in row_blocks[1:]:
-            stacked = stacked.hstack(blk)
-        blocks.append(stacked)
-    system = blocks[0]
-    for blk in blocks[1:]:
-        system = system.vstack(blk)
-    rhs: list = []
-    for r, brow in enumerate(rows):
-        e = c.eps(brow)
-        rhs.extend(eye.scale(e).flatten())
-    assert system.rows == big_rows
-    res = solve(system, tuple(rhs))
-    if res is None:
+            for j, k, mu in c.delta[i]:
+                if k not in slot:
+                    continue
+                w, s = field.mul(bi, mu), slot[k]
+                for x, frow in enumerate(f.components[j].mat.data):
+                    for y, v in enumerate(frow):
+                        if not v:
+                            continue
+                        wv = field.mul(w, v)
+                        for z in range(d):
+                            eq = eqs[(r * d + x) * d + z]
+                            col = (s * d + y) * d + z
+                            eq[col] = field.add(eq.get(col, field.zero), wv)
+    eqs = [{col: v for col, v in eq.items() if v} for eq in eqs]
+    rhs = [c.eps(brow) if x == z else field.zero for brow in rows for x in range(d) for z in range(d)]
+    sols = augmented_echelon(field, eqs, n_unknowns, [rhs]).solutions(n_unknowns)
+    if sols is None:
         raise NotInvertible("restriction to the bottom filtration layer is not invertible")
-    sol = res[0]
-    comps = []
-    zero = MultiMap.zero(field, f.a_dim, f.src_arity, f.tgt_arity)
-    for i in range(c.dim):
-        if i in pivots:
-            rp = pivots.index(i)
-            flat = sol[rp * d * d : (rp + 1) * d * d]
-            comps.append(
-                MultiMap(f.a_dim, f.src_arity, f.tgt_arity, Matrix.from_flat(field, d, d, flat))
-            )
-        else:
-            comps.append(zero)
+    flat = sols[0]
+    comps = [MultiMap.zero(field, f.a_dim, f.src_arity, f.tgt_arity)] * c.dim
+    for piv, s in slot.items():
+        block = Matrix.from_flat(field, d, d, flat[s * d * d : (s + 1) * d * d])
+        comps[piv] = MultiMap(f.a_dim, f.src_arity, f.tgt_arity, block)
     return ConvMorphism(c, tuple(comps))
 
 

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .extension import Extension, graded_extension
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Subspace
 
 
 @dataclass(frozen=True)
@@ -146,15 +146,14 @@ class Deformation:
             raise ShapeError("deformed multiplication is not associative")
 
 
-def make_deformation(base: AlgebraMC, ext: Extension, nu: Cochain, verify: bool = True) -> Deformation:
+def make_deformation(base: AlgebraMC, ext: Extension, nu: Cochain) -> Deformation:
     """Assemble mtilde with mtilde(c, x) = m(c) + nu(x) and verify associativity."""
     if nu.degree != 2 or nu.x_dim != ext.comodule.dim:
         raise ShapeError("solution cochain must be a degree-2 cochain on X")
     comps = tuple(base.m.components) + tuple(nu.maps)
     mtilde = ConvMorphism(ext.ctilde, comps)
     d = Deformation(base=base, extension=ext, mtilde=mtilde)
-    if verify:
-        d.require_valid()
+    d.require_valid()
     return d
 
 
@@ -235,7 +234,7 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
     nu0 = Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, sol)
     base_solution = -nu0
     # end-to-end re-verification: the materialized multiplication must be associative
-    make_deformation(alg, ext, base_solution, verify=True)
+    make_deformation(alg, ext, base_solution)
     return DeformationReport(
         zeta=zeta,
         obstruction_vanishes=True,
@@ -276,11 +275,11 @@ def classify(alg: AlgebraMC, ext: Extension, coset_cap: int = 64) -> ClassifyRes
             nu = base
             for c, h in zip(coeffs, report.h2_reps):
                 nu = nu + h.scale(c)
-            reps.append(make_deformation(alg, ext, nu, verify=True))
+            reps.append(make_deformation(alg, ext, nu))
     else:
-        reps.append(make_deformation(alg, ext, base, verify=True))
+        reps.append(make_deformation(alg, ext, base))
         for h in report.h2_reps:
-            reps.append(make_deformation(alg, ext, base + h, verify=True))
+            reps.append(make_deformation(alg, ext, base + h))
     return ClassifyResult(report=report, representatives=tuple(reps))
 
 
@@ -317,6 +316,12 @@ def _gauge_from_cochain(ext: Extension, f_x: Cochain) -> ConvMorphism:
     return ConvMorphism(ext.ctilde, tuple(comps))
 
 
+def _transport(m: ConvMorphism, gauge: ConvMorphism, filtration: list[Subspace]) -> ConvMorphism:
+    """m_f = f^{-1} * m * (f (x) f), with f^{-1} the verified two-sided inverse of the gauge f."""
+    inv = takeuchi_invert(gauge, filtration)
+    return conv_compose(conv_compose(inv, m), conv_tensor(gauge, gauge))
+
+
 def gauge_transport(d: Deformation, gauge: ConvMorphism) -> Deformation:
     """Transport the multiplication: m_f = f^{-1} * m * (f (x) f).
 
@@ -326,9 +331,7 @@ def gauge_transport(d: Deformation, gauge: ConvMorphism) -> Deformation:
     ext = d.extension
     if gauge.coalgebra != ext.ctilde:
         raise ShapeError("gauge must live over Ctilde")
-    filt = ext.extension_filtration()
-    inv = takeuchi_invert(gauge, filt)
-    m_f = conv_compose(conv_compose(inv, d.mtilde), conv_tensor(gauge, gauge))
+    m_f = _transport(d.mtilde, gauge, ext.extension_filtration())
     restricted = pullback(m_f, ext.iota, ext.base)
     if restricted == d.base.m:
         new_base = d.base
@@ -425,7 +428,7 @@ def series_deform(
             for nu in choices:
                 if len(new_branches) >= branch_budget:
                     break
-                deform = make_deformation(alg, ext, nu, verify=True)
+                deform = make_deformation(alg, ext, nu)
                 nxt = AlgebraMC(m=deform.mtilde)
                 new_branches.append(
                     (steps + [SeriesStep(n, report, nu)], nxt, None)
@@ -483,10 +486,13 @@ def unit_gauge(mtilde: ConvMorphism, u: ConvMorphism) -> UnitGaugeResult:
 
     mtilde is an associative multiplication over the graded cocommutative
     Ctilde = D_{<=N} restricting on D^0 to a multiplication with unit u.
-    Degree by degree a correction g is read off the unit defect and folded
-    into the gauge, following f' = f * (id + g); the result satisfies both
-    unit axioms for u o lambda exactly, and f * (u o lambda) is a unit of
-    the original multiplication.
+    Degree by degree a correction g is read off the unit defect of the
+    transported multiplication m_f and folded into the gauge, following
+    f' = f * (e + g).  Transport is an action of the convolution group,
+    m_{f * (e + g)} = (m_f)_{e + g}, so m_f is carried forward by the
+    one-step gauge e + g alone.  The result satisfies both unit axioms
+    for u o lambda exactly, and f * (u o lambda) is a unit of the
+    original multiplication.
     """
     ct = mtilde.coalgebra
     if ct.grading is None:
@@ -499,16 +505,7 @@ def unit_gauge(mtilde: ConvMorphism, u: ConvMorphism) -> UnitGaugeResult:
     c0 = ct.sub_on_indices(zero_idx)
     if u.coalgebra != c0:
         raise ShapeError("unit must live over the degree-0 part of the coalgebra")
-    iota0 = Matrix(
-        f,
-        ct.dim,
-        len(zero_idx),
-        tuple(
-            tuple(f.one if i == zero_idx[j] else f.zero for j in range(len(zero_idx)))
-            for i in range(ct.dim)
-        ),
-    )
-    m0 = pullback(mtilde, iota0, c0)
+    m0 = ConvMorphism(c0, tuple(mtilde.components[i] for i in zero_idx))
     if not is_associative(mtilde):
         raise ShapeError("multiplication is not associative")
     if not is_unit_of(m0, u):
@@ -524,21 +521,14 @@ def unit_gauge(mtilde: ConvMorphism, u: ConvMorphism) -> UnitGaugeResult:
     )
     ida = identity_conv(ct, a, 1)
     filt = ct.grading_filtration()
-    gauge = ida
+    zero_step = MultiMap.zero(f, a, 1, 1)
+    gauge, m_f = ida, mtilde
     for n in range(1, ct.max_degree() + 1):
-        inv = takeuchi_invert(gauge, filt)
-        m_f = conv_compose(conv_compose(inv, mtilde), conv_tensor(gauge, gauge))
-        defect = conv_compose(m_f, conv_tensor(ida, u_lam))
-        comps = []
-        for i in range(ct.dim):
-            if ct.grading[i] == n:
-                comps.append(-defect.components[i])
-            else:
-                comps.append(MultiMap.zero(f, a, 1, 1))
-        g = ConvMorphism(ct, tuple(comps))
-        gauge = conv_compose(gauge, ida + g)
-    inv = takeuchi_invert(gauge, filt)
-    m_f = conv_compose(conv_compose(inv, mtilde), conv_tensor(gauge, gauge))
+        defect = conv_compose(m_f, conv_tensor(ida, u_lam)).components
+        g = tuple(-defect[i] if ct.grading[i] == n else zero_step for i in range(ct.dim))
+        step = ida + ConvMorphism(ct, g)
+        gauge = conv_compose(gauge, step)
+        m_f = _transport(m_f, step, filt)
     if not is_unit_of(m_f, u_lam):
         raise ConvDefError("unit normalization failed exact verification")
     u_tilde = conv_compose(gauge, u_lam)

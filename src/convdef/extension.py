@@ -178,15 +178,10 @@ class Extension:
     ctilde: Coalgebra
     iota: Matrix  # dim Ctilde x dim C
     lam: Matrix   # dim C x dim Ctilde (normalized retract)
-    proj: Matrix  # dim X x dim Ctilde
 
     @property
     def comodule(self) -> Comodule:
         return self.cocycle.comodule
-
-    @property
-    def phi(self) -> Matrix:
-        return self.iota @ self.lam
 
     def extension_filtration(self) -> list[Subspace]:
         """The two-step coalgebra filtration iota(C) inside Ctilde."""
@@ -228,8 +223,7 @@ def build_extension(cocycle: Cocycle2) -> Extension:
     z_x = Matrix.zeros(f, dx, dc)
     iota = Matrix.identity(f, dc).vstack(z_x)
     lam = Matrix.identity(f, dc).hstack(z_c)
-    proj = z_x.hstack(Matrix.identity(f, dx))
-    return Extension(base=c, cocycle=cocycle, ctilde=ctilde, iota=iota, lam=lam, proj=proj)
+    return Extension(base=c, cocycle=cocycle, ctilde=ctilde, iota=iota, lam=lam)
 
 
 def split_extension(
@@ -392,7 +386,6 @@ def graded_extension(d_coalg: Coalgebra, n: int) -> Extension:
         ctilde=graded_ctilde,
         iota=ext.iota,
         lam=ext.lam,
-        proj=ext.proj,
     )
 
 

@@ -441,3 +441,139 @@ def fixture_specs():
                     seen.append(com)
                     out.append((f"{path.name}:{aname}/{xname}", ComplexSpec(alg.m, com, check=False)))
     return out
+
+
+def oracle_invert_on_bottom(f: ConvMorphism, bottom):
+    """The bottom-layer inverse as one dense system stacked from Kronecker blocks.
+
+    The loop `convolution._invert_on_bottom` ran before it wrote its
+    equations straight into sparse rows; the same linear system, so its
+    solution must be the same.
+    """
+    from convdef import NotInvertible, solve
+
+    c = f.coalgebra
+    field = c.field
+    d = f.a_dim**f.src_arity
+    if f.src_arity != f.tgt_arity:
+        raise NotInvertible("only square-arity morphisms can be inverted")
+    rows = bottom.basis.data
+    k = len(rows)
+    if k == 0:
+        raise NotInvertible("empty bottom layer")
+    pivots = bottom.pivots
+    # Coefficient of unknown G_{r'} in the constraint for basis row r.
+    coeff_mats = [[Matrix.zeros(field, d, d) for _ in range(k)] for _ in range(k)]
+    for r, brow in enumerate(rows):
+        for i, bi in enumerate(brow):
+            if field.is_zero(bi):
+                continue
+            for j, k2, mu in c.delta[i]:
+                if k2 in pivots:
+                    rp = pivots.index(k2)
+                    coeff_mats[r][rp] = coeff_mats[r][rp] + f.components[j].mat.scale(
+                        field.mul(bi, mu)
+                    )
+    big_rows = d * d * k
+    eye = Matrix.identity(field, d)
+    blocks = []
+    for r in range(k):
+        row_blocks = [coeff_mats[r][rp].kron(eye) for rp in range(k)]
+        stacked = row_blocks[0]
+        for blk in row_blocks[1:]:
+            stacked = stacked.hstack(blk)
+        blocks.append(stacked)
+    system = blocks[0]
+    for blk in blocks[1:]:
+        system = system.vstack(blk)
+    rhs: list = []
+    for r, brow in enumerate(rows):
+        e = c.eps(brow)
+        rhs.extend(eye.scale(e).flatten())
+    assert system.rows == big_rows
+    res = solve(system, tuple(rhs))
+    if res is None:
+        raise NotInvertible("restriction to the bottom filtration layer is not invertible")
+    sol = res[0]
+    comps = []
+    zero = MultiMap.zero(field, f.a_dim, f.src_arity, f.tgt_arity)
+    for i in range(c.dim):
+        if i in pivots:
+            rp = pivots.index(i)
+            flat = sol[rp * d * d : (rp + 1) * d * d]
+            comps.append(
+                MultiMap(f.a_dim, f.src_arity, f.tgt_arity, Matrix.from_flat(field, d, d, flat))
+            )
+        else:
+            comps.append(zero)
+    return ConvMorphism(c, tuple(comps))
+
+
+def oracle_unit_gauge(mtilde: ConvMorphism, u: ConvMorphism):
+    """Unit normalization recomputing the whole transport at every degree.
+
+    The loop `convdef.unit_gauge` ran before it carried the transported
+    multiplication forward: each step inverts the whole gauge and
+    transports mtilde from scratch, and both are done once more after the
+    loop.
+    """
+    from convdef import ConvDefError, NotUnital, ShapeError, is_associative, is_unit_of, pullback
+    from convdef.deformation import UnitGaugeResult
+
+    ct = mtilde.coalgebra
+    if ct.grading is None:
+        raise ShapeError("unit normalization needs a graded coalgebra")
+    if not ct.is_cocommutative:
+        raise ShapeError("unit normalization needs a cocommutative coalgebra")
+    f = ct.field
+    a = mtilde.a_dim
+    zero_idx = list(ct.degree_indices(0))
+    c0 = ct.sub_on_indices(zero_idx)
+    if u.coalgebra != c0:
+        raise ShapeError("unit must live over the degree-0 part of the coalgebra")
+    iota0 = Matrix(
+        f,
+        ct.dim,
+        len(zero_idx),
+        tuple(
+            tuple(f.one if i == zero_idx[j] else f.zero for j in range(len(zero_idx)))
+            for i in range(ct.dim)
+        ),
+    )
+    m0 = pullback(mtilde, iota0, c0)
+    if not is_associative(mtilde):
+        raise ShapeError("multiplication is not associative")
+    if not is_unit_of(m0, u):
+        raise NotUnital("u is not a unit of the degree-0 multiplication")
+    # u o lambda: degree projection kills positive degrees
+    pos = {orig: new for new, orig in enumerate(zero_idx)}
+    zero_map = MultiMap.zero(f, a, 0, 1)
+    u_lam = ConvMorphism(
+        ct,
+        tuple(
+            u.components[pos[i]] if i in pos else zero_map for i in range(ct.dim)
+        ),
+    )
+    ida = identity_conv(ct, a, 1)
+    filt = ct.grading_filtration()
+    gauge = ida
+    for n in range(1, ct.max_degree() + 1):
+        inv = takeuchi_invert(gauge, filt)
+        m_f = conv_compose(conv_compose(inv, mtilde), conv_tensor(gauge, gauge))
+        defect = conv_compose(m_f, conv_tensor(ida, u_lam))
+        comps = []
+        for i in range(ct.dim):
+            if ct.grading[i] == n:
+                comps.append(-defect.components[i])
+            else:
+                comps.append(MultiMap.zero(f, a, 1, 1))
+        g = ConvMorphism(ct, tuple(comps))
+        gauge = conv_compose(gauge, ida + g)
+    inv = takeuchi_invert(gauge, filt)
+    m_f = conv_compose(conv_compose(inv, mtilde), conv_tensor(gauge, gauge))
+    if not is_unit_of(m_f, u_lam):
+        raise ConvDefError("unit normalization failed exact verification")
+    u_tilde = conv_compose(gauge, u_lam)
+    if not is_unit_of(mtilde, u_tilde):
+        raise ConvDefError("f * (u o lambda) failed to be a unit of the original multiplication")
+    return UnitGaugeResult(gauge=gauge, m_f=m_f, u_lambda=u_lam, u_tilde=u_tilde)

@@ -233,7 +233,7 @@ def test_c03_trivial_extension():
         mlam = ConvMorphism(
             ext.ctilde, tuple(alg.m.evaluate(ext.lam.col(j)) for j in range(ext.ctilde.dim))
         )
-        deform = make_deformation(alg, ext, Cochain.zero(QQ, 2, 1, 2), verify=True)
+        deform = make_deformation(alg, ext, Cochain.zero(QQ, 2, 1, 2))
         assert deform.mtilde == mlam
     _ok(3, "zeta = 0 identically for D = k[t], n = 1 and m o lambda is a deformation")
 

@@ -39,6 +39,28 @@ def test_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
+
+
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [
+        ("cohomology", ["cohomology", fx("mat2.json"), "--degree", "2"], 0),
+        ("deform", ["deform", fx("poly_t2_dual.json")], 0),
+        ("series", ["series", fx("poly_t2_dual.json"), *SERIES_ARGS, "--strategy", "file:" + fx("xsq_t_cochain.json")], 0),
+        ("unit_gauge", ["unit-gauge", fx("poly_t2_dual.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
+        ("invert", ["invert", fx("invert.json")], 0),
+        ("obstructed", ["deform", fx("obstructed.json")], 2),
+    ],
+)
+def test_reports_match_golden(tmp_path, capsys, name, argv, code):
+    """The README commands write the recorded reports, byte for byte (tests/golden/<name>.json)."""
+    out = tmp_path / "r.json"
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 def test_deform_obstructed_exits_2_and_names_class(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main(["deform", fx("obstructed.json"), "--out", str(out)])

@@ -11,22 +11,26 @@ from convdef import (
     NotCocommutative,
     NotInvertible,
     ShapeError,
+    Subspace,
     congruent_mod,
     conv_compose,
     conv_tensor,
+    direct_sum,
     divided_power_t,
     epsilon_embed,
     grouplike_coalgebra,
     identity_conv,
     is_associative,
     is_unit_of,
+    polynomial_multi,
     pullback,
     takeuchi_invert,
     trivial_k,
 )
+from convdef.convolution import _invert_on_bottom
 from convdef.fields import QQ, PrimeField
 
-from helpers import random_invertible
+from helpers import F3, oracle_invert_on_bottom, random_invertible, transport_coalgebra
 
 F5 = PrimeField(5)
 
@@ -292,6 +296,46 @@ def test_takeuchi_not_invertible():
     f = ConvMorphism(c, tuple(comps))
     with pytest.raises(NotInvertible):
         takeuchi_invert(f, filt)
+
+
+def _bottom_cases(field, rng):
+    """(coalgebra, bottom layer) pairs: group-like bottoms, a 2-dim bottom, transported layers."""
+    t3, poly = divided_power_t(3, field), polynomial_multi(2, 2, field)
+    summed = direct_sum([divided_power_t(2, field), divided_power_t(1, field)])
+    cases = [(c, c.grading_filtration()[0]) for c in (t3, poly, grouplike_coalgebra(3, field), summed)]
+    for c in (t3, summed, direct_sum([poly, grouplike_coalgebra(1, field)])):
+        moved, layers = transport_coalgebra(c, random_invertible(field, c.dim, rng))
+        cases.append((moved, layers[0]))
+    non_cocomm = non_cocommutative_coalgebra(field)
+    cases.append((non_cocomm, Subspace.span(field, 3, [[1, 0, 0], [0, 0, 1]])))
+    return cases
+
+
+def test_invert_on_bottom_matches_oracle():
+    """The sparse equations solve the system the stacked Kronecker blocks built, to the same answer."""
+    rng = random.Random(53)
+    solved = singular = non_unit_rows = 0
+    for field in (QQ, F3, F5):
+        for c, bottom in _bottom_cases(field, rng):
+            non_unit_rows += any(x not in (0, 1) for row in bottom.basis.data for x in row)
+            for a_dim, arity in ((2, 1), (3, 1), (2, 2)) * 2:
+                f = rand_conv(c, a_dim, arity, arity, rng)
+                try:
+                    want = oracle_invert_on_bottom(f, bottom)
+                except NotInvertible:
+                    with pytest.raises(NotInvertible):
+                        _invert_on_bottom(f, bottom)
+                    singular += 1
+                    continue
+                assert _invert_on_bottom(f, bottom) == want
+                solved += 1
+            zero = ConvMorphism(c, (MultiMap.zero(field, 2, 1, 1),) * c.dim)
+            for g in (zero, rand_conv(c, 2, 1, 2, rng)):
+                for invert in (_invert_on_bottom, oracle_invert_on_bottom):
+                    with pytest.raises(NotInvertible):
+                        invert(g, bottom)
+                singular += 1
+    assert solved > 80 and singular > 40 and non_unit_rows >= 6, (solved, singular, non_unit_rows)
 
 
 def test_slot_insertion_congruence_lemma():
