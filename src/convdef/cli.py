@@ -150,7 +150,8 @@ def cmd_cohomology(sf: SpecFile, args) -> dict:
         xname, com = _pick(sf.comodules, "comodule", sf.task, args.comodule)
     else:
         xname, com = "(trivial)", _default_comodule(alg.coalgebra)
-    spec = ComplexSpec(alg.m, com)
+    # parse_text(strict=True) has checked m and every comodule block; the default comodule is valid by construction
+    spec = ComplexSpec(alg.m, com, check=False)
     res = spec.cohomology(degree)
     print(f"dim Z^{degree} = {res.dim_z}")
     print(f"dim B^{degree} = {res.dim_b}")

@@ -151,26 +151,6 @@ class Coalgebra:
     def counit_matrix(self) -> Matrix:
         return Matrix.row_vector(self.field, self.counit)
 
-    @cached_property
-    def counit_contractions(self) -> tuple[tuple[tuple[tuple[int, object], ...], ...], ...]:
-        """((eps (x) id) Delta(e_i), (id (x) eps) Delta(e_i)) per basis index i.
-
-        Each is a sorted tuple of (index, coeff) with zeros dropped; the
-        counit axioms say both equal ((i, 1),), but nothing here assumes it.
-        """
-        f = self.field
-        out = []
-        for triples in self.delta:
-            left: dict[int, object] = {}
-            right: dict[int, object] = {}
-            for j, k, c in triples:
-                left[k] = f.add(left.get(k, f.zero), f.mul(c, self.counit[j]))
-                right[j] = f.add(right.get(j, f.zero), f.mul(c, self.counit[k]))
-            out.append(
-                tuple(tuple(sorted((i, c) for i, c in side.items() if not f.is_zero(c))) for side in (left, right))
-            )
-        return tuple(out)
-
     def eps(self, v: Sequence) -> object:
         f = self.field
         return f.normalize(sum(e * x for e, x in zip(self.counit, v)))
@@ -241,13 +221,19 @@ class Coalgebra:
         coassoc = True
         counit_l = True
         counit_r = True
-        for i, (left, right) in enumerate(self.counit_contractions):
-            two = self.expand_slot(unit_vec(f, d, i), 1, 0)
+        for i in range(d):
+            e_i = unit_vec(f, d, i)
+            two = self.expand_slot(e_i, 1, 0)
             if self.expand_slot(two, 2, 0) != self.expand_slot(two, 2, 1):
                 coassoc = False
-            if left != ((i, f.one),):
+            left = [f.zero] * d
+            right = [f.zero] * d
+            for j, k, c in self.delta[i]:
+                left[k] = f.add(left[k], f.mul(c, self.counit[j]))
+                right[j] = f.add(right[j], f.mul(c, self.counit[k]))
+            if tuple(left) != e_i:
                 counit_l = False
-            if right != ((i, f.one),):
+            if tuple(right) != e_i:
                 counit_r = False
         grading_ok = None
         if self.grading is not None:

@@ -20,17 +20,8 @@ d^n is never densified: `ComplexSpec` eliminates its rows once (Z^n is
 their null space) and its columns once (they span B^(n+1)), each into a
 sparse `Echelon` cached per degree.
 
-Associativity is checked on the same nonzero structure constants.  Write
-Delta(c_i) = sum mu c_j (x) c_k and Delta(c_k) = sum nu c_k1 (x) c_k2;
-then m * (m (x) id) and m * (id (x) m) at c_i are, at output r and input
-(x, y, z),
-  - left_i = sum mu*nu*eps(c_k2) sum_s m_j[r][s*a + z] * m_k1[s][x*a + y],
-  - right_i = sum mu*nu*eps(c_k1) sum_s m_j[r][x*a + s] * m_k2[s][y*a + z],
-and m is associative iff left_i = right_i for every i.  The eps factors
-are kept, so no counit axiom is assumed.  The unit axioms are checked the
-same way (`deformation.is_unit_of`).  The dense composition of m with
-m (x) id and id (x) m lives in the test suite as the oracle
-(`tests/helpers.py`, `oracle_is_associative`).
+m is associative when m * (m (x) e) = m * (e (x) m), e = eps(-) id_A (`is_associative`);
+both sides are products of the sparse convolution kernel of `convdef.convolution`.
 """
 
 from __future__ import annotations
@@ -39,8 +30,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coalgebra import trivial_k
-from .convolution import ConvMorphism, MultiMap, epsilon_embed
-from .errors import NotCocommutative, NotCompletelyReducible, NotRankOne, ShapeError
+from .convolution import ConvMorphism, MultiMap, _convolve, _entries, _identity_entries, epsilon_embed
+from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
 from .linalg import Echelon, Matrix, SparseMatrix, Subspace, Vector, augmented_echelon
@@ -168,7 +159,7 @@ class ComplexSpec:
         f, a = self.field, self.a_dim
         an = a**n
         blk_in, blk_out = a * an, a * a * an
-        m_entries = [comp.entries() for comp in self.m.components]
+        m_entries = _entries(self.m)
         acc: dict[tuple[int, int], object] = {}
 
         def put(row: int, col: int, v) -> None:
@@ -178,7 +169,8 @@ class ComplexSpec:
         for s in range(self.x_dim):
             for t, u, c in self.comodule.coaction[s]:
                 out0, in0 = s * blk_out, t * blk_in
-                for r, (p, q), v in m_entries[u]:
+                for (r, pq), v in m_entries[u].items():
+                    p, q = divmod(pq, a)
                     cv = f.mul(c, v)
                     neg = f.neg(cv)
                     last = cv if n % 2 else neg
@@ -269,44 +261,17 @@ class ComplexSpec:
 
 
 def is_associative(m: ConvMorphism) -> bool:
-    """m * (m (x) id) = m * (id (x) m) in the convolution category, exactly.
+    """m * (m (x) e) = m * (e (x) m) in the convolution category, exactly; e = eps(-) id_A.
 
-    Both sides are summed over the nonzero structure constants only, as in
-    the module docstring.
+    Both sides are computed by the sparse convolution kernel and compared
+    on their nonzero entries.
     """
-    c, f = m.coalgebra, m.field
-    if not c.is_cocommutative:
-        raise NotCocommutative("tensor products in the convolution category need cocommutativity")
+    c, a = m.coalgebra, m.a_dim
     if m.src_arity != 2 or m.tgt_arity != 1:
         raise ShapeError("multiplication must be a map C -> Hom(A(x)A, A)")
-    entries = [comp.entries() for comp in m.components]
-    by_row: list[dict[int, list]] = []
-    for ent in entries:
-        rows: dict[int, list] = {}
-        for s, (x, y), v in ent:
-            rows.setdefault(s, []).append((x, y, v))
-        by_row.append(rows)
-    for i in range(c.dim):
-        acc: dict[tuple[int, int, int, int], object] = {}
-        for j, k, mu in c.delta[i]:
-            eps_id, id_eps = c.counit_contractions[k]
-            # m_j o (m_k1 (x) id) with weight (id (x) eps) Delta(c_k) at k1
-            for k1, w in id_eps:
-                rows, cw = by_row[k1], mu * w
-                for r, (s, z), v in entries[j]:
-                    for x, y, v1 in rows.get(s, ()):
-                        key = (r, x, y, z)
-                        acc[key] = acc.get(key, 0) + cw * v * v1
-            # m_j o (id (x) m_k2) with weight (eps (x) id) Delta(c_k) at k2
-            for k2, w in eps_id:
-                rows, cw = by_row[k2], mu * w
-                for r, (x, s), v in entries[j]:
-                    for y, z, v1 in rows.get(s, ()):
-                        key = (r, x, y, z)
-                        acc[key] = acc.get(key, 0) - cw * v * v1
-        if not all(f.is_zero(v) for v in acc.values()):
-            return False
-    return True
+    mm, ee = _entries(m), _identity_entries(c, a)
+    left = _convolve(c, mm, _convolve(c, mm, ee, (a, a)))
+    return left == _convolve(c, mm, _convolve(c, ee, mm, (a, a * a)))
 
 
 def hochschild_spec(m0: MultiMap) -> ComplexSpec:
@@ -358,24 +323,13 @@ def rank1_reduce(spec: ComplexSpec, degrees: Sequence[int] = (2,)) -> Rank1Reduc
     """
     m = spec.m
     f = spec.field
-    base = None
-    for comp in m.components:
-        if not comp.is_zero():
-            base = comp
-            break
+    base = next((comp for comp in m.components if comp.nonzero), None)
     if base is None:
         raise NotRankOne("multiplication is zero (rank 0)")
-    ref = None
-    for r in range(base.mat.rows):
-        for c in range(base.mat.cols):
-            if not f.is_zero(base.mat.data[r][c]):
-                ref = (r, c)
-                break
-        if ref:
-            break
+    ref = min(base.nonzero)  # the first nonzero entry in row-major order
     chi = []
     for comp in m.components:
-        coeff = f.div(comp.mat.data[ref[0]][ref[1]], base.mat.data[ref[0]][ref[1]])
+        coeff = f.div(comp.nonzero.get(ref, f.zero), base.nonzero[ref])
         if comp != base.scale(coeff):
             raise NotRankOne("multiplication components are not proportional")
         chi.append(coeff)

@@ -3,15 +3,18 @@
 Objects are tensor powers of a fixed space A (strict monoidal Vect, so
 unit and associativity constraints are identities).  A morphism is a
 linear map from C into Hom(A^(x)p, A^(x)q), stored as one matrix per
-basis element of C.  Composition is convolution through Delta, the
-tensor product combines components through Delta as well, and inverses
-are computed layer by layer along a coalgebra filtration.
+basis element of C.  With Delta(c_i) = sum mu c_j (x) c_k, composition
+(g * f)(c_i) = sum mu g(c_j) o f(c_k) and, for cocommutative C, the tensor
+product (f (x) g)(c_i) = sum mu f(c_j) (x) g(c_k) are one sparse kernel,
+`_convolve`, on the nonzero entries {(row, col): v} of each component.
+Inverses are computed layer by layer along a coalgebra filtration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .coalgebra import Coalgebra, is_coalgebra_filtration
 from .errors import (
@@ -43,6 +46,14 @@ class MultiMap:
     @classmethod
     def from_rows(cls, field, a_dim: int, src_arity: int, tgt_arity: int, rows) -> MultiMap:
         return cls(a_dim, src_arity, tgt_arity, Matrix.from_rows(field, rows))
+
+    @classmethod
+    def from_entries(cls, field, a_dim: int, src_arity: int, tgt_arity: int, entries: dict) -> MultiMap:
+        """The map with the given nonzero entries {(row, col): v}, normalized field elements."""
+        rows = [[field.zero] * a_dim**src_arity for _ in range(a_dim**tgt_arity)]
+        for (r, col), v in entries.items():
+            rows[r][col] = v
+        return cls(a_dim, src_arity, tgt_arity, Matrix(field, len(rows), a_dim**src_arity, tuple(map(tuple, rows))))
 
     @classmethod
     def zero(cls, field, a_dim: int, src_arity: int, tgt_arity: int) -> MultiMap:
@@ -86,14 +97,12 @@ class MultiMap:
         return MultiMap(self.a_dim, self.src_arity, self.tgt_arity, self.mat.scale(c))
 
     def is_zero(self) -> bool:
-        return self.mat.is_zero()
+        return not self.nonzero
 
-    def entries(self) -> tuple[tuple[int, tuple[int, int], object], ...]:
-        """(r, (p, q), v) for each nonzero v = mat[r][p*a + q] of a map from A (x) A."""
-        f, a = self.field, self.a_dim
-        return tuple(
-            (r, divmod(pq, a), v) for r, row in enumerate(self.mat.data) for pq, v in enumerate(row) if not f.is_zero(v)
-        )
+    @cached_property
+    def nonzero(self) -> dict[tuple[int, int], object]:
+        """The nonzero entries {(row, col): v} of the matrix; callers must not mutate it."""
+        return {(r, col): v for r, row in enumerate(self.mat.data) for col, v in enumerate(row) if v}
 
     def _like(self, other: MultiMap) -> None:
         if (self.a_dim, self.src_arity, self.tgt_arity) != (
@@ -177,52 +186,78 @@ def identity_conv(c: Coalgebra, a_dim: int, arity: int = 1) -> ConvMorphism:
     return epsilon_embed(MultiMap.identity(c.field, a_dim, arity), c)
 
 
-def conv_compose(g: ConvMorphism, f: ConvMorphism) -> ConvMorphism:
-    """(g * f)(c) = sum g(c_(1)) o f(c_(2)) through the sparse Delta of C.
+def _entries(mor: ConvMorphism) -> list[dict]:
+    return [comp.nonzero for comp in mor.components]
 
-    A term that pairs a zero component is skipped.
+
+def _identity_entries(c: Coalgebra, a_dim: int) -> list[dict]:
+    """`_entries(identity_conv(c, a_dim))`, read off the counit."""
+    return [{(r, r): e for r in range(a_dim)} if e else {} for e in c.counit]
+
+
+def _convolve(c: Coalgebra, left: Sequence[dict], right: Sequence[dict], kron: Optional[tuple[int, int]] = None) -> list[dict]:
+    """The convolution kernel on nonzero entries {(row, col): v}, one dict per basis element of C.
+
+    For each c_i it sums mu * (left_j o right_k) over Delta(c_i) = sum mu c_j (x) c_k,
+    or mu * (left_j (x) right_k) when `kron` gives the (rows, cols) of the right factors.
+    Sums are normalized once per output entry, zeros dropped; a term with an empty factor
+    costs nothing.  A first term is stored rather than added to 0: int + Fraction is slow.
     """
+    if kron is None:
+        by_row: list[dict[int, list]] = [{} for _ in right]
+        for rows, comp in zip(by_row, right):
+            for (y, z), v in comp.items():
+                rows.setdefault(y, []).append((z, v))
+    elif not c.is_cocommutative:
+        raise NotCocommutative("tensor products in the convolution category need cocommutativity")
+    else:
+        nr, nc = kron
+    p = c.field.char
+    out = []
+    for triples in c.delta:
+        acc: dict[tuple[int, int], object] = {}
+        for j, k, mu in triples:
+            if not (left[j] and right[k]):
+                continue
+            for (x, y), v in left[j].items():
+                w = v if mu == 1 else mu * v
+                if kron is None:
+                    for z, u in by_row[k].get(y, ()):
+                        key, t = (x, z), w * u
+                        acc[key] = acc[key] + t if key in acc else t
+                else:
+                    x0, y0 = x * nr, y * nc
+                    for (x2, y2), u in right[k].items():
+                        key, t = (x0 + x2, y0 + y2), w * u
+                        acc[key] = acc[key] + t if key in acc else t
+        if p:
+            out.append({key: v % p for key, v in acc.items() if v % p})
+        else:
+            out.append({key: v for key, v in acc.items() if v})
+    return out
+
+
+def conv_compose(g: ConvMorphism, f: ConvMorphism) -> ConvMorphism:
+    """(g * f)(c) = sum g(c_(1)) o f(c_(2)) through the sparse Delta of C."""
     if g.coalgebra != f.coalgebra:
         raise ShapeError("convolution of morphisms over different coalgebras")
     if f.tgt_arity != g.src_arity or f.a_dim != g.a_dim:
         raise ShapeError("arity mismatch in convolution composition")
     c = g.coalgebra
-    field = c.field
-    g_zero = [comp.is_zero() for comp in g.components]
-    f_zero = [comp.is_zero() for comp in f.components]
-    out = []
-    for i in range(c.dim):
-        acc = MultiMap.zero(field, g.a_dim, f.src_arity, g.tgt_arity)
-        for j, k, coeff in c.delta[i]:
-            if not (g_zero[j] or f_zero[k]):
-                acc = acc + g.components[j].compose(f.components[k]).scale(coeff)
-        out.append(acc)
-    return ConvMorphism(c, tuple(out))
+    entries = _convolve(c, _entries(g), _entries(f))
+    return ConvMorphism(c, tuple(MultiMap.from_entries(c.field, g.a_dim, f.src_arity, g.tgt_arity, e) for e in entries))
 
 
 def conv_tensor(f: ConvMorphism, g: ConvMorphism) -> ConvMorphism:
-    """(f (x) g)(c) = sum f(c_(1)) (x) g(c_(2)); requires cocommutative C.
-
-    A term that pairs a zero component is skipped.
-    """
+    """(f (x) g)(c) = sum f(c_(1)) (x) g(c_(2)); requires cocommutative C."""
     if f.coalgebra != g.coalgebra:
         raise ShapeError("tensor of morphisms over different coalgebras")
-    c = f.coalgebra
-    if not c.is_cocommutative:
-        raise NotCocommutative("tensor products in the convolution category need cocommutativity")
-    field = c.field
-    f_zero = [comp.is_zero() for comp in f.components]
-    g_zero = [comp.is_zero() for comp in g.components]
-    out = []
-    for i in range(c.dim):
-        acc = MultiMap.zero(
-            field, f.a_dim, f.src_arity + g.src_arity, f.tgt_arity + g.tgt_arity
-        )
-        for j, k, coeff in c.delta[i]:
-            if not (f_zero[j] or g_zero[k]):
-                acc = acc + f.components[j].tensor(g.components[k]).scale(coeff)
-        out.append(acc)
-    return ConvMorphism(c, tuple(out))
+    c, a = f.coalgebra, f.a_dim
+    if g.a_dim != a:
+        raise ShapeError("tensor of maps over different A")
+    p, q = f.src_arity + g.src_arity, f.tgt_arity + g.tgt_arity
+    entries = _convolve(c, _entries(f), _entries(g), (a**g.tgt_arity, a**g.src_arity))
+    return ConvMorphism(c, tuple(MultiMap.from_entries(c.field, a, p, q, e) for e in entries))
 
 
 def pullback(f: ConvMorphism, iota: Matrix, c: Coalgebra) -> ConvMorphism:
@@ -274,15 +309,12 @@ def _invert_on_bottom(f: ConvMorphism, bottom: Subspace) -> ConvMorphism:
                 if k not in slot:
                     continue
                 w, s = field.mul(bi, mu), slot[k]
-                for x, frow in enumerate(f.components[j].mat.data):
-                    for y, v in enumerate(frow):
-                        if not v:
-                            continue
-                        wv = field.mul(w, v)
-                        for z in range(d):
-                            eq = eqs[(r * d + x) * d + z]
-                            col = (s * d + y) * d + z
-                            eq[col] = field.add(eq.get(col, field.zero), wv)
+                for (x, y), v in f.components[j].nonzero.items():
+                    wv = field.mul(w, v)
+                    for z in range(d):
+                        eq = eqs[(r * d + x) * d + z]
+                        col = (s * d + y) * d + z
+                        eq[col] = field.add(eq.get(col, field.zero), wv)
     eqs = [{col: v for col, v in eq.items() if v} for eq in eqs]
     rhs = [c.eps(brow) if x == z else field.zero for brow in rows for x in range(d) for z in range(d)]
     sols = augmented_echelon(field, eqs, n_unknowns, [rhs]).solutions(n_unknowns)

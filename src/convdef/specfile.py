@@ -27,6 +27,8 @@ from .linalg import Matrix
 
 SCHEMA = "convdef-spec v1"
 REPORT_SCHEMA = "convdef-report v1"
+# Entries of one dense component matrix; the largest any fixture, test or benchmark builds is 729 (M_3).
+MAX_ENTRIES = 2**20
 
 
 @dataclass
@@ -85,6 +87,14 @@ def _vector(f: Field, vec_spec, n: int, where: str):
     if not isinstance(vec_spec, list) or len(vec_spec) != n:
         raise SpecFileError("dimension", f"{where} must be a vector of length {n}")
     return [_scalar(f, x, where) for x in vec_spec]
+
+
+def _require_small(where: str, a_dim: int, src_arity: int, tgt_arity: int) -> None:
+    """Refuse maps A^(x)p -> A^(x)q whose a^q x a^p component matrices would exceed MAX_ENTRIES entries."""
+    n = src_arity + tgt_arity
+    if a_dim > 1 and (n > 20 or a_dim**n > MAX_ENTRIES):  # a >= 2 and n > 20 already exceed 2^20
+        raise SpecFileError("dimension", f"{where}: maps A^(x){src_arity} -> A^(x){tgt_arity} with dim A = {a_dim} "
+                            f"have {a_dim}^{n} entries per component, more than {MAX_ENTRIES}")
 
 
 def _parse_coalgebra(f: Field, name: str, block: dict) -> Coalgebra:
@@ -180,6 +190,7 @@ def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalg
         dim = len(block["basis"])
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SpecFileError("dimension", f"{where}: positive dimension required (dim or basis)")
+    _require_small(where, dim, 2, 1)
     mult = block.get("mult", {})
     if not isinstance(mult, dict):
         raise SpecFileError("dimension", f"{where}: mult must map coalgebra basis names to matrices")
@@ -223,6 +234,7 @@ def _parse_morphism(f: Field, name: str, block: dict, coalgebras: dict[str, Coal
     q = block.get("target_arity", 1)
     if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (a_dim, p, q)) or a_dim < 1:
         raise SpecFileError("dimension", f"{where}: a_dim, source_arity, target_arity must be ints")
+    _require_small(where, a_dim, p, q)
     comp_spec = block.get("components", {})
     if not isinstance(comp_spec, dict):
         raise SpecFileError("dimension", f"{where}: components must map basis names to matrices")

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from convdef import Matrix, divided_power_t
+from convdef import Matrix, deformation, divided_power_t
 from convdef.cli import main
 from convdef.fields import QQ
 
@@ -52,6 +52,7 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("unit_gauge", ["unit-gauge", fx("poly_t2_dual.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
         ("invert", ["invert", fx("invert.json")], 0),
         ("obstructed", ["deform", fx("obstructed.json")], 2),
+        ("unit_gauge_broken", ["unit-gauge", fx("unit_gauge_broken.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):
@@ -59,6 +60,20 @@ def test_reports_match_golden(tmp_path, capsys, name, argv, code):
     out = tmp_path / "r.json"
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def test_unit_gauge_skips_zero_steps(tmp_path, monkeypatch):
+    """An already unital multiplication takes no normalization step: no inversion, the same report."""
+    calls = []
+    invert = deformation.takeuchi_invert
+    monkeypatch.setattr(deformation, "takeuchi_invert", lambda *a: calls.append(a) or invert(*a))
+    out = tmp_path / "r.json"
+    argv = ["unit-gauge", fx("poly_t2_dual.json"), "--algebra", "At", "--base-algebra", "A0", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == 0
+    assert out.read_bytes() == (GOLDEN / "unit_gauge.json").read_bytes()
+    assert main(["unit-gauge", fx("unit_gauge_broken.json")]) == 0
+    assert len(calls) == 2
 
 
 def test_deform_obstructed_exits_2_and_names_class(tmp_path, capsys):
@@ -152,6 +167,16 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert main(["cohomology"]) == 1
     assert main(["no-such-command", fx("trivial.json")]) == 1
     assert main([]) == 1
+    # a map whose dense components would be huge is refused at parse, before any is allocated
+    k = {"basis": ["1"], "delta": [["1", "1", "1", "1"]], "counit": {"1": "1"}}
+    for section, block in (
+        ("algebras", {"A": {"over": "K", "dim": 3000}}),
+        ("morphisms", {"f": {"over": "K", "a_dim": 2, "source_arity": 26}}),
+    ):
+        huge = tmp_path / f"huge_{section}.json"
+        huge.write_text(json.dumps({"field": "Q", "coalgebras": {"K": k}, section: block}))
+        assert main(["validate", str(huge)]) == 1
+        assert "entries per component, more than 1048576" in capsys.readouterr().err
     # a section or a block inside it that is not an object
     doc = json.loads((FIXTURES / "poly_t2_dual.json").read_text())
     for section in ("coalgebras", "comodules", "cocycles", "algebras"):

@@ -28,11 +28,18 @@ from convdef import (
     trivial_k,
 )
 from convdef.convolution import _invert_on_bottom
-from convdef.fields import QQ, PrimeField
+from convdef.fields import QQ
 
-from helpers import F3, oracle_invert_on_bottom, random_invertible, transport_coalgebra
-
-F5 = PrimeField(5)
+from helpers import (
+    F2,
+    F3,
+    F5,
+    oracle_conv_compose,
+    oracle_conv_tensor,
+    oracle_invert_on_bottom,
+    random_invertible,
+    transport_coalgebra,
+)
 
 
 def rand_conv(c, a_dim, p, q, rng):
@@ -145,26 +152,40 @@ def test_axiom_checks_refuse_wrong_arity():
         is_unit_of(m, rand_conv(c, 2, 1, 1, rng))
 
 
-def unskipped(c, f, g, op):
-    """The convolution sum over every Delta-triple, zero components included."""
-    out = []
-    for i in range(c.dim):
-        terms = [op(f.components[j], g.components[k]).scale(coeff) for j, k, coeff in c.delta[i]]
-        out.append(sum(terms[1:], terms[0]))
-    return ConvMorphism(c, tuple(out))
+ARITIES = ((0, 1), (1, 1), (2, 1), (1, 2))
 
 
-def test_zero_component_skip_matches_unskipped_sums():
+def rand_sparse_conv(c, p, q, rng):
+    """A random morphism of arity p -> q over c (A of dim 2) with random zero components."""
+    f = rand_conv(c, 2, p, q, rng)
+    zero = MultiMap.zero(c.field, 2, p, q)
+    return ConvMorphism(c, tuple(zero if rng.random() < 0.4 else x for x in f.components))
+
+
+def test_convolution_kernel_matches_dense_oracle():
     rng = random.Random(10)
-    for field in (QQ, F5, PrimeField(2)):
-        for c in (divided_power_t(3, field), grouplike_coalgebra(2, field)):
-            for _ in range(4):
-                f, g = (rand_conv(c, 2, 1, 1, rng) for _ in range(2))
-                zero = MultiMap.zero(field, 2, 1, 1)
-                f = ConvMorphism(c, tuple(zero if rng.random() < 0.5 else x for x in f.components))
-                g = ConvMorphism(c, tuple(zero if rng.random() < 0.5 else x for x in g.components))
-                assert conv_compose(g, f) == unskipped(c, g, f, MultiMap.compose)
-                assert conv_tensor(f, g) == unskipped(c, f, g, MultiMap.tensor)
+    for field in (QQ, F2, F3, F5):
+        coalgebras = (
+            divided_power_t(3, field),
+            polynomial_multi(2, 2, field),
+            grouplike_coalgebra(2, field),
+            direct_sum([divided_power_t(1, field), grouplike_coalgebra(1, field)]),
+            non_cocommutative_coalgebra(field),
+        )
+        for c in coalgebras:
+            for p, q in ARITIES:
+                f = rand_sparse_conv(c, p, q, rng)
+                for r in (1, 2):
+                    g = rand_sparse_conv(c, q, r, rng)
+                    assert conv_compose(g, f) == oracle_conv_compose(g, f)
+                for p2, q2 in ARITIES:
+                    g = rand_sparse_conv(c, p2, q2, rng)
+                    if c.is_cocommutative:
+                        assert conv_tensor(f, g) == oracle_conv_tensor(f, g)
+                    else:
+                        for tensor in (conv_tensor, oracle_conv_tensor):
+                            with pytest.raises(NotCocommutative):
+                                tensor(f, g)
 
 
 def test_pullback_identity_and_epsilon():
