@@ -1,11 +1,12 @@
 """The deformation cochain complex of an algebra in the convolution category.
 
 Cochains of degree n are linear maps from the comodule X into
-Hom(A^(x)n, A).  The coface maps weave the multiplication through the
-coaction; their alternating sum is the differential.  Flattened cochain
-coordinates are X-index major, then row-major over the map matrix, i.e.
-flat[s * a^(n+1) + r * a^n + c] = maps[s].mat[r][c], and a column index
-of A^(x)n is read as n base-a digits, the first factor most significant.
+Hom(A^(x)n, A), one sparse `MultiMap` per X basis vector.  The coface maps
+weave the multiplication through the coaction; their alternating sum is
+the differential.  Flattened cochain coordinates are X-index major, then
+row-major over each a x a^n map, i.e. flat[s * a^(n+1) + r * a^n + c] =
+maps[s].entries[(r, c)], and a column index of A^(x)n is read as n base-a
+digits, the first factor most significant.
 
 d^n is assembled once from the structure constants.  For each term
 c * e_t (x) c_u of rho(e_s) and each nonzero v = m_u[r][p*a + q], with J'
@@ -20,8 +21,9 @@ d^n is never densified: `ComplexSpec` eliminates its rows once (Z^n is
 their null space) and its columns once (they span B^(n+1)), each into a
 sparse `Echelon` cached per degree.
 
-m is associative when m * (m (x) e) = m * (e (x) m), e = eps(-) id_A (`is_associative`);
-both sides are products of the sparse convolution kernel of `convdef.convolution`.
+m is associative when its associator m * (e (x) m) - m * (m (x) e), e = eps(-) id_A,
+vanishes (`is_associative`); the obstruction zeta of `convdef.deformation` is
+a block of the same sparse associator.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coalgebra import trivial_k
-from .convolution import ConvMorphism, MultiMap, _convolve, _entries, _identity_entries, epsilon_embed
+from .convolution import ConvMorphism, MultiMap, _convolve, _entries, _lincomb, epsilon_embed, identity_conv
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
@@ -82,23 +84,27 @@ class Cochain:
         return all(m.is_zero() for m in self.maps)
 
     def flatten(self) -> Vector:
-        out: list = []
-        for m in self.maps:
-            out.extend(m.mat.flatten())
+        cols = self.a_dim**self.degree
+        block = self.a_dim * cols
+        out = [self.field.zero] * (self.x_dim * block)
+        for s, m in enumerate(self.maps):
+            for (r, c), v in m.entries.items():
+                out[s * block + r * cols + c] = v
         return tuple(out)
 
     @classmethod
     def from_flat(cls, field: Field, a_dim: int, x_dim: int, degree: int, flat: Sequence) -> Cochain:
-        rows, cols = a_dim, a_dim**degree
-        block = rows * cols
+        cols = a_dim**degree
+        block = a_dim * cols
         if len(flat) != x_dim * block:
             raise ShapeError("flat cochain length mismatch")
-        maps = []
-        for s in range(x_dim):
-            maps.append(
-                MultiMap(a_dim, degree, 1, Matrix.from_flat(field, rows, cols, flat[s * block : (s + 1) * block]))
-            )
-        return cls(degree, tuple(maps))
+        entries: list[dict] = [{} for _ in range(x_dim)]
+        for i, x in enumerate(flat):
+            v = field.coerce(x) if x else None
+            if v:
+                s, rc = divmod(i, block)
+                entries[s][divmod(rc, cols)] = v
+        return cls(degree, tuple(MultiMap(field, a_dim, degree, 1, e) for e in entries))
 
 
 def cochain_act(nu: Cochain, alpha: Sequence, comodule: Comodule) -> Cochain:
@@ -107,10 +113,8 @@ def cochain_act(nu: Cochain, alpha: Sequence, comodule: Comodule) -> Cochain:
     a = tuple(f.coerce(v) for v in alpha)
     maps = []
     for s in range(comodule.dim):
-        acc = MultiMap.zero(f, nu.a_dim, nu.degree, 1)
-        for t, u, c in comodule.coaction[s]:
-            acc = acc + nu.maps[t].scale(f.mul(c, a[u]))
-        maps.append(acc)
+        terms = ((f.mul(c, a[u]), nu.maps[t].entries) for t, u, c in comodule.coaction[s])
+        maps.append(MultiMap(f, nu.a_dim, nu.degree, 1, _lincomb(f, terms)))
     return Cochain(nu.degree, tuple(maps))
 
 
@@ -260,18 +264,20 @@ class ComplexSpec:
         )
 
 
-def is_associative(m: ConvMorphism) -> bool:
-    """m * (m (x) e) = m * (e (x) m) in the convolution category, exactly; e = eps(-) id_A.
-
-    Both sides are computed by the sparse convolution kernel and compared
-    on their nonzero entries.
-    """
+def _associator(m: ConvMorphism) -> list[dict]:
+    """m * (e (x) m) - m * (m (x) e), e = eps(-) id_A, by the sparse convolution kernel: one dict per component."""
     c, a = m.coalgebra, m.a_dim
     if m.src_arity != 2 or m.tgt_arity != 1:
         raise ShapeError("multiplication must be a map C -> Hom(A(x)A, A)")
-    mm, ee = _entries(m), _identity_entries(c, a)
-    left = _convolve(c, mm, _convolve(c, mm, ee, (a, a)))
-    return left == _convolve(c, mm, _convolve(c, ee, mm, (a, a * a)))
+    mm, ee = _entries(m), _entries(identity_conv(c, a))
+    left = _convolve(c, mm, _convolve(c, ee, mm, (a, a * a)))
+    right = _convolve(c, mm, _convolve(c, mm, ee, (a, a)))
+    return [_lincomb(c.field, ((1, lhs), (-1, rhs))) for lhs, rhs in zip(left, right)]
+
+
+def is_associative(m: ConvMorphism) -> bool:
+    """m * (m (x) e) = m * (e (x) m) in the convolution category, exactly: the associator is empty."""
+    return not any(_associator(m))
 
 
 def hochschild_spec(m0: MultiMap) -> ComplexSpec:
@@ -323,13 +329,13 @@ def rank1_reduce(spec: ComplexSpec, degrees: Sequence[int] = (2,)) -> Rank1Reduc
     """
     m = spec.m
     f = spec.field
-    base = next((comp for comp in m.components if comp.nonzero), None)
+    base = next((comp for comp in m.components if comp.entries), None)
     if base is None:
         raise NotRankOne("multiplication is zero (rank 0)")
-    ref = min(base.nonzero)  # the first nonzero entry in row-major order
+    ref = min(base.entries)  # the first nonzero entry in row-major order
     chi = []
     for comp in m.components:
-        coeff = f.div(comp.nonzero.get(ref, f.zero), base.nonzero[ref])
+        coeff = f.div(comp.entries.get(ref, f.zero), base.entries[ref])
         if comp != base.scale(coeff):
             raise NotRankOne("multiplication components are not proportional")
         chi.append(coeff)

@@ -2,114 +2,126 @@
 
 Objects are tensor powers of a fixed space A (strict monoidal Vect, so
 unit and associativity constraints are identities).  A morphism is a
-linear map from C into Hom(A^(x)p, A^(x)q), stored as one matrix per
-basis element of C.  With Delta(c_i) = sum mu c_j (x) c_k, composition
+linear map from C into Hom(A^(x)p, A^(x)q): one `MultiMap` per basis
+element of C, each held as its nonzero entries {(row, col): v} and never
+as a dense matrix.  With Delta(c_i) = sum mu c_j (x) c_k, composition
 (g * f)(c_i) = sum mu g(c_j) o f(c_k) and, for cocommutative C, the tensor
 product (f (x) g)(c_i) = sum mu f(c_j) (x) g(c_k) are one sparse kernel,
-`_convolve`, on the nonzero entries {(row, col): v} of each component.
+`_convolve`, on those entries; sums and multiples of maps are `_lincomb`.
 Inverses are computed layer by layer along a coalgebra filtration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .coalgebra import Coalgebra, is_coalgebra_filtration
-from .errors import (
-    NoFiltration,
-    NotCocommutative,
-    NotInvertible,
-    ShapeError,
-)
-from .fields import require_same_field
+from .errors import NoFiltration, NotCocommutative, NotInvertible, ShapeError
+from .fields import Field, require_same_field
 from .linalg import Matrix, Subspace, augmented_echelon
 
 
-@dataclass(frozen=True)
+def _lincomb(field: Field, terms: Iterable[tuple[object, dict]]) -> dict:
+    """sum c * e over the (c, entries) terms, normalized once per entry, zeros dropped.
+
+    A first term is stored rather than added to 0: int + Fraction is slow.
+    """
+    acc: dict = {}
+    for c, entries in terms:
+        if not c:
+            continue
+        for key, v in entries.items():
+            t = v if c == 1 else c * v
+            acc[key] = acc[key] + t if key in acc else t
+    return _normalized(field, acc)
+
+
+def _normalized(field: Field, acc: dict) -> dict:
+    """The sums in acc as field elements, zeros dropped."""
+    p = field.char
+    if p:
+        return {key: v % p for key, v in acc.items() if v % p}
+    return {key: v for key, v in acc.items() if v}
+
+
 class MultiMap:
-    """A linear map A^(x)p -> A^(x)q as an a_dim^q x a_dim^p matrix."""
+    """A linear map A^(x)p -> A^(x)q, an a_dim^q x a_dim^p matrix held as its nonzero entries.
 
-    a_dim: int
-    src_arity: int
-    tgt_arity: int
-    mat: Matrix
+    `entries` maps (row, col) to a normalized nonzero field element and is
+    never mutated once built.  Two maps are equal exactly when their field,
+    arities and entries are, that is, when their dense matrices are.
+    """
 
-    def __post_init__(self):
-        if self.mat.rows != self.a_dim**self.tgt_arity or self.mat.cols != self.a_dim**self.src_arity:
-            raise ShapeError(
-                f"matrix {self.mat.rows}x{self.mat.cols} does not match arities "
-                f"{self.src_arity}->{self.tgt_arity} at dim {self.a_dim}"
-            )
+    __slots__ = ("field", "a_dim", "src_arity", "tgt_arity", "entries")
 
-    @classmethod
-    def from_rows(cls, field, a_dim: int, src_arity: int, tgt_arity: int, rows) -> MultiMap:
-        return cls(a_dim, src_arity, tgt_arity, Matrix.from_rows(field, rows))
+    def __init__(self, field: Field, a_dim: int, src_arity: int, tgt_arity: int, entries: dict):
+        # Trusted constructor: `entries` must already be normalized, nonzero and inside the shape.
+        self.field, self.a_dim, self.src_arity, self.tgt_arity = field, a_dim, src_arity, tgt_arity
+        self.entries = entries
 
     @classmethod
-    def from_entries(cls, field, a_dim: int, src_arity: int, tgt_arity: int, entries: dict) -> MultiMap:
-        """The map with the given nonzero entries {(row, col): v}, normalized field elements."""
-        rows = [[field.zero] * a_dim**src_arity for _ in range(a_dim**tgt_arity)]
-        for (r, col), v in entries.items():
-            rows[r][col] = v
-        return cls(a_dim, src_arity, tgt_arity, Matrix(field, len(rows), a_dim**src_arity, tuple(map(tuple, rows))))
+    def from_rows(cls, field: Field, a_dim: int, src_arity: int, tgt_arity: int, rows) -> MultiMap:
+        """The map with the given dense rows, coerced into the field."""
+        rows = [tuple(row) for row in rows]
+        nc = a_dim**src_arity
+        if len(rows) != a_dim**tgt_arity or any(len(row) != nc for row in rows):
+            raise ShapeError(f"rows do not form an a^{tgt_arity} x a^{src_arity} matrix at dim a = {a_dim}")
+        coerced = ((r, col, field.coerce(x)) for r, row in enumerate(rows) for col, x in enumerate(row))
+        return cls(field, a_dim, src_arity, tgt_arity, {(r, col): v for r, col, v in coerced if v})
 
     @classmethod
-    def zero(cls, field, a_dim: int, src_arity: int, tgt_arity: int) -> MultiMap:
-        return cls(a_dim, src_arity, tgt_arity, Matrix.zeros(field, a_dim**tgt_arity, a_dim**src_arity))
+    def zero(cls, field: Field, a_dim: int, src_arity: int, tgt_arity: int) -> MultiMap:
+        return cls(field, a_dim, src_arity, tgt_arity, {})
 
     @classmethod
-    def identity(cls, field, a_dim: int, arity: int = 1) -> MultiMap:
-        return cls(a_dim, arity, arity, Matrix.identity(field, a_dim**arity))
+    def identity(cls, field: Field, a_dim: int, arity: int = 1) -> MultiMap:
+        return cls(field, a_dim, arity, arity, {(r, r): field.one for r in range(a_dim**arity)})
 
-    @property
-    def field(self):
-        return self.mat.field
+    def rows(self) -> tuple[tuple, ...]:
+        """The dense matrix, row by row; built only to render a report or spec."""
+        z = self.field.zero
+        out = [[z] * self.a_dim**self.src_arity for _ in range(self.a_dim**self.tgt_arity)]
+        for (r, col), v in self.entries.items():
+            out[r][col] = v
+        return tuple(map(tuple, out))
 
-    def compose(self, inner: MultiMap) -> MultiMap:
-        if inner.tgt_arity != self.src_arity or inner.a_dim != self.a_dim:
-            raise ShapeError("arity mismatch in composition")
-        return MultiMap(self.a_dim, inner.src_arity, self.tgt_arity, self.mat @ inner.mat)
-
-    def tensor(self, other: MultiMap) -> MultiMap:
-        if other.a_dim != self.a_dim:
-            raise ShapeError("tensor of maps over different A")
-        return MultiMap(
-            self.a_dim,
-            self.src_arity + other.src_arity,
-            self.tgt_arity + other.tgt_arity,
-            self.mat.kron(other.mat),
-        )
+    def _with(self, entries: dict) -> MultiMap:
+        return MultiMap(self.field, self.a_dim, self.src_arity, self.tgt_arity, entries)
 
     def __add__(self, other: MultiMap) -> MultiMap:
         self._like(other)
-        return MultiMap(self.a_dim, self.src_arity, self.tgt_arity, self.mat + other.mat)
+        return self._with(_lincomb(self.field, ((1, self.entries), (1, other.entries))))
 
     def __sub__(self, other: MultiMap) -> MultiMap:
         self._like(other)
-        return MultiMap(self.a_dim, self.src_arity, self.tgt_arity, self.mat - other.mat)
+        return self._with(_lincomb(self.field, ((1, self.entries), (-1, other.entries))))
 
     def __neg__(self) -> MultiMap:
-        return MultiMap(self.a_dim, self.src_arity, self.tgt_arity, -self.mat)
+        return self._with({key: self.field.neg(v) for key, v in self.entries.items()})
 
     def scale(self, c) -> MultiMap:
-        return MultiMap(self.a_dim, self.src_arity, self.tgt_arity, self.mat.scale(c))
+        return self._with(_lincomb(self.field, ((self.field.coerce(c), self.entries),)))
 
     def is_zero(self) -> bool:
-        return not self.nonzero
+        return not self.entries
 
-    @cached_property
-    def nonzero(self) -> dict[tuple[int, int], object]:
-        """The nonzero entries {(row, col): v} of the matrix; callers must not mutate it."""
-        return {(r, col): v for r, row in enumerate(self.mat.data) for col, v in enumerate(row) if v}
+    def _shape(self) -> tuple:
+        return (self.field, self.a_dim, self.src_arity, self.tgt_arity)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MultiMap) and self._shape() == other._shape() and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self._shape(), frozenset(self.entries.items())))
+
+    def __repr__(self) -> str:
+        return (f"MultiMap(A^(x){self.src_arity} -> A^(x){self.tgt_arity}, dim A = {self.a_dim}, "
+                f"over {self.field.name}: {self.entries})")
 
     def _like(self, other: MultiMap) -> None:
-        if (self.a_dim, self.src_arity, self.tgt_arity) != (
-            other.a_dim,
-            other.src_arity,
-            other.tgt_arity,
-        ):
+        require_same_field(self.field, other.field)
+        if (self.a_dim, self.src_arity, self.tgt_arity) != (other.a_dim, other.src_arity, other.tgt_arity):
             raise ShapeError("shape mismatch between multimaps")
 
 
@@ -145,10 +157,8 @@ class ConvMorphism:
 
     def evaluate(self, c_vec: Sequence) -> MultiMap:
         f = self.field
-        acc = self.components[0].scale(f.coerce(c_vec[0]))
-        for x, comp in zip(c_vec[1:], self.components[1:]):
-            acc = acc + comp.scale(f.coerce(x))
-        return acc
+        terms = ((f.coerce(x), comp.entries) for x, comp in zip(c_vec, self.components))
+        return self.components[0]._with(_lincomb(f, terms))
 
     def __add__(self, other: ConvMorphism) -> ConvMorphism:
         self._same_base(other)
@@ -187,12 +197,7 @@ def identity_conv(c: Coalgebra, a_dim: int, arity: int = 1) -> ConvMorphism:
 
 
 def _entries(mor: ConvMorphism) -> list[dict]:
-    return [comp.nonzero for comp in mor.components]
-
-
-def _identity_entries(c: Coalgebra, a_dim: int) -> list[dict]:
-    """`_entries(identity_conv(c, a_dim))`, read off the counit."""
-    return [{(r, r): e for r in range(a_dim)} if e else {} for e in c.counit]
+    return [comp.entries for comp in mor.components]
 
 
 def _convolve(c: Coalgebra, left: Sequence[dict], right: Sequence[dict], kron: Optional[tuple[int, int]] = None) -> list[dict]:
@@ -201,7 +206,7 @@ def _convolve(c: Coalgebra, left: Sequence[dict], right: Sequence[dict], kron: O
     For each c_i it sums mu * (left_j o right_k) over Delta(c_i) = sum mu c_j (x) c_k,
     or mu * (left_j (x) right_k) when `kron` gives the (rows, cols) of the right factors.
     Sums are normalized once per output entry, zeros dropped; a term with an empty factor
-    costs nothing.  A first term is stored rather than added to 0: int + Fraction is slow.
+    costs nothing.  As in `_lincomb`, a first term is stored rather than added to 0.
     """
     if kron is None:
         by_row: list[dict[int, list]] = [{} for _ in right]
@@ -212,7 +217,6 @@ def _convolve(c: Coalgebra, left: Sequence[dict], right: Sequence[dict], kron: O
         raise NotCocommutative("tensor products in the convolution category need cocommutativity")
     else:
         nr, nc = kron
-    p = c.field.char
     out = []
     for triples in c.delta:
         acc: dict[tuple[int, int], object] = {}
@@ -230,10 +234,7 @@ def _convolve(c: Coalgebra, left: Sequence[dict], right: Sequence[dict], kron: O
                     for (x2, y2), u in right[k].items():
                         key, t = (x0 + x2, y0 + y2), w * u
                         acc[key] = acc[key] + t if key in acc else t
-        if p:
-            out.append({key: v % p for key, v in acc.items() if v % p})
-        else:
-            out.append({key: v for key, v in acc.items() if v})
+        out.append(_normalized(c.field, acc))
     return out
 
 
@@ -245,7 +246,7 @@ def conv_compose(g: ConvMorphism, f: ConvMorphism) -> ConvMorphism:
         raise ShapeError("arity mismatch in convolution composition")
     c = g.coalgebra
     entries = _convolve(c, _entries(g), _entries(f))
-    return ConvMorphism(c, tuple(MultiMap.from_entries(c.field, g.a_dim, f.src_arity, g.tgt_arity, e) for e in entries))
+    return ConvMorphism(c, tuple(MultiMap(c.field, g.a_dim, f.src_arity, g.tgt_arity, e) for e in entries))
 
 
 def conv_tensor(f: ConvMorphism, g: ConvMorphism) -> ConvMorphism:
@@ -257,7 +258,7 @@ def conv_tensor(f: ConvMorphism, g: ConvMorphism) -> ConvMorphism:
         raise ShapeError("tensor of maps over different A")
     p, q = f.src_arity + g.src_arity, f.tgt_arity + g.tgt_arity
     entries = _convolve(c, _entries(f), _entries(g), (a**g.tgt_arity, a**g.src_arity))
-    return ConvMorphism(c, tuple(MultiMap.from_entries(c.field, a, p, q, e) for e in entries))
+    return ConvMorphism(c, tuple(MultiMap(c.field, a, p, q, e) for e in entries))
 
 
 def pullback(f: ConvMorphism, iota: Matrix, c: Coalgebra) -> ConvMorphism:
@@ -309,7 +310,7 @@ def _invert_on_bottom(f: ConvMorphism, bottom: Subspace) -> ConvMorphism:
                 if k not in slot:
                     continue
                 w, s = field.mul(bi, mu), slot[k]
-                for (x, y), v in f.components[j].nonzero.items():
+                for (x, y), v in f.components[j].entries.items():
                     wv = field.mul(w, v)
                     for z in range(d):
                         eq = eqs[(r * d + x) * d + z]
@@ -323,8 +324,8 @@ def _invert_on_bottom(f: ConvMorphism, bottom: Subspace) -> ConvMorphism:
     flat = sols[0]
     comps = [MultiMap.zero(field, f.a_dim, f.src_arity, f.tgt_arity)] * c.dim
     for piv, s in slot.items():
-        block = Matrix.from_flat(field, d, d, flat[s * d * d : (s + 1) * d * d])
-        comps[piv] = MultiMap(f.a_dim, f.src_arity, f.tgt_arity, block)
+        block = flat[s * d * d : (s + 1) * d * d]
+        comps[piv] = comps[piv]._with({divmod(i, d): v for i, v in enumerate(block) if v})
     return ConvMorphism(c, tuple(comps))
 
 

@@ -4,7 +4,9 @@ A deformation of (A, m) along an extension C -> Ctilde is an associative
 multiplication over Ctilde restricting to m on C.  It is determined by
 its restriction to X, and associativity is exactly the generalized
 Maurer-Cartan equation d^2(m_X) + zeta = 0, where zeta is the
-obstruction 3-cocycle built from m and the extension's 2-cocycle.
+obstruction 3-cocycle built from m and the extension's 2-cocycle: the
+X-block of the associator of m (+) 0 over Ctilde.  Every product here is
+the sparse convolution kernel on the nonzero entries of each component.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .coalgebra import Coalgebra, find_grouplikes
-from .cohomology import Cochain, ComplexSpec, is_associative
+from .cohomology import Cochain, ComplexSpec, _associator, is_associative
 from .convolution import (
     ConvMorphism,
     MultiMap,
     _convolve,
     _entries,
-    _identity_entries,
     conv_compose,
     conv_tensor,
     epsilon_embed,
@@ -93,7 +94,7 @@ def is_unit_of(m: ConvMorphism, u: ConvMorphism) -> bool:
         raise ShapeError("tensor of morphisms over different coalgebras")
     if (m.src_arity, m.tgt_arity, u.src_arity, u.tgt_arity) != (2, 1, 0, 1) or u.a_dim != a:
         raise ShapeError("unit axioms need m: A(x)A -> A and u: k -> A over the same A")
-    mm, uu, ee = _entries(m), _entries(u), _identity_entries(c, a)
+    mm, uu, ee = _entries(m), _entries(u), _entries(identity_conv(c, a))
     return _convolve(c, mm, _convolve(c, uu, ee, (a, a))) == ee == _convolve(c, mm, _convolve(c, ee, uu, (a, 1)))
 
 
@@ -137,28 +138,26 @@ def make_deformation(base: AlgebraMC, ext: Extension, nu: Cochain) -> Deformatio
     return d
 
 
-def complex_of(alg: AlgebraMC, ext: Extension, check: bool = False) -> ComplexSpec:
+def complex_of(alg: AlgebraMC, ext: Extension) -> ComplexSpec:
     if alg.coalgebra != ext.base:
         raise SpecMismatch("algebra and extension live over different coalgebras")
-    return ComplexSpec(alg.m, ext.comodule, check=check)
+    return ComplexSpec(alg.m, ext.comodule, check=False)
 
 
 def obstruction_zeta(alg: AlgebraMC, ext: Extension) -> Cochain:
-    """The obstruction 3-cocycle zeta(x) = sum m(w1) o (A (x) m(w2) - m(w2) (x) A)."""
+    """zeta(x) = sum m(w1) o (A (x) m(w2) - m(w2) (x) A) over omega(x): the X-block of the associator of m (+) 0.
+
+    On x only the omega terms of Delta(x) pair two nonzero components.  The
+    C-block is the associator of m, so a non-associative m is refused here.
+    """
     if alg.coalgebra != ext.base:
         raise SpecMismatch("algebra and extension live over different coalgebras")
-    f, a = alg.field, alg.a_dim
-    ident = MultiMap.identity(f, a, 1)
-    maps = []
-    for s in range(ext.comodule.dim):
-        acc = MultiMap.zero(f, a, 3, 1)
-        for j, k, c in ext.cocycle.omega[s]:
-            m_j = alg.m.components[j]
-            m_k = alg.m.components[k]
-            term = m_j.compose(ident.tensor(m_k)) - m_j.compose(m_k.tensor(ident))
-            acc = acc + term.scale(c)
-        maps.append(acc)
-    zeta = Cochain(3, tuple(maps))
+    f, a, dc = alg.field, alg.a_dim, ext.base.dim
+    zero = MultiMap.zero(f, a, 2, 1)
+    assoc = _associator(ConvMorphism(ext.ctilde, tuple(alg.m.components) + (zero,) * ext.comodule.dim))
+    if any(assoc[:dc]):
+        raise ShapeError("multiplication is not associative in the convolution category")
+    zeta = Cochain(3, tuple(MultiMap(f, a, 3, 1, e) for e in assoc[dc:]))
     if not complex_of(alg, ext).differential(zeta).is_zero():
         raise ConvDefError("obstruction is not a 3-cocycle; inputs are inconsistent")
     return zeta
@@ -183,8 +182,11 @@ class DeformationReport:
 
 
 def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
-    """Solve d^2(nu) = -zeta; on success the solution set is base + Z^2."""
-    spec = complex_of(alg, ext, check=True)
+    """Solve d^2(nu) = -zeta; on success the solution set is base + Z^2.
+
+    `obstruction_zeta` checks that m is associative; `build_extension` checked the comodule.
+    """
+    spec = complex_of(alg, ext)
     zeta = obstruction_zeta(alg, ext)
     f = spec.field
     zeta_flat = zeta.flatten()
@@ -289,11 +291,8 @@ def equiv_check(d1: Deformation, d2: Deformation) -> Optional[ConvMorphism]:
 
 
 def _gauge_from_cochain(ext: Extension, f_x: Cochain) -> ConvMorphism:
-    f = ext.base.field
-    a = f_x.a_dim
-    ident = MultiMap.identity(f, a, 1)
-    comps = [ident.scale(e) for e in ext.base.counit] + list(f_x.maps)
-    return ConvMorphism(ext.ctilde, tuple(comps))
+    """f(c, x) = eps(c) I + f_x(x)."""
+    return ConvMorphism(ext.ctilde, identity_conv(ext.base, f_x.a_dim).components + f_x.maps)
 
 
 def _transport(m: ConvMorphism, gauge: ConvMorphism, filtration: list[Subspace]) -> ConvMorphism:

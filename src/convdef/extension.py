@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coalgebra import Coalgebra, GroupLikeSet, normalize_triples, triples_matrix
+from .coalgebra import Coalgebra, GroupLikeSet, normalize_triples
 from .errors import (
     CocycleViolation,
     EmptyLayer,
@@ -102,6 +102,14 @@ def _clean(field, store):
     return {k: v for k, v in store.items() if not field.is_zero(v)}
 
 
+def _sum(field, terms) -> dict:
+    """The nonzero sums of the (key, value) terms, by key."""
+    store: dict = {}
+    for key, val in terms:
+        _acc(field, store, key, val)
+    return _clean(field, store)
+
+
 def grouplike_comodule(base: Coalgebra, dim: int, grouplike: Sequence) -> Comodule:
     """The comodule with rho(x) = x (x) g for one group-like vector g."""
     f = base.field
@@ -135,27 +143,37 @@ class Cocycle2:
         return hash((self.comodule, self.omega))
 
     def validate(self) -> list[str]:
-        """Failed identities among: symmetry, normalization, the 2-cocycle identity."""
-        com = self.comodule
-        c = com.base
-        f, dc, dx = c.field, c.dim, com.dim
+        """Failed identities among: symmetry, normalization, the 2-cocycle identity.
+
+        Each is summed over the triples of omega, the coaction and Delta, one X basis vector at a time.
+        """
+        com, c = self.comodule, self.comodule.base
+        f, eps = c.field, c.counit
         failures = []
-        om = triples_matrix(f, self.omega, (dc, dc))
         # symmetry: omega = flip o omega
-        if triples_matrix(f, self.omega, (dc, dc), flip=True) != om:
+        if any({(j, k): v for j, k, v in om} != {(k, j): v for j, k, v in om} for om in self.omega):
             failures.append("symmetry")
-        eye_c = Matrix.identity(f, dc)
-        eps = c.counit_matrix
-        if not (eps.kron(eye_c) @ om).is_zero() or not (eye_c.kron(eps) @ om).is_zero():
+
+        def counit_terms(om):
+            """(eps (x) C) o omega and (C (x) eps) o omega at one x, keyed by side."""
+            for j, k, v in om:
+                yield (0, k), f.mul(v, eps[j])
+                yield (1, j), f.mul(v, eps[k])
+
+        if any(_sum(f, counit_terms(om)) for om in self.omega):
             failures.append("normalization")
-        dm = c.delta_matrix
-        lhs = (
-            eye_c.kron(om) @ triples_matrix(f, com.coaction, (dx, dc), flip=True)
-            - dm.kron(eye_c) @ om
-            + eye_c.kron(dm) @ om
-            - om.kron(eye_c) @ triples_matrix(f, com.coaction, (dx, dc))
-        )
-        if not lhs.is_zero():
+
+        def identity_terms(s):
+            """(C (x) omega) o rho_l - (Delta (x) C) o omega + (C (x) Delta) o omega - (omega (x) C) o rho at x_s."""
+            for t, u, cr in com.coaction[s]:
+                for j, k, v in self.omega[t]:
+                    yield (u, j, k), f.mul(cr, v)
+                    yield (j, k, u), f.neg(f.mul(cr, v))
+            for j, k, v in self.omega[s]:
+                yield from (((j1, j2, k), f.neg(f.mul(v, mu))) for j1, j2, mu in c.delta[j])
+                yield from (((j, k1, k2), f.mul(v, mu)) for k1, k2, mu in c.delta[k])
+
+        if any(_sum(f, identity_terms(s)) for s in range(com.dim)):
             failures.append("2-cocycle identity")
         return failures
 

@@ -53,10 +53,6 @@ class Matrix:
         return cls(field, n, n, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
     @classmethod
-    def column(cls, field: Field, vec: Sequence) -> Matrix:
-        return cls(field, len(vec), 1, tuple((field.coerce(x),) for x in vec))
-
-    @classmethod
     def row_vector(cls, field: Field, vec: Sequence) -> Matrix:
         return cls(field, 1, len(vec), (tuple(field.coerce(x) for x in vec),))
 
@@ -162,30 +158,13 @@ class Matrix:
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.data)
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
     def is_zero(self) -> bool:
         z = self.field.is_zero
         return all(z(x) for row in self.data for x in row)
 
-    def flatten(self) -> Vector:
-        return tuple(x for row in self.data for x in row)
-
-    @classmethod
-    def from_flat(cls, field: Field, rows: int, cols: int, flat: Sequence) -> Matrix:
-        if len(flat) != rows * cols:
-            raise ShapeError("flat data length mismatch")
-        data = tuple(
-            tuple(field.coerce(flat[i * cols + j]) for j in range(cols)) for i in range(rows)
-        )
-        return cls(field, rows, cols, data)
-
 
 def unit_vec(field: Field, n: int, i: int) -> Vector:
     return tuple(field.one if j == i else field.zero for j in range(n))
-
-
 
 
 def _sparse(vec: Sequence) -> dict:

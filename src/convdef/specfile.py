@@ -12,18 +12,17 @@ inverse on domain objects and is byte-deterministic.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Any
 
 from .coalgebra import Coalgebra
-from .cohomology import Cochain
+from .cohomology import Cochain, is_associative
 from .convolution import ConvMorphism, MultiMap
 from .deformation import AlgebraMC, is_unit_of
-from .cohomology import is_associative
 from .errors import ConvDefError, SpecFileError
 from .extension import Cocycle2, Comodule
 from .fields import Field, field_by_name
-from .linalg import Matrix
 
 SCHEMA = "convdef-spec v1"
 REPORT_SCHEMA = "convdef-report v1"
@@ -40,6 +39,8 @@ class SpecFile:
     algebras: dict[str, AlgebraMC] = dc_field(default_factory=dict)
     morphisms: dict[str, ConvMorphism] = dc_field(default_factory=dict)
     task: dict[str, Any] = dc_field(default_factory=dict)
+    # (kind, name) -> the axiom check of that block, run once at parse: a CoalgebraReport, else failed axioms
+    checks: dict[tuple[str, str], Any] = dc_field(default_factory=dict)
 
 
 def _need(obj: dict, key: str, kind: str, where: str):
@@ -72,15 +73,20 @@ def _scalar(f: Field, x, where: str):
         raise SpecFileError("syntax", f"bad scalar {x!r} in {where}: {exc}") from exc
 
 
-def _matrix(f: Field, rows_spec, nrows: int, ncols: int, where: str) -> Matrix:
+def _multimap(f: Field, rows_spec, a_dim: int, src_arity: int, tgt_arity: int, where: str) -> MultiMap:
+    """A map A^(x)p -> A^(x)q from its a^q x a^p matrix of scalar literals, kept as its nonzero entries."""
+    nrows, ncols = a_dim**tgt_arity, a_dim**src_arity
     if not isinstance(rows_spec, list) or len(rows_spec) != nrows:
         raise SpecFileError("dimension", f"{where} must be a {nrows}x{ncols} matrix")
-    rows = []
-    for r in rows_spec:
-        if not isinstance(r, list) or len(r) != ncols:
+    entries = {}
+    for r, row in enumerate(rows_spec):
+        if not isinstance(row, list) or len(row) != ncols:
             raise SpecFileError("dimension", f"{where} must be a {nrows}x{ncols} matrix")
-        rows.append([_scalar(f, x, where) for x in r])
-    return Matrix.from_rows(f, rows)
+        for col, x in enumerate(row):
+            v = _scalar(f, x, where)
+            if v:
+                entries[(r, col)] = v
+    return MultiMap(f, a_dim, src_arity, tgt_arity, entries)
 
 
 def _vector(f: Field, vec_spec, n: int, where: str):
@@ -197,7 +203,7 @@ def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalg
     comps = []
     for i, cname in enumerate(c.names):
         if cname in mult:
-            comps.append(MultiMap(dim, 2, 1, _matrix(f, mult[cname], dim, dim * dim, f"{where}.mult[{cname}]")))
+            comps.append(_multimap(f, mult[cname], dim, 2, 1, f"{where}.mult[{cname}]"))
         else:
             comps.append(MultiMap.zero(f, dim, 2, 1))
     for key in mult:
@@ -213,7 +219,7 @@ def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalg
         for cname in c.names:
             if cname in unit_spec:
                 vec = _vector(f, unit_spec[cname], dim, f"{where}.unit[{cname}]")
-                ucomps.append(MultiMap(dim, 0, 1, Matrix.column(f, vec)))
+                ucomps.append(MultiMap(f, dim, 0, 1, {(r, 0): v for r, v in enumerate(vec) if v}))
             else:
                 ucomps.append(MultiMap.zero(f, dim, 0, 1))
         for key in unit_spec:
@@ -241,9 +247,7 @@ def _parse_morphism(f: Field, name: str, block: dict, coalgebras: dict[str, Coal
     comps = []
     for cname in c.names:
         if cname in comp_spec:
-            comps.append(
-                MultiMap(a_dim, p, q, _matrix(f, comp_spec[cname], a_dim**q, a_dim**p, f"{where}[{cname}]"))
-            )
+            comps.append(_multimap(f, comp_spec[cname], a_dim, p, q, f"{where}[{cname}]"))
         else:
             comps.append(MultiMap.zero(f, a_dim, p, q))
     for key in comp_spec:
@@ -253,23 +257,23 @@ def _parse_morphism(f: Field, name: str, block: dict, coalgebras: dict[str, Coal
 
 
 def _axiom_failures(sf: SpecFile) -> list[str]:
-    failures = []
+    """Run the axiom check of every block once, keep each result in `sf.checks`, and list the failures."""
     for name, c in sf.coalgebras.items():
-        report = c.validate()
-        for item in report.failures():
-            failures.append(f"coalgebra {name!r}: {item}")
+        sf.checks["coalgebra", name] = c.validate()
     for name, com in sf.comodules.items():
-        for item in com.validate():
-            failures.append(f"comodule {name!r}: {item}")
+        sf.checks["comodule", name] = com.validate()
     for name, w in sf.cocycles.items():
-        for item in w.validate():
-            failures.append(f"cocycle {name!r}: {item}")
+        sf.checks["cocycle", name] = w.validate()
     for name, alg in sf.algebras.items():
-        if not is_associative(alg.m):
-            failures.append(f"algebra {name!r}: associativity")
+        bad = [] if is_associative(alg.m) else ["associativity"]
         if alg.unit is not None and not is_unit_of(alg.m, alg.unit):
-            failures.append(f"algebra {name!r}: unit axioms")
-    return failures
+            bad.append("unit axioms")
+        sf.checks["algebra", name] = bad
+    return [
+        f"{kind} {name!r}: {item}"
+        for (kind, name), result in sf.checks.items()
+        for item in (result.failures() if kind == "coalgebra" else result)
+    ]
 
 
 def _section(doc: dict, key: str) -> list[tuple[str, dict]]:
@@ -294,6 +298,8 @@ def parse_text(text: str, strict: bool = True) -> tuple[SpecFile, list[str]]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFileError("syntax", exc.msg, line=exc.lineno, col=exc.colno) from exc
+    except ValueError as exc:  # an integer literal past Python's int-string limit
+        raise SpecFileError("syntax", _too_long()) from exc
     if not isinstance(doc, dict):
         raise SpecFileError("syntax", "top level must be an object", line=1, col=1)
     if doc.get("schema", SCHEMA) != SCHEMA:
@@ -361,10 +367,16 @@ def _read_json(path: str, what: str):
         raise SpecFileError("syntax", f"{what} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError("syntax", f"{what}: {exc.msg}", exc.lineno, exc.colno) from exc
+    except ValueError as exc:
+        raise SpecFileError("syntax", f"{what}: {_too_long()}") from exc
 
 
-def parse_cochain_file(path: str, f: Field, a_dim: int) -> dict[int, list[Matrix]]:
-    """The `--strategy file:` document: degree -> one a x a^2 matrix per layer element."""
+def _too_long() -> str:
+    return f"integer literal with more than {sys.get_int_max_str_digits()} digits"
+
+
+def parse_cochain_file(path: str, f: Field, a_dim: int) -> dict[int, list[MultiMap]]:
+    """The `--strategy file:` document: degree -> one map A (x) A -> A (an a x a^2 matrix) per layer element."""
     doc = _read_json(path, "cochain file")
     if not isinstance(doc, dict):
         raise SpecFileError("syntax", "cochain file must map degrees to lists of matrices")
@@ -379,7 +391,7 @@ def parse_cochain_file(path: str, f: Field, a_dim: int) -> dict[int, list[Matrix
                 "dimension", f"cochain file: degree {degree} needs one matrix per layer element"
             )
         where = f"cochain file degree {degree}"
-        out[degree] = [_matrix(f, m, a_dim, a_dim * a_dim, where) for m in mats]
+        out[degree] = [_multimap(f, m, a_dim, 2, 1, where) for m in mats]
     return out
 
 
@@ -400,8 +412,9 @@ def parse_filtration_file(path: str, f: Field, dim: int) -> list[list[list]]:
 # -- serialization ----------------------------------------------------------
 
 
-def _fmt_matrix(f: Field, m: Matrix) -> list[list[str]]:
-    return [[f.fmt(x) for x in row] for row in m.data]
+def _fmt_map(m: MultiMap) -> list[list[str]]:
+    fmt = m.field.fmt
+    return [[fmt(x) for x in row] for row in m.rows()]
 
 
 def _coalgebra_dict(c: Coalgebra) -> dict:
@@ -471,12 +484,12 @@ def specfile_to_dict(sf: SpecFile) -> dict:
             block: dict[str, Any] = {"over": over, "dim": alg.a_dim, "mult": {}}
             for cname, comp in zip(alg.coalgebra.names, alg.m.components):
                 if not comp.is_zero():
-                    block["mult"][cname] = _fmt_matrix(f, comp.mat)
+                    block["mult"][cname] = _fmt_map(comp)
             if alg.unit is not None:
                 block["unit"] = {}
                 for cname, comp in zip(alg.coalgebra.names, alg.unit.components):
                     if not comp.is_zero():
-                        block["unit"][cname] = [f.fmt(x) for x in comp.mat.col(0)]
+                        block["unit"][cname] = [row[0] for row in _fmt_map(comp)]
             doc["algebras"][n] = block
     if sf.morphisms:
         doc["morphisms"] = {}
@@ -491,7 +504,7 @@ def specfile_to_dict(sf: SpecFile) -> dict:
             }
             for cname, comp in zip(mor.coalgebra.names, mor.components):
                 if not comp.is_zero():
-                    block["components"][cname] = _fmt_matrix(f, comp.mat)
+                    block["components"][cname] = _fmt_map(comp)
             doc["morphisms"][n] = block
     if sf.task:
         doc["task"] = sf.task
@@ -506,16 +519,11 @@ def serialize(sf: SpecFile) -> str:
 
 
 def cochain_to_obj(nu: Cochain) -> list[list[list[str]]]:
-    f = nu.field
-    return [_fmt_matrix(f, m.mat) for m in nu.maps]
+    return [_fmt_map(m) for m in nu.maps]
 
 
 def morphism_to_obj(mor: ConvMorphism) -> dict[str, list[list[str]]]:
-    f = mor.field
-    return {
-        name: _fmt_matrix(f, comp.mat)
-        for name, comp in zip(mor.coalgebra.names, mor.components)
-    }
+    return {name: _fmt_map(comp) for name, comp in zip(mor.coalgebra.names, mor.components)}
 
 
 def render_report(payload: dict) -> str:

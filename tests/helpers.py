@@ -29,6 +29,34 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 
 
+def dense(m: MultiMap) -> Matrix:
+    """The dense a^q x a^p matrix of a map A^(x)p -> A^(x)q."""
+    return Matrix(m.field, m.a_dim**m.tgt_arity, m.a_dim**m.src_arity, m.rows())
+
+
+def from_dense(mat: Matrix, a_dim: int, src_arity: int, tgt_arity: int) -> MultiMap:
+    return MultiMap.from_rows(mat.field, a_dim, src_arity, tgt_arity, mat.data)
+
+
+def dense_compose(outer: MultiMap, inner: MultiMap) -> MultiMap:
+    """outer o inner by a dense matrix product, independent of the sparse convolution kernel."""
+    if inner.tgt_arity != outer.src_arity or inner.a_dim != outer.a_dim:
+        raise ShapeError("arity mismatch in composition")
+    return from_dense(dense(outer) @ dense(inner), outer.a_dim, inner.src_arity, outer.tgt_arity)
+
+
+def dense_tensor(left: MultiMap, right: MultiMap) -> MultiMap:
+    """left (x) right by a dense Kronecker product, independent of the sparse convolution kernel."""
+    if left.a_dim != right.a_dim:
+        raise ShapeError("tensor of maps over different A")
+    return from_dense(
+        dense(left).kron(dense(right)),
+        left.a_dim,
+        left.src_arity + right.src_arity,
+        left.tgt_arity + right.tgt_arity,
+    )
+
+
 def mult_from_table(field, table) -> MultiMap:
     """table[i][j] = coordinates of e_i * e_j."""
     dim = len(table)
@@ -37,14 +65,14 @@ def mult_from_table(field, table) -> MultiMap:
         for j in range(dim):
             for r, c in enumerate(table[i][j]):
                 rows[r][dim * i + j] = field.coerce(c)
-    return MultiMap(dim, 2, 1, Matrix.from_rows(field, rows))
+    return MultiMap.from_rows(field, dim, 2, 1, rows)
 
 
 def table_from_mult(m: MultiMap):
     """Inverse of mult_from_table, for handing data to the oracle."""
-    dim = m.a_dim
+    dim, rows = m.a_dim, m.rows()
     return [
-        [[m.mat.data[r][dim * i + j] for r in range(dim)] for j in range(dim)]
+        [[rows[r][dim * i + j] for r in range(dim)] for j in range(dim)]
         for i in range(dim)
     ]
 
@@ -133,7 +161,7 @@ def matrix_inverse(p: Matrix) -> Matrix:
 
 def conjugate_mult(m: MultiMap, p: Matrix) -> MultiMap:
     """Transport of structure: m'(a, b) = p^{-1} m(p a, p b)."""
-    return MultiMap(m.a_dim, 2, 1, matrix_inverse(p) @ m.mat @ p.kron(p))
+    return from_dense(matrix_inverse(p) @ dense(m) @ p.kron(p), m.a_dim, 2, 1)
 
 
 def random_algebra(field, dim, rng: random.Random) -> MultiMap:
@@ -201,7 +229,7 @@ def random_gauge_transported_mult(c_graded, m0: MultiMap, rng: random.Random) ->
     comps = [MultiMap.identity(f, a, 1)]
     for _ in range(1, c_graded.dim):
         rows = [[f.random_element(rng) for _ in range(a)] for _ in range(a)]
-        comps.append(MultiMap(a, 1, 1, Matrix.from_rows(f, rows)))
+        comps.append(MultiMap.from_rows(f, a, 1, 1, rows))
     gauge = ConvMorphism(c_graded, tuple(comps))
     filt = c_graded.grading_filtration()
     inv = takeuchi_invert(gauge, filt)
@@ -237,7 +265,7 @@ def greedy_quotient_rows(total, sub):
 
 def unit_column(field, dim, index=0) -> MultiMap:
     rows = [[field.one if r == index else field.zero] for r in range(dim)]
-    return MultiMap(dim, 0, 1, Matrix.from_rows(field, rows))
+    return MultiMap.from_rows(field, dim, 0, 1, rows)
 
 
 def oracle_conv_compose(g: ConvMorphism, f: ConvMorphism) -> ConvMorphism:
@@ -260,7 +288,7 @@ def oracle_conv_compose(g: ConvMorphism, f: ConvMorphism) -> ConvMorphism:
         acc = MultiMap.zero(field, g.a_dim, f.src_arity, g.tgt_arity)
         for j, k, coeff in c.delta[i]:
             if not (g_zero[j] or f_zero[k]):
-                acc = acc + g.components[j].compose(f.components[k]).scale(coeff)
+                acc = acc + dense_compose(g.components[j], f.components[k]).scale(coeff)
         out.append(acc)
     return ConvMorphism(c, tuple(out))
 
@@ -287,7 +315,7 @@ def oracle_conv_tensor(f: ConvMorphism, g: ConvMorphism) -> ConvMorphism:
         )
         for j, k, coeff in c.delta[i]:
             if not (f_zero[j] or g_zero[k]):
-                acc = acc + f.components[j].tensor(g.components[k]).scale(coeff)
+                acc = acc + dense_tensor(f.components[j], g.components[k]).scale(coeff)
         out.append(acc)
     return ConvMorphism(c, tuple(out))
 
@@ -386,12 +414,12 @@ def oracle_coface(spec, i, n, nu):
             m_u = spec.m.components[u]
             nu_t = nu.maps[t]
             if i == 0:
-                term = m_u.compose(ident.tensor(nu_t))
+                term = dense_compose(m_u, dense_tensor(ident, nu_t))
             elif i == n + 1:
-                term = m_u.compose(nu_t.tensor(ident))
+                term = dense_compose(m_u, dense_tensor(nu_t, ident))
             else:
-                mid = MultiMap.identity(f, a, i - 1).tensor(m_u).tensor(MultiMap.identity(f, a, n - i))
-                term = nu_t.compose(mid)
+                mid = dense_tensor(dense_tensor(MultiMap.identity(f, a, i - 1), m_u), MultiMap.identity(f, a, n - i))
+                term = dense_compose(nu_t, mid)
             acc = acc + term.scale(coeff)
         maps.append(acc)
     return Cochain(n + 1, tuple(maps))
@@ -525,7 +553,7 @@ def oracle_invert_on_bottom(f: ConvMorphism, bottom):
             for j, k2, mu in c.delta[i]:
                 if k2 in pivots:
                     rp = pivots.index(k2)
-                    coeff_mats[r][rp] = coeff_mats[r][rp] + f.components[j].mat.scale(
+                    coeff_mats[r][rp] = coeff_mats[r][rp] + dense(f.components[j]).scale(
                         field.mul(bi, mu)
                     )
     big_rows = d * d * k
@@ -543,7 +571,7 @@ def oracle_invert_on_bottom(f: ConvMorphism, bottom):
     rhs: list = []
     for r, brow in enumerate(rows):
         e = c.eps(brow)
-        rhs.extend(eye.scale(e).flatten())
+        rhs.extend(x for row in eye.scale(e).data for x in row)
     assert system.rows == big_rows
     res = solve(system, tuple(rhs))
     if res is None:
@@ -555,9 +583,8 @@ def oracle_invert_on_bottom(f: ConvMorphism, bottom):
         if i in pivots:
             rp = pivots.index(i)
             flat = sol[rp * d * d : (rp + 1) * d * d]
-            comps.append(
-                MultiMap(f.a_dim, f.src_arity, f.tgt_arity, Matrix.from_flat(field, d, d, flat))
-            )
+            rows = [flat[r * d : (r + 1) * d] for r in range(d)]
+            comps.append(MultiMap.from_rows(field, f.a_dim, f.src_arity, f.tgt_arity, rows))
         else:
             comps.append(zero)
     return ConvMorphism(c, tuple(comps))
@@ -631,3 +658,91 @@ def oracle_unit_gauge(mtilde: ConvMorphism, u: ConvMorphism):
     if not oracle_is_unit_of(mtilde, u_tilde):
         raise ConvDefError("f * (u o lambda) failed to be a unit of the original multiplication")
     return UnitGaugeResult(gauge=gauge, m_f=m_f, u_lambda=u_lam, u_tilde=u_tilde)
+
+
+def fixture_specfiles(field):
+    """(fixture name, SpecFile) for every spec fixture that parses and validates when read over `field`."""
+    import json
+
+    from convdef import SpecFileError
+    from convdef.specfile import parse_text
+
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "field" not in doc:
+            continue  # a side file (a cochain document), not a spec
+        doc["field"] = field.name
+        try:
+            sf, _failures = parse_text(json.dumps(doc))
+        except (SpecFileError, ZeroDivisionError):
+            continue
+        out.append((path.name, sf))
+    return out
+
+
+def oracle_cocycle_failures(w) -> list[str]:
+    """Failed identities among: symmetry, normalization, the 2-cocycle identity, by dense Kronecker products.
+
+    The check `Cocycle2.validate` ran before it summed over the triples,
+    with dim C^3 rows; independent of that sum, so it serves as the oracle.
+    """
+    from convdef.coalgebra import triples_matrix
+
+    com = w.comodule
+    c = com.base
+    f, dc, dx = c.field, c.dim, com.dim
+    failures = []
+    om = triples_matrix(f, w.omega, (dc, dc))
+    # symmetry: omega = flip o omega
+    if triples_matrix(f, w.omega, (dc, dc), flip=True) != om:
+        failures.append("symmetry")
+    eye_c = Matrix.identity(f, dc)
+    eps = c.counit_matrix
+    if not (eps.kron(eye_c) @ om).is_zero() or not (eye_c.kron(eps) @ om).is_zero():
+        failures.append("normalization")
+    dm = c.delta_matrix
+    lhs = (
+        eye_c.kron(om) @ triples_matrix(f, com.coaction, (dx, dc), flip=True)
+        - dm.kron(eye_c) @ om
+        + eye_c.kron(dm) @ om
+        - om.kron(eye_c) @ triples_matrix(f, com.coaction, (dx, dc))
+    )
+    if not lhs.is_zero():
+        failures.append("2-cocycle identity")
+    return failures
+
+
+def oracle_obstruction_zeta(alg, ext):
+    """zeta(x) = sum over omega(x) of c * m_j o (A (x) m_k - m_k (x) A), by dense index loops.
+
+    The sum `convdef.obstruction_zeta` ran before it read zeta off the
+    sparse associator of m (+) 0, with the dense composition and tensor
+    product of the components written out; independent of the convolution
+    kernel, so it serves as the oracle.  It checks d(zeta) = 0 as that did.
+    """
+    from convdef import Cochain, ComplexSpec, ConvDefError
+
+    f, a = alg.field, alg.a_dim
+    maps = []
+    for s in range(ext.comodule.dim):
+        acc = [[f.zero] * a**3 for _ in range(a)]
+        for j, k, c in ext.cocycle.omega[s]:
+            mj, mk = alg.m.components[j].rows(), alg.m.components[k].rows()
+            for r in range(a):
+                for p in range(a):
+                    for q in range(a):
+                        for t in range(a):
+                            # (A (x) m_k)(e_p e_q e_t) = e_p (x) m_k(e_q e_t)
+                            # (m_k (x) A)(e_p e_q e_t) = m_k(e_p e_q) (x) e_t
+                            total = f.zero
+                            for y in range(a):
+                                total = f.add(total, f.mul(mj[r][p * a + y], mk[y][q * a + t]))
+                                total = f.sub(total, f.mul(mj[r][y * a + t], mk[y][p * a + q]))
+                            col = (p * a + q) * a + t
+                            acc[r][col] = f.add(acc[r][col], f.mul(c, total))
+        maps.append(MultiMap.from_rows(f, a, 3, 1, acc))
+    zeta = Cochain(3, tuple(maps))
+    if not ComplexSpec(alg.m, ext.comodule, check=False).differential(zeta).is_zero():
+        raise ConvDefError("obstruction is not a 3-cocycle; inputs are inconsistent")
+    return zeta

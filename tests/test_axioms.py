@@ -4,7 +4,6 @@ import random
 
 from convdef import (
     ConvMorphism,
-    Matrix,
     MultiMap,
     SpecFileError,
     conv_compose,
@@ -39,10 +38,10 @@ def broken(mor: ConvMorphism, index: int, rng: random.Random) -> ConvMorphism:
     comps = list(mor.components)
     comp = comps[index]
     f = comp.field
-    rows = [list(row) for row in comp.mat.data]
-    r, col = rng.randrange(comp.mat.rows), rng.randrange(comp.mat.cols)
+    rows = [list(row) for row in comp.rows()]
+    r, col = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
     rows[r][col] = f.add(rows[r][col], f.one)
-    comps[index] = MultiMap(comp.a_dim, comp.src_arity, comp.tgt_arity, Matrix.from_rows(f, rows))
+    comps[index] = MultiMap.from_rows(f, comp.a_dim, comp.src_arity, comp.tgt_arity, rows)
     return ConvMorphism(mor.coalgebra, tuple(comps))
 
 
@@ -95,7 +94,7 @@ def random_unital_pair(c, a, rng):
     m = epsilon_embed(m0, c)
     u = epsilon_embed(unit_column(f, a), c)
     comps = [MultiMap.identity(f, a, 1)] + [
-        MultiMap(a, 1, 1, Matrix.from_rows(f, [[f.random_element(rng) for _ in range(a)] for _ in range(a)]))
+        MultiMap.from_rows(f, a, 1, 1, [[f.random_element(rng) for _ in range(a)] for _ in range(a)])
         for _ in range(1, c.dim)
     ]
     gauge = ConvMorphism(c, tuple(comps))
@@ -108,7 +107,7 @@ def random_morphism(c, a, src, rng):
     return ConvMorphism(
         c,
         tuple(
-            MultiMap(a, src, 1, Matrix.from_rows(f, [[f.random_element(rng) for _ in range(a**src)] for _ in range(a)]))
+            MultiMap.from_rows(f, a, src, 1, [[f.random_element(rng) for _ in range(a**src)] for _ in range(a)])
             for _ in range(c.dim)
         ),
     )
@@ -150,7 +149,7 @@ def test_m3_over_truncated_polynomials_is_associative():
     assert is_associative(m)
     for index in (0, c.dim - 1):
         comps = list(m.components)
-        rows = [list(row) for row in comps[index].mat.data]
+        rows = [list(row) for row in comps[index].rows()]
         rows[0][0] += 1  # E_11 E_11 picks up an extra E_11
-        comps[index] = MultiMap(9, 2, 1, Matrix.from_rows(QQ, rows))
+        comps[index] = MultiMap.from_rows(QQ, 9, 2, 1, rows)
         assert not is_associative(ConvMorphism(c, tuple(comps)))

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from convdef import Matrix, deformation, divided_power_t
+from convdef import Coalgebra, Matrix, deformation, divided_power_t, specfile
 from convdef.cli import main
 from convdef.fields import QQ
 
@@ -53,6 +53,7 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("invert", ["invert", fx("invert.json")], 0),
         ("obstructed", ["deform", fx("obstructed.json")], 2),
         ("unit_gauge_broken", ["unit-gauge", fx("unit_gauge_broken.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
+        ("validate", ["validate", fx("poly_t2_dual.json")], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):
@@ -148,7 +149,30 @@ def test_validate_ok_and_failing(tmp_path, capsys):
     doc["coalgebras"]["K"]["counit"] = {}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
+    capsys.readouterr()
     assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "coalgebra K: FAILED (cocommutative: yes)\nalgebra A: ok\n"
+    assert captured.err == (
+        "no: validation failed: coalgebra 'K': left counit axiom; coalgebra 'K': right counit axiom\n"
+    )
+
+
+def test_validate_runs_each_check_once(monkeypatch, capsys):
+    """validate renders the checks made at parse: one per block, 3 algebras and 3 coalgebras here."""
+    calls = {"assoc": 0, "coalgebra": 0}
+    assoc, validate = specfile.is_associative, Coalgebra.validate
+
+    def count(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(specfile, "is_associative", count("assoc", assoc))
+    monkeypatch.setattr(Coalgebra, "validate", count("coalgebra", validate))
+    assert main(["validate", fx("poly_t2_dual.json")]) == 0
+    assert calls == {"assoc": 3, "coalgebra": 3}
 
 
 def test_input_errors_exit_1(tmp_path, capsys):
@@ -217,6 +241,19 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert "4301-digit" in captured.err
     assert captured.out == ""  # no success line for an answer that could not be reported
     assert not out.exists()
+    # a JSON integer past Python's int-string limit, in a spec and in a cochain file
+    spec = json.loads((FIXTURES / "trivial.json").read_text())
+    spec["algebras"]["A"]["dim"] = "DIM"
+    path = tmp_path / "huge_int.json"
+    path.write_text(json.dumps(spec).replace('"DIM"', "9" * 4400))
+    assert main(["validate", str(path)]) == 1
+    assert "integer literal" in capsys.readouterr().err
+    cochains = json.loads((FIXTURES / "xsq_t_cochain.json").read_text())
+    cochains["1"][0][0][0] = "ENTRY"
+    path = tmp_path / "huge_int_cochains.json"
+    path.write_text(json.dumps(cochains).replace('"ENTRY"', "7" * 4400))
+    assert main(["series", fx("poly_t2_dual.json"), *SERIES_ARGS, "--strategy", "file:" + str(path)]) == 1
+    assert "cochain file: integer literal" in capsys.readouterr().err
 
 
 def test_help_still_exits_0(capsys):

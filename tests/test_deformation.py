@@ -11,9 +11,11 @@ from convdef import (
     Matrix,
     MultiMap,
     NotUnital,
+    ShapeError,
     SpecMismatch,
     Subspace,
     UnsupportedSearch,
+    build_extension,
     check_associative,
     classify,
     conv_compose,
@@ -23,6 +25,7 @@ from convdef import (
     equiv_check,
     gauge_transport,
     graded_extension,
+    hochschild_spec,
     identity_conv,
     is_associative,
     is_unit_of,
@@ -42,13 +45,19 @@ from helpers import (
     F2,
     F3,
     F5,
+    dense_compose,
     dense_differential_matrix,
+    dense_tensor,
+    fixture_specfiles,
+    from_dense,
     dual_numbers,
     mat2_mult,
     mult_from_table,
+    oracle_obstruction_zeta,
     oracle_unit_gauge,
     random_gauge_transported_mult,
     square_zero_3,
+    truncated_poly,
     truncated_poly_3,
     unit_column,
     xsq_deformation_algebra,
@@ -70,7 +79,7 @@ def test_check_associative_xsq_family_and_perturbation():
     assert check_associative(alg.m)
     comps = list(alg.m.components)
     bad = Matrix.from_rows(QQ, [[0, 1, 0, 0], [0, 0, 0, 0]])
-    comps[1] = MultiMap(2, 2, 1, bad)
+    comps[1] = from_dense(bad, 2, 2, 1)
     assert not check_associative(ConvMorphism(alg.coalgebra, tuple(comps)))
 
 
@@ -95,7 +104,7 @@ def test_obstruction_is_associator_of_degree_one_term():
     zeta = obstruction_zeta(alg, ext)
     m1 = alg.m.components[1]
     ident = MultiMap.identity(QQ, 2, 1)
-    expect = m1.compose(ident.tensor(m1)) - m1.compose(m1.tensor(ident))
+    expect = dense_compose(m1, dense_tensor(ident, m1)) - dense_compose(m1, dense_tensor(m1, ident))
     assert zeta.maps[0] == expect
 
 
@@ -105,6 +114,56 @@ def test_obstruction_vanishes_when_omega_hits_zero_components():
     ext = graded_extension(d, 2)
     alg = AlgebraMC(m=epsilon_embed(dual_numbers(QQ), ext.base))
     assert obstruction_zeta(alg, ext).is_zero()
+
+
+def _first_order_cases(field, rng):
+    """(label, alg, ext): m0 + sum nu_i t_i over D_{<2}, nu_i random Hochschild 2-cocycles of m0, along D_{<=2}."""
+    out = []
+    for mname, m0 in (("k[x]/(x^3)", truncated_poly(field, 3)), ("M_2", mat2_mult(field))):
+        a = m0.a_dim
+        z2 = hochschild_spec(m0).cohomology(2).z_space.basis.data
+        for dname, d in (("k[t]<=3", divided_power_t(3, field)), ("poly(2,2)", polynomial_multi(2, 2, field))):
+            ext = graded_extension(d, 2)
+            for _trial in range(2):
+                comps = []
+                for g in ext.base.grading:
+                    coeffs = [field.random_element(rng) for _ in z2]
+                    flat = [sum((field.mul(c, row[i]) for c, row in zip(coeffs, z2)), field.zero) for i in range(a**3)]
+                    nu = Cochain.from_flat(field, a, 1, 2, flat).maps[0]
+                    comps.append(m0 if g == 0 else nu)
+                out.append((f"{mname} along {dname}", AlgebraMC(m=ConvMorphism(ext.base, tuple(comps))), ext))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F5], ids=["Q", "F3", "F5"])
+def test_obstruction_zeta_matches_dense_oracle(field):
+    """zeta off the sparse associator of m (+) 0 equals the dense omega sum: fixtures and first-order deformations."""
+    rng = random.Random(53)
+    cases = [
+        (f"{name}:{aname}/{wname}", alg, build_extension(w))
+        for name, sf in fixture_specfiles(field)
+        for wname, w in sf.cocycles.items()
+        for aname, alg in sf.algebras.items()
+        if alg.coalgebra == w.comodule.base
+    ]
+    assert len(cases) >= 3
+    cases += _first_order_cases(field, rng)
+    nonzero = 0
+    for label, alg, ext in cases:
+        zeta = obstruction_zeta(alg, ext)
+        assert zeta == oracle_obstruction_zeta(alg, ext), label
+        nonzero += not zeta.is_zero()
+    assert nonzero >= 8
+
+
+def test_obstruction_zeta_refuses_non_associative_m():
+    ext = graded_extension(divided_power_t(2, QQ), 2)
+    comps = list(xsq_deformation_algebra(QQ).m.components)
+    comps[1] = from_dense(Matrix.from_rows(QQ, [[0, 1, 0, 0], [0, 0, 0, 0]]), 2, 2, 1)
+    with pytest.raises(ShapeError, match="not associative"):
+        obstruction_zeta(AlgebraMC(m=ConvMorphism(ext.base, tuple(comps))), ext)
+    with pytest.raises(ShapeError, match="not associative"):
+        mc_solve(AlgebraMC(m=ConvMorphism(ext.base, tuple(comps))), ext)
 
 
 def test_mc_solutions_form_affine_space_over_z2():
@@ -150,7 +209,7 @@ def test_mc_solvability_equals_b3_membership():
     cases.append((xsq_deformation_algebra(QQ), graded_extension(d, 2)))
     nu_rows = [[0] * 9 for _ in range(3)]
     nu_rows[2][7] = 1
-    nu = MultiMap(3, 2, 1, Matrix.from_rows(QQ, nu_rows))
+    nu = MultiMap.from_rows(QQ, 3, 2, 1, nu_rows)
     obstructed = AlgebraMC(
         m=ConvMorphism(graded_extension(d, 2).base, (square_zero_3(QQ), nu))
     )
@@ -186,7 +245,7 @@ def test_equiv_construct_then_recover():
     alg = xsq_deformation_algebra(QQ)
     base = make_deformation(alg, ext, mc_solve(alg, ext).base_solution)
     for _ in range(5):
-        fx = MultiMap(2, 1, 1, Matrix.from_rows(QQ, [[QQ.random_element(rng) for _ in range(2)] for _ in range(2)]))
+        fx = MultiMap.from_rows(QQ, 2, 1, 1, [[QQ.random_element(rng) for _ in range(2)] for _ in range(2)])
         gauge = _gauge_from_cochain(ext, Cochain(1, (fx,)))
         moved = gauge_transport(base, gauge)
         back = equiv_check(base, moved)
@@ -229,7 +288,7 @@ def test_gauge_transport_identity_and_inverse_round_trip():
     base = make_deformation(alg, ext, mc_solve(alg, ext).base_solution)
     e = identity_conv(ext.ctilde, 2, 1)
     assert gauge_transport(base, e).mtilde == base.mtilde
-    fx = MultiMap(2, 1, 1, Matrix.from_rows(QQ, [[0, 1], [2, 3]]))
+    fx = MultiMap.from_rows(QQ, 2, 1, 1, [[0, 1], [2, 3]])
     gauge = _gauge_from_cochain(ext, Cochain(1, (fx,)))
     moved = gauge_transport(base, gauge)
     inv = takeuchi_invert(gauge, ext.extension_filtration())
@@ -246,7 +305,7 @@ def test_gauge_transport_classical_action():
     nu = Cochain(2, (m1_gamma(QQ),))
     assert spec.differential(nu).is_zero()
     base = make_deformation(alg, ext, nu)
-    f1 = MultiMap(2, 1, 1, Matrix.from_rows(QQ, [[QQ.random_element(rng) for _ in range(2)] for _ in range(2)]))
+    f1 = MultiMap.from_rows(QQ, 2, 1, 1, [[QQ.random_element(rng) for _ in range(2)] for _ in range(2)])
     fx = Cochain(1, (f1,))
     moved = gauge_transport(base, _gauge_from_cochain(ext, fx))
     assert moved.m_x == nu + spec.differential(fx)
@@ -293,7 +352,7 @@ def test_series_stops_at_obstruction():
     m0 = square_zero_3(QQ)
     nu_rows = [[0] * 9 for _ in range(3)]
     nu_rows[2][7] = 1  # nu(y (x) x) = y: a cocycle with non-exact square
-    nu = MultiMap(3, 2, 1, Matrix.from_rows(QQ, nu_rows))
+    nu = MultiMap.from_rows(QQ, 3, 2, 1, nu_rows)
     d = divided_power_t(2, QQ)
     res = series_deform(m0, d, 2, strategy="user", user_cochains={1: Cochain(2, (nu,))})
     branch = res.primary
@@ -368,7 +427,7 @@ def test_unit_gauge_break_repair_round_trip():
     for _ in range(3):
         comps = [MultiMap.identity(QQ, 2, 1)]
         for _k in range(1, ct.dim):
-            comps.append(MultiMap(2, 1, 1, Matrix.from_rows(QQ, [[QQ.random_element(rng) for _ in range(2)] for _ in range(2)])))
+            comps.append(MultiMap.from_rows(QQ, 2, 1, 1, [[QQ.random_element(rng) for _ in range(2)] for _ in range(2)]))
         h = ConvMorphism(ct, tuple(comps))
         filt = ct.grading_filtration()
         hinv = takeuchi_invert(h, filt)

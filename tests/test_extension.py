@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from convdef import (
@@ -22,10 +24,9 @@ from convdef import (
     trivial_k,
     zero_cocycle,
 )
-from convdef.fields import QQ, PrimeField
+from convdef.fields import QQ
 
-F2 = PrimeField(2)
-F3 = PrimeField(3)
+from helpers import F2, F3, F5, fixture_specfiles, oracle_cocycle_failures
 
 
 def test_build_trivial_cocycle_gives_divided_power_1():
@@ -218,3 +219,41 @@ def test_normalize_triples_range_errors_for_coaction_and_omega():
     assert com2.coaction == (((0, 0, 1),),)
     w = Cocycle2(com, [[(1, 1, 2), (0, 0, 0), (1, 1, -1)]])
     assert w.omega == (((1, 1, 1),),)
+
+
+def _perturbed(w, rng):
+    """Cocycles that break symmetry, normalization or the 2-cocycle identity, each by one triple added at a random x."""
+    c = w.comodule.base
+    f = c.field
+    pos = [i for i, e in enumerate(c.counit) if f.is_zero(e)] or [0]  # eps vanishes on these, if any
+    glike = next(i for i, e in enumerate(c.counit) if not f.is_zero(e))
+    s, j, k = rng.randrange(w.comodule.dim), rng.choice(pos), rng.choice(pos)
+    extra = [
+        (j, k, f.random_element(rng, nonzero=True)),  # one-sided unless j = k
+        (glike, glike, f.one),  # symmetric, not normalized
+        (j, j, f.one),  # symmetric and normalized
+        (rng.randrange(c.dim), rng.randrange(c.dim), f.random_element(rng, nonzero=True)),
+    ]
+    out = []
+    for triple in extra:
+        omega = [list(om) for om in w.omega]
+        omega[s].append(triple)
+        out.append(Cocycle2(w.comodule, omega))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
+def test_cocycle_validate_matches_dense_oracle(field):
+    """The sum over triples and the dense Kronecker products report the same failures, in order."""
+    rng = random.Random(41)
+    cocycles = [w for _name, sf in fixture_specfiles(field) for w in sf.cocycles.values()]
+    for d in (divided_power_t(4, field), polynomial_multi(2, 3, field)):
+        cocycles += [graded_extension(d, n).cocycle for n in range(1, d.max_degree() + 1)]
+    seen = set()
+    for w in list(cocycles):
+        assert w.validate() == oracle_cocycle_failures(w) == []
+        for bad in _perturbed(w, rng):
+            got = bad.validate()
+            assert got == oracle_cocycle_failures(bad)
+            seen.update(got)
+    assert seen == {"symmetry", "normalization", "2-cocycle identity"}

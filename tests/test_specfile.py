@@ -133,7 +133,7 @@ def test_prime_field_literals():
     }
     sf, failures = parse_text(json.dumps(doc))
     # 1/2 = 3 in F5
-    assert sf.algebras["A"].m.components[0].mat.data[0][0] == 3
+    assert sf.algebras["A"].m.components[0].rows()[0][0] == 3
 
 
 def test_missing_file_is_io_error(tmp_path):
