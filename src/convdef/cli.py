@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import io
 import sys
 from typing import Optional
@@ -218,7 +219,8 @@ def cmd_classify(sf: SpecFile, args) -> dict:
     }
     if report.coset_count is not None:
         payload["coset_count"] = report.coset_count
-    print(f"dim H^2 = {report.dim_h2}; {len(result.representatives)} representative(s) materialized")
+    obstructed = "" if report.obstruction_vanishes else "; obstruction class is NONZERO in H^3, no deformation exists"
+    print(f"dim H^2 = {report.dim_h2}; {len(result.representatives)} representative(s) materialized{obstructed}")
     return payload
 
 
@@ -310,7 +312,9 @@ class _Parser(argparse.ArgumentParser):
         raise SpecFileError("syntax", message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared by every later `main` call."""
     parser = _Parser(
         prog="convdef",
         description="Exact deformation computations over coalgebra extensions",

@@ -8,9 +8,9 @@ row-major over each a x a^n map, i.e. flat[s * a^(n+1) + r * a^n + c] =
 maps[s].entries[(r, c)], and a column index of A^(x)n is read as n base-a
 digits, the first factor most significant.
 
-d^n is assembled once from the structure constants.  For each term
-c * e_t (x) c_u of rho(e_s) and each nonzero v = m_u[r][p*a + q], with J'
-running over a^n:
+d^n is assembled from the structure constants only to be eliminated.
+For each term c * e_t (x) c_u of rho(e_s) and each nonzero
+v = m_u[r][p*a + q], with J' running over a^n:
   - i = 0 adds c*v at row (s, r, p*a^n + J'), column (t, q, J');
   - i = n+1 adds (-1)^(n+1) c*v at row (s, r, J'*a + q), column (t, p, J');
   - each 1 <= i <= n adds (-1)^i c*v at row (s, r', (h, p, q, l)), column
@@ -19,7 +19,11 @@ The composition-based cofaces these families expand live in the test
 suite as the independent oracle (`tests/helpers.py`, `oracle_coface`).
 d^n is never densified: `ComplexSpec` eliminates its rows once (Z^n is
 their null space) and its columns once (they span B^(n+1)), each into a
-sparse `Echelon` cached per degree.
+sparse `Echelon` cached per degree.  `ComplexSpec.differential` applies
+the cofaces to one cochain without d^n: it scatters the same three
+families from the cochain's nonzero entries, through the entries of m
+indexed by q (i = 0), by p (i = n+1) and by r (the inner faces, the
+cochain's column split into (h, r, l)).
 
 m is associative when its associator m * (e (x) m) - m * (m (x) e), e = eps(-) id_A,
 vanishes (`is_associative`); the obstruction zeta of `convdef.deformation` is
@@ -29,10 +33,11 @@ a block of the same sparse associator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .coalgebra import trivial_k
-from .convolution import ConvMorphism, MultiMap, _convolve, _entries, _lincomb, epsilon_embed, identity_conv
+from .convolution import ConvMorphism, MultiMap, _convolve, _entries, _lincomb, _normalized, epsilon_embed, identity_conv
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
@@ -157,7 +162,7 @@ class ComplexSpec:
         return Cochain.zero(self.field, self.a_dim, self.x_dim, n)
 
     def differential_entries(self, n: int) -> tuple[tuple[int, int, object], ...]:
-        """The nonzero entries (row, col, value) of d^n, built from the structure constants."""
+        """The nonzero entries (row, col, value) of d^n, built from the structure constants for elimination."""
         if n in self._entries_cache:
             return self._entries_cache[n]
         f, a = self.field, self.a_dim
@@ -196,17 +201,50 @@ class ComplexSpec:
         self._entries_cache[n] = out
         return out
 
+    @cached_property
+    def _m_indexes(self) -> tuple[list[dict], list[dict], list[dict]]:
+        """The entries v = m_u[r][p*a + q] of each m_u, indexed by q, by p and by r."""
+        by_q, by_p, by_r = ([{} for _ in self.m.components] for _ in range(3))
+        for u, comp in enumerate(_entries(self.m)):
+            for (r, pq), v in comp.items():
+                p, q = divmod(pq, self.a_dim)
+                by_q[u].setdefault(q, []).append((r, p, v))
+                by_p[u].setdefault(p, []).append((r, q, v))
+                by_r[u].setdefault(r, []).append((pq, v))
+        return by_q, by_p, by_r
+
     def differential(self, nu: Cochain) -> Cochain:
-        """d^n applied to a cochain through the sparse entries of d^n."""
+        """d^n applied to a cochain: the coface families scattered from its nonzero entries, d^n never built."""
         if nu.x_dim != self.x_dim or nu.a_dim != self.a_dim:
             raise ShapeError("cochain does not match the complex")
-        f, n = require_same_field(self.field, nu.field), nu.degree
-        x = nu.flatten()
-        out = [f.zero] * self.cochain_dim(n + 1)
-        for row, col, v in self.differential_entries(n):
-            if not f.is_zero(x[col]):
-                out[row] = f.add(out[row], f.mul(v, x[col]))
-        return Cochain.from_flat(f, self.a_dim, self.x_dim, n + 1, out)
+        f, n, a = require_same_field(self.field, nu.field), nu.degree, self.a_dim
+        an = a**n
+        by_q, by_p, by_r = self._m_indexes
+        inner = [(i % 2, a ** (n - i)) for i in range(1, n + 1)]
+        maps = []
+        for s in range(self.x_dim):
+            acc: dict[tuple[int, int], object] = {}
+            for t, u, c in self.comodule.coaction[s]:
+                for (y, col), x in nu.maps[t].entries.items():
+                    cx = c * x
+                    signed = (cx, -cx)  # (-1)^i c x, indexed by the parity of i
+                    # i = 0: the output e_y of nu_t is the second argument q of m_u
+                    for r, p, v in by_q[u].get(y, ()):
+                        key, w = (r, p * an + col), cx * v
+                        acc[key] = acc[key] + w if key in acc else w
+                    # i = n+1: e_y is the first argument p of m_u
+                    for r, q, v in by_p[u].get(y, ()):
+                        key, w = (r, col * a + q), signed[(n + 1) % 2] * v
+                        acc[key] = acc[key] + w if key in acc else w
+                    # 1 <= i <= n: m_u(e_p (x) e_q) feeds digit r of the column (h, r, l) of nu_t
+                    for odd, lo in inner:
+                        h, rl = divmod(col, a * lo)
+                        r, l = divmod(rl, lo)
+                        for pq, v in by_r[u].get(r, ()):
+                            key, w = (y, (h * a * a + pq) * lo + l), signed[odd] * v
+                            acc[key] = acc[key] + w if key in acc else w
+            maps.append(MultiMap(f, a, n + 1, 1, _normalized(f, acc)))
+        return Cochain(n + 1, tuple(maps))
 
     def differential_matrix(self, n: int) -> SparseMatrix:
         """d^n as its sparse entries, cochain_dim(n+1) x cochain_dim(n)."""

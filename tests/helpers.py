@@ -39,22 +39,36 @@ def from_dense(mat: Matrix, a_dim: int, src_arity: int, tgt_arity: int) -> Multi
 
 
 def dense_compose(outer: MultiMap, inner: MultiMap) -> MultiMap:
-    """outer o inner by a dense matrix product, independent of the sparse convolution kernel."""
+    """outer o inner by a product of the dense matrices, independent of the sparse convolution kernel.
+
+    The product is written out over the dense rows; it skips the zero entries
+    of inner, most of a Kronecker product with identities.
+    """
     if inner.tgt_arity != outer.src_arity or inner.a_dim != outer.a_dim:
         raise ShapeError("arity mismatch in composition")
-    return from_dense(dense(outer) @ dense(inner), outer.a_dim, inner.src_arity, outer.tgt_arity)
+    f = outer.field
+    inner_rows = [[(j, y) for j, y in enumerate(row) if y] for row in inner.rows()]
+    rows = []
+    for row in outer.rows():
+        acc = [f.zero] * inner.a_dim**inner.src_arity
+        for x, nonzero in zip(row, inner_rows):
+            for j, y in nonzero if x else ():
+                acc[j] = f.add(acc[j], f.mul(x, y))
+        rows.append(acc)
+    return MultiMap.from_rows(f, outer.a_dim, inner.src_arity, outer.tgt_arity, rows)
 
 
 def dense_tensor(left: MultiMap, right: MultiMap) -> MultiMap:
-    """left (x) right by a dense Kronecker product, independent of the sparse convolution kernel."""
+    """left (x) right by the dense Kronecker product, independent of the sparse convolution kernel."""
     if left.a_dim != right.a_dim:
         raise ShapeError("tensor of maps over different A")
-    return from_dense(
-        dense(left).kron(dense(right)),
-        left.a_dim,
-        left.src_arity + right.src_arity,
-        left.tgt_arity + right.tgt_arity,
-    )
+    f = left.field
+    rows = [
+        [f.mul(x, y) if x and y else f.zero for x in lrow for y in rrow]
+        for lrow in left.rows()
+        for rrow in right.rows()
+    ]
+    return MultiMap.from_rows(f, left.a_dim, left.src_arity + right.src_arity, left.tgt_arity + right.tgt_arity, rows)
 
 
 def mult_from_table(field, table) -> MultiMap:
@@ -719,7 +733,8 @@ def oracle_obstruction_zeta(alg, ext):
     The sum `convdef.obstruction_zeta` ran before it read zeta off the
     sparse associator of m (+) 0, with the dense composition and tensor
     product of the components written out; independent of the convolution
-    kernel, so it serves as the oracle.  It checks d(zeta) = 0 as that did.
+    kernel, so it serves as the oracle.  It checks d(zeta) = 0 through
+    `oracle_differential`, not through the library's `ComplexSpec.differential`.
     """
     from convdef import Cochain, ComplexSpec, ConvDefError
 
@@ -743,6 +758,6 @@ def oracle_obstruction_zeta(alg, ext):
                             acc[r][col] = f.add(acc[r][col], f.mul(c, total))
         maps.append(MultiMap.from_rows(f, a, 3, 1, acc))
     zeta = Cochain(3, tuple(maps))
-    if not ComplexSpec(alg.m, ext.comodule, check=False).differential(zeta).is_zero():
+    if not oracle_differential(ComplexSpec(alg.m, ext.comodule, check=False), zeta).is_zero():
         raise ConvDefError("obstruction is not a 3-cocycle; inputs are inconsistent")
     return zeta

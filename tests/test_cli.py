@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from convdef import Coalgebra, Matrix, deformation, divided_power_t, specfile
-from convdef.cli import main
+from convdef.cli import build_parser, main
 from convdef.fields import QQ
 
 from helpers import matrix_inverse, transport_coalgebra
@@ -116,9 +116,19 @@ def test_series_two_degree_reports(capsys, tmp_path):
     assert report["final_multiplication"]["t"] == [["0", "0", "0", "1"], ["0", "0", "0", "0"]]
 
 
-def test_classify_and_obstruct(capsys):
+def test_classify_and_obstruct(capsys, tmp_path):
     assert main(["classify", fx("poly_t2_dual.json")]) == 0
+    assert "NONZERO" not in capsys.readouterr().out
     assert main(["obstruct", fx("poly2_t2.json")]) == 0
+    assert "class vanishes" in capsys.readouterr().out
+    # an obstructed instance has no deformation to classify, and the summary says why (still exit 0)
+    out = tmp_path / "r.json"
+    assert main(["classify", fx("obstructed.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "dim H^2 = 6; 0 representative(s) materialized; obstruction class is NONZERO in H^3, no deformation exists\n"
+    )
+    report = json.loads(out.read_text())
+    assert report["obstruction_vanishes"] is False and report["representatives"] == []
 
 
 def test_unit_gauge_command(capsys):
@@ -261,6 +271,35 @@ def test_help_still_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """The parser is built once per process, and no flag of one call leaks into the next."""
+    assert build_parser() is build_parser()
+    assert main(["cohomology", fx("mat2.json"), "--degree", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: convdef cohomology") and "invalid int value: 'abc'" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: convdef")
+    assert main(["deform", fx("poly_t2_dual.json"), "--cocycle", "nope"]) == 1
+    assert "unknown cocycle 'nope'" in capsys.readouterr().err
+    out = tmp_path / "r.json"
+    for argv in (["deform", fx("poly_t2_dual.json"), "--cocycle", "w"], ["deform", fx("poly_t2_dual.json")]):
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "deform.json").read_bytes()
+        assert capsys.readouterr().out == (
+            "Maurer-Cartan solvable: solution set = base + Z^2, dim Z^2 = 4\nequivalence classes: dim H^2 = 1\n"
+        )
+    assert main(["cohomology", fx("mat2.json"), "--degree", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "dim Z^1 = 3\ndim B^1 = 3\ndim H^1 = 0\n"
+    assert json.loads(out.read_text())["degree"] == 1
+    # without --degree the fixture's task block gives degree 2, not the 1 of the call before
+    assert main(["cohomology", fx("mat2.json"), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "dim Z^2 = 13\ndim B^2 = 13\ndim H^2 = 0\n"
+    assert out.read_bytes() == (GOLDEN / "cohomology.json").read_bytes()
 
 
 def _series_with_cochain_file(tmp_path, doc) -> int:

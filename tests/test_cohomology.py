@@ -15,10 +15,12 @@ from convdef import (
     divided_power_t,
     epsilon_embed,
     find_grouplikes,
+    graded_extension,
     grouplike_coalgebra,
     grouplike_comodule,
     hochschild_dims,
     hochschild_spec,
+    polynomial_multi,
     product_decompose,
     rank1_reduce,
     trivial_k,
@@ -27,8 +29,10 @@ from convdef.fields import QQ, PrimeField
 
 import oracle_hochschild as oracle
 from helpers import (
+    F2,
     F3,
     F5,
+    conjugate_mult,
     dense_compose,
     dense_differential_matrix,
     dense_tensor,
@@ -44,6 +48,7 @@ from helpers import (
     random_algebra,
     random_gauge_transported_mult,
     random_grouplike_comodule,
+    random_invertible,
     random_nilpotent_comodule,
     rank_one_square,
     split_pair,
@@ -237,9 +242,55 @@ def test_differential_matches_oracle_on_random_cochains():
     specs = [_random_spec(trial % 3, rng) for trial in range(12)]
     specs += [spec for _label, spec in fixture_specs()]
     for spec in specs:
-        for n in (0, 1, 2):
+        for n in (0, 1, 2, 3):
             nu = rand_cochain(spec, n, rng)
             assert spec.differential(nu) == oracle_differential(spec, nu)
+
+
+def _direct_sum_comodule(x, y):
+    shifted = [[(x.dim + t, u, c) for t, u, c in terms] for terms in y.coaction]
+    return Comodule(x.base, x.dim + y.dim, list(x.coaction) + shifted)
+
+
+def _gate_specs(field, rng):
+    """Layers of k[t]_{<=3} and of two-variable monomials (nonzero omega), and a direct-sum comodule."""
+    out = []
+    for d, n in ((divided_power_t(3, field), 1), (divided_power_t(3, field), 3), (polynomial_multi(2, 2, field), 2)):
+        ext = graded_extension(d, n)
+        out.append(ComplexSpec(_nonzero_mult(ext.base, rng), ext.comodule))
+    ext = graded_extension(divided_power_t(3, field), 2)
+    x = _direct_sum_comodule(ext.comodule, random_nilpotent_comodule(ext.base, 2, rng))
+    out.append(ComplexSpec(_nonzero_mult(ext.base, rng), x))
+    return out
+
+
+def _nonzero_mult(c_graded, rng):
+    m0 = conjugate_mult(rng.choice((dual_numbers, split_pair, rank_one_square))(c_graded.field),
+                        random_invertible(c_graded.field, 2, rng))
+    return random_gauge_transported_mult(c_graded, m0, rng)
+
+
+def test_differential_matches_assembled_matrix():
+    # d^n applied to zero, one-entry and random cochains equals the assembled d^n times the flat cochain
+    rng = random.Random(10)
+    specs = [spec for field in (QQ, F2, F3, F5) for spec in _gate_specs(field, rng)]
+    specs += [_random_spec(trial % 3, rng) for trial in range(6)]
+    specs += [spec for _label, spec in fixture_specs()]
+    compared = 0
+    for spec in specs:
+        f = spec.field
+        for n in range(5):
+            dim = spec.cochain_dim(n)
+            if dim * spec.cochain_dim(n + 1) > 50_000:
+                continue
+            one = [f.zero] * dim
+            one[rng.randrange(dim)] = f.random_element(rng, nonzero=True)
+            dense = dense_differential_matrix(spec, n)
+            one_entry = Cochain.from_flat(f, spec.a_dim, spec.x_dim, n, one)
+            for nu in (spec.zero_cochain(n), one_entry, rand_cochain(spec, n, rng)):
+                assert spec.differential(nu).flatten() == dense.mul_vec(nu.flatten()), (f.name, n)
+                compared += 1
+    assert compared >= 300
 
 
 def test_differential_expansions_match_closed_forms():

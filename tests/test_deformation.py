@@ -7,6 +7,7 @@ from convdef import (
     AlgebraMC,
     Cochain,
     ComplexSpec,
+    ConvDefError,
     ConvMorphism,
     Matrix,
     MultiMap,
@@ -38,13 +39,17 @@ from convdef import (
     trivial_k,
     unit_gauge,
 )
+from convdef import deformation
+from convdef.convolution import _lincomb
 from convdef.deformation import _gauge_from_cochain
 from convdef.fields import QQ
+from convdef.specfile import parse_path
 
 from helpers import (
     F2,
     F3,
     F5,
+    FIXTURES,
     dense_compose,
     dense_differential_matrix,
     dense_tensor,
@@ -53,6 +58,7 @@ from helpers import (
     dual_numbers,
     mat2_mult,
     mult_from_table,
+    oracle_differential,
     oracle_obstruction_zeta,
     oracle_unit_gauge,
     random_gauge_transported_mult,
@@ -164,6 +170,39 @@ def test_obstruction_zeta_refuses_non_associative_m():
         obstruction_zeta(AlgebraMC(m=ConvMorphism(ext.base, tuple(comps))), ext)
     with pytest.raises(ShapeError, match="not associative"):
         mc_solve(AlgebraMC(m=ConvMorphism(ext.base, tuple(comps))), ext)
+
+
+def _readme_deform_instance():
+    sf, _failures = parse_path(str(FIXTURES / "poly_t2_dual.json"))
+    return sf.algebras["A"], build_extension(sf.cocycles["w"])
+
+
+def test_mc_solve_checks_zeta_without_assembling_d3(monkeypatch):
+    """`deform fixtures/poly_t2_dual.json`: d(zeta) = 0 is checked on zeta's entries; only d^1 and d^2 are assembled."""
+    assembled, applied = [], []
+    entries, differential = ComplexSpec.differential_entries, ComplexSpec.differential
+    monkeypatch.setattr(ComplexSpec, "differential_entries", lambda self, n: assembled.append(n) or entries(self, n))
+    monkeypatch.setattr(ComplexSpec, "differential", lambda self, nu: applied.append(nu.degree) or differential(self, nu))
+    assert mc_solve(*_readme_deform_instance()).obstruction_vanishes
+    assert set(assembled) == {1, 2}
+    assert applied == [3]
+
+
+def test_obstruction_zeta_refuses_a_non_cocycle(monkeypatch):
+    """A zeta that fails d(zeta) = 0 is refused: the X-block of the associator plus one entry that is no cocycle."""
+    alg, ext = _readme_deform_instance()
+    spec = ComplexSpec(alg.m, ext.comodule, check=False)
+    bump = {(0, 0): QQ.one}
+    assert not oracle_differential(spec, Cochain(3, (MultiMap(QQ, 2, 3, 1, bump),))).is_zero()
+    associator = deformation._associator
+
+    def perturbed(m):
+        assoc = associator(m)
+        return assoc[:-1] + [_lincomb(QQ, ((1, assoc[-1]), (1, bump)))]
+
+    monkeypatch.setattr(deformation, "_associator", perturbed)
+    with pytest.raises(ConvDefError, match="obstruction is not a 3-cocycle"):
+        obstruction_zeta(alg, ext)
 
 
 def test_mc_solutions_form_affine_space_over_z2():
