@@ -4,6 +4,9 @@ A coalgebra stores sparse comultiplication triples: Delta(e_i) is the sum
 of coeff * e_j (x) e_k over the triples (j, k, coeff) attached to basis
 index i.  Tensor powers C^(x)p are flattened row-major with the leftmost
 factor most significant, so index(t_1, ..., t_p) = sum t_a * dim^(p-1-a).
+`triples_columns` holds a triples table as the sparse columns of its
+matrix and `_lincomb` applies them: that is how Delta, a coaction or
+omega acts on a sparse vector.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import (
     UnsupportedSearch,
 )
 from .fields import Field, require_same_field
-from .linalg import Matrix, Subspace, Vector, preimage, unit_vec
+from .linalg import Echelon, SparseMatrix, Subspace, Vector, _lincomb, preimage, unit_vec
 
 Triples = tuple[tuple[int, int, object], ...]
 
@@ -50,21 +53,19 @@ def normalize_triples(field: Field, raw, dims: tuple[int, int], what: str) -> tu
     return tuple(out)
 
 
-def triples_matrix(field: Field, triples, dims: tuple[int, int], flip: bool = False) -> Matrix:
-    """A triples table as a dense (left * right) x (number of sources) matrix.
+def triples_columns(triples, right: int) -> list[dict]:
+    """A triples table as the sparse columns of its matrix: source i -> {j * right + k: coeff}.
 
-    Column i holds coeff at row j * right + k for each triple (j, k, coeff)
-    of source i; `flip` swaps the tensor factors, putting it at k * left + j.
+    `_lincomb(field, ((x, cols[i]) for i, x in v.items()))` applies the
+    table to the sparse vector v; for Delta (right = dim) that is Delta(v)
+    in C (x) C, flattened with the left factor most significant.
     """
-    left, right = dims
-    cols = []
-    for per_source in triples:
-        col = [field.zero] * (left * right)
-        for j, k, c in per_source:
-            r = k * left + j if flip else j * right + k
-            col[r] = field.add(col[r], c)
-        cols.append(col)
-    return Matrix(field, left * right, len(cols), tuple(zip(*cols)))
+    return [{j * right + k: c for j, k, c in per_source} for per_source in triples]
+
+
+def _tensor(field: Field, u: dict, v: dict, right: int) -> dict:
+    """u (x) v for sparse vectors, v in F^right, flattened as `triples_columns` is."""
+    return {a * right + b: field.mul(x, y) for a, x in u.items() for b, y in v.items()}
 
 
 @dataclass(frozen=True)
@@ -140,20 +141,9 @@ class Coalgebra:
     def __repr__(self) -> str:
         return f"Coalgebra(dim {self.dim} over {self.field.name}, basis {list(self.names)})"
 
-    # -- matrices -------------------------------------------------------
-
-    @cached_property
-    def delta_matrix(self) -> Matrix:
-        """Delta as a dim^2 x dim matrix, rows indexed j*dim + k."""
-        return triples_matrix(self.field, self.delta, (self.dim, self.dim))
-
-    @cached_property
-    def counit_matrix(self) -> Matrix:
-        return Matrix.row_vector(self.field, self.counit)
-
-    def eps(self, v: Sequence) -> object:
-        f = self.field
-        return f.normalize(sum(e * x for e, x in zip(self.counit, v)))
+    def eps(self, v: dict) -> object:
+        """eps of the vector with nonzero coordinates v = {index: x}."""
+        return self.field.normalize(sum(self.counit[i] * x for i, x in v.items()))
 
     # -- tensor calculus ------------------------------------------------
 
@@ -340,10 +330,10 @@ def is_coalgebra_filtration(c: Coalgebra, layers: Sequence[Subspace]) -> bool:
     level: dict[int, int] = {}
     tail: dict[int, list] = {}  # b_p = e_p + sum of x * e_i over (i, x) in tail[p], each i > p
     for n, layer in enumerate(layers):
-        for p, row in zip(layer.pivots, layer.basis.data):
+        for p, row in layer.echelon.rows.items():
             if p not in level:
                 level[p] = n
-                tail[p] = [(i, x) for i, x in enumerate(row) if i > p and not f.is_zero(x)]
+                tail[p] = [(i, x) for i, x in row.items() if i != p]
     for r, top in level.items():
         # Delta(b_r) by first tensor factor: rows[j][k] is the coefficient of e_j (x) e_k.
         rows: dict[int, dict[int, object]] = {}
@@ -379,39 +369,31 @@ def coradical_filtration(c: Coalgebra, c0: Subspace) -> list[Subspace]:
     f, d = c.field, c.dim
     if c0.ambient != d:
         raise ShapeError("ambient dimension mismatch")
-    c0c0 = Subspace.span(
-        f,
-        d * d,
-        [
-            tuple(f.mul(x, y) for x in u for y in v)
-            for u in c0.basis.data
-            for v in c0.basis.data
-        ],
-    )
-    for row in c0.basis.data:
-        if not c0c0.contains_vector(c.delta_matrix.mul_vec(row)):
-            raise ShapeError("C0 is not a subcoalgebra")
+    delta = triples_columns(c.delta, d)
+    bottom = list(c0.echelon.rows.values())
+    c0c0 = Echelon(f, d * d, [_tensor(f, u, v, d) for u in bottom for v in bottom])
+    if any(c0c0.reduce(_lincomb(f, ((x, delta[i]) for i, x in u.items()))) for u in bottom):
+        raise ShapeError("C0 is not a subcoalgebra")
+    delta_map = SparseMatrix(f, d * d, d, tuple((r, i, v) for i, col in enumerate(delta) for r, v in col.items()))
+    units = [{i: f.one} for i in range(d)]
     chain = [c0]
-    while True:
+    while chain[-1].dim < d:
         cur = chain[-1]
-        if cur.dim == d:
-            return chain
-        vecs = []
-        for i in range(d):
-            e_i = unit_vec(f, d, i)
-            for v in cur.basis.data:
-                vecs.append(tuple(f.mul(x, y) for x in e_i for y in v))
-            for u in c0.basis.data:
-                vecs.append(tuple(f.mul(x, y) for x in u for y in e_i))
-        target = Subspace.span(f, d * d, vecs)
-        nxt = preimage(c.delta_matrix, target)
-        nxt = nxt.sum(cur)
+        vecs = [_tensor(f, e, v, d) for e in units for v in cur.echelon.rows.values()]
+        vecs += [_tensor(f, u, e, d) for e in units for u in bottom]
+        nxt = preimage(delta_map, Subspace(Echelon(f, d * d, vecs))).sum(cur)
         if nxt == cur:
             raise NotExhaustive(
                 f"filtration stabilized at dimension {cur.dim} < {d}; C0 is not the coradical"
             )
         chain.append(nxt)
-    return chain  # pragma: no cover
+    return chain
+
+
+def _is_grouplike(c: Coalgebra, delta: list[dict], v: dict) -> bool:
+    """eps(v) = 1 and Delta(v) = v (x) v exactly, v given by its nonzero coordinates and Delta by its columns."""
+    f = c.field
+    return c.eps(v) == f.one and _lincomb(f, ((x, delta[i]) for i, x in v.items())) == _tensor(f, v, v, c.dim)
 
 
 def find_grouplikes(c: Coalgebra, mode: str = "basis") -> GroupLikeSet:
@@ -431,13 +413,9 @@ def find_grouplikes(c: Coalgebra, mode: str = "basis") -> GroupLikeSet:
             raise UnsupportedSearch("exhaustive group-like search needs a finite field")
         if f.char**d > 10**6:
             raise UnsupportedSearch(f"{f.char}^{d} points is beyond the search bound")
-        dm = c.delta_matrix
-        for coords in itertools.product(range(f.char), repeat=d):
-            v = tuple(coords)
-            if c.eps(v) != f.one:
-                continue
-            vv = tuple(f.mul(x, y) for x in v for y in v)
-            if dm.mul_vec(v) == vv:
+        delta = triples_columns(c.delta, d)
+        for v in itertools.product(range(f.char), repeat=d):
+            if _is_grouplike(c, delta, {i: x for i, x in enumerate(v) if x}):
                 found.append(v)
     else:
         raise ValueError(f"unknown mode {mode!r}")

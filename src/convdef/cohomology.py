@@ -37,11 +37,11 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .coalgebra import trivial_k
-from .convolution import ConvMorphism, MultiMap, _convolve, _entries, _lincomb, _normalized, epsilon_embed, identity_conv
+from .convolution import ConvMorphism, MultiMap, _convolve, _entries, epsilon_embed, identity_conv
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
-from .linalg import Echelon, Matrix, SparseMatrix, Subspace, Vector, augmented_echelon
+from .linalg import Echelon, SparseMatrix, Subspace, Vector, _lincomb, _normalized, _sum, augmented_echelon
 
 
 @dataclass(frozen=True)
@@ -341,7 +341,7 @@ class Rank1Reduction:
     m0: MultiMap
     chi: Vector
     chi_is_counit: bool
-    act_matrix: Matrix  # matrix of x |-> chi -> x on X
+    act_matrix: SparseMatrix  # matrix of x |-> chi -> x on X
     hochschild: ComplexSpec
 
     def factored_differential_entries(self, n: int) -> dict[tuple[int, int], object]:
@@ -350,11 +350,9 @@ class Rank1Reduction:
         rows, cols = hs.cochain_dim(n + 1), hs.cochain_dim(n)
         partial = hs.differential_entries(n)
         out = {}
-        for j, act_row in enumerate(self.act_matrix.data):
-            for i, a in enumerate(act_row):
-                if not f.is_zero(a):
-                    for r, c, v in partial:
-                        out[(i * rows + r, j * cols + c)] = f.mul(a, v)
+        for j, i, a in self.act_matrix.entries:
+            for r, c, v in partial:
+                out[(i * rows + r, j * cols + c)] = f.mul(a, v)
         return out
 
 
@@ -378,15 +376,12 @@ def rank1_reduce(spec: ComplexSpec, degrees: Sequence[int] = (2,)) -> Rank1Reduc
             raise NotRankOne("multiplication components are not proportional")
         chi.append(coeff)
     dx = spec.x_dim
-    act = [[f.zero] * dx for _ in range(dx)]
-    for s in range(dx):
-        for t, u, c in spec.comodule.coaction[s]:
-            act[t][s] = f.add(act[t][s], f.mul(c, chi[u]))
+    act = _sum(f, (((t, s), c * chi[u]) for s in range(dx) for t, u, c in spec.comodule.coaction[s]))
     red = Rank1Reduction(
         m0=base,
         chi=tuple(chi),
         chi_is_counit=tuple(chi) == m.coalgebra.counit,
-        act_matrix=Matrix(f, dx, dx, tuple(tuple(row) for row in act)),
+        act_matrix=SparseMatrix(f, dx, dx, tuple((t, s, v) for (t, s), v in sorted(act.items()))),
         hochschild=hochschild_spec(base),
     )
     for n in degrees:
@@ -420,7 +415,7 @@ def product_decompose(
     per_line = []
     totals = {n: 0 for n in degrees}
     for _x, g in lines:
-        m_i = spec.m.evaluate(g)
+        m_i = spec.m.evaluate(dict(enumerate(g)))
         hs = hochschild_spec(m_i)
         results = {n: hs.cohomology(n) for n in degrees}
         per_line.append(results)

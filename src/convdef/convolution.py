@@ -14,35 +14,12 @@ Inverses are computed layer by layer along a coalgebra filtration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .coalgebra import Coalgebra, is_coalgebra_filtration
 from .errors import NoFiltration, NotCocommutative, NotInvertible, ShapeError
 from .fields import Field, require_same_field
-from .linalg import Matrix, Subspace, augmented_echelon
-
-
-def _lincomb(field: Field, terms: Iterable[tuple[object, dict]]) -> dict:
-    """sum c * e over the (c, entries) terms, normalized once per entry, zeros dropped.
-
-    A first term is stored rather than added to 0: int + Fraction is slow.
-    """
-    acc: dict = {}
-    for c, entries in terms:
-        if not c:
-            continue
-        for key, v in entries.items():
-            t = v if c == 1 else c * v
-            acc[key] = acc[key] + t if key in acc else t
-    return _normalized(field, acc)
-
-
-def _normalized(field: Field, acc: dict) -> dict:
-    """The sums in acc as field elements, zeros dropped."""
-    p = field.char
-    if p:
-        return {key: v % p for key, v in acc.items() if v % p}
-    return {key: v for key, v in acc.items() if v}
+from .linalg import SparseMatrix, Subspace, _lincomb, _normalized, augmented_echelon
 
 
 class MultiMap:
@@ -155,9 +132,10 @@ class ConvMorphism:
     def tgt_arity(self) -> int:
         return self.components[0].tgt_arity
 
-    def evaluate(self, c_vec: Sequence) -> MultiMap:
+    def evaluate(self, c_vec: dict) -> MultiMap:
+        """The map at the element of C with coordinates c_vec = {index: x}; zero ones may be left out."""
         f = self.field
-        terms = ((f.coerce(x), comp.entries) for x, comp in zip(c_vec, self.components))
+        terms = ((f.coerce(x), self.components[i].entries) for i, x in c_vec.items())
         return self.components[0]._with(_lincomb(f, terms))
 
     def __add__(self, other: ConvMorphism) -> ConvMorphism:
@@ -180,7 +158,7 @@ class ConvMorphism:
     def vanishes_on(self, space: Subspace) -> bool:
         if space.ambient != self.coalgebra.dim:
             raise ShapeError("subspace ambient dimension mismatch")
-        return all(self.evaluate(row).is_zero() for row in space.basis.data)
+        return all(self.evaluate(row).is_zero() for row in space.echelon.rows.values())
 
     def _same_base(self, other: ConvMorphism) -> None:
         if self.coalgebra != other.coalgebra:
@@ -261,12 +239,12 @@ def conv_tensor(f: ConvMorphism, g: ConvMorphism) -> ConvMorphism:
     return ConvMorphism(c, tuple(MultiMap(c.field, a, p, q, e) for e in entries))
 
 
-def pullback(f: ConvMorphism, iota: Matrix, c: Coalgebra) -> ConvMorphism:
+def pullback(f: ConvMorphism, iota: SparseMatrix, c: Coalgebra) -> ConvMorphism:
     """iota^*(f) = f o iota for a coalgebra morphism iota: C -> Ctilde."""
     require_same_field(f.field, c.field)
     if iota.rows != f.coalgebra.dim or iota.cols != c.dim:
         raise ShapeError("iota shape does not match the two coalgebras")
-    return ConvMorphism(c, tuple(f.evaluate(iota.col(j)) for j in range(c.dim)))
+    return ConvMorphism(c, tuple(f.evaluate(col) for col in iota.transpose().row_dicts()))
 
 
 def congruent_mod(
@@ -296,16 +274,14 @@ def _invert_on_bottom(f: ConvMorphism, bottom: Subspace) -> ConvMorphism:
     d = f.a_dim**f.src_arity
     if f.src_arity != f.tgt_arity:
         raise NotInvertible("only square-arity morphisms can be inverted")
-    rows = bottom.basis.data
+    rows = [bottom.echelon.rows[piv] for piv in bottom.pivots]
     if not rows:
         raise NotInvertible("empty bottom layer")
     slot = {piv: s for s, piv in enumerate(bottom.pivots)}
     n_unknowns = len(slot) * d * d
     eqs: list[dict] = [{} for _ in range(len(rows) * d * d)]
     for r, brow in enumerate(rows):
-        for i, bi in enumerate(brow):
-            if not bi:
-                continue
+        for i, bi in brow.items():
             for j, k, mu in c.delta[i]:
                 if k not in slot:
                     continue

@@ -193,8 +193,10 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
     # one elimination of [d^2 | zeta]: its left block is the RREF of d^2 that cohomology(2) reads Z^2 from
     sol = spec.solve(2, zeta_flat)
     h2 = spec.cohomology(2)
-    z2 = tuple(Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, row) for row in h2.z_space.basis.data)
-    b2 = tuple(Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, row) for row in h2.b_space.basis.data)
+    z2, b2 = (
+        tuple(Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, row) for row in space.echelon.dense_rows())
+        for space in (h2.z_space, h2.b_space)
+    )
     coset_count = f.char ** h2.dim_h if f.char else None
     if sol is None:
         # canonical representative of [zeta] modulo B^3 = im d^2

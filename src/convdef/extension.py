@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .coalgebra import Coalgebra, GroupLikeSet, normalize_triples
+from .coalgebra import Coalgebra, GroupLikeSet, _is_grouplike, _tensor, normalize_triples, triples_columns
 from .errors import (
     CocycleViolation,
     EmptyLayer,
@@ -22,16 +22,7 @@ from .errors import (
     UnsupportedCoaction,
 )
 from .fields import require_same_field
-from .linalg import (
-    Echelon,
-    Matrix,
-    Subspace,
-    Vector,
-    image,
-    kernel_basis,
-    solve_many,
-    unit_vec,
-)
+from .linalg import Echelon, SparseMatrix, Subspace, Vector, _lincomb, _sum, image
 
 
 class Comodule:
@@ -65,49 +56,23 @@ class Comodule:
 
     def validate(self) -> list[str]:
         """Return the list of failed comodule axioms (empty when valid)."""
-        f, dx, dc = self.base.field, self.dim, self.base.dim
+        f, rho, c = self.base.field, self.coaction, self.base
         failures = []
         # coassociativity: (rho (x) C) o rho = (X (x) Delta) o rho, maps X -> X (x) C (x) C
-        for s in range(dx):
-            lhs: dict[tuple[int, int, int], object] = {}
-            rhs: dict[tuple[int, int, int], object] = {}
-            for t, u, c in self.coaction[s]:
-                for t2, u2, c2 in self.coaction[t]:
-                    _acc(f, lhs, (t2, u2, u), f.mul(c, c2))
-                for j, k, c2 in self.base.delta[u]:
-                    _acc(f, rhs, (t, j, k), f.mul(c, c2))
-            if _clean(f, lhs) != _clean(f, rhs):
-                failures.append("coaction coassociativity")
-                break
-        for s in range(dx):
-            out = [f.zero] * dx
-            for t, u, c in self.coaction[s]:
-                out[t] = f.add(out[t], f.mul(c, self.base.counit[u]))
-            if tuple(out) != unit_vec(f, dx, s):
-                failures.append("coaction counit axiom")
-                break
+        if any(
+            _sum(f, (((t2, u2, u), c1 * c2) for t, u, c1 in rho[s] for t2, u2, c2 in rho[t]))
+            != _sum(f, (((t, j, k), c1 * c2) for t, u, c1 in rho[s] for j, k, c2 in c.delta[u]))
+            for s in range(self.dim)
+        ):
+            failures.append("coaction coassociativity")
+        if any(_sum(f, ((t, c1 * c.counit[u]) for t, u, c1 in rho[s])) != {s: f.one} for s in range(self.dim)):
+            failures.append("coaction counit axiom")
         return failures
 
     def require_valid(self) -> None:
         failures = self.validate()
         if failures:
             raise CocycleViolation(f"invalid comodule: {', '.join(failures)}")
-
-
-def _acc(field, store, key, val):
-    store[key] = field.add(store[key], val) if key in store else val
-
-
-def _clean(field, store):
-    return {k: v for k, v in store.items() if not field.is_zero(v)}
-
-
-def _sum(field, terms) -> dict:
-    """The nonzero sums of the (key, value) terms, by key."""
-    store: dict = {}
-    for key, val in terms:
-        _acc(field, store, key, val)
-    return _clean(field, store)
 
 
 def grouplike_comodule(base: Coalgebra, dim: int, grouplike: Sequence) -> Comodule:
@@ -189,23 +154,34 @@ def zero_cocycle(comodule: Comodule) -> Cocycle2:
 
 @dataclass(frozen=True)
 class Extension:
-    """An extension C -> Ctilde with cokernel X, in the basis C first, X second."""
+    """An extension C -> Ctilde with cokernel X, in the basis C first, X second.
+
+    So the inclusion iota is the first dim C unit vectors and its
+    normalized retract lambda is its transpose, the projection onto C.
+    """
 
     base: Coalgebra
     cocycle: Cocycle2
     ctilde: Coalgebra
-    iota: Matrix  # dim Ctilde x dim C
-    lam: Matrix   # dim C x dim Ctilde (normalized retract)
 
     @property
     def comodule(self) -> Comodule:
         return self.cocycle.comodule
 
+    @property
+    def iota(self) -> SparseMatrix:
+        """dim Ctilde x dim C."""
+        f = self.base.field
+        return SparseMatrix(f, self.ctilde.dim, self.base.dim, tuple((j, j, f.one) for j in range(self.base.dim)))
+
+    @property
+    def lam(self) -> SparseMatrix:
+        """dim C x dim Ctilde."""
+        return self.iota.transpose()
+
     def extension_filtration(self) -> list[Subspace]:
         """The two-step coalgebra filtration iota(C) inside Ctilde."""
-        f = self.base.field
-        bottom = image(self.iota)
-        return [bottom, Subspace.full(f, self.ctilde.dim)]
+        return [image(self.iota), Subspace.full(self.base.field, self.ctilde.dim)]
 
 
 def build_extension(cocycle: Cocycle2) -> Extension:
@@ -216,7 +192,6 @@ def build_extension(cocycle: Cocycle2) -> Extension:
     if not c.is_cocommutative:
         raise CocycleViolation("base coalgebra must be cocommutative")
     f, dc, dx = c.field, c.dim, com.dim
-    d = dc + dx
     delta = []
     for i in range(dc):
         delta.append([(j, k, v) for j, k, v in c.delta[i]])
@@ -237,15 +212,11 @@ def build_extension(cocycle: Cocycle2) -> Extension:
         raise CocycleViolation(
             f"built coalgebra fails validation: {', '.join(report.failures()) or 'cocommutativity'}"
         )
-    z_c = Matrix.zeros(f, dc, dx)
-    z_x = Matrix.zeros(f, dx, dc)
-    iota = Matrix.identity(f, dc).vstack(z_x)
-    lam = Matrix.identity(f, dc).hstack(z_c)
-    return Extension(base=c, cocycle=cocycle, ctilde=ctilde, iota=iota, lam=lam)
+    return Extension(base=c, cocycle=cocycle, ctilde=ctilde)
 
 
 def split_extension(
-    ctilde: Coalgebra, iota: Matrix, lam: Matrix, base: Optional[Coalgebra] = None
+    ctilde: Coalgebra, iota: SparseMatrix, lam: SparseMatrix, base: Optional[Coalgebra] = None
 ) -> Cocycle2:
     """Recover (rho_r, omega) from an extension with a normalized retract.
 
@@ -254,6 +225,7 @@ def split_extension(
     omega o p = (lam (x) lam) o Delta - Delta_C o lam.  When `base` is
     given it is checked against the pullback of the structure along iota
     and used as the comodule base, otherwise the pullback is built fresh.
+    Every map is applied through its sparse columns.
     """
     f = ctilde.field
     require_same_field(f, iota.field)
@@ -262,93 +234,83 @@ def split_extension(
     dc = iota.cols
     if iota.rows != d or lam.rows != dc or lam.cols != d:
         raise ShapeError("iota must be dimCtilde x dimC and lambda dimC x dimCtilde")
-    if Echelon.of_matrix(iota).rank != dc:
+    iota_cols, lam_cols = iota.transpose().row_dicts(), lam.transpose().row_dicts()
+
+    def apply(cols, v):
+        return _lincomb(f, ((x, cols[i]) for i, x in v.items()))
+
+    iota_space = Echelon(f, d, iota_cols)
+    if iota_space.rank != dc:
         raise NotAnExtension("iota is not injective")
-    lam_iota = lam @ iota
-    if lam_iota != Matrix.identity(f, dc):
+    if any(apply(lam_cols, col) != {j: f.one} for j, col in enumerate(iota_cols)):
         raise RetractNotNormalized("lambda o iota is not the identity of C")
-    eps_c = Matrix.row_vector(f, [ctilde.eps(iota.col(j)) for j in range(dc)])
-    pulled = _restrict_coalgebra_along(ctilde, iota, eps_c)
+    pulled = _restrict_coalgebra_along(ctilde, iota, [ctilde.eps(col) for col in iota_cols])
     pulled.require_valid()
     if base is not None:
         if base.delta != pulled.delta or base.counit != pulled.counit:
             raise NotAnExtension("iota is not a coalgebra morphism from the given base")
     else:
         base = pulled
-    if Matrix.row_vector(f, base.counit) @ lam != ctilde.counit_matrix:
+    if any(base.eps(col) != e for col, e in zip(lam_cols, ctilde.counit)):
         raise RetractNotNormalized("eps_C o lambda differs from eps_Ctilde")
     # extension condition: Delta(Ctilde) inside Ctilde (x) iota(C) + iota(C) (x) Ctilde
-    iota_space = image(iota)
-    vecs = []
-    for i in range(d):
-        e_i = unit_vec(f, d, i)
-        for u in iota_space.basis.data:
-            vecs.append(tuple(f.mul(x, y) for x in e_i for y in u))
-            vecs.append(tuple(f.mul(x, y) for x in u for y in e_i))
-    target = Subspace.span(f, d * d, vecs)
-    for i in range(d):
-        if not target.contains_vector(ctilde.delta_matrix.mul_vec(unit_vec(f, d, i))):
-            raise NotAnExtension("Delta(Ctilde) is not supported on Ctilde(x)C + C(x)Ctilde")
-    # X := ker(lambda), p := coordinates of (id - iota lambda)
-    kb = kernel_basis(lam)
-    dx = len(kb)
-    if dx == 0:
+    delta = triples_columns(ctilde.delta, d)
+    units = [{i: f.one} for i in range(d)]
+    sides = [t for e in units for u in iota_space.rows.values() for t in (_tensor(f, e, u, d), _tensor(f, u, e, d))]
+    target = Echelon(f, d * d, sides)
+    if any(target.reduce(col) for col in delta):
+        raise NotAnExtension("Delta(Ctilde) is not supported on Ctilde(x)C + C(x)Ctilde")
+    # X := ker(lambda), canonical: z_s has a one at the s-th free column of lambda and
+    # zeros at the others, so the coordinates of v in ker(lambda) are its free entries
+    lam_echelon = lam.echelon()
+    kb = lam_echelon.kernel()
+    if not kb:
         raise NotAnExtension("the retract has trivial kernel; nothing to split off")
-    kmat = Matrix(f, dx, d, tuple(kb))
-    eye = Matrix.identity(f, d)
-    phi = iota @ lam
-    p_cols = solve_many(kmat.transpose(), [(eye - phi).col(j) for j in range(d)])
-    if p_cols is None:
-        raise NotAnExtension("id - iota lambda does not land in ker(lambda)")
-    proj = Matrix(f, dx, d, tuple(zip(*p_cols)))
-    dm = ctilde.delta_matrix
-    coaction = []
-    omega = []
-    for s in range(dx):
-        z = kb[s]
-        dz = dm.mul_vec(z)
-        rho_vec = proj.kron(lam).mul_vec(dz)
-        dc_ = dc
-        coaction.append(
-            [
-                (t, u, rho_vec[t * dc_ + u])
-                for t in range(dx)
-                for u in range(dc_)
-                if not f.is_zero(rho_vec[t * dc_ + u])
-            ]
-        )
-        om_vec = lam.kron(lam).mul_vec(dz)  # Delta_C(lambda z) = 0 on ker(lambda)
-        omega.append(
-            [
-                (j, k, om_vec[j * dc_ + k])
-                for j in range(dc_)
-                for k in range(dc_)
-                if not f.is_zero(om_vec[j * dc_ + k])
-            ]
-        )
-    out = Cocycle2(Comodule(base, dx, coaction), omega)
+    slot = {i: s for s, i in enumerate(i for i in range(d) if i not in lam_echelon.rows)}
+    proj = []  # p(e_j), the free entries of e_j - iota lambda e_j
+    for j, e in enumerate(units):
+        w = _lincomb(f, ((1, e), (-1, apply(iota_cols, lam_cols[j]))))
+        proj.append({slot[i]: x for i, x in w.items() if i in slot})
+
+    def apply_kron(left, right, v):
+        """(left (x) right) v for v in Ctilde (x) Ctilde, keyed by the pair of output indices."""
+        return _sum(f, (
+            ((t, u), w * x * y) for r, w in v.items() for t, x in left[r // d].items() for u, y in right[r % d].items()
+        ))
+
+    coaction, omega = [], []
+    for z in kb:
+        dz = apply(delta, z)
+        coaction.append([(t, u, v) for (t, u), v in apply_kron(proj, lam_cols, dz).items()])
+        # Delta_C(lambda z) = 0 on ker(lambda)
+        omega.append([(j, k, v) for (j, k), v in apply_kron(lam_cols, lam_cols, dz).items()])
+    out = Cocycle2(Comodule(base, len(kb), coaction), omega)
     out.require_valid()
     return out
 
 
-def _restrict_coalgebra_along(ctilde: Coalgebra, iota: Matrix, eps_c: Matrix) -> Coalgebra:
-    """Coalgebra structure on C pulled back through an injective coalgebra map."""
-    f = ctilde.field
-    d, dc = ctilde.dim, iota.cols
-    delta = []
-    sols = solve_many(iota.kron(iota), [ctilde.delta_matrix.mul_vec(iota.col(i)) for i in range(dc)])
+def _restrict_coalgebra_along(ctilde: Coalgebra, iota: SparseMatrix, counit: Sequence) -> Coalgebra:
+    """Coalgebra structure on C pulled back through an injective coalgebra map.
+
+    Delta_C(e_i) is the solution y of (iota (x) iota) y = Delta(iota e_i),
+    for every i from one elimination of [iota (x) iota | Delta iota].
+    """
+    f, d, dc = ctilde.field, ctilde.dim, iota.cols
+    cols = iota.transpose().row_dicts()
+    delta = triples_columns(ctilde.delta, d)
+    rows: dict[int, dict] = {}
+    for j, u in enumerate(cols):
+        for k, v in enumerate(cols):
+            for r, y in _tensor(f, u, v, d).items():
+                rows.setdefault(r, {})[j * dc + k] = y
+    for i, col in enumerate(cols):
+        for r, y in _lincomb(f, ((x, delta[a]) for a, x in col.items())).items():
+            rows.setdefault(r, {})[dc * dc + i] = y
+    sols = Echelon(f, dc * dc + dc, rows.values()).solutions(dc * dc)
     if sols is None:
         raise NotAnExtension("iota is not a coalgebra morphism")
-    for coeffs in sols:
-        delta.append(
-            [
-                (j, k, coeffs[j * dc + k])
-                for j in range(dc)
-                for k in range(dc)
-                if not f.is_zero(coeffs[j * dc + k])
-            ]
-        )
-    return Coalgebra(f, [f"c{i}" for i in range(dc)], delta, eps_c.data[0])
+    delta_c = [[(j, k, y[j * dc + k]) for j in range(dc) for k in range(dc) if y[j * dc + k]] for y in sols]
+    return Coalgebra(f, [f"c{i}" for i in range(dc)], delta_c, counit)
 
 
 def graded_extension(d_coalg: Coalgebra, n: int) -> Extension:
@@ -398,13 +360,7 @@ def graded_extension(d_coalg: Coalgebra, n: int) -> Extension:
         ext.ctilde.counit,
         grading=truncated.grading,
     )
-    return Extension(
-        base=base,
-        cocycle=cocycle,
-        ctilde=graded_ctilde,
-        iota=ext.iota,
-        lam=ext.lam,
-    )
+    return Extension(base=base, cocycle=cocycle, ctilde=graded_ctilde)
 
 
 def decompose_completely_reducible(
@@ -412,57 +368,43 @@ def decompose_completely_reducible(
 ) -> Optional[list[tuple[Vector, Vector]]]:
     """Split X into lines x_i with rho(x_i) = x_i (x) g_i, if possible.
 
-    Writes rho(x) = sum_g T_g(x) (x) g over the given group-likes; the
-    comodule axioms force the T_g to be orthogonal idempotents summing to
-    the identity, and the lines are bases of their images.
+    Writes rho(x) = sum_g T_g(x) (x) g over the given group-likes.  When
+    sum_g T_g = I and sum_g rank T_g = dim X, X is the direct sum of the
+    images of the T_g, and uniqueness of that decomposition makes the T_g
+    orthogonal idempotents; the lines are bases of their images.  Returns
+    None otherwise.
     """
     base = com.base
     f, dx, dc = base.field, com.dim, base.dim
     gs = list(grouplikes.elements)
     if not gs:
         raise UnsupportedCoaction("no group-likes supplied")
-    for g in gs:
-        gg = tuple(f.mul(x, y) for x in g for y in g)
-        if base.delta_matrix.mul_vec(g) != gg or base.eps(g) != f.one:
-            raise ValueError("supplied vector is not group-like")
-    gmat = Matrix(f, len(gs), dc, tuple(tuple(f.coerce(x) for x in g) for g in gs))
-    if Echelon.of_matrix(gmat).rank != len(gs):
-        raise ValueError("group-like vectors must be distinct (they are then independent)")
-    ops = []
-    rows_by_st: dict[tuple[int, int], list] = {}
+    vecs = [{u: y for u, y in enumerate(map(f.coerce, g)) if y} for g in gs]
+    delta = triples_columns(base.delta, dc)
+    if not all(_is_grouplike(base, delta, v) for v in vecs):
+        raise ValueError("supplied vector is not group-like")
+    # one elimination of [G | B]: G has the group-likes as columns, B the C-parts of rho(x_s) at each x_t
+    k = len(gs)
+    keys = sorted({(s, t) for s in range(dx) for t, _u, _c in com.coaction[s]})
+    column = {st: n for n, st in enumerate(keys, start=k)}
+    rows = [{gi: v[u] for gi, v in enumerate(vecs) if u in v} for u in range(dc)]
     for s in range(dx):
-        for t in range(dx):
-            row = [f.zero] * dc
-            for tt, u, c in com.coaction[s]:
-                if tt == t:
-                    row[u] = f.add(row[u], c)
-            rows_by_st[(s, t)] = row
-    sols = solve_many(gmat.transpose(), list(rows_by_st.values()))
+        for t, u, c in com.coaction[s]:
+            rows[u][column[(s, t)]] = c
+    ech = Echelon(f, k + len(keys), rows)
+    if ech.restrict(k).rank != k:
+        raise ValueError("group-like vectors must be distinct (they are then independent)")
+    sols = ech.solutions(k)
     if sols is None:
         raise UnsupportedCoaction("coaction is not supported on the span of the group-likes")
-    coeffs = dict(zip(rows_by_st, sols))
-    for gi in range(len(gs)):
-        data = tuple(tuple(coeffs[(s, t)][gi] for s in range(dx)) for t in range(dx))
-        ops.append(Matrix(f, dx, dx, data))
-    eye = Matrix.identity(f, dx)
-    total = Matrix.zeros(f, dx, dx)
-    for op in ops:
-        total = total + op
-    if total != eye:
+    ops = [[{} for _ in range(dx)] for _ in gs]  # ops[g][s] = T_g(x_s), {t: coefficient}
+    for (s, t), sol in zip(keys, sols):
+        for op, y in zip(ops, sol):
+            if y:
+                op[s][t] = y
+    if any(_lincomb(f, ((1, op[s]) for op in ops)) != {s: f.one} for s in range(dx)):
         return None
-    for a, op_a in enumerate(ops):
-        for b, op_b in enumerate(ops):
-            prod = op_a @ op_b
-            expect = op_a if a == b else Matrix.zeros(f, dx, dx)
-            if prod != expect:
-                return None
-    lines: list[tuple[Vector, Vector]] = []
-    total_rank = 0
-    for gi, op in enumerate(ops):
-        img = image(op)
-        total_rank += img.dim
-        for row in img.basis.data:
-            lines.append((row, gs[gi]))
-    if total_rank < dx:
+    images = [Echelon(f, dx, op) for op in ops]
+    if sum(img.rank for img in images) != dx:
         return None
-    return lines
+    return [(row, g) for img, g in zip(images, gs) for row in img.dense_rows()]

@@ -2,14 +2,17 @@
 
 `Echelon` is the only elimination loop: it holds the reduced row-echelon
 form of a set of rows as dicts {column: nonzero}, keyed by pivot column,
-and over F_p it computes on plain ints mod p.  `rref`, `kernel_basis`,
-`solve`, `solve_many`, `image`, `preimage` and every `Subspace` operation
-eliminate through it.  A `Subspace` is a view of the `Echelon` of a
-spanning set, so equal subspaces compare equal as values.  `Matrix` is
-dense, tuple-of-tuples in row-major order, for the small maps of the
-coalgebra layer; `SparseMatrix` holds only the nonzero entries, for the
-differentials d^n.  Vectors are plain tuples.  Everything here is
-immutable after construction.
+and over F_p it computes on plain ints mod p.  A `Subspace` is a view of
+the `Echelon` of a spanning set, so equal subspaces compare equal as
+values, and its rows stay sparse.  `SparseMatrix` holds only the nonzero
+entries of a map, the library's one matrix type: the differentials d^n,
+Delta, the inclusion of an extension and its retract.  `image`,
+`kernel_space` and `preimage` take it.  `_lincomb` and `_sum` are the
+sparse accumulators the layers above share.  `Matrix` is dense,
+tuple-of-tuples in row-major order; with `rref`, `kernel_basis`, `solve`
+and `solve_many` it is the dense facade the test oracles are written in,
+and no other library module uses it.  Vectors are plain tuples.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -177,6 +180,38 @@ def _dense(field: Field, n: int, vec: dict) -> Vector:
     for j, x in vec.items():
         out[j] = x
     return tuple(out)
+
+
+def _normalized(field: Field, acc: dict) -> dict:
+    """The sums in acc as field elements, zeros dropped."""
+    p = field.char
+    if p:
+        return {key: v % p for key, v in acc.items() if v % p}
+    return {key: v for key, v in acc.items() if v}
+
+
+def _lincomb(field: Field, terms: Iterable[tuple[object, dict]]) -> dict:
+    """sum c * e over the (c, entries) terms, normalized once per entry, zeros dropped.
+
+    A first term is stored rather than added to 0: int + Fraction is slow.
+    With the columns of a sparse map as the entries it applies the map.
+    """
+    acc: dict = {}
+    for c, entries in terms:
+        if not c:
+            continue
+        for key, v in entries.items():
+            t = v if c == 1 else c * v
+            acc[key] = acc[key] + t if key in acc else t
+    return _normalized(field, acc)
+
+
+def _sum(field: Field, terms: Iterable[tuple[object, object]]) -> dict:
+    """The nonzero sums of the (key, value) terms, by key."""
+    acc: dict = {}
+    for key, v in terms:
+        acc[key] = acc[key] + v if key in acc else v
+    return _normalized(field, acc)
 
 
 def _sub_multiple(dst: dict, factor, src: dict, p: int) -> None:
@@ -383,14 +418,17 @@ def solve_many(m: Matrix, rhs_columns: Sequence[Sequence]) -> list[Vector] | Non
 
 
 class Subspace:
-    """Subspace of F^n: a view of the `Echelon` of a spanning set (canonical form)."""
+    """Subspace of F^n: a view of the `Echelon` of a spanning set (canonical form).
 
-    __slots__ = ("echelon", "field", "ambient", "pivots", "dim", "_basis")
+    Its basis is the echelon's rows, sparse; `echelon.dense_rows()` lists
+    them densely in pivot order.
+    """
+
+    __slots__ = ("echelon", "field", "ambient", "pivots", "dim")
 
     def __init__(self, echelon: Echelon):
         self.echelon = echelon
         self.field, self.ambient, self.pivots, self.dim = echelon.field, echelon.ncols, echelon.pivots, echelon.rank
-        self._basis = None
 
     @classmethod
     def span(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
@@ -408,13 +446,6 @@ class Subspace:
     @classmethod
     def full(cls, field: Field, ambient: int) -> Subspace:
         return cls(Echelon._held(field, ambient, {i: {i: field.one} for i in range(ambient)}))
-
-    @property
-    def basis(self) -> Matrix:
-        """The RREF basis rows, densified on first use."""
-        if self._basis is None:
-            self._basis = Matrix(self.field, self.dim, self.ambient, self.echelon.dense_rows())
-        return self._basis
 
     def __eq__(self, other) -> bool:
         return (
@@ -444,7 +475,8 @@ class Subspace:
         return not self._reduce_sparse(v)
 
     def contains_space(self, other: Subspace) -> bool:
-        return all(self.contains_vector(row) for row in other.basis.data)
+        self._check_compatible(other)
+        return not any(self.echelon.reduce(row) for row in other.echelon.rows.values())
 
     def sum(self, other: Subspace) -> Subspace:
         self._check_compatible(other)
@@ -476,7 +508,8 @@ class Subspace:
         rev = {p: k - 1 - i for i, p in enumerate(self.pivots)}
         coords = ({rev[c]: x for c, x in row.items() if c in rev} for row in sub.echelon.rows.values())
         left_out = {k - 1 - c for c in Echelon(self.field, k, coords).pivots}
-        return [row for i, row in enumerate(self.basis.data) if i not in left_out]
+        rows = self.echelon.rows
+        return [_dense(self.field, self.ambient, rows[p]) for i, p in enumerate(self.pivots) if i not in left_out]
 
     def equation_matrix(self) -> Matrix:
         """Rows z with z . x = 0 exactly cutting out this subspace."""
@@ -489,22 +522,23 @@ class Subspace:
             raise ShapeError(f"ambient mismatch {self.ambient} vs {other.ambient}")
 
 
-def image(m: Matrix) -> Subspace:
+def image(m: SparseMatrix) -> Subspace:
     """Column space of m as a subspace of F^rows."""
-    return Subspace(Echelon(m.field, m.rows, map(_sparse, zip(*m.data))))
+    return Subspace(m.transpose().echelon())
 
 
-def kernel_space(m: Matrix) -> Subspace:
-    return Subspace(Echelon(m.field, m.cols, Echelon.of_matrix(m).kernel()))
+def kernel_space(m: SparseMatrix) -> Subspace:
+    return Subspace(Echelon(m.field, m.cols, m.echelon().kernel()))
 
 
-def preimage(m: Matrix, target: Subspace) -> Subspace:
-    """{x : m x in target} as a subspace of the domain."""
+def preimage(m: SparseMatrix, target: Subspace) -> Subspace:
+    """{x : m x in target} as a subspace of the domain: the kernel of m followed by reduction modulo target."""
     require_same_field(m.field, target.field)
     if m.rows != target.ambient:
         raise ShapeError(f"map lands in F^{m.rows}, subspace of F^{target.ambient}")
-    eqs = target.equation_matrix()
-    return kernel_space(eqs @ m)
+    reduced = (target.echelon.reduce(col) for col in m.transpose().row_dicts())
+    entries = tuple((r, j, v) for j, col in enumerate(reduced) for r, v in col.items())
+    return kernel_space(SparseMatrix(m.field, m.rows, m.cols, entries))
 
 
 def quotient_dim(sub: Subspace, total: Subspace) -> int:

@@ -9,7 +9,6 @@ from convdef import (
     AlgebraMC,
     Comodule,
     ConvMorphism,
-    Matrix,
     MultiMap,
     NotCocommutative,
     ShapeError,
@@ -20,6 +19,7 @@ from convdef import (
     identity_conv,
     takeuchi_invert,
 )
+from convdef.linalg import Matrix
 from convdef.fields import PrimeField
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -270,7 +270,7 @@ def greedy_quotient_rows(total, sub):
 
     kept = []
     span = sub
-    for row in total.basis.data:
+    for row in total.echelon.dense_rows():
         if not span.contains_vector(row):
             kept.append(row)
             span = span.sum(Subspace.span(total.field, total.ambient, [row]))
@@ -372,12 +372,12 @@ def oracle_is_coalgebra_filtration(c, layers) -> bool:
     for n, layer in enumerate(layers):
         vecs = []
         for i in range(n + 1):
-            for u in layers[i].basis.data:
-                for v in layers[n - i].basis.data:
+            for u in layers[i].echelon.dense_rows():
+                for v in layers[n - i].echelon.dense_rows():
                     vecs.append(tuple(f.mul(x, y) for x in u for y in v))
         target = Subspace.span(f, d * d, vecs)
-        for row in layer.basis.data:
-            if not target.contains_vector(c.delta_matrix.mul_vec(row)):
+        for row in layer.echelon.dense_rows():
+            if not target.contains_vector(delta_matrix(c).mul_vec(row)):
                 return False
     return True
 
@@ -393,15 +393,15 @@ def transport_coalgebra(c, p: Matrix):
 
     f, d = c.field, c.dim
     p_inv = matrix_inverse(p)
-    delta_mat = p.kron(p) @ c.delta_matrix @ p_inv
+    delta_mat = p.kron(p) @ delta_matrix(c) @ p_inv
     delta = [
         [(r // d, r % d, delta_mat.data[r][i]) for r in range(d * d) if not f.is_zero(delta_mat.data[r][i])]
         for i in range(d)
     ]
-    counit = (c.counit_matrix @ p_inv).data[0]
+    counit = (counit_matrix(c) @ p_inv).data[0]
     moved = Coalgebra(f, [f"p({name})" for name in c.names], delta, counit)
     layers = [
-        Subspace.span(f, d, [p.mul_vec(row) for row in layer.basis.data])
+        Subspace.span(f, d, [p.mul_vec(row) for row in layer.echelon.dense_rows()])
         for layer in c.grading_filtration()
     ]
     return moved, layers
@@ -553,7 +553,7 @@ def oracle_invert_on_bottom(f: ConvMorphism, bottom):
     d = f.a_dim**f.src_arity
     if f.src_arity != f.tgt_arity:
         raise NotInvertible("only square-arity morphisms can be inverted")
-    rows = bottom.basis.data
+    rows = bottom.echelon.dense_rows()
     k = len(rows)
     if k == 0:
         raise NotInvertible("empty bottom layer")
@@ -584,7 +584,7 @@ def oracle_invert_on_bottom(f: ConvMorphism, bottom):
         system = system.vstack(blk)
     rhs: list = []
     for r, brow in enumerate(rows):
-        e = c.eps(brow)
+        e = field.normalize(sum(x * y for x, y in zip(c.counit, brow)))
         rhs.extend(x for row in eye.scale(e).data for x in row)
     assert system.rows == big_rows
     res = solve(system, tuple(rhs))
@@ -612,7 +612,7 @@ def oracle_unit_gauge(mtilde: ConvMorphism, u: ConvMorphism):
     transports mtilde from scratch, and both are done once more after the
     loop.
     """
-    from convdef import ConvDefError, NotUnital, pullback
+    from convdef import ConvDefError, NotUnital
     from convdef.deformation import UnitGaugeResult
 
     ct = mtilde.coalgebra
@@ -635,7 +635,7 @@ def oracle_unit_gauge(mtilde: ConvMorphism, u: ConvMorphism):
             for i in range(ct.dim)
         ),
     )
-    m0 = pullback(mtilde, iota0, c0)
+    m0 = oracle_pullback(mtilde, iota0, c0)
     if not oracle_is_associative(mtilde):
         raise ShapeError("multiplication is not associative")
     if not oracle_is_unit_of(m0, u):
@@ -701,8 +701,6 @@ def oracle_cocycle_failures(w) -> list[str]:
     The check `Cocycle2.validate` ran before it summed over the triples,
     with dim C^3 rows; independent of that sum, so it serves as the oracle.
     """
-    from convdef.coalgebra import triples_matrix
-
     com = w.comodule
     c = com.base
     f, dc, dx = c.field, c.dim, com.dim
@@ -712,10 +710,10 @@ def oracle_cocycle_failures(w) -> list[str]:
     if triples_matrix(f, w.omega, (dc, dc), flip=True) != om:
         failures.append("symmetry")
     eye_c = Matrix.identity(f, dc)
-    eps = c.counit_matrix
+    eps = counit_matrix(c)
     if not (eps.kron(eye_c) @ om).is_zero() or not (eye_c.kron(eps) @ om).is_zero():
         failures.append("normalization")
-    dm = c.delta_matrix
+    dm = delta_matrix(c)
     lhs = (
         eye_c.kron(om) @ triples_matrix(f, com.coaction, (dx, dc), flip=True)
         - dm.kron(eye_c) @ om
@@ -761,3 +759,277 @@ def oracle_obstruction_zeta(alg, ext):
     if not oracle_differential(ComplexSpec(alg.m, ext.comodule, check=False), zeta).is_zero():
         raise ConvDefError("obstruction is not a 3-cocycle; inputs are inconsistent")
     return zeta
+
+
+# -- dense oracles of the coalgebra and extension layer ----------------------
+#
+# The bodies the library ran before Delta, iota, lambda and the coaction were
+# applied through sparse columns: dense matrices, `mul_vec` and Kronecker
+# products, independent of `convdef.coalgebra.triples_columns`.
+
+
+def sparse_of(m: Matrix):
+    """The nonzero entries of a dense Matrix, as the library's SparseMatrix."""
+    from convdef import SparseMatrix
+
+    entries = tuple((r, c, x) for r, row in enumerate(m.data) for c, x in enumerate(row) if x)
+    return SparseMatrix(m.field, m.rows, m.cols, entries)
+
+
+def dense_of(m) -> Matrix:
+    """A SparseMatrix written out densely."""
+    rows = [[m.field.zero] * m.cols for _ in range(m.rows)]
+    for r, c, v in m.entries:
+        rows[r][c] = v
+    return Matrix(m.field, m.rows, m.cols, tuple(map(tuple, rows)))
+
+
+def triples_matrix(field, triples, dims, flip: bool = False) -> Matrix:
+    """A triples table as a dense (left * right) x (number of sources) matrix.
+
+    Column i holds coeff at row j * right + k for each triple (j, k, coeff)
+    of source i; `flip` swaps the tensor factors, putting it at k * left + j.
+    """
+    left, right = dims
+    cols = []
+    for per_source in triples:
+        col = [field.zero] * (left * right)
+        for j, k, c in per_source:
+            r = k * left + j if flip else j * right + k
+            col[r] = field.add(col[r], c)
+        cols.append(col)
+    return Matrix(field, left * right, len(cols), tuple(zip(*cols)))
+
+
+def delta_matrix(c) -> Matrix:
+    """Delta as a dim^2 x dim matrix, rows indexed j*dim + k."""
+    return triples_matrix(c.field, c.delta, (c.dim, c.dim))
+
+
+def counit_matrix(c) -> Matrix:
+    return Matrix.row_vector(c.field, c.counit)
+
+
+def dense_eps(c, v):
+    return c.field.normalize(sum(e * x for e, x in zip(c.counit, v)))
+
+
+def dense_image(m: Matrix):
+    """Column space of a dense matrix."""
+    from convdef import Subspace
+
+    return Subspace.span(m.field, m.rows, [m.col(j) for j in range(m.cols)])
+
+
+def dense_preimage(m: Matrix, target):
+    """{x : m x in target}: the kernel of the equations of target composed with m."""
+    from convdef import Subspace, kernel_basis
+
+    return Subspace.span(m.field, m.cols, kernel_basis(target.equation_matrix() @ m))
+
+
+def outer(field, u, v):
+    return tuple(field.mul(x, y) for x in u for y in v)
+
+
+def oracle_coradical_filtration(c, c0):
+    """Iterate C_{n+1} = Delta^{-1}(C (x) C_n + C_0 (x) C) on dense spans in C (x) C."""
+    from convdef import NotExhaustive, Subspace
+    from convdef.linalg import unit_vec
+
+    f, d = c.field, c.dim
+    if c0.ambient != d:
+        raise ShapeError("ambient dimension mismatch")
+    bottom = c0.echelon.dense_rows()
+    c0c0 = Subspace.span(f, d * d, [outer(f, u, v) for u in bottom for v in bottom])
+    for row in bottom:
+        if not c0c0.contains_vector(delta_matrix(c).mul_vec(row)):
+            raise ShapeError("C0 is not a subcoalgebra")
+    chain = [c0]
+    while chain[-1].dim < d:
+        cur = chain[-1]
+        vecs = []
+        for i in range(d):
+            e_i = unit_vec(f, d, i)
+            vecs += [outer(f, e_i, v) for v in cur.echelon.dense_rows()]
+            vecs += [outer(f, u, e_i) for u in bottom]
+        nxt = dense_preimage(delta_matrix(c), Subspace.span(f, d * d, vecs)).sum(cur)
+        if nxt == cur:
+            raise NotExhaustive(f"filtration stabilized at dimension {cur.dim} < {d}; C0 is not the coradical")
+        chain.append(nxt)
+    return chain
+
+
+def oracle_find_grouplikes(c, mode: str = "basis"):
+    """Group-likes by dense Delta: the basis scan, or every point of F_p^dim."""
+    import itertools
+
+    from convdef import GroupLikeSet, UnsupportedSearch
+    from convdef.linalg import unit_vec
+
+    f, d = c.field, c.dim
+    found = []
+    if mode == "basis":
+        for i in range(d):
+            e_i = unit_vec(f, d, i)
+            if delta_matrix(c).mul_vec(e_i) == outer(f, e_i, e_i) and dense_eps(c, e_i) == f.one:
+                found.append(e_i)
+    else:
+        if not f.char or f.char**d > 10**6:
+            raise UnsupportedSearch("outside the exhaustive search")
+        dm = delta_matrix(c)
+        for v in itertools.product(range(f.char), repeat=d):
+            if dense_eps(c, v) == f.one and dm.mul_vec(v) == outer(f, v, v):
+                found.append(v)
+    return GroupLikeSet(tuple(found))
+
+
+def oracle_restrict_coalgebra_along(ctilde, iota: Matrix, eps_c: Matrix):
+    """Coalgebra structure on C pulled back through an injective coalgebra map, by one dense solve."""
+    from convdef import Coalgebra, NotAnExtension, solve_many
+
+    f, dc = ctilde.field, iota.cols
+    sols = solve_many(iota.kron(iota), [delta_matrix(ctilde).mul_vec(iota.col(i)) for i in range(dc)])
+    if sols is None:
+        raise NotAnExtension("iota is not a coalgebra morphism")
+    delta = [
+        [(j, k, y[j * dc + k]) for j in range(dc) for k in range(dc) if not f.is_zero(y[j * dc + k])] for y in sols
+    ]
+    return Coalgebra(f, [f"c{i}" for i in range(dc)], delta, eps_c.data[0])
+
+
+def oracle_split_extension(ctilde, iota: Matrix, lam: Matrix, base=None):
+    """(rho_r, omega) of an extension with a normalized retract, by dense Kronecker products."""
+    from convdef import (
+        Cocycle2,
+        Comodule,
+        Echelon,
+        NotAnExtension,
+        RetractNotNormalized,
+        Subspace,
+        kernel_basis,
+        solve_many,
+    )
+    from convdef.linalg import unit_vec
+
+    f, d, dc = ctilde.field, ctilde.dim, iota.cols
+    if iota.rows != d or lam.rows != dc or lam.cols != d:
+        raise ShapeError("iota must be dimCtilde x dimC and lambda dimC x dimCtilde")
+    if Echelon.of_matrix(iota).rank != dc:
+        raise NotAnExtension("iota is not injective")
+    if lam @ iota != Matrix.identity(f, dc):
+        raise RetractNotNormalized("lambda o iota is not the identity of C")
+    eps_c = Matrix.row_vector(f, [dense_eps(ctilde, iota.col(j)) for j in range(dc)])
+    pulled = oracle_restrict_coalgebra_along(ctilde, iota, eps_c)
+    pulled.require_valid()
+    if base is not None:
+        if base.delta != pulled.delta or base.counit != pulled.counit:
+            raise NotAnExtension("iota is not a coalgebra morphism from the given base")
+    else:
+        base = pulled
+    if Matrix.row_vector(f, base.counit) @ lam != counit_matrix(ctilde):
+        raise RetractNotNormalized("eps_C o lambda differs from eps_Ctilde")
+    vecs = []
+    for i in range(d):
+        e_i = unit_vec(f, d, i)
+        for u in dense_image(iota).echelon.dense_rows():
+            vecs += [outer(f, e_i, u), outer(f, u, e_i)]
+    target = Subspace.span(f, d * d, vecs)
+    for i in range(d):
+        if not target.contains_vector(delta_matrix(ctilde).mul_vec(unit_vec(f, d, i))):
+            raise NotAnExtension("Delta(Ctilde) is not supported on Ctilde(x)C + C(x)Ctilde")
+    kb = kernel_basis(lam)
+    dx = len(kb)
+    if dx == 0:
+        raise NotAnExtension("the retract has trivial kernel; nothing to split off")
+    eye = Matrix.identity(f, d)
+    p_cols = solve_many(Matrix(f, dx, d, tuple(kb)).transpose(), [(eye - iota @ lam).col(j) for j in range(d)])
+    if p_cols is None:
+        raise NotAnExtension("id - iota lambda does not land in ker(lambda)")
+    proj = Matrix(f, dx, d, tuple(zip(*p_cols)))
+    coaction, omega = [], []
+    for z in kb:
+        dz = delta_matrix(ctilde).mul_vec(z)
+        rho = proj.kron(lam).mul_vec(dz)
+        coaction.append([(t, u, rho[t * dc + u]) for t in range(dx) for u in range(dc) if not f.is_zero(rho[t * dc + u])])
+        om = lam.kron(lam).mul_vec(dz)
+        omega.append([(j, k, om[j * dc + k]) for j in range(dc) for k in range(dc) if not f.is_zero(om[j * dc + k])])
+    out = Cocycle2(Comodule(base, dx, coaction), omega)
+    out.require_valid()
+    return out
+
+
+def oracle_decompose_completely_reducible(com, grouplikes):
+    """Lines of a completely reducible comodule, checking that the T_g are orthogonal idempotents product by product."""
+    from convdef import Echelon, UnsupportedCoaction, solve_many
+
+    base = com.base
+    f, dx, dc = base.field, com.dim, base.dim
+    gs = list(grouplikes.elements)
+    if not gs:
+        raise UnsupportedCoaction("no group-likes supplied")
+    for g in gs:
+        if delta_matrix(base).mul_vec(g) != outer(f, g, g) or dense_eps(base, g) != f.one:
+            raise ValueError("supplied vector is not group-like")
+    gmat = Matrix(f, len(gs), dc, tuple(tuple(f.coerce(x) for x in g) for g in gs))
+    if Echelon.of_matrix(gmat).rank != len(gs):
+        raise ValueError("group-like vectors must be distinct (they are then independent)")
+    rows_by_st = {}
+    for s in range(dx):
+        for t in range(dx):
+            row = [f.zero] * dc
+            for tt, u, c in com.coaction[s]:
+                if tt == t:
+                    row[u] = f.add(row[u], c)
+            rows_by_st[(s, t)] = row
+    sols = solve_many(gmat.transpose(), list(rows_by_st.values()))
+    if sols is None:
+        raise UnsupportedCoaction("coaction is not supported on the span of the group-likes")
+    coeffs = dict(zip(rows_by_st, sols))
+    ops = [
+        Matrix(f, dx, dx, tuple(tuple(coeffs[(s, t)][gi] for s in range(dx)) for t in range(dx))) for gi in range(len(gs))
+    ]
+    total = Matrix.zeros(f, dx, dx)
+    for op in ops:
+        total = total + op
+    if total != Matrix.identity(f, dx):
+        return None
+    for a, op_a in enumerate(ops):
+        for b, op_b in enumerate(ops):
+            if op_a @ op_b != (op_a if a == b else Matrix.zeros(f, dx, dx)):
+                return None
+    lines = [(row, g) for op, g in zip(ops, gs) for row in dense_image(op).echelon.dense_rows()]
+    return lines if len(lines) == dx else None
+
+
+def oracle_pullback(f: ConvMorphism, iota: Matrix, c) -> ConvMorphism:
+    """f o iota, each component summed from the dense rows of the components of f."""
+    field = c.field
+    dense_rows = [comp.rows() for comp in f.components]
+    nr, nc = len(dense_rows[0]), len(dense_rows[0][0])
+    comps = []
+    for j in range(c.dim):
+        rows = [
+            [field.normalize(sum(iota.data[r][j] * m[x][y] for r, m in enumerate(dense_rows))) for y in range(nc)]
+            for x in range(nr)
+        ]
+        comps.append(MultiMap.from_rows(field, f.a_dim, f.src_arity, f.tgt_arity, rows))
+    return ConvMorphism(c, tuple(comps))
+
+
+def path_coalgebra(field):
+    """The path coalgebra of the quiver 0 -a-> 1 -b-> 2: not cocommutative, graded by path length.
+
+    Basis e0, e1, e2, a, b, ba; Delta(p) sums q (x) r over the factorizations p = q r.
+    """
+    from convdef import Coalgebra
+
+    delta = [
+        [(0, 0, 1)],
+        [(1, 1, 1)],
+        [(2, 2, 1)],
+        [(1, 3, 1), (3, 0, 1)],
+        [(2, 4, 1), (4, 1, 1)],
+        [(2, 5, 1), (4, 3, 1), (5, 0, 1)],
+    ]
+    return Coalgebra(field, ["e0", "e1", "e2", "a", "b", "ba"], delta, [1, 1, 1, 0, 0, 0], grading=[0, 0, 0, 1, 1, 2])

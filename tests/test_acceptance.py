@@ -233,7 +233,7 @@ def test_c03_trivial_extension():
         assert zeta.is_zero()
         # m o lambda validates as a deformation
         mlam = ConvMorphism(
-            ext.ctilde, tuple(alg.m.evaluate(ext.lam.col(j)) for j in range(ext.ctilde.dim))
+            ext.ctilde, tuple(alg.m.evaluate(col) for col in ext.lam.transpose().row_dicts())
         )
         deform = make_deformation(alg, ext, Cochain.zero(QQ, 2, 1, 2))
         assert deform.mtilde == mlam
@@ -340,7 +340,7 @@ def test_c07_completely_reducible():
         for n in (1, 2, 3):
             total_oracle = 0
             for _vec, g in lines:
-                m_i = spec.m.evaluate(g)
+                m_i = spec.m.evaluate(dict(enumerate(g)))
                 total_oracle += oracle.hh_dim(field, 2, table_from_mult(m_i), n)
             assert spec.cohomology(n).dim_h == total_oracle == dec.totals[n]
         checked += 1

@@ -20,13 +20,15 @@ from convdef import (
     polynomial_multi,
     trivial_k,
 )
-from convdef.coalgebra import normalize_triples, triples_matrix
+from convdef.coalgebra import normalize_triples, triples_columns
 from convdef.errors import SpecFileError
 from convdef.linalg import unit_vec
 from convdef.fields import QQ
 from convdef.specfile import parse_path
 
 from helpers import (
+    delta_matrix,
+    triples_matrix,
     F2,
     F3,
     F5,
@@ -227,7 +229,7 @@ def _layer_lists(base: list, rng: random.Random) -> list:
         out.append(base[:n] + base[n + 1 :])
         out.append(base[: n + 1] + base[n:])
         if layer.dim:
-            rows = list(layer.basis.data)
+            rows = list(layer.echelon.dense_rows())
             rows[-1] = tuple(f.add(x, y) for x, y in zip(rows[-1], noise()))
             out.append(base[:n] + [Subspace.span(f, d, rows)] + base[n + 1 :])
             out.append(base[:n] + [layer.sum(Subspace.span(f, d, [noise()]))] + base[n + 1 :])
@@ -245,7 +247,7 @@ def _random_chain(f, d, rng: random.Random) -> list:
 
 def _has_non_unit_row(layers) -> bool:
     return any(
-        sum(not layer.field.is_zero(x) for x in row) > 1 for layer in layers for row in layer.basis.data
+        sum(not layer.field.is_zero(x) for x in row) > 1 for layer in layers for row in layer.echelon.dense_rows()
     )
 
 
@@ -309,5 +311,8 @@ def test_triples_matrix_layouts():
     assert plain.rows == flipped.rows == 6 and plain.cols == 1
     assert plain.col(0) == (0, 0, 5, 7, 0, 0)    # row j * 3 + k
     assert flipped.col(0) == (0, 7, 0, 0, 5, 0)  # row k * 2 + j
+    # the library's sparse columns hold the same entries as the dense oracle's columns
+    assert triples_columns(triples, 3) == [{2: 5, 3: 7}]
     c = divided_power_t(2, QQ)
-    assert c.delta_matrix == triples_matrix(QQ, c.delta, (3, 3))
+    dense = delta_matrix(c)
+    assert triples_columns(c.delta, 3) == [{r: x for r, x in enumerate(dense.col(i)) if x} for i in range(3)]

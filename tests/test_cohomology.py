@@ -29,6 +29,7 @@ from convdef.fields import QQ, PrimeField
 
 import oracle_hochschild as oracle
 from helpers import (
+    dense_of,
     F2,
     F3,
     F5,
@@ -432,7 +433,7 @@ def test_rank1_factored_entries_are_the_dense_kronecker_product():
     x = Comodule(c, 3, [[(0, 0, 1)], [(1, 1, 1)], [(2, 0, 1)]])
     red = rank1_reduce(ComplexSpec(m, x), degrees=(1, 2))
     for n in (1, 2):
-        dense = red.act_matrix.transpose().kron(dense_differential_matrix(red.hochschild, n))
+        dense = dense_of(red.act_matrix).transpose().kron(dense_differential_matrix(red.hochschild, n))
         nonzero = {(r, c): v for r, row in enumerate(dense.data) for c, v in enumerate(row) if v}
         assert red.factored_differential_entries(n) == nonzero
 

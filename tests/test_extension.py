@@ -7,7 +7,6 @@ from convdef import (
     CocycleViolation,
     Comodule,
     EmptyLayer,
-    Matrix,
     NotAnExtension,
     RetractNotNormalized,
     ShapeError,
@@ -24,9 +23,10 @@ from convdef import (
     trivial_k,
     zero_cocycle,
 )
+from convdef.linalg import Matrix
 from convdef.fields import QQ
 
-from helpers import F2, F3, F5, fixture_specfiles, oracle_cocycle_failures
+from helpers import F2, F3, F5, fixture_specfiles, oracle_cocycle_failures, sparse_of
 
 
 def test_build_trivial_cocycle_gives_divided_power_1():
@@ -126,11 +126,11 @@ def test_split_rejects_unnormalized_retract():
     d = divided_power_t(2, QQ)
     ext = graded_extension(d, 2)
     # lambda(t^2) = 1 keeps lambda o iota = id but breaks eps_C o lambda = eps
-    lam_bad = Matrix.from_rows(QQ, [[1, 0, 1], [0, 1, 0]])
+    lam_bad = sparse_of(Matrix.from_rows(QQ, [[1, 0, 1], [0, 1, 0]]))
     with pytest.raises(RetractNotNormalized):
         split_extension(ext.ctilde, ext.iota, lam_bad, base=ext.base)
     # not even a retract of iota
-    lam_worse = Matrix.from_rows(QQ, [[1, 1, 0], [0, 1, 0]])
+    lam_worse = sparse_of(Matrix.from_rows(QQ, [[1, 1, 0], [0, 1, 0]]))
     with pytest.raises(RetractNotNormalized):
         split_extension(ext.ctilde, ext.iota, lam_worse, base=ext.base)
 
@@ -139,7 +139,7 @@ def test_split_with_alternative_normalized_retract():
     # lambda(t^2) = a t is still a normalized retract; splitting stays consistent
     d = divided_power_t(2, QQ)
     ext = graded_extension(d, 2)
-    lam_alt = Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 3]])
+    lam_alt = sparse_of(Matrix.from_rows(QQ, [[1, 0, 0], [0, 1, 3]]))
     rec = split_extension(ext.ctilde, ext.iota, lam_alt, base=ext.base)
     assert rec.validate() == [] and rec.comodule.validate() == []
     rebuilt = build_extension(rec)
@@ -149,8 +149,8 @@ def test_split_with_alternative_normalized_retract():
 def test_split_rejects_non_extension():
     # k inside k[t]_{<=2} is not an extension: Delta(t^2) has the middle term t (x) t
     d = divided_power_t(2, QQ)
-    iota = Matrix.from_rows(QQ, [[1], [0], [0]])
-    lam = Matrix.from_rows(QQ, [[1, 0, 0]])
+    iota = sparse_of(Matrix.from_rows(QQ, [[1], [0], [0]]))
+    lam = sparse_of(Matrix.from_rows(QQ, [[1, 0, 0]]))
     with pytest.raises(NotAnExtension):
         split_extension(d, iota, lam)
 
@@ -187,6 +187,20 @@ def test_decompose_mixed_basis():
     assert lines is not None and len(lines) == 2
     gs = sorted(g for _v, g in lines)
     assert gs == [(0, 1), (1, 0)]
+
+
+def test_decompose_refuses_parts_whose_ranks_overshoot():
+    # T_g0 = diag(2, 0) and T_g1 = diag(-1, 1) sum to I, but their ranks add to 3 > dim X
+    g2 = grouplike_coalgebra(2, QQ)
+    x = Comodule(g2, 2, [[(0, 0, 2), (0, 1, -1)], [(1, 1, 1)]])
+    assert decompose_completely_reducible(x, find_grouplikes(g2)) is None
+
+
+def test_decompose_refuses_parts_that_do_not_sum_to_the_identity():
+    # T_g0 = diag(2, 0) and T_g1 = diag(0, 1)
+    g2 = grouplike_coalgebra(2, QQ)
+    x = Comodule(g2, 2, [[(0, 0, 2)], [(1, 1, 1)]])
+    assert decompose_completely_reducible(x, find_grouplikes(g2)) is None
 
 
 def test_decompose_unsupported_coaction():

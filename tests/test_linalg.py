@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from convdef import (
     Echelon,
     FieldMismatch,
-    Matrix,
     NotASubspace,
     ShapeError,
     Subspace,
@@ -18,9 +17,10 @@ from convdef import (
     solve,
     solve_many,
 )
+from convdef.linalg import Matrix
 from convdef.fields import QQ, PrimeField
 
-from helpers import F3, greedy_quotient_rows, oracle_rref
+from helpers import F3, greedy_quotient_rows, oracle_rref, sparse_of
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -150,7 +150,7 @@ def test_subspace_sum_idempotent():
 
 def test_preimage_identity():
     u = Subspace.span(QQ, 3, [(1, 2, 0)])
-    assert preimage(Matrix.identity(QQ, 3), u) == u
+    assert preimage(sparse_of(Matrix.identity(QQ, 3)), u) == u
 
 
 def test_intersection_example():
@@ -177,7 +177,7 @@ def test_preimage_of_image_is_full():
     rng = random.Random(3)
     for _ in range(10):
         m = rand_matrix(QQ, rng.randint(1, 4), rng.randint(1, 4), rng)
-        assert preimage(m, image(m)).dim == m.cols
+        assert preimage(sparse_of(m), image(sparse_of(m))).dim == m.cols
 
 
 def test_quotient_dim():
@@ -208,7 +208,7 @@ def test_subspace_pivots_are_leading_columns():
             u = _random_subspace(field, n, rng.randint(0, n + 1), rng)
             assert len(u.pivots) == u.dim
             assert list(u.pivots) == sorted(set(u.pivots))
-            for row, p in zip(u.basis.data, u.pivots):
+            for row, p in zip(u.echelon.dense_rows(), u.pivots):
                 assert row[p] == field.one
                 assert all(field.is_zero(x) for x in row[:p])
     assert Subspace.zero(QQ, 3).pivots == ()
@@ -226,7 +226,7 @@ def test_subspace_reduce_properties():
             assert all(field.is_zero(r[p]) for p in u.pivots)
             assert u.contains_vector(tuple(field.sub(a, b) for a, b in zip(v, r)))
             # the representative depends only on the coset
-            w = tuple(field.add(a, b) for a, b in zip(v, u.basis.data[0])) if u.dim else v
+            w = tuple(field.add(a, b) for a, b in zip(v, u.echelon.dense_rows()[0])) if u.dim else v
             assert u.reduce(w) == r
             assert u.contains_vector(v) == all(field.is_zero(x) for x in r)
     with pytest.raises(ShapeError):
@@ -241,7 +241,7 @@ def test_quotient_basis_matches_greedy_oracle():
             z = _random_subspace(field, n, rng.randint(0, n), rng)
             combos = [
                 tuple(
-                    field.normalize(sum(field.mul(c, row[j]) for c, row in zip(coeffs, z.basis.data)))
+                    field.normalize(sum(field.mul(c, row[j]) for c, row in zip(coeffs, z.echelon.dense_rows())))
                     for j in range(n)
                 )
                 for coeffs in (
@@ -271,8 +271,8 @@ def test_equation_matrix_cuts_out_subspace():
             u = _random_subspace(field, n, rng.randint(0, n), rng)
             eqs = u.equation_matrix()
             assert eqs.rows == n - u.dim
-            assert preimage(Matrix.identity(field, n), u) == u
-            for row in u.basis.data:
+            assert preimage(sparse_of(Matrix.identity(field, n)), u) == u
+            for row in u.echelon.dense_rows():
                 assert all(field.is_zero(x) for x in eqs.mul_vec(row))
 
 
@@ -341,7 +341,7 @@ def check_echelon_against_oracle(m):
     left = Matrix(m.field, m.rows, k, tuple(r[:k] for r in m.data))
     assert ech.restrict(k).rows == Echelon.of_matrix(left).rows
     red_t, _pivots_t, rank_t = oracle_rref(m.transpose())
-    assert image(m).basis.data == red_t.data[:rank_t]
+    assert image(sparse_of(m)).echelon.dense_rows() == red_t.data[:rank_t]
 
 
 @given(matrices())
