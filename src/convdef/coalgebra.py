@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedSearch,
 )
 from .fields import Field, require_same_field
-from .linalg import Echelon, SparseMatrix, Subspace, Vector, _lincomb, preimage, unit_vec
+from .linalg import Echelon, SparseMatrix, Subspace, Vector, _lincomb, _sum, preimage, unit_vec
 
 Triples = tuple[tuple[int, int, object], ...]
 
@@ -207,33 +207,22 @@ class Coalgebra:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> CoalgebraReport:
-        f, d = self.field, self.dim
-        coassoc = True
-        counit_l = True
-        counit_r = True
-        for i in range(d):
-            e_i = unit_vec(f, d, i)
-            two = self.expand_slot(e_i, 1, 0)
-            if self.expand_slot(two, 2, 0) != self.expand_slot(two, 2, 1):
-                coassoc = False
-            left = [f.zero] * d
-            right = [f.zero] * d
-            for j, k, c in self.delta[i]:
-                left[k] = f.add(left[k], f.mul(c, self.counit[j]))
-                right[j] = f.add(right[j], f.mul(c, self.counit[k]))
-            if tuple(left) != e_i:
-                counit_l = False
-            if tuple(right) != e_i:
-                counit_r = False
+        """The axioms on the Delta triples: (Delta (x) 1)Delta = (1 (x) Delta)Delta and both counit axioms, per e_i."""
+        f, delta, counit = self.field, self.delta, self.counit
+        coassoc = counit_l = counit_r = True
+        for i, triples in enumerate(delta):
+            left = _sum(f, (((a, b, k), c * c2) for j, k, c in triples for a, b, c2 in delta[j]))
+            right = _sum(f, (((j, a, b), c * c2) for j, k, c in triples for a, b, c2 in delta[k]))
+            coassoc = coassoc and left == right
+            unit = {i: f.one}
+            counit_l = counit_l and _sum(f, ((k, c * counit[j]) for j, k, c in triples)) == unit
+            counit_r = counit_r and _sum(f, ((j, c * counit[k]) for j, k, c in triples)) == unit
         grading_ok = None
         if self.grading is not None:
+            g = self.grading
             grading_ok = all(
-                self.grading[j] + self.grading[k] == self.grading[i]
-                for i in range(d)
-                for j, k, _c in self.delta[i]
-            ) and all(
-                f.is_zero(self.counit[i]) for i in range(d) if self.grading[i] > 0
-            )
+                g[j] + g[k] == g[i] for i, triples in enumerate(delta) for j, k, _c in triples
+            ) and all(f.is_zero(e) for e, n in zip(counit, g) if n > 0)
         return CoalgebraReport(
             coassociative=coassoc,
             counit_left=counit_l,

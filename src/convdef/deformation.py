@@ -7,13 +7,22 @@ Maurer-Cartan equation d^2(m_X) + zeta = 0, where zeta is the
 obstruction 3-cocycle built from m and the extension's 2-cocycle: the
 X-block of the associator of m (+) 0 over Ctilde.  Every product here is
 the sparse convolution kernel on the nonzero entries of each component.
+
+A materialized deformation is checked by that equation, not by its
+associator.  Delta of Ctilde = C (+) X has no X (x) X term (every
+extension is supported on Ctilde (x) C + C (x) Ctilde) and eps vanishes
+on X, so the associator of m (+) nu is affine in nu: its C-block is the
+associator of m, which `obstruction_zeta` has refused unless it
+vanishes, and its X-block is zeta + d^2(nu).  Once the fiber condition
+holds, m (+) nu is associative exactly when d^2(nu) = -zeta, and d^2 is
+applied to nu's entries without being assembled.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .coalgebra import Coalgebra, find_grouplikes
 from .cohomology import Cochain, ComplexSpec, _associator, is_associative
@@ -121,20 +130,36 @@ class Deformation:
         return pullback(self.mtilde, self.extension.iota, self.extension.base) == self.base.m
 
     def require_valid(self) -> None:
+        """The fiber condition, then associativity of mtilde as the residual d^2(m_X) = -zeta, exactly."""
+        self._verify(None)
+
+    def _verify(self, report: Optional[DeformationReport]) -> None:
+        """`require_valid` with the zeta and complex of `report` when given, else of this base."""
         if not self.fiber_condition_holds():
             raise SpecMismatch("multiplication does not restrict to the base algebra")
-        if not is_associative(self.mtilde):
+        if report is None:
+            zeta, spec = obstruction_zeta(self.base, self.extension), complex_of(self.base, self.extension)
+        else:
+            zeta, spec = report.zeta, report.spec
+        if spec.differential(self.m_x) != -zeta:
             raise ShapeError("deformed multiplication is not associative")
 
 
-def make_deformation(base: AlgebraMC, ext: Extension, nu: Cochain) -> Deformation:
-    """Assemble mtilde with mtilde(c, x) = m(c) + nu(x) and verify associativity."""
+def make_deformation(
+    base: AlgebraMC, ext: Extension, nu: Cochain, *, _report: Optional[DeformationReport] = None
+) -> Deformation:
+    """Assemble mtilde with mtilde(c, x) = m(c) + nu(x) and verify it: mtilde is associative exactly when d^2(nu) = -zeta.
+
+    The residual is one application of d^2 to nu's entries (see the module
+    docstring).  Within this module `_report` is the `mc_solve` report of
+    (base, ext), so its zeta and complex are not rebuilt for each solution.
+    """
     if nu.degree != 2 or nu.x_dim != ext.comodule.dim:
         raise ShapeError("solution cochain must be a degree-2 cochain on X")
     comps = tuple(base.m.components) + tuple(nu.maps)
     mtilde = ConvMorphism(ext.ctilde, comps)
     d = Deformation(base=base, extension=ext, mtilde=mtilde)
-    d.require_valid()
+    d._verify(_report)
     return d
 
 
@@ -179,6 +204,7 @@ class DeformationReport:
     dim_h2: int
     coset_count: Optional[int]        # |F|^dim_h2 over finite fields
     zeta_class_rep: Optional[Cochain] # canonical representative of [zeta] when nonzero
+    spec: ComplexSpec = field(repr=False, compare=False)  # the complex it was solved in
 
 
 def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
@@ -214,12 +240,11 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
             dim_h2=h2.dim_h,
             coset_count=coset_count,
             zeta_class_rep=Cochain.from_flat(f, spec.a_dim, spec.x_dim, 3, rep_flat),
+            spec=spec,
         )
     nu0 = Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, sol)
     base_solution = -nu0
-    # end-to-end re-verification: the materialized multiplication must be associative
-    make_deformation(alg, ext, base_solution)
-    return DeformationReport(
+    report = DeformationReport(
         zeta=zeta,
         obstruction_vanishes=True,
         nu0=nu0,
@@ -232,7 +257,11 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
         dim_h2=h2.dim_h,
         coset_count=coset_count,
         zeta_class_rep=None,
+        spec=spec,
     )
+    # end-to-end re-verification: the materialized multiplication must be associative
+    make_deformation(alg, ext, base_solution, _report=report)
+    return report
 
 
 @dataclass(frozen=True)
@@ -252,19 +281,33 @@ def classify(alg: AlgebraMC, ext: Extension, coset_cap: int = 64) -> ClassifyRes
     if not report.obstruction_vanishes:
         return ClassifyResult(report=report, representatives=())
     f = alg.field
-    reps: list[Deformation] = []
     base = report.base_solution
     if f.char and report.coset_count is not None and report.coset_count <= coset_cap:
-        for coeffs in itertools.product(range(f.char), repeat=report.dim_h2):
-            nu = base
-            for c, h in zip(coeffs, report.h2_reps):
-                nu = nu + h.scale(c)
-            reps.append(make_deformation(alg, ext, nu))
+        nus = _affine_span(base, report.h2_reps, f.char)
     else:
-        reps.append(make_deformation(alg, ext, base))
-        for h in report.h2_reps:
-            reps.append(make_deformation(alg, ext, base + h))
-    return ClassifyResult(report=report, representatives=tuple(reps))
+        nus = [base] + [base + h for h in report.h2_reps]
+    reps = tuple(make_deformation(alg, ext, nu, _report=report) for nu in nus)
+    return ClassifyResult(report=report, representatives=reps)
+
+
+def _affine_span(base: Cochain, vectors: Sequence[Cochain], p: int) -> Iterator[Cochain]:
+    """base + sum c_i v_i for c in F_p^k, lazily and in `itertools.product` order.
+
+    The sums are the leaves of a prefix tree whose node at depth i adds
+    c_i v_i to its parent: each scaled vector is computed once and each
+    node costs one addition (none for c_i = 0).
+    """
+    scaled = [[v.scale(c) for c in range(1, p)] for v in vectors]
+
+    def below(prefix: Cochain, i: int) -> Iterator[Cochain]:
+        if i == len(scaled):
+            yield prefix
+            return
+        yield from below(prefix, i + 1)
+        for step in scaled[i]:
+            yield from below(prefix + step, i + 1)
+
+    yield from below(base, 0)
 
 
 def equiv_check(d1: Deformation, d2: Deformation) -> Optional[ConvMorphism]:
@@ -405,11 +448,10 @@ def series_deform(
                     (steps + [SeriesStep(n, report, None)], alg, n)
                 )
                 continue
-            choices = _solution_choices(report, strategy, user_cochains, n, ext, alg)
-            for nu in choices:
-                if len(new_branches) >= branch_budget:
-                    break
-                deform = make_deformation(alg, ext, nu)
+            choices = _solution_choices(report, strategy, user_cochains, n)
+            # no solution past the budget is drawn from the lazy choices, so none is built
+            for nu in itertools.islice(choices, branch_budget - len(new_branches)):
+                deform = make_deformation(alg, ext, nu, _report=report)
                 nxt = AlgebraMC(m=deform.mtilde)
                 new_branches.append(
                     (steps + [SeriesStep(n, report, nu)], nxt, None)
@@ -428,8 +470,6 @@ def _solution_choices(
     strategy: str,
     user_cochains: Optional[dict[int, Cochain]],
     degree: int,
-    ext: Extension,
-    alg: AlgebraMC,
 ) -> Iterable[Cochain]:
     """The solutions to branch on, in order; "all" yields them lazily."""
     base = report.base_solution
@@ -439,15 +479,11 @@ def _solution_choices(
         if degree not in user_cochains:
             return [base]
         nu = user_cochains[degree]
-        spec = complex_of(alg, ext)
-        if spec.differential(nu) != -report.zeta:
+        if report.spec.differential(nu) != -report.zeta:
             raise ShapeError(f"supplied degree-{degree} cochain does not solve the equation")
         return [nu]
     if strategy == "all":
-        return (
-            sum((z.scale(c) for c, z in zip(coeffs, report.z2_basis)), base)
-            for coeffs in itertools.product(range(alg.field.char), repeat=len(report.z2_basis))
-        )
+        return _affine_span(base, report.z2_basis, report.spec.field.char)
     raise ShapeError(f"unknown strategy {strategy!r}")
 
 

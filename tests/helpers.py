@@ -251,6 +251,18 @@ def random_gauge_transported_mult(c_graded, m0: MultiMap, rng: random.Random) ->
     return conv_compose(conv_compose(inv, m), conv_tensor(gauge, gauge))
 
 
+def random_mixed_mult(c_graded, rng: random.Random) -> ConvMorphism:
+    """A gauge transport of a random conjugate of a two-dimensional catalog algebra: nonzero off degree 0."""
+    m0 = conjugate_mult(rng.choice((dual_numbers, split_pair, rank_one_square))(c_graded.field),
+                        random_invertible(c_graded.field, 2, rng))
+    return random_gauge_transported_mult(c_graded, m0, rng)
+
+
+def direct_sum_comodule(x: Comodule, y: Comodule) -> Comodule:
+    shifted = [[(x.dim + t, u, c) for t, u, c in terms] for terms in y.coaction]
+    return Comodule(x.base, x.dim + y.dim, list(x.coaction) + shifted)
+
+
 def xsq_deformation_algebra(field):
     """The x^2 = t family over k[t]_{<=1}: m(1) = dual numbers, m(t) = gamma (x) gamma."""
     c = divided_power_t(1, field)
@@ -808,6 +820,39 @@ def delta_matrix(c) -> Matrix:
 
 def counit_matrix(c) -> Matrix:
     return Matrix.row_vector(c.field, c.counit)
+
+
+def oracle_validate(c):
+    """`Coalgebra.validate` by dense tensors: (Delta (x) 1)Delta(e_i) and (1 (x) Delta)Delta(e_i) in C^(x)3 via `expand_slot`."""
+    from convdef import CoalgebraReport
+    from convdef.linalg import unit_vec
+
+    f, d = c.field, c.dim
+    coassoc = counit_l = counit_r = True
+    for i in range(d):
+        e_i = unit_vec(f, d, i)
+        two = c.expand_slot(e_i, 1, 0)
+        if c.expand_slot(two, 2, 0) != c.expand_slot(two, 2, 1):
+            coassoc = False
+        left = [f.zero] * d
+        right = [f.zero] * d
+        for j, k, x in c.delta[i]:
+            left[k] = f.add(left[k], f.mul(x, c.counit[j]))
+            right[j] = f.add(right[j], f.mul(x, c.counit[k]))
+        counit_l = counit_l and tuple(left) == e_i
+        counit_r = counit_r and tuple(right) == e_i
+    grading_ok = None
+    if c.grading is not None:
+        grading_ok = all(
+            c.grading[j] + c.grading[k] == c.grading[i] for i in range(d) for j, k, _x in c.delta[i]
+        ) and all(f.is_zero(c.counit[i]) for i in range(d) if c.grading[i] > 0)
+    return CoalgebraReport(
+        coassociative=coassoc,
+        counit_left=counit_l,
+        counit_right=counit_r,
+        cocommutative=c.is_cocommutative,
+        grading_compatible=grading_ok,
+    )
 
 
 def dense_eps(c, v):

@@ -55,6 +55,8 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("obstructed", ["deform", fx("obstructed.json")], 2),
         ("unit_gauge_broken", ["unit-gauge", fx("unit_gauge_broken.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
         ("validate", ["validate", fx("poly_t2_dual.json")], 0),
+        ("classify", ["classify", fx("poly_t2_dual.json")], 0),
+        ("classify_f3", ["classify", fx("poly2_t2_f3.json")], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):

@@ -33,10 +33,10 @@ from helpers import (
     F2,
     F3,
     F5,
-    conjugate_mult,
     dense_compose,
     dense_differential_matrix,
     dense_tensor,
+    direct_sum_comodule,
     dual_numbers,
     fixture_specs,
     greedy_quotient_rows,
@@ -49,7 +49,7 @@ from helpers import (
     random_algebra,
     random_gauge_transported_mult,
     random_grouplike_comodule,
-    random_invertible,
+    random_mixed_mult,
     random_nilpotent_comodule,
     rank_one_square,
     split_pair,
@@ -248,27 +248,16 @@ def test_differential_matches_oracle_on_random_cochains():
             assert spec.differential(nu) == oracle_differential(spec, nu)
 
 
-def _direct_sum_comodule(x, y):
-    shifted = [[(x.dim + t, u, c) for t, u, c in terms] for terms in y.coaction]
-    return Comodule(x.base, x.dim + y.dim, list(x.coaction) + shifted)
-
-
 def _gate_specs(field, rng):
     """Layers of k[t]_{<=3} and of two-variable monomials (nonzero omega), and a direct-sum comodule."""
     out = []
     for d, n in ((divided_power_t(3, field), 1), (divided_power_t(3, field), 3), (polynomial_multi(2, 2, field), 2)):
         ext = graded_extension(d, n)
-        out.append(ComplexSpec(_nonzero_mult(ext.base, rng), ext.comodule))
+        out.append(ComplexSpec(random_mixed_mult(ext.base, rng), ext.comodule))
     ext = graded_extension(divided_power_t(3, field), 2)
-    x = _direct_sum_comodule(ext.comodule, random_nilpotent_comodule(ext.base, 2, rng))
-    out.append(ComplexSpec(_nonzero_mult(ext.base, rng), x))
+    x = direct_sum_comodule(ext.comodule, random_nilpotent_comodule(ext.base, 2, rng))
+    out.append(ComplexSpec(random_mixed_mult(ext.base, rng), x))
     return out
-
-
-def _nonzero_mult(c_graded, rng):
-    m0 = conjugate_mult(rng.choice((dual_numbers, split_pair, rank_one_square))(c_graded.field),
-                        random_invertible(c_graded.field, 2, rng))
-    return random_gauge_transported_mult(c_graded, m0, rng)
 
 
 def test_differential_matches_assembled_matrix():

@@ -179,14 +179,17 @@ def _readme_deform_instance():
 
 
 def test_mc_solve_checks_zeta_without_assembling_d3(monkeypatch):
-    """`deform fixtures/poly_t2_dual.json`: d(zeta) = 0 is checked on zeta's entries; only d^1 and d^2 are assembled."""
+    """`deform fixtures/poly_t2_dual.json`: only d^1 and d^2 are assembled; d^3 and d^2 are applied to entries.
+
+    d^3 to zeta (d(zeta) = 0), then d^2 to the base solution (its residual d^2(nu) = -zeta).
+    """
     assembled, applied = [], []
     entries, differential = ComplexSpec.differential_entries, ComplexSpec.differential
     monkeypatch.setattr(ComplexSpec, "differential_entries", lambda self, n: assembled.append(n) or entries(self, n))
     monkeypatch.setattr(ComplexSpec, "differential", lambda self, nu: applied.append(nu.degree) or differential(self, nu))
     assert mc_solve(*_readme_deform_instance()).obstruction_vanishes
     assert set(assembled) == {1, 2}
-    assert applied == [3]
+    assert applied == [3, 2]
 
 
 def test_obstruction_zeta_refuses_a_non_cocycle(monkeypatch):

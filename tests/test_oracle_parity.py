@@ -12,6 +12,7 @@ import random
 import pytest
 
 from convdef import (
+    Coalgebra,
     Comodule,
     ConvMorphism,
     GroupLikeSet,
@@ -48,6 +49,7 @@ from helpers import (
     oracle_pullback,
     oracle_restrict_coalgebra_along,
     oracle_split_extension,
+    oracle_validate,
     path_coalgebra,
     random_grouplike_comodule,
     random_invertible,
@@ -108,6 +110,39 @@ def test_coradical_filtration_matches_dense_oracle(field):
     assert {1, 2, 3} <= seen and len(seen - {1, 2, 3, 4}) >= 2, seen  # chains of several lengths and both errors
 
 
+def broken(c, rng):
+    """c with one Delta coefficient bumped, with Delta(e_i) = e_i (x) e_i at a non-group-like, and with eps bumped."""
+    f = c.field
+    i = rng.randrange(c.dim)
+    delta = [list(t) for t in c.delta]
+    j, k, x = rng.choice(delta[i])
+    delta[i].append((j, k, f.one))
+    diagonal = [list(t) for t in c.delta]
+    diagonal[c.dim - 1] = [(c.dim - 1, c.dim - 1, f.one)]
+    counit = list(c.counit)
+    counit[i] = f.add(counit[i], f.one)
+    return [
+        Coalgebra(f, c.names, delta, c.counit, grading=c.grading),
+        Coalgebra(f, c.names, diagonal, c.counit, grading=c.grading),
+        Coalgebra(f, c.names, c.delta, counit, grading=c.grading),
+    ]
+
+
+@FIELDS
+def test_validate_matches_dense_oracle(field):
+    """validate on the Delta triples gives the report of the dense (Delta (x) 1)Delta = (1 (x) Delta)Delta check."""
+    rng = random.Random(59)
+    failures = set()
+    for c in coalgebras(field):
+        cases = [c, moved(c, rng)[0], *broken(c, rng)]
+        cases += [ext.ctilde for ext in extensions_of(c)]
+        for target in cases:
+            report = target.validate()
+            assert report == oracle_validate(target)
+            failures.update(report.failures())
+    assert {"coassociativity", "left counit axiom", "right counit axiom", "grading compatibility"} <= failures
+
+
 @FIELDS
 def test_find_grouplikes_matches_dense_oracle(field):
     rng = random.Random(67)
@@ -122,13 +157,16 @@ def test_find_grouplikes_matches_dense_oracle(field):
     assert found > 0 or not field.char
 
 
+def extensions_of(c):
+    """Every graded layer extension of c, if c is cocommutative and graded."""
+    if not c.is_cocommutative or c.grading is None:
+        return []
+    return [graded_extension(c, n) for n in range(1, c.max_degree() + 1) if c.degree_indices(n)]
+
+
 def extensions(field):
     """Every graded layer extension of the cocommutative graded coalgebras."""
-    out = []
-    for c in coalgebras(field):
-        if c.is_cocommutative and c.grading is not None:
-            out += [graded_extension(c, n) for n in range(1, c.max_degree() + 1) if c.degree_indices(n)]
-    return out
+    return [ext for c in coalgebras(field) for ext in extensions_of(c)]
 
 
 def retracts(ext, rng):
