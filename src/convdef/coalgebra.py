@@ -12,6 +12,7 @@ omega acts on a sparse vector.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -244,6 +245,22 @@ class Coalgebra:
                 if coeffs.get((k, j), self.field.zero) != c:
                     return False
         return True
+
+    @cached_property
+    def integral_delta(self) -> tuple[int, tuple[Triples, ...]]:
+        """(D, Delta with every structure constant times D as an int), D the lcm of their denominators.
+
+        The convolution kernel sums in ints over D.  Over F_p the constants
+        are ints already and D = 1.  Derived from `delta`, so it takes no
+        part in equality or hashing.
+        """
+        if self.field.char:
+            return 1, self.delta
+        den = math.lcm(*(mu.denominator for triples in self.delta for _, _, mu in triples))
+        scaled = tuple(
+            tuple((j, k, mu.numerator * (den // mu.denominator)) for j, k, mu in triples) for triples in self.delta
+        )
+        return den, scaled
 
     # -- gradings and filtrations -----------------------------------------
 

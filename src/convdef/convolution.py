@@ -9,11 +9,23 @@ as a dense matrix.  With Delta(c_i) = sum mu c_j (x) c_k, composition
 product (f (x) g)(c_i) = sum mu f(c_j) (x) g(c_k) are one sparse kernel,
 `_convolve`, on those entries; sums and multiples of maps are `_lincomb`.
 Inverses are computed layer by layer along a coalgebra filtration.
+
+The kernel multiplies and adds ints only.  Over Q it clears denominators
+once per product: D_L and D_R are the lcms of the denominators of the
+left and right entries, D_mu that of Delta's constants
+(`Coalgebra.integral_delta`), and l' = D_L l, r' = D_R r, mu' = D_mu mu
+are ints.  Then sum mu l r = (sum mu' l' r') / (D_mu D_L D_R) term by
+term, so an output entry is its int sum over that one denominator, and
+`Fraction` reduces it to the lowest terms the rational sum has: the
+result is exact and the same value.  Over F_p the entries and constants
+are ints already and each sum is reduced mod p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .coalgebra import Coalgebra, is_coalgebra_filtration
@@ -178,26 +190,44 @@ def _entries(mor: ConvMorphism) -> list[dict]:
     return [comp.entries for comp in mor.components]
 
 
+def _cleared(entries: Sequence[dict]) -> tuple[int, list[dict]]:
+    """(D, every rational entry times D as an int), D the lcm of all their denominators."""
+    den = math.lcm(*{v.denominator for e in entries for v in e.values()})
+    return den, [{key: v.numerator * (den // v.denominator) for key, v in e.items()} for e in entries]
+
+
 def _convolve(c: Coalgebra, left: Sequence[dict], right: Sequence[dict], kron: Optional[tuple[int, int]] = None) -> list[dict]:
     """The convolution kernel on nonzero entries {(row, col): v}, one dict per basis element of C.
 
     For each c_i it sums mu * (left_j o right_k) over Delta(c_i) = sum mu c_j (x) c_k,
     or mu * (left_j (x) right_k) when `kron` gives the (rows, cols) of the right factors.
-    Sums are normalized once per output entry, zeros dropped; a term with an empty factor
-    costs nothing.  As in `_lincomb`, a first term is stored rather than added to 0.
+    The loop multiplies and adds ints only.  Over Q, with D_L and D_R the lcms of the
+    denominators of the left and right entries and (D_mu, mu') = `c.integral_delta`,
+    every term is mu * l * r = mu' * l' * r' / (D_mu * D_L * D_R) for the ints
+    l' = D_L * l and r' = D_R * r, so each sum is an int sum over that one denominator,
+    made into one `Fraction` (in lowest terms, the value the rational sum has).  Over F_p
+    the entries and constants are ints already and each sum is reduced mod p.  Zeros are
+    dropped; a term with an empty factor costs nothing.
     """
+    if kron is not None and not c.is_cocommutative:
+        raise NotCocommutative("tensor products in the convolution category need cocommutativity")
+    p = c.field.char
+    d_mu, delta = c.integral_delta
+    if not p:
+        d_l, left = _cleared(left)
+        d_r, right = _cleared(right)
+        den = d_mu * d_l * d_r
     if kron is None:
         by_row: list[dict[int, list]] = [{} for _ in right]
         for rows, comp in zip(by_row, right):
             for (y, z), v in comp.items():
                 rows.setdefault(y, []).append((z, v))
-    elif not c.is_cocommutative:
-        raise NotCocommutative("tensor products in the convolution category need cocommutativity")
     else:
         nr, nc = kron
     out = []
-    for triples in c.delta:
-        acc: dict[tuple[int, int], object] = {}
+    for triples in delta:
+        acc: dict[tuple[int, int], int] = {}
+        get = acc.get
         for j, k, mu in triples:
             if not (left[j] and right[k]):
                 continue
@@ -205,14 +235,14 @@ def _convolve(c: Coalgebra, left: Sequence[dict], right: Sequence[dict], kron: O
                 w = v if mu == 1 else mu * v
                 if kron is None:
                     for z, u in by_row[k].get(y, ()):
-                        key, t = (x, z), w * u
-                        acc[key] = acc[key] + t if key in acc else t
+                        key = (x, z)
+                        acc[key] = get(key, 0) + w * u
                 else:
                     x0, y0 = x * nr, y * nc
                     for (x2, y2), u in right[k].items():
-                        key, t = (x0 + x2, y0 + y2), w * u
-                        acc[key] = acc[key] + t if key in acc else t
-        out.append(_normalized(c.field, acc))
+                        key = (x0 + x2, y0 + y2)
+                        acc[key] = get(key, 0) + w * u
+        out.append(_normalized(c.field, acc) if p else {key: Fraction(v, den) for key, v in acc.items() if v})
     return out
 
 

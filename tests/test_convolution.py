@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -38,12 +39,15 @@ from helpers import (
     dense,
     dense_compose,
     dense_tensor,
+    dual_numbers,
     from_dense,
     oracle_conv_compose,
     oracle_conv_tensor,
     oracle_invert_on_bottom,
+    oracle_is_unit_of,
     random_invertible,
     transport_coalgebra,
+    unit_column,
 )
 
 
@@ -191,6 +195,124 @@ def test_convolution_kernel_matches_dense_oracle():
                         for tensor in (conv_tensor, oracle_conv_tensor):
                             with pytest.raises(NotCocommutative):
                                 tensor(f, g)
+
+
+SCALES = (Fraction(1), Fraction(2), Fraction(-5, 3), Fraction(3, 7), Fraction(1, 5), Fraction(143, 2**70))
+DENOMINATORS = (1, 3, 5, 7, 143, 2**70)
+
+
+def in_field(field, values):
+    """The rationals among `values` that are nonzero in `field`: numerator and denominator prime to p."""
+    p = field.char
+    return [x for x in values if not p or (Fraction(x).numerator % p and Fraction(x).denominator % p)]
+
+
+def rescaled(c, rng):
+    """C moved by the diagonal change of basis diag(s), s_i drawn from SCALES: Delta's constants become mu s_j s_k / s_i."""
+    f = c.field
+    s = [rng.choice(in_field(f, SCALES)) for _ in range(c.dim)]
+    return transport_coalgebra(c, Matrix.from_rows(f, [[x if i == j else 0 for j in range(c.dim)] for i, x in enumerate(s)]))[0]
+
+
+def rand_wide_conv(c, p, q, rng, denominators):
+    """A random morphism p -> q over c (A of dim 2): entries n/d with |n| <= 9 and d from `denominators`, zero components at random."""
+    f = c.field
+    dens = in_field(f, denominators)
+    comps = []
+    for _ in range(c.dim):
+        rows = [[f.coerce(Fraction(rng.randint(-9, 9), rng.choice(dens))) for _ in range(2**p)] for _ in range(2**q)]
+        comps.append(MultiMap.zero(f, 2, p, q) if rng.random() < 0.3 else MultiMap.from_rows(f, 2, p, q, rows))
+    return ConvMorphism(c, tuple(comps))
+
+
+def assert_normalized(mor):
+    """Every entry is a nonzero field element in normal form: a Fraction over Q, an int in [1, p) over F_p."""
+    p = mor.field.char
+    for comp in mor.components:
+        for v in comp.entries.values():
+            assert (type(v) is int and 0 < v < p) if p else (type(v) is Fraction and v != 0)
+
+
+def test_convolution_kernel_matches_oracle_on_rational_constants_and_wide_denominators():
+    """The integer kernel against the dense oracle where Delta's constants, and the entries, have denominators.
+
+    Over Q the rescaled coalgebras have a common Delta denominator D_mu > 1; the entries
+    have denominators 3, 5, 7, 143 and 2^70, or none at all (a common denominator 1).
+    Over F_p the same rationals are read mod p, where they exist.
+    """
+    rng = random.Random(13)
+    for field in (QQ, F2, F3, F5):
+        base = (divided_power_t(3, field), polynomial_multi(2, 2, field))
+        moved = tuple(rescaled(c, rng) for c in base)
+        assert field.char or all(c.integral_delta[0] > 1 for c in moved)
+        for c in base + moved:
+            assert c.validate().ok
+            for denominators in (DENOMINATORS, (1,)):
+                for p, q in ARITIES:
+                    f = rand_wide_conv(c, p, q, rng, denominators)
+                    for r in (1, 2):
+                        g = rand_wide_conv(c, q, r, rng, denominators)
+                        for left in (g, ConvMorphism(c, (MultiMap.zero(field, 2, q, r),) * c.dim)):
+                            got = conv_compose(left, f)
+                            assert got == oracle_conv_compose(left, f)
+                            assert_normalized(got)
+                    for p2, q2 in ARITIES:
+                        g = rand_wide_conv(c, p2, q2, rng, denominators)
+                        got = conv_tensor(f, g)
+                        assert got == oracle_conv_tensor(f, g)
+                        assert_normalized(got)
+
+
+def test_unit_check_matches_oracle_on_rational_constants():
+    """is_unit_of, which calls the kernel directly, against the dense oracle on rescaled coalgebras."""
+    rng = random.Random(14)
+    verdicts = {True: 0, False: 0}
+    for field in (QQ, F2, F3, F5):
+        for c in (rescaled(divided_power_t(3, field), rng), rescaled(polynomial_multi(2, 2, field), rng)):
+            m0, u0 = dual_numbers(field), unit_column(field, 2)
+            ms = [epsilon_embed(m0, c)] + [rand_wide_conv(c, 2, 1, rng, DENOMINATORS) for _ in range(2)]
+            us = [epsilon_embed(u0, c)] + [rand_wide_conv(c, 0, 1, rng, DENOMINATORS) for _ in range(2)]
+            for m in ms:
+                for u in us:
+                    got = is_unit_of(m, u)
+                    assert got == oracle_is_unit_of(m, u)
+                    verdicts[got] += 1
+    assert verdicts[True] >= 8 and verdicts[False] > 0, verdicts
+
+
+COUNTED = ("__mul__", "__rmul__", "__add__", "__radd__")
+
+
+def test_kernel_makes_no_fraction_products_or_sums():
+    """Over Q, conv_compose and conv_tensor make 0 calls to Fraction.__mul__, __rmul__, __add__ and __radd__.
+
+    The kernel clears denominators and multiplies and adds ints; each output
+    entry is one Fraction(sum, D_mu D_L D_R).  The calls are counted by
+    wrapping those class attributes, restored afterwards.
+    """
+    rng = random.Random(15)
+    c = rescaled(divided_power_t(3, QQ), rng)
+    f = rand_wide_conv(c, 1, 1, rng, DENOMINATORS)
+    g = rand_wide_conv(c, 1, 1, rng, DENOMINATORS)
+    calls = []
+    saved = {name: getattr(Fraction, name) for name in COUNTED}
+
+    def counting(name, fn):
+        return lambda a, b: calls.append(name) or fn(a, b)
+
+    try:
+        for name, fn in saved.items():
+            setattr(Fraction, name, counting(name, fn))
+        Fraction(1, 2) * Fraction(1, 3) + 1
+        probe, calls[:] = list(calls), []
+        composed, tensored = conv_compose(g, f), conv_tensor(f, g)
+    finally:
+        for name, fn in saved.items():
+            setattr(Fraction, name, fn)
+    assert probe == ["__mul__", "__add__"]
+    assert calls == []
+    assert composed == oracle_conv_compose(g, f) and tensored == oracle_conv_tensor(f, g)
+    assert not composed.is_zero() and not tensored.is_zero()
 
 
 def test_pullback_identity_and_epsilon():
