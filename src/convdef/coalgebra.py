@@ -279,11 +279,11 @@ class Coalgebra:
         if self.grading is None:
             raise NoFiltration("coalgebra is not graded")
         f, d = self.field, self.dim
-        layers = []
-        for n in range(self.max_degree() + 1):
-            vecs = [unit_vec(f, d, i) for i, g in enumerate(self.grading) if g <= n]
-            layers.append(Subspace.span(f, d, vecs))
-        return layers
+        # a coordinate subspace is its own RREF: no elimination
+        return [
+            Subspace(Echelon._held(f, d, {i: {i: f.one} for i, g in enumerate(self.grading) if g <= n}))
+            for n in range(self.max_degree() + 1)
+        ]
 
     def sub_on_indices(self, indices: Sequence[int], names: Optional[Sequence[str]] = None) -> Coalgebra:
         """Subcoalgebra spanned by the given basis vectors (must be closed)."""

@@ -23,7 +23,6 @@ are ints already and each sum is reduced mod p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,7 +30,7 @@ from typing import Optional, Sequence
 from .coalgebra import Coalgebra, is_coalgebra_filtration
 from .errors import NoFiltration, NotCocommutative, NotInvertible, ShapeError
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, _lincomb, _normalized, augmented_echelon
+from .linalg import SparseMatrix, Subspace, _cleared, _lincomb, _normalized, augmented_echelon
 
 
 class MultiMap:
@@ -188,12 +187,6 @@ def identity_conv(c: Coalgebra, a_dim: int, arity: int = 1) -> ConvMorphism:
 
 def _entries(mor: ConvMorphism) -> list[dict]:
     return [comp.entries for comp in mor.components]
-
-
-def _cleared(entries: Sequence[dict]) -> tuple[int, list[dict]]:
-    """(D, every rational entry times D as an int), D the lcm of all their denominators."""
-    den = math.lcm(*{v.denominator for e in entries for v in e.values()})
-    return den, [{key: v.numerator * (den // v.denominator) for key, v in e.items()} for e in entries]
 
 
 def _convolve(c: Coalgebra, left: Sequence[dict], right: Sequence[dict], kron: Optional[tuple[int, int]] = None) -> list[dict]:

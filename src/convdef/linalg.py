@@ -2,7 +2,11 @@
 
 `Echelon` is the only elimination loop: it holds the reduced row-echelon
 form of a set of rows as dicts {column: nonzero}, keyed by pivot column,
-and over F_p it computes on plain ints mod p.  A `Subspace` is a view of
+and computes on plain ints: mod p over F_p, and over Q on primitive int
+rows R, each with its pivot entry R[c] > 0 as the denominator of the RREF
+row R / R[c].  Clearing pivot c from a row v is v <- R[c] v - v[c] R, then
+division by the gcd of v's entries; each RREF entry becomes one `Fraction`
+only when the elimination is done.  A `Subspace` is a view of
 the `Echelon` of a spanning set, so equal subspaces compare equal as
 values, and its rows stay sparse.  `SparseMatrix` holds only the nonzero
 entries of a map, the library's one matrix type: the differentials d^n,
@@ -17,7 +21,9 @@ Everything here is immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import NotASubspace, ShapeError
@@ -214,8 +220,24 @@ def _sum(field: Field, terms: Iterable[tuple[object, object]]) -> dict:
     return _normalized(field, acc)
 
 
-def _sub_multiple(dst: dict, factor, src: dict, p: int) -> None:
-    """dst -= factor * src in place, dropping what cancels; over F_p (p > 0) on plain ints mod p."""
+def _cleared(entries: Sequence[dict]) -> tuple[int, list[dict]]:
+    """(D, every rational entry times D as an int), D the lcm of all their denominators."""
+    den = math.lcm(*{v.denominator for e in entries for v in e.values()})
+    return den, [{key: v.numerator * (den // v.denominator) for key, v in e.items()} for e in entries]
+
+
+def _fractions(ints: dict, den: int) -> dict:
+    """The entries ints / den, one `Fraction` in lowest terms each."""
+    if den == 1:
+        return {c: Fraction(v) for c, v in ints.items()}
+    return {c: Fraction(v, den) for c, v in ints.items()}
+
+
+def _sub_multiple(dst: dict, factor: int, src: dict, p: int, scale: int = 1) -> None:
+    """dst <- scale * dst - factor * src in place on plain ints, dropping what cancels; over F_p (p > 0) mod p, scale 1."""
+    if scale != 1:
+        for c in dst:
+            dst[c] *= scale
     get = dst.get
     if p:
         for c, v in src.items():
@@ -233,6 +255,16 @@ def _sub_multiple(dst: dict, factor, src: dict, p: int) -> None:
                 del dst[c]
 
 
+def _make_primitive(row: dict, lead: int) -> None:
+    """Divide the int row in place by the gcd of its entries, signed as lead: the entry lead turns positive."""
+    g = math.gcd(*row.values())
+    if lead < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
+
+
 class Echelon:
     """The reduced row-echelon form of a set of rows, held sparse: the one elimination loop.
 
@@ -245,16 +277,28 @@ class Echelon:
     entry left of its own pivot, so no step puts an entry left of a
     pivot or at another row's pivot: the held rows are the unique RREF of
     the span at every step, with no back-reduction pass.
+
+    The loop computes on ints only.  Over F_p a held row R is the RREF row,
+    R[c] = 1 at its pivot c, and values are reduced mod p.  Over Q it is
+    the primitive int row R with R[c] > 0 (the gcd of its entries is 1),
+    so the RREF row is R / R[c]: a rational input row enters as its
+    entries times the lcm of their denominators, clearing pivot c from a
+    row v is v <- R[c] v - v[c] R followed by division by the gcd of v,
+    and `rows` is built once at the end, one `Fraction(v, R[c])` per entry.
     """
 
-    __slots__ = ("field", "ncols", "rows", "pivots")
+    __slots__ = ("field", "ncols", "rows", "pivots", "_ints")
 
     def __init__(self, field: Field, ncols: int, rows: Iterable[dict] = ()):
         self.field = field
         self.ncols = ncols
-        self.rows: dict[int, dict] = {}
+        p = field.char
+        self._ints: dict[int, dict] = {}
         for row in sorted(rows, key=len):
-            self._insert(self.reduce(row))
+            vec = dict(row) if p else _cleared((row,))[1][0]
+            self._clear(vec)
+            self._insert(vec)
+        self.rows = self._ints if p else {piv: _fractions(r, r[piv]) for piv, r in self._ints.items()}
         self.pivots = tuple(sorted(self.rows))
 
     @classmethod
@@ -262,6 +306,7 @@ class Echelon:
         # Trusted constructor: `rows` must already be an RREF keyed by pivot.
         out = cls.__new__(cls)
         out.field, out.ncols, out.rows, out.pivots = field, ncols, rows, tuple(sorted(rows))
+        out._ints = rows if field.char else None
         return out
 
     @classmethod
@@ -272,28 +317,72 @@ class Echelon:
     def rank(self) -> int:
         return len(self.rows)
 
+    def _held_ints(self) -> dict[int, dict]:
+        """The held int rows; over Q a trusted-constructed echelon builds them on first use.
+
+        An RREF row times the lcm L of its denominators is primitive with L at its pivot.
+        """
+        if self._ints is None:
+            self._ints = {piv: _cleared((row,))[1][0] for piv, row in self.rows.items()}
+        return self._ints
+
+    def _clear(self, vec: dict) -> int:
+        """Zero the int row vec at every held pivot, in place; returns the factor L it was scaled by.
+
+        A held row is zero at every other pivot, so each coefficient vec[c] is
+        vec's own entry.  Over Q, vec is first scaled by L, the lcm of the hit
+        rows' R[c], which makes every multiple vec[c] / R[c] an int: the
+        result is L times the rational reduction.  L = 1 means every hit
+        R[c] is 1, as over F_p.
+        """
+        held, p = self._ints, self.field.char
+        hits = [c for c in vec if c in held]
+        scale = 1 if p or not hits else math.lcm(*[held[c][c] for c in hits])
+        if scale != 1:
+            for c in vec:
+                vec[c] *= scale
+        for c in hits:
+            row = held[c]
+            _sub_multiple(vec, vec[c] if scale == 1 else vec[c] // row[c], row, p)
+        return scale
+
     def _insert(self, row: dict) -> None:
+        # row is an int row zero at every held pivot
         if not row:
             return
-        held, f, p = self.rows, self.field, self.field.char
+        held, p = self._ints, self.field.char
         piv = min(row)
         lead = row[piv]
-        if lead != 1:
-            inv = f.inv(lead)
-            row = {c: v * inv % p for c, v in row.items()} if p else {c: v * inv for c, v in row.items()}
+        if p:
+            if lead != 1:
+                inv = self.field.inv(lead)
+                row = {c: v * inv % p for c, v in row.items()}
+            lead = 1
+        else:
+            _make_primitive(row, lead)
+            lead = row[piv]
         for other in held.values():
             if piv in other:
-                _sub_multiple(other, other[piv], row, p)
+                _sub_multiple(other, other[piv], row, p, lead)
+                if not p:
+                    _make_primitive(other, 1)
         held[piv] = row
 
     def reduce(self, vec: dict) -> dict:
-        """A new dict: vec minus its combination of the rows that leaves it zero at every pivot."""
-        held, p = self.rows, self.field.char
-        out = dict(vec)
-        # a held row is zero at every other pivot, so subtracting it leaves the other factors as they were
-        for c in [c for c in out if c in held]:
-            _sub_multiple(out, out[c], held[c], p)
-        return out
+        """A new dict: vec minus its combination of the rows that leaves it zero at every pivot.
+
+        Over Q, vec times the lcm D of its denominators is reduced on ints by
+        `_clear`, and each entry left is one Fraction(v, D * L).
+        """
+        held = self._held_ints()
+        if self.field.char:
+            out = dict(vec)
+            self._clear(out)
+            return out
+        if not any(c in held for c in vec):
+            return dict(vec)
+        den, (out,) = _cleared((vec,))
+        return _fractions(out, den * self._clear(out))
 
     def restrict(self, ncols: int) -> Echelon:
         """The RREF of the first ncols columns of the rows, read off this one."""

@@ -58,6 +58,7 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("classify", ["classify", fx("poly_t2_dual.json")], 0),
         ("classify_f3", ["classify", fx("poly2_t2_f3.json")], 0),
         ("invert_frac", ["invert", fx("invert_frac.json")], 0),
+        ("cohomology_dense", ["cohomology", fx("trunc3_dense.json"), "--degree", "2"], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):

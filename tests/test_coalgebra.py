@@ -278,6 +278,28 @@ def test_filtration_check_matches_dense_oracle():
     assert cases > 500
 
 
+def test_grading_filtration_layers_are_spans_of_unit_vectors():
+    """Each layer C_{<=n}, held as its own RREF without elimination, is the eliminated span of its unit vectors."""
+    rng = random.Random(13)
+    for field in (QQ, F2, F3):
+        coalgebras = [
+            trivial_k(field),
+            divided_power_t(3, field),
+            polynomial_multi(2, 2, field),
+            grouplike_coalgebra(3, field),
+            direct_sum([divided_power_t(2, field), grouplike_coalgebra(1, field), divided_power_t(1, field)]),
+        ] + [Coalgebra(field, c.names, c.delta, c.counit, grading=c.grading) for c in _fixture_coalgebras() if c.grading]
+        for c in coalgebras:
+            layers = c.grading_filtration()
+            assert len(layers) == c.max_degree() + 1
+            for n, layer in enumerate(layers):
+                span = Subspace.span(field, c.dim, [unit_vec(field, c.dim, i) for i, g in enumerate(c.grading) if g <= n])
+                assert layer == span and layer.pivots == span.pivots
+                v = tuple(field.random_element(rng) for _ in range(c.dim))
+                assert layer.reduce(v) == span.reduce(v)
+                assert layer.contains_space(span) and span.contains_space(layer)
+
+
 def test_filtration_layers_of_the_wrong_ambient_raise():
     c = divided_power_t(2, QQ)
     wide = [unit_vec(QQ, 4, i) for i in range(3)]

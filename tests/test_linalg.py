@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,10 +19,10 @@ from convdef import (
     solve,
     solve_many,
 )
-from convdef.linalg import Matrix
+from convdef.linalg import Matrix, _dense, _sparse, augmented_echelon
 from convdef.fields import QQ, PrimeField
 
-from helpers import F3, greedy_quotient_rows, oracle_rref, sparse_of
+from helpers import F3, FIXTURES, dense_differential_matrix, greedy_quotient_rows, oracle_rref, sparse_of
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -352,3 +354,143 @@ def test_echelon_matches_dense_gauss_jordan(m):
 @pytest.mark.parametrize("m", EDGE_MATRICES, ids=repr)
 def test_echelon_edge_cases_match_dense_gauss_jordan(m):
     check_echelon_against_oracle(m)
+
+
+# -- Q elimination on ints, against the dense Fraction oracle ------------------------------
+
+
+def _wide(rng) -> Fraction:
+    """A nonzero rational with a numerator up to 2^64 and a denominator up to 2^70."""
+    den = rng.choice((1, 3, 143, 2**64 + 13, 2**70, rng.randint(1, 2**70)))
+    return Fraction(rng.choice((1, -1)) * rng.randint(1, 2**64), den)
+
+
+def _wide_q_matrices() -> list:
+    """Q matrices with wide entries, negative leading entries and rows that are rational multiples of others."""
+    rng = random.Random(29)
+    out = []
+    for _ in range(12):
+        nr, nc = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[_wide(rng) if rng.random() < 0.6 else 0 for _ in range(nc)] for _ in range(nr)]
+        for row in rows:
+            lead = next((x for x in row if x), 0)
+            if lead > 0 and rng.random() < 0.7:
+                row[:] = [-x for x in row]
+        for _ in range(rng.randint(1, 3)):
+            rows.append([x * _wide(rng) for x in rng.choice(rows)])
+        rng.shuffle(rows)
+        out.append(_matrix(QQ, rows, nc))
+    return out
+
+
+def _trunc3_dense_differentials() -> list:
+    """d^1 (27 x 9) and the tall d^2 (81 x 27) of Q[x]/(x^3) in a dense rational basis."""
+    from convdef import hochschild_spec
+    from convdef.specfile import parse_path
+
+    sf, _failures = parse_path(str(FIXTURES / "trunc3_dense.json"))
+    spec = hochschild_spec(sf.algebras["A"].m.components[0])
+    return [dense_differential_matrix(spec, n) for n in (1, 2)]
+
+
+Q_WIDE_MATRICES = _wide_q_matrices() + _trunc3_dense_differentials()
+
+
+def _oracle_reduce(m, v) -> tuple:
+    """v minus multiples of the oracle's RREF rows, one per pivot, leaving it zero at every pivot."""
+    red, pivots, _rank = oracle_rref(m)
+    out = list(v)
+    for row, c in zip(red.data, pivots):
+        factor = out[c]
+        out = [x - factor * y for x, y in zip(out, row)]
+    return tuple(out)
+
+
+def _is_normalized_fraction(x) -> bool:
+    return type(x) is Fraction and x != 0 and x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
+
+@pytest.mark.parametrize("m", Q_WIDE_MATRICES, ids=lambda m: f"{m.rows}x{m.cols}")
+def test_q_echelon_on_wide_rationals_matches_dense_gauss_jordan(m):
+    """Rows, pivots, kernel, reduce and solutions over Q equal the oracle's, with rows of normalized Fractions."""
+    check_echelon_against_oracle(m)
+    ech = Echelon.of_matrix(m)
+    for piv, row in ech.rows.items():
+        assert type(row[piv]) is Fraction and row[piv] == Fraction(1)
+        assert all(_is_normalized_fraction(x) for x in row.values())
+        # the held int row R is primitive, positive at its pivot, and the RREF row is R / R[piv]
+        held = ech._ints[piv]
+        assert math.gcd(*held.values()) == 1 and held[piv] > 0
+        assert row == {c: Fraction(v, held[piv]) for c, v in held.items()}
+    rng = random.Random(m.rows * 31 + m.cols)
+    in_span = tuple(sum((x * _wide(rng) for x in col), Fraction(0)) for col in zip(*m.data))
+    noise = [0] * m.cols
+    noise[rng.randrange(m.cols)] = _wide(rng)
+    vecs = [tuple(_wide(rng) for _ in range(m.cols)), in_span, tuple(a + b for a, b in zip(in_span, noise))]
+    k = m.cols // 2
+    left = Matrix(QQ, m.rows, k, tuple(r[:k] for r in m.data))
+    for v in vecs:
+        got = ech.reduce(_sparse(v))
+        assert all(_is_normalized_fraction(x) for x in got.values())
+        assert _dense(QQ, m.cols, got) == _oracle_reduce(m, v)
+        # a restricted echelon is held as Fractions; its int rows are built on first use
+        assert _dense(QQ, k, ech.restrict(k).reduce(_sparse(v[:k]))) == _oracle_reduce(left, v[:k])
+    image_rhs = m.mul_vec(tuple(_wide(rng) for _ in range(m.cols)))
+    for rhs in ([image_rhs], [image_rhs, tuple(_wide(rng) for _ in range(m.rows))]):
+        sols = augmented_echelon(QQ, [_sparse(r) for r in m.data], m.cols, rhs).solutions(m.cols)
+        solvable = all(oracle_rref(m.hstack(Matrix(QQ, m.rows, 1, tuple((x,) for x in b))))[2] == ech.rank for b in rhs)
+        assert (sols is not None) == solvable
+        if sols is None:
+            continue
+        for x, b in zip(sols, rhs):
+            # the canonical solution: m x = b with every free variable zero
+            assert m.mul_vec(x) == b
+            assert all(x[j] == 0 for j in range(m.cols) if j not in ech.pivots)
+
+
+FRACTION_ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")
+
+
+def test_q_elimination_makes_no_fraction_arithmetic():
+    """Over Q, building an Echelon and reducing against it make 0 calls to Fraction's products, sums and differences.
+
+    Elimination runs on primitive int rows and builds each entry as one
+    Fraction.  The calls are counted by wrapping those class attributes,
+    restored afterwards.
+    """
+    rng = random.Random(41)
+    cases = [(m, [_sparse(r) for r in m.data], [_sparse(tuple(_wide(rng) for _ in range(m.cols))) for _ in range(3)])
+             for m in Q_WIDE_MATRICES[-4:]]
+    calls = []
+    saved = {name: getattr(Fraction, name) for name in FRACTION_ARITHMETIC}
+
+    def counting(name, fn):
+        return lambda a, b: calls.append(name) or fn(a, b)
+
+    try:
+        for name, fn in saved.items():
+            setattr(Fraction, name, counting(name, fn))
+        Fraction(1, 2) * Fraction(1, 3) + 1 - Fraction(1, 5)
+        probe, calls[:] = list(calls), []
+        results = []
+        for m, rows, vecs in cases:
+            ech = Echelon(QQ, m.cols, rows)
+            left = ech.restrict(m.cols // 2)
+            reduced = [ech.reduce(v) for v in vecs]
+            reduced_left = [left.reduce({c: x for c, x in v.items() if c < left.ncols}) for v in vecs]
+            results.append((ech, reduced, reduced_left))
+    finally:
+        for name, fn in saved.items():
+            setattr(Fraction, name, fn)
+    assert probe == ["__mul__", "__add__", "__sub__"]
+    assert calls == []
+    for (m, _rows, vecs), (ech, reduced, reduced_left) in zip(cases, results):
+        red, _pivots, rank = oracle_rref(m)
+        assert ech.dense_rows() == red.data[:rank]
+        k = m.cols // 2
+        left = Matrix(QQ, m.rows, k, tuple(r[:k] for r in m.data))
+        for v, got, got_left in zip(vecs, reduced, reduced_left):
+            dv = _dense(QQ, m.cols, v)
+            assert _dense(QQ, m.cols, got) == _oracle_reduce(m, dv)
+            assert _dense(QQ, k, got_left) == _oracle_reduce(left, dv[:k])
+    assert any(x.denominator > 1 for ech, _r, _l in results for row in ech.rows.values() for x in row.values())
