@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedSearch,
 )
 from .fields import Field, require_same_field
-from .linalg import Echelon, SparseMatrix, Subspace, Vector, _lincomb, _sum, preimage, unit_vec
+from .linalg import SparseMatrix, Subspace, Vector, _lincomb, _sum, preimage, unit_vec
 
 Triples = tuple[tuple[int, int, object], ...]
 
@@ -281,7 +281,7 @@ class Coalgebra:
         f, d = self.field, self.dim
         # a coordinate subspace is its own RREF: no elimination
         return [
-            Subspace(Echelon._held(f, d, {i: {i: f.one} for i, g in enumerate(self.grading) if g <= n}))
+            Subspace._held(f, d, {i: {i: f.one} for i, g in enumerate(self.grading) if g <= n})
             for n in range(self.max_degree() + 1)
         ]
 
@@ -336,7 +336,7 @@ def is_coalgebra_filtration(c: Coalgebra, layers: Sequence[Subspace]) -> bool:
     level: dict[int, int] = {}
     tail: dict[int, list] = {}  # b_p = e_p + sum of x * e_i over (i, x) in tail[p], each i > p
     for n, layer in enumerate(layers):
-        for p, row in layer.echelon.rows.items():
+        for p, row in layer.rows.items():
             if p not in level:
                 level[p] = n
                 tail[p] = [(i, x) for i, x in row.items() if i != p]
@@ -376,8 +376,8 @@ def coradical_filtration(c: Coalgebra, c0: Subspace) -> list[Subspace]:
     if c0.ambient != d:
         raise ShapeError("ambient dimension mismatch")
     delta = triples_columns(c.delta, d)
-    bottom = list(c0.echelon.rows.values())
-    c0c0 = Echelon(f, d * d, [_tensor(f, u, v, d) for u in bottom for v in bottom])
+    bottom = list(c0.rows.values())
+    c0c0 = Subspace(f, d * d, [_tensor(f, u, v, d) for u in bottom for v in bottom])
     if any(c0c0.reduce(_lincomb(f, ((x, delta[i]) for i, x in u.items()))) for u in bottom):
         raise ShapeError("C0 is not a subcoalgebra")
     delta_map = SparseMatrix(f, d * d, d, tuple((r, i, v) for i, col in enumerate(delta) for r, v in col.items()))
@@ -385,9 +385,9 @@ def coradical_filtration(c: Coalgebra, c0: Subspace) -> list[Subspace]:
     chain = [c0]
     while chain[-1].dim < d:
         cur = chain[-1]
-        vecs = [_tensor(f, e, v, d) for e in units for v in cur.echelon.rows.values()]
+        vecs = [_tensor(f, e, v, d) for e in units for v in cur.rows.values()]
         vecs += [_tensor(f, u, e, d) for e in units for u in bottom]
-        nxt = preimage(delta_map, Subspace(Echelon(f, d * d, vecs))).sum(cur)
+        nxt = preimage(delta_map, Subspace(f, d * d, vecs)).sum(cur)
         if nxt == cur:
             raise NotExhaustive(
                 f"filtration stabilized at dimension {cur.dim} < {d}; C0 is not the coradical"

@@ -19,13 +19,13 @@ The composition-based cofaces these families expand live in the test
 suite as the independent oracle (`tests/helpers.py`, `oracle_coface`).
 d^n is never densified: `ComplexSpec` eliminates its rows once (Z^n is
 their null space) and its columns once (they span B^(n+1)), each into a
-sparse `Echelon` cached per degree.  `ComplexSpec.differential` applies
+sparse `Subspace` cached per degree.  `ComplexSpec.differential` applies
 the cofaces to one cochain without d^n: it scatters the same three
 families from the cochain's nonzero entries, through the entries of m
 indexed by q (i = 0), by p (i = n+1) and by r (the inner faces, the
 cochain's column split into (h, r, l)).
 
-m is associative when its associator m * (e (x) m) - m * (m (x) e), e = eps(-) id_A,
+m is associative when its associator m * ((e (x) m) - (m (x) e)), e = eps(-) id_A,
 vanishes (`is_associative`); the obstruction zeta of `convdef.deformation` is
 a block of the same sparse associator.
 """
@@ -41,7 +41,7 @@ from .convolution import ConvMorphism, MultiMap, _convolve, _entries, epsilon_em
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
-from .linalg import Echelon, SparseMatrix, Subspace, Vector, _lincomb, _normalized, _sum, augmented_echelon
+from .linalg import SparseMatrix, Subspace, Vector, _dense, _lincomb, _normalized, _sum, augmented_echelon
 
 
 @dataclass(frozen=True)
@@ -88,28 +88,31 @@ class Cochain:
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.maps)
 
-    def flatten(self) -> Vector:
+    def flat_entries(self) -> dict:
+        """The nonzero flat coordinates {index: value}."""
         cols = self.a_dim**self.degree
         block = self.a_dim * cols
-        out = [self.field.zero] * (self.x_dim * block)
-        for s, m in enumerate(self.maps):
-            for (r, c), v in m.entries.items():
-                out[s * block + r * cols + c] = v
-        return tuple(out)
+        return {s * block + r * cols + c: v for s, m in enumerate(self.maps) for (r, c), v in m.entries.items()}
+
+    def flatten(self) -> Vector:
+        return _dense(self.field, self.x_dim * self.a_dim ** (self.degree + 1), self.flat_entries())
 
     @classmethod
     def from_flat(cls, field: Field, a_dim: int, x_dim: int, degree: int, flat: Sequence) -> Cochain:
-        cols = a_dim**degree
-        block = a_dim * cols
-        if len(flat) != x_dim * block:
+        if len(flat) != x_dim * a_dim ** (degree + 1):
             raise ShapeError("flat cochain length mismatch")
-        entries: list[dict] = [{} for _ in range(x_dim)]
-        for i, x in enumerate(flat):
-            v = field.coerce(x) if x else None
-            if v:
-                s, rc = divmod(i, block)
-                entries[s][divmod(rc, cols)] = v
-        return cls(degree, tuple(MultiMap(field, a_dim, degree, 1, e) for e in entries))
+        coerced = ((i, field.coerce(x)) for i, x in enumerate(flat) if x)
+        return cls.from_entries(field, a_dim, x_dim, degree, {i: v for i, v in coerced if v})
+
+    @classmethod
+    def from_entries(cls, field: Field, a_dim: int, x_dim: int, degree: int, entries: dict) -> Cochain:
+        """The cochain with the given nonzero normalized flat coordinates {index: value}."""
+        cols = a_dim**degree
+        maps: list[dict] = [{} for _ in range(x_dim)]
+        for i, v in entries.items():
+            s, rc = divmod(i, a_dim * cols)
+            maps[s][divmod(rc, cols)] = v
+        return cls(degree, tuple(MultiMap(field, a_dim, degree, 1, e) for e in maps))
 
 
 def cochain_act(nu: Cochain, alpha: Sequence, comodule: Comodule) -> Cochain:
@@ -152,8 +155,8 @@ class ComplexSpec:
         self.x_dim = comodule.dim
         self.field = m.field
         self._entries_cache: dict[int, tuple] = {}
-        self._row_echelons: dict[int, Echelon] = {}  # RREF of the rows of d^n: Z^n is its null space
-        self._col_echelons: dict[int, Echelon] = {}  # RREF of the columns of d^n: B^(n+1)
+        self._row_echelons: dict[int, Subspace] = {}  # RREF of the rows of d^n: Z^n is its null space
+        self._col_echelons: dict[int, Subspace] = {}  # RREF of the columns of d^n: B^(n+1)
 
     def cochain_dim(self, n: int) -> int:
         return self.x_dim * self.a_dim ** (n + 1)
@@ -250,23 +253,23 @@ class ComplexSpec:
         """d^n as its sparse entries, cochain_dim(n+1) x cochain_dim(n)."""
         return SparseMatrix(self.field, self.cochain_dim(n + 1), self.cochain_dim(n), self.differential_entries(n))
 
-    def row_echelon(self, n: int) -> Echelon:
+    def row_echelon(self, n: int) -> Subspace:
         """The RREF of the rows of d^n, eliminated once and cached."""
         if n not in self._row_echelons:
-            self._row_echelons[n] = self.differential_matrix(n).echelon()
+            self._row_echelons[n] = self.differential_matrix(n).row_space()
         return self._row_echelons[n]
 
-    def image_echelon(self, n: int) -> Echelon:
+    def image_echelon(self, n: int) -> Subspace:
         """The RREF of the columns of d^n, a basis of B^(n+1); eliminated once and cached."""
         if n not in self._col_echelons:
-            self._col_echelons[n] = self.differential_matrix(n).transpose().echelon()
+            self._col_echelons[n] = self.differential_matrix(n).transpose().row_space()
         return self._col_echelons[n]
 
     def coboundaries(self, n: int) -> Subspace:
         """B^n = im d^(n-1), zero for n = 0."""
         if n == 0:
-            return Subspace.zero(self.field, self.cochain_dim(0))
-        return Subspace(self.image_echelon(n - 1))
+            return Subspace(self.field, self.cochain_dim(0))
+        return self.image_echelon(n - 1)
 
     def solve(self, n: int, rhs: Sequence) -> Optional[Vector]:
         """The canonical solution of d^n x = rhs (free variables zero), or None off B^(n+1).
@@ -283,7 +286,7 @@ class ComplexSpec:
     def cohomology(self, n: int) -> CohomologyResult:
         """Z^n = ker d^n, B^n = im d^(n-1), with RREF-canonical H^n representatives."""
         f = self.field
-        z_space = Subspace(Echelon(f, self.cochain_dim(n), self.row_echelon(n).kernel()))
+        z_space = Subspace(f, self.cochain_dim(n), self.row_echelon(n).kernel())
         b_space = self.coboundaries(n)
         if not z_space.contains_space(b_space):
             raise ShapeError("differential does not square to zero; complex is inconsistent")
@@ -303,14 +306,17 @@ class ComplexSpec:
 
 
 def _associator(m: ConvMorphism) -> list[dict]:
-    """m * (e (x) m) - m * (m (x) e), e = eps(-) id_A, by the sparse convolution kernel: one dict per component."""
+    """m * ((e (x) m) - (m (x) e)), e = eps(-) id_A, by the sparse convolution kernel: one dict per component.
+
+    Convolution is linear in its right factor, so this is m * (e (x) m) - m * (m (x) e)
+    with one composition instead of two.
+    """
     c, a = m.coalgebra, m.a_dim
     if m.src_arity != 2 or m.tgt_arity != 1:
         raise ShapeError("multiplication must be a map C -> Hom(A(x)A, A)")
     mm, ee = _entries(m), _entries(identity_conv(c, a))
-    left = _convolve(c, mm, _convolve(c, ee, mm, (a, a * a)))
-    right = _convolve(c, mm, _convolve(c, mm, ee, (a, a)))
-    return [_lincomb(c.field, ((1, lhs), (-1, rhs))) for lhs, rhs in zip(left, right)]
+    sides = zip(_convolve(c, ee, mm, (a, a * a)), _convolve(c, mm, ee, (a, a)))
+    return _convolve(c, mm, [_lincomb(c.field, ((1, lhs), (-1, rhs))) for lhs, rhs in sides])
 
 
 def is_associative(m: ConvMorphism) -> bool:

@@ -169,7 +169,7 @@ class ConvMorphism:
     def vanishes_on(self, space: Subspace) -> bool:
         if space.ambient != self.coalgebra.dim:
             raise ShapeError("subspace ambient dimension mismatch")
-        return all(self.evaluate(row).is_zero() for row in space.echelon.rows.values())
+        return all(self.evaluate(row).is_zero() for row in space.rows.values())
 
     def _same_base(self, other: ConvMorphism) -> None:
         if self.coalgebra != other.coalgebra:
@@ -297,7 +297,7 @@ def _invert_on_bottom(f: ConvMorphism, bottom: Subspace) -> ConvMorphism:
     d = f.a_dim**f.src_arity
     if f.src_arity != f.tgt_arity:
         raise NotInvertible("only square-arity morphisms can be inverted")
-    rows = [bottom.echelon.rows[piv] for piv in bottom.pivots]
+    rows = [bottom.rows[piv] for piv in bottom.pivots]
     if not rows:
         raise NotInvertible("empty bottom layer")
     slot = {piv: s for s, piv in enumerate(bottom.pivots)}

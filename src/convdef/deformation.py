@@ -131,18 +131,14 @@ class Deformation:
 
     def require_valid(self) -> None:
         """The fiber condition, then associativity of mtilde as the residual d^2(m_X) = -zeta, exactly."""
-        self._verify(None)
-
-    def _verify(self, report: Optional[DeformationReport]) -> None:
-        """`require_valid` with the zeta and complex of `report` when given, else of this base."""
         if not self.fiber_condition_holds():
             raise SpecMismatch("multiplication does not restrict to the base algebra")
-        if report is None:
-            zeta, spec = obstruction_zeta(self.base, self.extension), complex_of(self.base, self.extension)
-        else:
-            zeta, spec = report.zeta, report.spec
-        if spec.differential(self.m_x) != -zeta:
-            raise ShapeError("deformed multiplication is not associative")
+        _require_mc(self.m_x, obstruction_zeta(self.base, self.extension), complex_of(self.base, self.extension))
+
+
+def _require_mc(nu: Cochain, zeta: Cochain, spec: ComplexSpec) -> None:
+    if spec.differential(nu) != -zeta:
+        raise ShapeError("deformed multiplication is not associative")
 
 
 def make_deformation(
@@ -151,15 +147,18 @@ def make_deformation(
     """Assemble mtilde with mtilde(c, x) = m(c) + nu(x) and verify it: mtilde is associative exactly when d^2(nu) = -zeta.
 
     The residual is one application of d^2 to nu's entries (see the module
-    docstring).  Within this module `_report` is the `mc_solve` report of
-    (base, ext), so its zeta and complex are not rebuilt for each solution.
+    docstring).  mtilde starts with base.m's own components, so the fiber
+    condition holds by construction and is not checked.  Within this
+    module `_report` is the `mc_solve` report of (base, ext), so its zeta
+    and complex are not rebuilt for each solution.
     """
     if nu.degree != 2 or nu.x_dim != ext.comodule.dim:
         raise ShapeError("solution cochain must be a degree-2 cochain on X")
-    comps = tuple(base.m.components) + tuple(nu.maps)
-    mtilde = ConvMorphism(ext.ctilde, comps)
-    d = Deformation(base=base, extension=ext, mtilde=mtilde)
-    d._verify(_report)
+    d = Deformation(base=base, extension=ext, mtilde=ConvMorphism(ext.ctilde, tuple(base.m.components) + nu.maps))
+    if _report is None:
+        _require_mc(nu, obstruction_zeta(base, ext), complex_of(base, ext))
+    else:
+        _require_mc(nu, _report.zeta, _report.spec)
     return d
 
 
@@ -215,52 +214,37 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
     spec = complex_of(alg, ext)
     zeta = obstruction_zeta(alg, ext)
     f = spec.field
-    zeta_flat = zeta.flatten()
     # one elimination of [d^2 | zeta]: its left block is the RREF of d^2 that cohomology(2) reads Z^2 from
-    sol = spec.solve(2, zeta_flat)
+    sol = spec.solve(2, zeta.flatten())
     h2 = spec.cohomology(2)
     z2, b2 = (
-        tuple(Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, row) for row in space.echelon.dense_rows())
+        tuple(Cochain.from_entries(f, spec.a_dim, spec.x_dim, 2, space.rows[p]) for p in space.pivots)
         for space in (h2.z_space, h2.b_space)
     )
-    coset_count = f.char ** h2.dim_h if f.char else None
     if sol is None:
+        nu0 = None
         # canonical representative of [zeta] modulo B^3 = im d^2
-        rep_flat = spec.coboundaries(3).reduce(zeta_flat)
-        return DeformationReport(
-            zeta=zeta,
-            obstruction_vanishes=False,
-            nu0=None,
-            base_solution=None,
-            z2_basis=z2,
-            b2_basis=b2,
-            h2_reps=h2.representatives,
-            dim_z2=h2.dim_z,
-            dim_b2=h2.dim_b,
-            dim_h2=h2.dim_h,
-            coset_count=coset_count,
-            zeta_class_rep=Cochain.from_flat(f, spec.a_dim, spec.x_dim, 3, rep_flat),
-            spec=spec,
-        )
-    nu0 = Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, sol)
-    base_solution = -nu0
+        rep = Cochain.from_entries(f, spec.a_dim, spec.x_dim, 3, spec.coboundaries(3).reduce(zeta.flat_entries()))
+    else:
+        nu0, rep = Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, sol), None
     report = DeformationReport(
         zeta=zeta,
-        obstruction_vanishes=True,
+        obstruction_vanishes=sol is not None,
         nu0=nu0,
-        base_solution=base_solution,
+        base_solution=None if nu0 is None else -nu0,
         z2_basis=z2,
         b2_basis=b2,
         h2_reps=h2.representatives,
         dim_z2=h2.dim_z,
         dim_b2=h2.dim_b,
         dim_h2=h2.dim_h,
-        coset_count=coset_count,
-        zeta_class_rep=None,
+        coset_count=f.char ** h2.dim_h if f.char else None,
+        zeta_class_rep=rep,
         spec=spec,
     )
-    # end-to-end re-verification: the materialized multiplication must be associative
-    make_deformation(alg, ext, base_solution, _report=report)
+    if nu0 is not None:
+        # end-to-end re-verification: the materialized multiplication must be associative
+        make_deformation(alg, ext, report.base_solution, _report=report)
     return report
 
 

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedCoaction,
 )
 from .fields import require_same_field
-from .linalg import Echelon, SparseMatrix, Subspace, Vector, _lincomb, _sum, image
+from .linalg import SparseMatrix, Subspace, Vector, _lincomb, _sum, image
 
 
 class Comodule:
@@ -239,8 +239,8 @@ def split_extension(
     def apply(cols, v):
         return _lincomb(f, ((x, cols[i]) for i, x in v.items()))
 
-    iota_space = Echelon(f, d, iota_cols)
-    if iota_space.rank != dc:
+    iota_space = Subspace(f, d, iota_cols)
+    if iota_space.dim != dc:
         raise NotAnExtension("iota is not injective")
     if any(apply(lam_cols, col) != {j: f.one} for j, col in enumerate(iota_cols)):
         raise RetractNotNormalized("lambda o iota is not the identity of C")
@@ -257,16 +257,16 @@ def split_extension(
     delta = triples_columns(ctilde.delta, d)
     units = [{i: f.one} for i in range(d)]
     sides = [t for e in units for u in iota_space.rows.values() for t in (_tensor(f, e, u, d), _tensor(f, u, e, d))]
-    target = Echelon(f, d * d, sides)
+    target = Subspace(f, d * d, sides)
     if any(target.reduce(col) for col in delta):
         raise NotAnExtension("Delta(Ctilde) is not supported on Ctilde(x)C + C(x)Ctilde")
     # X := ker(lambda), canonical: z_s has a one at the s-th free column of lambda and
     # zeros at the others, so the coordinates of v in ker(lambda) are its free entries
-    lam_echelon = lam.echelon()
-    kb = lam_echelon.kernel()
+    lam_space = lam.row_space()
+    kb = lam_space.kernel()
     if not kb:
         raise NotAnExtension("the retract has trivial kernel; nothing to split off")
-    slot = {i: s for s, i in enumerate(i for i in range(d) if i not in lam_echelon.rows)}
+    slot = {i: s for s, i in enumerate(i for i in range(d) if i not in lam_space.rows)}
     proj = []  # p(e_j), the free entries of e_j - iota lambda e_j
     for j, e in enumerate(units):
         w = _lincomb(f, ((1, e), (-1, apply(iota_cols, lam_cols[j]))))
@@ -306,7 +306,7 @@ def _restrict_coalgebra_along(ctilde: Coalgebra, iota: SparseMatrix, counit: Seq
     for i, col in enumerate(cols):
         for r, y in _lincomb(f, ((x, delta[a]) for a, x in col.items())).items():
             rows.setdefault(r, {})[dc * dc + i] = y
-    sols = Echelon(f, dc * dc + dc, rows.values()).solutions(dc * dc)
+    sols = Subspace(f, dc * dc + dc, rows.values()).solutions(dc * dc)
     if sols is None:
         raise NotAnExtension("iota is not a coalgebra morphism")
     delta_c = [[(j, k, y[j * dc + k]) for j in range(dc) for k in range(dc) if y[j * dc + k]] for y in sols]
@@ -391,8 +391,8 @@ def decompose_completely_reducible(
     for s in range(dx):
         for t, u, c in com.coaction[s]:
             rows[u][column[(s, t)]] = c
-    ech = Echelon(f, k + len(keys), rows)
-    if ech.restrict(k).rank != k:
+    ech = Subspace(f, k + len(keys), rows)
+    if ech.restrict(k).dim != k:
         raise ValueError("group-like vectors must be distinct (they are then independent)")
     sols = ech.solutions(k)
     if sols is None:
@@ -404,7 +404,7 @@ def decompose_completely_reducible(
                 op[s][t] = y
     if any(_lincomb(f, ((1, op[s]) for op in ops)) != {s: f.one} for s in range(dx)):
         return None
-    images = [Echelon(f, dx, op) for op in ops]
-    if sum(img.rank for img in images) != dx:
+    images = [Subspace(f, dx, op) for op in ops]
+    if sum(img.dim for img in images) != dx:
         return None
     return [(row, g) for img, g in zip(images, gs) for row in img.dense_rows()]

@@ -1,22 +1,21 @@
 """Exact linear algebra over Q and F_p, with one sparse elimination kernel.
 
-`Echelon` is the only elimination loop: it holds the reduced row-echelon
-form of a set of rows as dicts {column: nonzero}, keyed by pivot column,
-and computes on plain ints: mod p over F_p, and over Q on primitive int
-rows R, each with its pivot entry R[c] > 0 as the denominator of the RREF
-row R / R[c].  Clearing pivot c from a row v is v <- R[c] v - v[c] R, then
-division by the gcd of v's entries; each RREF entry becomes one `Fraction`
-only when the elimination is done.  A `Subspace` is a view of
-the `Echelon` of a spanning set, so equal subspaces compare equal as
-values, and its rows stay sparse.  `SparseMatrix` holds only the nonzero
-entries of a map, the library's one matrix type: the differentials d^n,
-Delta, the inclusion of an extension and its retract.  `image`,
-`kernel_space` and `preimage` take it.  `_lincomb` and `_sum` are the
-sparse accumulators the layers above share.  `Matrix` is dense,
-tuple-of-tuples in row-major order; with `rref`, `kernel_basis`, `solve`
-and `solve_many` it is the dense facade the test oracles are written in,
-and no other library module uses it.  Vectors are plain tuples.
-Everything here is immutable after construction.
+`Subspace` is the only elimination loop and the one subspace type: it
+holds the reduced row-echelon form of a spanning set as dicts {column:
+nonzero}, keyed by pivot column, so equal subspaces compare equal as
+values.  It computes on plain ints: mod p over F_p, and over Q on
+primitive int rows R, each with its pivot entry R[c] > 0 as the
+denominator of the RREF row R / R[c].  Clearing pivot c from a row v is
+v <- R[c] v - v[c] R, then division by the gcd of v's entries; each RREF
+entry becomes one `Fraction` only when the elimination is done.
+`SparseMatrix` holds only the nonzero entries of a map, the library's one
+matrix type: the differentials d^n, Delta, the inclusion of an extension
+and its retract.  `image`, `kernel_space` and `preimage` take it.
+`_lincomb` and `_sum` are the sparse accumulators the layers above share.
+`Matrix` is dense, tuple-of-tuples in row-major order; with `rref`,
+`kernel_basis`, `solve` and `solve_many` it is the dense facade the test
+oracles are written in, and no other library module uses it.  Vectors
+are plain tuples.  Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -265,18 +264,20 @@ def _make_primitive(row: dict, lead: int) -> None:
             row[c] //= g
 
 
-class Echelon:
-    """The reduced row-echelon form of a set of rows, held sparse: the one elimination loop.
+class Subspace:
+    """A subspace of F^ambient in canonical form: the reduced row-echelon form of a spanning set, held sparse.
 
-    `rows` maps each pivot column to its row, a dict {column: nonzero}
-    with a one at the pivot and nothing to its left; callers must not
-    mutate it.  Rows are inserted shortest first, to limit fill-in.  Each
-    is reduced against the pivot rows held so far and takes its least
-    remaining column as its pivot, which is then cleared from every held
-    row.  The new row is zero at every held pivot and a held row has no
-    entry left of its own pivot, so no step puts an entry left of a
-    pivot or at another row's pivot: the held rows are the unique RREF of
-    the span at every step, with no back-reduction pass.
+    `Subspace(field, ambient, rows)` eliminates the row dicts {column:
+    nonzero}; it is the one elimination loop.  `rows` maps each pivot
+    column to its basis row, with a one at the pivot and nothing to its
+    left; callers must not mutate it.  The RREF is unique, so equal
+    subspaces compare equal as values.  Rows are inserted shortest first,
+    to limit fill-in.  Each is reduced against the pivot rows held so far
+    and takes its least remaining column as its pivot, which is then
+    cleared from every held row.  The new row is zero at every held pivot
+    and a held row has no entry left of its own pivot, so no step puts an
+    entry left of a pivot or at another row's pivot: the held rows are the
+    unique RREF of the span at every step, with no back-reduction pass.
 
     The loop computes on ints only.  Over F_p a held row R is the RREF row,
     R[c] = 1 at its pivot c, and values are reduced mod p.  Over Q it is
@@ -287,11 +288,11 @@ class Echelon:
     and `rows` is built once at the end, one `Fraction(v, R[c])` per entry.
     """
 
-    __slots__ = ("field", "ncols", "rows", "pivots", "_ints")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_ints")
 
-    def __init__(self, field: Field, ncols: int, rows: Iterable[dict] = ()):
+    def __init__(self, field: Field, ambient: int, rows: Iterable[dict] = ()):
         self.field = field
-        self.ncols = ncols
+        self.ambient = ambient
         p = field.char
         self._ints: dict[int, dict] = {}
         for row in sorted(rows, key=len):
@@ -302,23 +303,51 @@ class Echelon:
         self.pivots = tuple(sorted(self.rows))
 
     @classmethod
-    def _held(cls, field: Field, ncols: int, rows: dict[int, dict]) -> Echelon:
+    def _held(cls, field: Field, ambient: int, rows: dict[int, dict]) -> Subspace:
         # Trusted constructor: `rows` must already be an RREF keyed by pivot.
         out = cls.__new__(cls)
-        out.field, out.ncols, out.rows, out.pivots = field, ncols, rows, tuple(sorted(rows))
+        out.field, out.ambient, out.rows, out.pivots = field, ambient, rows, tuple(sorted(rows))
         out._ints = rows if field.char else None
         return out
 
     @classmethod
-    def of_matrix(cls, m: Matrix) -> Echelon:
+    def of_matrix(cls, m: Matrix) -> Subspace:
+        """The row space of a dense matrix."""
         return cls(m.field, m.cols, map(_sparse, m.data))
 
+    @classmethod
+    def span(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
+        rows = []
+        for v in vectors:
+            if len(v) != ambient:
+                raise ShapeError(f"vector length {len(v)} vs ambient {ambient}")
+            rows.append(_sparse([field.coerce(x) for x in v]))
+        return cls(field, ambient, rows)
+
+    @classmethod
+    def full(cls, field: Field, ambient: int) -> Subspace:
+        return cls._held(field, ambient, {i: {i: field.one} for i in range(ambient)})
+
     @property
-    def rank(self) -> int:
+    def dim(self) -> int:
         return len(self.rows)
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.field == other.field
+            and self.ambient == other.ambient
+            and self.rows == other.rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.pivots))
+
+    def __repr__(self) -> str:
+        return f"Subspace(dim {self.dim} of F^{self.ambient})"
+
     def _held_ints(self) -> dict[int, dict]:
-        """The held int rows; over Q a trusted-constructed echelon builds them on first use.
+        """The held int rows; over Q a trusted-constructed subspace builds them on first use.
 
         An RREF row times the lcm L of its denominators is primitive with L at its pivot.
         """
@@ -371,8 +400,9 @@ class Echelon:
     def reduce(self, vec: dict) -> dict:
         """A new dict: vec minus its combination of the rows that leaves it zero at every pivot.
 
-        Over Q, vec times the lcm D of its denominators is reduced on ints by
-        `_clear`, and each entry left is one Fraction(v, D * L).
+        This is the canonical representative of vec modulo the subspace.
+        Over Q, vec times the lcm D of its denominators is reduced on ints
+        by `_clear`, and each entry left is one Fraction(v, D * L).
         """
         held = self._held_ints()
         if self.field.char:
@@ -384,15 +414,15 @@ class Echelon:
         den, (out,) = _cleared((vec,))
         return _fractions(out, den * self._clear(out))
 
-    def restrict(self, ncols: int) -> Echelon:
-        """The RREF of the first ncols columns of the rows, read off this one."""
+    def restrict(self, ambient: int) -> Subspace:
+        """The RREF of the first `ambient` columns of the rows, read off this one."""
         kept = {
-            piv: {c: v for c, v in row.items() if c < ncols} for piv, row in self.rows.items() if piv < ncols
+            piv: {c: v for c, v in row.items() if c < ambient} for piv, row in self.rows.items() if piv < ambient
         }
-        return Echelon._held(self.field, ncols, kept)
+        return Subspace._held(self.field, ambient, kept)
 
     def dense_rows(self) -> tuple[Vector, ...]:
-        return tuple(_dense(self.field, self.ncols, self.rows[piv]) for piv in self.pivots)
+        return tuple(_dense(self.field, self.ambient, self.rows[piv]) for piv in self.pivots)
 
     def kernel(self) -> list[dict]:
         """Canonical null-space basis of the rows: one vector per free column, free entry one."""
@@ -403,7 +433,7 @@ class Echelon:
                 if c != piv:
                     by_free.setdefault(c, {})[piv] = f.neg(x)
         out = []
-        for free in range(self.ncols):
+        for free in range(self.ambient):
             if free not in self.rows:
                 vec = by_free.get(free, {})
                 vec[free] = f.one
@@ -422,12 +452,62 @@ class Echelon:
             return None
         z = self.field.zero
         sols = []
-        for k in range(ncols, self.ncols):
+        for k in range(ncols, self.ambient):
             x = [z] * ncols
             for piv, row in self.rows.items():
                 x[piv] = row.get(k, z)
             sols.append(tuple(x))
         return sols
+
+    def contains_vector(self, v: Sequence) -> bool:
+        if len(v) != self.ambient:
+            raise ShapeError(f"vector length {len(v)} vs ambient {self.ambient}")
+        return not self.reduce(_sparse([self.field.coerce(x) for x in v]))
+
+    def contains_space(self, other: Subspace) -> bool:
+        self._check_compatible(other)
+        return not any(self.reduce(row) for row in other.rows.values())
+
+    def sum(self, other: Subspace) -> Subspace:
+        self._check_compatible(other)
+        return Subspace(self.field, self.ambient, list(self.rows.values()) + list(other.rows.values()))
+
+    def intersect(self, other: Subspace) -> Subspace:
+        # Zassenhaus: echelonize [A A; B 0]; rows with zero left half carry
+        # the intersection in their right half.
+        self._check_compatible(other)
+        n = self.ambient
+        block = [{**row, **{c + n: x for c, x in row.items()}} for row in self.rows.values()]
+        block += other.rows.values()
+        red = Subspace(self.field, 2 * n, block)
+        inter = ({c - n: x for c, x in row.items()} for piv, row in red.rows.items() if piv >= n)
+        return Subspace(self.field, n, inter)
+
+    def quotient_basis(self, sub: Subspace) -> list[Vector]:
+        """Basis rows kept by a greedy scan: each row not in sub + the rows before it.
+
+        Their classes form a basis of self / sub; sub must lie inside self.
+        A vector of sub has coordinates v[p] in this basis, p running over
+        the pivots.  Row i is skipped exactly when some vector of sub has its
+        last nonzero coordinate at i, that is when i is a pivot of those
+        coordinates read right to left: one elimination of a dim sub x
+        dim self matrix.
+        """
+        k = self.dim
+        rev = {p: k - 1 - i for i, p in enumerate(self.pivots)}
+        coords = ({rev[c]: x for c, x in row.items() if c in rev} for row in sub.rows.values())
+        left_out = {k - 1 - c for c in Subspace(self.field, k, coords).pivots}
+        return [_dense(self.field, self.ambient, self.rows[p]) for i, p in enumerate(self.pivots) if i not in left_out]
+
+    def equation_matrix(self) -> Matrix:
+        """Rows z with z . x = 0 exactly cutting out this subspace."""
+        eqs = tuple(_dense(self.field, self.ambient, v) for v in self.kernel())
+        return Matrix(self.field, len(eqs), self.ambient, eqs)
+
+    def _check_compatible(self, other: Subspace) -> None:
+        require_same_field(self.field, other.field)
+        if self.ambient != other.ambient:
+            raise ShapeError(f"ambient mismatch {self.ambient} vs {other.ambient}")
 
 
 @dataclass(frozen=True)
@@ -452,11 +532,11 @@ class SparseMatrix:
             out[r][c] = v
         return out
 
-    def echelon(self) -> Echelon:
-        return Echelon(self.field, self.cols, self.row_dicts())
+    def row_space(self) -> Subspace:
+        return Subspace(self.field, self.cols, self.row_dicts())
 
 
-def augmented_echelon(field: Field, rows: list[dict], ncols: int, rhs_columns: Sequence[Sequence]) -> Echelon:
+def augmented_echelon(field: Field, rows: list[dict], ncols: int, rhs_columns: Sequence[Sequence]) -> Subspace:
     """The RREF of [M | B] from the row dicts of M (taken over) and the columns of B."""
     for b in rhs_columns:
         if len(b) != len(rows):
@@ -466,19 +546,19 @@ def augmented_echelon(field: Field, rows: list[dict], ncols: int, rhs_columns: S
             x = field.coerce(x)
             if x:
                 row[k] = x
-    return Echelon(field, ncols + len(rhs_columns), rows)
+    return Subspace(field, ncols + len(rhs_columns), rows)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row-echelon form: (R, pivot columns, rank)."""
-    ech = Echelon.of_matrix(m)
-    zero_rows = ((m.field.zero,) * m.cols,) * (m.rows - ech.rank)
-    return Matrix(m.field, m.rows, m.cols, ech.dense_rows() + zero_rows), ech.pivots, ech.rank
+    ech = Subspace.of_matrix(m)
+    zero_rows = ((m.field.zero,) * m.cols,) * (m.rows - ech.dim)
+    return Matrix(m.field, m.rows, m.cols, ech.dense_rows() + zero_rows), ech.pivots, ech.dim
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Canonical basis of ker(m): one vector per free column, free entry 1."""
-    return [_dense(m.field, m.cols, v) for v in Echelon.of_matrix(m).kernel()]
+    return [_dense(m.field, m.cols, v) for v in Subspace.of_matrix(m).kernel()]
 
 
 def solve(m: Matrix, b: Sequence) -> tuple[Vector, list[Vector]] | None:
@@ -506,118 +586,13 @@ def solve_many(m: Matrix, rhs_columns: Sequence[Sequence]) -> list[Vector] | Non
     return augmented_echelon(m.field, [_sparse(r) for r in m.data], m.cols, rhs_columns).solutions(m.cols)
 
 
-class Subspace:
-    """Subspace of F^n: a view of the `Echelon` of a spanning set (canonical form).
-
-    Its basis is the echelon's rows, sparse; `echelon.dense_rows()` lists
-    them densely in pivot order.
-    """
-
-    __slots__ = ("echelon", "field", "ambient", "pivots", "dim")
-
-    def __init__(self, echelon: Echelon):
-        self.echelon = echelon
-        self.field, self.ambient, self.pivots, self.dim = echelon.field, echelon.ncols, echelon.pivots, echelon.rank
-
-    @classmethod
-    def span(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
-        rows = []
-        for v in vectors:
-            if len(v) != ambient:
-                raise ShapeError(f"vector length {len(v)} vs ambient {ambient}")
-            rows.append(_sparse([field.coerce(x) for x in v]))
-        return cls(Echelon(field, ambient, rows))
-
-    @classmethod
-    def zero(cls, field: Field, ambient: int) -> Subspace:
-        return cls(Echelon(field, ambient))
-
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> Subspace:
-        return cls(Echelon._held(field, ambient, {i: {i: field.one} for i in range(ambient)}))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ambient == other.ambient
-            and self.echelon.rows == other.echelon.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.pivots))
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim {self.dim} of F^{self.ambient})"
-
-    def _reduce_sparse(self, v: Sequence) -> dict:
-        if len(v) != self.ambient:
-            raise ShapeError(f"vector length {len(v)} vs ambient {self.ambient}")
-        f = self.field
-        return self.echelon.reduce(_sparse([f.coerce(x) for x in v]))
-
-    def reduce(self, v: Sequence) -> Vector:
-        """Canonical representative of v modulo this subspace: zero at every pivot."""
-        return _dense(self.field, self.ambient, self._reduce_sparse(v))
-
-    def contains_vector(self, v: Sequence) -> bool:
-        return not self._reduce_sparse(v)
-
-    def contains_space(self, other: Subspace) -> bool:
-        self._check_compatible(other)
-        return not any(self.echelon.reduce(row) for row in other.echelon.rows.values())
-
-    def sum(self, other: Subspace) -> Subspace:
-        self._check_compatible(other)
-        rows = list(self.echelon.rows.values()) + list(other.echelon.rows.values())
-        return Subspace(Echelon(self.field, self.ambient, rows))
-
-    def intersect(self, other: Subspace) -> Subspace:
-        # Zassenhaus: echelonize [A A; B 0]; rows with zero left half carry
-        # the intersection in their right half.
-        self._check_compatible(other)
-        n = self.ambient
-        block = [{**row, **{c + n: x for c, x in row.items()}} for row in self.echelon.rows.values()]
-        block += other.echelon.rows.values()
-        red = Echelon(self.field, 2 * n, block)
-        inter = ({c - n: x for c, x in row.items()} for piv, row in red.rows.items() if piv >= n)
-        return Subspace(Echelon(self.field, n, inter))
-
-    def quotient_basis(self, sub: Subspace) -> list[Vector]:
-        """Basis rows kept by a greedy scan: each row not in sub + the rows before it.
-
-        Their classes form a basis of self / sub; sub must lie inside self.
-        A vector of sub has coordinates v[p] in this basis, p running over
-        the pivots.  Row i is skipped exactly when some vector of sub has its
-        last nonzero coordinate at i, that is when i is a pivot of those
-        coordinates read right to left: one elimination of a dim sub x
-        dim self matrix.
-        """
-        k = self.dim
-        rev = {p: k - 1 - i for i, p in enumerate(self.pivots)}
-        coords = ({rev[c]: x for c, x in row.items() if c in rev} for row in sub.echelon.rows.values())
-        left_out = {k - 1 - c for c in Echelon(self.field, k, coords).pivots}
-        rows = self.echelon.rows
-        return [_dense(self.field, self.ambient, rows[p]) for i, p in enumerate(self.pivots) if i not in left_out]
-
-    def equation_matrix(self) -> Matrix:
-        """Rows z with z . x = 0 exactly cutting out this subspace."""
-        eqs = tuple(_dense(self.field, self.ambient, v) for v in self.echelon.kernel())
-        return Matrix(self.field, len(eqs), self.ambient, eqs)
-
-    def _check_compatible(self, other: Subspace) -> None:
-        require_same_field(self.field, other.field)
-        if self.ambient != other.ambient:
-            raise ShapeError(f"ambient mismatch {self.ambient} vs {other.ambient}")
-
-
 def image(m: SparseMatrix) -> Subspace:
     """Column space of m as a subspace of F^rows."""
-    return Subspace(m.transpose().echelon())
+    return m.transpose().row_space()
 
 
 def kernel_space(m: SparseMatrix) -> Subspace:
-    return Subspace(Echelon(m.field, m.cols, m.echelon().kernel()))
+    return Subspace(m.field, m.cols, m.row_space().kernel())
 
 
 def preimage(m: SparseMatrix, target: Subspace) -> Subspace:
@@ -625,7 +600,7 @@ def preimage(m: SparseMatrix, target: Subspace) -> Subspace:
     require_same_field(m.field, target.field)
     if m.rows != target.ambient:
         raise ShapeError(f"map lands in F^{m.rows}, subspace of F^{target.ambient}")
-    reduced = (target.echelon.reduce(col) for col in m.transpose().row_dicts())
+    reduced = (target.reduce(col) for col in m.transpose().row_dicts())
     entries = tuple((r, j, v) for j, col in enumerate(reduced) for r, v in col.items())
     return kernel_space(SparseMatrix(m.field, m.rows, m.cols, entries))
 

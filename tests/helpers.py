@@ -19,7 +19,7 @@ from convdef import (
     identity_conv,
     takeuchi_invert,
 )
-from convdef.linalg import Matrix
+from convdef.linalg import Matrix, _dense, _sparse
 from convdef.fields import PrimeField
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -36,6 +36,14 @@ def dense(m: MultiMap) -> Matrix:
 
 def from_dense(mat: Matrix, a_dim: int, src_arity: int, tgt_arity: int) -> MultiMap:
     return MultiMap.from_rows(mat.field, a_dim, src_arity, tgt_arity, mat.data)
+
+
+def reduce_dense(space, v) -> tuple:
+    """The canonical representative of the dense vector v modulo a `Subspace`, as a dense vector."""
+    if len(v) != space.ambient:
+        raise ShapeError(f"vector length {len(v)} vs ambient {space.ambient}")
+    f = space.field
+    return _dense(f, space.ambient, space.reduce(_sparse([f.coerce(x) for x in v])))
 
 
 def dense_compose(outer: MultiMap, inner: MultiMap) -> MultiMap:
@@ -282,7 +290,7 @@ def greedy_quotient_rows(total, sub):
 
     kept = []
     span = sub
-    for row in total.echelon.dense_rows():
+    for row in total.dense_rows():
         if not span.contains_vector(row):
             kept.append(row)
             span = span.sum(Subspace.span(total.field, total.ambient, [row]))
@@ -384,11 +392,11 @@ def oracle_is_coalgebra_filtration(c, layers) -> bool:
     for n, layer in enumerate(layers):
         vecs = []
         for i in range(n + 1):
-            for u in layers[i].echelon.dense_rows():
-                for v in layers[n - i].echelon.dense_rows():
+            for u in layers[i].dense_rows():
+                for v in layers[n - i].dense_rows():
                     vecs.append(tuple(f.mul(x, y) for x in u for y in v))
         target = Subspace.span(f, d * d, vecs)
-        for row in layer.echelon.dense_rows():
+        for row in layer.dense_rows():
             if not target.contains_vector(delta_matrix(c).mul_vec(row)):
                 return False
     return True
@@ -413,7 +421,7 @@ def transport_coalgebra(c, p: Matrix):
     counit = (counit_matrix(c) @ p_inv).data[0]
     moved = Coalgebra(f, [f"p({name})" for name in c.names], delta, counit)
     layers = [
-        Subspace.span(f, d, [p.mul_vec(row) for row in layer.echelon.dense_rows()])
+        Subspace.span(f, d, [p.mul_vec(row) for row in layer.dense_rows()])
         for layer in c.grading_filtration()
     ]
     return moved, layers
@@ -489,7 +497,7 @@ def oracle_rref(m: Matrix):
     """Dense Gauss-Jordan elimination: (R, pivot columns, rank).
 
     The column-by-column loop `convdef.rref` ran before the sparse
-    `Echelon`; independent of it, so it serves as the oracle.
+    `Subspace`; independent of it, so it serves as the oracle.
     """
     f = m.field
     rows = [list(r) for r in m.data]
@@ -565,7 +573,7 @@ def oracle_invert_on_bottom(f: ConvMorphism, bottom):
     d = f.a_dim**f.src_arity
     if f.src_arity != f.tgt_arity:
         raise NotInvertible("only square-arity morphisms can be inverted")
-    rows = bottom.echelon.dense_rows()
+    rows = bottom.dense_rows()
     k = len(rows)
     if k == 0:
         raise NotInvertible("empty bottom layer")
@@ -885,7 +893,7 @@ def oracle_coradical_filtration(c, c0):
     f, d = c.field, c.dim
     if c0.ambient != d:
         raise ShapeError("ambient dimension mismatch")
-    bottom = c0.echelon.dense_rows()
+    bottom = c0.dense_rows()
     c0c0 = Subspace.span(f, d * d, [outer(f, u, v) for u in bottom for v in bottom])
     for row in bottom:
         if not c0c0.contains_vector(delta_matrix(c).mul_vec(row)):
@@ -896,7 +904,7 @@ def oracle_coradical_filtration(c, c0):
         vecs = []
         for i in range(d):
             e_i = unit_vec(f, d, i)
-            vecs += [outer(f, e_i, v) for v in cur.echelon.dense_rows()]
+            vecs += [outer(f, e_i, v) for v in cur.dense_rows()]
             vecs += [outer(f, u, e_i) for u in bottom]
         nxt = dense_preimage(delta_matrix(c), Subspace.span(f, d * d, vecs)).sum(cur)
         if nxt == cur:
@@ -948,7 +956,6 @@ def oracle_split_extension(ctilde, iota: Matrix, lam: Matrix, base=None):
     from convdef import (
         Cocycle2,
         Comodule,
-        Echelon,
         NotAnExtension,
         RetractNotNormalized,
         Subspace,
@@ -960,7 +967,7 @@ def oracle_split_extension(ctilde, iota: Matrix, lam: Matrix, base=None):
     f, d, dc = ctilde.field, ctilde.dim, iota.cols
     if iota.rows != d or lam.rows != dc or lam.cols != d:
         raise ShapeError("iota must be dimCtilde x dimC and lambda dimC x dimCtilde")
-    if Echelon.of_matrix(iota).rank != dc:
+    if Subspace.of_matrix(iota).dim != dc:
         raise NotAnExtension("iota is not injective")
     if lam @ iota != Matrix.identity(f, dc):
         raise RetractNotNormalized("lambda o iota is not the identity of C")
@@ -977,7 +984,7 @@ def oracle_split_extension(ctilde, iota: Matrix, lam: Matrix, base=None):
     vecs = []
     for i in range(d):
         e_i = unit_vec(f, d, i)
-        for u in dense_image(iota).echelon.dense_rows():
+        for u in dense_image(iota).dense_rows():
             vecs += [outer(f, e_i, u), outer(f, u, e_i)]
     target = Subspace.span(f, d * d, vecs)
     for i in range(d):
@@ -1006,7 +1013,7 @@ def oracle_split_extension(ctilde, iota: Matrix, lam: Matrix, base=None):
 
 def oracle_decompose_completely_reducible(com, grouplikes):
     """Lines of a completely reducible comodule, checking that the T_g are orthogonal idempotents product by product."""
-    from convdef import Echelon, UnsupportedCoaction, solve_many
+    from convdef import Subspace, UnsupportedCoaction, solve_many
 
     base = com.base
     f, dx, dc = base.field, com.dim, base.dim
@@ -1017,7 +1024,7 @@ def oracle_decompose_completely_reducible(com, grouplikes):
         if delta_matrix(base).mul_vec(g) != outer(f, g, g) or dense_eps(base, g) != f.one:
             raise ValueError("supplied vector is not group-like")
     gmat = Matrix(f, len(gs), dc, tuple(tuple(f.coerce(x) for x in g) for g in gs))
-    if Echelon.of_matrix(gmat).rank != len(gs):
+    if Subspace.of_matrix(gmat).dim != len(gs):
         raise ValueError("group-like vectors must be distinct (they are then independent)")
     rows_by_st = {}
     for s in range(dx):
@@ -1043,7 +1050,7 @@ def oracle_decompose_completely_reducible(com, grouplikes):
         for b, op_b in enumerate(ops):
             if op_a @ op_b != (op_a if a == b else Matrix.zeros(f, dx, dx)):
                 return None
-    lines = [(row, g) for op, g in zip(ops, gs) for row in dense_image(op).echelon.dense_rows()]
+    lines = [(row, g) for op, g in zip(ops, gs) for row in dense_image(op).dense_rows()]
     return lines if len(lines) == dx else None
 
 

@@ -63,6 +63,7 @@ from helpers import (
     random_grouplike_comodule,
     random_invertible,
     random_nilpotent_comodule,
+    reduce_dense,
     square_zero_3,
     table_from_mult,
     unit_column,
@@ -412,12 +413,12 @@ def test_c09_equivalence_classification_f2():
             predicted.add(nu.flatten())
         assert sols == predicted
         b2 = Subspace.span(F2, 8, [b.flatten() for b in report.b2_basis])
-        cosets = {b2.reduce(s) for s in sols}
+        cosets = {reduce_dense(b2, s) for s in sols}
         assert len(cosets) == 2**report.dim_h2 == report.coset_count
         # classify materializes exactly one representative per coset
         result = classify(alg, ext)
         assert len(result.representatives) == len(cosets)
-        rep_cosets = {b2.reduce(r.m_x.flatten()) for r in result.representatives}
+        rep_cosets = {reduce_dense(b2, r.m_x.flatten()) for r in result.representatives}
         assert rep_cosets == cosets
         total_checked += 1
     _ok(9, f"exhaustive F2 solution sets equal base + Z^2 with 2^dim H^2 cosets "

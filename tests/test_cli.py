@@ -367,7 +367,7 @@ def test_transported_layers_file_gives_the_unique_inverse(tmp_path):
     # unit vectors, and the one-layer filtration {C} must give the same inverse
     p = Matrix.from_rows(QQ, [[1, 0, 2, 0], [1, 1, 0, -1], [0, 3, 1, 0], [2, 0, 1, 1]])
     moved, layers = transport_coalgebra(divided_power_t(3, QQ), p)
-    assert any(sum(x != 0 for x in row) > 1 for layer in layers for row in layer.echelon.dense_rows())
+    assert any(sum(x != 0 for x in row) > 1 for layer in layers for row in layer.dense_rows())
     p_inv = matrix_inverse(p)
     f = [[[1, 0], [0, 1]], [[1, 2], [3, 4]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     components = {  # f' = f o p^-1
@@ -396,7 +396,7 @@ def test_transported_layers_file_gives_the_unique_inverse(tmp_path):
     spec_path.write_text(json.dumps(spec))
     reports = []
     for label, rows in (
-        ("adapted", [layer.echelon.dense_rows() for layer in layers]),
+        ("adapted", [layer.dense_rows() for layer in layers]),
         ("one", [[[1 if i == j else 0 for j in range(4)] for i in range(4)]]),
     ):
         layers_path = tmp_path / f"{label}_layers.json"

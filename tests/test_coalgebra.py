@@ -15,7 +15,9 @@ from convdef import (
     direct_sum,
     divided_power_t,
     find_grouplikes,
+    graded_extension,
     grouplike_coalgebra,
+    image,
     is_coalgebra_filtration,
     polynomial_multi,
     trivial_k,
@@ -35,6 +37,7 @@ from helpers import (
     FIXTURES,
     oracle_is_coalgebra_filtration,
     random_invertible,
+    reduce_dense,
     transport_coalgebra,
 )
 
@@ -224,12 +227,12 @@ def _layer_lists(base: list, rng: random.Random) -> list:
     def noise():
         return tuple(f.random_element(rng) for _ in range(d))
 
-    out = [base, base[::-1], [Subspace.zero(f, d)] + base]
+    out = [base, base[::-1], [Subspace(f, d)] + base]
     for n, layer in enumerate(base):
         out.append(base[:n] + base[n + 1 :])
         out.append(base[: n + 1] + base[n:])
         if layer.dim:
-            rows = list(layer.echelon.dense_rows())
+            rows = list(layer.dense_rows())
             rows[-1] = tuple(f.add(x, y) for x, y in zip(rows[-1], noise()))
             out.append(base[:n] + [Subspace.span(f, d, rows)] + base[n + 1 :])
             out.append(base[:n] + [layer.sum(Subspace.span(f, d, [noise()]))] + base[n + 1 :])
@@ -247,7 +250,7 @@ def _random_chain(f, d, rng: random.Random) -> list:
 
 def _has_non_unit_row(layers) -> bool:
     return any(
-        sum(not layer.field.is_zero(x) for x in row) > 1 for layer in layers for row in layer.echelon.dense_rows()
+        sum(not layer.field.is_zero(x) for x in row) > 1 for layer in layers for row in layer.dense_rows()
     )
 
 
@@ -296,8 +299,43 @@ def test_grading_filtration_layers_are_spans_of_unit_vectors():
                 span = Subspace.span(field, c.dim, [unit_vec(field, c.dim, i) for i, g in enumerate(c.grading) if g <= n])
                 assert layer == span and layer.pivots == span.pivots
                 v = tuple(field.random_element(rng) for _ in range(c.dim))
-                assert layer.reduce(v) == span.reduce(v)
+                assert reduce_dense(layer, v) == reduce_dense(span, v)
                 assert layer.contains_space(span) and span.contains_space(layer)
+
+
+def test_subspace_is_one_value_across_construction_routes():
+    """Trusted RREF rows, eliminated spans, restrictions and images of one subspace are equal and hash-equal."""
+    rng = random.Random(17)
+    for field in (QQ, F2, F3):
+        for c in (divided_power_t(3, field), polynomial_multi(2, 2, field), grouplike_coalgebra(2, field)):
+            d = c.dim
+            units = [unit_vec(field, d, i) for i in range(d)]
+            for n, layer in enumerate(c.grading_filtration()):
+                kept = [u for u, g in zip(units, c.grading) if g <= n]
+                # an eliminated span of the same rows, scaled, mixed and listed in another order
+                mixed = [tuple(field.mul(field.random_element(rng) or field.one, x) for x in u) for u in kept[::-1]]
+                mixed += [tuple(field.add(a, b) for a, b in zip(u, v)) for u, v in zip(kept, kept[1:])]
+                routes = [layer, Subspace.span(field, d, kept), Subspace.span(field, d, mixed)]
+                # a restriction is trusted-constructed from the held rows
+                padded = Subspace.span(field, d + 2, [u + (field.random_element(rng),) * 2 for u in kept])
+                routes.append(padded.restrict(d))
+                for a in routes:
+                    for b in routes:
+                        assert a == b and hash(a) == hash(b)
+                assert len(set(routes)) == 1
+            full = Subspace.full(field, d)
+            assert full == Subspace.span(field, d, units) == c.grading_filtration()[-1]
+            assert hash(full) == hash(Subspace.span(field, d, units[::-1]))
+            assert full != Subspace(field, d) and full != Subspace.full(field, d + 1)
+        for ext in (graded_extension(divided_power_t(3, field), 2), graded_extension(polynomial_multi(2, 2, field), 1)):
+            dt, dc = ext.ctilde.dim, ext.base.dim
+            cols = [[field.zero] * dt for _ in range(dc)]
+            for r, j, v in ext.iota.entries:
+                cols[j][r] = v
+            iota_image = image(ext.iota)
+            span = Subspace.span(field, dt, cols)
+            assert iota_image == span and hash(iota_image) == hash(span) and iota_image.dim == dc
+            assert ext.extension_filtration() == [span, Subspace.span(field, dt, [unit_vec(field, dt, i) for i in range(dt)])]
 
 
 def test_filtration_layers_of_the_wrong_ambient_raise():

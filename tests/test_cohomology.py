@@ -219,7 +219,7 @@ def test_cached_echelons_match_oracle_rref_on_fixtures():
     for label, spec, n, oracle_d in fixture_oracle_differentials(GATE_MAX_DIM):
         for ech, dense in ((spec.row_echelon(n), oracle_d), (spec.image_echelon(n), oracle_d.transpose())):
             red, pivots, rank = oracle_rref(dense)
-            assert (ech.pivots, ech.rank) == (pivots, rank), (label, n)
+            assert (ech.pivots, ech.dim) == (pivots, rank), (label, n)
             assert ech.dense_rows() == red.data[:rank], (label, n)
         assert spec.row_echelon(n) is spec.row_echelon(n)
 

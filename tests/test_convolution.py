@@ -465,7 +465,7 @@ def test_invert_on_bottom_matches_oracle():
     solved = singular = non_unit_rows = 0
     for field in (QQ, F3, F5):
         for c, bottom in _bottom_cases(field, rng):
-            non_unit_rows += any(x not in (0, 1) for row in bottom.echelon.dense_rows() for x in row)
+            non_unit_rows += any(x not in (0, 1) for row in bottom.dense_rows() for x in row)
             for a_dim, arity in ((2, 1), (3, 1), (2, 2)) * 2:
                 f = rand_conv(c, a_dim, arity, arity, rng)
                 try:

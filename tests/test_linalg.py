@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from convdef import (
-    Echelon,
     FieldMismatch,
     NotASubspace,
     ShapeError,
@@ -22,7 +21,7 @@ from convdef import (
 from convdef.linalg import Matrix, _dense, _sparse, augmented_echelon
 from convdef.fields import QQ, PrimeField
 
-from helpers import F3, FIXTURES, dense_differential_matrix, greedy_quotient_rows, oracle_rref, sparse_of
+from helpers import F3, FIXTURES, dense_differential_matrix, greedy_quotient_rows, oracle_rref, reduce_dense, sparse_of
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -210,10 +209,10 @@ def test_subspace_pivots_are_leading_columns():
             u = _random_subspace(field, n, rng.randint(0, n + 1), rng)
             assert len(u.pivots) == u.dim
             assert list(u.pivots) == sorted(set(u.pivots))
-            for row, p in zip(u.echelon.dense_rows(), u.pivots):
+            for row, p in zip(u.dense_rows(), u.pivots):
                 assert row[p] == field.one
                 assert all(field.is_zero(x) for x in row[:p])
-    assert Subspace.zero(QQ, 3).pivots == ()
+    assert Subspace(QQ, 3).pivots == ()
     assert Subspace.full(F5, 3).pivots == (0, 1, 2)
 
 
@@ -224,15 +223,15 @@ def test_subspace_reduce_properties():
             n = rng.randint(1, 6)
             u = _random_subspace(field, n, rng.randint(0, n), rng)
             v = tuple(field.random_element(rng) for _ in range(n))
-            r = u.reduce(v)
+            r = reduce_dense(u, v)
             assert all(field.is_zero(r[p]) for p in u.pivots)
             assert u.contains_vector(tuple(field.sub(a, b) for a, b in zip(v, r)))
             # the representative depends only on the coset
-            w = tuple(field.add(a, b) for a, b in zip(v, u.echelon.dense_rows()[0])) if u.dim else v
-            assert u.reduce(w) == r
+            w = tuple(field.add(a, b) for a, b in zip(v, u.dense_rows()[0])) if u.dim else v
+            assert reduce_dense(u, w) == r
             assert u.contains_vector(v) == all(field.is_zero(x) for x in r)
     with pytest.raises(ShapeError):
-        Subspace.full(QQ, 2).reduce((1, 2, 3))
+        reduce_dense(Subspace.full(QQ, 2), (1, 2, 3))
 
 
 def test_quotient_basis_matches_greedy_oracle():
@@ -243,7 +242,7 @@ def test_quotient_basis_matches_greedy_oracle():
             z = _random_subspace(field, n, rng.randint(0, n), rng)
             combos = [
                 tuple(
-                    field.normalize(sum(field.mul(c, row[j]) for c, row in zip(coeffs, z.echelon.dense_rows())))
+                    field.normalize(sum(field.mul(c, row[j]) for c, row in zip(coeffs, z.dense_rows())))
                     for j in range(n)
                 )
                 for coeffs in (
@@ -274,7 +273,7 @@ def test_equation_matrix_cuts_out_subspace():
             eqs = u.equation_matrix()
             assert eqs.rows == n - u.dim
             assert preimage(sparse_of(Matrix.identity(field, n)), u) == u
-            for row in u.echelon.dense_rows():
+            for row in u.dense_rows():
                 assert all(field.is_zero(x) for x in eqs.mul_vec(row))
 
 
@@ -331,19 +330,19 @@ EDGE_MATRICES = [
 def check_echelon_against_oracle(m):
     red, pivots, rank = oracle_rref(m)
     assert rref(m) == (red, pivots, rank)
-    ech = Echelon.of_matrix(m)
-    assert (ech.pivots, ech.rank) == (pivots, rank)
+    ech = Subspace.of_matrix(m)
+    assert (ech.pivots, ech.dim) == (pivots, rank)
     assert ech.dense_rows() == red.data[:rank]
     # the RREF is unique: any insertion order gives the same rows
-    backwards = Echelon(m.field, m.cols, [{j: x for j, x in enumerate(r) if x} for r in reversed(m.data)])
+    backwards = Subspace(m.field, m.cols, [{j: x for j, x in enumerate(r) if x} for r in reversed(m.data)])
     assert backwards.rows == ech.rows
     assert kernel_basis(m) == _oracle_kernel(m)
     # the left block of an echelon is the echelon of the left block
     k = m.cols // 2
     left = Matrix(m.field, m.rows, k, tuple(r[:k] for r in m.data))
-    assert ech.restrict(k).rows == Echelon.of_matrix(left).rows
+    assert ech.restrict(k).rows == Subspace.of_matrix(left).rows
     red_t, _pivots_t, rank_t = oracle_rref(m.transpose())
-    assert image(sparse_of(m)).echelon.dense_rows() == red_t.data[:rank_t]
+    assert image(sparse_of(m)).dense_rows() == red_t.data[:rank_t]
 
 
 @given(matrices())
@@ -414,7 +413,7 @@ def _is_normalized_fraction(x) -> bool:
 def test_q_echelon_on_wide_rationals_matches_dense_gauss_jordan(m):
     """Rows, pivots, kernel, reduce and solutions over Q equal the oracle's, with rows of normalized Fractions."""
     check_echelon_against_oracle(m)
-    ech = Echelon.of_matrix(m)
+    ech = Subspace.of_matrix(m)
     for piv, row in ech.rows.items():
         assert type(row[piv]) is Fraction and row[piv] == Fraction(1)
         assert all(_is_normalized_fraction(x) for x in row.values())
@@ -438,7 +437,7 @@ def test_q_echelon_on_wide_rationals_matches_dense_gauss_jordan(m):
     image_rhs = m.mul_vec(tuple(_wide(rng) for _ in range(m.cols)))
     for rhs in ([image_rhs], [image_rhs, tuple(_wide(rng) for _ in range(m.rows))]):
         sols = augmented_echelon(QQ, [_sparse(r) for r in m.data], m.cols, rhs).solutions(m.cols)
-        solvable = all(oracle_rref(m.hstack(Matrix(QQ, m.rows, 1, tuple((x,) for x in b))))[2] == ech.rank for b in rhs)
+        solvable = all(oracle_rref(m.hstack(Matrix(QQ, m.rows, 1, tuple((x,) for x in b))))[2] == ech.dim for b in rhs)
         assert (sols is not None) == solvable
         if sols is None:
             continue
@@ -452,7 +451,7 @@ FRACTION_ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", 
 
 
 def test_q_elimination_makes_no_fraction_arithmetic():
-    """Over Q, building an Echelon and reducing against it make 0 calls to Fraction's products, sums and differences.
+    """Over Q, building a Subspace and reducing against it make 0 calls to Fraction's products, sums and differences.
 
     Elimination runs on primitive int rows and builds each entry as one
     Fraction.  The calls are counted by wrapping those class attributes,
@@ -474,10 +473,10 @@ def test_q_elimination_makes_no_fraction_arithmetic():
         probe, calls[:] = list(calls), []
         results = []
         for m, rows, vecs in cases:
-            ech = Echelon(QQ, m.cols, rows)
+            ech = Subspace(QQ, m.cols, rows)
             left = ech.restrict(m.cols // 2)
             reduced = [ech.reduce(v) for v in vecs]
-            reduced_left = [left.reduce({c: x for c, x in v.items() if c < left.ncols}) for v in vecs]
+            reduced_left = [left.reduce({c: x for c, x in v.items() if c < left.ambient}) for v in vecs]
             results.append((ech, reduced, reduced_left))
     finally:
         for name, fn in saved.items():

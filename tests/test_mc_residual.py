@@ -17,7 +17,9 @@ from convdef import (
     AlgebraMC,
     Cochain,
     ConvMorphism,
+    MultiMap,
     ShapeError,
+    SpecMismatch,
     build_extension,
     classify,
     divided_power_t,
@@ -149,6 +151,34 @@ def test_make_deformation_agrees_with_is_associative(field):
                 with pytest.raises(ShapeError, match="deformed multiplication is not associative"):
                     d.require_valid()
     assert outcomes == {True, False}
+
+
+@FIELDS
+def test_require_valid_refuses_a_c_block_off_the_base(field, monkeypatch):
+    """`require_valid` checks the fiber condition; `make_deformation`, whose C-block is base.m by construction, does not."""
+    rng = random.Random(101)
+    refused = 0
+    for alg, ext, label in _instances(field, rng):
+        report = mc_solve(alg, ext)
+        if not report.obstruction_vanishes:
+            continue
+        good = make_deformation(alg, ext, report.base_solution)
+        good.require_valid()
+        bump = MultiMap(field, alg.a_dim, 2, 1, {(rng.randrange(alg.a_dim), rng.randrange(alg.a_dim**2)): field.one})
+        comps = list(good.mtilde.components)
+        k = rng.randrange(ext.base.dim)
+        comps[k] = comps[k] + bump
+        bad = Deformation(base=alg, extension=ext, mtilde=ConvMorphism(ext.ctilde, tuple(comps)))
+        with pytest.raises(SpecMismatch, match="does not restrict to the base algebra"):
+            bad.require_valid()
+        refused += 1
+    assert refused >= 3
+    monkeypatch.setattr(Deformation, "fiber_condition_holds", lambda self: pytest.fail("fiber check in make_deformation"))
+    for alg, ext, _label in _instances(field, rng):
+        report = mc_solve(alg, ext)
+        if report.obstruction_vanishes:
+            make_deformation(alg, ext, report.base_solution)
+            make_deformation(alg, ext, report.base_solution, _report=report)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

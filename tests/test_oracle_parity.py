@@ -98,8 +98,8 @@ def test_coradical_filtration_matches_dense_oracle(field):
         target, _p, layers = moved(c, rng)
         grouplikes = Subspace.span(field, c.dim, find_grouplikes(c).elements)
         cases = [(c, c.grading_filtration()[0]), (c, grouplikes), (target, layers[0])]
-        cases += [(c, Subspace.span(field, c.dim, [c.grading_filtration()[0].echelon.dense_rows()[0]]))]
-        cases += [(c, Subspace.full(field, c.dim)), (c, Subspace.zero(field, c.dim))]
+        cases += [(c, Subspace.span(field, c.dim, [c.grading_filtration()[0].dense_rows()[0]]))]
+        cases += [(c, Subspace.full(field, c.dim)), (c, Subspace(field, c.dim))]
         if c.dim > 1:
             noise = [tuple(field.random_element(rng) for _ in range(c.dim))]
             cases.append((c, Subspace.span(field, c.dim, noise)))
