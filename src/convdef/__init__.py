@@ -3,7 +3,6 @@
 from .errors import (
     CocycleViolation,
     ConvDefError,
-    DegreeMismatch,
     EmptyLayer,
     FieldMismatch,
     NoFiltration,
@@ -27,13 +26,10 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     image,
-    kernel_basis,
     kernel_space,
     preimage,
     quotient_dim,
     rref,
-    solve,
-    solve_many,
 )
 from .coalgebra import (
     Coalgebra,

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import (
-    DegreeMismatch,
-    NoFiltration,
-    NotExhaustive,
-    ShapeError,
-    UnsupportedSearch,
-)
+from .errors import NoFiltration, NotExhaustive, ShapeError, UnsupportedSearch
 from .fields import Field, require_same_field
 from .linalg import SparseMatrix, Subspace, Vector, _lincomb, _sum, preimage, unit_vec
 
@@ -145,65 +139,6 @@ class Coalgebra:
     def eps(self, v: dict) -> object:
         """eps of the vector with nonzero coordinates v = {index: x}."""
         return self.field.normalize(sum(self.counit[i] * x for i, x in v.items()))
-
-    # -- tensor calculus ------------------------------------------------
-
-    def expand_slot(self, tensor: Sequence, arity: int, slot: int) -> Vector:
-        """Apply Delta to one tensor factor: C^(x)arity -> C^(x)(arity+1)."""
-        if not 0 <= slot < arity:
-            raise ShapeError(f"slot {slot} out of range for arity {arity}")
-        f, d = self.field, self.dim
-        left = d ** (arity - 1 - slot)  # weight of digits right of the slot
-        out = [f.zero] * (d ** (arity + 1))
-        for idx, coeff in enumerate(tensor):
-            if f.is_zero(coeff):
-                continue
-            tail = idx % left
-            rest = idx // left
-            i = rest % d
-            head = rest // d
-            base = head * (d * d * left)
-            for j, k, c in self.delta[i]:
-                pos = base + (j * d + k) * left + tail
-                out[pos] = f.add(out[pos], f.mul(coeff, c))
-        return tuple(out)
-
-    def iterated_delta(self, c: Sequence, p: int) -> Vector:
-        """Delta^(p-1)(c) in C^(x)p; p = 1 returns c itself."""
-        if p < 1:
-            raise ShapeError("p must be >= 1")
-        cur = tuple(self.field.coerce(x) for x in c)
-        for arity in range(1, p):
-            cur = self.expand_slot(cur, arity, 0)
-        return cur
-
-    def delta_component(self, c: Sequence, index: Sequence[int]) -> Vector:
-        """Homogeneous component of Delta^(p-1)(c) in C^I for a degree multi-index I."""
-        if self.grading is None:
-            raise NoFiltration("delta_component needs a graded coalgebra")
-        f, d = self.field, self.dim
-        c = tuple(f.coerce(x) for x in c)
-        degs = {self.grading[i] for i, x in enumerate(c) if not f.is_zero(x)}
-        if len(degs) > 1:
-            raise DegreeMismatch(f"element is not homogeneous: degrees {sorted(degs)}")
-        index = tuple(int(n) for n in index)
-        if degs and sum(index) != next(iter(degs)):
-            raise DegreeMismatch(f"|I| = {sum(index)} but element has degree {next(iter(degs))}")
-        p = len(index)
-        full = self.iterated_delta(c, p)
-        out = [f.zero] * len(full)
-        for idx, coeff in enumerate(full):
-            if f.is_zero(coeff):
-                continue
-            digits = []
-            rest = idx
-            for _ in range(p):
-                digits.append(rest % d)
-                rest //= d
-            digits.reverse()
-            if all(self.grading[t] == n for t, n in zip(digits, index)):
-                out[idx] = coeff
-        return tuple(out)
 
     # -- validation ------------------------------------------------------
 

@@ -19,10 +19,6 @@ class NotASubspace(ConvDefError):
     """A claimed subspace containment does not hold."""
 
 
-class DegreeMismatch(ConvDefError):
-    """A degree multi-index does not match the degree of the element."""
-
-
 class NotExhaustive(ConvDefError):
     """A filtration chain stabilized strictly below the whole space."""
 

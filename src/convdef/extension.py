@@ -326,7 +326,6 @@ def graded_extension(d_coalg: Coalgebra, n: int) -> Extension:
         raise CocycleViolation("graded_extension needs a cocommutative coalgebra")
     if n < 1:
         raise ShapeError("layer index must be >= 1")
-    f = d_coalg.field
     x_idx = list(d_coalg.degree_indices(n))
     if not x_idx:
         raise EmptyLayer(f"degree {n} layer of the coalgebra is zero")
@@ -353,14 +352,7 @@ def graded_extension(d_coalg: Coalgebra, n: int) -> Extension:
     truncated = d_coalg.sub_on_indices(c_idx + x_idx)
     if ext.ctilde.delta != truncated.delta or ext.ctilde.counit != truncated.counit:
         raise CocycleViolation("built extension disagrees with the graded truncation")
-    graded_ctilde = Coalgebra(
-        f,
-        truncated.names,
-        [list(t) for t in ext.ctilde.delta],
-        ext.ctilde.counit,
-        grading=truncated.grading,
-    )
-    return Extension(base=base, cocycle=cocycle, ctilde=graded_ctilde)
+    return Extension(base=base, cocycle=cocycle, ctilde=truncated)
 
 
 def decompose_completely_reducible(

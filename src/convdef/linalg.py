@@ -12,10 +12,10 @@ entry becomes one `Fraction` only when the elimination is done.
 matrix type: the differentials d^n, Delta, the inclusion of an extension
 and its retract.  `image`, `kernel_space` and `preimage` take it.
 `_lincomb` and `_sum` are the sparse accumulators the layers above share.
-`Matrix` is dense, tuple-of-tuples in row-major order; with `rref`,
-`kernel_basis`, `solve` and `solve_many` it is the dense facade the test
-oracles are written in, and no other library module uses it.  Vectors
-are plain tuples.  Everything here is immutable after construction.
+`Matrix` is dense, tuple-of-tuples in row-major order; with `rref` it is
+the dense facade, kept only because the benchmark's tracer hooks both.
+No other library module uses it.  Vectors are plain tuples.  Everything
+here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -311,11 +311,6 @@ class Subspace:
         return out
 
     @classmethod
-    def of_matrix(cls, m: Matrix) -> Subspace:
-        """The row space of a dense matrix."""
-        return cls(m.field, m.cols, map(_sparse, m.data))
-
-    @classmethod
     def span(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
         rows = []
         for v in vectors:
@@ -499,11 +494,6 @@ class Subspace:
         left_out = {k - 1 - c for c in Subspace(self.field, k, coords).pivots}
         return [_dense(self.field, self.ambient, self.rows[p]) for i, p in enumerate(self.pivots) if i not in left_out]
 
-    def equation_matrix(self) -> Matrix:
-        """Rows z with z . x = 0 exactly cutting out this subspace."""
-        eqs = tuple(_dense(self.field, self.ambient, v) for v in self.kernel())
-        return Matrix(self.field, len(eqs), self.ambient, eqs)
-
     def _check_compatible(self, other: Subspace) -> None:
         require_same_field(self.field, other.field)
         if self.ambient != other.ambient:
@@ -551,39 +541,9 @@ def augmented_echelon(field: Field, rows: list[dict], ncols: int, rhs_columns: S
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row-echelon form: (R, pivot columns, rank)."""
-    ech = Subspace.of_matrix(m)
+    ech = Subspace(m.field, m.cols, map(_sparse, m.data))
     zero_rows = ((m.field.zero,) * m.cols,) * (m.rows - ech.dim)
     return Matrix(m.field, m.rows, m.cols, ech.dense_rows() + zero_rows), ech.pivots, ech.dim
-
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Canonical basis of ker(m): one vector per free column, free entry 1."""
-    return [_dense(m.field, m.cols, v) for v in Subspace.of_matrix(m).kernel()]
-
-
-def solve(m: Matrix, b: Sequence) -> tuple[Vector, list[Vector]] | None:
-    """Solve m x = b exactly.
-
-    Returns None when b is not in the image, otherwise the canonical
-    particular solution (free variables set to zero) and the canonical
-    kernel basis.
-    """
-    ech = augmented_echelon(m.field, [_sparse(r) for r in m.data], m.cols, [b])
-    sols = ech.solutions(m.cols)
-    if sols is None:
-        return None
-    return sols[0], [_dense(m.field, m.cols, v) for v in ech.restrict(m.cols).kernel()]
-
-
-def solve_many(m: Matrix, rhs_columns: Sequence[Sequence]) -> list[Vector] | None:
-    """`solve`'s particular solutions for every right-hand side, from one elimination.
-
-    Returns None when some right-hand side is not in the image.
-    """
-    rhs_columns = list(rhs_columns)
-    if not rhs_columns:
-        return []
-    return augmented_echelon(m.field, [_sparse(r) for r in m.data], m.cols, rhs_columns).solutions(m.cols)
 
 
 def image(m: SparseMatrix) -> Subspace:

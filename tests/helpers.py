@@ -167,17 +167,13 @@ def random_invertible(field, dim, rng: random.Random) -> Matrix:
     while True:
         rows = [[field.random_element(rng) for _ in range(dim)] for _ in range(dim)]
         m = Matrix.from_rows(field, rows)
-        from convdef import rref
-
-        if rref(m)[2] == dim:
+        if oracle_rref(m)[2] == dim:
             return m
 
 
 def matrix_inverse(p: Matrix) -> Matrix:
-    from convdef import solve
-
     eye = Matrix.identity(p.field, p.rows)
-    cols = [solve(p, eye.col(j))[0] for j in range(p.rows)]
+    cols = oracle_solve_many(p, [eye.col(j) for j in range(p.rows)])
     return Matrix(p.field, p.rows, p.rows, tuple(zip(*cols)))
 
 
@@ -529,6 +525,43 @@ def oracle_rref(m: Matrix):
     return out, tuple(pivots), r
 
 
+def oracle_solve_many(m: Matrix, rhs_columns):
+    """The canonical solution of m x = b for each right-hand side b, by `oracle_rref` of [m | B].
+
+    Free variables are zero.  Returns None when some b is not in the image.
+    """
+    f = m.field
+    rhs = [tuple(f.coerce(x) for x in b) for b in rhs_columns]
+    for b in rhs:
+        if len(b) != m.rows:
+            raise ShapeError(f"rhs length {len(b)} vs {m.rows} rows")
+    aug = Matrix(f, m.rows, m.cols + len(rhs), tuple(row + tuple(b[i] for b in rhs) for i, row in enumerate(m.data)))
+    red, pivots, rank = oracle_rref(aug)
+    if rank and pivots[-1] >= m.cols:
+        return None
+    sols = []
+    for k in range(m.cols, aug.cols):
+        x = [f.zero] * m.cols
+        for row, c in zip(red.data, pivots):
+            x[c] = row[k]
+        sols.append(tuple(x))
+    return sols
+
+
+def oracle_kernel(m: Matrix):
+    """The canonical basis of ker m, by `oracle_rref`: one vector per free column, free entry one."""
+    red, pivots, _rank = oracle_rref(m)
+    f, basis = m.field, []
+    for free in range(m.cols):
+        if free not in pivots:
+            v = [f.zero] * m.cols
+            v[free] = f.one
+            for row, c in zip(red.data, pivots):
+                v[c] = f.neg(row[free])
+            basis.append(tuple(v))
+    return basis
+
+
 def fixture_specs():
     """(label, ComplexSpec) for every algebra of every fixture and each comodule it can pair with.
 
@@ -566,7 +599,7 @@ def oracle_invert_on_bottom(f: ConvMorphism, bottom):
     equations straight into sparse rows; the same linear system, so its
     solution must be the same.
     """
-    from convdef import NotInvertible, solve
+    from convdef import NotInvertible
 
     c = f.coalgebra
     field = c.field
@@ -607,7 +640,7 @@ def oracle_invert_on_bottom(f: ConvMorphism, bottom):
         e = field.normalize(sum(x * y for x, y in zip(c.counit, brow)))
         rhs.extend(x for row in eye.scale(e).data for x in row)
     assert system.rows == big_rows
-    res = solve(system, tuple(rhs))
+    res = oracle_solve_many(system, [rhs])
     if res is None:
         raise NotInvertible("restriction to the bottom filtration layer is not invertible")
     sol = res[0]
@@ -830,6 +863,40 @@ def counit_matrix(c) -> Matrix:
     return Matrix.row_vector(c.field, c.counit)
 
 
+def expand_slot(c, tensor, arity: int, slot: int) -> tuple:
+    """Delta applied to one tensor factor, C^(x)arity -> C^(x)(arity+1), on a dense vector.
+
+    Tensor powers are flattened row-major, the leftmost factor most significant.
+    """
+    if not 0 <= slot < arity:
+        raise ShapeError(f"slot {slot} out of range for arity {arity}")
+    f, d = c.field, c.dim
+    left = d ** (arity - 1 - slot)  # weight of digits right of the slot
+    out = [f.zero] * (d ** (arity + 1))
+    for idx, coeff in enumerate(tensor):
+        if f.is_zero(coeff):
+            continue
+        tail = idx % left
+        rest = idx // left
+        i = rest % d
+        head = rest // d
+        base = head * (d * d * left)
+        for j, k, x in c.delta[i]:
+            pos = base + (j * d + k) * left + tail
+            out[pos] = f.add(out[pos], f.mul(coeff, x))
+    return tuple(out)
+
+
+def iterated_delta(c, v, p: int) -> tuple:
+    """Delta^(p-1)(v) in C^(x)p by `expand_slot` on the first factor; p = 1 returns v itself."""
+    if p < 1:
+        raise ShapeError("p must be >= 1")
+    cur = tuple(c.field.coerce(x) for x in v)
+    for arity in range(1, p):
+        cur = expand_slot(c, cur, arity, 0)
+    return cur
+
+
 def oracle_validate(c):
     """`Coalgebra.validate` by dense tensors: (Delta (x) 1)Delta(e_i) and (1 (x) Delta)Delta(e_i) in C^(x)3 via `expand_slot`."""
     from convdef import CoalgebraReport
@@ -839,8 +906,8 @@ def oracle_validate(c):
     coassoc = counit_l = counit_r = True
     for i in range(d):
         e_i = unit_vec(f, d, i)
-        two = c.expand_slot(e_i, 1, 0)
-        if c.expand_slot(two, 2, 0) != c.expand_slot(two, 2, 1):
+        two = expand_slot(c, e_i, 1, 0)
+        if expand_slot(c, two, 2, 0) != expand_slot(c, two, 2, 1):
             coassoc = False
         left = [f.zero] * d
         right = [f.zero] * d
@@ -875,10 +942,12 @@ def dense_image(m: Matrix):
 
 
 def dense_preimage(m: Matrix, target):
-    """{x : m x in target}: the kernel of the equations of target composed with m."""
-    from convdef import Subspace, kernel_basis
+    """{x : m x in target}: the kernel of the equations of target composed with m, both by `oracle_kernel`."""
+    from convdef import Subspace
 
-    return Subspace.span(m.field, m.cols, kernel_basis(target.equation_matrix() @ m))
+    f, n = m.field, target.ambient
+    eqs = oracle_kernel(Matrix(f, target.dim, n, target.dense_rows()))
+    return Subspace.span(f, m.cols, oracle_kernel(Matrix(f, len(eqs), n, tuple(eqs)) @ m))
 
 
 def outer(field, u, v):
@@ -939,10 +1008,10 @@ def oracle_find_grouplikes(c, mode: str = "basis"):
 
 def oracle_restrict_coalgebra_along(ctilde, iota: Matrix, eps_c: Matrix):
     """Coalgebra structure on C pulled back through an injective coalgebra map, by one dense solve."""
-    from convdef import Coalgebra, NotAnExtension, solve_many
+    from convdef import Coalgebra, NotAnExtension
 
     f, dc = ctilde.field, iota.cols
-    sols = solve_many(iota.kron(iota), [delta_matrix(ctilde).mul_vec(iota.col(i)) for i in range(dc)])
+    sols = oracle_solve_many(iota.kron(iota), [delta_matrix(ctilde).mul_vec(iota.col(i)) for i in range(dc)])
     if sols is None:
         raise NotAnExtension("iota is not a coalgebra morphism")
     delta = [
@@ -953,21 +1022,13 @@ def oracle_restrict_coalgebra_along(ctilde, iota: Matrix, eps_c: Matrix):
 
 def oracle_split_extension(ctilde, iota: Matrix, lam: Matrix, base=None):
     """(rho_r, omega) of an extension with a normalized retract, by dense Kronecker products."""
-    from convdef import (
-        Cocycle2,
-        Comodule,
-        NotAnExtension,
-        RetractNotNormalized,
-        Subspace,
-        kernel_basis,
-        solve_many,
-    )
+    from convdef import Cocycle2, Comodule, NotAnExtension, RetractNotNormalized
     from convdef.linalg import unit_vec
 
     f, d, dc = ctilde.field, ctilde.dim, iota.cols
     if iota.rows != d or lam.rows != dc or lam.cols != d:
         raise ShapeError("iota must be dimCtilde x dimC and lambda dimC x dimCtilde")
-    if Subspace.of_matrix(iota).dim != dc:
+    if oracle_rref(iota)[2] != dc:
         raise NotAnExtension("iota is not injective")
     if lam @ iota != Matrix.identity(f, dc):
         raise RetractNotNormalized("lambda o iota is not the identity of C")
@@ -984,24 +1045,23 @@ def oracle_split_extension(ctilde, iota: Matrix, lam: Matrix, base=None):
     vecs = []
     for i in range(d):
         e_i = unit_vec(f, d, i)
-        for u in dense_image(iota).dense_rows():
+        for u in (iota.col(j) for j in range(dc)):
             vecs += [outer(f, e_i, u), outer(f, u, e_i)]
-    target = Subspace.span(f, d * d, vecs)
-    for i in range(d):
-        if not target.contains_vector(delta_matrix(ctilde).mul_vec(unit_vec(f, d, i))):
-            raise NotAnExtension("Delta(Ctilde) is not supported on Ctilde(x)C + C(x)Ctilde")
-    kb = kernel_basis(lam)
+    dm = delta_matrix(ctilde)
+    if oracle_solve_many(Matrix(f, len(vecs), d * d, tuple(vecs)).transpose(), [dm.col(i) for i in range(d)]) is None:
+        raise NotAnExtension("Delta(Ctilde) is not supported on Ctilde(x)C + C(x)Ctilde")
+    kb = oracle_kernel(lam)
     dx = len(kb)
     if dx == 0:
         raise NotAnExtension("the retract has trivial kernel; nothing to split off")
     eye = Matrix.identity(f, d)
-    p_cols = solve_many(Matrix(f, dx, d, tuple(kb)).transpose(), [(eye - iota @ lam).col(j) for j in range(d)])
+    p_cols = oracle_solve_many(Matrix(f, dx, d, tuple(kb)).transpose(), [(eye - iota @ lam).col(j) for j in range(d)])
     if p_cols is None:
         raise NotAnExtension("id - iota lambda does not land in ker(lambda)")
     proj = Matrix(f, dx, d, tuple(zip(*p_cols)))
     coaction, omega = [], []
     for z in kb:
-        dz = delta_matrix(ctilde).mul_vec(z)
+        dz = dm.mul_vec(z)
         rho = proj.kron(lam).mul_vec(dz)
         coaction.append([(t, u, rho[t * dc + u]) for t in range(dx) for u in range(dc) if not f.is_zero(rho[t * dc + u])])
         om = lam.kron(lam).mul_vec(dz)
@@ -1013,7 +1073,7 @@ def oracle_split_extension(ctilde, iota: Matrix, lam: Matrix, base=None):
 
 def oracle_decompose_completely_reducible(com, grouplikes):
     """Lines of a completely reducible comodule, checking that the T_g are orthogonal idempotents product by product."""
-    from convdef import Subspace, UnsupportedCoaction, solve_many
+    from convdef import UnsupportedCoaction
 
     base = com.base
     f, dx, dc = base.field, com.dim, base.dim
@@ -1024,7 +1084,7 @@ def oracle_decompose_completely_reducible(com, grouplikes):
         if delta_matrix(base).mul_vec(g) != outer(f, g, g) or dense_eps(base, g) != f.one:
             raise ValueError("supplied vector is not group-like")
     gmat = Matrix(f, len(gs), dc, tuple(tuple(f.coerce(x) for x in g) for g in gs))
-    if Subspace.of_matrix(gmat).dim != len(gs):
+    if oracle_rref(gmat)[2] != len(gs):
         raise ValueError("group-like vectors must be distinct (they are then independent)")
     rows_by_st = {}
     for s in range(dx):
@@ -1034,7 +1094,7 @@ def oracle_decompose_completely_reducible(com, grouplikes):
                 if tt == t:
                     row[u] = f.add(row[u], c)
             rows_by_st[(s, t)] = row
-    sols = solve_many(gmat.transpose(), list(rows_by_st.values()))
+    sols = oracle_solve_many(gmat.transpose(), list(rows_by_st.values()))
     if sols is None:
         raise UnsupportedCoaction("coaction is not supported on the span of the group-likes")
     coeffs = dict(zip(rows_by_st, sols))
@@ -1050,7 +1110,8 @@ def oracle_decompose_completely_reducible(com, grouplikes):
         for b, op_b in enumerate(ops):
             if op_a @ op_b != (op_a if a == b else Matrix.zeros(f, dx, dx)):
                 return None
-    lines = [(row, g) for op, g in zip(ops, gs) for row in dense_image(op).dense_rows()]
+    images = ((oracle_rref(op.transpose()), g) for op, g in zip(ops, gs))
+    lines = [(row, g) for (red, _pivots, rank), g in images for row in red.data[:rank]]
     return lines if len(lines) == dx else None
 
 

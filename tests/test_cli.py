@@ -68,6 +68,17 @@ def test_reports_match_golden(tmp_path, capsys, name, argv, code):
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    """The python block under README's "Library example" heading runs and prints True, then 1."""
+    section = README.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "True\n1\n"
+
+
 def test_unit_gauge_skips_zero_steps(tmp_path, monkeypatch):
     """An already unital multiplication takes no normalization step: no inversion, the same report."""
     calls = []

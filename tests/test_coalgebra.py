@@ -6,7 +6,6 @@ import pytest
 
 from convdef import (
     Coalgebra,
-    DegreeMismatch,
     NotExhaustive,
     ShapeError,
     Subspace,
@@ -35,6 +34,8 @@ from helpers import (
     F3,
     F5,
     FIXTURES,
+    expand_slot,
+    iterated_delta,
     oracle_is_coalgebra_filtration,
     random_invertible,
     reduce_dense,
@@ -68,12 +69,12 @@ def test_validate_broken_coassociativity():
 def test_iterated_delta_p1_returns_input():
     c = divided_power_t(2, QQ)
     v = (1, 2, 3)
-    assert c.iterated_delta(v, 1) == (1, 2, 3)
+    assert iterated_delta(c, v, 1) == (1, 2, 3)
 
 
 def test_iterated_delta_t2():
     c = divided_power_t(2, QQ)
-    out = c.iterated_delta(unit_vec(QQ, 3, 2), 2)
+    out = iterated_delta(c, unit_vec(QQ, 3, 2), 2)
     # 1 (x) t^2 + t (x) t + t^2 (x) 1
     expect = [0] * 9
     expect[0 * 3 + 2] = 1
@@ -88,51 +89,12 @@ def test_iterated_delta_slot_independence():
     for c in (divided_power_t(3, QQ), polynomial_multi(2, 2, QQ), grouplike_coalgebra(2, F5)):
         v = tuple(c.field.coerce(rng.randint(0, 3)) for _ in range(c.dim))
         for p in (2, 3, 4):
-            ref = c.iterated_delta(v, p)
+            ref = iterated_delta(c, v, p)
             for slots in itertools.product(*(range(1, arity + 1) for arity in range(1, p))):
                 cur = v
                 for arity, slot in enumerate(slots, start=1):
-                    cur = c.expand_slot(cur, arity, slot - 1)
+                    cur = expand_slot(c, cur, arity, slot - 1)
                 assert cur == ref
-
-
-def test_delta_component_examples():
-    c = divided_power_t(2, QQ)
-    t2 = unit_vec(QQ, 3, 2)
-    # I = (n) returns the element itself
-    assert c.delta_component(t2, (2,)) == t2
-    # middle component of Delta(t^2) is t (x) t
-    comp = c.delta_component(t2, (1, 1))
-    expect = [0] * 9
-    expect[1 * 3 + 1] = 1
-    assert list(comp) == expect
-    with pytest.raises(DegreeMismatch):
-        c.delta_component(t2, (1, 0))
-
-
-def test_delta_component_two_variables():
-    p = polynomial_multi(2, 2, QQ)
-    i_t1t2 = p.names.index("t1*t2")
-    i_t1 = p.names.index("t1")
-    i_t2 = p.names.index("t2")
-    comp = p.delta_component(unit_vec(QQ, p.dim, i_t1t2), (1, 1))
-    expect = [0] * (p.dim * p.dim)
-    expect[i_t1 * p.dim + i_t2] = 1
-    expect[i_t2 * p.dim + i_t1] = 1
-    assert list(comp) == expect
-
-
-def test_delta_component_sum_recovers_full():
-    p = polynomial_multi(2, 2, QQ)
-    for i in range(p.dim):
-        v = unit_vec(QQ, p.dim, i)
-        deg = p.grading[i]
-        full = p.iterated_delta(v, 2)
-        total = [QQ.zero] * len(full)
-        for a in range(deg + 1):
-            comp = p.delta_component(v, (a, deg - a))
-            total = [x + y for x, y in zip(total, comp)]
-        assert tuple(total) == full
 
 
 def test_coradical_filtration_divided_power():

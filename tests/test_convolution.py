@@ -41,6 +41,7 @@ from helpers import (
     dense_tensor,
     dual_numbers,
     from_dense,
+    iterated_delta,
     oracle_conv_compose,
     oracle_conv_tensor,
     oracle_invert_on_bottom,
@@ -533,7 +534,7 @@ def test_slot_insertion_congruence_lemma():
             for b in range(d):
                 if c.grading[b] > n + 1:
                     continue
-                tensor = c.iterated_delta(tuple(QQ.one if i == b else QQ.zero for i in range(d)), p)
+                tensor = iterated_delta(c, tuple(QQ.one if i == b else QQ.zero for i in range(d)), p)
                 lhs = apply_theta(tensor)
                 rhs = sum(apply_theta(phi_i(tensor, i)) for i in range(1, p + 1))
                 assert lhs == rhs

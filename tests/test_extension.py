@@ -13,6 +13,7 @@ from convdef import (
     UnsupportedCoaction,
     build_extension,
     decompose_completely_reducible,
+    direct_sum,
     divided_power_t,
     find_grouplikes,
     graded_extension,
@@ -47,6 +48,24 @@ def test_graded_extension_divided_power():
     # built Ctilde literally matches the graded truncation
     assert ext.ctilde.delta == d.delta
     assert ext.ctilde.grading == d.grading
+    assert ext.ctilde == d
+    # in general Ctilde is D_{<=n} in the basis D_{<n} first, the degree-n layer second, names and grading included
+    cases = 0
+    for field in (QQ, F2, F3):
+        for c in (
+            divided_power_t(4, field),
+            polynomial_multi(2, 3, field),
+            direct_sum([divided_power_t(3, field), divided_power_t(1, field)]),
+        ):
+            for n in range(1, c.max_degree() + 1):
+                ext = graded_extension(c, n)
+                low = [i for i, g in enumerate(c.grading) if g < n]
+                truncated = c.sub_on_indices(low + list(c.degree_indices(n)))
+                assert ext.ctilde == truncated
+                assert (ext.ctilde.names, ext.ctilde.grading) == (truncated.names, truncated.grading)
+                assert ext.ctilde.names[: ext.base.dim] == ext.base.names
+                cases += 1
+    assert cases == 30
 
 
 def test_graded_extension_layer_one_is_trivial():

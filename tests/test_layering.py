@@ -47,6 +47,33 @@ def test_subspace_is_the_one_subspace_type():
     assert "echelon" not in convdef.Subspace.__slots__
 
 
+# the dense facade no library code calls; `solve` is checked only as a module attribute, since `ComplexSpec.solve` stays
+RETIRED = ("kernel_basis", "solve_many", "of_matrix", "equation_matrix", "expand_slot", "iterated_delta",
+           "delta_component", "DegreeMismatch")
+
+
+def _signature_names(fn: ast.FunctionDef) -> set[str]:
+    return _names(fn.args) | (_names(fn.returns) if fn.returns else set())
+
+
+def test_the_retired_dense_facade_stays_out():
+    """`Matrix` and `rref` stay only because the benchmark tracer hooks them; nothing else of the dense facade comes back."""
+    for p in sorted(SRC.glob("*.py")):
+        assert not set(RETIRED) & _names(ast.parse(p.read_text(), filename=str(p))), p.name
+    for name in ("kernel_basis", "solve", "solve_many", "DegreeMismatch"):
+        assert not hasattr(convdef, name) and name not in convdef.__all__, name
+    assert not any(hasattr(convdef.linalg, name) for name in ("kernel_basis", "solve", "solve_many"))
+    assert not any(hasattr(convdef.Subspace, name) for name in ("of_matrix", "equation_matrix"))
+    assert not any(hasattr(convdef.Coalgebra, name) for name in ("expand_slot", "iterated_delta", "delta_component"))
+    # the public functions and methods of linalg, Matrix's own methods aside, whose signature names Matrix
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name != "Matrix"):
+        functions += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    naming = [name for name, fn in functions if not fn.name.startswith("_") and "Matrix" in _signature_names(fn)]
+    assert naming == ["rref"]
+
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # hooked by the benchmark tracer, but removed from the library before this guard existed
 DEAD_HOOKS = {"convdef.cohomology:ComplexSpec.coface"}

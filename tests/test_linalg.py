@@ -11,17 +11,24 @@ from convdef import (
     ShapeError,
     Subspace,
     image,
-    kernel_basis,
     preimage,
     quotient_dim,
     rref,
-    solve,
-    solve_many,
 )
 from convdef.linalg import Matrix, _dense, _sparse, augmented_echelon
 from convdef.fields import QQ, PrimeField
 
-from helpers import F3, FIXTURES, dense_differential_matrix, greedy_quotient_rows, oracle_rref, reduce_dense, sparse_of
+from helpers import (
+    F3,
+    FIXTURES,
+    dense_differential_matrix,
+    greedy_quotient_rows,
+    oracle_kernel,
+    oracle_rref,
+    oracle_solve_many,
+    reduce_dense,
+    sparse_of,
+)
 
 F2 = PrimeField(2)
 F5 = PrimeField(5)
@@ -29,6 +36,27 @@ F5 = PrimeField(5)
 
 def rand_matrix(field, rows, cols, rng):
     return Matrix.from_rows(field, [[field.random_element(rng) for _ in range(cols)] for _ in range(rows)])
+
+
+def row_space(m: Matrix) -> Subspace:
+    return Subspace(m.field, m.cols, map(_sparse, m.data))
+
+
+def kernel(m: Matrix) -> list:
+    """The canonical kernel basis of m from `Subspace.kernel`, as dense vectors."""
+    return [_dense(m.field, m.cols, v) for v in row_space(m).kernel()]
+
+
+def solve(m: Matrix, rhs: list):
+    """(canonical solutions of m x = b per b in rhs or None, canonical kernel of m) from one elimination of [m | B].
+
+    Checked against `oracle_solve_many` and `oracle_kernel` on the way.
+    """
+    ech = augmented_echelon(m.field, [_sparse(r) for r in m.data], m.cols, rhs)
+    sols, ker = ech.solutions(m.cols), [_dense(m.field, m.cols, v) for v in ech.restrict(m.cols).kernel()]
+    assert sols == oracle_solve_many(m, rhs)
+    assert ker == oracle_kernel(m)
+    return sols, ker
 
 
 def test_rref_identity():
@@ -70,31 +98,38 @@ def test_mixed_fields_rejected():
 
 def test_solve_identity():
     m = Matrix.identity(QQ, 2)
-    x, ker = solve(m, (1, 2))
+    (x,), ker = solve(m, [(1, 2)])
     assert x == (1, 2) and ker == []
 
 
 def test_solve_zero_map():
     m = Matrix.zeros(QQ, 2, 2)
-    x, ker = solve(m, (0, 0))
+    (x,), ker = solve(m, [(0, 0)])
     assert x == (0, 0) and len(ker) == 2
-    assert solve(m, (1, 0)) is None
+    # off the image: no solution, and the kernel is still read off the left block
+    sols, ker = solve(m, [(1, 0)])
+    assert sols is None and len(ker) == 2
 
 
 def test_solve_rank_one():
     m = Matrix.from_rows(QQ, [[1, 2], [2, 4]])
-    x, ker = solve(m, (1, 2))
+    (x,), ker = solve(m, [(1, 2)])
     # substitute back
     assert m.mul_vec(x) == (1, 2)
+    # the canonical solution: the free variable is zero
     assert x == (1, 0)
     assert len(ker) == 1 and ker[0] == (-2, 1)
     for k in ker:
         assert all(v == 0 for v in m.mul_vec(k))
+    assert solve(m, [(1, 0)])[0] is None
 
 
 def test_solve_shape_error():
-    with pytest.raises(ShapeError):
-        solve(Matrix.identity(QQ, 2), (1, 2, 3))
+    for rhs in ([(1, 2, 3)], [(1, 2), (1,)]):
+        with pytest.raises(ShapeError):
+            augmented_echelon(QQ, [_sparse(r) for r in Matrix.identity(QQ, 2).data], 2, rhs)
+        with pytest.raises(ShapeError):
+            oracle_solve_many(Matrix.identity(QQ, 2), rhs)
 
 
 def test_solve_exactness_random():
@@ -104,10 +139,11 @@ def test_solve_exactness_random():
             m = rand_matrix(field, rng.randint(1, 4), rng.randint(1, 4), rng)
             target = tuple(field.random_element(rng) for _ in range(m.cols))
             b = m.mul_vec(target)
-            res = solve(m, b)
-            assert res is not None
-            x, ker = res
+            sols, ker = solve(m, [b])
+            assert sols is not None
+            (x,) = sols
             assert m.mul_vec(x) == b
+            assert all(field.is_zero(x[j]) for j in range(m.cols) if j not in oracle_rref(m)[1])
             for k in ker:
                 assert all(field.is_zero(v) for v in m.mul_vec(k))
             assert len(ker) == m.cols - rref(m)[2]
@@ -126,15 +162,15 @@ def test_solve_many_matches_per_column_solve():
                     rhs.append(m.mul_vec([field.random_element(rng) for _ in range(m.cols)]))
                 else:
                     rhs.append(tuple(field.random_element(rng) for _ in range(m.rows)))
-            singles = [solve(m, b) for b in rhs]
-            got = solve_many(m, rhs)
+            singles = [solve(m, [b])[0] for b in rhs]
+            got = solve(m, rhs)[0]
             if any(res is None for res in singles):
                 assert got is None
             else:
                 assert got == [res[0] for res in singles]
-    assert solve_many(Matrix.identity(QQ, 2), []) == []
+    assert solve(Matrix.identity(QQ, 2), [])[0] == []
     with pytest.raises(ShapeError):
-        solve_many(Matrix.identity(QQ, 2), [(1, 2, 3)])
+        solve(Matrix.identity(QQ, 2), [(1, 2, 3)])
 
 
 def test_subspace_canonical_equality():
@@ -191,8 +227,9 @@ def test_quotient_dim():
 
 def test_kernel_basis_canonical():
     m = Matrix.from_rows(QQ, [[1, 2, 3]])
-    ker = kernel_basis(m)
-    assert len(ker) == 2
+    ker = kernel(m)
+    # one vector per free column, free entry one
+    assert ker == [(-2, 1, 0), (-3, 0, 1)] == oracle_kernel(m)
     for k in ker:
         assert all(v == 0 for v in m.mul_vec(k))
 
@@ -264,19 +301,6 @@ def test_quotient_basis_keeps_later_rows_when_sub_hits_earlier_ones():
     assert z.quotient_basis(b) == greedy_quotient_rows(z, b)
 
 
-def test_equation_matrix_cuts_out_subspace():
-    rng = random.Random(53)
-    for field in (QQ, F5):
-        for _ in range(20):
-            n = rng.randint(1, 5)
-            u = _random_subspace(field, n, rng.randint(0, n), rng)
-            eqs = u.equation_matrix()
-            assert eqs.rows == n - u.dim
-            assert preimage(sparse_of(Matrix.identity(field, n)), u) == u
-            for row in u.dense_rows():
-                assert all(field.is_zero(x) for x in eqs.mul_vec(row))
-
-
 def _matrix(field, rows, cols):
     return Matrix(field, len(rows), cols, tuple(tuple(field.coerce(x) for x in row) for row in rows))
 
@@ -300,19 +324,6 @@ def matrices(draw):
     return _matrix(field, rows, nc)
 
 
-def _oracle_kernel(m):
-    red, pivots, _rank = oracle_rref(m)
-    f, basis = m.field, []
-    for free in range(m.cols):
-        if free not in pivots:
-            v = [f.zero] * m.cols
-            v[free] = f.one
-            for row, c in zip(red.data, pivots):
-                v[c] = f.neg(row[free])
-            basis.append(tuple(v))
-    return basis
-
-
 # empty (0 x k, k x 0, 0 x 0), all-zero, duplicate-row, rank-deficient, tall and wide
 EDGE_MATRICES = [
     Matrix(QQ, 0, 3, ()),
@@ -330,17 +341,17 @@ EDGE_MATRICES = [
 def check_echelon_against_oracle(m):
     red, pivots, rank = oracle_rref(m)
     assert rref(m) == (red, pivots, rank)
-    ech = Subspace.of_matrix(m)
+    ech = row_space(m)
     assert (ech.pivots, ech.dim) == (pivots, rank)
     assert ech.dense_rows() == red.data[:rank]
     # the RREF is unique: any insertion order gives the same rows
     backwards = Subspace(m.field, m.cols, [{j: x for j, x in enumerate(r) if x} for r in reversed(m.data)])
     assert backwards.rows == ech.rows
-    assert kernel_basis(m) == _oracle_kernel(m)
+    assert kernel(m) == oracle_kernel(m)
     # the left block of an echelon is the echelon of the left block
     k = m.cols // 2
     left = Matrix(m.field, m.rows, k, tuple(r[:k] for r in m.data))
-    assert ech.restrict(k).rows == Subspace.of_matrix(left).rows
+    assert ech.restrict(k).rows == row_space(left).rows
     red_t, _pivots_t, rank_t = oracle_rref(m.transpose())
     assert image(sparse_of(m)).dense_rows() == red_t.data[:rank_t]
 
@@ -413,7 +424,7 @@ def _is_normalized_fraction(x) -> bool:
 def test_q_echelon_on_wide_rationals_matches_dense_gauss_jordan(m):
     """Rows, pivots, kernel, reduce and solutions over Q equal the oracle's, with rows of normalized Fractions."""
     check_echelon_against_oracle(m)
-    ech = Subspace.of_matrix(m)
+    ech = row_space(m)
     for piv, row in ech.rows.items():
         assert type(row[piv]) is Fraction and row[piv] == Fraction(1)
         assert all(_is_normalized_fraction(x) for x in row.values())
