@@ -48,6 +48,15 @@ def normalize_triples(field: Field, raw, dims: tuple[int, int], what: str) -> tu
     return tuple(out)
 
 
+def integral_triples(table: Sequence[Triples]) -> tuple[int, tuple[Triples, ...]]:
+    """(D, the table with every structure constant times D as an int), D the lcm of their denominators.
+
+    Over F_p the constants are ints already and D = 1.
+    """
+    den = math.lcm(*(c.denominator for triples in table for _, _, c in triples))
+    return den, tuple(tuple((j, k, c.numerator * (den // c.denominator)) for j, k, c in triples) for triples in table)
+
+
 def triples_columns(triples, right: int) -> list[dict]:
     """A triples table as the sparse columns of its matrix: source i -> {j * right + k: coeff}.
 
@@ -183,19 +192,8 @@ class Coalgebra:
 
     @cached_property
     def integral_delta(self) -> tuple[int, tuple[Triples, ...]]:
-        """(D, Delta with every structure constant times D as an int), D the lcm of their denominators.
-
-        The convolution kernel sums in ints over D.  Over F_p the constants
-        are ints already and D = 1.  Derived from `delta`, so it takes no
-        part in equality or hashing.
-        """
-        if self.field.char:
-            return 1, self.delta
-        den = math.lcm(*(mu.denominator for triples in self.delta for _, _, mu in triples))
-        scaled = tuple(
-            tuple((j, k, mu.numerator * (den // mu.denominator)) for j, k, mu in triples) for triples in self.delta
-        )
-        return den, scaled
+        """`integral_triples` of Delta for the convolution kernel; derived, so not part of equality or hashing."""
+        return integral_triples(self.delta)
 
     # -- gradings and filtrations -----------------------------------------
 

@@ -8,22 +8,24 @@ row-major over each a x a^n map, i.e. flat[s * a^(n+1) + r * a^n + c] =
 maps[s].entries[(r, c)], and a column index of A^(x)n is read as n base-a
 digits, the first factor most significant.
 
-d^n is assembled from the structure constants only to be eliminated.
-For each term c * e_t (x) c_u of rho(e_s) and each nonzero
-v = m_u[r][p*a + q], with J' running over a^n:
-  - i = 0 adds c*v at row (s, r, p*a^n + J'), column (t, q, J');
-  - i = n+1 adds (-1)^(n+1) c*v at row (s, r, J'*a + q), column (t, p, J');
-  - each 1 <= i <= n adds (-1)^i c*v at row (s, r', (h, p, q, l)), column
-    (t, r', (h, r, l)), for every r' < a, h in a^(i-1) and l in a^(n-i).
-The composition-based cofaces these families expand live in the test
-suite as the independent oracle (`tests/helpers.py`, `oracle_coface`).
-d^n is never densified: `ComplexSpec` eliminates its rows once (Z^n is
-their null space) and its columns once (they span B^(n+1)), each into a
-sparse `Subspace` cached per degree.  `ComplexSpec.differential` applies
-the cofaces to one cochain without d^n: it scatters the same three
-families from the cochain's nonzero entries, through the entries of m
-indexed by q (i = 0), by p (i = n+1) and by r (the inner faces, the
-cochain's column split into (h, r, l)).
+One loop, `ComplexSpec._coboundaries`, applies the cofaces.  It scatters
+each nonzero entry x of a cochain at (t, y, J) (X index, output row, column
+of A^(x)n) through each term c * e_t (x) c_u of rho(e_s) and each nonzero
+v = m_u[r][p*a + q]:
+  - i = 0, where q = y, adds c*v*x at (s, r, p*a^n + J);
+  - i = n+1, where p = y, adds (-1)^(n+1) c*v*x at (s, r, J*a + q);
+  - each 1 <= i <= n, with J = (h, r, l) for h in a^(i-1) and l in a^(n-i),
+    adds (-1)^i c*v*x at (s, y, (h, p, q, l)).
+`differential` runs it on one cochain, and `differential_entries` on each
+unit cochain e_j, whose image is column j of d^n.  It sums ints, as
+`convolution._convolve` does: over Q, c' = D_rho c, v' = D_m v (cleared
+once per complex) and x' = D_nu x are ints, each sum of c*v*x is the int
+sum of c'v'x' over D_rho D_m D_nu, and it becomes one `Fraction`; over F_p
+each sum is reduced mod p.  The composition-based cofaces these families
+expand are the test suite's independent oracle (`tests/helpers.py`,
+`oracle_coface`).  d^n is never densified: `ComplexSpec` eliminates its
+rows once (Z^n is their null space) and its columns once (they span
+B^(n+1)), each into a sparse `Subspace` cached per degree.
 
 m is associative when its associator m * ((e (x) m) - (m (x) e)), e = eps(-) id_A,
 vanishes (`is_associative`); the obstruction zeta of `convdef.deformation` is
@@ -33,15 +35,16 @@ a block of the same sparse associator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .coalgebra import trivial_k
+from .coalgebra import integral_triples, trivial_k
 from .convolution import ConvMorphism, MultiMap, _convolve, _entries, epsilon_embed, identity_conv
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _dense, _lincomb, _normalized, _sum, augmented_echelon
+from .linalg import SparseMatrix, Subspace, Vector, _cleared, _dense, _lincomb, _normalized, _sum, augmented_echelon
 
 
 @dataclass(frozen=True)
@@ -165,89 +168,82 @@ class ComplexSpec:
         return Cochain.zero(self.field, self.a_dim, self.x_dim, n)
 
     def differential_entries(self, n: int) -> tuple[tuple[int, int, object], ...]:
-        """The nonzero entries (row, col, value) of d^n, built from the structure constants for elimination."""
-        if n in self._entries_cache:
-            return self._entries_cache[n]
-        f, a = self.field, self.a_dim
-        an = a**n
-        blk_in, blk_out = a * an, a * a * an
-        m_entries = _entries(self.m)
-        acc: dict[tuple[int, int], object] = {}
+        """The nonzero entries (row, col, value) of d^n for elimination: column j is d^n of the unit cochain e_j."""
+        if n not in self._entries_cache:
+            cols = self._coboundaries(n, [{j: 1} for j in range(self.cochain_dim(n))])
+            self._entries_cache[n] = tuple((row, j, v) for j, col in enumerate(cols) for row, v in col.items())
+        return self._entries_cache[n]
 
-        def put(row: int, col: int, v) -> None:
-            key = (row, col)
-            acc[key] = f.add(acc[key], v) if key in acc else v
-
-        for s in range(self.x_dim):
-            for t, u, c in self.comodule.coaction[s]:
-                out0, in0 = s * blk_out, t * blk_in
-                for (r, pq), v in m_entries[u].items():
-                    p, q = divmod(pq, a)
-                    cv = f.mul(c, v)
-                    neg = f.neg(cv)
-                    last = cv if n % 2 else neg
-                    # the outer cofaces i = 0 and i = n+1
-                    for j in range(an):
-                        put(out0 + r * blk_in + p * an + j, in0 + q * an + j, cv)
-                        put(out0 + r * blk_in + j * a + q, in0 + p * an + j, last)
-                    # the inner cofaces: m_u in tensor slot i of the argument
-                    for i in range(1, n + 1):
-                        sv = neg if i % 2 else cv
-                        lo = a ** (n - i)
-                        for r2 in range(a):
-                            for h in range(a ** (i - 1)):
-                                row0 = out0 + r2 * blk_in + ((h * a + p) * a + q) * lo
-                                col0 = in0 + r2 * an + (h * a + r) * lo
-                                for l in range(lo):
-                                    put(row0 + l, col0 + l, sv)
-        out = tuple((row, col, v) for (row, col), v in acc.items() if not f.is_zero(v))
-        self._entries_cache[n] = out
-        return out
+    def differential(self, nu: Cochain) -> Cochain:
+        """d^n applied to a cochain, scattered from its nonzero entries; d^n is never built."""
+        if nu.x_dim != self.x_dim or nu.a_dim != self.a_dim:
+            raise ShapeError("cochain does not match the complex")
+        f = require_same_field(self.field, nu.field)
+        (out,) = self._coboundaries(nu.degree, [nu.flat_entries()])
+        return Cochain.from_entries(f, self.a_dim, self.x_dim, nu.degree + 1, out)
 
     @cached_property
-    def _m_indexes(self) -> tuple[list[dict], list[dict], list[dict]]:
-        """The entries v = m_u[r][p*a + q] of each m_u, indexed by q, by p and by r."""
-        by_q, by_p, by_r = ([{} for _ in self.m.components] for _ in range(3))
-        for u, comp in enumerate(_entries(self.m)):
+    def _integral_indexes(self) -> tuple[int, list[list], list[dict], list[dict], list[dict]]:
+        """(D_rho D_m, rho's (s, u, c) by t, m_u's (r, p, v) by q, (r, q, v) by p and (pq, v) by r), all ints."""
+        d_rho, rho = integral_triples(self.comodule.coaction)
+        d_m, m = _cleared(_entries(self.m))
+        by_t: list[list] = [[] for _ in range(self.x_dim)]
+        for s, triples in enumerate(rho):
+            for t, u, c in triples:
+                by_t[t].append((s, u, c))
+        by_q, by_p, by_r = ([{} for _ in m] for _ in range(3))
+        for u, comp in enumerate(m):
             for (r, pq), v in comp.items():
                 p, q = divmod(pq, self.a_dim)
                 by_q[u].setdefault(q, []).append((r, p, v))
                 by_p[u].setdefault(p, []).append((r, q, v))
                 by_r[u].setdefault(r, []).append((pq, v))
-        return by_q, by_p, by_r
+        return d_rho * d_m, by_t, by_q, by_p, by_r
 
-    def differential(self, nu: Cochain) -> Cochain:
-        """d^n applied to a cochain: the coface families scattered from its nonzero entries, d^n never built."""
-        if nu.x_dim != self.x_dim or nu.a_dim != self.a_dim:
-            raise ShapeError("cochain does not match the complex")
-        f, n, a = require_same_field(self.field, nu.field), nu.degree, self.a_dim
+    def _coboundaries(self, n: int, cochains: Sequence[dict]) -> list[dict]:
+        """d^n of each cochain, given and returned as its nonzero flat entries {index: value}: the one coface loop."""
+        f, a = self.field, self.a_dim
         an = a**n
-        by_q, by_p, by_r = self._m_indexes
+        blk_in, blk_out = a * an, a * a * an
+        den, by_t, by_q, by_p, by_r = self._integral_indexes
+        if not f.char:
+            d_nu, cochains = _cleared(cochains)
+            den *= d_nu
         inner = [(i % 2, a ** (n - i)) for i in range(1, n + 1)]
-        maps = []
-        for s in range(self.x_dim):
-            acc: dict[tuple[int, int], object] = {}
-            for t, u, c in self.comodule.coaction[s]:
-                for (y, col), x in nu.maps[t].entries.items():
-                    cx = c * x
+        frac: dict[int, Fraction] = {}  # one Fraction per distinct sum
+        outs = []
+        for entries in cochains:
+            acc: dict[int, int] = {}
+            get = acc.get
+            for j, x in entries.items():
+                t, rest = divmod(j, blk_in)
+                y, col = divmod(rest, an)
+                for s, u, c in by_t[t]:
+                    out0, cx = s * blk_out, c * x
                     signed = (cx, -cx)  # (-1)^i c x, indexed by the parity of i
                     # i = 0: the output e_y of nu_t is the second argument q of m_u
                     for r, p, v in by_q[u].get(y, ()):
-                        key, w = (r, p * an + col), cx * v
-                        acc[key] = acc[key] + w if key in acc else w
+                        key = out0 + r * blk_in + p * an + col
+                        acc[key] = get(key, 0) + cx * v
                     # i = n+1: e_y is the first argument p of m_u
+                    last = signed[(n + 1) % 2]
                     for r, q, v in by_p[u].get(y, ()):
-                        key, w = (r, col * a + q), signed[(n + 1) % 2] * v
-                        acc[key] = acc[key] + w if key in acc else w
+                        key = out0 + r * blk_in + col * a + q
+                        acc[key] = get(key, 0) + last * v
                     # 1 <= i <= n: m_u(e_p (x) e_q) feeds digit r of the column (h, r, l) of nu_t
                     for odd, lo in inner:
                         h, rl = divmod(col, a * lo)
                         r, l = divmod(rl, lo)
+                        row0 = out0 + y * blk_in + h * a * a * lo + l
+                        w = signed[odd]
                         for pq, v in by_r[u].get(r, ()):
-                            key, w = (y, (h * a * a + pq) * lo + l), signed[odd] * v
-                            acc[key] = acc[key] + w if key in acc else w
-            maps.append(MultiMap(f, a, n + 1, 1, _normalized(f, acc)))
-        return Cochain(n + 1, tuple(maps))
+                            key = row0 + pq * lo
+                            acc[key] = get(key, 0) + w * v
+            out = _normalized(f, acc)
+            if not f.char:
+                out = {key: frac.get(v) or frac.setdefault(v, Fraction(v, den)) for key, v in out.items()}
+            outs.append(out)
+        return outs
 
     def differential_matrix(self, n: int) -> SparseMatrix:
         """d^n as its sparse entries, cochain_dim(n+1) x cochain_dim(n)."""

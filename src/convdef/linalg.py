@@ -114,7 +114,7 @@ class Matrix:
         f = require_same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        bt = tuple(zip(*other.data)) if other.data else ()
+        bt = other.transpose().data
         p = f.char
         if p:
             data = tuple(
@@ -138,7 +138,7 @@ class Matrix:
         return tuple(norm(sum(a * b for a, b in zip(row, vec))) for row in self.data)
 
     def transpose(self) -> Matrix:
-        return Matrix(self.field, self.cols, self.rows, tuple(zip(*self.data)) if self.data else ())
+        return Matrix(self.field, self.cols, self.rows, tuple(zip(*self.data)) if self.rows else ((),) * self.cols)
 
     def kron(self, other: Matrix) -> Matrix:
         f = require_same_field(self.field, other.field)

@@ -1,5 +1,6 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -186,32 +187,43 @@ def _d2_manual(spec, nu):
 GATE_MAX_DIM = 128
 
 
-@functools.lru_cache(maxsize=None)
-def fixture_oracle_differentials(max_dim=GATE_MAX_DIM):
-    """(label, spec, n, oracle d^n) for every fixture spec and n <= 3 with cochain_dim(n+1) <= max_dim."""
+def _oracle_differentials(labelled_specs, max_dim):
+    """(label, spec, n, oracle d^n) for each labelled spec and n <= 3 with cochain_dim(n+1) <= max_dim."""
     return tuple(
         (label, spec, n, oracle_differential_matrix(spec, n))
-        for label, spec in fixture_specs()
+        for label, spec in labelled_specs
         for n in range(4)
         if spec.cochain_dim(n + 1) <= max_dim
     )
 
 
-def check_fixture_differentials(max_dim=GATE_MAX_DIM):
-    """d^n from the structure constants equals the column-by-column oracle assembly.
+@functools.lru_cache(maxsize=None)
+def fixture_oracle_differentials(max_dim=GATE_MAX_DIM):
+    """The oracle d^n of every fixture spec."""
+    return _oracle_differentials(fixture_specs(), max_dim)
 
-    Covers every fixture spec and n <= 3 with cochain_dim(n+1) <= max_dim;
-    returns the number of matrices compared.
-    """
-    compared = 0
-    for label, spec, n, oracle_d in fixture_oracle_differentials(max_dim):
+
+def check_differentials(oracles):
+    """d^n from the structure constants equals the column-by-column oracle assembly; returns the number compared."""
+    for label, spec, n, oracle_d in oracles:
         assert dense_differential_matrix(spec, n) == oracle_d, (label, n)
-        compared += 1
-    return compared
+    return len(oracles)
 
 
 def test_differential_matrix_matches_oracle_on_fixtures():
-    assert check_fixture_differentials() >= 20
+    assert check_differentials(fixture_oracle_differentials()) >= 20
+
+
+def test_differential_matrix_matches_oracle_on_random_specs():
+    # random specs over F_5 and over Q, where m and rho have rational constants, and layers with nonzero omega
+    # over Q and F_3, under the same cap
+    rng = random.Random(17)
+    specs = [(f"random {trial}", _random_spec(trial % 2, rng)) for trial in range(8)]
+    specs += [(f"layer over {field.name}", spec) for field in (QQ, F3) for spec in _gate_specs(field, rng)]
+    rational = [spec for _label, spec in specs if spec.field == QQ]
+    assert any(_denominators(spec)[0] - {1} for spec in rational)
+    assert any(_denominators(spec)[1] - {1} for spec in rational)
+    assert check_differentials(_oracle_differentials(specs, GATE_MAX_DIM)) >= 40
 
 
 def test_cached_echelons_match_oracle_rref_on_fixtures():
@@ -237,15 +249,30 @@ def _random_spec(kind, rng):
     return ComplexSpec(m, random_grouplike_comodule(c, 2, rng))
 
 
+def _denominators(spec):
+    """(the denominators of the constants of m, those of rho)."""
+    m = {Fraction(v).denominator for comp in spec.m.components for v in comp.entries.values()}
+    return m, {Fraction(c).denominator for triples in spec.comodule.coaction for *_, c in triples}
+
+
 def test_differential_matches_oracle_on_random_cochains():
-    # random specs over F_5 and Q, then the fixture specs over Q
+    # random specs over F_5 and Q, then the fixture specs over Q; over Q also a cochain with denominator 7 wherever
+    # no constant of the spec has 7 in its denominator, so a dropped cochain denominator cannot cancel out
     rng = random.Random(31)
     specs = [_random_spec(trial % 3, rng) for trial in range(12)]
     specs += [spec for _label, spec in fixture_specs()]
+    sevenths_checked = 0
     for spec in specs:
+        f = spec.field
         for n in (0, 1, 2, 3):
-            nu = rand_cochain(spec, n, rng)
-            assert spec.differential(nu) == oracle_differential(spec, nu)
+            nus = [rand_cochain(spec, n, rng)]
+            if not f.char and all(d % 7 for d in set.union(*_denominators(spec))):
+                sevenths = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), 7) for _ in range(spec.cochain_dim(n))]
+                nus.append(Cochain.from_flat(f, spec.a_dim, spec.x_dim, n, sevenths))
+                sevenths_checked += 1
+            for nu in nus:
+                assert spec.differential(nu) == oracle_differential(spec, nu)
+    assert sevenths_checked >= 40
 
 
 def _gate_specs(field, rng):

@@ -47,6 +47,23 @@ def test_subspace_is_the_one_subspace_type():
     assert "echelon" not in convdef.Subspace.__slots__
 
 
+def _reads(tree: ast.AST, attr: str) -> int:
+    return sum(isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(tree))
+
+
+def test_one_coface_loop_reads_the_integer_indexes():
+    """Only `ComplexSpec._coboundaries` reads the cached int constants of m and rho; d^n and d(nu) both go through it."""
+    tree = ast.parse((SRC / "cohomology.py").read_text())
+    spec = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ComplexSpec")
+    methods = {fn.name: fn for fn in spec.body if isinstance(fn, ast.FunctionDef)}
+    assert _reads(methods["_coboundaries"], "_integral_indexes") == _reads(tree, "_integral_indexes") == 1
+    for name in ("differential_entries", "differential"):
+        assert _reads(methods[name], "_coboundaries") == 1, name
+    for name in ("differential_entries", "differential", "_coboundaries"):
+        assert not {"add", "mul", "neg", "is_zero"} & _attributes(methods[name]), name  # ints, not Field arithmetic
+    assert "_m_indexes" not in _names(tree)
+
+
 # the dense facade no library code calls; `solve` is checked only as a module attribute, since `ComplexSpec.solve` stays
 RETIRED = ("kernel_basis", "solve_many", "of_matrix", "equation_matrix", "expand_slot", "iterated_delta",
            "delta_component", "DegreeMismatch")

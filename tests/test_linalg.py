@@ -96,6 +96,14 @@ def test_mixed_fields_rejected():
         a + b
 
 
+def test_empty_operands_keep_their_shape():
+    # a transpose or product with a zero dimension is built from the shape: rows of the right length, zeros in a product
+    for field in (QQ, F5):
+        assert Matrix(field, 0, 3, ()).transpose() == Matrix(field, 3, 0, ((), (), ()))
+        assert Matrix(field, 2, 0, ((), ())).transpose() == Matrix(field, 0, 2, ())
+        assert Matrix(field, 2, 0, ((), ())) @ Matrix(field, 0, 3, ()) == Matrix.zeros(field, 2, 3)
+
+
 def test_solve_identity():
     m = Matrix.identity(QQ, 2)
     (x,), ker = solve(m, [(1, 2)])
