@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .coalgebra import integral_triples, trivial_k
-from .convolution import ConvMorphism, MultiMap, _convolve, _entries, epsilon_embed, identity_conv
+from .convolution import ConvMorphism, Form, MultiMap, _convolve, _form_sum, _identity_form, epsilon_embed
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
@@ -186,7 +186,7 @@ class ComplexSpec:
     def _integral_indexes(self) -> tuple[int, list[list], list[dict], list[dict], list[dict]]:
         """(D_rho D_m, rho's (s, u, c) by t, m_u's (r, p, v) by q, (r, q, v) by p and (pq, v) by r), all ints."""
         d_rho, rho = integral_triples(self.comodule.coaction)
-        d_m, m = _cleared(_entries(self.m))
+        d_m, m = self.m.integral_form
         by_t: list[list] = [[] for _ in range(self.x_dim)]
         for s, triples in enumerate(rho):
             for t, u, c in triples:
@@ -301,23 +301,23 @@ class ComplexSpec:
         )
 
 
-def _associator(m: ConvMorphism) -> list[dict]:
-    """m * ((e (x) m) - (m (x) e)), e = eps(-) id_A, by the sparse convolution kernel: one dict per component.
+def _associator(m: ConvMorphism) -> Form:
+    """m * ((e (x) m) - (m (x) e)), e = eps(-) id_A, by the sparse convolution kernel, as a canonical integral form.
 
     Convolution is linear in its right factor, so this is m * (e (x) m) - m * (m (x) e)
-    with one composition instead of two.
+    with one composition instead of two; the difference is taken on the ints.
     """
     c, a = m.coalgebra, m.a_dim
     if m.src_arity != 2 or m.tgt_arity != 1:
         raise ShapeError("multiplication must be a map C -> Hom(A(x)A, A)")
-    mm, ee = _entries(m), _entries(identity_conv(c, a))
-    sides = zip(_convolve(c, ee, mm, (a, a * a)), _convolve(c, mm, ee, (a, a)))
-    return _convolve(c, mm, [_lincomb(c.field, ((1, lhs), (-1, rhs))) for lhs, rhs in sides])
+    mm, ee = m.integral_form, _identity_form(c, a)
+    lhs, rhs = _convolve(c, ee, mm, (a, a * a)), _convolve(c, mm, ee, (a, a))
+    return _convolve(c, mm, _form_sum(c.field, (1, lhs), (-1, rhs)))
 
 
 def is_associative(m: ConvMorphism) -> bool:
     """m * (m (x) e) = m * (e (x) m) in the convolution category, exactly: the associator is empty."""
-    return not any(_associator(m))
+    return not any(_associator(m)[1])
 
 
 def hochschild_spec(m0: MultiMap) -> ComplexSpec:

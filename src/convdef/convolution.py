@@ -10,27 +10,31 @@ product (f (x) g)(c_i) = sum mu f(c_j) (x) g(c_k) are one sparse kernel,
 `_convolve`, on those entries; sums and multiples of maps are `_lincomb`.
 Inverses are computed layer by layer along a coalgebra filtration.
 
-The kernel multiplies and adds ints only.  Over Q it clears denominators
-once per product: D_L and D_R are the lcms of the denominators of the
-left and right entries, D_mu that of Delta's constants
-(`Coalgebra.integral_delta`), and l' = D_L l, r' = D_R r, mu' = D_mu mu
-are ints.  Then sum mu l r = (sum mu' l' r') / (D_mu D_L D_R) term by
-term, so an output entry is its int sum over that one denominator, and
-`Fraction` reduces it to the lowest terms the rational sum has: the
-result is exact and the same value.  Over F_p the entries and constants
-are ints already and each sum is reduced mod p.
+The kernel multiplies and adds ints only, and integral forms are carried
+between products.  A morphism's canonical integral form (D, ints) holds
+its entries as ints over one common denominator D, the lcm of all their
+denominators, so gcd(D, every int) = 1 and two forms are equal exactly
+when the values are; over F_p it is (1, the entries).  `_convolve` takes
+two forms and returns the product's, and a product built by
+`conv_compose` or `conv_tensor` keeps it, so no operand is cleared twice.
+The associator, the unit check and the layer loop of `takeuchi_invert`
+subtract and compare forms; `Fraction`s are built once per returned
+morphism.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .coalgebra import Coalgebra, is_coalgebra_filtration
 from .errors import NoFiltration, NotCocommutative, NotInvertible, ShapeError
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, _cleared, _lincomb, _normalized, augmented_echelon
+from .linalg import SparseMatrix, Subspace, _cleared, _fractions, _lincomb, _normalized, augmented_echelon
+
+Form = tuple[int, list[dict]]  # (D, one dict of int entries per basis element of C): the values are ints / D
 
 
 class MultiMap:
@@ -175,6 +179,11 @@ class ConvMorphism:
         if self.coalgebra != other.coalgebra:
             raise ShapeError("morphisms over different coalgebras")
 
+    @cached_property
+    def integral_form(self) -> Form:
+        """The canonical integral form (`_cleared` of the components); derived, so not part of equality or hashing."""
+        return _cleared([comp.entries for comp in self.components])
+
 
 def epsilon_embed(m0: MultiMap, c: Coalgebra) -> ConvMorphism:
     """The embedding of a plain map along the counit: c |-> eps(c) m0."""
@@ -185,31 +194,52 @@ def identity_conv(c: Coalgebra, a_dim: int, arity: int = 1) -> ConvMorphism:
     return epsilon_embed(MultiMap.identity(c.field, a_dim, arity), c)
 
 
-def _entries(mor: ConvMorphism) -> list[dict]:
-    return [comp.entries for comp in mor.components]
+def _canonical(den: int, ints: list[dict]) -> Form:
+    """(den, ints) divided by gcd(den, every int): the canonical form of the values ints / den."""
+    g = 1 if den == 1 else math.gcd(den, *(v for e in ints for v in e.values()))
+    return (den, ints) if g == 1 else (den // g, [{key: v // g for key, v in e.items()} for e in ints])
 
 
-def _convolve(c: Coalgebra, left: Sequence[dict], right: Sequence[dict], kron: Optional[tuple[int, int]] = None) -> list[dict]:
-    """The convolution kernel on nonzero entries {(row, col): v}, one dict per basis element of C.
+def _form_sum(field: Field, *terms: tuple[int, Form]) -> Form:
+    """The canonical form of sum k * value over the (int k, form) terms, on ints over the lcm of their D."""
+    den = math.lcm(*(d for _, (d, _) in terms))
+    n = len(terms[0][1][1])
+    return _canonical(den, [_lincomb(field, ((k * (den // d), ints[i]) for k, (d, ints) in terms)) for i in range(n)])
+
+
+def _identity_form(c: Coalgebra, n: int) -> Form:
+    """The canonical form of e = eps(-) I_n, read off the counit without building e."""
+    den, (eps,) = _cleared(({i: x for i, x in enumerate(c.counit) if x},))
+    return den, [{(r, r): eps[i] for r in range(n)} if i in eps else {} for i in range(c.dim)]
+
+
+def _from_form(c: Coalgebra, form: Form, a_dim: int, src_arity: int, tgt_arity: int) -> ConvMorphism:
+    """The morphism with this canonical form, its entries built once and the form kept as its `integral_form`."""
+    f, (den, ints) = c.field, form
+    values = ints if f.char else [_fractions(e, den) for e in ints]
+    mor = ConvMorphism(c, tuple(MultiMap(f, a_dim, src_arity, tgt_arity, e) for e in values))
+    mor.__dict__["integral_form"] = form
+    return mor
+
+
+def _convolve(c: Coalgebra, left: Form, right: Form, kron: Optional[tuple[int, int]] = None) -> Form:
+    """The convolution kernel on canonical integral forms, one int dict {(row, col): v} per basis element of C.
 
     For each c_i it sums mu * (left_j o right_k) over Delta(c_i) = sum mu c_j (x) c_k,
     or mu * (left_j (x) right_k) when `kron` gives the (rows, cols) of the right factors.
-    The loop multiplies and adds ints only.  Over Q, with D_L and D_R the lcms of the
-    denominators of the left and right entries and (D_mu, mu') = `c.integral_delta`,
-    every term is mu * l * r = mu' * l' * r' / (D_mu * D_L * D_R) for the ints
-    l' = D_L * l and r' = D_R * r, so each sum is an int sum over that one denominator,
-    made into one `Fraction` (in lowest terms, the value the rational sum has).  Over F_p
-    the entries and constants are ints already and each sum is reduced mod p.  Zeros are
+    The loop multiplies and adds ints only.  With (D_L, l'), (D_R, r') the two forms and
+    (D_mu, mu') = `c.integral_delta`, every term is mu * l * r = mu' * l' * r' / D for
+    D = D_mu * D_L * D_R, so the product is the int sums n_i over D (over F_p, D = 1 and
+    each sum is reduced mod p).  Dividing D and every n_i by g = gcd(D, n_1, ..., n_k)
+    makes it canonical: the lcm of the reduced denominators D / gcd(n_i, D) is
+    D / gcd(D, n_1, ..., n_k), as at each prime q its exponent is
+    max_i (v_q(D) - min(v_q(n_i), v_q(D))) = v_q(D) - min(v_q(D), min_i v_q(n_i)).
+    So the result is `_cleared` of the entries the rational sums have.  Zeros are
     dropped; a term with an empty factor costs nothing.
     """
     if kron is not None and not c.is_cocommutative:
         raise NotCocommutative("tensor products in the convolution category need cocommutativity")
-    p = c.field.char
-    d_mu, delta = c.integral_delta
-    if not p:
-        d_l, left = _cleared(left)
-        d_r, right = _cleared(right)
-        den = d_mu * d_l * d_r
+    (d_mu, delta), (d_l, left), (d_r, right) = c.integral_delta, left, right
     if kron is None:
         by_row: list[dict[int, list]] = [{} for _ in right]
         for rows, comp in zip(by_row, right):
@@ -235,8 +265,8 @@ def _convolve(c: Coalgebra, left: Sequence[dict], right: Sequence[dict], kron: O
                     for (x2, y2), u in right[k].items():
                         key = (x0 + x2, y0 + y2)
                         acc[key] = get(key, 0) + w * u
-        out.append(_normalized(c.field, acc) if p else {key: Fraction(v, den) for key, v in acc.items() if v})
-    return out
+        out.append(_normalized(c.field, acc))
+    return _canonical(d_mu * d_l * d_r, out)
 
 
 def conv_compose(g: ConvMorphism, f: ConvMorphism) -> ConvMorphism:
@@ -246,8 +276,7 @@ def conv_compose(g: ConvMorphism, f: ConvMorphism) -> ConvMorphism:
     if f.tgt_arity != g.src_arity or f.a_dim != g.a_dim:
         raise ShapeError("arity mismatch in convolution composition")
     c = g.coalgebra
-    entries = _convolve(c, _entries(g), _entries(f))
-    return ConvMorphism(c, tuple(MultiMap(c.field, g.a_dim, f.src_arity, g.tgt_arity, e) for e in entries))
+    return _from_form(c, _convolve(c, g.integral_form, f.integral_form), g.a_dim, f.src_arity, g.tgt_arity)
 
 
 def conv_tensor(f: ConvMorphism, g: ConvMorphism) -> ConvMorphism:
@@ -257,9 +286,8 @@ def conv_tensor(f: ConvMorphism, g: ConvMorphism) -> ConvMorphism:
     c, a = f.coalgebra, f.a_dim
     if g.a_dim != a:
         raise ShapeError("tensor of maps over different A")
-    p, q = f.src_arity + g.src_arity, f.tgt_arity + g.tgt_arity
-    entries = _convolve(c, _entries(f), _entries(g), (a**g.tgt_arity, a**g.src_arity))
-    return ConvMorphism(c, tuple(MultiMap(c.field, a, p, q, e) for e in entries))
+    form = _convolve(c, f.integral_form, g.integral_form, (a**g.tgt_arity, a**g.src_arity))
+    return _from_form(c, form, a, f.src_arity + g.src_arity, f.tgt_arity + g.tgt_arity)
 
 
 def pullback(f: ConvMorphism, iota: SparseMatrix, c: Coalgebra) -> ConvMorphism:
@@ -291,32 +319,37 @@ def _invert_on_bottom(f: ConvMorphism, bottom: Subspace) -> ConvMorphism:
     Entry (x, z) of (f * g)(b_r) is the sum of b_ri mu f_j[x][y] G_k[y][z]
     over Delta(c_i) = sum mu c_j (x) c_k with k the s-th pivot: equation
     (r*d + x)*d + z, unknown (s*d + y)*d + z, right-hand side eps(b_r) delta_xz.
+    Every equation is taken times D = D_b D_mu D_f, the common denominator of
+    the layer's rows, Delta's constants and f's entries, so its coefficients
+    are int sums; that leaves the solutions as they are.
     """
     c = f.coalgebra
     field = c.field
     d = f.a_dim**f.src_arity
     if f.src_arity != f.tgt_arity:
         raise NotInvertible("only square-arity morphisms can be inverted")
-    rows = [bottom.rows[piv] for piv in bottom.pivots]
-    if not rows:
+    brows = [bottom.rows[piv] for piv in bottom.pivots]
+    if not brows:
         raise NotInvertible("empty bottom layer")
+    (d_b, rows), (d_mu, delta), (d_f, comps) = _cleared(brows), c.integral_delta, f.integral_form
     slot = {piv: s for s, piv in enumerate(bottom.pivots)}
     n_unknowns = len(slot) * d * d
     eqs: list[dict] = [{} for _ in range(len(rows) * d * d)]
     for r, brow in enumerate(rows):
         for i, bi in brow.items():
-            for j, k, mu in c.delta[i]:
+            for j, k, mu in delta[i]:
                 if k not in slot:
                     continue
-                w, s = field.mul(bi, mu), slot[k]
-                for (x, y), v in f.components[j].entries.items():
-                    wv = field.mul(w, v)
+                w, s = bi * mu, slot[k]
+                for (x, y), v in comps[j].items():
+                    wv = w * v
                     for z in range(d):
                         eq = eqs[(r * d + x) * d + z]
                         col = (s * d + y) * d + z
-                        eq[col] = field.add(eq.get(col, field.zero), wv)
-    eqs = [{col: v for col, v in eq.items() if v} for eq in eqs]
-    rhs = [c.eps(brow) if x == z else field.zero for brow in rows for x in range(d) for z in range(d)]
+                        eq[col] = eq.get(col, 0) + wv
+    eqs = [_normalized(field, eq) for eq in eqs]
+    den = d_b * d_mu * d_f
+    rhs = [field.mul(den, c.eps(brow)) if x == z else field.zero for brow in brows for x in range(d) for z in range(d)]
     sols = augmented_echelon(field, eqs, n_unknowns, [rhs]).solutions(n_unknowns)
     if sols is None:
         raise NotInvertible("restriction to the bottom filtration layer is not invertible")
@@ -332,22 +365,28 @@ def takeuchi_invert(f: ConvMorphism, filtration: Sequence[Subspace]) -> ConvMorp
     """Two-sided convolution inverse of f, extended layer by layer.
 
     Follows the filtration argument: once f * g agrees with the identity
-    on a layer, the defect h = id - f * g squares to zero one layer up,
-    so g * (id + h) corrects the inverse there.  The result satisfies
-    both inverse identities exactly (asserted before returning).
+    on a layer, the defect h = e - f * g squares to zero one layer up,
+    so g * (e + h) = g * (2e - f * g) corrects the inverse there.  The loop
+    and the final check of both inverse identities run on canonical
+    integral forms, so they compare exact values.  A filtration verified
+    once is remembered on the coalgebra and not verified again.
     """
     if not filtration:
         raise NoFiltration("a coalgebra filtration is required for inversion")
     c = f.coalgebra
-    if not is_coalgebra_filtration(c, filtration):
-        raise NoFiltration("the supplied layers do not form a coalgebra filtration")
-    e = identity_conv(c, f.a_dim, f.src_arity)
-    g = _invert_on_bottom(f, filtration[0])
+    verified = c.__dict__.setdefault("_verified_filtrations", set())
+    if tuple(filtration) not in verified:
+        if not is_coalgebra_filtration(c, filtration):
+            raise NoFiltration("the supplied layers do not form a coalgebra filtration")
+        verified.add(tuple(filtration))
+    e, ff = _identity_form(c, f.a_dim**f.src_arity), f.integral_form
+    g = _invert_on_bottom(f, filtration[0]).integral_form
+    fg = _convolve(c, ff, g)
     for _layer in range(1, len(filtration)):
-        h = e - conv_compose(f, g)
-        if h.is_zero():
+        if fg == e:
             break
-        g = conv_compose(g, e + h)
-    if conv_compose(f, g) != e or conv_compose(g, f) != e:
+        g = _convolve(c, g, _form_sum(c.field, (2, e), (-1, fg)))
+        fg = _convolve(c, ff, g)
+    if fg != e or _convolve(c, g, ff) != e:
         raise NotInvertible("layer extension failed to produce a two-sided inverse")
-    return g
+    return _from_form(c, g, f.a_dim, f.src_arity, f.tgt_arity)

@@ -30,7 +30,8 @@ from .convolution import (
     ConvMorphism,
     MultiMap,
     _convolve,
-    _entries,
+    _from_form,
+    _identity_form,
     conv_compose,
     conv_tensor,
     epsilon_embed,
@@ -96,14 +97,14 @@ def is_unit_of(m: ConvMorphism, u: ConvMorphism) -> bool:
     """m * (u (x) e) = e = m * (e (x) u) in the convolution category, exactly; e = eps(-) id_A.
 
     Both sides are computed by the sparse convolution kernel and compared
-    with e on their nonzero entries.
+    with e as canonical integral forms.
     """
     c, a = m.coalgebra, m.a_dim
     if u.coalgebra != c:
         raise ShapeError("tensor of morphisms over different coalgebras")
     if (m.src_arity, m.tgt_arity, u.src_arity, u.tgt_arity) != (2, 1, 0, 1) or u.a_dim != a:
         raise ShapeError("unit axioms need m: A(x)A -> A and u: k -> A over the same A")
-    mm, uu, ee = _entries(m), _entries(u), _entries(identity_conv(c, a))
+    mm, uu, ee = m.integral_form, u.integral_form, _identity_form(c, a)
     return _convolve(c, mm, _convolve(c, uu, ee, (a, a))) == ee == _convolve(c, mm, _convolve(c, ee, uu, (a, 1)))
 
 
@@ -179,9 +180,9 @@ def obstruction_zeta(alg: AlgebraMC, ext: Extension) -> Cochain:
     f, a, dc = alg.field, alg.a_dim, ext.base.dim
     zero = MultiMap.zero(f, a, 2, 1)
     assoc = _associator(ConvMorphism(ext.ctilde, tuple(alg.m.components) + (zero,) * ext.comodule.dim))
-    if any(assoc[:dc]):
+    if any(assoc[1][:dc]):
         raise ShapeError("multiplication is not associative in the convolution category")
-    zeta = Cochain(3, tuple(MultiMap(f, a, 3, 1, e) for e in assoc[dc:]))
+    zeta = Cochain(3, _from_form(ext.ctilde, assoc, a, 3, 1).components[dc:])
     if not complex_of(alg, ext).differential(zeta).is_zero():
         raise ConvDefError("obstruction is not a 3-cocycle; inputs are inconsistent")
     return zeta

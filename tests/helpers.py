@@ -28,6 +28,9 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 
+# Fraction's arithmetic dunders, which the integer-kernel tests count by wrapping them
+FRACTION_ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")
+
 
 def dense(m: MultiMap) -> Matrix:
     """The dense a^q x a^p matrix of a map A^(x)p -> A^(x)q."""
@@ -211,16 +214,19 @@ def random_nilpotent_comodule(c_graded, dim_x, rng: random.Random) -> Comodule:
     """Comodule over k[t]_{<=N}: rho(x) = sum rho_1^j(x) (x) t^j.
 
     The truncation forces rho_1^(N+1) = 0 exactly, so rho_1 is built from
-    chains of length at most N+1 and then conjugated.
+    chains of length at most N+1 and then conjugated.  When dim X >= 2 and
+    N >= 1 the first chain has length at least 2 and its first strict entry
+    is nonzero, so rho_1 != 0 and rho goes past the identity term.
     """
     f = c_graded.field
     n_max = c_graded.max_degree()
     strict = [[f.zero] * dim_x for _ in range(dim_x)]
+    longest = min(n_max + 1, dim_x)
     pos = 0
     while pos < dim_x:
-        length = rng.randint(1, min(n_max + 1, dim_x - pos))
+        length = rng.randint(2 if pos == 0 and longest >= 2 else 1, min(longest, dim_x - pos))
         for i in range(pos, pos + length - 1):
-            strict[i][i + 1] = f.random_element(rng)
+            strict[i][i + 1] = f.random_element(rng, nonzero=i == 0)
         pos += length
     p = random_invertible(f, dim_x, rng)
     p_inv = matrix_inverse(p)

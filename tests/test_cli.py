@@ -59,6 +59,7 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("classify_f3", ["classify", fx("poly2_t2_f3.json")], 0),
         ("invert_frac", ["invert", fx("invert_frac.json")], 0),
         ("cohomology_dense", ["cohomology", fx("trunc3_dense.json"), "--degree", "2"], 0),
+        ("unit_gauge_frac", ["unit-gauge", fx("unit_gauge_frac.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):

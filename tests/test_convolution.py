@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -27,11 +28,12 @@ from convdef import (
     takeuchi_invert,
     trivial_k,
 )
-from convdef.linalg import Matrix
+from convdef.linalg import Matrix, _cleared
 from convdef.convolution import _invert_on_bottom
 from convdef.fields import QQ
 
 from helpers import (
+    FRACTION_ARITHMETIC,
     sparse_of,
     F2,
     F3,
@@ -45,6 +47,7 @@ from helpers import (
     oracle_conv_compose,
     oracle_conv_tensor,
     oracle_invert_on_bottom,
+    oracle_is_associative,
     oracle_is_unit_of,
     random_invertible,
     transport_coalgebra,
@@ -281,22 +284,108 @@ def test_unit_check_matches_oracle_on_rational_constants():
     assert verdicts[True] >= 8 and verdicts[False] > 0, verdicts
 
 
-COUNTED = ("__mul__", "__rmul__", "__add__", "__radd__")
+def assert_canonical_form(mor):
+    """mor carries the integral form its product seeded, and it is `_cleared` of its entries: D > 0, gcd(D, every int) = 1."""
+    den, ints = mor.__dict__["integral_form"]
+    assert (den, ints) == _cleared([comp.entries for comp in mor.components])
+    assert den > 0 and math.gcd(den, *(v for e in ints for v in e.values())) == 1
+    assert den == 1 or not mor.field.char
 
 
-def test_kernel_makes_no_fraction_products_or_sums():
-    """Over Q, conv_compose and conv_tensor make 0 calls to Fraction.__mul__, __rmul__, __add__ and __radd__.
+def test_products_carry_their_canonical_integral_form():
+    """conv_compose and conv_tensor seed the product's canonical form, and a product used as an operand matches the oracle.
 
-    The kernel clears denominators and multiplies and adds ints; each output
-    entry is one Fraction(sum, D_mu D_L D_R).  The calls are counted by
-    wrapping those class attributes, restored afterwards.
+    Over Q, F_2, F_3 and F_5, on the rescaled coalgebras and wide denominators of the kernel
+    test above.  Over Q some product has a D below D_mu * D_L * D_R, so the gcd reduction runs.
+    """
+    rng = random.Random(16)
+    reduced = 0
+    for field in (QQ, F2, F3, F5):
+        base = (divided_power_t(3, field), polynomial_multi(2, 2, field))
+        for c in base + tuple(rescaled(b, rng) for b in base):
+            for denominators in (DENOMINATORS, (1,)):
+                f, g = rand_wide_conv(c, 1, 1, rng, denominators), rand_wide_conv(c, 1, 2, rng, denominators)
+                h = rand_wide_conv(c, 2, 1, rng, denominators)
+                gf, ff = conv_compose(g, f), conv_tensor(f, f)
+                products = [
+                    (gf, oracle_conv_compose(g, f)),
+                    (ff, oracle_conv_tensor(f, f)),
+                    (conv_compose(h, gf), oracle_conv_compose(h, gf)),
+                    (conv_compose(h, ff), oracle_conv_compose(h, ff)),
+                    (conv_tensor(gf, f), oracle_conv_tensor(gf, f)),
+                ]
+                for got, want in products:
+                    assert got == want
+                    assert_normalized(got)
+                    assert_canonical_form(got)
+                bound = c.integral_delta[0] * g.integral_form[0] * f.integral_form[0]
+                reduced += gf.integral_form[0] < bound
+    assert reduced > 0
+
+
+def _moved(c, rng):
+    """c moved by a diagonal change of basis drawn from SCALES, with the images of its grading layers."""
+    f = c.field
+    s = [rng.choice(in_field(f, SCALES)) for _ in range(c.dim)]
+    return transport_coalgebra(c, Matrix.from_rows(f, [[x if i == j else 0 for j in range(c.dim)] for i, x in enumerate(s)]))
+
+
+def test_inversion_and_axiom_checks_match_oracles_on_rational_constants():
+    """takeuchi_invert, is_associative and is_unit_of against the dense oracles over Q, F_2, F_3 and F_5.
+
+    The coalgebras are rescaled, so Delta and the counit have rational constants, and the
+    entries have wide denominators.  A morphism singular on the bottom layer is refused by
+    both the library and the oracle.  Associative multiplications with units are the dual
+    numbers transported by an invertible gauge f: m_f = f^-1 * m * (f (x) f), with unit f^-1 * u.
+    """
+    rng = random.Random(17)
+    inverted = singular = 0
+    verdicts = {True: 0, False: 0}
+    for field in (QQ, F2, F3, F5):
+        for c, layers in (_moved(divided_power_t(3, field), rng), _moved(polynomial_multi(2, 2, field), rng)):
+            e = identity_conv(c, 2, 1)
+            zero_bottom = ConvMorphism(c, (MultiMap.zero(field, 2, 1, 1),) + e.components[1:])
+            for f in [rand_wide_conv(c, 1, 1, rng, DENOMINATORS) for _ in range(4)] + [zero_bottom]:
+                try:
+                    oracle_invert_on_bottom(f, layers[0])
+                except NotInvertible:
+                    with pytest.raises(NotInvertible):
+                        takeuchi_invert(f, layers)
+                    singular += 1
+                    continue
+                inv = takeuchi_invert(f, layers)
+                assert oracle_conv_compose(f, inv) == e == oracle_conv_compose(inv, f)
+                inverted += 1
+                m, u = epsilon_embed(dual_numbers(field), c), epsilon_embed(unit_column(field, 2), c)
+                m_f = oracle_conv_compose(oracle_conv_compose(inv, m), oracle_conv_tensor(f, f))
+                u_f = oracle_conv_compose(inv, u)
+                wild_m, wild_u = rand_wide_conv(c, 2, 1, rng, DENOMINATORS), rand_wide_conv(c, 0, 1, rng, DENOMINATORS)
+                for mult in (m_f, wild_m):
+                    assert is_associative(mult) == oracle_is_associative(mult)
+                    for unit in (u_f, wild_u):
+                        got = is_unit_of(mult, unit)
+                        assert got == oracle_is_unit_of(mult, unit)
+                        verdicts[got] += 1
+                assert is_associative(m_f) and is_unit_of(m_f, u_f)
+    assert inverted >= 16 and singular >= 8 and verdicts[False] > 0, (inverted, singular, verdicts)
+
+
+def test_q_convolution_makes_no_fraction_arithmetic():
+    """Over Q, conv_compose, conv_tensor, is_associative and is_unit_of make 0 calls to Fraction's products, sums and differences.
+
+    Every product runs on the operands' integral forms, and the associator and the unit
+    axioms subtract and compare forms; a returned product builds one Fraction(n, D) per
+    entry.  The inputs are built first; the calls are counted by wrapping those class
+    attributes, restored afterwards.
     """
     rng = random.Random(15)
     c = rescaled(divided_power_t(3, QQ), rng)
-    f = rand_wide_conv(c, 1, 1, rng, DENOMINATORS)
-    g = rand_wide_conv(c, 1, 1, rng, DENOMINATORS)
+    assert c.integral_delta[0] > 1 and any(x not in (0, 1) for x in c.counit)
+    f, g = rand_wide_conv(c, 1, 1, rng, DENOMINATORS), rand_wide_conv(c, 1, 1, rng, DENOMINATORS)
+    m, u = epsilon_embed(dual_numbers(QQ), c), epsilon_embed(unit_column(QQ, 2), c)
+    wild_m, wild_u = rand_wide_conv(c, 2, 1, rng, DENOMINATORS), rand_wide_conv(c, 0, 1, rng, DENOMINATORS)
     calls = []
-    saved = {name: getattr(Fraction, name) for name in COUNTED}
+    saved = {name: getattr(Fraction, name) for name in FRACTION_ARITHMETIC}
 
     def counting(name, fn):
         return lambda a, b: calls.append(name) or fn(a, b)
@@ -304,16 +393,20 @@ def test_kernel_makes_no_fraction_products_or_sums():
     try:
         for name, fn in saved.items():
             setattr(Fraction, name, counting(name, fn))
-        Fraction(1, 2) * Fraction(1, 3) + 1
+        Fraction(1, 2) * Fraction(1, 3) + 1 - Fraction(1, 5)
         probe, calls[:] = list(calls), []
         composed, tensored = conv_compose(g, f), conv_tensor(f, g)
+        chained = conv_compose(composed, f)
+        verdicts = [is_associative(m), is_associative(wild_m), is_unit_of(m, u), is_unit_of(m, wild_u), is_unit_of(wild_m, u)]
     finally:
         for name, fn in saved.items():
             setattr(Fraction, name, fn)
-    assert probe == ["__mul__", "__add__"]
+    assert probe == ["__mul__", "__add__", "__sub__"]
     assert calls == []
     assert composed == oracle_conv_compose(g, f) and tensored == oracle_conv_tensor(f, g)
+    assert chained == oracle_conv_compose(composed, f)
     assert not composed.is_zero() and not tensored.is_zero()
+    assert verdicts == [True, False, True, False, False]
 
 
 def test_pullback_identity_and_epsilon():

@@ -202,8 +202,8 @@ def test_obstruction_zeta_refuses_a_non_cocycle(monkeypatch):
     associator = deformation._associator
 
     def perturbed(m):
-        assoc = associator(m)
-        return assoc[:-1] + [_lincomb(QQ, ((1, assoc[-1]), (1, bump)))]
+        den, assoc = associator(m)  # the canonical integral form: the values are assoc / den
+        return den, assoc[:-1] + [_lincomb(QQ, ((1, assoc[-1]), (den, {key: 1 for key in bump})))]
 
     monkeypatch.setattr(deformation, "_associator", perturbed)
     with pytest.raises(ConvDefError, match="obstruction is not a 3-cocycle"):

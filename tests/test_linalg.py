@@ -21,6 +21,7 @@ from convdef.fields import QQ, PrimeField
 from helpers import (
     F3,
     FIXTURES,
+    FRACTION_ARITHMETIC,
     dense_differential_matrix,
     greedy_quotient_rows,
     oracle_kernel,
@@ -464,9 +465,6 @@ def test_q_echelon_on_wide_rationals_matches_dense_gauss_jordan(m):
             # the canonical solution: m x = b with every free variable zero
             assert m.mul_vec(x) == b
             assert all(x[j] == 0 for j in range(m.cols) if j not in ech.pivots)
-
-
-FRACTION_ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")
 
 
 def test_q_elimination_makes_no_fraction_arithmetic():
