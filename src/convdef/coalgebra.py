@@ -313,7 +313,7 @@ def coradical_filtration(c: Coalgebra, c0: Subspace) -> list[Subspace]:
     c0c0 = Subspace(f, d * d, [_tensor(f, u, v, d) for u in bottom for v in bottom])
     if any(c0c0.reduce(_lincomb(f, ((x, delta[i]) for i, x in u.items()))) for u in bottom):
         raise ShapeError("C0 is not a subcoalgebra")
-    delta_map = SparseMatrix(f, d * d, d, tuple((r, i, v) for i, col in enumerate(delta) for r, v in col.items()))
+    delta_map = SparseMatrix(f, d * d, d, tuple(delta))
     units = [{i: f.one} for i in range(d)]
     chain = [c0]
     while chain[-1].dim < d:

@@ -16,16 +16,16 @@ v = m_u[r][p*a + q]:
   - i = n+1, where p = y, adds (-1)^(n+1) c*v*x at (s, r, J*a + q);
   - each 1 <= i <= n, with J = (h, r, l) for h in a^(i-1) and l in a^(n-i),
     adds (-1)^i c*v*x at (s, y, (h, p, q, l)).
-`differential` runs it on one cochain, and `differential_entries` on each
+`differential` runs it on one cochain, and `differential_matrix` on each
 unit cochain e_j, whose image is column j of d^n.  It sums ints, as
 `convolution._convolve` does: over Q, c' = D_rho c, v' = D_m v (cleared
 once per complex) and x' = D_nu x are ints, each sum of c*v*x is the int
 sum of c'v'x' over D_rho D_m D_nu, and it becomes one `Fraction`; over F_p
 each sum is reduced mod p.  The composition-based cofaces these families
 expand are the test suite's independent oracle (`tests/helpers.py`,
-`oracle_coface`).  d^n is never densified: `ComplexSpec` eliminates its
-rows once (Z^n is their null space) and its columns once (they span
-B^(n+1)), each into a sparse `Subspace` cached per degree.
+`oracle_coface`).  d^n is held as its columns, never densified:
+`ComplexSpec` eliminates its rows once (Z^n is their null space) and its
+columns once (they span B^(n+1)), each into a sparse `Subspace` per degree.
 
 m is associative when its associator m * ((e (x) m) - (m (x) e)), e = eps(-) id_A,
 vanishes (`is_associative`); the obstruction zeta of `convdef.deformation` is
@@ -44,7 +44,7 @@ from .convolution import ConvMorphism, Form, MultiMap, _convolve, _form_sum, _id
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _cleared, _dense, _lincomb, _normalized, _sum, augmented_echelon
+from .linalg import SparseMatrix, Subspace, Vector, _cleared, _dense, _lincomb, _normalized, _sum, augmented_echelon, image
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ class ComplexSpec:
         self.a_dim = m.a_dim
         self.x_dim = comodule.dim
         self.field = m.field
-        self._entries_cache: dict[int, tuple] = {}
+        self._differentials: dict[int, SparseMatrix] = {}
         self._row_echelons: dict[int, Subspace] = {}  # RREF of the rows of d^n: Z^n is its null space
         self._col_echelons: dict[int, Subspace] = {}  # RREF of the columns of d^n: B^(n+1)
 
@@ -168,11 +168,8 @@ class ComplexSpec:
         return Cochain.zero(self.field, self.a_dim, self.x_dim, n)
 
     def differential_entries(self, n: int) -> tuple[tuple[int, int, object], ...]:
-        """The nonzero entries (row, col, value) of d^n for elimination: column j is d^n of the unit cochain e_j."""
-        if n not in self._entries_cache:
-            cols = self._coboundaries(n, [{j: 1} for j in range(self.cochain_dim(n))])
-            self._entries_cache[n] = tuple((row, j, v) for j, col in enumerate(cols) for row, v in col.items())
-        return self._entries_cache[n]
+        """The nonzero entries (row, col, value) of d^n, column by column."""
+        return tuple((row, j, v) for j, col in enumerate(self.differential_matrix(n).columns) for row, v in col.items())
 
     def differential(self, nu: Cochain) -> Cochain:
         """d^n applied to a cochain, scattered from its nonzero entries; d^n is never built."""
@@ -246,8 +243,11 @@ class ComplexSpec:
         return outs
 
     def differential_matrix(self, n: int) -> SparseMatrix:
-        """d^n as its sparse entries, cochain_dim(n+1) x cochain_dim(n)."""
-        return SparseMatrix(self.field, self.cochain_dim(n + 1), self.cochain_dim(n), self.differential_entries(n))
+        """d^n as its cochain_dim(n) columns, assembled once and cached: column j is d^n of the unit cochain e_j."""
+        if n not in self._differentials:
+            cols = self._coboundaries(n, [{j: 1} for j in range(self.cochain_dim(n))])
+            self._differentials[n] = SparseMatrix(self.field, self.cochain_dim(n + 1), self.cochain_dim(n), tuple(cols))
+        return self._differentials[n]
 
     def row_echelon(self, n: int) -> Subspace:
         """The RREF of the rows of d^n, eliminated once and cached."""
@@ -258,7 +258,7 @@ class ComplexSpec:
     def image_echelon(self, n: int) -> Subspace:
         """The RREF of the columns of d^n, a basis of B^(n+1); eliminated once and cached."""
         if n not in self._col_echelons:
-            self._col_echelons[n] = self.differential_matrix(n).transpose().row_space()
+            self._col_echelons[n] = image(self.differential_matrix(n))
         return self._col_echelons[n]
 
     def coboundaries(self, n: int) -> Subspace:
@@ -274,7 +274,7 @@ class ComplexSpec:
         rows of d^n, which is cached for Z^n unless already there.
         """
         d = self.differential_matrix(n)
-        aug = augmented_echelon(self.field, d.row_dicts(), d.cols, [rhs])
+        aug = augmented_echelon(self.field, d.transpose().columns, d.cols, [rhs])
         self._row_echelons.setdefault(n, aug.restrict(d.cols))
         sols = aug.solutions(d.cols)
         return None if sols is None else sols[0]
@@ -352,9 +352,10 @@ class Rank1Reduction:
         rows, cols = hs.cochain_dim(n + 1), hs.cochain_dim(n)
         partial = hs.differential_entries(n)
         out = {}
-        for j, i, a in self.act_matrix.entries:
-            for r, c, v in partial:
-                out[(i * rows + r, j * cols + c)] = f.mul(a, v)
+        for i, col in enumerate(self.act_matrix.columns):
+            for j, a in col.items():
+                for r, c, v in partial:
+                    out[(i * rows + r, j * cols + c)] = f.mul(a, v)
         return out
 
 
@@ -378,12 +379,12 @@ def rank1_reduce(spec: ComplexSpec, degrees: Sequence[int] = (2,)) -> Rank1Reduc
             raise NotRankOne("multiplication components are not proportional")
         chi.append(coeff)
     dx = spec.x_dim
-    act = _sum(f, (((t, s), c * chi[u]) for s in range(dx) for t, u, c in spec.comodule.coaction[s]))
+    act = tuple(_sum(f, ((t, c * chi[u]) for t, u, c in spec.comodule.coaction[s])) for s in range(dx))
     red = Rank1Reduction(
         m0=base,
         chi=tuple(chi),
         chi_is_counit=tuple(chi) == m.coalgebra.counit,
-        act_matrix=SparseMatrix(f, dx, dx, tuple((t, s, v) for (t, s), v in sorted(act.items()))),
+        act_matrix=SparseMatrix(f, dx, dx, act),
         hochschild=hochschild_spec(base),
     )
     for n in degrees:

@@ -295,7 +295,7 @@ def pullback(f: ConvMorphism, iota: SparseMatrix, c: Coalgebra) -> ConvMorphism:
     require_same_field(f.field, c.field)
     if iota.rows != f.coalgebra.dim or iota.cols != c.dim:
         raise ShapeError("iota shape does not match the two coalgebras")
-    return ConvMorphism(c, tuple(f.evaluate(col) for col in iota.transpose().row_dicts()))
+    return ConvMorphism(c, tuple(f.evaluate(col) for col in iota.columns))
 
 
 def congruent_mod(

@@ -172,7 +172,7 @@ class Extension:
     def iota(self) -> SparseMatrix:
         """dim Ctilde x dim C."""
         f = self.base.field
-        return SparseMatrix(f, self.ctilde.dim, self.base.dim, tuple((j, j, f.one) for j in range(self.base.dim)))
+        return SparseMatrix(f, self.ctilde.dim, self.base.dim, tuple({j: f.one} for j in range(self.base.dim)))
 
     @property
     def lam(self) -> SparseMatrix:
@@ -185,16 +185,21 @@ class Extension:
 
 
 def build_extension(cocycle: Cocycle2) -> Extension:
-    """Assemble Ctilde = C (+) X from validated (comodule, omega) data."""
+    """Assemble Ctilde = C (+) X from checked parts: the blocks of Ctilde's axioms are the parts' axioms.
+
+    Ctilde is a cocommutative coalgebra exactly when C is one, rho is a
+    comodule and omega is a symmetric normalized 2-cocycle.
+    """
     cocycle.require_valid()
     com = cocycle.comodule
     c = com.base
+    failures = c.validate().failures()
+    if failures:
+        raise CocycleViolation(f"base coalgebra fails validation: {', '.join(failures)}")
     if not c.is_cocommutative:
         raise CocycleViolation("base coalgebra must be cocommutative")
     f, dc, dx = c.field, c.dim, com.dim
-    delta = []
-    for i in range(dc):
-        delta.append([(j, k, v) for j, k, v in c.delta[i]])
+    delta = [list(triples) for triples in c.delta]
     for s in range(dx):
         triples = []
         for t, u, v in com.coaction[s]:
@@ -204,15 +209,8 @@ def build_extension(cocycle: Cocycle2) -> Extension:
             triples.append((j, k, v))
         delta.append(triples)
     counit = list(c.counit) + [f.zero] * dx
-    x_names = [f"x{s}" for s in range(dx)]
-    names = list(c.names) + x_names
-    ctilde = Coalgebra(f, names, delta, counit)
-    report = ctilde.validate()
-    if not report.ok or not report.cocommutative:
-        raise CocycleViolation(
-            f"built coalgebra fails validation: {', '.join(report.failures()) or 'cocommutativity'}"
-        )
-    return Extension(base=c, cocycle=cocycle, ctilde=ctilde)
+    names = list(c.names) + [f"x{s}" for s in range(dx)]
+    return Extension(base=c, cocycle=cocycle, ctilde=Coalgebra(f, names, delta, counit))
 
 
 def split_extension(
@@ -234,7 +232,7 @@ def split_extension(
     dc = iota.cols
     if iota.rows != d or lam.rows != dc or lam.cols != d:
         raise ShapeError("iota must be dimCtilde x dimC and lambda dimC x dimCtilde")
-    iota_cols, lam_cols = iota.transpose().row_dicts(), lam.transpose().row_dicts()
+    iota_cols, lam_cols = iota.columns, lam.columns
 
     def apply(cols, v):
         return _lincomb(f, ((x, cols[i]) for i, x in v.items()))
@@ -296,7 +294,7 @@ def _restrict_coalgebra_along(ctilde: Coalgebra, iota: SparseMatrix, counit: Seq
     for every i from one elimination of [iota (x) iota | Delta iota].
     """
     f, d, dc = ctilde.field, ctilde.dim, iota.cols
-    cols = iota.transpose().row_dicts()
+    cols = iota.columns
     delta = triples_columns(ctilde.delta, d)
     rows: dict[int, dict] = {}
     for j, u in enumerate(cols):

@@ -8,9 +8,10 @@ primitive int rows R, each with its pivot entry R[c] > 0 as the
 denominator of the RREF row R / R[c].  Clearing pivot c from a row v is
 v <- R[c] v - v[c] R, then division by the gcd of v's entries; each RREF
 entry becomes one `Fraction` only when the elimination is done.
-`SparseMatrix` holds only the nonzero entries of a map, the library's one
-matrix type: the differentials d^n, Delta, the inclusion of an extension
-and its retract.  `image`, `kernel_space` and `preimage` take it.
+`SparseMatrix` holds a map as its columns, one dict {row: nonzero} each,
+the library's one matrix type: the differentials d^n, Delta, the inclusion
+of an extension and its retract are read in the form they are built.
+`image`, `kernel_space` and `preimage` take it.
 `_lincomb` and `_sum` are the sparse accumulators the layers above share.
 `Matrix` is dense, tuple-of-tuples in row-major order; with `rref` it is
 the dense facade, kept only because the benchmark's tracer hooks both.
@@ -502,31 +503,30 @@ class Subspace:
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """A rows x cols matrix held as its nonzero entries (row, col, value)."""
+    """A rows x cols matrix held as its columns, one dict {row: nonzero} each; never mutated, compared, not hashed."""
 
     field: Field
     rows: int
     cols: int
-    entries: tuple
+    columns: tuple
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.columns))
 
     def transpose(self) -> SparseMatrix:
-        return SparseMatrix(self.field, self.cols, self.rows, tuple((c, r, v) for r, c, v in self.entries))
-
-    def row_dicts(self) -> list[dict]:
-        out: list[dict] = [{} for _ in range(self.rows)]
-        for r, c, v in self.entries:
-            out[r][c] = v
-        return out
+        """Fresh columns of the transpose, the rows of self."""
+        out: tuple = tuple({} for _ in range(self.rows))
+        for c, col in enumerate(self.columns):
+            for r, v in col.items():
+                out[r][c] = v
+        return SparseMatrix(self.field, self.cols, self.rows, out)
 
     def row_space(self) -> Subspace:
-        return Subspace(self.field, self.cols, self.row_dicts())
+        return Subspace(self.field, self.cols, self.transpose().columns)
 
 
-def augmented_echelon(field: Field, rows: list[dict], ncols: int, rhs_columns: Sequence[Sequence]) -> Subspace:
+def augmented_echelon(field: Field, rows: Sequence[dict], ncols: int, rhs_columns: Sequence[Sequence]) -> Subspace:
     """The RREF of [M | B] from the row dicts of M (taken over) and the columns of B."""
     for b in rhs_columns:
         if len(b) != len(rows):
@@ -548,7 +548,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
 def image(m: SparseMatrix) -> Subspace:
     """Column space of m as a subspace of F^rows."""
-    return m.transpose().row_space()
+    return Subspace(m.field, m.rows, m.columns)
 
 
 def kernel_space(m: SparseMatrix) -> Subspace:
@@ -560,9 +560,8 @@ def preimage(m: SparseMatrix, target: Subspace) -> Subspace:
     require_same_field(m.field, target.field)
     if m.rows != target.ambient:
         raise ShapeError(f"map lands in F^{m.rows}, subspace of F^{target.ambient}")
-    reduced = (target.reduce(col) for col in m.transpose().row_dicts())
-    entries = tuple((r, j, v) for j, col in enumerate(reduced) for r, v in col.items())
-    return kernel_space(SparseMatrix(m.field, m.rows, m.cols, entries))
+    reduced = tuple(target.reduce(col) for col in m.columns)
+    return kernel_space(SparseMatrix(m.field, m.rows, m.cols, reduced))
 
 
 def quotient_dim(sub: Subspace, total: Subspace) -> int:

@@ -784,6 +784,44 @@ def oracle_cocycle_failures(w) -> list[str]:
     return failures
 
 
+def oracle_comodule_failures(com) -> list[str]:
+    """Failed comodule axioms among: coaction coassociativity, the coaction counit axiom, by dense Kronecker products.
+
+    With rho the dim X * dim C x dim X matrix of the coaction, the axioms are
+    (rho (x) 1_C) rho = (1_X (x) Delta) rho and (1_X (x) eps) rho = 1_X;
+    independent of the sums over triples in `Comodule.validate`, so it
+    serves as the oracle.
+    """
+    c = com.base
+    f, dc, dx = c.field, c.dim, com.dim
+    rho = triples_matrix(f, com.coaction, (dx, dc))
+    eye_x = Matrix.identity(f, dx)
+    failures = []
+    if rho.kron(Matrix.identity(f, dc)) @ rho != eye_x.kron(delta_matrix(c)) @ rho:
+        failures.append("coaction coassociativity")
+    if eye_x.kron(counit_matrix(c)) @ rho != eye_x:
+        failures.append("coaction counit axiom")
+    return failures
+
+
+def assemble_ctilde(w):
+    """Ctilde = C (+) X from the parts of the cocycle w, unvalidated.
+
+    Delta is Delta_C on C, and on x_s it is the sum over rho(x_s) of
+    c (u (x) x_t + x_t (x) u), plus omega(x_s); the counit is eps_C, zero on X.
+    """
+    from convdef import Coalgebra
+
+    com = w.comodule
+    c = com.base
+    f, dc = c.field, c.dim
+    delta = [list(triples) for triples in c.delta]
+    for rho, om in zip(com.coaction, w.omega):
+        delta.append([tr for t, u, v in rho for tr in ((u, dc + t, v), (dc + t, u, v))] + list(om))
+    names = list(c.names) + [f"x{s}" for s in range(com.dim)]
+    return Coalgebra(f, names, delta, list(c.counit) + [f.zero] * com.dim)
+
+
 def oracle_obstruction_zeta(alg, ext):
     """zeta(x) = sum over omega(x) of c * m_j o (A (x) m_k - m_k (x) A), by dense index loops.
 
@@ -828,18 +866,19 @@ def oracle_obstruction_zeta(alg, ext):
 
 
 def sparse_of(m: Matrix):
-    """The nonzero entries of a dense Matrix, as the library's SparseMatrix."""
+    """The nonzero entries of a dense Matrix, as the columns of the library's SparseMatrix."""
     from convdef import SparseMatrix
 
-    entries = tuple((r, c, x) for r, row in enumerate(m.data) for c, x in enumerate(row) if x)
-    return SparseMatrix(m.field, m.rows, m.cols, entries)
+    columns = tuple({r: row[c] for r, row in enumerate(m.data) if row[c]} for c in range(m.cols))
+    return SparseMatrix(m.field, m.rows, m.cols, columns)
 
 
 def dense_of(m) -> Matrix:
     """A SparseMatrix written out densely."""
     rows = [[m.field.zero] * m.cols for _ in range(m.rows)]
-    for r, c, v in m.entries:
-        rows[r][c] = v
+    for c, col in enumerate(m.columns):
+        for r, v in col.items():
+            rows[r][c] = v
     return Matrix(m.field, m.rows, m.cols, tuple(map(tuple, rows)))
 
 

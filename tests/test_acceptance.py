@@ -234,7 +234,7 @@ def test_c03_trivial_extension():
         assert zeta.is_zero()
         # m o lambda validates as a deformation
         mlam = ConvMorphism(
-            ext.ctilde, tuple(alg.m.evaluate(col) for col in ext.lam.transpose().row_dicts())
+            ext.ctilde, tuple(alg.m.evaluate(col) for col in ext.lam.columns)
         )
         deform = make_deformation(alg, ext, Cochain.zero(QQ, 2, 1, 2))
         assert deform.mtilde == mlam

@@ -60,6 +60,7 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("invert_frac", ["invert", fx("invert_frac.json")], 0),
         ("cohomology_dense", ["cohomology", fx("trunc3_dense.json"), "--degree", "2"], 0),
         ("unit_gauge_frac", ["unit-gauge", fx("unit_gauge_frac.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
+        ("obstruct", ["obstruct", fx("obstructed.json")], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):

@@ -292,8 +292,9 @@ def test_subspace_is_one_value_across_construction_routes():
         for ext in (graded_extension(divided_power_t(3, field), 2), graded_extension(polynomial_multi(2, 2, field), 1)):
             dt, dc = ext.ctilde.dim, ext.base.dim
             cols = [[field.zero] * dt for _ in range(dc)]
-            for r, j, v in ext.iota.entries:
-                cols[j][r] = v
+            for j, col in enumerate(ext.iota.columns):
+                for r, v in col.items():
+                    cols[j][r] = v
             iota_image = image(ext.iota)
             span = Subspace.span(field, dt, cols)
             assert iota_image == span and hash(iota_image) == hash(span) and iota_image.dim == dc

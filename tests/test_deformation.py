@@ -98,7 +98,7 @@ def test_obstruction_zero_for_trivial_extension():
     zeta = obstruction_zeta(alg, ext)
     assert zeta.is_zero()
     # m o lambda is a deformation
-    mlam = ConvMorphism(ext.ctilde, tuple(alg.m.evaluate(col) for col in ext.lam.transpose().row_dicts()))
+    mlam = ConvMorphism(ext.ctilde, tuple(alg.m.evaluate(col) for col in ext.lam.columns))
     assert is_associative(mlam)
     d0 = make_deformation(alg, ext, Cochain(2, (MultiMap.zero(QQ, 2, 2, 1),)))
     assert d0.mtilde == mlam
@@ -185,8 +185,8 @@ def test_mc_solve_checks_zeta_without_assembling_d3(monkeypatch):
     d^3 to zeta (d(zeta) = 0), then d^2 to the base solution (its residual d^2(nu) = -zeta).
     """
     assembled, applied = [], []
-    entries, differential = ComplexSpec.differential_entries, ComplexSpec.differential
-    monkeypatch.setattr(ComplexSpec, "differential_entries", lambda self, n: assembled.append(n) or entries(self, n))
+    matrix, differential = ComplexSpec.differential_matrix, ComplexSpec.differential
+    monkeypatch.setattr(ComplexSpec, "differential_matrix", lambda self, n: assembled.append(n) or matrix(self, n))
     monkeypatch.setattr(ComplexSpec, "differential", lambda self, nu: applied.append(nu.degree) or differential(self, nu))
     assert mc_solve(*_readme_deform_instance()).obstruction_vanishes
     assert set(assembled) == {1, 2}

@@ -27,7 +27,16 @@ from convdef import (
 from convdef.linalg import Matrix
 from convdef.fields import QQ
 
-from helpers import F2, F3, F5, fixture_specfiles, oracle_cocycle_failures, sparse_of
+from helpers import (
+    F2,
+    F3,
+    F5,
+    assemble_ctilde,
+    fixture_specfiles,
+    oracle_cocycle_failures,
+    oracle_comodule_failures,
+    sparse_of,
+)
 
 
 def test_build_trivial_cocycle_gives_divided_power_1():
@@ -290,3 +299,75 @@ def test_cocycle_validate_matches_dense_oracle(field):
             assert got == oracle_cocycle_failures(bad)
             seen.update(got)
     assert seen == {"symmetry", "normalization", "2-cocycle identity"}
+
+
+def _perturbed_coactions(com, rng):
+    """Comodules that break the counit axiom or coassociativity, each by one triple added at a random x."""
+    c = com.base
+    f = c.field
+    pos = [i for i, e in enumerate(c.counit) if f.is_zero(e)] or [0]  # eps vanishes on these, if any
+    glike = next(i for i, e in enumerate(c.counit) if not f.is_zero(e))
+    s, t = rng.randrange(com.dim), rng.randrange(com.dim)
+    extra = [
+        (t, glike, f.one),  # seen by the counit axiom
+        (t, rng.choice(pos), f.random_element(rng, nonzero=True)),  # invisible to the counit axiom
+        (rng.randrange(com.dim), rng.randrange(c.dim), f.random_element(rng, nonzero=True)),
+    ]
+    out = []
+    for triple in extra:
+        coaction = [list(rho) for rho in com.coaction]
+        coaction[s].append(triple)
+        out.append(Comodule(c, com.dim, coaction))
+    return out
+
+
+def _fixture_and_graded_cocycles(field):
+    cocycles = [w for _name, sf in fixture_specfiles(field) for w in sf.cocycles.values()]
+    for d in (divided_power_t(4, field), polynomial_multi(2, 3, field)):
+        cocycles += [graded_extension(d, n).cocycle for n in range(1, d.max_degree() + 1)]
+    return cocycles
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
+def test_comodule_validate_matches_dense_oracle(field):
+    """The sums over triples and the dense Kronecker products report the same comodule failures, in order."""
+    rng = random.Random(43)
+    comodules = [com for _name, sf in fixture_specfiles(field) for com in sf.comodules.values()]
+    comodules += [w.comodule for w in _fixture_and_graded_cocycles(field)]
+    seen = set()
+    for com in comodules:
+        assert com.validate() == oracle_comodule_failures(com) == []
+        for bad in _perturbed_coactions(com, rng):
+            got = bad.validate()
+            assert got == oracle_comodule_failures(bad)
+            seen.update(got)
+    assert seen == {"coaction coassociativity", "coaction counit axiom"}
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
+def test_build_extension_checks_ctilde_through_its_parts(field):
+    """Ctilde is a cocommutative coalgebra exactly when C is one, rho is a comodule and omega a symmetric normalized 2-cocycle.
+
+    So `build_extension` checks the parts and not the Ctilde it assembles:
+    it raises exactly when the parts fail, and otherwise builds the Ctilde
+    that `assemble_ctilde` writes out.
+    """
+    rng = random.Random(47)
+    valid = invalid = 0
+    for w in _fixture_and_graded_cocycles(field):
+        cases = [w, *_perturbed(w, rng)]
+        cases += [Cocycle2(com, w.omega) for com in _perturbed_coactions(w.comodule, rng)]
+        for case in cases:
+            base = case.comodule.base
+            parts_ok = base.validate().ok and base.is_cocommutative and not case.comodule.validate() + case.validate()
+            ctilde = assemble_ctilde(case)
+            report = ctilde.validate()
+            assert parts_ok == (report.ok and report.cocommutative)
+            if parts_ok:
+                assert build_extension(case).ctilde == ctilde
+                valid += 1
+            else:
+                with pytest.raises(CocycleViolation):
+                    build_extension(case)
+                invalid += 1
+    assert valid and invalid > valid

@@ -1,6 +1,7 @@
 """Layering guards read off the library's source with `ast`."""
 
 import ast
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -57,11 +58,41 @@ def test_one_coface_loop_reads_the_integer_indexes():
     spec = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ComplexSpec")
     methods = {fn.name: fn for fn in spec.body if isinstance(fn, ast.FunctionDef)}
     assert _reads(methods["_coboundaries"], "_integral_indexes") == _reads(tree, "_integral_indexes") == 1
-    for name in ("differential_entries", "differential"):
+    for name in ("differential_matrix", "differential"):
         assert _reads(methods[name], "_coboundaries") == 1, name
-    for name in ("differential_entries", "differential", "_coboundaries"):
+    assert _reads(tree, "_coboundaries") == 2
+    for name in ("differential_matrix", "differential", "_coboundaries"):
         assert not {"add", "mul", "neg", "is_zero"} & _attributes(methods[name]), name  # ints, not Field arithmetic
     assert "_m_indexes" not in _names(tree)
+
+
+def _transposing_functions(tree: ast.AST) -> set[str]:
+    """The qualified names of the functions and methods that call `.transpose()`."""
+    out = set()
+    for scope in (node for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))):
+        fns = [(f"{scope.name}.{fn.name}", fn) for fn in scope.body if isinstance(fn, ast.FunctionDef)]
+        for name, fn in fns if isinstance(scope, ast.ClassDef) else [(scope.name, scope)]:
+            calls = (node for node in ast.walk(fn) if isinstance(node, ast.Call))
+            if any(isinstance(call.func, ast.Attribute) and call.func.attr == "transpose" for call in calls):
+                out.add(name)
+    return out
+
+
+def test_a_sparse_matrix_is_its_columns():
+    """`SparseMatrix` has one layout; rows are built by a transpose only where elimination or the retract needs them."""
+    assert [field.name for field in dataclasses.fields(convdef.SparseMatrix)] == ["field", "rows", "cols", "columns"]
+    assert not any(hasattr(convdef.SparseMatrix, name) for name in ("entries", "row_dicts"))
+    transposing = {}
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text(), filename=str(p))
+        assert "row_dicts" not in _names(tree), p.name
+        transposing.update(dict.fromkeys(_transposing_functions(tree), p.name))
+    assert transposing == {
+        "Matrix.__matmul__": "linalg.py",  # the dense facade
+        "SparseMatrix.row_space": "linalg.py",
+        "ComplexSpec.solve": "cohomology.py",
+        "Extension.lam": "extension.py",  # the retract is the transpose of the inclusion
+    }
 
 
 # the dense facade no library code calls; `solve` is checked only as a module attribute, since `ComplexSpec.solve` stays

@@ -9,8 +9,10 @@ from convdef import (
     FieldMismatch,
     NotASubspace,
     ShapeError,
+    SparseMatrix,
     Subspace,
     image,
+    kernel_space,
     preimage,
     quotient_dim,
     rref,
@@ -23,6 +25,8 @@ from helpers import (
     FIXTURES,
     FRACTION_ARITHMETIC,
     dense_differential_matrix,
+    dense_of,
+    dense_preimage,
     greedy_quotient_rows,
     oracle_kernel,
     oracle_rref,
@@ -103,6 +107,25 @@ def test_empty_operands_keep_their_shape():
         assert Matrix(field, 0, 3, ()).transpose() == Matrix(field, 3, 0, ((), (), ()))
         assert Matrix(field, 2, 0, ((), ())).transpose() == Matrix(field, 0, 2, ())
         assert Matrix(field, 2, 0, ((), ())) @ Matrix(field, 0, 3, ()) == Matrix.zeros(field, 2, 3)
+    # a SparseMatrix keeps its shape too, one column dict per column, and its spaces match the dense oracles
+    for field in (QQ, F5):
+        two_thirds = field.coerce(Fraction(2, 3))
+        for m in (
+            SparseMatrix(field, 0, 3, ({}, {}, {})),
+            SparseMatrix(field, 3, 0, ()),
+            SparseMatrix(field, 3, 3, ({0: field.one, 2: two_thirds}, {}, {1: field.one, 2: two_thirds})),
+        ):
+            t = m.transpose()
+            assert (t.rows, t.cols, len(t.columns), len(m.columns)) == (m.cols, m.rows, m.rows, m.cols)
+            assert t.transpose() == m and t.nnz == m.nnz
+            dense = dense_of(m)
+            for space, oracle in ((image(m), dense.transpose()), (m.row_space(), dense)):
+                red, _pivots, rank = oracle_rref(oracle)
+                assert space.dense_rows() == red.data[:rank]
+            assert [_dense(field, m.cols, v) for v in m.row_space().kernel()] == oracle_kernel(dense)
+            assert kernel_space(m) == Subspace.span(field, m.cols, oracle_kernel(dense))
+            for target in (Subspace(field, m.rows), Subspace.full(field, m.rows), image(m)):
+                assert preimage(m, target) == dense_preimage(dense, target)
 
 
 def test_solve_identity():
