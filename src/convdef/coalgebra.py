@@ -7,6 +7,16 @@ factor most significant, so index(t_1, ..., t_p) = sum t_a * dim^(p-1-a).
 `triples_columns` holds a triples table as the sparse columns of its
 matrix and `_lincomb` applies them: that is how Delta, a coaction or
 omega acts on a sparse vector.
+
+The axioms are checked once per coalgebra, on ints: `validate` reads
+Delta as `integral_delta` and keeps its report.  A grading filtration
+needs no sweep when the grading is nonnegative and compatible with
+Delta.  Then every Delta-triple (j, k) of e_i has g_j + g_k = g_i, and
+on the unit basis of C_{<=n} that is the sweep's test
+lvl(p) + lvl(q) <= lvl(r) with lvl = g.  The layers C_{<=0}, ..., C_{<=max g}
+are nested and exhaustive by construction.  So `grading_filtration`
+records them in `verified_filtrations`, which `takeuchi_invert` consults;
+any other list of layers is swept by `is_coalgebra_filtration`.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from typing import Optional, Sequence
 
 from .errors import NoFiltration, NotExhaustive, ShapeError, UnsupportedSearch
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _lincomb, _sum, preimage, unit_vec
+from .linalg import SparseMatrix, Subspace, Vector, _cleared, _lincomb, _sum, preimage, unit_vec
 
 Triples = tuple[tuple[int, int, object], ...]
 
@@ -152,22 +162,36 @@ class Coalgebra:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> CoalgebraReport:
-        """The axioms on the Delta triples: (Delta (x) 1)Delta = (1 (x) Delta)Delta and both counit axioms, per e_i."""
-        f, delta, counit = self.field, self.delta, self.counit
+        """The axioms on the Delta triples: (Delta (x) 1)Delta = (1 (x) Delta)Delta and both counit axioms, per e_i.
+
+        They are summed on ints.  With (D, mu') = `integral_delta` and
+        (E, eps') the counit cleared to ints, both sides of coassociativity
+        at e_i are D^2 times the rational sums and both counit sides D E
+        times theirs, so the int sums agree exactly when the rational ones
+        do; over F_p, D = E = 1 and the sums are taken mod p.  The report
+        is computed once per value and kept, like `integral_delta`.
+        """
+        return self._report
+
+    @cached_property
+    def _report(self) -> CoalgebraReport:
+        f, (den, delta) = self.field, self.integral_delta
+        e_den, (eps,) = _cleared(({i: x for i, x in enumerate(self.counit) if x},))
         coassoc = counit_l = counit_r = True
         for i, triples in enumerate(delta):
-            left = _sum(f, (((a, b, k), c * c2) for j, k, c in triples for a, b, c2 in delta[j]))
-            right = _sum(f, (((j, a, b), c * c2) for j, k, c in triples for a, b, c2 in delta[k]))
-            coassoc = coassoc and left == right
-            unit = {i: f.one}
-            counit_l = counit_l and _sum(f, ((k, c * counit[j]) for j, k, c in triples)) == unit
-            counit_r = counit_r and _sum(f, ((j, c * counit[k]) for j, k, c in triples)) == unit
+            if coassoc:
+                left = _sum(f, (((a, b, k), c * c2) for j, k, c in triples for a, b, c2 in delta[j]))
+                right = _sum(f, (((j, a, b), c * c2) for j, k, c in triples for a, b, c2 in delta[k]))
+                coassoc = left == right
+            unit = {i: den * e_den}
+            counit_l = counit_l and _sum(f, ((k, c * eps[j]) for j, k, c in triples if j in eps)) == unit
+            counit_r = counit_r and _sum(f, ((j, c * eps[k]) for j, k, c in triples if k in eps)) == unit
         grading_ok = None
         if self.grading is not None:
             g = self.grading
             grading_ok = all(
                 g[j] + g[k] == g[i] for i, triples in enumerate(delta) for j, k, _c in triples
-            ) and all(f.is_zero(e) for e, n in zip(counit, g) if n > 0)
+            ) and not any(eps.get(i) for i, n in enumerate(g) if n > 0)
         return CoalgebraReport(
             coassociative=coassoc,
             counit_left=counit_l,
@@ -195,6 +219,11 @@ class Coalgebra:
         """`integral_triples` of Delta for the convolution kernel; derived, so not part of equality or hashing."""
         return integral_triples(self.delta)
 
+    @cached_property
+    def verified_filtrations(self) -> set:
+        """Filtrations known to be coalgebra filtrations of this coalgebra, as tuples of layers; derived, like `integral_delta`."""
+        return set()
+
     # -- gradings and filtrations -----------------------------------------
 
     def max_degree(self) -> int:
@@ -208,15 +237,18 @@ class Coalgebra:
         return tuple(i for i, g in enumerate(self.grading) if g == n)
 
     def grading_filtration(self) -> list[Subspace]:
-        """The canonical filtration C_{<=n} of a graded coalgebra."""
+        """The canonical filtration C_{<=n} of a graded coalgebra, certified when its grading is (module docstring)."""
         if self.grading is None:
             raise NoFiltration("coalgebra is not graded")
         f, d = self.field, self.dim
         # a coordinate subspace is its own RREF: no elimination
-        return [
+        layers = [
             Subspace._held(f, d, {i: {i: f.one} for i, g in enumerate(self.grading) if g <= n})
             for n in range(self.max_degree() + 1)
         ]
+        if min(self.grading) >= 0 and self.validate().grading_compatible:
+            self.verified_filtrations.add(tuple(layers))  # certified by the grading: see the module docstring
+        return layers
 
     def sub_on_indices(self, indices: Sequence[int], names: Optional[Sequence[str]] = None) -> Coalgebra:
         """Subcoalgebra spanned by the given basis vectors (must be closed)."""

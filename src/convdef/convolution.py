@@ -20,6 +20,15 @@ two forms and returns the product's, and a product built by
 The associator, the unit check and the layer loop of `takeuchi_invert`
 subtract and compare forms; `Fraction`s are built once per returned
 morphism.
+
+`takeuchi_invert` needs a coalgebra filtration and sweeps each list of
+layers once (`is_coalgebra_filtration`), remembering it on the
+coalgebra.  A grading filtration is certified without a sweep: when the
+grading is nonnegative and `validate` finds it compatible with Delta,
+every Delta-triple (j, k) of e_i has g_j + g_k = g_i, which on the unit
+rows of C_{<=n} is the sweep's test lvl(p) + lvl(q) <= lvl(r), and the
+layers are nested and exhaustive by construction, so
+`Coalgebra.grading_filtration` records them as verified.
 """
 
 from __future__ import annotations
@@ -368,13 +377,14 @@ def takeuchi_invert(f: ConvMorphism, filtration: Sequence[Subspace]) -> ConvMorp
     on a layer, the defect h = e - f * g squares to zero one layer up,
     so g * (e + h) = g * (2e - f * g) corrects the inverse there.  The loop
     and the final check of both inverse identities run on canonical
-    integral forms, so they compare exact values.  A filtration verified
-    once is remembered on the coalgebra and not verified again.
+    integral forms, so they compare exact values.  A filtration swept
+    once, or certified by its grading (module docstring), is remembered
+    on the coalgebra and not swept again.
     """
     if not filtration:
         raise NoFiltration("a coalgebra filtration is required for inversion")
     c = f.coalgebra
-    verified = c.__dict__.setdefault("_verified_filtrations", set())
+    verified = c.verified_filtrations
     if tuple(filtration) not in verified:
         if not is_coalgebra_filtration(c, filtration):
             raise NoFiltration("the supplied layers do not form a coalgebra filtration")

@@ -29,11 +29,12 @@ from .cohomology import Cochain, ComplexSpec, _associator, is_associative
 from .convolution import (
     ConvMorphism,
     MultiMap,
+    _canonical,
     _convolve,
+    _form_sum,
     _from_form,
     _identity_form,
     conv_compose,
-    conv_tensor,
     epsilon_embed,
     identity_conv,
     pullback,
@@ -48,7 +49,7 @@ from .errors import (
 )
 from .extension import Extension, graded_extension
 from .fields import Field
-from .linalg import Subspace
+from .linalg import Subspace, _normalized
 
 
 @dataclass(frozen=True)
@@ -327,8 +328,12 @@ def _gauge_from_cochain(ext: Extension, f_x: Cochain) -> ConvMorphism:
 
 def _transport(m: ConvMorphism, gauge: ConvMorphism, filtration: list[Subspace]) -> ConvMorphism:
     """m_f = f^{-1} * m * (f (x) f), with f^{-1} the verified two-sided inverse of the gauge f."""
-    inv = takeuchi_invert(gauge, filtration)
-    return conv_compose(conv_compose(inv, m), conv_tensor(gauge, gauge))
+    inv = takeuchi_invert(gauge, filtration)  # refuses a gauge A^(x)p -> A^(x)q with p != q
+    c, a, p, ff = gauge.coalgebra, gauge.a_dim, gauge.src_arity, gauge.integral_form
+    if m.coalgebra != c or m.a_dim != a or (m.src_arity, m.tgt_arity) != (2 * p, p):
+        raise ShapeError("arity mismatch in convolution composition")
+    form = _convolve(c, _convolve(c, inv.integral_form, m.integral_form), _convolve(c, ff, ff, (a**p, a**p)))
+    return _from_form(c, form, a, 2 * p, p)
 
 
 def gauge_transport(d: Deformation, gauge: ConvMorphism) -> Deformation:
@@ -521,20 +526,22 @@ def unit_gauge(mtilde: ConvMorphism, u: ConvMorphism) -> UnitGaugeResult:
             u.components[pos[i]] if i in pos else zero_map for i in range(ct.dim)
         ),
     )
-    ida = identity_conv(ct, a, 1)
+    e = _identity_form(ct, a)
+    e_u = _convolve(ct, e, u_lam.integral_form, (a, 1))  # id (x) (u o lambda), the same at every degree
     filt = ct.grading_filtration()
-    zero_step = MultiMap.zero(f, a, 1, 1)
-    gauge, m_f = ida, mtilde
+    gauge, m_f = e, mtilde
     for n in range(1, ct.max_degree() + 1):
-        defect = conv_compose(m_f, conv_tensor(ida, u_lam)).components
-        g = ConvMorphism(ct, tuple(-defect[i] if ct.grading[i] == n else zero_step for i in range(ct.dim)))
-        if g.is_zero():
+        den, defect = _convolve(ct, m_f.integral_form, e_u)
+        g = [_normalized(f, {key: -v for key, v in comp.items()}) if ct.grading[i] == n else {}
+             for i, comp in enumerate(defect)]
+        if not any(g):
             continue  # m_f is already unital through degree n: the step e + g is the identity
-        step = ida + g
-        gauge = conv_compose(gauge, step)
-        m_f = _transport(m_f, step, filt)
+        step = _form_sum(f, (1, e), (1, _canonical(den, g)))
+        gauge = _convolve(ct, gauge, step)
+        m_f = _transport(m_f, _from_form(ct, step, a, 1, 1), filt)
     if not is_unit_of(m_f, u_lam):
         raise ConvDefError("unit normalization failed exact verification")
+    gauge = _from_form(ct, gauge, a, 1, 1)
     u_tilde = conv_compose(gauge, u_lam)
     if not is_unit_of(mtilde, u_tilde):
         raise ConvDefError("f * (u o lambda) failed to be a unit of the original multiplication")

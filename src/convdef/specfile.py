@@ -62,18 +62,25 @@ def _entries(block: dict, key: str, where: str, shape: str, required: bool = Tru
     return entries
 
 
-def _scalar(f: Field, x, where: str):
+def _scalar(f: Field, x, where: str, lits: dict):
+    """The field element of the literal x, parsed once per document: `lits` holds the values parsed so far.
+
+    A literal that raises is not kept, so every occurrence raises with its own `where`.
+    """
     if isinstance(x, bool) or isinstance(x, float):
         raise SpecFileError("syntax", f"non-exact scalar literal {x!r} in {where}")
     if not isinstance(x, (int, str)):
         raise SpecFileError("syntax", f"bad scalar literal {x!r} in {where}")
+    if x in lits:  # bools and floats, which hash like ints, were refused above
+        return lits[x]
     try:
-        return f.coerce(x)
+        v = lits[x] = f.coerce(x)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise SpecFileError("syntax", f"bad scalar {x!r} in {where}: {exc}") from exc
+    return v
 
 
-def _multimap(f: Field, rows_spec, a_dim: int, src_arity: int, tgt_arity: int, where: str) -> MultiMap:
+def _multimap(f: Field, rows_spec, a_dim: int, src_arity: int, tgt_arity: int, where: str, lits: dict) -> MultiMap:
     """A map A^(x)p -> A^(x)q from its a^q x a^p matrix of scalar literals, kept as its nonzero entries."""
     nrows, ncols = a_dim**tgt_arity, a_dim**src_arity
     if not isinstance(rows_spec, list) or len(rows_spec) != nrows:
@@ -83,16 +90,16 @@ def _multimap(f: Field, rows_spec, a_dim: int, src_arity: int, tgt_arity: int, w
         if not isinstance(row, list) or len(row) != ncols:
             raise SpecFileError("dimension", f"{where} must be a {nrows}x{ncols} matrix")
         for col, x in enumerate(row):
-            v = _scalar(f, x, where)
+            v = _scalar(f, x, where, lits)
             if v:
                 entries[(r, col)] = v
     return MultiMap(f, a_dim, src_arity, tgt_arity, entries)
 
 
-def _vector(f: Field, vec_spec, n: int, where: str):
+def _vector(f: Field, vec_spec, n: int, where: str, lits: dict):
     if not isinstance(vec_spec, list) or len(vec_spec) != n:
         raise SpecFileError("dimension", f"{where} must be a vector of length {n}")
-    return [_scalar(f, x, where) for x in vec_spec]
+    return [_scalar(f, x, where, lits) for x in vec_spec]
 
 
 def _require_small(where: str, a_dim: int, src_arity: int, tgt_arity: int) -> None:
@@ -103,7 +110,7 @@ def _require_small(where: str, a_dim: int, src_arity: int, tgt_arity: int) -> No
                             f"have {a_dim}^{n} entries per component, more than {MAX_ENTRIES}")
 
 
-def _parse_coalgebra(f: Field, name: str, block: dict) -> Coalgebra:
+def _parse_coalgebra(f: Field, name: str, block: dict, lits: dict) -> Coalgebra:
     where = f"coalgebra {name!r}"
     basis = _need(block, "basis", "dimension", where)
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis) or not basis:
@@ -120,14 +127,14 @@ def _parse_coalgebra(f: Field, name: str, block: dict) -> Coalgebra:
     delta = [[] for _ in basis]
     for src, left, right, coeff in _entries(block, "delta", where, "[src, left, right, coeff]"):
         delta[look(src, "delta")].append(
-            (look(left, "delta"), look(right, "delta"), _scalar(f, coeff, where))
+            (look(left, "delta"), look(right, "delta"), _scalar(f, coeff, where, lits))
         )
     counit_spec = block.get("counit", {})
     if not isinstance(counit_spec, dict):
         raise SpecFileError("dimension", f"{where}: counit must map basis names to scalars")
     counit = [f.zero] * len(basis)
     for n_, v in counit_spec.items():
-        counit[look(n_, "counit")] = _scalar(f, v, where)
+        counit[look(n_, "counit")] = _scalar(f, v, where, lits)
     grading = None
     if "degrees" in block:
         deg_spec = block["degrees"]
@@ -141,7 +148,7 @@ def _parse_coalgebra(f: Field, name: str, block: dict) -> Coalgebra:
     return Coalgebra(f, basis, delta, counit, grading=grading)
 
 
-def _parse_comodule(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra]) -> Comodule:
+def _parse_comodule(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra], lits: dict) -> Comodule:
     where = f"comodule {name!r}"
     base_name = _need(block, "base", "reference", where)
     if not _is_name(base_name, coalgebras):
@@ -159,12 +166,12 @@ def _parse_comodule(f: Field, name: str, block: dict, coalgebras: dict[str, Coal
             raise SpecFileError("reference", f"{where}: unknown X basis name in {triple[:3]!r}")
         if not _is_name(co, cindex):
             raise SpecFileError("reference", f"{where}: unknown coalgebra basis name {co!r}")
-        coaction[xindex[src]].append((xindex[xo], cindex[co], _scalar(f, coeff, where)))
+        coaction[xindex[src]].append((xindex[xo], cindex[co], _scalar(f, coeff, where, lits)))
     return Comodule(base, len(basis), coaction)
 
 
 def _parse_cocycle(
-    f: Field, name: str, block: dict, comodules: dict[str, Comodule], xnames: dict[str, list[str]]
+    f: Field, name: str, block: dict, comodules: dict[str, Comodule], xnames: dict[str, list[str]], lits: dict
 ) -> Cocycle2:
     where = f"cocycle {name!r}"
     com_name = _need(block, "comodule", "reference", where)
@@ -181,11 +188,11 @@ def _parse_cocycle(
             raise SpecFileError("reference", f"{where}: unknown X basis name {src!r}")
         if not (_is_name(ca, cindex) and _is_name(cb, cindex)):
             raise SpecFileError("reference", f"{where}: unknown coalgebra basis name in {triple!r}")
-        omega[xindex[src]].append((cindex[ca], cindex[cb], _scalar(f, coeff, where)))
+        omega[xindex[src]].append((cindex[ca], cindex[cb], _scalar(f, coeff, where, lits)))
     return Cocycle2(com, omega)
 
 
-def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra]) -> AlgebraMC:
+def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra], lits: dict) -> AlgebraMC:
     where = f"algebra {name!r}"
     over = _need(block, "over", "reference", where)
     if not _is_name(over, coalgebras):
@@ -203,7 +210,7 @@ def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalg
     comps = []
     for i, cname in enumerate(c.names):
         if cname in mult:
-            comps.append(_multimap(f, mult[cname], dim, 2, 1, f"{where}.mult[{cname}]"))
+            comps.append(_multimap(f, mult[cname], dim, 2, 1, f"{where}.mult[{cname}]", lits))
         else:
             comps.append(MultiMap.zero(f, dim, 2, 1))
     for key in mult:
@@ -218,7 +225,7 @@ def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalg
         ucomps = []
         for cname in c.names:
             if cname in unit_spec:
-                vec = _vector(f, unit_spec[cname], dim, f"{where}.unit[{cname}]")
+                vec = _vector(f, unit_spec[cname], dim, f"{where}.unit[{cname}]", lits)
                 ucomps.append(MultiMap(f, dim, 0, 1, {(r, 0): v for r, v in enumerate(vec) if v}))
             else:
                 ucomps.append(MultiMap.zero(f, dim, 0, 1))
@@ -229,7 +236,7 @@ def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalg
     return AlgebraMC(m=m, unit=unit)
 
 
-def _parse_morphism(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra]) -> ConvMorphism:
+def _parse_morphism(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra], lits: dict) -> ConvMorphism:
     where = f"morphism {name!r}"
     over = _need(block, "over", "reference", where)
     if not _is_name(over, coalgebras):
@@ -247,7 +254,7 @@ def _parse_morphism(f: Field, name: str, block: dict, coalgebras: dict[str, Coal
     comps = []
     for cname in c.names:
         if cname in comp_spec:
-            comps.append(_multimap(f, comp_spec[cname], a_dim, p, q, f"{where}[{cname}]"))
+            comps.append(_multimap(f, comp_spec[cname], a_dim, p, q, f"{where}[{cname}]", lits))
         else:
             comps.append(MultiMap.zero(f, a_dim, p, q))
     for key in comp_spec:
@@ -311,23 +318,24 @@ def parse_text(text: str, strict: bool = True) -> tuple[SpecFile, list[str]]:
         raise SpecFileError("syntax", str(exc)) from exc
     if f is None:
         raise SpecFileError("syntax", f"bad field block {fname!r}")
+    lits: dict = {}  # each distinct scalar literal of this document, parsed once
     coalgebras: dict[str, Coalgebra] = {}
     for name, block in _section(doc, "coalgebras"):
-        coalgebras[name] = _parse_coalgebra(f, name, block)
+        coalgebras[name] = _parse_coalgebra(f, name, block, lits)
     comodules: dict[str, Comodule] = {}
     xnames: dict[str, list[str]] = {}
     for name, block in _section(doc, "comodules"):
-        comodules[name] = _parse_comodule(f, name, block, coalgebras)
+        comodules[name] = _parse_comodule(f, name, block, coalgebras, lits)
         xnames[name] = list(block["basis"])
     cocycles: dict[str, Cocycle2] = {}
     for name, block in _section(doc, "cocycles"):
-        cocycles[name] = _parse_cocycle(f, name, block, comodules, xnames)
+        cocycles[name] = _parse_cocycle(f, name, block, comodules, xnames, lits)
     algebras: dict[str, AlgebraMC] = {}
     for name, block in _section(doc, "algebras"):
-        algebras[name] = _parse_algebra(f, name, block, coalgebras)
+        algebras[name] = _parse_algebra(f, name, block, coalgebras, lits)
     morphisms: dict[str, ConvMorphism] = {}
     for name, block in _section(doc, "morphisms"):
-        morphisms[name] = _parse_morphism(f, name, block, coalgebras)
+        morphisms[name] = _parse_morphism(f, name, block, coalgebras, lits)
     task = doc.get("task", {})
     if not isinstance(task, dict):
         raise SpecFileError("syntax", "task block must be an object")
@@ -380,7 +388,7 @@ def parse_cochain_file(path: str, f: Field, a_dim: int) -> dict[int, list[MultiM
     doc = _read_json(path, "cochain file")
     if not isinstance(doc, dict):
         raise SpecFileError("syntax", "cochain file must map degrees to lists of matrices")
-    out = {}
+    out, lits = {}, {}
     for key, mats in doc.items():
         try:
             degree = int(key)
@@ -391,7 +399,7 @@ def parse_cochain_file(path: str, f: Field, a_dim: int) -> dict[int, list[MultiM
                 "dimension", f"cochain file: degree {degree} needs one matrix per layer element"
             )
         where = f"cochain file degree {degree}"
-        out[degree] = [_multimap(f, m, a_dim, 2, 1, where) for m in mats]
+        out[degree] = [_multimap(f, m, a_dim, 2, 1, where, lits) for m in mats]
     return out
 
 
@@ -401,11 +409,11 @@ def parse_filtration_file(path: str, f: Field, dim: int) -> list[list[list]]:
     layers = doc.get("layers") if isinstance(doc, dict) else None
     if not isinstance(layers, list) or not layers:
         raise SpecFileError("dimension", "filtration file needs a nonempty 'layers' list")
-    out = []
+    out, lits = [], {}
     for n, layer in enumerate(layers):
         if not isinstance(layer, list):
             raise SpecFileError("dimension", f"filtration file: layer {n} must be a list of vectors")
-        out.append([_vector(f, v, dim, f"filtration file layer {n}") for v in layer])
+        out.append([_vector(f, v, dim, f"filtration file layer {n}", lits) for v in layer])
     return out
 
 

@@ -975,6 +975,35 @@ def oracle_validate(c):
     )
 
 
+def oracle_coalgebra_report(coalgebra):
+    """`Coalgebra.validate` as it summed `Fraction` products of the Delta triples, before it ran on `integral_delta`."""
+    from convdef import CoalgebraReport
+    from convdef.linalg import _sum
+
+    f, delta, counit = coalgebra.field, coalgebra.delta, coalgebra.counit
+    coassoc = counit_l = counit_r = True
+    for i, triples in enumerate(delta):
+        left = _sum(f, (((a, b, k), c * c2) for j, k, c in triples for a, b, c2 in delta[j]))
+        right = _sum(f, (((j, a, b), c * c2) for j, k, c in triples for a, b, c2 in delta[k]))
+        coassoc = coassoc and left == right
+        unit = {i: f.one}
+        counit_l = counit_l and _sum(f, ((k, c * counit[j]) for j, k, c in triples)) == unit
+        counit_r = counit_r and _sum(f, ((j, c * counit[k]) for j, k, c in triples)) == unit
+    grading_ok = None
+    if coalgebra.grading is not None:
+        g = coalgebra.grading
+        grading_ok = all(
+            g[j] + g[k] == g[i] for i, triples in enumerate(delta) for j, k, _c in triples
+        ) and all(f.is_zero(e) for e, n in zip(counit, g) if n > 0)
+    return CoalgebraReport(
+        coassociative=coassoc,
+        counit_left=counit_l,
+        counit_right=counit_r,
+        cocommutative=coalgebra.is_cocommutative,
+        grading_compatible=grading_ok,
+    )
+
+
 def dense_eps(c, v):
     return c.field.normalize(sum(e * x for e, x in zip(c.counit, v)))
 

@@ -482,7 +482,8 @@ def test_c11_round_trips():
         assert rebuilt.ctilde.counit == ext.ctilde.counit
         split_checked += 1
     # parse o serialize identity on all fixtures
-    fixture_names = sorted(p.name for p in FIXTURES.glob("*.json") if "cochain" not in p.name)
+    # the side files (a series cochain document, an invert layers document) are not specs
+    fixture_names = sorted(p.name for p in FIXTURES.glob("*.json") if p.name not in ("xsq_t_cochain.json", "invert_layers.json"))
     parsed = 0
     for name in fixture_names:
         sf, _ = parse_path(str(FIXTURES / name))

@@ -1,9 +1,10 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from convdef import Coalgebra, deformation, divided_power_t, specfile
+from convdef import Coalgebra, convolution, deformation, divided_power_t, specfile
 from convdef.linalg import Matrix
 from convdef.cli import build_parser, main
 from convdef.fields import QQ
@@ -373,6 +374,54 @@ def test_layers_that_are_not_a_coalgebra_filtration_exit_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "do not form a coalgebra filtration" in captured.err
         assert captured.out == ""
+
+
+def test_only_a_layers_file_is_swept(tmp_path, monkeypatch):
+    """`invert` on the grading filtration makes no sweep; the same layers read from a file are swept once, with the same report."""
+    swept = []
+    sweep = convolution.is_coalgebra_filtration
+    monkeypatch.setattr(convolution, "is_coalgebra_filtration", lambda c, layers: swept.append(len(layers)) or sweep(c, layers))
+    golden = (GOLDEN / "invert.json").read_bytes()
+    for extra, sweeps in (([], []), (["--filtration", "file:" + fx("invert_layers.json")], [4])):
+        out = tmp_path / "r.json"
+        assert main(["invert", fx("invert.json"), *extra, "--out", str(out)]) == 0
+        assert out.read_bytes() == golden
+        assert swept == sweeps
+        swept.clear()
+
+
+def _with_literal(tmp_path, field: str, literal) -> str:
+    """invert.json over `field` with `literal` at three entries of f(t)."""
+    spec = json.loads((FIXTURES / "invert.json").read_text())
+    spec["field"] = field
+    spec["morphisms"]["f"]["components"]["t"] = [[literal, literal], ["0", literal]]
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_repeated_literals_keep_their_values_and_messages(tmp_path, capsys):
+    """Each document parses its literals anew: a repeated bad literal fails with its message, and "1/2" follows the field."""
+    bad = [
+        ("Q", "1/0", "bad scalar '1/0' in morphism 'f'[t]: bad rational literal '1/0'"),
+        ("Q", "1e4301", "bad scalar '1e4301' in morphism 'f'[t]: exponent 4301 of rational literal exceeds 4300"),
+        ("Fp 3", "1e4300", "bad scalar '1e4300' in morphism 'f'[t]: bad F_3 literal '1e4300'"),
+        ("Q", 0.5, "non-exact scalar literal 0.5 in morphism 'f'[t]"),
+        ("Fp 2", "1/2", "bad scalar '1/2' in morphism 'f'[t]: inverse of zero in F_2"),
+    ]
+    for _ in range(2):
+        for field, literal, message in bad:
+            assert main(["validate", _with_literal(tmp_path, field, literal)]) == 1
+            assert message in capsys.readouterr().err
+        for field, half in (("Q", Fraction(1, 2)), ("Fp 3", 2)):
+            path = _with_literal(tmp_path, field, "1/2")
+            assert main(["validate", path]) == 0
+            sf, _failures = specfile.parse_path(path)
+            assert sf.morphisms["f"].components[1].entries == {(0, 0): half, (0, 1): half, (1, 1): half}
+    capsys.readouterr()
+    # an answer too large to print: "1e4300" parses over Q, and the inverse holds -10^4300
+    assert main(["invert", _with_literal(tmp_path, "Q", "1e4300")]) == 1
+    assert "digit printing limit" in capsys.readouterr().err
 
 
 def test_transported_layers_file_gives_the_unique_inverse(tmp_path):

@@ -28,6 +28,7 @@ from convdef import (
     takeuchi_invert,
     trivial_k,
 )
+from convdef import convolution
 from convdef.linalg import Matrix, _cleared
 from convdef.convolution import _invert_on_bottom
 from convdef.fields import QQ
@@ -42,6 +43,7 @@ from helpers import (
     dense_compose,
     dense_tensor,
     dual_numbers,
+    fixture_specfiles,
     from_dense,
     iterated_delta,
     oracle_conv_compose,
@@ -371,12 +373,12 @@ def test_inversion_and_axiom_checks_match_oracles_on_rational_constants():
 
 
 def test_q_convolution_makes_no_fraction_arithmetic():
-    """Over Q, conv_compose, conv_tensor, is_associative and is_unit_of make 0 calls to Fraction's products, sums and differences.
+    """Over Q, conv_compose, conv_tensor, is_associative, is_unit_of and Coalgebra.validate make 0 calls to Fraction's products, sums and differences.
 
     Every product runs on the operands' integral forms, and the associator and the unit
     axioms subtract and compare forms; a returned product builds one Fraction(n, D) per
-    entry.  The inputs are built first; the calls are counted by wrapping those class
-    attributes, restored afterwards.
+    entry.  The coalgebra axioms are summed on `integral_delta`.  The inputs are built
+    first; the calls are counted by wrapping those class attributes, restored afterwards.
     """
     rng = random.Random(15)
     c = rescaled(divided_power_t(3, QQ), rng)
@@ -384,6 +386,7 @@ def test_q_convolution_makes_no_fraction_arithmetic():
     f, g = rand_wide_conv(c, 1, 1, rng, DENOMINATORS), rand_wide_conv(c, 1, 1, rng, DENOMINATORS)
     m, u = epsilon_embed(dual_numbers(QQ), c), epsilon_embed(unit_column(QQ, 2), c)
     wild_m, wild_u = rand_wide_conv(c, 2, 1, rng, DENOMINATORS), rand_wide_conv(c, 0, 1, rng, DENOMINATORS)
+    fresh = Coalgebra(QQ, c.names, c.delta, c.counit)  # c's value, its report not yet computed
     calls = []
     saved = {name: getattr(Fraction, name) for name in FRACTION_ARITHMETIC}
 
@@ -398,6 +401,7 @@ def test_q_convolution_makes_no_fraction_arithmetic():
         composed, tensored = conv_compose(g, f), conv_tensor(f, g)
         chained = conv_compose(composed, f)
         verdicts = [is_associative(m), is_associative(wild_m), is_unit_of(m, u), is_unit_of(m, wild_u), is_unit_of(wild_m, u)]
+        verdicts.append(fresh.validate().ok)
     finally:
         for name, fn in saved.items():
             setattr(Fraction, name, fn)
@@ -406,7 +410,7 @@ def test_q_convolution_makes_no_fraction_arithmetic():
     assert composed == oracle_conv_compose(g, f) and tensored == oracle_conv_tensor(f, g)
     assert chained == oracle_conv_compose(composed, f)
     assert not composed.is_zero() and not tensored.is_zero()
-    assert verdicts == [True, False, True, False, False]
+    assert verdicts == [True, False, True, False, False, True]
 
 
 def test_pullback_identity_and_epsilon():
@@ -538,6 +542,48 @@ def test_takeuchi_not_invertible():
     f = ConvMorphism(c, tuple(comps))
     with pytest.raises(NotInvertible):
         takeuchi_invert(f, filt)
+
+
+def _invertible_over(c, rng):
+    """eps(-) P for a random invertible P, plus random maps on the basis elements of positive degree."""
+    f, a = c.field, 2
+    top = [comp if g > 0 else MultiMap.zero(f, a, 1, 1) for comp, g in zip(rand_conv(c, a, 1, 1, rng).components, c.grading)]
+    return epsilon_embed(from_dense(random_invertible(f, a, rng), a, 1, 1), c) + ConvMorphism(c, tuple(top))
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
+def test_grading_filtrations_are_certified_without_a_sweep(field, monkeypatch):
+    """A nonnegative grading compatible with Delta certifies its filtration: no sweep, and the swept inverse.
+
+    A grading that is incompatible, or compatible but negative somewhere, is swept;
+    the incompatible one still raises NoFiltration.
+    """
+    swept = []
+    sweep = convolution.is_coalgebra_filtration
+    monkeypatch.setattr(convolution, "is_coalgebra_filtration", lambda c, layers: swept.append(c) or sweep(c, layers))
+    rng = random.Random(73)
+    graded = [divided_power_t(3, field), polynomial_multi(2, 2, field)]
+    graded.append(direct_sum([divided_power_t(2, field), grouplike_coalgebra(2, field)]))
+    graded += [c for _name, sf in fixture_specfiles(field) for c in sf.coalgebras.values() if c.grading is not None]
+    for c in graded:
+        assert c.validate().grading_compatible and min(c.grading) >= 0
+        f = _invertible_over(c, rng)
+        got = takeuchi_invert(f, c.grading_filtration())
+        assert swept == []
+        fresh = Coalgebra(field, c.names, c.delta, c.counit, grading=c.grading)  # the same value, nothing recorded
+        layers = [Subspace.span(field, c.dim, layer.dense_rows()) for layer in c.grading_filtration()]
+        assert takeuchi_invert(ConvMorphism(fresh, f.components), layers) == got
+        assert swept == [fresh]
+        swept.clear()
+    t3 = divided_power_t(3, field)
+    scrambled = Coalgebra(field, t3.names, t3.delta, t3.counit, grading=[0, 2, 1, 3])
+    negative = Coalgebra(field, t3.names, t3.delta, t3.counit, grading=[0, -1, -2, -3])
+    assert scrambled.validate().grading_compatible is False and negative.validate().grading_compatible
+    with pytest.raises(NoFiltration):
+        takeuchi_invert(_invertible_over(scrambled, rng), scrambled.grading_filtration())
+    f = _invertible_over(negative, rng)
+    assert conv_compose(f, takeuchi_invert(f, negative.grading_filtration())) == identity_conv(negative, 2)
+    assert swept == [scrambled, negative]
 
 
 def _bottom_cases(field, rng):

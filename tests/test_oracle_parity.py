@@ -43,6 +43,7 @@ from helpers import (
     dense_of,
     fixture_specfiles,
     matrix_inverse,
+    oracle_coalgebra_report,
     oracle_coradical_filtration,
     oracle_decompose_completely_reducible,
     oracle_find_grouplikes,
@@ -128,17 +129,34 @@ def broken(c, rng):
     ]
 
 
+def regraded(c, rng):
+    """c with one degree raised by 1, or with the zero grading when c is ungraded."""
+    if c.grading is None:
+        return Coalgebra(c.field, c.names, c.delta, c.counit, grading=[0] * c.dim)
+    grading = list(c.grading)
+    grading[rng.randrange(c.dim)] += 1
+    return Coalgebra(c.field, c.names, c.delta, c.counit, grading=grading)
+
+
 @FIELDS
 def test_validate_matches_dense_oracle(field):
-    """validate on the Delta triples gives the report of the dense (Delta (x) 1)Delta = (1 (x) Delta)Delta check."""
+    """validate's int sums give the report of the dense (Delta (x) 1)Delta = (1 (x) Delta)Delta check and of the Fraction sums.
+
+    Covers the builtins, the fixture coalgebras, direct sums, copies moved by a change
+    of basis (rational constants over Q), extensions and perturbed Delta, counit and
+    grading; each of the four axioms fails somewhere.  The report is kept: a repeated
+    validate returns it.
+    """
     rng = random.Random(59)
     failures = set()
     for c in coalgebras(field):
-        cases = [c, moved(c, rng)[0], *broken(c, rng)]
-        cases += [ext.ctilde for ext in extensions_of(c)]
+        moved_c = moved(c, rng)[0]
+        cases = [c, moved_c, *broken(c, rng), *broken(moved_c, rng), regraded(c, rng)]
+        cases += [direct_sum([c, divided_power_t(1, field)])] + [ext.ctilde for ext in extensions_of(c)]
         for target in cases:
             report = target.validate()
-            assert report == oracle_validate(target)
+            assert report == oracle_validate(target) == oracle_coalgebra_report(target)
+            assert target.validate() is report
             failures.update(report.failures())
     assert {"coassociativity", "left counit axiom", "right counit axiom", "grading compatibility"} <= failures
 
