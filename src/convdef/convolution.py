@@ -8,7 +8,6 @@ as a dense matrix.  With Delta(c_i) = sum mu c_j (x) c_k, composition
 (g * f)(c_i) = sum mu g(c_j) o f(c_k) and, for cocommutative C, the tensor
 product (f (x) g)(c_i) = sum mu f(c_j) (x) g(c_k) are one sparse kernel,
 `_convolve`, on those entries; sums and multiples of maps are `_lincomb`.
-Inverses are computed layer by layer along a coalgebra filtration.
 
 The kernel multiplies and adds ints only, and integral forms are carried
 between products.  A morphism's canonical integral form (D, ints) holds
@@ -17,12 +16,22 @@ denominators, so gcd(D, every int) = 1 and two forms are equal exactly
 when the values are; over F_p it is (1, the entries).  `_convolve` takes
 two forms and returns the product's, and a product built by
 `conv_compose` or `conv_tensor` keeps it, so no operand is cleared twice.
-The associator, the unit check and the layer loop of `takeuchi_invert`
+The associator, the unit check and the inverse check of `takeuchi_invert`
 subtract and compare forms; `Fraction`s are built once per returned
 morphism.
 
-`takeuchi_invert` needs a coalgebra filtration and sweeps each list of
-layers once (`is_coalgebra_filtration`), remembering it on the
+Inverses come from one exact solve.  Conv(C, End(A^(x)p)) is a
+finite-dimensional unital algebra, so a right inverse g of f is its unique
+two-sided inverse, and (f * g)(c_i) = eps(c_i) I for every basis element
+c_i of C is one linear system.  The coefficient of the unknown g_k[y][z]
+in the equation for entry (x, z) at c_i does not depend on z, so the
+system has dim C * d unknowns (k, y) and d right-hand sides, not
+dim C * d^2 unknowns, for maps on a d-dimensional space.
+
+`takeuchi_invert` still needs a coalgebra filtration: by Takeuchi's
+criterion f is invertible exactly when its restriction to the bottom
+layer is, which certifies the refusal of a singular f.  It sweeps each
+list of layers once (`is_coalgebra_filtration`), remembering it on the
 coalgebra.  A grading filtration is certified without a sweep: when the
 grading is nonnegative and `validate` finds it compatible with Delta,
 every Delta-triple (j, k) of e_i has g_j + g_k = g_i, which on the unit
@@ -319,67 +328,45 @@ def congruent_mod(
     return (f - g).vanishes_on(layer)
 
 
-def _invert_on_bottom(f: ConvMorphism, bottom: Subspace) -> ConvMorphism:
-    """A morphism g with (f * g)(c) = eps(c) I for every c in the bottom layer.
+def _right_inverse(f: ConvMorphism) -> ConvMorphism:
+    """The g with (f * g)(c_i) = eps(c_i) I at every basis element c_i of C, from one exact solve.
 
-    Unknowns are the components of g at the pivot indices of the layer's
-    echelon basis (zero elsewhere); this parameterizes every possible
-    restriction of g to the layer, which is all the convolution sees.
-    Entry (x, z) of (f * g)(b_r) is the sum of b_ri mu f_j[x][y] G_k[y][z]
-    over Delta(c_i) = sum mu c_j (x) c_k with k the s-th pivot: equation
-    (r*d + x)*d + z, unknown (s*d + y)*d + z, right-hand side eps(b_r) delta_xz.
-    Every equation is taken times D = D_b D_mu D_f, the common denominator of
-    the layer's rows, Delta's constants and f's entries, so its coefficients
-    are int sums; that leaves the solutions as they are.
+    Row (i, x) holds the coefficients sum mu f_j[x][y] of the unknowns (k, y) over
+    Delta(c_i) = sum mu c_j (x) c_k, the same for every column z of g, and column z's
+    right-hand side is eps(c_i) delta_xz.  Every equation is taken times D_mu D_f D_eps,
+    the denominators of Delta's constants, f's entries and the counit, so it is an int sum.
     """
-    c = f.coalgebra
-    field = c.field
-    d = f.a_dim**f.src_arity
-    if f.src_arity != f.tgt_arity:
+    c, field, a, p = f.coalgebra, f.field, f.a_dim, f.src_arity
+    if p != f.tgt_arity:
         raise NotInvertible("only square-arity morphisms can be inverted")
-    brows = [bottom.rows[piv] for piv in bottom.pivots]
-    if not brows:
-        raise NotInvertible("empty bottom layer")
-    (d_b, rows), (d_mu, delta), (d_f, comps) = _cleared(brows), c.integral_delta, f.integral_form
-    slot = {piv: s for s, piv in enumerate(bottom.pivots)}
-    n_unknowns = len(slot) * d * d
-    eqs: list[dict] = [{} for _ in range(len(rows) * d * d)]
-    for r, brow in enumerate(rows):
-        for i, bi in brow.items():
-            for j, k, mu in delta[i]:
-                if k not in slot:
-                    continue
-                w, s = bi * mu, slot[k]
-                for (x, y), v in comps[j].items():
-                    wv = w * v
-                    for z in range(d):
-                        eq = eqs[(r * d + x) * d + z]
-                        col = (s * d + y) * d + z
-                        eq[col] = eq.get(col, 0) + wv
-    eqs = [_normalized(field, eq) for eq in eqs]
-    den = d_b * d_mu * d_f
-    rhs = [field.mul(den, c.eps(brow)) if x == z else field.zero for brow in brows for x in range(d) for z in range(d)]
-    sols = augmented_echelon(field, eqs, n_unknowns, [rhs]).solutions(n_unknowns)
+    d, n = a**p, c.dim * a**p
+    (d_mu, delta), (d_f, comps), (d_eps, eps) = c.integral_delta, f.integral_form, _identity_form(c, d)
+    eqs: list[dict] = [{} for _ in range(n)]
+    for i, triples in enumerate(delta):
+        for j, k, mu in triples:
+            w = mu * d_eps
+            for (x, y), v in comps[j].items():
+                eq, col = eqs[i * d + x], k * d + y
+                eq[col] = eq.get(col, 0) + w * v
+    rhs = [[d_mu * d_f * eps[i].get((x, x), 0) if x == z else 0 for i in range(c.dim) for x in range(d)] for z in range(d)]
+    sols = augmented_echelon(field, [_normalized(field, eq) for eq in eqs], n, rhs).solutions(n)
     if sols is None:
         raise NotInvertible("restriction to the bottom filtration layer is not invertible")
-    flat = sols[0]
-    comps = [MultiMap.zero(field, f.a_dim, f.src_arity, f.tgt_arity)] * c.dim
-    for piv, s in slot.items():
-        block = flat[s * d * d : (s + 1) * d * d]
-        comps[piv] = comps[piv]._with({divmod(i, d): v for i, v in enumerate(block) if v})
-    return ConvMorphism(c, tuple(comps))
+    out: list[dict] = [{} for _ in range(c.dim)]
+    for z, sol in enumerate(sols):
+        for col, v in enumerate(sol):
+            if v:
+                out[col // d][(col % d, z)] = v
+    return ConvMorphism(c, tuple(MultiMap(field, a, p, p, e) for e in out))
 
 
 def takeuchi_invert(f: ConvMorphism, filtration: Sequence[Subspace]) -> ConvMorphism:
-    """Two-sided convolution inverse of f, extended layer by layer.
+    """The two-sided convolution inverse of f: one exact solve of f * g = e, then f * g = e = g * f checked exactly.
 
-    Follows the filtration argument: once f * g agrees with the identity
-    on a layer, the defect h = e - f * g squares to zero one layer up,
-    so g * (e + h) = g * (2e - f * g) corrects the inverse there.  The loop
-    and the final check of both inverse identities run on canonical
-    integral forms, so they compare exact values.  A filtration swept
-    once, or certified by its grading (module docstring), is remembered
-    on the coalgebra and not swept again.
+    A right inverse is the unique two-sided one and the filtration certifies a
+    refusal (module docstring).  A filtration swept once, or certified by its
+    grading, is remembered on the coalgebra and not swept again.  The checks run
+    on canonical integral forms, and g keeps its form as its `integral_form`.
     """
     if not filtration:
         raise NoFiltration("a coalgebra filtration is required for inversion")
@@ -389,14 +376,8 @@ def takeuchi_invert(f: ConvMorphism, filtration: Sequence[Subspace]) -> ConvMorp
         if not is_coalgebra_filtration(c, filtration):
             raise NoFiltration("the supplied layers do not form a coalgebra filtration")
         verified.add(tuple(filtration))
-    e, ff = _identity_form(c, f.a_dim**f.src_arity), f.integral_form
-    g = _invert_on_bottom(f, filtration[0]).integral_form
-    fg = _convolve(c, ff, g)
-    for _layer in range(1, len(filtration)):
-        if fg == e:
-            break
-        g = _convolve(c, g, _form_sum(c.field, (2, e), (-1, fg)))
-        fg = _convolve(c, ff, g)
-    if fg != e or _convolve(c, g, ff) != e:
-        raise NotInvertible("layer extension failed to produce a two-sided inverse")
-    return _from_form(c, g, f.a_dim, f.src_arity, f.tgt_arity)
+    g = _right_inverse(f)
+    e, ff, gg = _identity_form(c, f.a_dim**f.src_arity), f.integral_form, g.integral_form
+    if _convolve(c, ff, gg) != e or _convolve(c, gg, ff) != e:
+        raise NotInvertible("the solved inverse failed the exact two-sided check")
+    return g

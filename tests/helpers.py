@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 from convdef import (
@@ -30,6 +32,31 @@ F5 = PrimeField(5)
 
 # Fraction's arithmetic dunders, which the integer-kernel tests count by wrapping them
 FRACTION_ARITHMETIC = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")
+
+
+@contextmanager
+def fraction_arithmetic_calls():
+    """The list of FRACTION_ARITHMETIC names called inside the block, in order.
+
+    The class attributes are wrapped for the block and restored afterwards; a
+    probe first checks that the wrappers count.
+    """
+    calls: list[str] = []
+    saved = {name: getattr(Fraction, name) for name in FRACTION_ARITHMETIC}
+
+    def counting(name, fn):
+        return lambda a, b: calls.append(name) or fn(a, b)
+
+    try:
+        for name, fn in saved.items():
+            setattr(Fraction, name, counting(name, fn))
+        Fraction(1, 2) * Fraction(1, 3) + 1 - Fraction(1, 5)
+        assert calls == ["__mul__", "__add__", "__sub__"]
+        calls.clear()
+        yield calls
+    finally:
+        for name, fn in saved.items():
+            setattr(Fraction, name, fn)
 
 
 def dense(m: MultiMap) -> Matrix:
@@ -522,7 +549,7 @@ def oracle_rref(m: Matrix):
             if i != r:
                 factor = rows[i][c]
                 if not f.is_zero(factor):
-                    rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], lead)]
+                    rows[i] = [f.sub(x, f.mul(factor, y)) if y else x for x, y in zip(rows[i], lead)]
         pivots.append(c)
         r += 1
         if r == nr:
@@ -599,11 +626,12 @@ def fixture_specs():
 
 
 def oracle_invert_on_bottom(f: ConvMorphism, bottom):
-    """The bottom-layer inverse as one dense system stacked from Kronecker blocks.
+    """A g with (f * g)(b) = eps(b) I on the layer `bottom`, as one dense system stacked from Kronecker blocks.
 
-    The loop `convolution._invert_on_bottom` ran before it wrote its
-    equations straight into sparse rows; the same linear system, so its
-    solution must be the same.
+    The unknowns are g's components at the layer's pivots, each a d x d block
+    with all d^2 entries.  On the full layer, `Subspace.full`, this is the
+    equation f * g = e that `convolution._right_inverse` solves in dim C * d
+    unknowns with d right-hand sides, so the two answers and refusals must agree.
     """
     from convdef import NotInvertible
 

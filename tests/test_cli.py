@@ -163,13 +163,10 @@ def test_invert_command(tmp_path):
     assert report["inverse"]["t"] == [["-1", "-2"], ["-3", "-4"]]
 
 
-def test_invert_singular_exits_2(tmp_path, capsys):
-    doc = json.loads((FIXTURES / "invert.json").read_text())
-    doc["morphisms"]["f"]["components"]["1"] = [["0", "0"], ["0", "0"]]
-    del doc["morphisms"]["f"]["components"]["t"]
-    bad = tmp_path / "singular.json"
-    bad.write_text(json.dumps(doc))
-    assert main(["invert", str(bad)]) == 2
+def test_invert_singular_exits_2(capsys):
+    """f zero at the group-like 1 is refused by Takeuchi's criterion, in its words."""
+    assert main(["invert", fx("invert_singular.json")]) == 2
+    assert capsys.readouterr().err == "no: restriction to the bottom filtration layer is not invertible\n"
 
 
 def test_validate_ok_and_failing(tmp_path, capsys):

@@ -30,11 +30,10 @@ from convdef import (
 )
 from convdef import convolution
 from convdef.linalg import Matrix, _cleared
-from convdef.convolution import _invert_on_bottom
+from convdef.convolution import _right_inverse
 from convdef.fields import QQ
 
 from helpers import (
-    FRACTION_ARITHMETIC,
     sparse_of,
     F2,
     F3,
@@ -44,6 +43,7 @@ from helpers import (
     dense_tensor,
     dual_numbers,
     fixture_specfiles,
+    fraction_arithmetic_calls,
     from_dense,
     iterated_delta,
     oracle_conv_compose,
@@ -373,42 +373,33 @@ def test_inversion_and_axiom_checks_match_oracles_on_rational_constants():
 
 
 def test_q_convolution_makes_no_fraction_arithmetic():
-    """Over Q, conv_compose, conv_tensor, is_associative, is_unit_of and Coalgebra.validate make 0 calls to Fraction's products, sums and differences.
+    """Over Q, conv_compose, conv_tensor, takeuchi_invert, is_associative, is_unit_of and Coalgebra.validate make 0 calls to Fraction's products, sums and differences.
 
     Every product runs on the operands' integral forms, and the associator and the unit
     axioms subtract and compare forms; a returned product builds one Fraction(n, D) per
-    entry.  The coalgebra axioms are summed on `integral_delta`.  The inputs are built
-    first; the calls are counted by wrapping those class attributes, restored afterwards.
+    entry.  The inverse's equations are int sums with the cleared counit on the right, and
+    its two-sided check compares forms.  The coalgebra axioms are summed on `integral_delta`.
+    The inputs are built and the layers swept first; the calls are counted by wrapping
+    those class attributes, restored afterwards.
     """
     rng = random.Random(15)
-    c = rescaled(divided_power_t(3, QQ), rng)
+    c, layers = _moved(divided_power_t(3, QQ), rng)
     assert c.integral_delta[0] > 1 and any(x not in (0, 1) for x in c.counit)
+    e = identity_conv(c, 2, 1)
+    assert takeuchi_invert(e, layers) == e
     f, g = rand_wide_conv(c, 1, 1, rng, DENOMINATORS), rand_wide_conv(c, 1, 1, rng, DENOMINATORS)
     m, u = epsilon_embed(dual_numbers(QQ), c), epsilon_embed(unit_column(QQ, 2), c)
     wild_m, wild_u = rand_wide_conv(c, 2, 1, rng, DENOMINATORS), rand_wide_conv(c, 0, 1, rng, DENOMINATORS)
     fresh = Coalgebra(QQ, c.names, c.delta, c.counit)  # c's value, its report not yet computed
-    calls = []
-    saved = {name: getattr(Fraction, name) for name in FRACTION_ARITHMETIC}
-
-    def counting(name, fn):
-        return lambda a, b: calls.append(name) or fn(a, b)
-
-    try:
-        for name, fn in saved.items():
-            setattr(Fraction, name, counting(name, fn))
-        Fraction(1, 2) * Fraction(1, 3) + 1 - Fraction(1, 5)
-        probe, calls[:] = list(calls), []
+    with fraction_arithmetic_calls() as calls:
         composed, tensored = conv_compose(g, f), conv_tensor(f, g)
-        chained = conv_compose(composed, f)
+        chained, inv = conv_compose(composed, f), takeuchi_invert(f, layers)
         verdicts = [is_associative(m), is_associative(wild_m), is_unit_of(m, u), is_unit_of(m, wild_u), is_unit_of(wild_m, u)]
         verdicts.append(fresh.validate().ok)
-    finally:
-        for name, fn in saved.items():
-            setattr(Fraction, name, fn)
-    assert probe == ["__mul__", "__add__", "__sub__"]
     assert calls == []
     assert composed == oracle_conv_compose(g, f) and tensored == oracle_conv_tensor(f, g)
     assert chained == oracle_conv_compose(composed, f)
+    assert oracle_conv_compose(f, inv) == e == oracle_conv_compose(inv, f)
     assert not composed.is_zero() and not tensored.is_zero()
     assert verdicts == [True, False, True, False, False, True]
 
@@ -599,31 +590,33 @@ def _bottom_cases(field, rng):
     return cases
 
 
-def test_invert_on_bottom_matches_oracle():
-    """The sparse equations solve the system the stacked Kronecker blocks built, to the same answer."""
+def test_right_inverse_matches_oracle():
+    """The one solve on all of C gives the inverse the stacked Kronecker blocks give on the full layer, and the same refusals."""
     rng = random.Random(53)
-    solved = singular = non_unit_rows = 0
+    solved = singular = non_unit_constants = 0
     for field in (QQ, F3, F5):
-        for c, bottom in _bottom_cases(field, rng):
-            non_unit_rows += any(x not in (0, 1) for row in bottom.dense_rows() for x in row)
+        for c, _bottom in _bottom_cases(field, rng):
+            non_unit_constants += any(mu != 1 for triples in c.delta for _, _, mu in triples)
+            full = Subspace.full(field, c.dim)
             for a_dim, arity in ((2, 1), (3, 1), (2, 2)) * 2:
                 f = rand_conv(c, a_dim, arity, arity, rng)
                 try:
-                    want = oracle_invert_on_bottom(f, bottom)
+                    want = oracle_invert_on_bottom(f, full)
                 except NotInvertible:
                     with pytest.raises(NotInvertible):
-                        _invert_on_bottom(f, bottom)
+                        _right_inverse(f)
                     singular += 1
                     continue
-                assert _invert_on_bottom(f, bottom) == want
+                assert _right_inverse(f) == want
                 solved += 1
             zero = ConvMorphism(c, (MultiMap.zero(field, 2, 1, 1),) * c.dim)
             for g in (zero, rand_conv(c, 2, 1, 2, rng)):
-                for invert in (_invert_on_bottom, oracle_invert_on_bottom):
-                    with pytest.raises(NotInvertible):
-                        invert(g, bottom)
+                with pytest.raises(NotInvertible):
+                    _right_inverse(g)
+                with pytest.raises(NotInvertible):
+                    oracle_invert_on_bottom(g, full)
                 singular += 1
-    assert solved > 80 and singular > 40 and non_unit_rows >= 6, (solved, singular, non_unit_rows)
+    assert solved > 80 and singular > 40 and non_unit_constants >= 6, (solved, singular, non_unit_constants)
 
 
 def test_slot_insertion_congruence_lemma():

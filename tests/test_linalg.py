@@ -23,10 +23,10 @@ from convdef.fields import QQ, PrimeField
 from helpers import (
     F3,
     FIXTURES,
-    FRACTION_ARITHMETIC,
     dense_differential_matrix,
     dense_of,
     dense_preimage,
+    fraction_arithmetic_calls,
     greedy_quotient_rows,
     oracle_kernel,
     oracle_rref,
@@ -500,28 +500,14 @@ def test_q_elimination_makes_no_fraction_arithmetic():
     rng = random.Random(41)
     cases = [(m, [_sparse(r) for r in m.data], [_sparse(tuple(_wide(rng) for _ in range(m.cols))) for _ in range(3)])
              for m in Q_WIDE_MATRICES[-4:]]
-    calls = []
-    saved = {name: getattr(Fraction, name) for name in FRACTION_ARITHMETIC}
-
-    def counting(name, fn):
-        return lambda a, b: calls.append(name) or fn(a, b)
-
-    try:
-        for name, fn in saved.items():
-            setattr(Fraction, name, counting(name, fn))
-        Fraction(1, 2) * Fraction(1, 3) + 1 - Fraction(1, 5)
-        probe, calls[:] = list(calls), []
-        results = []
+    results = []
+    with fraction_arithmetic_calls() as calls:
         for m, rows, vecs in cases:
             ech = Subspace(QQ, m.cols, rows)
             left = ech.restrict(m.cols // 2)
             reduced = [ech.reduce(v) for v in vecs]
             reduced_left = [left.reduce({c: x for c, x in v.items() if c < left.ambient}) for v in vecs]
             results.append((ech, reduced, reduced_left))
-    finally:
-        for name, fn in saved.items():
-            setattr(Fraction, name, fn)
-    assert probe == ["__mul__", "__add__", "__sub__"]
     assert calls == []
     for (m, _rows, vecs), (ech, reduced, reduced_left) in zip(cases, results):
         red, _pivots, rank = oracle_rref(m)
