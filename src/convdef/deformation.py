@@ -16,6 +16,10 @@ associator of m, which `obstruction_zeta` has refused unless it
 vanishes, and its X-block is zeta + d^2(nu).  Once the fiber condition
 holds, m (+) nu is associative exactly when d^2(nu) = -zeta, and d^2 is
 applied to nu's entries without being assembled.
+
+An enumerated family base + sum c_i v_i is checked once: the residual is
+affine in nu, so once the base passes it and d^2(v_i) = 0 for each
+generator v_i, every member solves d^2(nu) = -zeta exactly.
 """
 
 from __future__ import annotations
@@ -143,8 +147,14 @@ def _require_mc(nu: Cochain, zeta: Cochain, spec: ComplexSpec) -> None:
         raise ShapeError("deformed multiplication is not associative")
 
 
+def _certify_closed(report: DeformationReport, vectors: Sequence[Cochain]) -> None:
+    """d^2(v) = 0 for every generator v, in one batched coface pass: base + sum c_i v_i then solves as base does."""
+    if any(report.spec._coboundaries(2, [v.flat_entries() for v in vectors])):
+        raise ShapeError("deformed multiplication is not associative")
+
+
 def make_deformation(
-    base: AlgebraMC, ext: Extension, nu: Cochain, *, _report: Optional[DeformationReport] = None
+    base: AlgebraMC, ext: Extension, nu: Cochain, *, _report: Optional[DeformationReport] = None, _certified: bool = False
 ) -> Deformation:
     """Assemble mtilde with mtilde(c, x) = m(c) + nu(x) and verify it: mtilde is associative exactly when d^2(nu) = -zeta.
 
@@ -152,14 +162,15 @@ def make_deformation(
     docstring).  mtilde starts with base.m's own components, so the fiber
     condition holds by construction and is not checked.  Within this
     module `_report` is the `mc_solve` report of (base, ext), so its zeta
-    and complex are not rebuilt for each solution.
+    and complex are not rebuilt for each solution; `_certified` says nu lies
+    in a family `_certify_closed` has checked against that report.
     """
     if nu.degree != 2 or nu.x_dim != ext.comodule.dim:
         raise ShapeError("solution cochain must be a degree-2 cochain on X")
     d = Deformation(base=base, extension=ext, mtilde=ConvMorphism(ext.ctilde, tuple(base.m.components) + nu.maps))
     if _report is None:
         _require_mc(nu, obstruction_zeta(base, ext), complex_of(base, ext))
-    else:
+    elif not _certified:
         _require_mc(nu, _report.zeta, _report.spec)
     return d
 
@@ -261,7 +272,9 @@ def classify(alg: AlgebraMC, ext: Extension, coset_cap: int = 64) -> ClassifyRes
 
     Over a finite field all |F|^dim H^2 classes are materialized while the
     count stays within `coset_cap`; otherwise the base solution shifted by
-    each H^2 representative direction is returned.
+    each H^2 representative direction is returned.  The base passed its
+    residual in `mc_solve`, and d^2(base + sum c_i h_i) + zeta = sum c_i d^2(h_i),
+    so one d^2(h) = 0 check per representative h certifies every member.
     """
     report = mc_solve(alg, ext)
     if not report.obstruction_vanishes:
@@ -272,7 +285,8 @@ def classify(alg: AlgebraMC, ext: Extension, coset_cap: int = 64) -> ClassifyRes
         nus = _affine_span(base, report.h2_reps, f.char)
     else:
         nus = [base] + [base + h for h in report.h2_reps]
-    reps = tuple(make_deformation(alg, ext, nu, _report=report) for nu in nus)
+    _certify_closed(report, report.h2_reps)
+    reps = tuple(make_deformation(alg, ext, nu, _report=report, _certified=True) for nu in nus)
     return ClassifyResult(report=report, representatives=reps)
 
 
@@ -441,7 +455,7 @@ def series_deform(
             choices = _solution_choices(report, strategy, user_cochains, n)
             # no solution past the budget is drawn from the lazy choices, so none is built
             for nu in itertools.islice(choices, branch_budget - len(new_branches)):
-                deform = make_deformation(alg, ext, nu, _report=report)
+                deform = make_deformation(alg, ext, nu, _report=report, _certified=True)
                 nxt = AlgebraMC(m=deform.mtilde)
                 new_branches.append(
                     (steps + [SeriesStep(n, report, nu)], nxt, None)
@@ -473,6 +487,7 @@ def _solution_choices(
             raise ShapeError(f"supplied degree-{degree} cochain does not solve the equation")
         return [nu]
     if strategy == "all":
+        _certify_closed(report, report.z2_basis)
         return _affine_span(base, report.z2_basis, report.spec.field.char)
     raise ShapeError(f"unknown strategy {strategy!r}")
 

@@ -62,6 +62,7 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("cohomology_dense", ["cohomology", fx("trunc3_dense.json"), "--degree", "2"], 0),
         ("unit_gauge_frac", ["unit-gauge", fx("unit_gauge_frac.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
         ("obstruct", ["obstruct", fx("obstructed.json")], 0),
+        ("series_all_f3", ["series", fx("poly_t2_f3.json"), *SERIES_ARGS, "--strategy", "all"], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):

@@ -6,8 +6,14 @@ relies on it instead of computing that associator, so it is held equal to
 `is_associative`, the full associator, on random cochains that do and do
 not solve the equation.  The H^2 and Z^2 enumerations are held equal to
 the `itertools.product` comprehension they replace.
+
+`classify` and `series --strategy all` certify each enumerated family once,
+by d^2 of its generators, instead of each member by its residual.  Every
+member they return is held to the per-member residual and to
+`is_associative`, and a family with a generator off Z^2 is refused.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -37,7 +43,7 @@ from convdef.cohomology import _associator
 from convdef.deformation import Deformation, _affine_span, complex_of
 from convdef.extension import Cocycle2
 from convdef.fields import QQ
-from convdef.specfile import parse_path
+from convdef.specfile import parse_path, parse_text
 
 from helpers import (
     F2,
@@ -221,3 +227,120 @@ def test_series_all_builds_branches_lazily(monkeypatch):
     assert len(res.branches) == 2
     # the second leaf of the prefix tree is one addition away from the base solution
     assert len(adds) == 1
+
+
+def _fixture(name, field=None):
+    """A spec fixture, parsed; `field` replaces the field it is written over."""
+    text = (FIXTURES / name).read_text()
+    if field is not None:
+        text = text.replace('"field": "Q"', f'"field": "{field}"')
+    return parse_text(text)[0]
+
+
+def _classify_cases():
+    """(label, algebra, extension): poly2_t2_f3 has 27 cosets; over Q classify takes [base] + [base + h]."""
+    out = []
+    for label, name, field in [("poly2 F3", "poly2_t2_f3.json", None), ("t2 Q", "poly_t2_dual.json", None),
+                               ("t2 F2", "poly_t2_dual.json", "F2"), ("t2 F3", "poly_t2_f3.json", None)]:
+        sf = _fixture(name, field)
+        out.append((label, sf.algebras["A"], build_extension(sf.cocycles["w"])))
+    return out
+
+
+def _series_cases():
+    """(label, m0, D) for `series --strategy all` over F_2 and F_3."""
+    out = []
+    for label, sf in [("poly_t2 F2", _fixture("poly_t2_dual.json", "F2")), ("poly_t2 F3", _fixture("poly_t2_f3.json"))]:
+        out.append((label, sf.algebras["A0"].m.components[0], sf.coalgebras["D"]))
+    for field in (F2, F3):
+        out.append((f"x^3 t<=2 {field.char}", truncated_poly(field, 3), divided_power_t(2, field)))
+        out.append((f"x^2 poly(2,2) {field.char}", dual_numbers(field), polynomial_multi(2, 2, field)))
+    return out
+
+
+def _holds_per_member(alg, ext, nu, label):
+    """The per-member checks the family certificate replaces: the residual and the full associator."""
+    spec, zeta = complex_of(alg, ext), obstruction_zeta(alg, ext)
+    assert spec.differential(nu) == -zeta, label
+    mtilde = ConvMorphism(ext.ctilde, tuple(alg.m.components) + nu.maps)
+    assert is_associative(mtilde), label
+    return mtilde
+
+
+@pytest.mark.parametrize("label, alg, ext", [pytest.param(*case, id=case[0]) for case in _classify_cases()])
+def test_classify_members_pass_the_per_member_check(label, alg, ext):
+    """Every `classify` representative solves d^2(nu) = -zeta and is associative, checked one by one."""
+    result = classify(alg, ext)
+    report = result.report
+    assert report.dim_h2 >= 1, label
+    count = report.coset_count if alg.field.char else 1 + report.dim_h2
+    assert len(result.representatives) == count, label
+    assert label != "poly2 F3" or count == 27
+    for d in result.representatives:
+        assert _holds_per_member(alg, ext, d.m_x, label) == d.mtilde
+
+
+@pytest.mark.parametrize("label, m0, d", [pytest.param(*case, id=case[0]) for case in _series_cases()])
+def test_series_all_steps_pass_the_per_member_check(label, m0, d):
+    """Every step of every `series --strategy all` branch passes the residual and `is_associative`, replayed from m0."""
+    start = AlgebraMC(m=epsilon_embed(m0, d.sub_on_indices(d.degree_indices(0))))
+    result = series_deform(m0, d, d.max_degree(), strategy="all")
+    assert len(result.branches) > 1, label
+    for branch in result.branches:
+        alg = start
+        for step in branch.steps:
+            if step.chosen is None:
+                continue
+            alg = AlgebraMC(m=_holds_per_member(alg, graded_extension(d, step.degree), step.chosen, label))
+        assert alg.m == branch.final.m, label
+
+
+def _off_z2(report):
+    """A unit cochain e_j with d^2(e_j) != 0."""
+    spec = report.spec
+    j = next(j for j, col in enumerate(spec.differential_matrix(2).columns) if col)
+    return Cochain.from_entries(spec.field, spec.a_dim, spec.x_dim, 2, {j: spec.field.one})
+
+
+def _with_bad_generator(monkeypatch, key):
+    """`mc_solve` as seen from the deformation module, with a cochain off Z^2 appended to report.<key>."""
+    solve = deformation.mc_solve
+
+    def bad(*args):
+        report = solve(*args)
+        return dataclasses.replace(report, **{key: getattr(report, key) + (_off_z2(report),)})
+
+    monkeypatch.setattr(deformation, "mc_solve", bad)
+
+
+@pytest.mark.parametrize("label", ["poly2 F3", "t2 Q"])
+def test_classify_refuses_a_representative_off_z2(label, monkeypatch):
+    """An H^2 representative with d^2 != 0 is caught by the family certificate, before any member is returned."""
+    _label, alg, ext = next(case for case in _classify_cases() if case[0] == label)
+    _with_bad_generator(monkeypatch, "h2_reps")
+    with pytest.raises(ShapeError, match="deformed multiplication is not associative"):
+        classify(alg, ext)
+
+
+def test_series_all_refuses_a_z2_generator_off_z2(monkeypatch):
+    """A Z^2 generator with d^2 != 0 is caught by the family certificate of `series --strategy all`."""
+    sf = _fixture("poly_t2_f3.json")
+    _with_bad_generator(monkeypatch, "z2_basis")
+    with pytest.raises(ShapeError, match="deformed multiplication is not associative"):
+        series_deform(sf.algebras["A0"].m.components[0], sf.coalgebras["D"], 2, strategy="all")
+
+
+def test_families_check_one_residual_per_mc_solve(monkeypatch):
+    """`classify` and `series --strategy all` run the residual once per `mc_solve`, on its base solution."""
+    residuals, solves = [], []
+    require, solve = deformation._require_mc, deformation.mc_solve
+    monkeypatch.setattr(deformation, "_require_mc", lambda *a: residuals.append(1) or require(*a))
+    monkeypatch.setattr(deformation, "mc_solve", lambda *a: solves.append(1) or solve(*a))
+    _label, alg, ext = _classify_cases()[0]
+    assert len(classify(alg, ext).representatives) == 27 and len(residuals) == len(solves) == 1
+    residuals.clear()
+    solves.clear()
+    sf = _fixture("poly_t2_f3.json")
+    result = series_deform(sf.algebras["A0"].m.components[0], sf.coalgebras["D"], 2, strategy="all")
+    # the first degree-1 branch fills the budget of 16 at degree 2, so two solves in all
+    assert len(result.branches) == 16 and len(residuals) == len(solves) == 2
