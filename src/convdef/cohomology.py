@@ -316,8 +316,10 @@ def _associator(m: ConvMorphism) -> Form:
 
 
 def is_associative(m: ConvMorphism) -> bool:
-    """m * (m (x) e) = m * (e (x) m) in the convolution category, exactly: the associator is empty."""
-    return not any(_associator(m)[1])
+    """m * (m (x) e) = m * (e (x) m) exactly: the associator is empty; cached on m like its `integral_form`."""
+    if "associative" not in m.__dict__:
+        m.__dict__["associative"] = not any(_associator(m)[1])
+    return m.__dict__["associative"]
 
 
 def hochschild_spec(m0: MultiMap) -> ComplexSpec:

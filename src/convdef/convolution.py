@@ -28,6 +28,12 @@ in the equation for entry (x, z) at c_i does not depend on z, so the
 system has dim C * d unknowns (k, y) and d right-hand sides, not
 dim C * d^2 unknowns, for maps on a d-dimensional space.
 
+A unipotent e + g, g of positive degree on a graded C = D_{<=N}, needs no
+solve (`_unipotent_inverse`): (-g)^{*k} lives in degrees >= k, so it vanishes
+by k = N + 1 (Takeuchi's locally nilpotent argument), and the first empty
+power is the certificate, as (e + g) * sum_{k<K} (-g)^{*k} = e - (-g)^{*K} =
+sum_{k<K} (-g)^{*k} * (e + g).
+
 `takeuchi_invert` still needs a coalgebra filtration: by Takeuchi's
 criterion f is invertible exactly when its restriction to the bottom
 layer is, which certifies the refusal of a singular f.  It sweeps each
@@ -48,7 +54,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .coalgebra import Coalgebra, is_coalgebra_filtration
-from .errors import NoFiltration, NotCocommutative, NotInvertible, ShapeError
+from .errors import ConvDefError, NoFiltration, NotCocommutative, NotInvertible, ShapeError
 from .fields import Field, require_same_field
 from .linalg import SparseMatrix, Subspace, _cleared, _fractions, _lincomb, _normalized, augmented_echelon
 
@@ -381,3 +387,15 @@ def takeuchi_invert(f: ConvMorphism, filtration: Sequence[Subspace]) -> ConvMorp
     if _convolve(c, ff, gg) != e or _convolve(c, gg, ff) != e:
         raise NotInvertible("the solved inverse failed the exact two-sided check")
     return g
+
+
+def _unipotent_inverse(c: Coalgebra, g: Form, e: Form) -> Form:
+    """The form of (e + g)^{-1} = sum_k (-g)^{*k}, certified by its first empty power (module docstring)."""
+    neg = _form_sum(c.field, (-1, g))
+    terms, power = [(1, e)], neg
+    while any(power[1]):
+        if len(terms) > c.max_degree():
+            raise ConvDefError("e + g is not unipotent: no power of -g vanishes")
+        terms.append((1, power))
+        power = _convolve(c, power, neg)
+    return _form_sum(c.field, *terms)

@@ -32,12 +32,14 @@ from .coalgebra import Coalgebra, find_grouplikes
 from .cohomology import Cochain, ComplexSpec, _associator, is_associative
 from .convolution import (
     ConvMorphism,
+    Form,
     MultiMap,
     _canonical,
     _convolve,
     _form_sum,
     _from_form,
     _identity_form,
+    _unipotent_inverse,
     conv_compose,
     epsilon_embed,
     identity_conv,
@@ -53,7 +55,7 @@ from .errors import (
 )
 from .extension import Extension, graded_extension
 from .fields import Field
-from .linalg import Subspace, _normalized
+from .linalg import _normalized
 
 
 @dataclass(frozen=True)
@@ -340,13 +342,12 @@ def _gauge_from_cochain(ext: Extension, f_x: Cochain) -> ConvMorphism:
     return ConvMorphism(ext.ctilde, identity_conv(ext.base, f_x.a_dim).components + f_x.maps)
 
 
-def _transport(m: ConvMorphism, gauge: ConvMorphism, filtration: list[Subspace]) -> ConvMorphism:
-    """m_f = f^{-1} * m * (f (x) f), with f^{-1} the verified two-sided inverse of the gauge f."""
-    inv = takeuchi_invert(gauge, filtration)  # refuses a gauge A^(x)p -> A^(x)q with p != q
+def _transport(m: ConvMorphism, gauge: ConvMorphism, inv: Form) -> ConvMorphism:
+    """m_f = f^{-1} * m * (f (x) f), with `inv` the form of the verified two-sided inverse of the gauge f."""
     c, a, p, ff = gauge.coalgebra, gauge.a_dim, gauge.src_arity, gauge.integral_form
     if m.coalgebra != c or m.a_dim != a or (m.src_arity, m.tgt_arity) != (2 * p, p):
         raise ShapeError("arity mismatch in convolution composition")
-    form = _convolve(c, _convolve(c, inv.integral_form, m.integral_form), _convolve(c, ff, ff, (a**p, a**p)))
+    form = _convolve(c, _convolve(c, inv, m.integral_form), _convolve(c, ff, ff, (a**p, a**p)))
     return _from_form(c, form, a, 2 * p, p)
 
 
@@ -359,7 +360,8 @@ def gauge_transport(d: Deformation, gauge: ConvMorphism) -> Deformation:
     ext = d.extension
     if gauge.coalgebra != ext.ctilde:
         raise ShapeError("gauge must live over Ctilde")
-    m_f = _transport(d.mtilde, gauge, ext.extension_filtration())
+    inv = takeuchi_invert(gauge, ext.extension_filtration())  # refuses a gauge A^(x)p -> A^(x)q with p != q
+    m_f = _transport(d.mtilde, gauge, inv.integral_form)
     restricted = pullback(m_f, ext.iota, ext.base)
     if restricted == d.base.m:
         new_base = d.base
@@ -415,7 +417,8 @@ def series_deform(
     strategy: "first" takes the canonical solution, "user" takes
     `user_cochains[n]` (verified to solve the equation), "all" explores
     every solution over a finite field, capped at `branch_budget`.
-    Branches past the budget are never solved or materialized.
+    Branches past the budget are never solved, and a branch is materialized
+    only once a later degree expands it or it is returned.
     """
     if d_coalg.grading is None:
         raise ShapeError("series deformation needs a graded coalgebra")
@@ -436,37 +439,37 @@ def series_deform(
         raise ShapeError("degree-0 part has no basis group-like")
     start = AlgebraMC(m=epsilon_embed(m0, c0))
     start.require_valid()
-    branches: list[tuple[list[SeriesStep], AlgebraMC, Optional[int]]] = [([], start, None)]
+    # a branch is (steps, alg, stopped, pending): with pending = (ext, nu, report) its algebra is alg grown by nu
+    branches: list[tuple[list[SeriesStep], AlgebraMC, Optional[int], Optional[tuple]]] = [([], start, None, None)]
     for n in range(1, max_degree + 1):
         ext = graded_extension(d_coalg, n)
         new_branches = []
-        for steps, alg, stopped in branches:
+        for steps, alg, stopped, pending in branches:
             if len(new_branches) >= branch_budget:
                 break
             if stopped is not None:
-                new_branches.append((steps, alg, stopped))
+                new_branches.append((steps, alg, stopped, None))
                 continue
+            alg = _grown(alg, pending)
             report = mc_solve(alg, ext)
             if not report.obstruction_vanishes:
-                new_branches.append(
-                    (steps + [SeriesStep(n, report, None)], alg, n)
-                )
+                new_branches.append((steps + [SeriesStep(n, report, None)], alg, n, None))
                 continue
             choices = _solution_choices(report, strategy, user_cochains, n)
             # no solution past the budget is drawn from the lazy choices, so none is built
             for nu in itertools.islice(choices, branch_budget - len(new_branches)):
-                deform = make_deformation(alg, ext, nu, _report=report, _certified=True)
-                nxt = AlgebraMC(m=deform.mtilde)
-                new_branches.append(
-                    (steps + [SeriesStep(n, report, nu)], nxt, None)
-                )
+                new_branches.append((steps + [SeriesStep(n, report, nu)], alg, None, (ext, nu, report)))
         branches = new_branches
-    return SeriesResult(
-        branches=tuple(
-            SeriesBranch(steps=tuple(steps), final=alg, stopped_at=stopped)
-            for steps, alg, stopped in branches
-        )
-    )
+    return SeriesResult(branches=tuple(
+        SeriesBranch(steps=tuple(steps), final=_grown(alg, pending), stopped_at=stopped)
+        for steps, alg, stopped, pending in branches))
+
+
+def _grown(alg: AlgebraMC, pending: Optional[tuple]) -> AlgebraMC:
+    """alg, or with pending = (ext, nu, report) the deformation of alg by the certified solution nu."""
+    if pending is None:
+        return alg
+    return AlgebraMC(m=make_deformation(alg, *pending[:2], _report=pending[2], _certified=True).mtilde)
 
 
 def _solution_choices(
@@ -512,9 +515,12 @@ def unit_gauge(mtilde: ConvMorphism, u: ConvMorphism) -> UnitGaugeResult:
     transported multiplication m_f and folded into the gauge, following
     f' = f * (e + g).  Transport is an action of the convolution group,
     m_{f * (e + g)} = (m_f)_{e + g}, so m_f is carried forward by the
-    one-step gauge e + g alone.  The result satisfies both unit axioms
-    for u o lambda exactly, and f * (u o lambda) is a unit of the
-    original multiplication.
+    one-step gauge e + g alone.  g lives in degree n >= 1, so (e + g)^{-1} =
+    sum_k (-g)^{*k} stops by k = floor(N / n), (-g)^{*k} being of degree kn; the
+    first empty power certifies it, as (e + g) * sum_{k<K} (-g)^{*k} = e - (-g)^{*K}
+    = sum_{k<K} (-g)^{*k} * (e + g), so no step eliminates.  The result satisfies
+    both unit axioms for u o lambda exactly, and f * (u o lambda) is a unit of
+    the original multiplication.
     """
     ct = mtilde.coalgebra
     if ct.grading is None:
@@ -543,17 +549,16 @@ def unit_gauge(mtilde: ConvMorphism, u: ConvMorphism) -> UnitGaugeResult:
     )
     e = _identity_form(ct, a)
     e_u = _convolve(ct, e, u_lam.integral_form, (a, 1))  # id (x) (u o lambda), the same at every degree
-    filt = ct.grading_filtration()
     gauge, m_f = e, mtilde
     for n in range(1, ct.max_degree() + 1):
         den, defect = _convolve(ct, m_f.integral_form, e_u)
-        g = [_normalized(f, {key: -v for key, v in comp.items()}) if ct.grading[i] == n else {}
-             for i, comp in enumerate(defect)]
-        if not any(g):
+        g = _canonical(den, [_normalized(f, {key: -v for key, v in comp.items()}) if ct.grading[i] == n else {}
+                             for i, comp in enumerate(defect)])
+        if not any(g[1]):
             continue  # m_f is already unital through degree n: the step e + g is the identity
-        step = _form_sum(f, (1, e), (1, _canonical(den, g)))
+        step = _form_sum(f, (1, e), (1, g))
         gauge = _convolve(ct, gauge, step)
-        m_f = _transport(m_f, _from_form(ct, step, a, 1, 1), filt)
+        m_f = _transport(m_f, _from_form(ct, step, a, 1, 1), _unipotent_inverse(ct, g, e))
     if not is_unit_of(m_f, u_lam):
         raise ConvDefError("unit normalization failed exact verification")
     gauge = _from_form(ct, gauge, a, 1, 1)

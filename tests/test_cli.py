@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from convdef import Coalgebra, convolution, deformation, divided_power_t, specfile
+from convdef import Coalgebra, cli, cohomology, convolution, deformation, divided_power_t, specfile
 from convdef.linalg import Matrix
 from convdef.cli import build_parser, main
 from convdef.fields import QQ
@@ -63,6 +63,7 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("unit_gauge_frac", ["unit-gauge", fx("unit_gauge_frac.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
         ("obstruct", ["obstruct", fx("obstructed.json")], 0),
         ("series_all_f3", ["series", fx("poly_t2_f3.json"), *SERIES_ARGS, "--strategy", "all"], 0),
+        ("unit_gauge_t4", ["unit-gauge", fx("unit_gauge_t4.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):
@@ -86,8 +87,8 @@ def test_readme_library_example_prints_what_its_comments_say(capsys):
 def test_unit_gauge_skips_zero_steps(tmp_path, monkeypatch):
     """An already unital multiplication takes no normalization step: no inversion, the same report."""
     calls = []
-    invert = deformation.takeuchi_invert
-    monkeypatch.setattr(deformation, "takeuchi_invert", lambda *a: calls.append(a) or invert(*a))
+    invert = deformation._unipotent_inverse
+    monkeypatch.setattr(deformation, "_unipotent_inverse", lambda *a: calls.append(a) or invert(*a))
     out = tmp_path / "r.json"
     argv = ["unit-gauge", fx("poly_t2_dual.json"), "--algebra", "At", "--base-algebra", "A0", "--out", str(out)]
     assert main(argv) == 0
@@ -95,6 +96,30 @@ def test_unit_gauge_skips_zero_steps(tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDEN / "unit_gauge.json").read_bytes()
     assert main(["unit-gauge", fx("unit_gauge_broken.json")]) == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("fixture, blocks", [("poly_t2_dual.json", 3), ("unit_gauge_t4.json", 2)])
+def test_unit_gauge_runs_one_associator_per_algebra_block(monkeypatch, fixture, blocks):
+    """unit-gauge reuses the associativity verdict of the parse-time check on the algebra it normalizes."""
+    calls = []
+    associator = cohomology._associator
+    monkeypatch.setattr(cohomology, "_associator", lambda m: calls.append(m) or associator(m))
+    assert main(["unit-gauge", fx(fixture), "--algebra", "At", "--base-algebra", "A0"]) == 0
+    assert len(calls) == blocks
+
+
+def test_series_all_materializes_only_expanded_or_returned_branches(tmp_path, monkeypatch):
+    """series --strategy all builds the 16 returned branches, the one degree-1 branch degree 2 expands and the
+    two mc_solve re-verifications: 19 deformations, and the same report."""
+    calls, results, make, series = [], [], deformation.make_deformation, cli.series_deform
+    monkeypatch.setattr(deformation, "make_deformation", lambda *a, **k: calls.append(a) or make(*a, **k))
+    monkeypatch.setattr(cli, "series_deform", lambda *a, **k: results.append(series(*a, **k)) or results[-1])
+    out = tmp_path / "r.json"
+    argv = ["series", fx("poly_t2_f3.json"), *SERIES_ARGS, "--strategy", "all", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == 19
+    assert [len(r.branches) for r in results] == [16]
+    assert out.read_bytes() == (GOLDEN / "series_all_f3.json").read_bytes()
 
 
 def test_deform_obstructed_exits_2_and_names_class(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from convdef import (
     Coalgebra,
+    ConvDefError,
     ConvMorphism,
     MultiMap,
     NoFiltration,
@@ -533,6 +534,39 @@ def test_takeuchi_not_invertible():
     f = ConvMorphism(c, tuple(comps))
     with pytest.raises(NotInvertible):
         takeuchi_invert(f, filt)
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F5], ids=["Q", "F3", "F5"])
+def test_unipotent_inverse_matches_takeuchi_invert(field):
+    """The summed powers of -g are the solved inverse of e + g, for g concentrated in one degree n >= 1.
+
+    Over k[t]_{<=N}, N = 1..5, and polynomial_multi(2, 3), at arity 1 and 2; (-g)^{*k}
+    lives in degree kn, so every power up to k = floor(N / n) can be nonzero.
+    """
+    rng = random.Random(83)
+    cases = 0
+    for c in [divided_power_t(n, field) for n in range(1, 6)] + [polynomial_multi(2, 3, field)]:
+        filt = c.grading_filtration()
+        for arity in (1, 2):
+            e = identity_conv(c, 2, arity)
+            zero = MultiMap.zero(field, 2, arity, arity)
+            for n in range(1, c.max_degree() + 1):
+                comps = rand_conv(c, 2, arity, arity, rng).components
+                g = ConvMorphism(c, tuple(x if deg == n else zero for x, deg in zip(comps, c.grading)))
+                assert not g.is_zero()
+                got = convolution._unipotent_inverse(c, g.integral_form, e.integral_form)
+                assert got == takeuchi_invert(e + g, filt).integral_form
+                cases += 1
+    assert cases == 2 * (1 + 2 + 3 + 4 + 5 + 3)
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F5], ids=["Q", "F3", "F5"])
+def test_unipotent_inverse_refuses_powers_that_never_vanish(field):
+    """A g with a degree-0 component, here g = e with (-g)^{*k} = (-1)^k e, is refused rather than summed forever."""
+    for c in (divided_power_t(3, field), polynomial_multi(2, 3, field)):
+        e = identity_conv(c, 2, 1).integral_form
+        with pytest.raises(ConvDefError, match="not unipotent"):
+            convolution._unipotent_inverse(c, e, e)
 
 
 def _invertible_over(c, rng):

@@ -39,7 +39,7 @@ from convdef import (
     unit_gauge,
 )
 from convdef.linalg import Matrix
-from convdef import deformation
+from convdef import convolution, deformation
 from convdef.convolution import _lincomb
 from convdef.deformation import _gauge_from_cochain
 from convdef.fields import QQ
@@ -60,6 +60,7 @@ from helpers import (
     mat2_mult,
     mult_from_table,
     oracle_differential,
+    oracle_is_associative,
     oracle_obstruction_zeta,
     oracle_unit_gauge,
     random_gauge_transported_mult,
@@ -510,6 +511,38 @@ def test_unit_gauge_rejects_non_unit():
     bad = ConvMorphism(c0, (unit_column(QQ, 2, index=1),))
     with pytest.raises(NotUnital):
         unit_gauge(mt, bad)
+
+
+def test_unit_gauge_runs_no_elimination(monkeypatch):
+    """Each step is inverted by its terminating power series: no augmented_echelon, no Subspace, no takeuchi_invert."""
+    rng = random.Random(59)
+    cases = []
+    for field in (QQ, F3, F5):
+        for ct in (divided_power_t(4, field), polynomial_multi(2, 3, field)):
+            u = ConvMorphism(ct.sub_on_indices([0]), (unit_column(field, 2),))
+            cases.append((random_gauge_transported_mult(ct, dual_numbers(field), rng), u))
+    calls = []
+    init, echelon, invert = Subspace.__init__, convolution.augmented_echelon, deformation.takeuchi_invert
+    series = deformation._unipotent_inverse
+    monkeypatch.setattr(Subspace, "__init__", lambda self, *a: calls.append("Subspace") or init(self, *a))
+    monkeypatch.setattr(convolution, "augmented_echelon", lambda *a: calls.append("echelon") or echelon(*a))
+    monkeypatch.setattr(deformation, "takeuchi_invert", lambda *a: calls.append("invert") or invert(*a))
+    monkeypatch.setattr(deformation, "_unipotent_inverse", lambda *a: calls.append("series") or series(*a))
+    for broken, u in cases:
+        out = unit_gauge(broken, u)
+        assert is_unit_of(out.m_f, out.u_lambda) and is_unit_of(broken, out.u_tilde)
+    assert set(calls) == {"series"}
+
+
+def test_unit_gauge_refuses_a_non_associative_multiplication():
+    """Called directly, with no verdict cached on mtilde, unit_gauge runs the associator and refuses."""
+    ct = divided_power_t(2, QQ)
+    m1 = MultiMap.from_rows(QQ, 2, 2, 1, [[0, 1, 0, 0], [0, 0, 0, 0]])
+    mt = ConvMorphism(ct, (dual_numbers(QQ), m1, MultiMap.zero(QQ, 2, 2, 1)))
+    assert not oracle_is_associative(mt)
+    u = ConvMorphism(ct.sub_on_indices([0]), (unit_column(QQ, 2),))
+    with pytest.raises(ShapeError, match="not associative"):
+        unit_gauge(mt, u)
 
 
 def test_algebra_unit_validation():
