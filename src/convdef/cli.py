@@ -29,13 +29,11 @@ from .deformation import (
 )
 from .errors import ConvDefError, NotInvertible, SpecFileError
 from .extension import Comodule, build_extension
-from .linalg import Subspace
 from .specfile import (
     SpecFile,
     cochain_to_obj,
     morphism_to_obj,
     parse_cochain_file,
-    parse_filtration_file,
     parse_path,
     render_report,
 )
@@ -91,15 +89,6 @@ def _write_out(path: Optional[str], payload: dict) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(render_report(payload))
-
-
-def _load_filtration(spec_arg: str, c: Coalgebra) -> list[Subspace]:
-    if spec_arg == "grading":
-        return c.grading_filtration()
-    if spec_arg.startswith("file:"):
-        layers = parse_filtration_file(spec_arg[5:], c.field, c.dim)
-        return [Subspace.span(c.field, c.dim, vecs) for vecs in layers]
-    raise SpecFileError("syntax", f"bad --filtration value {spec_arg!r}")
 
 
 def _report_header(sf: SpecFile, command: str) -> dict:
@@ -294,10 +283,8 @@ def cmd_unit_gauge(sf: SpecFile, args) -> dict:
 
 def cmd_invert(sf: SpecFile, args) -> dict:
     mname, mor = _pick(sf.morphisms, "morphism", sf.task, args.morphism)
-    filt_arg = _task_str(sf.task, "filtration", args.filtration, "grading")
-    filtration = _load_filtration(filt_arg, mor.coalgebra)
     try:
-        inv = takeuchi_invert(mor, filtration)
+        inv = takeuchi_invert(mor)
     except NotInvertible as exc:
         raise MathFailure(str(exc)) from exc
     print(f"morphism {mname} inverted; both inverse identities verified exactly")
@@ -344,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-algebra", dest="base_algebra")
     p = add("invert", cmd_invert)
     p.add_argument("--morphism")
-    p.add_argument("--filtration", help="grading | file:<path>")
     return parser
 
 

@@ -9,14 +9,7 @@ matrix and `_lincomb` applies them: that is how Delta, a coaction or
 omega acts on a sparse vector.
 
 The axioms are checked once per coalgebra, on ints: `validate` reads
-Delta as `integral_delta` and keeps its report.  A grading filtration
-needs no sweep when the grading is nonnegative and compatible with
-Delta.  Then every Delta-triple (j, k) of e_i has g_j + g_k = g_i, and
-on the unit basis of C_{<=n} that is the sweep's test
-lvl(p) + lvl(q) <= lvl(r) with lvl = g.  The layers C_{<=0}, ..., C_{<=max g}
-are nested and exhaustive by construction.  So `grading_filtration`
-records them in `verified_filtrations`, which `takeuchi_invert` consults;
-any other list of layers is swept by `is_coalgebra_filtration`.
+Delta as `integral_delta` and keeps its report.
 """
 
 from __future__ import annotations
@@ -219,11 +212,6 @@ class Coalgebra:
         """`integral_triples` of Delta for the convolution kernel; derived, so not part of equality or hashing."""
         return integral_triples(self.delta)
 
-    @cached_property
-    def verified_filtrations(self) -> set:
-        """Filtrations known to be coalgebra filtrations of this coalgebra, as tuples of layers; derived, like `integral_delta`."""
-        return set()
-
     # -- gradings and filtrations -----------------------------------------
 
     def max_degree(self) -> int:
@@ -237,18 +225,15 @@ class Coalgebra:
         return tuple(i for i, g in enumerate(self.grading) if g == n)
 
     def grading_filtration(self) -> list[Subspace]:
-        """The canonical filtration C_{<=n} of a graded coalgebra, certified when its grading is (module docstring)."""
+        """The canonical filtration C_{<=n} of a graded coalgebra."""
         if self.grading is None:
             raise NoFiltration("coalgebra is not graded")
         f, d = self.field, self.dim
         # a coordinate subspace is its own RREF: no elimination
-        layers = [
+        return [
             Subspace._held(f, d, {i: {i: f.one} for i, g in enumerate(self.grading) if g <= n})
             for n in range(self.max_degree() + 1)
         ]
-        if min(self.grading) >= 0 and self.validate().grading_compatible:
-            self.verified_filtrations.add(tuple(layers))  # certified by the grading: see the module docstring
-        return layers
 
     def sub_on_indices(self, indices: Sequence[int], names: Optional[Sequence[str]] = None) -> Coalgebra:
         """Subcoalgebra spanned by the given basis vectors (must be closed)."""

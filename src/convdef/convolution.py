@@ -34,16 +34,8 @@ by k = N + 1 (Takeuchi's locally nilpotent argument), and the first empty
 power is the certificate, as (e + g) * sum_{k<K} (-g)^{*k} = e - (-g)^{*K} =
 sum_{k<K} (-g)^{*k} * (e + g).
 
-`takeuchi_invert` still needs a coalgebra filtration: by Takeuchi's
-criterion f is invertible exactly when its restriction to the bottom
-layer is, which certifies the refusal of a singular f.  It sweeps each
-list of layers once (`is_coalgebra_filtration`), remembering it on the
-coalgebra.  A grading filtration is certified without a sweep: when the
-grading is nonnegative and `validate` finds it compatible with Delta,
-every Delta-triple (j, k) of e_i has g_j + g_k = g_i, which on the unit
-rows of C_{<=n} is the sweep's test lvl(p) + lvl(q) <= lvl(r), and the
-layers are nested and exhaustive by construction, so
-`Coalgebra.grading_filtration` records them as verified.
+No filtration is needed: an unsolvable system is the refusal, whose message is
+Takeuchi's criterion (f is invertible exactly when it is on the coradical).
 """
 
 from __future__ import annotations
@@ -53,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .coalgebra import Coalgebra, is_coalgebra_filtration
+from .coalgebra import Coalgebra
 from .errors import ConvDefError, NoFiltration, NotCocommutative, NotInvertible, ShapeError
 from .fields import Field, require_same_field
 from .linalg import SparseMatrix, Subspace, _cleared, _fractions, _lincomb, _normalized, augmented_echelon
@@ -366,22 +358,14 @@ def _right_inverse(f: ConvMorphism) -> ConvMorphism:
     return ConvMorphism(c, tuple(MultiMap(field, a, p, p, e) for e in out))
 
 
-def takeuchi_invert(f: ConvMorphism, filtration: Sequence[Subspace]) -> ConvMorphism:
+def takeuchi_invert(f: ConvMorphism) -> ConvMorphism:
     """The two-sided convolution inverse of f: one exact solve of f * g = e, then f * g = e = g * f checked exactly.
 
-    A right inverse is the unique two-sided one and the filtration certifies a
-    refusal (module docstring).  A filtration swept once, or certified by its
-    grading, is remembered on the coalgebra and not swept again.  The checks run
-    on canonical integral forms, and g keeps its form as its `integral_form`.
+    A right inverse is the unique two-sided one, and a system with no solution
+    refuses f (module docstring).  The checks run on canonical integral forms,
+    and g keeps its form as its `integral_form`.
     """
-    if not filtration:
-        raise NoFiltration("a coalgebra filtration is required for inversion")
     c = f.coalgebra
-    verified = c.verified_filtrations
-    if tuple(filtration) not in verified:
-        if not is_coalgebra_filtration(c, filtration):
-            raise NoFiltration("the supplied layers do not form a coalgebra filtration")
-        verified.add(tuple(filtration))
     g = _right_inverse(f)
     e, ff, gg = _identity_form(c, f.a_dim**f.src_arity), f.integral_form, g.integral_form
     if _convolve(c, ff, gg) != e or _convolve(c, gg, ff) != e:

@@ -342,13 +342,9 @@ def _gauge_from_cochain(ext: Extension, f_x: Cochain) -> ConvMorphism:
     return ConvMorphism(ext.ctilde, identity_conv(ext.base, f_x.a_dim).components + f_x.maps)
 
 
-def _transport(m: ConvMorphism, gauge: ConvMorphism, inv: Form) -> ConvMorphism:
-    """m_f = f^{-1} * m * (f (x) f), with `inv` the form of the verified two-sided inverse of the gauge f."""
-    c, a, p, ff = gauge.coalgebra, gauge.a_dim, gauge.src_arity, gauge.integral_form
-    if m.coalgebra != c or m.a_dim != a or (m.src_arity, m.tgt_arity) != (2 * p, p):
-        raise ShapeError("arity mismatch in convolution composition")
-    form = _convolve(c, _convolve(c, inv, m.integral_form), _convolve(c, ff, ff, (a**p, a**p)))
-    return _from_form(c, form, a, 2 * p, p)
+def _transport(c: Coalgebra, a: int, p: int, m: Form, gauge: Form, inv: Form) -> Form:
+    """The form of m_f = f^{-1} * m * (f (x) f) for m: A^(x)2p -> A^(x)p, from the forms of m, f and its verified inverse."""
+    return _convolve(c, _convolve(c, inv, m), _convolve(c, gauge, gauge, (a**p, a**p)))
 
 
 def gauge_transport(d: Deformation, gauge: ConvMorphism) -> Deformation:
@@ -360,8 +356,11 @@ def gauge_transport(d: Deformation, gauge: ConvMorphism) -> Deformation:
     ext = d.extension
     if gauge.coalgebra != ext.ctilde:
         raise ShapeError("gauge must live over Ctilde")
-    inv = takeuchi_invert(gauge, ext.extension_filtration())  # refuses a gauge A^(x)p -> A^(x)q with p != q
-    m_f = _transport(d.mtilde, gauge, inv.integral_form)
+    inv = takeuchi_invert(gauge)  # refuses a gauge A^(x)p -> A^(x)q with p != q
+    c, m, a, p = ext.ctilde, d.mtilde, gauge.a_dim, gauge.src_arity
+    if m.a_dim != a or (m.src_arity, m.tgt_arity) != (2 * p, p):  # m lives over Ctilde, as the gauge does
+        raise ShapeError("arity mismatch in convolution composition")
+    m_f = _from_form(c, _transport(c, a, p, m.integral_form, gauge.integral_form, inv.integral_form), a, 2 * p, p)
     restricted = pullback(m_f, ext.iota, ext.base)
     if restricted == d.base.m:
         new_base = d.base
@@ -549,16 +548,17 @@ def unit_gauge(mtilde: ConvMorphism, u: ConvMorphism) -> UnitGaugeResult:
     )
     e = _identity_form(ct, a)
     e_u = _convolve(ct, e, u_lam.integral_form, (a, 1))  # id (x) (u o lambda), the same at every degree
-    gauge, m_f = e, mtilde
+    gauge, m_f = e, mtilde.integral_form  # forms: only the returned morphisms are built
     for n in range(1, ct.max_degree() + 1):
-        den, defect = _convolve(ct, m_f.integral_form, e_u)
+        den, defect = _convolve(ct, m_f, e_u)
         g = _canonical(den, [_normalized(f, {key: -v for key, v in comp.items()}) if ct.grading[i] == n else {}
                              for i, comp in enumerate(defect)])
         if not any(g[1]):
             continue  # m_f is already unital through degree n: the step e + g is the identity
         step = _form_sum(f, (1, e), (1, g))
         gauge = _convolve(ct, gauge, step)
-        m_f = _transport(m_f, _from_form(ct, step, a, 1, 1), _unipotent_inverse(ct, g, e))
+        m_f = _transport(ct, a, 1, m_f, step, _unipotent_inverse(ct, g, e))
+    m_f = mtilde if m_f is mtilde.integral_form else _from_form(ct, m_f, a, 2, 1)
     if not is_unit_of(m_f, u_lam):
         raise ConvDefError("unit normalization failed exact verification")
     gauge = _from_form(ct, gauge, a, 1, 1)

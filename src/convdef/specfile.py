@@ -403,20 +403,6 @@ def parse_cochain_file(path: str, f: Field, a_dim: int) -> dict[int, list[MultiM
     return out
 
 
-def parse_filtration_file(path: str, f: Field, dim: int) -> list[list[list]]:
-    """The `--filtration file:` document: {"layers": [[vector, ...], ...]}."""
-    doc = _read_json(path, "filtration file")
-    layers = doc.get("layers") if isinstance(doc, dict) else None
-    if not isinstance(layers, list) or not layers:
-        raise SpecFileError("dimension", "filtration file needs a nonempty 'layers' list")
-    out, lits = [], {}
-    for n, layer in enumerate(layers):
-        if not isinstance(layer, list):
-            raise SpecFileError("dimension", f"filtration file: layer {n} must be a list of vectors")
-        out.append([_vector(f, v, dim, f"filtration file layer {n}", lits) for v in layer])
-    return out
-
-
 # -- serialization ----------------------------------------------------------
 
 

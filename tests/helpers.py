@@ -282,8 +282,7 @@ def random_gauge_transported_mult(c_graded, m0: MultiMap, rng: random.Random) ->
         rows = [[f.random_element(rng) for _ in range(a)] for _ in range(a)]
         comps.append(MultiMap.from_rows(f, a, 1, 1, rows))
     gauge = ConvMorphism(c_graded, tuple(comps))
-    filt = c_graded.grading_filtration()
-    inv = takeuchi_invert(gauge, filt)
+    inv = takeuchi_invert(gauge)
     m = epsilon_embed(m0, c_graded)
     return conv_compose(conv_compose(inv, m), conv_tensor(gauge, gauge))
 
@@ -737,10 +736,9 @@ def oracle_unit_gauge(mtilde: ConvMorphism, u: ConvMorphism):
         ),
     )
     ida = identity_conv(ct, a, 1)
-    filt = ct.grading_filtration()
     gauge = ida
     for n in range(1, ct.max_degree() + 1):
-        inv = takeuchi_invert(gauge, filt)
+        inv = takeuchi_invert(gauge)
         m_f = oracle_conv_compose(oracle_conv_compose(inv, mtilde), oracle_conv_tensor(gauge, gauge))
         defect = oracle_conv_compose(m_f, oracle_conv_tensor(ida, u_lam))
         comps = []
@@ -751,7 +749,7 @@ def oracle_unit_gauge(mtilde: ConvMorphism, u: ConvMorphism):
                 comps.append(MultiMap.zero(f, a, 1, 1))
         g = ConvMorphism(ct, tuple(comps))
         gauge = oracle_conv_compose(gauge, ida + g)
-    inv = takeuchi_invert(gauge, filt)
+    inv = takeuchi_invert(gauge)
     m_f = oracle_conv_compose(oracle_conv_compose(inv, mtilde), oracle_conv_tensor(gauge, gauge))
     if not oracle_is_unit_of(m_f, u_lam):
         raise ConvDefError("unit normalization failed exact verification")

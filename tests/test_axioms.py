@@ -98,7 +98,7 @@ def random_unital_pair(c, a, rng):
         for _ in range(1, c.dim)
     ]
     gauge = ConvMorphism(c, tuple(comps))
-    inv = takeuchi_invert(gauge, c.grading_filtration())
+    inv = takeuchi_invert(gauge)
     return conv_compose(conv_compose(inv, m), conv_tensor(gauge, gauge)), conv_compose(inv, u)
 
 

@@ -4,12 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from convdef import Coalgebra, cli, cohomology, convolution, deformation, divided_power_t, specfile
+from convdef import Coalgebra, Subspace, cli, coalgebra, cohomology, deformation, divided_power_t, pullback, specfile
 from convdef.linalg import Matrix
 from convdef.cli import build_parser, main
 from convdef.fields import QQ
 
-from helpers import matrix_inverse, transport_coalgebra
+from helpers import matrix_inverse, oracle_invert_on_bottom, sparse_of, transport_coalgebra
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -64,6 +64,7 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("obstruct", ["obstruct", fx("obstructed.json")], 0),
         ("series_all_f3", ["series", fx("poly_t2_f3.json"), *SERIES_ARGS, "--strategy", "all"], 0),
         ("unit_gauge_t4", ["unit-gauge", fx("unit_gauge_t4.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
+        ("invert_ungraded", ["invert", fx("invert_ungraded.json")], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):
@@ -362,55 +363,37 @@ def test_cochain_file_non_integer_degree_exits_1(tmp_path, capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
-def _invert_with_layers_file(tmp_path, doc) -> int:
-    path = tmp_path / "layers.json"
-    path.write_text(json.dumps(doc))
-    return main(["invert", fx("invert.json"), "--filtration", "file:" + str(path)])
-
-
-def test_layers_file_list_document_exits_1(tmp_path, capsys):
-    assert _invert_with_layers_file(tmp_path, [[["1", "0", "0", "0"]]]) == 1
-
-
-def test_layers_file_float_scalar_exits_1(tmp_path, capsys):
-    layers = [[[1.0, 0, 0, 0]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]]
-    assert _invert_with_layers_file(tmp_path, {"layers": layers}) == 1
-    assert "non-exact scalar" in capsys.readouterr().err
-
-
-def test_layers_file_is_read(tmp_path, capsys):
-    # the grading filtration of k[t]_{<=3}, spelled out in a layers file
-    eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    layers = [eye[: n + 1] for n in range(4)]
-    assert _invert_with_layers_file(tmp_path, {"layers": layers}) == 0
-
-
-def test_layers_that_are_not_a_coalgebra_filtration_exit_1(tmp_path, capsys):
-    eye = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    one, t, t2 = eye[0], eye[1], eye[2]
-    for layers in (
-        [[t], [one, t], [one, t, t2], eye],  # L_0 = span(t): Delta(t) leaves L_0 (x) L_0
-        [[one], [one, t, t2], eye],  # t^2 in layer 1: t (x) t is not in L_0 (x) L_1 + L_1 (x) L_0
-        [[one], [one, t], [one, t2], eye],  # not nested
-    ):
-        assert _invert_with_layers_file(tmp_path, {"layers": layers}) == 1
+def test_filtration_option_exits_1(tmp_path, capsys):
+    """`invert` takes no --filtration: either old value is a usage error, with no traceback and no report."""
+    out = tmp_path / "r.json"
+    for value in ("grading", "file:x"):
+        assert main(["invert", fx("invert.json"), "--filtration", value, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert "do not form a coalgebra filtration" in captured.err
-        assert captured.out == ""
+        assert captured.err.startswith("usage: convdef") and "unrecognized arguments: --filtration" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
 
 
-def test_only_a_layers_file_is_swept(tmp_path, monkeypatch):
-    """`invert` on the grading filtration makes no sweep; the same layers read from a file are swept once, with the same report."""
-    swept = []
-    sweep = convolution.is_coalgebra_filtration
-    monkeypatch.setattr(convolution, "is_coalgebra_filtration", lambda c, layers: swept.append(len(layers)) or sweep(c, layers))
-    golden = (GOLDEN / "invert.json").read_bytes()
-    for extra, sweeps in (([], []), (["--filtration", "file:" + fx("invert_layers.json")], [4])):
+def test_unit_float_scalar_exits_1(tmp_path, capsys):
+    spec = json.loads((FIXTURES / "poly_t2_dual.json").read_text())
+    spec["algebras"]["A0"]["unit"]["1"] = [1.0, "0"]
+    path = tmp_path / "float_unit.json"
+    path.write_text(json.dumps(spec))
+    assert main(["validate", str(path)]) == 1
+    assert "non-exact scalar literal 1.0 in algebra 'A0'.unit[1]" in capsys.readouterr().err
+
+
+def test_invert_reads_no_filtration(tmp_path, monkeypatch):
+    """`invert` neither sweeps nor builds a filtration, and writes the recorded reports byte for byte."""
+    calls = []
+    sweep, grading = coalgebra.is_coalgebra_filtration, Coalgebra.grading_filtration
+    monkeypatch.setattr(coalgebra, "is_coalgebra_filtration", lambda *a: calls.append("sweep") or sweep(*a))
+    monkeypatch.setattr(Coalgebra, "grading_filtration", lambda c: calls.append("grading") or grading(c))
+    for name in ("invert", "invert_ungraded"):
         out = tmp_path / "r.json"
-        assert main(["invert", fx("invert.json"), *extra, "--out", str(out)]) == 0
-        assert out.read_bytes() == golden
-        assert swept == sweeps
-        swept.clear()
+        assert main(["invert", fx(f"{name}.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    assert calls == []
 
 
 def _with_literal(tmp_path, field: str, literal) -> str:
@@ -447,46 +430,20 @@ def test_repeated_literals_keep_their_values_and_messages(tmp_path, capsys):
     assert "digit printing limit" in capsys.readouterr().err
 
 
-def test_transported_layers_file_gives_the_unique_inverse(tmp_path):
-    # invert.json moved along p: the layers p(C_{<=n}) have RREF rows that are not
-    # unit vectors, and the one-layer filtration {C} must give the same inverse
+def test_invert_ungraded_fixture_gives_the_oracle_inverse(tmp_path):
+    """invert_ungraded.json is invert.json moved along p: no grading, and Delta constants other than 1.
+
+    `invert` inverts it like any coalgebra, and its report holds the oracle's inverse.
+    """
     p = Matrix.from_rows(QQ, [[1, 0, 2, 0], [1, 1, 0, -1], [0, 3, 1, 0], [2, 0, 1, 1]])
-    moved, layers = transport_coalgebra(divided_power_t(3, QQ), p)
-    assert any(sum(x != 0 for x in row) > 1 for layer in layers for row in layer.dense_rows())
-    p_inv = matrix_inverse(p)
-    f = [[[1, 0], [0, 1]], [[1, 2], [3, 4]], [[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    components = {  # f' = f o p^-1
-        name: [[str(sum(p_inv.data[j][i] * f[j][r][s] for j in range(4))) for s in range(2)] for r in range(2)]
-        for i, name in enumerate(moved.names)
-    }
-    spec = {
-        "schema": "convdef-spec v1",
-        "field": "Q",
-        "coalgebras": {
-            "D": {
-                "basis": list(moved.names),
-                "counit": {name: str(e) for name, e in zip(moved.names, moved.counit)},
-                "delta": [
-                    [moved.names[i], moved.names[j], moved.names[k], str(mu)]
-                    for i, triples in enumerate(moved.delta)
-                    for j, k, mu in triples
-                ],
-            }
-        },
-        "morphisms": {
-            "f": {"over": "D", "a_dim": 2, "source_arity": 1, "target_arity": 1, "components": components}
-        },
-    }
-    spec_path = tmp_path / "moved.json"
-    spec_path.write_text(json.dumps(spec))
-    reports = []
-    for label, rows in (
-        ("adapted", [layer.dense_rows() for layer in layers]),
-        ("one", [[[1 if i == j else 0 for j in range(4)] for i in range(4)]]),
-    ):
-        layers_path = tmp_path / f"{label}_layers.json"
-        layers_path.write_text(json.dumps({"layers": [[[str(x) for x in row] for row in layer] for layer in rows]}))
-        out = tmp_path / f"{label}_report.json"
-        assert main(["invert", str(spec_path), "--filtration", "file:" + str(layers_path), "--out", str(out)]) == 0
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+    moved, _layers = transport_coalgebra(divided_power_t(3, QQ), p)
+    sf, _failures = specfile.parse_path(fx("invert_ungraded.json"))
+    f = sf.morphisms["f"]
+    assert f.coalgebra == moved and moved.grading is None
+    assert any(mu != 1 for triples in moved.delta for _j, _k, mu in triples)  # k[t]_{<=3} has only 1s
+    original = specfile.parse_path(fx("invert.json"))[0].morphisms["f"]
+    assert f == pullback(original, sparse_of(matrix_inverse(p)), moved)  # f' = f o p^-1
+    out = tmp_path / "r.json"
+    assert main(["invert", fx("invert_ungraded.json"), "--out", str(out)]) == 0
+    inverse = oracle_invert_on_bottom(f, Subspace.full(QQ, moved.dim))
+    assert json.loads(out.read_text())["inverse"] == specfile.morphism_to_obj(inverse)

@@ -45,6 +45,7 @@ from helpers import (
     dual_numbers,
     fixture_specfiles,
     fraction_arithmetic_calls,
+    matrix_inverse,
     from_dense,
     iterated_delta,
     oracle_conv_compose,
@@ -353,10 +354,10 @@ def test_inversion_and_axiom_checks_match_oracles_on_rational_constants():
                     oracle_invert_on_bottom(f, layers[0])
                 except NotInvertible:
                     with pytest.raises(NotInvertible):
-                        takeuchi_invert(f, layers)
+                        takeuchi_invert(f)
                     singular += 1
                     continue
-                inv = takeuchi_invert(f, layers)
+                inv = takeuchi_invert(f)
                 assert oracle_conv_compose(f, inv) == e == oracle_conv_compose(inv, f)
                 inverted += 1
                 m, u = epsilon_embed(dual_numbers(field), c), epsilon_embed(unit_column(field, 2), c)
@@ -380,21 +381,21 @@ def test_q_convolution_makes_no_fraction_arithmetic():
     axioms subtract and compare forms; a returned product builds one Fraction(n, D) per
     entry.  The inverse's equations are int sums with the cleared counit on the right, and
     its two-sided check compares forms.  The coalgebra axioms are summed on `integral_delta`.
-    The inputs are built and the layers swept first; the calls are counted by wrapping
+    The inputs are built first; the calls are counted by wrapping
     those class attributes, restored afterwards.
     """
     rng = random.Random(15)
-    c, layers = _moved(divided_power_t(3, QQ), rng)
+    c, _layers = _moved(divided_power_t(3, QQ), rng)
     assert c.integral_delta[0] > 1 and any(x not in (0, 1) for x in c.counit)
     e = identity_conv(c, 2, 1)
-    assert takeuchi_invert(e, layers) == e
+    assert takeuchi_invert(e) == e
     f, g = rand_wide_conv(c, 1, 1, rng, DENOMINATORS), rand_wide_conv(c, 1, 1, rng, DENOMINATORS)
     m, u = epsilon_embed(dual_numbers(QQ), c), epsilon_embed(unit_column(QQ, 2), c)
     wild_m, wild_u = rand_wide_conv(c, 2, 1, rng, DENOMINATORS), rand_wide_conv(c, 0, 1, rng, DENOMINATORS)
     fresh = Coalgebra(QQ, c.names, c.delta, c.counit)  # c's value, its report not yet computed
     with fraction_arithmetic_calls() as calls:
         composed, tensored = conv_compose(g, f), conv_tensor(f, g)
-        chained, inv = conv_compose(composed, f), takeuchi_invert(f, layers)
+        chained, inv = conv_compose(composed, f), takeuchi_invert(f)
         verdicts = [is_associative(m), is_associative(wild_m), is_unit_of(m, u), is_unit_of(m, wild_u), is_unit_of(wild_m, u)]
         verdicts.append(fresh.validate().ok)
     assert calls == []
@@ -476,14 +477,12 @@ def test_congruence_tensor_degree_additivity():
 def test_takeuchi_identity():
     c = divided_power_t(2, QQ)
     e = identity_conv(c, 2, 1)
-    filt = c.grading_filtration()
-    assert takeuchi_invert(e, filt) == e
+    assert takeuchi_invert(e) == e
 
 
 def test_takeuchi_geometric_series():
     # f = Id + N t: inverse components are Id, -N, N^2, -N^3 ...
     c = divided_power_t(3, QQ)
-    filt = c.grading_filtration()
     n_mat = Matrix.from_rows(QQ, [[1, 2], [3, 4]])
     comps = [
         MultiMap.identity(QQ, 2, 1),
@@ -492,7 +491,7 @@ def test_takeuchi_geometric_series():
         MultiMap.zero(QQ, 2, 1, 1),
     ]
     f = ConvMorphism(c, tuple(comps))
-    g = takeuchi_invert(f, filt)
+    g = takeuchi_invert(f)
     e = identity_conv(c, 2, 1)
     assert conv_compose(f, g) == e and conv_compose(g, f) == e
     assert dense(g.components[1]) == -n_mat
@@ -513,7 +512,7 @@ def test_takeuchi_random_and_congruence_of_inverse():
                 MultiMap.from_rows(QQ, 2, 1, 1, [[QQ.random_element(rng) for _ in range(2)] for _ in range(2)])
             )
         f = ConvMorphism(c, tuple(comps))
-        g = takeuchi_invert(f, filt)
+        g = takeuchi_invert(f)
         assert conv_compose(f, g) == e and conv_compose(g, f) == e
     # (Id + f)^{-1} == Id - f mod n+1 whenever f == 0 mod n
     for n in (0, 1, 2):
@@ -523,17 +522,16 @@ def test_takeuchi_random_and_congruence_of_inverse():
                 MultiMap.from_rows(QQ, 2, 1, 1, [[QQ.random_element(rng) for _ in range(2)] for _ in range(2)])
             )
         f = ConvMorphism(c, tuple(comps))
-        g = takeuchi_invert(e + f, filt)
+        g = takeuchi_invert(e + f)
         assert congruent_mod(g, e - f, n + 1, filt)
 
 
 def test_takeuchi_not_invertible():
     c = divided_power_t(1, QQ)
-    filt = c.grading_filtration()
     comps = [MultiMap.zero(QQ, 2, 1, 1), MultiMap.identity(QQ, 2, 1)]
     f = ConvMorphism(c, tuple(comps))
     with pytest.raises(NotInvertible):
-        takeuchi_invert(f, filt)
+        takeuchi_invert(f)
 
 
 @pytest.mark.parametrize("field", [QQ, F3, F5], ids=["Q", "F3", "F5"])
@@ -546,7 +544,6 @@ def test_unipotent_inverse_matches_takeuchi_invert(field):
     rng = random.Random(83)
     cases = 0
     for c in [divided_power_t(n, field) for n in range(1, 6)] + [polynomial_multi(2, 3, field)]:
-        filt = c.grading_filtration()
         for arity in (1, 2):
             e = identity_conv(c, 2, arity)
             zero = MultiMap.zero(field, 2, arity, arity)
@@ -555,7 +552,7 @@ def test_unipotent_inverse_matches_takeuchi_invert(field):
                 g = ConvMorphism(c, tuple(x if deg == n else zero for x, deg in zip(comps, c.grading)))
                 assert not g.is_zero()
                 got = convolution._unipotent_inverse(c, g.integral_form, e.integral_form)
-                assert got == takeuchi_invert(e + g, filt).integral_form
+                assert got == takeuchi_invert(e + g).integral_form
                 cases += 1
     assert cases == 2 * (1 + 2 + 3 + 4 + 5 + 3)
 
@@ -577,38 +574,40 @@ def _invertible_over(c, rng):
 
 
 @pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
-def test_grading_filtrations_are_certified_without_a_sweep(field, monkeypatch):
-    """A nonnegative grading compatible with Delta certifies its filtration: no sweep, and the swept inverse.
+def test_inversion_needs_no_grading(field):
+    """takeuchi_invert gives the oracle's inverse over graded and ungraded coalgebras, and refuses a singular f over each.
 
-    A grading that is incompatible, or compatible but negative somewhere, is swept;
-    the incompatible one still raises NoFiltration.
+    Besides coalgebras graded compatibly with Delta, k[t]_{<=3} is read with a scrambled
+    grading (incompatible with Delta), a negative one (compatible, below 0) and none at
+    all after a random change of basis p; f and its singular variant move with it.
+    The singular f vanishes on the degree-0 part, which holds the coradical.
     """
-    swept = []
-    sweep = convolution.is_coalgebra_filtration
-    monkeypatch.setattr(convolution, "is_coalgebra_filtration", lambda c, layers: swept.append(c) or sweep(c, layers))
     rng = random.Random(73)
-    graded = [divided_power_t(3, field), polynomial_multi(2, 2, field)]
-    graded.append(direct_sum([divided_power_t(2, field), grouplike_coalgebra(2, field)]))
-    graded += [c for _name, sf in fixture_specfiles(field) for c in sf.coalgebras.values() if c.grading is not None]
-    for c in graded:
-        assert c.validate().grading_compatible and min(c.grading) >= 0
-        f = _invertible_over(c, rng)
-        got = takeuchi_invert(f, c.grading_filtration())
-        assert swept == []
-        fresh = Coalgebra(field, c.names, c.delta, c.counit, grading=c.grading)  # the same value, nothing recorded
-        layers = [Subspace.span(field, c.dim, layer.dense_rows()) for layer in c.grading_filtration()]
-        assert takeuchi_invert(ConvMorphism(fresh, f.components), layers) == got
-        assert swept == [fresh]
-        swept.clear()
     t3 = divided_power_t(3, field)
-    scrambled = Coalgebra(field, t3.names, t3.delta, t3.counit, grading=[0, 2, 1, 3])
-    negative = Coalgebra(field, t3.names, t3.delta, t3.counit, grading=[0, -1, -2, -3])
-    assert scrambled.validate().grading_compatible is False and negative.validate().grading_compatible
-    with pytest.raises(NoFiltration):
-        takeuchi_invert(_invertible_over(scrambled, rng), scrambled.grading_filtration())
-    f = _invertible_over(negative, rng)
-    assert conv_compose(f, takeuchi_invert(f, negative.grading_filtration())) == identity_conv(negative, 2)
-    assert swept == [scrambled, negative]
+    graded = [t3, polynomial_multi(2, 2, field), direct_sum([divided_power_t(2, field), grouplike_coalgebra(2, field)])]
+    graded += [c for _name, sf in fixture_specfiles(field) for c in sf.coalgebras.values() if c.grading is not None]
+    cases = []
+    for c in graded:
+        f = _invertible_over(c, rng)
+        zero = MultiMap.zero(field, 2, 1, 1)
+        cases.append((f, ConvMorphism(c, tuple(zero if g == 0 else comp for comp, g in zip(f.components, c.grading)))))
+    f, singular = cases[0]
+    for grading in ([0, 2, 1, 3], [0, -1, -2, -3]):
+        c = Coalgebra(field, t3.names, t3.delta, t3.counit, grading=grading)
+        cases.append((ConvMorphism(c, f.components), ConvMorphism(c, singular.components)))
+    p = random_invertible(field, 4, rng)
+    moved, _layers = transport_coalgebra(t3, p)
+    assert moved.grading is None and moved.validate().ok
+    p_inv = sparse_of(matrix_inverse(p))
+    cases.append((pullback(f, p_inv, moved), pullback(singular, p_inv, moved)))
+    for f, singular in cases:
+        c = f.coalgebra
+        full = Subspace.full(field, c.dim)
+        assert takeuchi_invert(f) == oracle_invert_on_bottom(f, full)
+        for invert in (takeuchi_invert, lambda g: oracle_invert_on_bottom(g, full)):
+            with pytest.raises(NotInvertible):
+                invert(singular)
+    assert len(cases) == len(graded) + 3
 
 
 def _bottom_cases(field, rng):

@@ -10,6 +10,7 @@ from convdef import (
     ConvDefError,
     ConvMorphism,
     MultiMap,
+    NotInvertible,
     NotUnital,
     ShapeError,
     SpecMismatch,
@@ -336,8 +337,24 @@ def test_gauge_transport_identity_and_inverse_round_trip():
     fx = MultiMap.from_rows(QQ, 2, 1, 1, [[0, 1], [2, 3]])
     gauge = _gauge_from_cochain(ext, Cochain(1, (fx,)))
     moved = gauge_transport(base, gauge)
-    inv = takeuchi_invert(gauge, ext.extension_filtration())
+    inv = takeuchi_invert(gauge)
     assert gauge_transport(moved, inv).mtilde == base.mtilde
+
+
+def test_gauge_transport_refuses_mismatched_shapes():
+    """A gauge of unequal arities is refused by the inversion, and one on another A or of arity 2 by the shape check."""
+    d = divided_power_t(2, QQ)
+    ext = graded_extension(d, 2)
+    alg = xsq_deformation_algebra(QQ)
+    base = make_deformation(alg, ext, mc_solve(alg, ext).base_solution)
+    ct = ext.ctilde
+    with pytest.raises(ShapeError, match="gauge must live over Ctilde"):
+        gauge_transport(base, identity_conv(ext.base, 2, 1))
+    with pytest.raises(NotInvertible, match="only square-arity"):
+        gauge_transport(base, ConvMorphism(ct, (MultiMap.zero(QQ, 2, 1, 2),) * ct.dim))
+    for gauge in (identity_conv(ct, 3, 1), identity_conv(ct, 2, 2)):
+        with pytest.raises(ShapeError, match="arity mismatch in convolution composition"):
+            gauge_transport(base, gauge)
 
 
 def test_gauge_transport_classical_action():
@@ -474,8 +491,7 @@ def test_unit_gauge_break_repair_round_trip():
         for _k in range(1, ct.dim):
             comps.append(MultiMap.from_rows(QQ, 2, 1, 1, [[QQ.random_element(rng) for _ in range(2)] for _ in range(2)]))
         h = ConvMorphism(ct, tuple(comps))
-        filt = ct.grading_filtration()
-        hinv = takeuchi_invert(h, filt)
+        hinv = takeuchi_invert(h)
         broken = conv_compose(conv_compose(hinv, mt), conv_tensor(h, h))
         out = unit_gauge(broken, u)
         assert is_unit_of(out.m_f, out.u_lambda)
@@ -532,6 +548,31 @@ def test_unit_gauge_runs_no_elimination(monkeypatch):
         out = unit_gauge(broken, u)
         assert is_unit_of(out.m_f, out.u_lambda) and is_unit_of(broken, out.u_tilde)
     assert set(calls) == {"series"}
+
+
+def test_unit_gauge_builds_only_the_morphisms_it_returns(monkeypatch):
+    """The steps are carried as integral forms: `_from_form` builds m_f, the gauge and u_tilde once each, and nothing else.
+
+    A multiplication that is already unital takes no step and is returned itself as m_f.
+    """
+    rng = random.Random(67)
+    cases = []
+    for field in (QQ, F3):
+        ct = divided_power_t(4, field)
+        u = ConvMorphism(ct.sub_on_indices([0]), (unit_column(field, 2),))
+        cases += [(random_gauge_transported_mult(ct, dual_numbers(field), rng), u, False)]
+        cases += [(epsilon_embed(dual_numbers(field), ct), u, True)]
+    built, steps = [], []
+    from_form, series = convolution._from_form, deformation._unipotent_inverse
+    for module in (convolution, deformation):
+        monkeypatch.setattr(module, "_from_form", lambda *a: built.append(from_form(*a)) or built[-1])
+    monkeypatch.setattr(deformation, "_unipotent_inverse", lambda *a: steps.append(a) or series(*a))
+    for mt, u, unital in cases:
+        del built[:], steps[:]
+        out = unit_gauge(mt, u)
+        assert (out.m_f is mt) == unital and (steps == []) == unital and (unital or len(steps) >= 2)
+        returned = [out.gauge, out.u_tilde] + ([] if unital else [out.m_f])
+        assert sorted(map(id, built)) == sorted(map(id, returned))
 
 
 def test_unit_gauge_refuses_a_non_associative_multiplication():
