@@ -363,15 +363,44 @@ def test_cochain_file_non_integer_degree_exits_1(tmp_path, capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
-def test_filtration_option_exits_1(tmp_path, capsys):
-    """`invert` takes no --filtration: either old value is a usage error, with no traceback and no report."""
+def _invert_with_filtration_exits_1(tmp_path, capsys, value: str) -> None:
+    """`invert ... --filtration value` is a usage error, with no traceback and no report."""
     out = tmp_path / "r.json"
-    for value in ("grading", "file:x"):
-        assert main(["invert", fx("invert.json"), "--filtration", value, "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("usage: convdef") and "unrecognized arguments: --filtration" in captured.err
-        assert "Traceback" not in captured.err and captured.out == ""
-        assert not out.exists()
+    assert main(["invert", fx("invert.json"), "--filtration", value, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: convdef") and "unrecognized arguments: --filtration" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def _layers_file(tmp_path, doc) -> str:
+    path = tmp_path / "layers.json"
+    path.write_text(json.dumps(doc))
+    return "file:" + str(path)
+
+
+_EYE = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+def test_filtration_option_exits_1(tmp_path, capsys):
+    """`invert` takes no --filtration: the old default value is a usage error."""
+    _invert_with_filtration_exits_1(tmp_path, capsys, "grading")
+
+
+def test_filtration_layers_file_exits_1(tmp_path, capsys):
+    # the grading filtration of k[t]_{<=3}, the layers file the option once read
+    _invert_with_filtration_exits_1(tmp_path, capsys, _layers_file(tmp_path, {"layers": [_EYE[: n + 1] for n in range(4)]}))
+
+
+def test_filtration_list_document_exits_1(tmp_path, capsys):
+    _invert_with_filtration_exits_1(tmp_path, capsys, _layers_file(tmp_path, [[["1", "0", "0", "0"]]]))
+
+
+def test_filtration_of_non_filtration_layers_exits_1(tmp_path, capsys):
+    # layers that are not a coalgebra filtration are refused as usage, before any file is read
+    one, t, t2 = _EYE[0], _EYE[1], _EYE[2]
+    for layers in ([[t], [one, t], [one, t, t2], _EYE], [[one], [one, t, t2], _EYE], [[one], [one, t], [one, t2], _EYE]):
+        _invert_with_filtration_exits_1(tmp_path, capsys, _layers_file(tmp_path, {"layers": layers}))
 
 
 def test_unit_float_scalar_exits_1(tmp_path, capsys):
