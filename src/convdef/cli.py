@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import io
 import sys
@@ -101,7 +100,7 @@ def cmd_validate(sf: SpecFile, failures: list[str], args) -> dict:
     objects = {}
     for (kind, name), result in sf.checks.items():
         if kind == "coalgebra":
-            objects[f"coalgebra:{name}"] = dataclasses.asdict(result)
+            objects[f"coalgebra:{name}"] = {key: getattr(result, key) for key in result._fields}
             lines.append(f"coalgebra {name}: {'ok' if result.ok else 'FAILED'}"
                          f" (cocommutative: {'yes' if result.cocommutative else 'no'})")
         else:

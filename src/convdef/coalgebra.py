@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import NoFiltration, NotExhaustive, ShapeError, UnsupportedSearch
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _cleared, _lincomb, _sum, preimage, unit_vec
+from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _lincomb, _sum, preimage, unit_vec
 
 Triples = tuple[tuple[int, int, object], ...]
 
@@ -75,13 +74,13 @@ def _tensor(field: Field, u: dict, v: dict, right: int) -> dict:
     return {a * right + b: field.mul(x, y) for a, x in u.items() for b, y in v.items()}
 
 
-@dataclass(frozen=True)
-class CoalgebraReport:
-    coassociative: bool
-    counit_left: bool
-    counit_right: bool
-    cocommutative: bool
-    grading_compatible: Optional[bool] = None
+class CoalgebraReport(_Record):
+    __slots__ = _fields = ("coassociative", "counit_left", "counit_right", "cocommutative", "grading_compatible")
+
+    def __init__(self, coassociative: bool, counit_left: bool, counit_right: bool, cocommutative: bool,
+                 grading_compatible: Optional[bool] = None):
+        self.coassociative, self.counit_left, self.counit_right = coassociative, counit_left, counit_right
+        self.cocommutative, self.grading_compatible = cocommutative, grading_compatible
 
     @property
     def ok(self) -> bool:
@@ -103,9 +102,11 @@ class CoalgebraReport:
         return out
 
 
-@dataclass(frozen=True)
-class GroupLikeSet:
-    elements: tuple[Vector, ...]
+class GroupLikeSet(_Record):
+    __slots__ = _fields = ("elements",)
+
+    def __init__(self, elements: tuple[Vector, ...]):
+        self.elements = elements
 
 
 class Coalgebra:

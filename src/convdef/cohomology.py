@@ -34,7 +34,6 @@ a block of the same sparse associator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -44,17 +43,16 @@ from .convolution import ConvMorphism, Form, MultiMap, _convolve, _form_sum, _id
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _cleared, _dense, _lincomb, _normalized, _sum, augmented_echelon, image
+from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _dense, _lincomb, _normalized, _sum, augmented_echelon, image
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(_Record):
     """Degree-n element of the complex: one map A^(x)n -> A per X basis vector."""
 
-    degree: int
-    maps: tuple[MultiMap, ...]
+    __slots__ = _fields = ("degree", "maps")
 
-    def __post_init__(self):
+    def __init__(self, degree: int, maps: tuple[MultiMap, ...]):
+        self.degree, self.maps = degree, maps
         for m in self.maps:
             if m.src_arity != self.degree or m.tgt_arity != 1:
                 raise ShapeError(f"cochain maps must be A^(x){self.degree} -> A")
@@ -129,15 +127,13 @@ def cochain_act(nu: Cochain, alpha: Sequence, comodule: Comodule) -> Cochain:
     return Cochain(nu.degree, tuple(maps))
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
-    degree: int
-    dim_z: int
-    dim_b: int
-    dim_h: int
-    representatives: tuple[Cochain, ...]
-    z_space: Subspace
-    b_space: Subspace
+class CohomologyResult(_Record):
+    __slots__ = _fields = ("degree", "dim_z", "dim_b", "dim_h", "representatives", "z_space", "b_space")
+
+    def __init__(self, degree: int, dim_z: int, dim_b: int, dim_h: int, representatives: tuple[Cochain, ...],
+                 z_space: Subspace, b_space: Subspace):
+        self.degree, self.dim_z, self.dim_b, self.dim_h = degree, dim_z, dim_b, dim_h
+        self.representatives, self.z_space, self.b_space = representatives, z_space, b_space
 
 
 class ComplexSpec:
@@ -338,15 +334,15 @@ def hochschild_dims(m0: MultiMap, degrees: Sequence[int]) -> dict[int, int]:
     return {n: spec.cohomology(n).dim_h for n in degrees}
 
 
-@dataclass(frozen=True)
-class Rank1Reduction:
-    """Factorization of the differential through the Hochschild complex of m0."""
+class Rank1Reduction(_Record):
+    """Factorization of the differential through the Hochschild complex of m0; act_matrix is x |-> chi -> x on X."""
 
-    m0: MultiMap
-    chi: Vector
-    chi_is_counit: bool
-    act_matrix: SparseMatrix  # matrix of x |-> chi -> x on X
-    hochschild: ComplexSpec
+    __slots__ = _fields = ("m0", "chi", "chi_is_counit", "act_matrix", "hochschild")
+
+    def __init__(self, m0: MultiMap, chi: Vector, chi_is_counit: bool, act_matrix: SparseMatrix,
+                 hochschild: ComplexSpec):
+        self.m0, self.chi, self.chi_is_counit = m0, chi, chi_is_counit
+        self.act_matrix, self.hochschild = act_matrix, hochschild
 
     def factored_differential_entries(self, n: int) -> dict[tuple[int, int], object]:
         """The nonzero entries {(row, col): value} of act^T (x) partial^n."""
@@ -396,13 +392,14 @@ def rank1_reduce(spec: ComplexSpec, degrees: Sequence[int] = (2,)) -> Rank1Reduc
     return red
 
 
-@dataclass(frozen=True)
-class ProductDecomposition:
+class ProductDecomposition(_Record):
     """Per-line Hochschild cohomology of a completely reducible instance."""
 
-    lines: tuple[tuple[Vector, Vector], ...]
-    per_line: tuple[dict[int, CohomologyResult], ...]
-    totals: dict[int, int]
+    __slots__ = _fields = ("lines", "per_line", "totals")
+
+    def __init__(self, lines: tuple[tuple[Vector, Vector], ...], per_line: tuple[dict[int, CohomologyResult], ...],
+                 totals: dict[int, int]):
+        self.lines, self.per_line, self.totals = lines, per_line, totals
 
 
 def product_decompose(

@@ -41,14 +41,13 @@ Takeuchi's criterion (f is invertible exactly when it is on the coradical).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .coalgebra import Coalgebra
 from .errors import ConvDefError, NoFiltration, NotCocommutative, NotInvertible, ShapeError
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, _cleared, _fractions, _lincomb, _normalized, augmented_echelon
+from .linalg import SparseMatrix, Subspace, _Record, _cleared, _fractions, _lincomb, _normalized, augmented_echelon
 
 Form = tuple[int, list[dict]]  # (D, one dict of int entries per basis element of C): the values are ints / D
 
@@ -133,14 +132,14 @@ class MultiMap:
             raise ShapeError("shape mismatch between multimaps")
 
 
-@dataclass(frozen=True)
-class ConvMorphism:
+class ConvMorphism(_Record):
     """A morphism of the convolution category: one MultiMap per basis element of C."""
 
-    coalgebra: Coalgebra
-    components: tuple[MultiMap, ...]
+    __slots__ = ("coalgebra", "components", "__dict__")  # the dict caches integral_form and the associativity verdict
+    _fields = __slots__[:2]
 
-    def __post_init__(self):
+    def __init__(self, coalgebra: Coalgebra, components: tuple[MultiMap, ...]):
+        self.coalgebra, self.components = coalgebra, components
         if len(self.components) != self.coalgebra.dim:
             raise ShapeError("one component per coalgebra basis element required")
         first = self.components[0]

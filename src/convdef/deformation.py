@@ -25,7 +25,6 @@ generator v_i, every member solves d^2(nu) = -zeta exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .coalgebra import Coalgebra, find_grouplikes
@@ -55,17 +54,16 @@ from .errors import (
 )
 from .extension import Extension, graded_extension
 from .fields import Field
-from .linalg import _normalized
+from .linalg import _Record, _normalized
 
 
-@dataclass(frozen=True)
-class AlgebraMC:
+class AlgebraMC(_Record):
     """An algebra (A, m) in the convolution category over C, optionally unital."""
 
-    m: ConvMorphism
-    unit: Optional[ConvMorphism] = None
+    __slots__ = _fields = ("m", "unit")
 
-    def __post_init__(self):
+    def __init__(self, m: ConvMorphism, unit: Optional[ConvMorphism] = None):
+        self.m, self.unit = m, unit
         if self.m.src_arity != 2 or self.m.tgt_arity != 1:
             raise ShapeError("multiplication must be a map C -> Hom(A(x)A, A)")
         if self.unit is not None:
@@ -115,15 +113,13 @@ def is_unit_of(m: ConvMorphism, u: ConvMorphism) -> bool:
     return _convolve(c, mm, _convolve(c, uu, ee, (a, a))) == ee == _convolve(c, mm, _convolve(c, ee, uu, (a, 1)))
 
 
-@dataclass(frozen=True)
-class Deformation:
+class Deformation(_Record):
     """A multiplication over Ctilde in the fiber over (A, m)."""
 
-    base: AlgebraMC
-    extension: Extension
-    mtilde: ConvMorphism
+    __slots__ = _fields = ("base", "extension", "mtilde")
 
-    def __post_init__(self):
+    def __init__(self, base: AlgebraMC, extension: Extension, mtilde: ConvMorphism):
+        self.base, self.extension, self.mtilde = base, extension, mtilde
         if self.mtilde.coalgebra != self.extension.ctilde:
             raise ShapeError("deformation multiplication must live over Ctilde")
         if self.base.coalgebra != self.extension.base:
@@ -202,23 +198,23 @@ def obstruction_zeta(alg: AlgebraMC, ext: Extension) -> Cochain:
     return zeta
 
 
-@dataclass(frozen=True)
-class DeformationReport:
-    """Obstruction data, Maurer-Cartan solution set, and its cohomology classes."""
+class DeformationReport(_Record):
+    """Obstruction data, Maurer-Cartan solution set, and its cohomology classes: d^2(nu0) = zeta, base_solution = -nu0,
+    coset_count = |F|^dim_h2 over finite fields, zeta_class_rep the canonical representative of [zeta] when nonzero.
+    spec, the complex it was solved in, is left out of ==, hash and repr."""
 
-    zeta: Cochain
-    obstruction_vanishes: bool
-    nu0: Optional[Cochain]            # witness with d^2(nu0) = zeta
-    base_solution: Optional[Cochain]  # -nu0, the canonical MC solution
-    z2_basis: tuple[Cochain, ...]
-    b2_basis: tuple[Cochain, ...]
-    h2_reps: tuple[Cochain, ...]
-    dim_z2: int
-    dim_b2: int
-    dim_h2: int
-    coset_count: Optional[int]        # |F|^dim_h2 over finite fields
-    zeta_class_rep: Optional[Cochain] # canonical representative of [zeta] when nonzero
-    spec: ComplexSpec = field(repr=False, compare=False)  # the complex it was solved in
+    _fields = ("zeta", "obstruction_vanishes", "nu0", "base_solution", "z2_basis", "b2_basis", "h2_reps",
+               "dim_z2", "dim_b2", "dim_h2", "coset_count", "zeta_class_rep")
+    __slots__ = _fields + ("spec",)
+
+    def __init__(self, zeta: Cochain, obstruction_vanishes: bool, nu0: Optional[Cochain],
+                 base_solution: Optional[Cochain], z2_basis: tuple[Cochain, ...], b2_basis: tuple[Cochain, ...],
+                 h2_reps: tuple[Cochain, ...], dim_z2: int, dim_b2: int, dim_h2: int, coset_count: Optional[int],
+                 zeta_class_rep: Optional[Cochain], spec: ComplexSpec):
+        self.zeta, self.obstruction_vanishes = zeta, obstruction_vanishes
+        self.nu0, self.base_solution, self.z2_basis, self.b2_basis = nu0, base_solution, z2_basis, b2_basis
+        self.h2_reps, self.dim_z2, self.dim_b2, self.dim_h2 = h2_reps, dim_z2, dim_b2, dim_h2
+        self.coset_count, self.zeta_class_rep, self.spec = coset_count, zeta_class_rep, spec
 
 
 def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
@@ -263,10 +259,11 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
     return report
 
 
-@dataclass(frozen=True)
-class ClassifyResult:
-    report: DeformationReport
-    representatives: tuple[Deformation, ...]  # one per enumerated H^2 coset
+class ClassifyResult(_Record):
+    __slots__ = _fields = ("report", "representatives")
+
+    def __init__(self, report: DeformationReport, representatives: tuple[Deformation, ...]):
+        self.report, self.representatives = report, representatives  # one representative per enumerated H^2 coset
 
 
 def classify(alg: AlgebraMC, ext: Extension, coset_cap: int = 64) -> ClassifyResult:
@@ -374,23 +371,26 @@ def gauge_transport(d: Deformation, gauge: ConvMorphism) -> Deformation:
 # -- order-by-order series deformation -------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesStep:
-    degree: int
-    report: DeformationReport
-    chosen: Optional[Cochain]
+class SeriesStep(_Record):
+    __slots__ = _fields = ("degree", "report", "chosen")
+
+    def __init__(self, degree: int, report: DeformationReport, chosen: Optional[Cochain]):
+        self.degree, self.report, self.chosen = degree, report, chosen
 
 
-@dataclass(frozen=True)
-class SeriesBranch:
-    steps: tuple[SeriesStep, ...]
-    final: AlgebraMC
-    stopped_at: Optional[int]  # degree with non-vanishing obstruction class
+class SeriesBranch(_Record):
+    __slots__ = _fields = ("steps", "final", "stopped_at")
+
+    def __init__(self, steps: tuple[SeriesStep, ...], final: AlgebraMC, stopped_at: Optional[int]):
+        self.steps, self.final = steps, final
+        self.stopped_at = stopped_at  # the degree whose obstruction class is nonzero
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    branches: tuple[SeriesBranch, ...]
+class SeriesResult(_Record):
+    __slots__ = _fields = ("branches",)
+
+    def __init__(self, branches: tuple[SeriesBranch, ...]):
+        self.branches = branches
 
     @property
     def primary(self) -> SeriesBranch:
@@ -497,12 +497,14 @@ def _solution_choices(
 # -- unit normalization -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitGaugeResult:
-    gauge: ConvMorphism       # f, restricting to the identity on degree 0
-    m_f: ConvMorphism         # transported multiplication with unit u o lambda
-    u_lambda: ConvMorphism    # the unit of m_f
-    u_tilde: ConvMorphism     # f * (u o lambda), a unit of the original mtilde
+class UnitGaugeResult(_Record):
+    """The gauge f, restricting to the identity on degree 0; m_f, the transported multiplication;
+    u_lambda = u o lambda, the unit of m_f; and u_tilde = f * (u o lambda), a unit of the original mtilde."""
+
+    __slots__ = _fields = ("gauge", "m_f", "u_lambda", "u_tilde")
+
+    def __init__(self, gauge: ConvMorphism, m_f: ConvMorphism, u_lambda: ConvMorphism, u_tilde: ConvMorphism):
+        self.gauge, self.m_f, self.u_lambda, self.u_tilde = gauge, m_f, u_lambda, u_tilde
 
 
 def unit_gauge(mtilde: ConvMorphism, u: ConvMorphism) -> UnitGaugeResult:

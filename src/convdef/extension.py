@@ -9,7 +9,6 @@ being the flip of the right one) and whose C (x) C term is omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .coalgebra import Coalgebra, GroupLikeSet, _is_grouplike, _tensor, normalize_triples, triples_columns
@@ -22,7 +21,7 @@ from .errors import (
     UnsupportedCoaction,
 )
 from .fields import require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _lincomb, _sum, image
+from .linalg import SparseMatrix, Subspace, Vector, _Record, _lincomb, _sum, image
 
 
 class Comodule:
@@ -152,17 +151,17 @@ def zero_cocycle(comodule: Comodule) -> Cocycle2:
     return Cocycle2(comodule, [[] for _ in range(comodule.dim)])
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(_Record):
     """An extension C -> Ctilde with cokernel X, in the basis C first, X second.
 
     So the inclusion iota is the first dim C unit vectors and its
     normalized retract lambda is its transpose, the projection onto C.
     """
 
-    base: Coalgebra
-    cocycle: Cocycle2
-    ctilde: Coalgebra
+    __slots__ = _fields = ("base", "cocycle", "ctilde")
+
+    def __init__(self, base: Coalgebra, cocycle: Cocycle2, ctilde: Coalgebra):
+        self.base, self.cocycle, self.ctilde = base, cocycle, ctilde
 
     @property
     def comodule(self) -> Comodule:

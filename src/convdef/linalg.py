@@ -12,7 +12,8 @@ entry becomes one `Fraction` only when the elimination is done.
 the library's one matrix type: the differentials d^n, Delta, the inclusion
 of an extension and its retract are read in the form they are built.
 `image`, `kernel_space` and `preimage` take it.
-`_lincomb` and `_sum` are the sparse accumulators the layers above share.
+`_lincomb` and `_sum` are the sparse accumulators the layers above share,
+and `_Record` the equality, hashing and repr of their plain record classes.
 `Matrix` is dense, tuple-of-tuples in row-major order; with `rref` it is
 the dense facade, kept only because the benchmark's tracer hooks both.
 No other library module uses it.  Vectors are plain tuples.  Everything
@@ -22,7 +23,6 @@ here is immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -30,6 +30,25 @@ from .errors import NotASubspace, ShapeError
 from .fields import Field, require_same_field
 
 Vector = tuple
+
+
+class _Record:
+    """Equality, hashing and repr by the attributes named in `_fields`, as a frozen dataclass gives them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
 
 
 class Matrix:
@@ -501,14 +520,13 @@ class Subspace:
             raise ShapeError(f"ambient mismatch {self.ambient} vs {other.ambient}")
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(_Record):
     """A rows x cols matrix held as its columns, one dict {row: nonzero} each; never mutated, compared, not hashed."""
 
-    field: Field
-    rows: int
-    cols: int
-    columns: tuple
+    __slots__ = _fields = ("field", "rows", "cols", "columns")
+
+    def __init__(self, field: Field, rows: int, cols: int, columns: tuple):
+        self.field, self.rows, self.cols, self.columns = field, rows, cols, columns
 
     @property
     def nnz(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
 from typing import Any
 
 from .coalgebra import Coalgebra
@@ -23,24 +22,30 @@ from .deformation import AlgebraMC, is_unit_of
 from .errors import ConvDefError, SpecFileError
 from .extension import Cocycle2, Comodule
 from .fields import Field, field_by_name
+from .linalg import _Record
 
 SCHEMA = "convdef-spec v1"
 REPORT_SCHEMA = "convdef-report v1"
+# The task block's keys: `command` and the defaults the CLI reads.
+TASK_KEYS = ("command", "algebra", "base_algebra", "coalgebra", "cocycle", "comodule", "degree", "max_degree",
+             "morphism", "strategy")
 # Entries of one dense component matrix; the largest any fixture, test or benchmark builds is 729 (M_3).
 MAX_ENTRIES = 2**20
 
 
-@dataclass
-class SpecFile:
-    field: Field
-    coalgebras: dict[str, Coalgebra] = dc_field(default_factory=dict)
-    comodules: dict[str, Comodule] = dc_field(default_factory=dict)
-    cocycles: dict[str, Cocycle2] = dc_field(default_factory=dict)
-    algebras: dict[str, AlgebraMC] = dc_field(default_factory=dict)
-    morphisms: dict[str, ConvMorphism] = dc_field(default_factory=dict)
-    task: dict[str, Any] = dc_field(default_factory=dict)
-    # (kind, name) -> the axiom check of that block, run once at parse: a CoalgebraReport, else failed axioms
-    checks: dict[tuple[str, str], Any] = dc_field(default_factory=dict)
+class SpecFile(_Record):
+    """A parsed document; `checks` maps (kind, name) to the axiom check of that block, run once at parse
+    (a CoalgebraReport, else failed axioms).  A table not given starts empty; mutable, so never hashed."""
+
+    __slots__ = _fields = ("field", "coalgebras", "comodules", "cocycles", "algebras", "morphisms", "task", "checks")
+    __hash__ = None
+
+    def __init__(self, field: Field, coalgebras=None, comodules=None, cocycles=None, algebras=None, morphisms=None,
+                 task=None, checks=None):
+        tables = (coalgebras, comodules, cocycles, algebras, morphisms, task, checks)
+        self.field = field
+        self.coalgebras, self.comodules, self.cocycles, self.algebras, self.morphisms, self.task, self.checks = (
+            {} if table is None else table for table in tables)
 
 
 def _need(obj: dict, key: str, kind: str, where: str):
@@ -339,6 +344,9 @@ def parse_text(text: str, strict: bool = True) -> tuple[SpecFile, list[str]]:
     task = doc.get("task", {})
     if not isinstance(task, dict):
         raise SpecFileError("syntax", "task block must be an object")
+    stray = [key for key in task if key not in TASK_KEYS]
+    if stray:
+        raise SpecFileError("syntax", f"unknown task key {stray[0]!r}")
     sf = SpecFile(
         field=f,
         coalgebras=coalgebras,

@@ -403,6 +403,28 @@ def test_filtration_of_non_filtration_layers_exits_1(tmp_path, capsys):
         _invert_with_filtration_exits_1(tmp_path, capsys, _layers_file(tmp_path, {"layers": layers}))
 
 
+@pytest.mark.parametrize(
+    "fixture, argv, key, value",
+    [
+        ("poly_t2_f3.json", ["series", *SERIES_ARGS], "stratgy", "all"),  # a misspelt default
+        ("invert.json", ["invert"], "filtration", "grading"),  # the retired `invert --filtration` default
+    ],
+)
+def test_unknown_task_key_exits_1(tmp_path, capsys, fixture, argv, key, value):
+    """A task key the commands do not read is a syntax error naming it: no traceback, no summary, no report."""
+    spec = json.loads((FIXTURES / fixture).read_text())
+    path, out = tmp_path / "spec.json", tmp_path / "r.json"
+    path.write_text(json.dumps(spec))
+    assert main([argv[0], str(path), *argv[1:]]) == 0  # the same spec without the key runs
+    capsys.readouterr()
+    spec["task"][key] = value
+    path.write_text(json.dumps(spec))
+    assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: syntax error: unknown task key {key!r}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_unit_float_scalar_exits_1(tmp_path, capsys):
     spec = json.loads((FIXTURES / "poly_t2_dual.json").read_text())
     spec["algebras"]["A0"]["unit"]["1"] = [1.0, "0"]

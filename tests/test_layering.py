@@ -1,11 +1,13 @@
 """Layering guards read off the library's source with `ast`."""
 
 import ast
-import dataclasses
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import convdef
+from convdef import specfile
 
 SRC = Path(convdef.__file__).resolve().parent
 
@@ -80,7 +82,7 @@ def _transposing_functions(tree: ast.AST) -> set[str]:
 
 def test_a_sparse_matrix_is_its_columns():
     """`SparseMatrix` has one layout; rows are built by a transpose only where elimination or the retract needs them."""
-    assert [field.name for field in dataclasses.fields(convdef.SparseMatrix)] == ["field", "rows", "cols", "columns"]
+    assert convdef.SparseMatrix.__slots__ == convdef.SparseMatrix._fields == ("field", "rows", "cols", "columns")
     assert not any(hasattr(convdef.SparseMatrix, name) for name in ("entries", "row_dicts"))
     transposing = {}
     for p in sorted(SRC.glob("*.py")):
@@ -141,3 +143,37 @@ def test_every_benchmark_tracer_hook_resolves():
         except (ImportError, AttributeError):
             missing.add(target)
     assert missing <= DEAD_HOOKS
+
+
+def _imported_modules(tree: ast.AST) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            out.add(node.module)
+    return out
+
+
+def test_no_module_imports_dataclasses():
+    """The records are plain slot classes: `dataclasses` would pull in `inspect` and exec generated code at import."""
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text(), filename=str(p))
+        assert not {"dataclasses", "inspect"} & {name.split(".")[0] for name in _imported_modules(tree)}, p.name
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = "import sys; before = set(sys.modules); import convdef.cli; print(sorted(set(sys.modules) - before))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent, capture_output=True, text=True, check=True)
+    loaded = set(ast.literal_eval(out.stdout))
+    assert "convdef.cli" in loaded
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+def test_task_keys_are_the_keys_the_cli_reads():
+    """`specfile.TASK_KEYS` is `command` and the key argument of each `_pick`, `_task_str` and `_int_param` call on a task."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    on_task = [call for call in calls if any(isinstance(a, ast.Attribute) and a.attr == "task" for a in call.args)]
+    assert {call.func.id for call in on_task} == {"_pick", "_task_str", "_int_param"}
+    assert sorted(specfile.TASK_KEYS) == sorted({"command"} | {call.args[1].value for call in on_task})

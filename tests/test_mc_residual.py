@@ -13,7 +13,6 @@ member they return is held to the per-member residual and to
 `is_associative`, and a family with a generator off Z^2 is refused.
 """
 
-import dataclasses
 import itertools
 import random
 
@@ -23,6 +22,7 @@ from convdef import (
     AlgebraMC,
     Cochain,
     ConvMorphism,
+    DeformationReport,
     MultiMap,
     ShapeError,
     SpecMismatch,
@@ -308,7 +308,9 @@ def _with_bad_generator(monkeypatch, key):
 
     def bad(*args):
         report = solve(*args)
-        return dataclasses.replace(report, **{key: getattr(report, key) + (_off_z2(report),)})
+        fields = {name: getattr(report, name) for name in report.__slots__}  # every field, `spec` too
+        fields[key] += (_off_z2(report),)
+        return DeformationReport(**fields)
 
     monkeypatch.setattr(deformation, "mc_solve", bad)
 
