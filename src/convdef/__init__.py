@@ -6,11 +6,9 @@ from .errors import (
     EmptyLayer,
     FieldMismatch,
     NoFiltration,
-    NotASubspace,
     NotAnExtension,
     NotCocommutative,
     NotCompletelyReducible,
-    NotExhaustive,
     NotInvertible,
     NotRankOne,
     NotUnital,
@@ -26,21 +24,15 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     image,
-    kernel_space,
-    preimage,
-    quotient_dim,
     rref,
 )
 from .coalgebra import (
     Coalgebra,
     CoalgebraReport,
     GroupLikeSet,
-    coradical_filtration,
-    direct_sum,
     divided_power_t,
     find_grouplikes,
     grouplike_coalgebra,
-    is_coalgebra_filtration,
     polynomial_multi,
     trivial_k,
 )
@@ -53,7 +45,6 @@ from .extension import (
     graded_extension,
     grouplike_comodule,
     split_extension,
-    zero_cocycle,
 )
 from .convolution import (
     ConvMorphism,
@@ -72,7 +63,6 @@ from .cohomology import (
     ComplexSpec,
     ProductDecomposition,
     Rank1Reduction,
-    cochain_act,
     hochschild_dims,
     hochschild_spec,
     is_associative,
@@ -88,9 +78,7 @@ from .deformation import (
     SeriesResult,
     SeriesStep,
     UnitGaugeResult,
-    check_associative,
     classify,
-    equiv_check,
     gauge_transport,
     is_unit_of,
     make_deformation,

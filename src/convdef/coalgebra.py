@@ -19,9 +19,9 @@ import math
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import NoFiltration, NotExhaustive, ShapeError, UnsupportedSearch
-from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _lincomb, _sum, preimage, unit_vec
+from .errors import NoFiltration, ShapeError
+from .fields import Field
+from .linalg import Subspace, Vector, _Record, _cleared, _lincomb, _sum, unit_vec
 
 Triples = tuple[tuple[int, int, object], ...]
 
@@ -236,7 +236,7 @@ class Coalgebra:
             for n in range(self.max_degree() + 1)
         ]
 
-    def sub_on_indices(self, indices: Sequence[int], names: Optional[Sequence[str]] = None) -> Coalgebra:
+    def sub_on_indices(self, indices: Sequence[int]) -> Coalgebra:
         """Subcoalgebra spanned by the given basis vectors (must be closed)."""
         idx = list(indices)
         pos = {orig: new for new, orig in enumerate(idx)}
@@ -250,101 +250,11 @@ class Coalgebra:
             delta.append(triples)
         return Coalgebra(
             self.field,
-            names if names is not None else [self.names[i] for i in idx],
+            [self.names[i] for i in idx],
             delta,
             [self.counit[i] for i in idx],
             grading=[self.grading[i] for i in idx] if self.grading is not None else None,
         )
-
-
-def is_coalgebra_filtration(c: Coalgebra, layers: Sequence[Subspace]) -> bool:
-    """Check increasing, exhaustive, and Delta(C_n) inside sum C_i (x) C_{n-i}.
-
-    The last test runs in one sweep over Delta on a basis adapted to the
-    layers, never on spans inside C (x) C.  Nested subspaces in RREF have
-    nested pivot sets, so each pivot p has a level lvl(p), the first layer
-    whose pivots contain it, and a row b_p, that layer's RREF row with
-    pivot p; {b_p : lvl(p) <= n} is a basis of C_n.  Each product
-    b_p (x) b_q has leading coefficient 1 at the flat position p*dim + q,
-    and these positions are distinct, so the products form an echelon
-    basis of C (x) C, and sum_i C_i (x) C_{n-i} is spanned by the products
-    with lvl(p) + lvl(q) <= n.  Hence Delta(C_n) lies in that sum for every
-    n exactly when each Delta(b_r) has no nonzero coordinate at a product
-    with lvl(p) + lvl(q) > lvl(r): the b_r with lvl(r) <= n span C_n, and
-    the sum grows with n.  The coordinates are read off by a forward sweep
-    over the leading positions, first factor then second; on a grading
-    filtration every b_p is a unit vector and the sweep only compares
-    degrees over the nonzero Delta-triples.
-    """
-    f, d = c.field, c.dim
-    if not layers or layers[-1].dim != d:
-        return False
-    for lo, hi in zip(layers, layers[1:]):
-        if not hi.contains_space(lo):
-            return False
-    if layers[-1].ambient != d:
-        raise ShapeError(f"filtration layers lie in F^{layers[-1].ambient}, the coalgebra has dim {d}")
-    level: dict[int, int] = {}
-    tail: dict[int, list] = {}  # b_p = e_p + sum of x * e_i over (i, x) in tail[p], each i > p
-    for n, layer in enumerate(layers):
-        for p, row in layer.rows.items():
-            if p not in level:
-                level[p] = n
-                tail[p] = [(i, x) for i, x in row.items() if i != p]
-    for r, top in level.items():
-        # Delta(b_r) by first tensor factor: rows[j][k] is the coefficient of e_j (x) e_k.
-        rows: dict[int, dict[int, object]] = {}
-        for i, x in [(r, f.one)] + tail[r]:
-            for j, k, mu in c.delta[i]:
-                row = rows.setdefault(j, {})
-                row[k] = f.add(row.get(k, f.zero), f.mul(x, mu))
-        while rows:
-            p = min(rows)
-            y = rows.pop(p)  # the second factor paired with b_p
-            for i, x in tail[p]:
-                row = rows.setdefault(i, {})
-                for k, v in y.items():
-                    row[k] = f.sub(row.get(k, f.zero), f.mul(x, v))
-            while y:
-                q = min(y)
-                v = y.pop(q)  # the coordinate at b_p (x) b_q
-                if f.is_zero(v):
-                    continue
-                if level[p] + level[q] > top:
-                    return False
-                for k, x in tail[q]:
-                    y[k] = f.sub(y.get(k, f.zero), f.mul(x, v))
-    return True
-
-
-def coradical_filtration(c: Coalgebra, c0: Subspace) -> list[Subspace]:
-    """Iterate C_{n+1} = Delta^{-1}(C (x) C_n + C_0 (x) C) until it reaches C.
-
-    The bottom layer C_0 must be a subcoalgebra; raises NotExhaustive when
-    the chain stabilizes strictly below the whole coalgebra.
-    """
-    f, d = c.field, c.dim
-    if c0.ambient != d:
-        raise ShapeError("ambient dimension mismatch")
-    delta = triples_columns(c.delta, d)
-    bottom = list(c0.rows.values())
-    c0c0 = Subspace(f, d * d, [_tensor(f, u, v, d) for u in bottom for v in bottom])
-    if any(c0c0.reduce(_lincomb(f, ((x, delta[i]) for i, x in u.items()))) for u in bottom):
-        raise ShapeError("C0 is not a subcoalgebra")
-    delta_map = SparseMatrix(f, d * d, d, tuple(delta))
-    units = [{i: f.one} for i in range(d)]
-    chain = [c0]
-    while chain[-1].dim < d:
-        cur = chain[-1]
-        vecs = [_tensor(f, e, v, d) for e in units for v in cur.rows.values()]
-        vecs += [_tensor(f, u, e, d) for e in units for u in bottom]
-        nxt = preimage(delta_map, Subspace(f, d * d, vecs)).sum(cur)
-        if nxt == cur:
-            raise NotExhaustive(
-                f"filtration stabilized at dimension {cur.dim} < {d}; C0 is not the coradical"
-            )
-        chain.append(nxt)
-    return chain
 
 
 def _is_grouplike(c: Coalgebra, delta: list[dict], v: dict) -> bool:
@@ -353,30 +263,12 @@ def _is_grouplike(c: Coalgebra, delta: list[dict], v: dict) -> bool:
     return c.eps(v) == f.one and _lincomb(f, ((x, delta[i]) for i, x in v.items())) == _tensor(f, v, v, c.dim)
 
 
-def find_grouplikes(c: Coalgebra, mode: str = "basis") -> GroupLikeSet:
-    """Group-like elements: Delta(g) = g (x) g and eps(g) = 1.
-
-    mode "basis" scans basis vectors only; "exhaustive" enumerates all of
-    F_p^dim for small prime fields.
-    """
+def find_grouplikes(c: Coalgebra) -> GroupLikeSet:
+    """The group-like basis vectors: Delta(e_i) = e_i (x) e_i and eps(e_i) = 1."""
     f, d = c.field, c.dim
-    found = []
-    if mode == "basis":
-        for i in range(d):
-            if c.delta[i] == ((i, i, f.one),) and c.counit[i] == f.one:
-                found.append(unit_vec(f, d, i))
-    elif mode == "exhaustive":
-        if not f.char:
-            raise UnsupportedSearch("exhaustive group-like search needs a finite field")
-        if f.char**d > 10**6:
-            raise UnsupportedSearch(f"{f.char}^{d} points is beyond the search bound")
-        delta = triples_columns(c.delta, d)
-        for v in itertools.product(range(f.char), repeat=d):
-            if _is_grouplike(c, delta, {i: x for i, x in enumerate(v) if x}):
-                found.append(v)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return GroupLikeSet(tuple(found))
+    return GroupLikeSet(
+        tuple(unit_vec(f, d, i) for i in range(d) if c.delta[i] == ((i, i, f.one),) and c.counit[i] == f.one)
+    )
 
 
 # -- builtin constructors -------------------------------------------------
@@ -425,28 +317,6 @@ def polynomial_multi(r: int, n_max: int, field: Field) -> Coalgebra:
     counit = [1 if sum(e) == 0 else 0 for e in monos]
     grading = [sum(e) for e in monos]
     return Coalgebra(field, [_monomial_name(e) for e in monos], delta, counit, grading=grading)
-
-
-def direct_sum(parts: Sequence[Coalgebra]) -> Coalgebra:
-    if not parts:
-        raise ShapeError("direct sum of no coalgebras")
-    field = parts[0].field
-    for p in parts[1:]:
-        require_same_field(field, p.field)
-    all_names = [name for p in parts for name in p.names]
-    unique = len(set(all_names)) == len(all_names)
-    names, delta, counit, grading = [], [], [], []
-    graded = all(p.grading is not None for p in parts)
-    offset = 0
-    for b, p in enumerate(parts):
-        for i in range(p.dim):
-            names.append(p.names[i] if unique else f"s{b}.{p.names[i]}")
-            delta.append([(j + offset, k + offset, c) for j, k, c in p.delta[i]])
-            counit.append(p.counit[i])
-            if graded:
-                grading.append(p.grading[i])
-        offset += p.dim
-    return Coalgebra(field, names, delta, counit, grading=grading if graded else None)
 
 
 def grouplike_coalgebra(k: int, field: Field) -> Coalgebra:

@@ -43,7 +43,7 @@ from .convolution import ConvMorphism, Form, MultiMap, _convolve, _form_sum, _id
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _dense, _lincomb, _normalized, _sum, augmented_echelon, image
+from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _dense, _normalized, _sum, augmented_echelon, image
 
 
 class Cochain(_Record):
@@ -116,17 +116,6 @@ class Cochain(_Record):
         return cls(degree, tuple(MultiMap(field, a_dim, degree, 1, e) for e in maps))
 
 
-def cochain_act(nu: Cochain, alpha: Sequence, comodule: Comodule) -> Cochain:
-    """Right action of a functional on C: (nu <- alpha)(x) = nu(alpha -> x)."""
-    f = comodule.base.field
-    a = tuple(f.coerce(v) for v in alpha)
-    maps = []
-    for s in range(comodule.dim):
-        terms = ((f.mul(c, a[u]), nu.maps[t].entries) for t, u, c in comodule.coaction[s])
-        maps.append(MultiMap(f, nu.a_dim, nu.degree, 1, _lincomb(f, terms)))
-    return Cochain(nu.degree, tuple(maps))
-
-
 class CohomologyResult(_Record):
     __slots__ = _fields = ("degree", "dim_z", "dim_b", "dim_h", "representatives", "z_space", "b_space")
 
@@ -159,9 +148,6 @@ class ComplexSpec:
 
     def cochain_dim(self, n: int) -> int:
         return self.x_dim * self.a_dim ** (n + 1)
-
-    def zero_cochain(self, n: int) -> Cochain:
-        return Cochain.zero(self.field, self.a_dim, self.x_dim, n)
 
     def differential_entries(self, n: int) -> tuple[tuple[int, int, object], ...]:
         """The nonzero entries (row, col, value) of d^n, column by column."""

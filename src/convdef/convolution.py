@@ -316,8 +316,8 @@ def pullback(f: ConvMorphism, iota: SparseMatrix, c: Coalgebra) -> ConvMorphism:
 def congruent_mod(
     f: ConvMorphism, g: ConvMorphism, n: int, filtration: Sequence[Subspace] | None
 ) -> bool:
-    """True when f - g vanishes on the n-th filtration layer."""
-    if filtration is None:
+    """True when f - g vanishes on the n-th filtration layer; n past the top layer means the top layer."""
+    if not filtration:  # None, or no layers to read
         raise NoFiltration("no filtration supplied for congruence")
     if n < 0:
         raise ShapeError("layer index must be >= 0")

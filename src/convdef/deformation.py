@@ -91,13 +91,6 @@ class AlgebraMC(_Record):
             raise NotUnital("the supplied unit fails a unit axiom")
 
 
-def check_associative(obj) -> bool:
-    """Exact associativity test for a ConvMorphism or a Deformation."""
-    if isinstance(obj, Deformation):
-        return is_associative(obj.mtilde)
-    return is_associative(obj)
-
-
 def is_unit_of(m: ConvMorphism, u: ConvMorphism) -> bool:
     """m * (u (x) e) = e = m * (e (x) u) in the convolution category, exactly; e = eps(-) id_A.
 
@@ -307,31 +300,6 @@ def _affine_span(base: Cochain, vectors: Sequence[Cochain], p: int) -> Iterator[
             yield from below(prefix + step, i + 1)
 
     yield from below(base, 0)
-
-
-def equiv_check(d1: Deformation, d2: Deformation) -> Optional[ConvMorphism]:
-    """Find a gauge f with d2 = transport of d1 by f, or None.
-
-    Solves the linear equation d^1(f_X) = m''_X - m'_X, then builds
-    f(c, x) = eps(c) I + f_X(x) and verifies the transported
-    multiplication equals d2 exactly (f is invertible since it restricts
-    to the identity along iota).
-    """
-    if d1.extension != d2.extension or d1.base != d2.base:
-        raise SpecMismatch("deformations must share the extension and the base algebra")
-    ext = d1.extension
-    spec = complex_of(d1.base, ext)
-    f = spec.field
-    rhs = (d2.m_x - d1.m_x).flatten()
-    sol = spec.solve(1, rhs)
-    if sol is None:
-        return None
-    f_x = Cochain.from_flat(f, spec.a_dim, spec.x_dim, 1, sol)
-    gauge = _gauge_from_cochain(ext, f_x)
-    transported = gauge_transport(d1, gauge)
-    if transported.mtilde != d2.mtilde:
-        raise ConvDefError("gauge solution failed exact verification")
-    return gauge
 
 
 def _gauge_from_cochain(ext: Extension, f_x: Cochain) -> ConvMorphism:

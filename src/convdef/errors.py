@@ -15,14 +15,6 @@ class ShapeError(ConvDefError):
     """Matrix or tensor dimensions are incompatible."""
 
 
-class NotASubspace(ConvDefError):
-    """A claimed subspace containment does not hold."""
-
-
-class NotExhaustive(ConvDefError):
-    """A filtration chain stabilized strictly below the whole space."""
-
-
 class UnsupportedSearch(ConvDefError):
     """Exhaustive enumeration was requested where it is not feasible."""
 

@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedCoaction,
 )
 from .fields import require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _Record, _lincomb, _sum, image
+from .linalg import SparseMatrix, Subspace, Vector, _Record, _lincomb, _sum
 
 
 class Comodule:
@@ -147,10 +147,6 @@ class Cocycle2:
             raise CocycleViolation(f"cocycle data fails: {', '.join(failures)}")
 
 
-def zero_cocycle(comodule: Comodule) -> Cocycle2:
-    return Cocycle2(comodule, [[] for _ in range(comodule.dim)])
-
-
 class Extension(_Record):
     """An extension C -> Ctilde with cokernel X, in the basis C first, X second.
 
@@ -177,10 +173,6 @@ class Extension(_Record):
     def lam(self) -> SparseMatrix:
         """dim C x dim Ctilde."""
         return self.iota.transpose()
-
-    def extension_filtration(self) -> list[Subspace]:
-        """The two-step coalgebra filtration iota(C) inside Ctilde."""
-        return [image(self.iota), Subspace.full(self.base.field, self.ctilde.dim)]
 
 
 def build_extension(cocycle: Cocycle2) -> Extension:

@@ -10,8 +10,8 @@ v <- R[c] v - v[c] R, then division by the gcd of v's entries; each RREF
 entry becomes one `Fraction` only when the elimination is done.
 `SparseMatrix` holds a map as its columns, one dict {row: nonzero} each,
 the library's one matrix type: the differentials d^n, Delta, the inclusion
-of an extension and its retract are read in the form they are built.
-`image`, `kernel_space` and `preimage` take it.
+of an extension and its retract are read in the form they are built;
+`image` spans its columns.
 `_lincomb` and `_sum` are the sparse accumulators the layers above share,
 and `_Record` the equality, hashing and repr of their plain record classes.
 `Matrix` is dense, tuple-of-tuples in row-major order; with `rref` it is
@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NotASubspace, ShapeError
+from .errors import ShapeError
 from .fields import Field, require_same_field
 
 Vector = tuple
@@ -339,10 +339,6 @@ class Subspace:
             rows.append(_sparse([field.coerce(x) for x in v]))
         return cls(field, ambient, rows)
 
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> Subspace:
-        return cls._held(field, ambient, {i: {i: field.one} for i in range(ambient)})
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -483,21 +479,6 @@ class Subspace:
         self._check_compatible(other)
         return not any(self.reduce(row) for row in other.rows.values())
 
-    def sum(self, other: Subspace) -> Subspace:
-        self._check_compatible(other)
-        return Subspace(self.field, self.ambient, list(self.rows.values()) + list(other.rows.values()))
-
-    def intersect(self, other: Subspace) -> Subspace:
-        # Zassenhaus: echelonize [A A; B 0]; rows with zero left half carry
-        # the intersection in their right half.
-        self._check_compatible(other)
-        n = self.ambient
-        block = [{**row, **{c + n: x for c, x in row.items()}} for row in self.rows.values()]
-        block += other.rows.values()
-        red = Subspace(self.field, 2 * n, block)
-        inter = ({c - n: x for c, x in row.items()} for piv, row in red.rows.items() if piv >= n)
-        return Subspace(self.field, n, inter)
-
     def quotient_basis(self, sub: Subspace) -> list[Vector]:
         """Basis rows kept by a greedy scan: each row not in sub + the rows before it.
 
@@ -567,23 +548,3 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 def image(m: SparseMatrix) -> Subspace:
     """Column space of m as a subspace of F^rows."""
     return Subspace(m.field, m.rows, m.columns)
-
-
-def kernel_space(m: SparseMatrix) -> Subspace:
-    return Subspace(m.field, m.cols, m.row_space().kernel())
-
-
-def preimage(m: SparseMatrix, target: Subspace) -> Subspace:
-    """{x : m x in target} as a subspace of the domain: the kernel of m followed by reduction modulo target."""
-    require_same_field(m.field, target.field)
-    if m.rows != target.ambient:
-        raise ShapeError(f"map lands in F^{m.rows}, subspace of F^{target.ambient}")
-    reduced = tuple(target.reduce(col) for col in m.columns)
-    return kernel_space(SparseMatrix(m.field, m.rows, m.cols, reduced))
-
-
-def quotient_dim(sub: Subspace, total: Subspace) -> int:
-    """dim(total / sub); requires sub to be contained in total."""
-    if not total.contains_space(sub):
-        raise NotASubspace("first argument is not contained in the second")
-    return total.dim - sub.dim

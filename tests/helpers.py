@@ -9,20 +9,26 @@ from pathlib import Path
 
 from convdef import (
     AlgebraMC,
+    Coalgebra,
+    Cochain,
     Comodule,
     ConvMorphism,
     MultiMap,
     NotCocommutative,
     ShapeError,
+    Subspace,
     conv_compose,
     conv_tensor,
     divided_power_t,
     epsilon_embed,
+    gauge_transport,
     identity_conv,
     takeuchi_invert,
 )
-from convdef.linalg import Matrix, _dense, _sparse
-from convdef.fields import PrimeField
+from convdef.deformation import _gauge_from_cochain, complex_of
+from convdef.errors import ConvDefError, SpecMismatch
+from convdef.linalg import Matrix, _dense, _lincomb, _sparse
+from convdef.fields import PrimeField, require_same_field
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -299,6 +305,34 @@ def direct_sum_comodule(x: Comodule, y: Comodule) -> Comodule:
     return Comodule(x.base, x.dim + y.dim, list(x.coaction) + shifted)
 
 
+def direct_sum(parts) -> Coalgebra:
+    """The direct sum coalgebra, its basis the parts' in order; names get an s<b>. prefix when two collide."""
+    if not parts:
+        raise ShapeError("direct sum of no coalgebras")
+    field = parts[0].field
+    for p in parts[1:]:
+        require_same_field(field, p.field)
+    all_names = [name for p in parts for name in p.names]
+    unique = len(set(all_names)) == len(all_names)
+    names, delta, counit, grading = [], [], [], []
+    graded = all(p.grading is not None for p in parts)
+    offset = 0
+    for b, p in enumerate(parts):
+        for i in range(p.dim):
+            names.append(p.names[i] if unique else f"s{b}.{p.names[i]}")
+            delta.append([(j + offset, k + offset, c) for j, k, c in p.delta[i]])
+            counit.append(p.counit[i])
+            if graded:
+                grading.append(p.grading[i])
+        offset += p.dim
+    return Coalgebra(field, names, delta, counit, grading=grading if graded else None)
+
+
+def full_space(field, n: int) -> Subspace:
+    """F^n as a `Subspace`, its RREF the unit vectors, built without elimination."""
+    return Subspace._held(field, n, {i: {i: field.one} for i in range(n)})
+
+
 def xsq_deformation_algebra(field):
     """The x^2 = t family over k[t]_{<=1}: m(1) = dual numbers, m(t) = gamma (x) gamma."""
     c = divided_power_t(1, field)
@@ -314,14 +348,12 @@ def greedy_quotient_rows(total, sub):
     the span of `sub` and the rows kept so far, re-eliminating that span
     after every kept row.
     """
-    from convdef import Subspace
-
     kept = []
     span = sub
     for row in total.dense_rows():
         if not span.contains_vector(row):
             kept.append(row)
-            span = span.sum(Subspace.span(total.field, total.ambient, [row]))
+            span = Subspace.span(total.field, total.ambient, span.dense_rows() + (row,))
     return kept
 
 
@@ -405,12 +437,9 @@ def oracle_is_unit_of(m: ConvMorphism, u: ConvMorphism) -> bool:
 def oracle_is_coalgebra_filtration(c, layers) -> bool:
     """Nested, exhaustive, and Delta(C_n) inside sum C_i (x) C_{n-i}, by dense spans in C (x) C.
 
-    Independent of the adapted-basis sweep in `convdef.is_coalgebra_filtration`:
-    for every layer it echelonizes all products u (x) v, u in C_i and v in
+    For every layer it echelonizes all products u (x) v, u in C_i and v in
     C_{n-i}, and reduces Delta of each basis row against that span.
     """
-    from convdef import Subspace
-
     f, d = c.field, c.dim
     if not layers or layers[-1].dim != d:
         return False
@@ -437,8 +466,6 @@ def transport_coalgebra(c, p: Matrix):
     the grading filtration of c, so their RREF rows are not unit vectors
     in general.
     """
-    from convdef import Coalgebra, Subspace
-
     f, d = c.field, c.dim
     p_inv = matrix_inverse(p)
     delta_mat = p.kron(p) @ delta_matrix(c) @ p_inv
@@ -461,8 +488,6 @@ def oracle_coface(spec, i, n, nu):
     Independent of the sparse assembly in `ComplexSpec`: it composes m
     with identity tensors exactly as the cosimplicial structure is defined.
     """
-    from convdef import Cochain, ShapeError
-
     if nu.degree != n or nu.x_dim != spec.x_dim:
         raise ShapeError("cochain does not match the complex")
     if not 0 <= i <= n + 1:
@@ -487,6 +512,17 @@ def oracle_coface(spec, i, n, nu):
     return Cochain(n + 1, tuple(maps))
 
 
+def cochain_act(nu: Cochain, alpha, comodule: Comodule) -> Cochain:
+    """Right action of a functional on C: (nu <- alpha)(x) = nu(alpha -> x)."""
+    f = comodule.base.field
+    a = tuple(f.coerce(v) for v in alpha)
+    maps = []
+    for s in range(comodule.dim):
+        terms = ((f.mul(c, a[u]), nu.maps[t].entries) for t, u, c in comodule.coaction[s])
+        maps.append(MultiMap(f, nu.a_dim, nu.degree, 1, _lincomb(f, terms)))
+    return Cochain(nu.degree, tuple(maps))
+
+
 def oracle_differential(spec, nu):
     """d^n = sum of (-1)^i oracle cofaces."""
     n = nu.degree
@@ -499,7 +535,6 @@ def oracle_differential(spec, nu):
 
 def oracle_differential_matrix(spec, n):
     """d^n assembled column by column: each unit cochain through `oracle_differential`."""
-    from convdef import Cochain
     from convdef.linalg import unit_vec
 
     f = spec.field
@@ -624,11 +659,32 @@ def fixture_specs():
     return out
 
 
+def equiv_check(d1, d2):
+    """A gauge f with d2 = transport of d1 by f, or None: the oracle that classes are inequivalent.
+
+    Solves the linear equation d^1(f_X) = m''_X - m'_X, then builds
+    f(c, x) = eps(c) I + f_X(x) and verifies the transported
+    multiplication equals d2 exactly (f is invertible since it restricts
+    to the identity along iota).
+    """
+    if d1.extension != d2.extension or d1.base != d2.base:
+        raise SpecMismatch("deformations must share the extension and the base algebra")
+    ext = d1.extension
+    spec = complex_of(d1.base, ext)
+    sol = spec.solve(1, (d2.m_x - d1.m_x).flatten())
+    if sol is None:
+        return None
+    gauge = _gauge_from_cochain(ext, Cochain.from_flat(spec.field, spec.a_dim, spec.x_dim, 1, sol))
+    if gauge_transport(d1, gauge).mtilde != d2.mtilde:
+        raise ConvDefError("gauge solution failed exact verification")
+    return gauge
+
+
 def oracle_invert_on_bottom(f: ConvMorphism, bottom):
     """A g with (f * g)(b) = eps(b) I on the layer `bottom`, as one dense system stacked from Kronecker blocks.
 
     The unknowns are g's components at the layer's pivots, each a d x d block
-    with all d^2 entries.  On the full layer, `Subspace.full`, this is the
+    with all d^2 entries.  On the full layer, `full_space`, this is the
     equation f * g = e that `convolution._right_inverse` solves in dim C * d
     unknowns with d right-hand sides, so the two answers and refusals must agree.
     """
@@ -698,7 +754,7 @@ def oracle_unit_gauge(mtilde: ConvMorphism, u: ConvMorphism):
     transports mtilde from scratch, and both are done once more after the
     loop.
     """
-    from convdef import ConvDefError, NotUnital
+    from convdef import NotUnital
     from convdef.deformation import UnitGaugeResult
 
     ct = mtilde.coalgebra
@@ -836,8 +892,6 @@ def assemble_ctilde(w):
     Delta is Delta_C on C, and on x_s it is the sum over rho(x_s) of
     c (u (x) x_t + x_t (x) u), plus omega(x_s); the counit is eps_C, zero on X.
     """
-    from convdef import Coalgebra
-
     com = w.comodule
     c = com.base
     f, dc = c.field, c.dim
@@ -857,7 +911,7 @@ def oracle_obstruction_zeta(alg, ext):
     kernel, so it serves as the oracle.  It checks d(zeta) = 0 through
     `oracle_differential`, not through the library's `ComplexSpec.differential`.
     """
-    from convdef import Cochain, ComplexSpec, ConvDefError
+    from convdef import ComplexSpec
 
     f, a = alg.field, alg.a_dim
     maps = []
@@ -1036,79 +1090,30 @@ def dense_eps(c, v):
 
 def dense_image(m: Matrix):
     """Column space of a dense matrix."""
-    from convdef import Subspace
-
     return Subspace.span(m.field, m.rows, [m.col(j) for j in range(m.cols)])
-
-
-def dense_preimage(m: Matrix, target):
-    """{x : m x in target}: the kernel of the equations of target composed with m, both by `oracle_kernel`."""
-    from convdef import Subspace
-
-    f, n = m.field, target.ambient
-    eqs = oracle_kernel(Matrix(f, target.dim, n, target.dense_rows()))
-    return Subspace.span(f, m.cols, oracle_kernel(Matrix(f, len(eqs), n, tuple(eqs)) @ m))
 
 
 def outer(field, u, v):
     return tuple(field.mul(x, y) for x in u for y in v)
 
 
-def oracle_coradical_filtration(c, c0):
-    """Iterate C_{n+1} = Delta^{-1}(C (x) C_n + C_0 (x) C) on dense spans in C (x) C."""
-    from convdef import NotExhaustive, Subspace
-    from convdef.linalg import unit_vec
-
-    f, d = c.field, c.dim
-    if c0.ambient != d:
-        raise ShapeError("ambient dimension mismatch")
-    bottom = c0.dense_rows()
-    c0c0 = Subspace.span(f, d * d, [outer(f, u, v) for u in bottom for v in bottom])
-    for row in bottom:
-        if not c0c0.contains_vector(delta_matrix(c).mul_vec(row)):
-            raise ShapeError("C0 is not a subcoalgebra")
-    chain = [c0]
-    while chain[-1].dim < d:
-        cur = chain[-1]
-        vecs = []
-        for i in range(d):
-            e_i = unit_vec(f, d, i)
-            vecs += [outer(f, e_i, v) for v in cur.dense_rows()]
-            vecs += [outer(f, u, e_i) for u in bottom]
-        nxt = dense_preimage(delta_matrix(c), Subspace.span(f, d * d, vecs)).sum(cur)
-        if nxt == cur:
-            raise NotExhaustive(f"filtration stabilized at dimension {cur.dim} < {d}; C0 is not the coradical")
-        chain.append(nxt)
-    return chain
-
-
-def oracle_find_grouplikes(c, mode: str = "basis"):
-    """Group-likes by dense Delta: the basis scan, or every point of F_p^dim."""
-    import itertools
-
-    from convdef import GroupLikeSet, UnsupportedSearch
+def oracle_find_grouplikes(c):
+    """The group-like basis vectors, by dense Delta."""
+    from convdef import GroupLikeSet
     from convdef.linalg import unit_vec
 
     f, d = c.field, c.dim
     found = []
-    if mode == "basis":
-        for i in range(d):
-            e_i = unit_vec(f, d, i)
-            if delta_matrix(c).mul_vec(e_i) == outer(f, e_i, e_i) and dense_eps(c, e_i) == f.one:
-                found.append(e_i)
-    else:
-        if not f.char or f.char**d > 10**6:
-            raise UnsupportedSearch("outside the exhaustive search")
-        dm = delta_matrix(c)
-        for v in itertools.product(range(f.char), repeat=d):
-            if dense_eps(c, v) == f.one and dm.mul_vec(v) == outer(f, v, v):
-                found.append(v)
+    for i in range(d):
+        e_i = unit_vec(f, d, i)
+        if delta_matrix(c).mul_vec(e_i) == outer(f, e_i, e_i) and dense_eps(c, e_i) == f.one:
+            found.append(e_i)
     return GroupLikeSet(tuple(found))
 
 
 def oracle_restrict_coalgebra_along(ctilde, iota: Matrix, eps_c: Matrix):
     """Coalgebra structure on C pulled back through an injective coalgebra map, by one dense solve."""
-    from convdef import Coalgebra, NotAnExtension
+    from convdef import NotAnExtension
 
     f, dc = ctilde.field, iota.cols
     sols = oracle_solve_many(iota.kron(iota), [delta_matrix(ctilde).mul_vec(iota.col(i)) for i in range(dc)])
@@ -1122,7 +1127,7 @@ def oracle_restrict_coalgebra_along(ctilde, iota: Matrix, eps_c: Matrix):
 
 def oracle_split_extension(ctilde, iota: Matrix, lam: Matrix, base=None):
     """(rho_r, omega) of an extension with a normalized retract, by dense Kronecker products."""
-    from convdef import Cocycle2, Comodule, NotAnExtension, RetractNotNormalized
+    from convdef import Cocycle2, NotAnExtension, RetractNotNormalized
     from convdef.linalg import unit_vec
 
     f, d, dc = ctilde.field, ctilde.dim, iota.cols
@@ -1235,8 +1240,6 @@ def path_coalgebra(field):
 
     Basis e0, e1, e2, a, b, ba; Delta(p) sums q (x) r over the factorizations p = q r.
     """
-    from convdef import Coalgebra
-
     delta = [
         [(0, 0, 1)],
         [(1, 1, 1)],

@@ -4,12 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from convdef import Coalgebra, Subspace, cli, coalgebra, cohomology, deformation, divided_power_t, pullback, specfile
+from convdef import Coalgebra, cli, cohomology, deformation, divided_power_t, pullback, specfile
 from convdef.linalg import Matrix
 from convdef.cli import build_parser, main
 from convdef.fields import QQ
 
-from helpers import matrix_inverse, oracle_invert_on_bottom, sparse_of, transport_coalgebra
+from helpers import full_space, matrix_inverse, oracle_invert_on_bottom, sparse_of, transport_coalgebra
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -435,10 +435,9 @@ def test_unit_float_scalar_exits_1(tmp_path, capsys):
 
 
 def test_invert_reads_no_filtration(tmp_path, monkeypatch):
-    """`invert` neither sweeps nor builds a filtration, and writes the recorded reports byte for byte."""
+    """`invert` builds no filtration, and writes the recorded reports byte for byte."""
     calls = []
-    sweep, grading = coalgebra.is_coalgebra_filtration, Coalgebra.grading_filtration
-    monkeypatch.setattr(coalgebra, "is_coalgebra_filtration", lambda *a: calls.append("sweep") or sweep(*a))
+    grading = Coalgebra.grading_filtration
     monkeypatch.setattr(Coalgebra, "grading_filtration", lambda c: calls.append("grading") or grading(c))
     for name in ("invert", "invert_ungraded"):
         out = tmp_path / "r.json"
@@ -496,5 +495,5 @@ def test_invert_ungraded_fixture_gives_the_oracle_inverse(tmp_path):
     assert f == pullback(original, sparse_of(matrix_inverse(p)), moved)  # f' = f o p^-1
     out = tmp_path / "r.json"
     assert main(["invert", fx("invert_ungraded.json"), "--out", str(out)]) == 0
-    inverse = oracle_invert_on_bottom(f, Subspace.full(QQ, moved.dim))
+    inverse = oracle_invert_on_bottom(f, full_space(QQ, moved.dim))
     assert json.loads(out.read_text())["inverse"] == specfile.morphism_to_obj(inverse)

@@ -6,18 +6,13 @@ import pytest
 
 from convdef import (
     Coalgebra,
-    NotExhaustive,
     ShapeError,
     Subspace,
-    UnsupportedSearch,
-    coradical_filtration,
-    direct_sum,
     divided_power_t,
     find_grouplikes,
     graded_extension,
     grouplike_coalgebra,
     image,
-    is_coalgebra_filtration,
     polynomial_multi,
     trivial_k,
 )
@@ -34,12 +29,12 @@ from helpers import (
     F3,
     F5,
     FIXTURES,
+    direct_sum,
     expand_slot,
+    full_space,
     iterated_delta,
     oracle_is_coalgebra_filtration,
-    random_invertible,
     reduce_dense,
-    transport_coalgebra,
 )
 
 
@@ -97,48 +92,12 @@ def test_iterated_delta_slot_independence():
                 assert cur == ref
 
 
-def test_coradical_filtration_divided_power():
-    n = 3
-    c = divided_power_t(n, QQ)
-    c0 = Subspace.span(QQ, c.dim, [unit_vec(QQ, c.dim, 0)])
-    chain = coradical_filtration(c, c0)
-    assert [layer.dim for layer in chain] == list(range(1, n + 2))
-    for k, layer in enumerate(chain):
-        expect = Subspace.span(QQ, c.dim, [unit_vec(QQ, c.dim, i) for i in range(k + 1)])
-        assert layer == expect
-    assert is_coalgebra_filtration(c, chain)
-
-
-def test_coradical_filtration_cosemisimple():
-    c = grouplike_coalgebra(3, QQ)
-    full = Subspace.full(QQ, 3)
-    assert coradical_filtration(c, full) == [full]
-
-
-def test_coradical_filtration_not_exhaustive():
-    c = grouplike_coalgebra(2, QQ)
-    c0 = Subspace.span(QQ, 2, [(1, 0)])
-    with pytest.raises(NotExhaustive):
-        coradical_filtration(c, c0)
-
-
 def test_find_grouplikes_basis():
     c = divided_power_t(3, QQ)
     gl = find_grouplikes(c)
     assert gl.elements == (unit_vec(QQ, 4, 0),)
     g = grouplike_coalgebra(3, QQ)
     assert len(find_grouplikes(g).elements) == 3
-
-
-def test_find_grouplikes_exhaustive_f2():
-    c = grouplike_coalgebra(2, F2)
-    gl = find_grouplikes(c, mode="exhaustive")
-    assert set(gl.elements) == {(1, 0), (0, 1)}
-
-
-def test_find_grouplikes_exhaustive_needs_finite_field():
-    with pytest.raises(UnsupportedSearch):
-        find_grouplikes(trivial_k(QQ), mode="exhaustive")
 
 
 def test_builtins_validate():
@@ -168,7 +127,7 @@ def test_polynomial_multi_layer_dims():
 
 def test_grading_filtration_is_coalgebra_filtration():
     for c in (divided_power_t(3, QQ), polynomial_multi(2, 2, F5)):
-        assert is_coalgebra_filtration(c, c.grading_filtration())
+        assert oracle_is_coalgebra_filtration(c, c.grading_filtration())
 
 
 def _fixture_coalgebras() -> list:
@@ -181,67 +140,6 @@ def _fixture_coalgebras() -> list:
             continue  # a side file (a cochain document), not a spec
         out.extend(c for c in sf.coalgebras.values() if c.grading is not None and c not in out)
     return out
-
-
-def _layer_lists(base: list, rng: random.Random) -> list:
-    """A filtration and broken variants: reversed, a layer dropped or repeated, perturbed, shifted."""
-    f, d = base[0].field, base[0].ambient
-
-    def noise():
-        return tuple(f.random_element(rng) for _ in range(d))
-
-    out = [base, base[::-1], [Subspace(f, d)] + base]
-    for n, layer in enumerate(base):
-        out.append(base[:n] + base[n + 1 :])
-        out.append(base[: n + 1] + base[n:])
-        if layer.dim:
-            rows = list(layer.dense_rows())
-            rows[-1] = tuple(f.add(x, y) for x, y in zip(rows[-1], noise()))
-            out.append(base[:n] + [Subspace.span(f, d, rows)] + base[n + 1 :])
-            out.append(base[:n] + [layer.sum(Subspace.span(f, d, [noise()]))] + base[n + 1 :])
-    return out
-
-
-def _random_chain(f, d, rng: random.Random) -> list:
-    rows = [tuple(f.random_element(rng) for _ in range(d)) for _ in range(d)]
-    cuts = sorted(rng.sample(range(1, d + 1), rng.randint(1, d)))
-    if cuts[-1] != d:
-        cuts.append(d)
-    layers = [Subspace.span(f, d, rows[:k]) for k in cuts]
-    return layers if layers[-1].dim == d else layers + [Subspace.full(f, d)]
-
-
-def _has_non_unit_row(layers) -> bool:
-    return any(
-        sum(not layer.field.is_zero(x) for x in row) > 1 for layer in layers for row in layer.dense_rows()
-    )
-
-
-def test_filtration_check_matches_dense_oracle():
-    # the adapted-basis sweep against dense spans in C (x) C, on unit-vector and general layers
-    rng = random.Random(11)
-    outcomes = {False: 0, True: 0}
-    cases = 0
-    for field in (QQ, F2, F3, F5):
-        coalgebras = [
-            divided_power_t(3, field),
-            polynomial_multi(2, 2, field),
-            grouplike_coalgebra(3, field),
-            direct_sum([divided_power_t(2, field), grouplike_coalgebra(1, field), divided_power_t(1, field)]),
-        ] + [Coalgebra(field, c.names, c.delta, c.counit, grading=c.grading) for c in _fixture_coalgebras()]
-        for c in coalgebras:
-            moved, moved_layers = transport_coalgebra(c, random_invertible(field, c.dim, rng))
-            assert moved.validate().ok and oracle_is_coalgebra_filtration(moved, moved_layers)
-            for target, base in ((c, c.grading_filtration()), (moved, moved_layers)):
-                lists = _layer_lists(base, rng) + [_random_chain(field, c.dim, rng) for _ in range(3)]
-                for layers in lists:
-                    got = is_coalgebra_filtration(target, layers)
-                    assert got == oracle_is_coalgebra_filtration(target, layers), (target, layers)
-                    cases += 1
-                    if _has_non_unit_row(layers):
-                        outcomes[got] += 1
-    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
-    assert cases > 500
 
 
 def test_grading_filtration_layers_are_spans_of_unit_vectors():
@@ -286,10 +184,10 @@ def test_subspace_is_one_value_across_construction_routes():
                     for b in routes:
                         assert a == b and hash(a) == hash(b)
                 assert len(set(routes)) == 1
-            full = Subspace.full(field, d)
+            full = full_space(field, d)
             assert full == Subspace.span(field, d, units) == c.grading_filtration()[-1]
             assert hash(full) == hash(Subspace.span(field, d, units[::-1]))
-            assert full != Subspace(field, d) and full != Subspace.full(field, d + 1)
+            assert full != Subspace(field, d) and full != full_space(field, d + 1)
         for ext in (graded_extension(divided_power_t(3, field), 2), graded_extension(polynomial_multi(2, 2, field), 1)):
             dt, dc = ext.ctilde.dim, ext.base.dim
             cols = [[field.zero] * dt for _ in range(dc)]
@@ -299,20 +197,18 @@ def test_subspace_is_one_value_across_construction_routes():
             iota_image = image(ext.iota)
             span = Subspace.span(field, dt, cols)
             assert iota_image == span and hash(iota_image) == hash(span) and iota_image.dim == dc
-            assert ext.extension_filtration() == [span, Subspace.span(field, dt, [unit_vec(field, dt, i) for i in range(dt)])]
 
 
 def test_filtration_layers_of_the_wrong_ambient_raise():
     c = divided_power_t(2, QQ)
     wide = [unit_vec(QQ, 4, i) for i in range(3)]
     for layers in (
-        [Subspace.span(QQ, 4, wide[:1]), Subspace.full(QQ, 3)],  # nesting compares F^4 with F^3
+        [Subspace.span(QQ, 4, wide[:1]), full_space(QQ, 3)],  # nesting compares F^4 with F^3
         [Subspace.span(QQ, 4, wide)],  # exhaustive by dimension, but in F^4
         [Subspace.span(QQ, 4, wide[:1]), Subspace.span(QQ, 4, wide)],
     ):
-        for check in (is_coalgebra_filtration, oracle_is_coalgebra_filtration):
-            with pytest.raises(ShapeError):
-                check(c, layers)
+        with pytest.raises(ShapeError):
+            oracle_is_coalgebra_filtration(c, layers)
 
 
 def test_normalize_triples_merges_sorts_and_drops_zeros():

@@ -17,7 +17,6 @@ from convdef import (
     congruent_mod,
     conv_compose,
     conv_tensor,
-    direct_sum,
     divided_power_t,
     epsilon_embed,
     grouplike_coalgebra,
@@ -42,9 +41,11 @@ from helpers import (
     dense,
     dense_compose,
     dense_tensor,
+    direct_sum,
     dual_numbers,
     fixture_specfiles,
     fraction_arithmetic_calls,
+    full_space,
     matrix_inverse,
     from_dense,
     iterated_delta,
@@ -454,8 +455,10 @@ def test_congruence_examples():
     g = ConvMorphism(c, tuple(g_comps))
     assert congruent_mod(f, g, 2, filt)
     assert not congruent_mod(f, g, 3, filt)
-    with pytest.raises(NoFiltration):
-        congruent_mod(f, g, 1, None)
+    for empty in (None, []):  # no layer to read is refused like no filtration, not with an IndexError
+        for n in (0, 1, 5):
+            with pytest.raises(NoFiltration, match="^no filtration supplied for congruence$"):
+                congruent_mod(f, g, n, empty)
 
 
 def test_congruence_tensor_degree_additivity():
@@ -602,7 +605,7 @@ def test_inversion_needs_no_grading(field):
     cases.append((pullback(f, p_inv, moved), pullback(singular, p_inv, moved)))
     for f, singular in cases:
         c = f.coalgebra
-        full = Subspace.full(field, c.dim)
+        full = full_space(field, c.dim)
         assert takeuchi_invert(f) == oracle_invert_on_bottom(f, full)
         for invert in (takeuchi_invert, lambda g: oracle_invert_on_bottom(g, full)):
             with pytest.raises(NotInvertible):
@@ -630,7 +633,7 @@ def test_right_inverse_matches_oracle():
     for field in (QQ, F3, F5):
         for c, _bottom in _bottom_cases(field, rng):
             non_unit_constants += any(mu != 1 for triples in c.delta for _, _, mu in triples)
-            full = Subspace.full(field, c.dim)
+            full = full_space(field, c.dim)
             for a_dim, arity in ((2, 1), (3, 1), (2, 2)) * 2:
                 f = rand_conv(c, a_dim, arity, arity, rng)
                 try:

@@ -17,13 +17,11 @@ from convdef import (
     Subspace,
     UnsupportedSearch,
     build_extension,
-    check_associative,
     classify,
     conv_compose,
     conv_tensor,
     divided_power_t,
     epsilon_embed,
-    equiv_check,
     gauge_transport,
     graded_extension,
     hochschild_spec,
@@ -55,6 +53,7 @@ from helpers import (
     dense_compose,
     dense_differential_matrix,
     dense_tensor,
+    equiv_check,
     fixture_specfiles,
     from_dense,
     dual_numbers,
@@ -81,16 +80,16 @@ def m1_gamma(field):
 def test_check_associative_embedded_matrix_algebra():
     c = divided_power_t(1, QQ)
     m = epsilon_embed(mat2_mult(QQ), c)
-    assert check_associative(m)
+    assert is_associative(m)
 
 
 def test_check_associative_xsq_family_and_perturbation():
     alg = xsq_deformation_algebra(QQ)
-    assert check_associative(alg.m)
+    assert is_associative(alg.m)
     comps = list(alg.m.components)
     bad = Matrix.from_rows(QQ, [[0, 1, 0, 0], [0, 0, 0, 0]])
     comps[1] = from_dense(bad, 2, 2, 1)
-    assert not check_associative(ConvMorphism(alg.coalgebra, tuple(comps)))
+    assert not is_associative(ConvMorphism(alg.coalgebra, tuple(comps)))
 
 
 def test_obstruction_zero_for_trivial_extension():

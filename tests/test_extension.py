@@ -13,7 +13,6 @@ from convdef import (
     UnsupportedCoaction,
     build_extension,
     decompose_completely_reducible,
-    direct_sum,
     divided_power_t,
     find_grouplikes,
     graded_extension,
@@ -22,7 +21,6 @@ from convdef import (
     polynomial_multi,
     split_extension,
     trivial_k,
-    zero_cocycle,
 )
 from convdef.linalg import Matrix
 from convdef.fields import QQ
@@ -32,6 +30,7 @@ from helpers import (
     F3,
     F5,
     assemble_ctilde,
+    direct_sum,
     fixture_specfiles,
     oracle_cocycle_failures,
     oracle_comodule_failures,
@@ -42,7 +41,7 @@ from helpers import (
 def test_build_trivial_cocycle_gives_divided_power_1():
     k = trivial_k(QQ)
     x = grouplike_comodule(k, 1, (1,))
-    ext = build_extension(zero_cocycle(x))
+    ext = build_extension(Cocycle2(x, [[] for _ in range(x.dim)]))
     expect = divided_power_t(1, QQ)
     assert ext.ctilde.delta == expect.delta
     assert ext.ctilde.counit == expect.counit

@@ -129,12 +129,22 @@ TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 DEAD_HOOKS = {"convdef.cohomology:ComplexSpec.coface"}
 
 
-def test_every_benchmark_tracer_hook_resolves():
-    """Each span and counter target of the benchmark tracer names a live function: a rename must re-point its hook."""
+def _tracer():
     spec = importlib.util.spec_from_file_location("convdef_benchmark_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    targets = [target for _group, target, *_rest in tracer.SPANS + tracer.COUNTERS]
+    return tracer
+
+
+def _tracer_targets(tracer) -> list[str]:
+    """The "module:qualname" targets of the benchmark tracer's spans and counters."""
+    return [target for _group, target, *_rest in tracer.SPANS + tracer.COUNTERS]
+
+
+def test_every_benchmark_tracer_hook_resolves():
+    """Each span and counter target of the benchmark tracer names a live function: a rename must re-point its hook."""
+    tracer = _tracer()
+    targets = _tracer_targets(tracer)
     assert "convdef.linalg:Subspace.contains_vector" in targets
     missing = set()
     for target in targets:
@@ -143,6 +153,71 @@ def test_every_benchmark_tracer_hook_resolves():
         except (ImportError, AttributeError):
             missing.add(target)
     assert missing <= DEAD_HOOKS
+
+
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+# reached without being named: the dense Matrix, whole, is the test oracles' type and a tracer hook; argparse calls
+# `_Parser.error`; the tracer reads `SparseMatrix.nnz`
+REACHED_UNNAMED = {"linalg:Matrix", "cli:_Parser.error", "linalg:SparseMatrix.nnz"}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _unreached() -> list[str]:
+    """The library definitions ("module:name", "module:Class.method") outside the closure of the three roots.
+
+    The roots are what runs at import (each module's statements other than
+    imports and definitions, so `cli.main` under `__main__`), every name
+    `tests/test_acceptance.py` mentions (the paper's claims), and the
+    benchmark tracer's targets.  A reached function or method reaches every
+    definition its body names; a reached class reaches its bases, its
+    class-level statements and its dunders, and its other methods by name.
+    Names are matched without types, so a collision only makes more reached.
+    """
+    definitions: dict[str, ast.AST] = {}
+    names = _names(ast.parse(ACCEPTANCE.read_text()))
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text(), filename=str(p))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions[f"{p.stem}:{node.name}"] = node
+                for fn in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(fn, ast.FunctionDef):
+                        definitions[f"{p.stem}:{node.name}.{fn.name}"] = fn
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= _names(node)
+    reached = {target.removeprefix("convdef.") for target in _tracer_targets(_tracer())} | REACHED_UNNAMED
+    reached |= {key for key in definitions if key.startswith("linalg:Matrix.")}
+    expanded: set[str] = set()
+    while True:
+        for key in definitions.keys() - reached:
+            module, qual = key.split(":")
+            owner, _, name = qual.rpartition(".")
+            if owner:
+                live = f"{module}:{owner}" in reached and (_is_dunder(name) or name in names)
+            else:
+                live = name in names
+            if live:
+                reached.add(key)
+        todo = (reached & definitions.keys()) - expanded
+        if not todo:
+            return sorted(definitions.keys() - reached)
+        for key in todo:
+            node = definitions[key]
+            if isinstance(node, ast.ClassDef):
+                parts = node.bases + node.keywords + node.decorator_list
+                parts += [stmt for stmt in node.body if not isinstance(stmt, ast.FunctionDef)]
+                names = names.union(*map(_names, parts))
+            else:
+                names |= _names(node)
+        expanded |= todo
+
+
+def test_every_library_definition_is_reached_by_the_cli_the_acceptance_tests_or_the_tracer():
+    """Code only the tests of that same code reach belongs in `tests/helpers.py` or nowhere."""
+    assert _unreached() == []
 
 
 def _imported_modules(tree: ast.AST) -> set[str]:

@@ -4,7 +4,7 @@ Each library function is held equal to its dense oracle, value for value
 or exception type for exception type, over Q, F_2, F_3 and F_5, on every
 fixture coalgebra, the builtins, a direct sum and the non-cocommutative
 path coalgebra, each also moved by a random change of basis so that the
-layers, group-likes, inclusions and retracts are not unit vectors.
+group-likes, inclusions and retracts are not unit vectors.
 """
 
 import random
@@ -17,10 +17,7 @@ from convdef import (
     ConvMorphism,
     GroupLikeSet,
     MultiMap,
-    Subspace,
-    coradical_filtration,
     decompose_completely_reducible,
-    direct_sum,
     divided_power_t,
     find_grouplikes,
     graded_extension,
@@ -41,10 +38,10 @@ from helpers import (
     counit_matrix,
     dense_eps,
     dense_of,
+    direct_sum,
     fixture_specfiles,
     matrix_inverse,
     oracle_coalgebra_report,
-    oracle_coradical_filtration,
     oracle_decompose_completely_reducible,
     oracle_find_grouplikes,
     oracle_pullback,
@@ -78,37 +75,15 @@ def coalgebras(field):
         direct_sum([divided_power_t(2, field), grouplike_coalgebra(1, field), divided_power_t(1, field)]),
         path_coalgebra(field),
     ]
-    for _name, sf in fixture_specfiles(field):  # the graded ones: `moved` carries their grading layers
+    for _name, sf in fixture_specfiles(field):  # the graded ones: `transport_coalgebra` also moves their grading layers
         out += [c for c in sf.coalgebras.values() if c.grading is not None and c not in out]
     return out
 
 
 def moved(c, rng):
-    """(p(C), p, the grading layers moved along) for a random invertible p."""
+    """(p(C), p) for a random invertible p."""
     p = random_invertible(c.field, c.dim, rng)
-    target, layers = transport_coalgebra(c, p)
-    return target, p, layers
-
-
-@FIELDS
-def test_coradical_filtration_matches_dense_oracle(field):
-    rng = random.Random(61)
-    seen = set()
-    for c in coalgebras(field):
-        assert c.validate().ok
-        target, _p, layers = moved(c, rng)
-        grouplikes = Subspace.span(field, c.dim, find_grouplikes(c).elements)
-        cases = [(c, c.grading_filtration()[0]), (c, grouplikes), (target, layers[0])]
-        cases += [(c, Subspace.span(field, c.dim, [c.grading_filtration()[0].dense_rows()[0]]))]
-        cases += [(c, Subspace.full(field, c.dim)), (c, Subspace(field, c.dim))]
-        if c.dim > 1:
-            noise = [tuple(field.random_element(rng) for _ in range(c.dim))]
-            cases.append((c, Subspace.span(field, c.dim, noise)))
-        for coalgebra, c0 in cases:
-            got = outcome(coradical_filtration, coalgebra, c0)
-            assert got == outcome(oracle_coradical_filtration, coalgebra, c0)
-            seen.add(got if isinstance(got, type) else len(got))
-    assert {1, 2, 3} <= seen and len(seen - {1, 2, 3, 4}) >= 2, seen  # chains of several lengths and both errors
+    return transport_coalgebra(c, p)[0], p
 
 
 def broken(c, rng):
@@ -167,12 +142,10 @@ def test_find_grouplikes_matches_dense_oracle(field):
     found = 0
     for c in coalgebras(field):
         for target in (c, moved(c, rng)[0]):
-            assert find_grouplikes(target) == oracle_find_grouplikes(target)
-            if field.char and field.char**target.dim <= 3000:
-                got = find_grouplikes(target, mode="exhaustive")
-                assert got == oracle_find_grouplikes(target, mode="exhaustive")
-                found += len(got.elements)
-    assert found > 0 or not field.char
+            got = find_grouplikes(target)
+            assert got == oracle_find_grouplikes(target)
+            found += len(got.elements)
+    assert found > 0
 
 
 def extensions_of(c):
@@ -202,7 +175,7 @@ def retracts(ext, rng):
             rows[j][x] = v[j]
     alt = Matrix.from_rows(f, rows)
     out = [(ext.ctilde, iota, lam, ext.base), (ext.ctilde, iota, alt, ext.base), (ext.ctilde, iota, lam, None)]
-    target, p, _layers = moved(ext.ctilde, rng)
+    target, p = moved(ext.ctilde, rng)
     p_inv = matrix_inverse(p)
     out += [(target, p @ iota, lam @ p_inv, ext.base), (target, p @ iota, alt @ p_inv, None)]
     # broken: lambda off the retract, eps_C o lambda moved, iota not injective, iota not a coalgebra map
@@ -238,7 +211,7 @@ def test_restrict_coalgebra_along_matches_dense_oracle(field):
     rng = random.Random(73)
     cases = [(ext.ctilde, dense_of(ext.iota)) for ext in extensions(field)]
     for c in coalgebras(field):
-        target, p, _layers = moved(c, rng)
+        target, p = moved(c, rng)
         cases += [(c, Matrix.identity(field, c.dim)), (target, p)]
         low = [i for i, g in enumerate(c.grading) if g < c.max_degree()] if c.grading else []
         if low:
@@ -250,7 +223,7 @@ def test_restrict_coalgebra_along_matches_dense_oracle(field):
         assert got == outcome(oracle_restrict_coalgebra_along, ctilde, iota, eps_c)
     # the pullback of p(C) along p is C, so a non-cocommutative Delta must come back unflipped
     c = path_coalgebra(field)
-    target, p, _layers = moved(c, rng)
+    target, p = moved(c, rng)
     pulled = _restrict_coalgebra_along(target, sparse_of(p), c.counit)
     assert pulled.delta == c.delta and counit_matrix(pulled) == counit_matrix(c)
 
