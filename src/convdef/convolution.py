@@ -86,7 +86,7 @@ class MultiMap:
         return cls(field, a_dim, arity, arity, {(r, r): field.one for r in range(a_dim**arity)})
 
     def rows(self) -> tuple[tuple, ...]:
-        """The dense matrix, row by row; built only to render a report or spec."""
+        """The dense matrix, row by row; the library never builds it (reports format `entries`), only tests do."""
         z = self.field.zero
         out = [[z] * self.a_dim**self.src_arity for _ in range(self.a_dim**self.tgt_arity)]
         for (r, col), v in self.entries.items():

@@ -130,7 +130,8 @@ class Deformation(_Record):
         """The fiber condition, then associativity of mtilde as the residual d^2(m_X) = -zeta, exactly."""
         if not self.fiber_condition_holds():
             raise SpecMismatch("multiplication does not restrict to the base algebra")
-        _require_mc(self.m_x, obstruction_zeta(self.base, self.extension), complex_of(self.base, self.extension))
+        spec = complex_of(self.base, self.extension)
+        _require_mc(self.m_x, obstruction_zeta(self.base, self.extension, spec), spec)
 
 
 def _require_mc(nu: Cochain, zeta: Cochain, spec: ComplexSpec) -> None:
@@ -160,7 +161,8 @@ def make_deformation(
         raise ShapeError("solution cochain must be a degree-2 cochain on X")
     d = Deformation(base=base, extension=ext, mtilde=ConvMorphism(ext.ctilde, tuple(base.m.components) + nu.maps))
     if _report is None:
-        _require_mc(nu, obstruction_zeta(base, ext), complex_of(base, ext))
+        spec = complex_of(base, ext)
+        _require_mc(nu, obstruction_zeta(base, ext, spec), spec)
     elif not _certified:
         _require_mc(nu, _report.zeta, _report.spec)
     return d
@@ -172,11 +174,12 @@ def complex_of(alg: AlgebraMC, ext: Extension) -> ComplexSpec:
     return ComplexSpec(alg.m, ext.comodule, check=False)
 
 
-def obstruction_zeta(alg: AlgebraMC, ext: Extension) -> Cochain:
+def obstruction_zeta(alg: AlgebraMC, ext: Extension, spec: Optional[ComplexSpec] = None) -> Cochain:
     """zeta(x) = sum m(w1) o (A (x) m(w2) - m(w2) (x) A) over omega(x): the X-block of the associator of m (+) 0.
 
     On x only the omega terms of Delta(x) pair two nonzero components.  The
     C-block is the associator of m, so a non-associative m is refused here.
+    d^3(zeta) = 0 is checked in `spec`, the caller's `complex_of(alg, ext)`, built here when not given.
     """
     if alg.coalgebra != ext.base:
         raise SpecMismatch("algebra and extension live over different coalgebras")
@@ -186,7 +189,7 @@ def obstruction_zeta(alg: AlgebraMC, ext: Extension) -> Cochain:
     if any(assoc[1][:dc]):
         raise ShapeError("multiplication is not associative in the convolution category")
     zeta = Cochain(3, _from_form(ext.ctilde, assoc, a, 3, 1).components[dc:])
-    if not complex_of(alg, ext).differential(zeta).is_zero():
+    if not (spec or complex_of(alg, ext)).differential(zeta).is_zero():
         raise ConvDefError("obstruction is not a 3-cocycle; inputs are inconsistent")
     return zeta
 
@@ -216,7 +219,7 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
     `obstruction_zeta` checks that m is associative; `build_extension` checked the comodule.
     """
     spec = complex_of(alg, ext)
-    zeta = obstruction_zeta(alg, ext)
+    zeta = obstruction_zeta(alg, ext, spec)
     f = spec.field
     # one elimination of [d^2 | zeta]: its left block is the RREF of d^2 that cohomology(2) reads Z^2 from
     sol = spec.solve(2, zeta.flatten())

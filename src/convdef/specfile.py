@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _esc
 from typing import Any
 
 from .coalgebra import Coalgebra
@@ -415,8 +416,13 @@ def parse_cochain_file(path: str, f: Field, a_dim: int) -> dict[int, list[MultiM
 
 
 def _fmt_map(m: MultiMap) -> list[list[str]]:
-    fmt = m.field.fmt
-    return [[fmt(x) for x in row] for row in m.rows()]
+    """The dense matrix as strings, formatting only the nonzero entries (each still through `fmt`'s digit limit)."""
+    fmt, cols = m.field.fmt, m.a_dim**m.src_arity
+    zero = fmt(m.field.zero)
+    out = [[zero] * cols for _ in range(m.a_dim**m.tgt_arity)]
+    for (r, col), v in m.entries.items():
+        out[r][col] = fmt(v)
+    return out
 
 
 def _coalgebra_dict(c: Coalgebra) -> dict:
@@ -513,8 +519,30 @@ def specfile_to_dict(sf: SpecFile) -> dict:
     return doc
 
 
+def _write(x, ind: str = "") -> str:
+    """The bytes `json.dumps(x, sort_keys=True, indent=2)` writes for `x` (keys `str`) at indent `ind`; a list of strings
+    is escaped and joined in one step by `json`'s C escaper, where `indent` takes one pure-Python step per scalar."""
+    if isinstance(x, str):
+        return _esc(x)
+    if not isinstance(x, (dict, list, tuple)):
+        return json.dumps(x)
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    inner = ind + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict):
+        body = sep.join([f"{_esc(k)}: {_write(v, inner)}" for k, v in sorted(x.items())])
+        return f"{{\n{inner}{body}\n{ind}}}"
+    if type(x[0]) is str:
+        try:
+            return f"[\n{inner}{sep.join(map(_esc, x))}\n{ind}]"
+        except TypeError:  # a later item is not a string
+            pass
+    return f"[\n{inner}{sep.join([_write(v, inner) for v in x])}\n{ind}]"
+
+
 def serialize(sf: SpecFile) -> str:
-    return json.dumps(specfile_to_dict(sf), sort_keys=True, indent=2) + "\n"
+    return _write(specfile_to_dict(sf)) + "\n"
 
 
 # -- report helpers ---------------------------------------------------------
@@ -530,6 +558,4 @@ def morphism_to_obj(mor: ConvMorphism) -> dict[str, list[list[str]]]:
 
 def render_report(payload: dict) -> str:
     """Stable machine-readable report: versioned, sorted, all scalars exact strings."""
-    doc = {"schema_version": REPORT_SCHEMA}
-    doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _write({"schema_version": REPORT_SCHEMA, **payload}) + "\n"

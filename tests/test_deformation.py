@@ -194,6 +194,23 @@ def test_mc_solve_checks_zeta_without_assembling_d3(monkeypatch):
     assert applied == [3, 2]
 
 
+def test_each_check_of_zeta_builds_one_complex(monkeypatch):
+    """d(zeta) = 0 is checked in the complex the caller built: one per `mc_solve`, `make_deformation` and
+    `Deformation.require_valid`, and one when `obstruction_zeta` is called alone."""
+    built = []
+    complex_of = deformation.complex_of
+    monkeypatch.setattr(deformation, "complex_of", lambda alg, ext: built.append(1) or complex_of(alg, ext))
+    alg, ext = _readme_deform_instance()
+    report = mc_solve(alg, ext)  # its own re-verification reuses the report's complex
+    assert len(built) == 1
+    d = make_deformation(alg, ext, report.base_solution)
+    assert len(built) == 2
+    d.require_valid()
+    assert len(built) == 3
+    assert obstruction_zeta(alg, ext) == report.zeta
+    assert len(built) == 4
+
+
 def test_obstruction_zeta_refuses_a_non_cocycle(monkeypatch):
     """A zeta that fails d(zeta) = 0 is refused: the X-block of the associator plus one entry that is no cocycle."""
     alg, ext = _readme_deform_instance()
