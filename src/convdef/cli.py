@@ -119,8 +119,7 @@ def cmd_cohomology(sf: SpecFile, args) -> dict:
         xname, com = _pick(sf.comodules, "comodule", sf.task, args.comodule)
     else:
         xname, com = "(trivial)", _default_comodule(alg.coalgebra)
-    # parse_text(strict=True) has checked m and every comodule block; the default comodule is valid by construction
-    spec = ComplexSpec(alg.m, com, check=False)
+    spec = ComplexSpec(alg.m, com)
     res = spec.cohomology(degree)
     print(f"dim Z^{degree} = {res.dim_z}")
     print(f"dim B^{degree} = {res.dim_b}")

@@ -43,7 +43,7 @@ from .convolution import ConvMorphism, Form, MultiMap, _convolve, _form_sum, _id
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _dense, _normalized, _sum, augmented_echelon, image
+from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _dense, _normalized, _sum, image
 
 
 class Cochain(_Record):
@@ -128,15 +128,14 @@ class CohomologyResult(_Record):
 class ComplexSpec:
     """The cochain complex of an associative multiplication m and a comodule X."""
 
-    def __init__(self, m: ConvMorphism, comodule: Comodule, check: bool = True):
+    def __init__(self, m: ConvMorphism, comodule: Comodule):
         if m.coalgebra != comodule.base:
             raise ShapeError("multiplication and comodule live over different coalgebras")
         if m.src_arity != 2 or m.tgt_arity != 1:
             raise ShapeError("multiplication must be a map C -> Hom(A(x)A, A)")
-        if check:
-            comodule.require_valid()
-            if not is_associative(m):
-                raise ShapeError("multiplication is not associative in the convolution category")
+        comodule.require_valid()
+        if not is_associative(m):
+            raise ShapeError("multiplication is not associative in the convolution category")
         self.m = m
         self.comodule = comodule
         self.a_dim = m.a_dim
@@ -249,17 +248,24 @@ class ComplexSpec:
             return Subspace(self.field, self.cochain_dim(0))
         return self.image_echelon(n - 1)
 
-    def solve(self, n: int, rhs: Sequence) -> Optional[Vector]:
-        """The canonical solution of d^n x = rhs (free variables zero), or None off B^(n+1).
+    def solve(self, n: int, rhs: Cochain) -> Optional[Cochain]:
+        """The canonical cochain x with d^n x = rhs (free variables zero), or None when rhs is off B^(n+1).
 
-        One elimination of [d^n | rhs]; its left block is the RREF of the
-        rows of d^n, which is cached for Z^n unless already there.
+        One elimination of [d^n | rhs], rhs written into the rows of d^n as
+        its last column; the left block is the RREF of the rows of d^n,
+        which is cached for Z^n unless already there.
         """
+        if (rhs.degree, rhs.x_dim, rhs.a_dim) != (n + 1, self.x_dim, self.a_dim):
+            raise ShapeError("right-hand side does not match d^n of the complex")
+        f = require_same_field(self.field, rhs.field)
         d = self.differential_matrix(n)
-        aug = augmented_echelon(self.field, d.transpose().columns, d.cols, [rhs])
+        rows = d.transpose().columns
+        for r, v in rhs.flat_entries().items():
+            rows[r][d.cols] = v
+        aug = Subspace(f, d.cols + 1, rows)
         self._row_echelons.setdefault(n, aug.restrict(d.cols))
         sols = aug.solutions(d.cols)
-        return None if sols is None else sols[0]
+        return None if sols is None else Cochain.from_entries(f, self.a_dim, self.x_dim, n, sols[0])
 
     def cohomology(self, n: int) -> CohomologyResult:
         """Z^n = ker d^n, B^n = im d^(n-1), with RREF-canonical H^n representatives."""
@@ -268,10 +274,7 @@ class ComplexSpec:
         b_space = self.coboundaries(n)
         if not z_space.contains_space(b_space):
             raise ShapeError("differential does not square to zero; complex is inconsistent")
-        reps = tuple(
-            Cochain.from_flat(f, self.a_dim, self.x_dim, n, row)
-            for row in z_space.quotient_basis(b_space)
-        )
+        reps = tuple(Cochain.from_entries(f, self.a_dim, self.x_dim, n, row) for row in z_space.quotient_basis(b_space))
         return CohomologyResult(
             degree=n,
             dim_z=z_space.dim,

@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 from .coalgebra import Coalgebra
 from .errors import ConvDefError, NoFiltration, NotCocommutative, NotInvertible, ShapeError
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, _Record, _cleared, _fractions, _lincomb, _normalized, augmented_echelon
+from .linalg import SparseMatrix, Subspace, _Record, _cleared, _fractions, _lincomb, _normalized
 
 Form = tuple[int, list[dict]]  # (D, one dict of int entries per basis element of C): the values are ints / D
 
@@ -329,9 +329,10 @@ def _right_inverse(f: ConvMorphism) -> ConvMorphism:
     """The g with (f * g)(c_i) = eps(c_i) I at every basis element c_i of C, from one exact solve.
 
     Row (i, x) holds the coefficients sum mu f_j[x][y] of the unknowns (k, y) over
-    Delta(c_i) = sum mu c_j (x) c_k, the same for every column z of g, and column z's
-    right-hand side is eps(c_i) delta_xz.  Every equation is taken times D_mu D_f D_eps,
-    the denominators of Delta's constants, f's entries and the counit, so it is an int sum.
+    Delta(c_i) = sum mu c_j (x) c_k, the same for every column z of g, and, at column
+    n + z, column z's right-hand side eps(c_i) delta_xz.  Every equation is taken times
+    D_mu D_f D_eps, the denominators of Delta's constants, f's entries and the counit,
+    so it is an int sum.
     """
     c, field, a, p = f.coalgebra, f.field, f.a_dim, f.src_arity
     if p != f.tgt_arity:
@@ -345,15 +346,15 @@ def _right_inverse(f: ConvMorphism) -> ConvMorphism:
             for (x, y), v in comps[j].items():
                 eq, col = eqs[i * d + x], k * d + y
                 eq[col] = eq.get(col, 0) + w * v
-    rhs = [[d_mu * d_f * eps[i].get((x, x), 0) if x == z else 0 for i in range(c.dim) for x in range(d)] for z in range(d)]
-    sols = augmented_echelon(field, [_normalized(field, eq) for eq in eqs], n, rhs).solutions(n)
+        for (x, _x), v in eps[i].items():
+            eqs[i * d + x][n + x] = d_mu * d_f * v
+    sols = Subspace(field, n + d, [_normalized(field, eq) for eq in eqs]).solutions(n)
     if sols is None:
         raise NotInvertible("restriction to the bottom filtration layer is not invertible")
     out: list[dict] = [{} for _ in range(c.dim)]
     for z, sol in enumerate(sols):
-        for col, v in enumerate(sol):
-            if v:
-                out[col // d][(col % d, z)] = v
+        for col, v in sol.items():
+            out[col // d][(col % d, z)] = v
     return ConvMorphism(c, tuple(MultiMap(field, a, p, p, e) for e in out))
 
 

@@ -171,7 +171,7 @@ def make_deformation(
 def complex_of(alg: AlgebraMC, ext: Extension) -> ComplexSpec:
     if alg.coalgebra != ext.base:
         raise SpecMismatch("algebra and extension live over different coalgebras")
-    return ComplexSpec(alg.m, ext.comodule, check=False)
+    return ComplexSpec(alg.m, ext.comodule)
 
 
 def obstruction_zeta(alg: AlgebraMC, ext: Extension, spec: Optional[ComplexSpec] = None) -> Cochain:
@@ -216,27 +216,25 @@ class DeformationReport(_Record):
 def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
     """Solve d^2(nu) = -zeta; on success the solution set is base + Z^2.
 
-    `obstruction_zeta` checks that m is associative; `build_extension` checked the comodule.
+    `complex_of` checks that m is associative and the comodule valid, each verdict kept on its object.
     """
     spec = complex_of(alg, ext)
     zeta = obstruction_zeta(alg, ext, spec)
     f = spec.field
     # one elimination of [d^2 | zeta]: its left block is the RREF of d^2 that cohomology(2) reads Z^2 from
-    sol = spec.solve(2, zeta.flatten())
+    nu0 = spec.solve(2, zeta)
     h2 = spec.cohomology(2)
     z2, b2 = (
         tuple(Cochain.from_entries(f, spec.a_dim, spec.x_dim, 2, space.rows[p]) for p in space.pivots)
         for space in (h2.z_space, h2.b_space)
     )
-    if sol is None:
-        nu0 = None
+    rep = None
+    if nu0 is None:
         # canonical representative of [zeta] modulo B^3 = im d^2
         rep = Cochain.from_entries(f, spec.a_dim, spec.x_dim, 3, spec.coboundaries(3).reduce(zeta.flat_entries()))
-    else:
-        nu0, rep = Cochain.from_flat(f, spec.a_dim, spec.x_dim, 2, sol), None
     report = DeformationReport(
         zeta=zeta,
-        obstruction_vanishes=sol is not None,
+        obstruction_vanishes=nu0 is not None,
         nu0=nu0,
         base_solution=None if nu0 is None else -nu0,
         z2_basis=z2,

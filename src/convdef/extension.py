@@ -9,6 +9,7 @@ being the flip of the right one) and whose C (x) C term is omega.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .coalgebra import Coalgebra, GroupLikeSet, _is_grouplike, _tensor, normalize_triples, triples_columns
@@ -24,10 +25,11 @@ from .fields import require_same_field
 from .linalg import SparseMatrix, Subspace, Vector, _Record, _lincomb, _sum
 
 
-class Comodule:
+class Comodule(_Record):
     """Right C-comodule by structure constants: rho(e_s) = sum c * e_t (x) c_u."""
 
-    __slots__ = ("base", "dim", "coaction")
+    __slots__ = ("base", "dim", "coaction", "__dict__")  # the dict caches the axiom verdict
+    _fields = __slots__[:3]
 
     def __init__(self, base: Coalgebra, dim: int, coaction):
         self.base = base
@@ -39,22 +41,12 @@ class Comodule:
         # indices (t, u) live in X x C
         self.coaction = normalize_triples(base.field, coaction, (dim, base.dim), "coaction")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Comodule)
-            and self.base == other.base
-            and self.dim == other.dim
-            and self.coaction == other.coaction
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.dim, self.coaction))
-
-    def __repr__(self) -> str:
-        return f"Comodule(dim {self.dim} over {self.base!r})"
-
     def validate(self) -> list[str]:
-        """Return the list of failed comodule axioms (empty when valid)."""
+        """The failed comodule axioms (empty when valid), computed once per comodule and kept; not to be mutated."""
+        return self._failures
+
+    @cached_property
+    def _failures(self) -> list[str]:
         f, rho, c = self.base.field, self.coaction, self.base
         failures = []
         # coassociativity: (rho (x) C) o rho = (X (x) Delta) o rho, maps X -> X (x) C (x) C
@@ -84,10 +76,11 @@ def grouplike_comodule(base: Coalgebra, dim: int, grouplike: Sequence) -> Comodu
     return Comodule(base, dim, coaction)
 
 
-class Cocycle2:
+class Cocycle2(_Record):
     """Symmetric normalized 2-cocycle omega: X -> C (x) C over a comodule."""
 
-    __slots__ = ("comodule", "omega")
+    __slots__ = ("comodule", "omega", "__dict__")  # the dict caches the identities' verdict
+    _fields = __slots__[:2]
 
     def __init__(self, comodule: Comodule, omega):
         self.comodule = comodule
@@ -96,21 +89,15 @@ class Cocycle2:
             raise ShapeError("omega must give triples for every X basis vector")
         self.omega = normalize_triples(f, omega, (dc, dc), "omega")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cocycle2)
-            and self.comodule == other.comodule
-            and self.omega == other.omega
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.comodule, self.omega))
-
     def validate(self) -> list[str]:
-        """Failed identities among: symmetry, normalization, the 2-cocycle identity.
+        """Failed identities among: symmetry, normalization, the 2-cocycle identity; kept like `Comodule.validate`.
 
         Each is summed over the triples of omega, the coaction and Delta, one X basis vector at a time.
         """
+        return self._failures
+
+    @cached_property
+    def _failures(self) -> list[str]:
         com, c = self.comodule, self.comodule.base
         f, eps = c.field, c.counit
         failures = []
@@ -298,7 +285,7 @@ def _restrict_coalgebra_along(ctilde: Coalgebra, iota: SparseMatrix, counit: Seq
     sols = Subspace(f, dc * dc + dc, rows.values()).solutions(dc * dc)
     if sols is None:
         raise NotAnExtension("iota is not a coalgebra morphism")
-    delta_c = [[(j, k, y[j * dc + k]) for j in range(dc) for k in range(dc) if y[j * dc + k]] for y in sols]
+    delta_c = [[(*divmod(jk, dc), y) for jk, y in sol.items()] for sol in sols]
     return Coalgebra(f, [f"c{i}" for i in range(dc)], delta_c, counit)
 
 
@@ -380,9 +367,8 @@ def decompose_completely_reducible(
         raise UnsupportedCoaction("coaction is not supported on the span of the group-likes")
     ops = [[{} for _ in range(dx)] for _ in gs]  # ops[g][s] = T_g(x_s), {t: coefficient}
     for (s, t), sol in zip(keys, sols):
-        for op, y in zip(ops, sol):
-            if y:
-                op[s][t] = y
+        for gi, y in sol.items():
+            ops[gi][s][t] = y
     if any(_lincomb(f, ((1, op[s]) for op in ops)) != {s: f.one} for s in range(dx)):
         return None
     images = [Subspace(f, dx, op) for op in ops]

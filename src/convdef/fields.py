@@ -195,9 +195,6 @@ class PrimeField:
     def fmt(self, a) -> str:
         return str(a % self.p)
 
-    def elements(self):
-        return range(self.p)
-
     def random_element(self, rng, nonzero: bool = False) -> int:
         lo = 1 if nonzero else 0
         return rng.randint(lo, self.p - 1)

@@ -451,23 +451,22 @@ class Subspace:
                 out.append(vec)
         return out
 
-    def solutions(self, ncols: int) -> list[Vector] | None:
-        """For the RREF of [M | B], M with ncols columns: the canonical solution of M x = b per column b of B.
+    def solutions(self, ncols: int) -> list[dict] | None:
+        """For the RREF of [M | B], M with ncols columns: the canonical solution {unknown: value} of M x = b per column b of B.
 
         Returns None when some b is not in the image.  When every b is
         solvable there is no pivot in B, and the RREF restricts to the RREF
         of each [M | b]: every solution is the one an elimination of
-        [M | b] alone gives, free variables set to zero.
+        [M | b] alone gives, free variables set to zero, so x[piv] is the
+        pivot row's entry in b's column.
         """
         if self.pivots and self.pivots[-1] >= ncols:
             return None
-        z = self.field.zero
-        sols = []
-        for k in range(ncols, self.ambient):
-            x = [z] * ncols
-            for piv, row in self.rows.items():
-                x[piv] = row.get(k, z)
-            sols.append(tuple(x))
+        sols: list[dict] = [{} for _ in range(ncols, self.ambient)]
+        for piv in self.pivots:
+            for c, v in self.rows[piv].items():
+                if c >= ncols:
+                    sols[c - ncols][piv] = v
         return sols
 
     def contains_vector(self, v: Sequence) -> bool:
@@ -479,8 +478,8 @@ class Subspace:
         self._check_compatible(other)
         return not any(self.reduce(row) for row in other.rows.values())
 
-    def quotient_basis(self, sub: Subspace) -> list[Vector]:
-        """Basis rows kept by a greedy scan: each row not in sub + the rows before it.
+    def quotient_basis(self, sub: Subspace) -> list[dict]:
+        """The RREF row dicts kept by a greedy scan: each row not in sub + the rows before it; not to be mutated.
 
         Their classes form a basis of self / sub; sub must lie inside self.
         A vector of sub has coordinates v[p] in this basis, p running over
@@ -493,7 +492,7 @@ class Subspace:
         rev = {p: k - 1 - i for i, p in enumerate(self.pivots)}
         coords = ({rev[c]: x for c, x in row.items() if c in rev} for row in sub.rows.values())
         left_out = {k - 1 - c for c in Subspace(self.field, k, coords).pivots}
-        return [_dense(self.field, self.ambient, self.rows[p]) for i, p in enumerate(self.pivots) if i not in left_out]
+        return [self.rows[p] for i, p in enumerate(self.pivots) if i not in left_out]
 
     def _check_compatible(self, other: Subspace) -> None:
         require_same_field(self.field, other.field)
@@ -523,19 +522,6 @@ class SparseMatrix(_Record):
 
     def row_space(self) -> Subspace:
         return Subspace(self.field, self.cols, self.transpose().columns)
-
-
-def augmented_echelon(field: Field, rows: Sequence[dict], ncols: int, rhs_columns: Sequence[Sequence]) -> Subspace:
-    """The RREF of [M | B] from the row dicts of M (taken over) and the columns of B."""
-    for b in rhs_columns:
-        if len(b) != len(rows):
-            raise ShapeError(f"rhs length {len(b)} vs {len(rows)} rows")
-    for k, b in enumerate(rhs_columns, start=ncols):
-        for row, x in zip(rows, b):
-            x = field.coerce(x)
-            if x:
-                row[k] = x
-    return Subspace(field, ncols + len(rhs_columns), rows)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:

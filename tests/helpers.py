@@ -655,7 +655,7 @@ def fixture_specs():
             for xname, com in pairs:
                 if com not in seen:
                     seen.append(com)
-                    out.append((f"{path.name}:{aname}/{xname}", ComplexSpec(alg.m, com, check=False)))
+                    out.append((f"{path.name}:{aname}/{xname}", ComplexSpec(alg.m, com)))
     return out
 
 
@@ -671,10 +671,10 @@ def equiv_check(d1, d2):
         raise SpecMismatch("deformations must share the extension and the base algebra")
     ext = d1.extension
     spec = complex_of(d1.base, ext)
-    sol = spec.solve(1, (d2.m_x - d1.m_x).flatten())
-    if sol is None:
+    f_x = spec.solve(1, d2.m_x - d1.m_x)
+    if f_x is None:
         return None
-    gauge = _gauge_from_cochain(ext, Cochain.from_flat(spec.field, spec.a_dim, spec.x_dim, 1, sol))
+    gauge = _gauge_from_cochain(ext, f_x)
     if gauge_transport(d1, gauge).mtilde != d2.mtilde:
         raise ConvDefError("gauge solution failed exact verification")
     return gauge
@@ -933,7 +933,7 @@ def oracle_obstruction_zeta(alg, ext):
                             acc[r][col] = f.add(acc[r][col], f.mul(c, total))
         maps.append(MultiMap.from_rows(f, a, 3, 1, acc))
     zeta = Cochain(3, tuple(maps))
-    if not oracle_differential(ComplexSpec(alg.m, ext.comodule, check=False), zeta).is_zero():
+    if not oracle_differential(ComplexSpec(alg.m, ext.comodule), zeta).is_zero():
         raise ConvDefError("obstruction is not a 3-cocycle; inputs are inconsistent")
     return zeta
 

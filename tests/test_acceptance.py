@@ -172,7 +172,7 @@ def test_c02_obstruction_theorem():
     for trial in range(50):
         alg, ext = _random_graded_instance(trial, rng)
         zeta = obstruction_zeta(alg, ext)  # raises unless d^3(zeta) = 0
-        spec = ComplexSpec(alg.m, ext.comodule, check=False)
+        spec = ComplexSpec(alg.m, ext.comodule)
         assert spec.differential(zeta).is_zero()
         checked += 1
     assert checked >= 50

@@ -214,7 +214,7 @@ def test_each_check_of_zeta_builds_one_complex(monkeypatch):
 def test_obstruction_zeta_refuses_a_non_cocycle(monkeypatch):
     """A zeta that fails d(zeta) = 0 is refused: the X-block of the associator plus one entry that is no cocycle."""
     alg, ext = _readme_deform_instance()
-    spec = ComplexSpec(alg.m, ext.comodule, check=False)
+    spec = ComplexSpec(alg.m, ext.comodule)
     bump = {(0, 0): QQ.one}
     assert not oracle_differential(spec, Cochain(3, (MultiMap(QQ, 2, 3, 1, bump),))).is_zero()
     associator = deformation._associator
@@ -546,7 +546,7 @@ def test_unit_gauge_rejects_non_unit():
 
 
 def test_unit_gauge_runs_no_elimination(monkeypatch):
-    """Each step is inverted by its terminating power series: no augmented_echelon, no Subspace, no takeuchi_invert."""
+    """Each step is inverted by its terminating power series: no Subspace (every elimination), no takeuchi_invert."""
     rng = random.Random(59)
     cases = []
     for field in (QQ, F3, F5):
@@ -554,10 +554,9 @@ def test_unit_gauge_runs_no_elimination(monkeypatch):
             u = ConvMorphism(ct.sub_on_indices([0]), (unit_column(field, 2),))
             cases.append((random_gauge_transported_mult(ct, dual_numbers(field), rng), u))
     calls = []
-    init, echelon, invert = Subspace.__init__, convolution.augmented_echelon, deformation.takeuchi_invert
+    init, invert = Subspace.__init__, deformation.takeuchi_invert
     series = deformation._unipotent_inverse
     monkeypatch.setattr(Subspace, "__init__", lambda self, *a: calls.append("Subspace") or init(self, *a))
-    monkeypatch.setattr(convolution, "augmented_echelon", lambda *a: calls.append("echelon") or echelon(*a))
     monkeypatch.setattr(deformation, "takeuchi_invert", lambda *a: calls.append("invert") or invert(*a))
     monkeypatch.setattr(deformation, "_unipotent_inverse", lambda *a: calls.append("series") or series(*a))
     for broken, u in cases:

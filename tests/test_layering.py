@@ -68,15 +68,22 @@ def test_one_coface_loop_reads_the_integer_indexes():
     assert "_m_indexes" not in _names(tree)
 
 
-def _transposing_functions(tree: ast.AST) -> set[str]:
-    """The qualified names of the functions and methods that call `.transpose()`."""
-    out = set()
+def _functions(tree: ast.AST):
+    """(qualified name, node) of each module-level function and each method of a module-level class."""
     for scope in (node for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))):
-        fns = [(f"{scope.name}.{fn.name}", fn) for fn in scope.body if isinstance(fn, ast.FunctionDef)]
-        for name, fn in fns if isinstance(scope, ast.ClassDef) else [(scope.name, scope)]:
-            calls = (node for node in ast.walk(fn) if isinstance(node, ast.Call))
-            if any(isinstance(call.func, ast.Attribute) and call.func.attr == "transpose" for call in calls):
-                out.add(name)
+        if isinstance(scope, ast.FunctionDef):
+            yield scope.name, scope
+        else:
+            yield from ((f"{scope.name}.{fn.name}", fn) for fn in scope.body if isinstance(fn, ast.FunctionDef))
+
+
+def _callers(tree: ast.AST, called: set[str]) -> set[str]:
+    """The qualified names of the functions and methods that call a name in `called`, plain or as an attribute."""
+    out = set()
+    for name, fn in _functions(tree):
+        funcs = (node.func for node in ast.walk(fn) if isinstance(node, ast.Call))
+        if any(getattr(f, "id", None) in called or getattr(f, "attr", None) in called for f in funcs):
+            out.add(name)
     return out
 
 
@@ -88,13 +95,28 @@ def test_a_sparse_matrix_is_its_columns():
     for p in sorted(SRC.glob("*.py")):
         tree = ast.parse(p.read_text(), filename=str(p))
         assert "row_dicts" not in _names(tree), p.name
-        transposing.update(dict.fromkeys(_transposing_functions(tree), p.name))
+        transposing.update(dict.fromkeys(_callers(tree, {"transpose"}), p.name))
     assert transposing == {
         "Matrix.__matmul__": "linalg.py",  # the dense facade
         "SparseMatrix.row_space": "linalg.py",
         "ComplexSpec.solve": "cohomology.py",
         "Extension.lam": "extension.py",  # the retract is the transpose of the inclusion
     }
+
+
+DENSE = {"_dense", "flatten", "from_flat", "dense_rows"}
+
+
+def test_solves_stay_sparse():
+    """Right-hand sides and solutions are sparse dicts; only the public dense edges build or read dense vectors."""
+    densifying = set()
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text(), filename=str(p))
+        assert "augmented_echelon" not in _names(tree), p.name
+        densifying |= _callers(tree, DENSE)
+    assert not hasattr(convdef.linalg, "augmented_echelon")
+    # Cochain.flatten and Subspace.dense_rows are public dense output; rref and the completely reducible lines too
+    assert densifying == {"Cochain.flatten", "Subspace.dense_rows", "rref", "decompose_completely_reducible"}
 
 
 # the dense facade no library code calls; `solve` is checked only as a module attribute, since `ComplexSpec.solve` stays
@@ -115,12 +137,14 @@ def test_the_retired_dense_facade_stays_out():
     assert not any(hasattr(convdef.linalg, name) for name in ("kernel_basis", "solve", "solve_many"))
     assert not any(hasattr(convdef.Subspace, name) for name in ("of_matrix", "equation_matrix"))
     assert not any(hasattr(convdef.Coalgebra, name) for name in ("expand_slot", "iterated_delta", "delta_component"))
+    # the reachability guard matches names without types, so `GroupLikeSet.elements` would hide this one
+    assert not hasattr(convdef.fields.PrimeField, "elements")
     # the public functions and methods of linalg, Matrix's own methods aside, whose signature names Matrix
-    tree = ast.parse((SRC / "linalg.py").read_text())
-    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
-    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name != "Matrix"):
-        functions += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body if isinstance(fn, ast.FunctionDef)]
-    naming = [name for name, fn in functions if not fn.name.startswith("_") and "Matrix" in _signature_names(fn)]
+    functions = _functions(ast.parse((SRC / "linalg.py").read_text()))
+    naming = [
+        name for name, fn in functions
+        if not name.startswith("Matrix.") and not fn.name.startswith("_") and "Matrix" in _signature_names(fn)
+    ]
     assert naming == ["rref"]
 
 

@@ -13,7 +13,7 @@ from convdef import (
     image,
     rref,
 )
-from convdef.linalg import Matrix, _dense, _sparse, augmented_echelon
+from convdef.linalg import Matrix, _dense, _sparse
 from convdef.fields import QQ, PrimeField
 
 from helpers import (
@@ -48,13 +48,29 @@ def kernel(m: Matrix) -> list:
     return [_dense(m.field, m.cols, v) for v in row_space(m).kernel()]
 
 
+def augmented(m: Matrix, rhs: list) -> Subspace:
+    """The RREF of [m | B]: each right-hand side b is written into m's row dicts at column m.cols + k."""
+    rows = [_sparse(r) for r in m.data]
+    for k, b in enumerate(rhs, start=m.cols):
+        for row, x in zip(rows, map(m.field.coerce, b)):
+            if x:
+                row[k] = x
+    return Subspace(m.field, m.cols + len(rhs), rows)
+
+
+def dense_solutions(m: Matrix, ech: Subspace):
+    """`Subspace.solutions` of [m | B] as dense vectors, or None."""
+    sols = ech.solutions(m.cols)
+    return None if sols is None else [_dense(m.field, m.cols, x) for x in sols]
+
+
 def solve(m: Matrix, rhs: list):
     """(canonical solutions of m x = b per b in rhs or None, canonical kernel of m) from one elimination of [m | B].
 
     Checked against `oracle_solve_many` and `oracle_kernel` on the way.
     """
-    ech = augmented_echelon(m.field, [_sparse(r) for r in m.data], m.cols, rhs)
-    sols, ker = ech.solutions(m.cols), [_dense(m.field, m.cols, v) for v in ech.restrict(m.cols).kernel()]
+    ech = augmented(m, rhs)
+    sols, ker = dense_solutions(m, ech), [_dense(m.field, m.cols, v) for v in ech.restrict(m.cols).kernel()]
     assert sols == oracle_solve_many(m, rhs)
     assert ker == oracle_kernel(m)
     return sols, ker
@@ -151,8 +167,6 @@ def test_solve_rank_one():
 
 def test_solve_shape_error():
     for rhs in ([(1, 2, 3)], [(1, 2), (1,)]):
-        with pytest.raises(ShapeError):
-            augmented_echelon(QQ, [_sparse(r) for r in Matrix.identity(QQ, 2).data], 2, rhs)
         with pytest.raises(ShapeError):
             oracle_solve_many(Matrix.identity(QQ, 2), rhs)
 
@@ -268,7 +282,7 @@ def test_quotient_basis_matches_greedy_oracle():
             ]
             b = Subspace.span(field, n, combos)
             assert z.contains_space(b)
-            kept = z.quotient_basis(b)
+            kept = [_dense(field, n, row) for row in z.quotient_basis(b)]
             assert kept == greedy_quotient_rows(z, b)
             assert len(kept) == z.dim - b.dim
 
@@ -277,8 +291,8 @@ def test_quotient_basis_keeps_later_rows_when_sub_hits_earlier_ones():
     z = full_space(QQ, 3)
     # e0 + e2 lies in sub: the greedy scan keeps e0, e1 and skips e2
     b = Subspace.span(QQ, 3, [(1, 0, 1)])
-    assert z.quotient_basis(b) == [(1, 0, 0), (0, 1, 0)]
-    assert z.quotient_basis(b) == greedy_quotient_rows(z, b)
+    kept = [_dense(QQ, 3, row) for row in z.quotient_basis(b)]
+    assert kept == [(1, 0, 0), (0, 1, 0)] == greedy_quotient_rows(z, b)
 
 
 def _matrix(field, rows, cols):
@@ -427,7 +441,7 @@ def test_q_echelon_on_wide_rationals_matches_dense_gauss_jordan(m):
         assert _dense(QQ, k, ech.restrict(k).reduce(_sparse(v[:k]))) == _oracle_reduce(left, v[:k])
     image_rhs = m.mul_vec(tuple(_wide(rng) for _ in range(m.cols)))
     for rhs in ([image_rhs], [image_rhs, tuple(_wide(rng) for _ in range(m.rows))]):
-        sols = augmented_echelon(QQ, [_sparse(r) for r in m.data], m.cols, rhs).solutions(m.cols)
+        sols = dense_solutions(m, augmented(m, rhs))
         solvable = all(oracle_rref(m.hstack(Matrix(QQ, m.rows, 1, tuple((x,) for x in b))))[2] == ech.dim for b in rhs)
         assert (sols is not None) == solvable
         if sols is None:
