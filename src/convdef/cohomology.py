@@ -125,6 +125,11 @@ class CohomologyResult(_Record):
         self.representatives, self.z_space, self.b_space = representatives, z_space, b_space
 
 
+# The largest d^n the library assembles: 2^20 rows, x_dim a^(n+2).  The largest in the tests, the benchmark and
+# the ladder of ROADMAP is M_2 at n = 6, 65,536 rows; one past the bound would take hours and gigabytes.
+MAX_DIFFERENTIAL_ROWS = 2**20
+
+
 class ComplexSpec:
     """The cochain complex of an associative multiplication m and a comodule X."""
 
@@ -223,9 +228,25 @@ class ComplexSpec:
             outs.append(out)
         return outs
 
+    def _require_within_bound(self, n: int) -> None:
+        """Refuse a d^n with more than MAX_DIFFERENTIAL_ROWS rows, comparing n with the bound before any power.
+
+        With a >= 2 the rows x a^(n+2) pass 2^20 once n + 2 > 20; with a = 1
+        they stay x, and n + 2, the number of cofaces, is held to 2^20.
+        """
+        x, a, k = self.x_dim, self.a_dim, n + 2
+        if k <= (MAX_DIFFERENTIAL_ROWS.bit_length() - 1 if a > 1 else MAX_DIFFERENTIAL_ROWS):
+            if x * a**k <= MAX_DIFFERENTIAL_ROWS:
+                return
+            shape = f"{x * a**k} x {x * a ** (k - 1)}"
+        else:
+            shape = f"{x}*{a}^{k} x {x}*{a}^{k - 1}"
+        raise ShapeError(f"d^{n} would be {shape}, past the bound of {MAX_DIFFERENTIAL_ROWS} rows")
+
     def differential_matrix(self, n: int) -> SparseMatrix:
         """d^n as its cochain_dim(n) columns, assembled once and cached: column j is d^n of the unit cochain e_j."""
         if n not in self._differentials:
+            self._require_within_bound(n)
             cols = self._coboundaries(n, [{j: 1} for j in range(self.cochain_dim(n))])
             self._differentials[n] = SparseMatrix(self.field, self.cochain_dim(n + 1), self.cochain_dim(n), tuple(cols))
         return self._differentials[n]
@@ -270,7 +291,8 @@ class ComplexSpec:
     def cohomology(self, n: int) -> CohomologyResult:
         """Z^n = ker d^n, B^n = im d^(n-1), with RREF-canonical H^n representatives."""
         f = self.field
-        z_space = Subspace(f, self.cochain_dim(n), self.row_echelon(n).kernel())
+        kernel = self.row_echelon(n).kernel()  # refuses an oversized d^n before cochain_dim(n) takes a power
+        z_space = Subspace(f, self.cochain_dim(n), kernel)
         b_space = self.coboundaries(n)
         if not z_space.contains_space(b_space):
             raise ShapeError("differential does not square to zero; complex is inconsistent")
@@ -305,6 +327,11 @@ def is_associative(m: ConvMorphism) -> bool:
     if "associative" not in m.__dict__:
         m.__dict__["associative"] = not any(_associator(m)[1])
     return m.__dict__["associative"]
+
+
+def _proved_associative(m: ConvMorphism) -> None:
+    """Record on m that it is associative, proved without its associator, so `is_associative` runs none."""
+    m.__dict__["associative"] = True
 
 
 def hochschild_spec(m0: MultiMap) -> ComplexSpec:

@@ -28,7 +28,7 @@ import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .coalgebra import Coalgebra, find_grouplikes
-from .cohomology import Cochain, ComplexSpec, _associator, is_associative
+from .cohomology import Cochain, ComplexSpec, _associator, _proved_associative, is_associative
 from .convolution import (
     ConvMorphism,
     Form,
@@ -165,6 +165,8 @@ def make_deformation(
         _require_mc(nu, obstruction_zeta(base, ext, spec), spec)
     elif not _certified:
         _require_mc(nu, _report.zeta, _report.spec)
+    # m is associative (zeta's C-block) and d^2(nu) = -zeta: so is mtilde, and no complex over it re-checks
+    _proved_associative(d.mtilde)
     return d
 
 

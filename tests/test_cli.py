@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -65,6 +66,7 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("series_all_f3", ["series", fx("poly_t2_f3.json"), *SERIES_ARGS, "--strategy", "all"], 0),
         ("unit_gauge_t4", ["unit-gauge", fx("unit_gauge_t4.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
         ("invert_ungraded", ["invert", fx("invert_ungraded.json")], 0),
+        ("cohomology_dense_fp", ["cohomology", fx("trunc4_dense_f32003.json"), "--degree", "2"], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):
@@ -307,6 +309,17 @@ def test_input_errors_exit_1(tmp_path, capsys):
     path.write_text(json.dumps(cochains).replace('"ENTRY"', "7" * 4400))
     assert main(["series", fx("poly_t2_dual.json"), *SERIES_ARGS, "--strategy", "file:" + str(path)]) == 1
     assert "cochain file: integer literal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("degree", ["9", "12345678901234567890"])
+def test_oversized_degree_exits_1_at_once(capsys, degree):
+    """A d^n of M_2 past 2^20 rows is refused before it is built: exit 1 in well under a second, with no traceback."""
+    start = time.perf_counter()
+    assert main(["cohomology", fx("mat2.json"), "--degree", degree]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: d^{degree} would be ") and err.endswith(" past the bound of 1048576 rows\n")
+    assert "Traceback" not in err
 
 
 def test_help_still_exits_0(capsys):

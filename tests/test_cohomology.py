@@ -99,6 +99,26 @@ def test_solve_takes_and_returns_cochains():
             spec.solve(2, rhs)
 
 
+def test_differential_past_the_row_bound_is_refused_before_any_power(monkeypatch):
+    """d^n of M_2 has 4^(n+2) rows: n = 6 (65,536) and n = 8 (2^20) pass, n = 9 and a 20-digit n are refused.
+
+    With a one-dimensional A the rows stay x_dim, and the coface count n + 2 is held to the same bound.
+    """
+    spec = hochschild_spec_of(mat2_mult(QQ))
+    for n in (6, 8):
+        spec._require_within_bound(n)
+    with pytest.raises(ShapeError, match=r"^d\^9 would be 4194304 x 1048576, past the bound of 1048576 rows$"):
+        spec.cohomology(9)
+    monkeypatch.setattr(ComplexSpec, "cochain_dim", lambda self, n: pytest.fail("cochain_dim called"))
+    n = 10**19
+    with pytest.raises(ShapeError, match=rf"^d\^{n} would be 1\*4\^{n + 2} x 1\*4\^{n + 1}, past the bound"):
+        spec.cohomology(n)
+    line = hochschild_spec_of(MultiMap.from_rows(QQ, 1, 2, 1, [[1]]))
+    line._require_within_bound(2**20 - 2)
+    with pytest.raises(ShapeError, match=r"would be 1\*1\^1048577 x 1\*1\^1048576"):
+        line._require_within_bound(2**20 - 1)
+
+
 def test_trivial_base_cofaces_are_hochschild():
     # with C = k and X = k the cofaces are the classical Hochschild faces
     rng = random.Random(1)

@@ -3,8 +3,11 @@
 Every generated spec either parses or raises a domain error, and `main`
 always returns 0, 1 or 2.  Generated integers stay within |n| <= 3 and
 containers hold at most 4 items: a degree or a dimension is an exponent
-of the dense cochain size, so a larger value could ask for a matrix with
-millions of entries, and no size budget exists to refuse it.
+of the dense cochain size.  The budgets that exist refuse only what could
+never finish (a component past 2^20 entries at parse, a d^n past 2^20
+rows in `ComplexSpec`); a larger value within them could still ask for a
+matrix with hundreds of thousands of rows, far more work than one example
+may take.
 """
 
 import io

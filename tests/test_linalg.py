@@ -481,3 +481,122 @@ def test_q_elimination_makes_no_fraction_arithmetic():
             assert _dense(QQ, m.cols, got) == _oracle_reduce(m, dv)
             assert _dense(QQ, k, got_left) == _oracle_reduce(left, dv[:k])
     assert any(x.denominator > 1 for ech, _r, _l in results for row in ech.rows.values() for x in row.values())
+
+
+# -- the packed F_p elimination of tall dense row sets, against the dense oracle and the dict loop ------------
+
+F32003 = PrimeField(32003)
+F_MERSENNE = PrimeField(2**31 - 1)  # the largest prime `PrimeField` admits: 128-bit slots
+
+
+def _tall_dense_fp_matrices() -> list:
+    """Tall matrices over F_2, F_3, F_32003 and F_(2^31 - 1) with at least 8 nonzeros a row on average.
+
+    Each is a product L R of inner dimension k (rank-deficient for k below
+    the column count) with two zero rows, three repeated rows and three
+    rows of all p - 1 entries mixed in; the last push the packed slots
+    towards their bound.
+    """
+    rng = random.Random(97)
+    out = []
+    for field in (F2, F3, F32003, F_MERSENNE):
+        p = field.char
+        for nr, nc, k in ((48, 20, 6), (72, 40, 40), (41, 40, 25), (64, 24, 3)):
+            left = [[rng.randrange(p) for _ in range(k)] for _ in range(nr)]
+            right = [[rng.randrange(p) for _ in range(nc)] for _ in range(k)]
+            rows = [[sum(a * b for a, b in zip(lrow, col)) % p for col in zip(*right)] for lrow in left]
+            rows += [[0] * nc] * 2 + rng.sample(rows, 3) + [[p - 1] * nc] * 3
+            rng.shuffle(rows)
+            out.append(_matrix(field, rows, nc))
+    return out
+
+
+TALL_DENSE_FP = _tall_dense_fp_matrices()
+
+
+@pytest.mark.parametrize("m", TALL_DENSE_FP, ids=lambda m: f"{m.rows}x{m.cols}-F{m.field.char}")
+def test_packed_elimination_matches_oracle_and_dict_loop(m, monkeypatch):
+    """Each tall dense set takes the packed path, and every answer equals the oracle's and the dict loop's.
+
+    Every slot read stays below (ambient + 1)^2 p^3 + p < 2^W; over F_(2^31 - 1) some slot passes 2^64,
+    so W = 128 is needed there, and W = 64 serves the smaller primes.
+    """
+    from convdef import linalg
+
+    p, rows = m.field.char, [_sparse(r) for r in m.data]
+    assert linalg._packs(m.cols, rows)
+    width = linalg._slot_width(p, m.cols)
+    assert width == (128 if p == 2**31 - 1 else 64)
+    bound = (m.cols + 1) ** 2 * p**3 + p
+    assert bound < 2**width
+    seen, slots, packed_rref = [], linalg._slots, linalg._packed_rref
+
+    def read(n, count, w):
+        out = slots(n, count, w)
+        seen.extend(out)
+        return out
+
+    packed_calls = []
+    monkeypatch.setattr(linalg, "_slots", read)
+    monkeypatch.setattr(linalg, "_packed_rref", lambda *a: packed_calls.append(1) or packed_rref(*a))
+    check_echelon_against_oracle(m)
+    packed = Subspace(m.field, m.cols, rows)
+    assert packed_calls and max(seen) < bound
+    assert (max(seen) >= 2**64) == (width > 64)
+    monkeypatch.setattr(linalg, "_packs", lambda ambient, rows: False)
+    plain = Subspace(m.field, m.cols, rows)
+    assert packed.rows == plain.rows and packed.pivots == plain.pivots
+    assert all(row[piv] == 1 and min(row) == piv and all(0 < x < p for x in row.values())
+               for piv, row in packed.rows.items())
+    rng = random.Random(m.rows * m.cols + p)
+    for _ in range(4):
+        v = {c: rng.randrange(1, p) for c in rng.sample(range(m.cols), m.cols // 2)}
+        assert packed.reduce(v) == plain.reduce(v)
+        assert _dense(m.field, m.cols, packed.reduce(v)) == reduce_dense(plain, _dense(m.field, m.cols, v))
+
+
+def test_slot_width_follows_the_bound():
+    """W is the least multiple of 64 above (ambient + 1)^2 p^3 + p."""
+    from convdef.linalg import _slot_width
+
+    assert _slot_width(32003, 64) == 64 and _slot_width(3, 2**17) == 64
+    assert _slot_width(2**31 - 1, 1) == 128 and _slot_width(2**31 - 1, 2**17) == 128
+    assert _slot_width(2**31 - 1, 2**18) == 192
+    for p, ambient in ((2, 1), (32003, 64), (32003, 2**12), (65521, 2**10), (2**31 - 1, 2**17)):
+        w = _slot_width(p, ambient)
+        assert w % 64 == 0 and 2 ** (w - 64) <= (ambient + 1) ** 2 * p**3 + p < 2**w
+
+
+def test_only_tall_dense_fp_sets_take_the_packed_path(monkeypatch):
+    """The dense 256 x 64 d^2 of M_2 over F_32003 is packed; its sparse d^2 (1.4 nonzeros a row), the short dense
+    kernel set of the same cohomology, a deform-sized 81 x 28 set over F_3 (6 a row: [d^2 | zeta] of a series
+    deformation of k[x]/(x^3) in a dense basis) and the dense d^2 of M_2 over Q are not."""
+    from convdef import divided_power_t, hochschild_spec, linalg, series_deform
+    from helpers import conjugate_mult, mat2_mult, random_invertible, truncated_poly
+
+    packed, sets, packed_rref, init = [], [], linalg._packed_rref, Subspace.__init__
+
+    def recording(self, field, ambient, rows=()):
+        rows = list(rows)
+        sets.append((field.char, len(rows), ambient, sum(map(len, rows))))
+        init(self, field, ambient, rows)
+
+    monkeypatch.setattr(linalg, "_packed_rref", lambda p, ambient, rows: packed.append((p, len(rows), ambient))
+                        or packed_rref(p, ambient, rows))
+    monkeypatch.setattr(Subspace, "__init__", recording)
+    dense_m2 = conjugate_mult(mat2_mult(F32003), random_invertible(F32003, 4, random.Random(5)))
+    dense = hochschild_spec(dense_m2).cohomology(2)
+    assert packed == [(32003, 256, 64)] and dense.dim_h == 0
+    # the kernel of d^2 spans Z^2 in one short set, as dense as d^2 itself
+    assert any(n <= amb and nnz >= 8 * n for _p, n, amb, nnz in sets)
+    sets.clear()
+    packed.clear()
+    sparse = hochschild_spec(mat2_mult(F32003)).cohomology(2)
+    assert packed == [] and sparse.dim_h == 0 and (32003, 256, 64) in [s[:3] for s in sets]
+    sets.clear()
+    series_deform(conjugate_mult(truncated_poly(F3, 3), random_invertible(F3, 3, random.Random(10))),
+                  divided_power_t(2, F3), 2)
+    largest = max(sets, key=lambda s: s[1] * s[2])
+    assert packed == [] and largest[:3] == (3, 81, 28) and 5 * 81 <= largest[3] < 8 * 81, largest
+    hochschild_spec(conjugate_mult(mat2_mult(QQ), random_invertible(QQ, 4, random.Random(5)))).row_echelon(2)
+    assert packed == []
