@@ -60,12 +60,61 @@ def _is_name(x, table) -> bool:
     return isinstance(x, str) and x in table
 
 
-def _entries(block: dict, key: str, where: str, shape: str, required: bool = True) -> list:
-    """The [src, a, b, coeff] entries of a delta, coaction or omega list."""
+def _ref(block: dict, key: str, table: dict, what: str, where: str):
+    """The entry of `table` (blocks of one kind, by name) that the block's `key` names."""
+    name = _need(block, key, "reference", where)
+    if not _is_name(name, table):
+        raise SpecFileError("reference", f"{where}: unknown {what} {name!r}")
+    return table[name]
+
+
+def _index(names) -> dict[str, int]:
+    return {b: i for i, b in enumerate(names)}
+
+
+def _basis(block: dict, where: str) -> dict[str, int]:
+    """The block's `basis`, a nonempty list of distinct names, as the position of each name."""
+    basis = _need(block, "basis", "dimension", where)
+    if not isinstance(basis, list) or not basis or not all(isinstance(b, str) for b in basis):
+        raise SpecFileError("dimension", f"{where}: basis must be a nonempty list of names")
+    index = _index(basis)
+    if len(index) != len(basis):
+        raise SpecFileError("reference", f"{where}: duplicate basis names")
+    return index
+
+
+def _at(index: dict[str, int], name, key: str, where: str) -> int:
+    """The position of a name that the block's `key` uses; it must be a name of `index`'s basis."""
+    if not _is_name(name, index):
+        raise SpecFileError("reference", f"{where}: {key} references unknown basis name {name!r}")
+    return index[name]
+
+
+def _triples(f: Field, block: dict, key: str, bases: tuple, where: str, lits: dict, required: bool = True) -> list:
+    """A delta, coaction or omega table: its [src, left, right, coeff] entries as (left, right, coeff) per src,
+    each name resolved against its own column's basis in `bases`."""
     entries = _need(block, key, "dimension", where) if required else block.get(key, [])
     if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 4 for e in entries):
-        raise SpecFileError("dimension", f"{where}: {key} entries are {shape}")
-    return entries
+        raise SpecFileError("dimension", f"{where}: {key} entries are [src, left, right, coeff]")
+    src, left, right = bases
+    out = [[] for _ in src]
+    for s, j, k, coeff in entries:
+        out[_at(src, s, key, where)].append(
+            (_at(left, j, key, where), _at(right, k, key, where), _scalar(f, coeff, where, lits)))
+    return out
+
+
+def _per_name(block: dict, key: str, index: dict[str, int], what: str, read, zero, where: str) -> list:
+    """The values of the block's `key`, an object mapping basis names to `what`, in basis order: `read(name, value)`
+    reads each one given, and a name not given gets `zero`."""
+    spec = block.get(key, {})
+    if not isinstance(spec, dict):
+        raise SpecFileError("dimension", f"{where}: {key} must map basis names to {what}")
+    out = [zero] * len(index)
+    for name, value in spec.items():
+        i = _at(index, name, key, where)  # the name is checked before its value is read
+        out[i] = read(name, value)
+    return out
 
 
 def _scalar(f: Field, x, where: str, lits: dict):
@@ -102,10 +151,17 @@ def _multimap(f: Field, rows_spec, a_dim: int, src_arity: int, tgt_arity: int, w
     return MultiMap(f, a_dim, src_arity, tgt_arity, entries)
 
 
-def _vector(f: Field, vec_spec, n: int, where: str, lits: dict):
+def _vector(f: Field, vec_spec, n: int, where: str, lits: dict) -> MultiMap:
+    """A map k -> A from its length-n vector of scalar literals."""
     if not isinstance(vec_spec, list) or len(vec_spec) != n:
         raise SpecFileError("dimension", f"{where} must be a vector of length {n}")
-    return [_scalar(f, x, where, lits) for x in vec_spec]
+    return MultiMap(f, n, 0, 1, {(r, 0): v for r, x in enumerate(vec_spec) if (v := _scalar(f, x, where, lits))})
+
+
+def _degree(name: str, v, where: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        raise SpecFileError("dimension", f"{where}: degree of {name!r} must be a nonnegative int")
+    return v
 
 
 def _require_small(where: str, a_dim: int, src_arity: int, tgt_arity: int) -> None:
@@ -118,154 +174,64 @@ def _require_small(where: str, a_dim: int, src_arity: int, tgt_arity: int) -> No
 
 def _parse_coalgebra(f: Field, name: str, block: dict, lits: dict) -> Coalgebra:
     where = f"coalgebra {name!r}"
-    basis = _need(block, "basis", "dimension", where)
-    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis) or not basis:
-        raise SpecFileError("dimension", f"{where}: basis must be a nonempty list of names")
-    if len(set(basis)) != len(basis):
-        raise SpecFileError("reference", f"{where}: duplicate basis names")
-    index = {b: i for i, b in enumerate(basis)}
-
-    def look(n_: str, what: str) -> int:
-        if not _is_name(n_, index):
-            raise SpecFileError("reference", f"{where}: {what} references unknown basis name {n_!r}")
-        return index[n_]
-
-    delta = [[] for _ in basis]
-    for src, left, right, coeff in _entries(block, "delta", where, "[src, left, right, coeff]"):
-        delta[look(src, "delta")].append(
-            (look(left, "delta"), look(right, "delta"), _scalar(f, coeff, where, lits))
-        )
-    counit_spec = block.get("counit", {})
-    if not isinstance(counit_spec, dict):
-        raise SpecFileError("dimension", f"{where}: counit must map basis names to scalars")
-    counit = [f.zero] * len(basis)
-    for n_, v in counit_spec.items():
-        counit[look(n_, "counit")] = _scalar(f, v, where, lits)
+    index = _basis(block, where)
+    delta = _triples(f, block, "delta", (index, index, index), where, lits)
+    counit = _per_name(block, "counit", index, "scalars", lambda _n, v: _scalar(f, v, where, lits), f.zero, where)
     grading = None
     if "degrees" in block:
-        deg_spec = block["degrees"]
-        if not isinstance(deg_spec, dict):
-            raise SpecFileError("dimension", f"{where}: degrees must map basis names to integers")
-        grading = [0] * len(basis)
-        for n_, v in deg_spec.items():
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise SpecFileError("dimension", f"{where}: degree of {n_!r} must be a nonnegative int")
-            grading[look(n_, "degrees")] = v
-    return Coalgebra(f, basis, delta, counit, grading=grading)
+        grading = _per_name(block, "degrees", index, "integers", lambda n, v: _degree(n, v, where), 0, where)
+    return Coalgebra(f, index, delta, counit, grading=grading)
 
 
-def _parse_comodule(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra], lits: dict) -> Comodule:
+def _parse_comodule(
+    f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra], lits: dict
+) -> tuple[Comodule, dict[str, int]]:
+    """The comodule and the position of each of its basis names, which its cocycles use."""
     where = f"comodule {name!r}"
-    base_name = _need(block, "base", "reference", where)
-    if not _is_name(base_name, coalgebras):
-        raise SpecFileError("reference", f"{where}: unknown coalgebra {base_name!r}")
-    base = coalgebras[base_name]
-    basis = _need(block, "basis", "dimension", where)
-    if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis) or not basis:
-        raise SpecFileError("dimension", f"{where}: basis must be a nonempty list of names")
-    xindex = {b: i for i, b in enumerate(basis)}
-    cindex = {b: i for i, b in enumerate(base.names)}
-    coaction = [[] for _ in basis]
-    for triple in _entries(block, "coaction", where, "[src, x, c, coeff]"):
-        src, xo, co, coeff = triple
-        if not (_is_name(src, xindex) and _is_name(xo, xindex)):
-            raise SpecFileError("reference", f"{where}: unknown X basis name in {triple[:3]!r}")
-        if not _is_name(co, cindex):
-            raise SpecFileError("reference", f"{where}: unknown coalgebra basis name {co!r}")
-        coaction[xindex[src]].append((xindex[xo], cindex[co], _scalar(f, coeff, where, lits)))
-    return Comodule(base, len(basis), coaction)
+    base = _ref(block, "base", coalgebras, "coalgebra", where)
+    xindex = _basis(block, where)
+    coaction = _triples(f, block, "coaction", (xindex, xindex, _index(base.names)), where, lits)
+    return Comodule(base, len(xindex), coaction), xindex
 
 
-def _parse_cocycle(
-    f: Field, name: str, block: dict, comodules: dict[str, Comodule], xnames: dict[str, list[str]], lits: dict
-) -> Cocycle2:
+def _parse_cocycle(f: Field, name: str, block: dict, comodules: dict[str, tuple], lits: dict) -> Cocycle2:
     where = f"cocycle {name!r}"
-    com_name = _need(block, "comodule", "reference", where)
-    if not _is_name(com_name, comodules):
-        raise SpecFileError("reference", f"{where}: unknown comodule {com_name!r}")
-    com = comodules[com_name]
-    names = xnames[com_name]
-    xindex = {b: i for i, b in enumerate(names)}
-    cindex = {b: i for i, b in enumerate(com.base.names)}
-    omega = [[] for _ in range(com.dim)]
-    for triple in _entries(block, "omega", where, "[src, c, c, coeff]", required=False):
-        src, ca, cb, coeff = triple
-        if not _is_name(src, xindex):
-            raise SpecFileError("reference", f"{where}: unknown X basis name {src!r}")
-        if not (_is_name(ca, cindex) and _is_name(cb, cindex)):
-            raise SpecFileError("reference", f"{where}: unknown coalgebra basis name in {triple!r}")
-        omega[xindex[src]].append((cindex[ca], cindex[cb], _scalar(f, coeff, where, lits)))
-    return Cocycle2(com, omega)
+    com, xindex = _ref(block, "comodule", comodules, "comodule", where)
+    cindex = _index(com.base.names)
+    return Cocycle2(com, _triples(f, block, "omega", (xindex, cindex, cindex), where, lits, required=False))
 
 
 def _parse_algebra(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra], lits: dict) -> AlgebraMC:
     where = f"algebra {name!r}"
-    over = _need(block, "over", "reference", where)
-    if not _is_name(over, coalgebras):
-        raise SpecFileError("reference", f"{where}: unknown coalgebra {over!r}")
-    c = coalgebras[over]
+    c = _ref(block, "over", coalgebras, "coalgebra", where)
     dim = block.get("dim")
-    if dim is None and isinstance(block.get("basis"), list):
-        dim = len(block["basis"])
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise SpecFileError("dimension", f"{where}: positive dimension required (dim or basis)")
+        raise SpecFileError("dimension", f"{where}: positive dimension required (dim)")
     _require_small(where, dim, 2, 1)
-    mult = block.get("mult", {})
-    if not isinstance(mult, dict):
-        raise SpecFileError("dimension", f"{where}: mult must map coalgebra basis names to matrices")
-    comps = []
-    for i, cname in enumerate(c.names):
-        if cname in mult:
-            comps.append(_multimap(f, mult[cname], dim, 2, 1, f"{where}.mult[{cname}]", lits))
-        else:
-            comps.append(MultiMap.zero(f, dim, 2, 1))
-    for key in mult:
-        if key not in c.names:
-            raise SpecFileError("reference", f"{where}: mult references unknown basis name {key!r}")
-    m = ConvMorphism(c, tuple(comps))
+    index = _index(c.names)
+    mult = _per_name(block, "mult", index, "matrices",
+                     lambda n, v: _multimap(f, v, dim, 2, 1, f"{where}.mult[{n}]", lits), MultiMap.zero(f, dim, 2, 1),
+                     where)
     unit = None
     if "unit" in block:
-        unit_spec = block["unit"]
-        if not isinstance(unit_spec, dict):
-            raise SpecFileError("dimension", f"{where}: unit must map basis names to vectors")
-        ucomps = []
-        for cname in c.names:
-            if cname in unit_spec:
-                vec = _vector(f, unit_spec[cname], dim, f"{where}.unit[{cname}]", lits)
-                ucomps.append(MultiMap(f, dim, 0, 1, {(r, 0): v for r, v in enumerate(vec) if v}))
-            else:
-                ucomps.append(MultiMap.zero(f, dim, 0, 1))
-        for key in unit_spec:
-            if key not in c.names:
-                raise SpecFileError("reference", f"{where}: unit references unknown basis name {key!r}")
-        unit = ConvMorphism(c, tuple(ucomps))
-    return AlgebraMC(m=m, unit=unit)
+        unit = ConvMorphism(c, tuple(_per_name(block, "unit", index, "vectors",
+                                               lambda n, v: _vector(f, v, dim, f"{where}.unit[{n}]", lits),
+                                               MultiMap.zero(f, dim, 0, 1), where)))
+    return AlgebraMC(m=ConvMorphism(c, tuple(mult)), unit=unit)
 
 
 def _parse_morphism(f: Field, name: str, block: dict, coalgebras: dict[str, Coalgebra], lits: dict) -> ConvMorphism:
     where = f"morphism {name!r}"
-    over = _need(block, "over", "reference", where)
-    if not _is_name(over, coalgebras):
-        raise SpecFileError("reference", f"{where}: unknown coalgebra {over!r}")
-    c = coalgebras[over]
+    c = _ref(block, "over", coalgebras, "coalgebra", where)
     a_dim = _need(block, "a_dim", "dimension", where)
     p = block.get("source_arity", 1)
     q = block.get("target_arity", 1)
     if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in (a_dim, p, q)) or a_dim < 1:
         raise SpecFileError("dimension", f"{where}: a_dim, source_arity, target_arity must be ints")
     _require_small(where, a_dim, p, q)
-    comp_spec = block.get("components", {})
-    if not isinstance(comp_spec, dict):
-        raise SpecFileError("dimension", f"{where}: components must map basis names to matrices")
-    comps = []
-    for cname in c.names:
-        if cname in comp_spec:
-            comps.append(_multimap(f, comp_spec[cname], a_dim, p, q, f"{where}[{cname}]", lits))
-        else:
-            comps.append(MultiMap.zero(f, a_dim, p, q))
-    for key in comp_spec:
-        if key not in c.names:
-            raise SpecFileError("reference", f"{where}: component for unknown basis name {key!r}")
+    comps = _per_name(block, "components", _index(c.names), "matrices",
+                      lambda n, v: _multimap(f, v, a_dim, p, q, f"{where}[{n}]", lits), MultiMap.zero(f, a_dim, p, q),
+                      where)
     return ConvMorphism(c, tuple(comps))
 
 
@@ -325,23 +291,12 @@ def parse_text(text: str, strict: bool = True) -> tuple[SpecFile, list[str]]:
     if f is None:
         raise SpecFileError("syntax", f"bad field block {fname!r}")
     lits: dict = {}  # each distinct scalar literal of this document, parsed once
-    coalgebras: dict[str, Coalgebra] = {}
-    for name, block in _section(doc, "coalgebras"):
-        coalgebras[name] = _parse_coalgebra(f, name, block, lits)
-    comodules: dict[str, Comodule] = {}
-    xnames: dict[str, list[str]] = {}
-    for name, block in _section(doc, "comodules"):
-        comodules[name] = _parse_comodule(f, name, block, coalgebras, lits)
-        xnames[name] = list(block["basis"])
-    cocycles: dict[str, Cocycle2] = {}
-    for name, block in _section(doc, "cocycles"):
-        cocycles[name] = _parse_cocycle(f, name, block, comodules, xnames, lits)
-    algebras: dict[str, AlgebraMC] = {}
-    for name, block in _section(doc, "algebras"):
-        algebras[name] = _parse_algebra(f, name, block, coalgebras, lits)
-    morphisms: dict[str, ConvMorphism] = {}
-    for name, block in _section(doc, "morphisms"):
-        morphisms[name] = _parse_morphism(f, name, block, coalgebras, lits)
+    coalgebras = {name: _parse_coalgebra(f, name, block, lits) for name, block in _section(doc, "coalgebras")}
+    # each comodule with the position of its basis names, until its cocycles are read
+    comodules = {name: _parse_comodule(f, name, block, coalgebras, lits) for name, block in _section(doc, "comodules")}
+    cocycles = {name: _parse_cocycle(f, name, block, comodules, lits) for name, block in _section(doc, "cocycles")}
+    algebras = {name: _parse_algebra(f, name, block, coalgebras, lits) for name, block in _section(doc, "algebras")}
+    morphisms = {name: _parse_morphism(f, name, block, coalgebras, lits) for name, block in _section(doc, "morphisms")}
     task = doc.get("task", {})
     if not isinstance(task, dict):
         raise SpecFileError("syntax", "task block must be an object")
@@ -351,7 +306,7 @@ def parse_text(text: str, strict: bool = True) -> tuple[SpecFile, list[str]]:
     sf = SpecFile(
         field=f,
         coalgebras=coalgebras,
-        comodules=comodules,
+        comodules={name: com for name, (com, _xindex) in comodules.items()},
         cocycles=cocycles,
         algebras=algebras,
         morphisms=morphisms,
@@ -425,35 +380,14 @@ def _fmt_map(m: MultiMap) -> list[list[str]]:
     return out
 
 
-def _coalgebra_dict(c: Coalgebra) -> dict:
-    f = c.field
-    out: dict[str, Any] = {
-        "basis": list(c.names),
-        "delta": [
-            [c.names[i], c.names[j], c.names[k], f.fmt(v)]
-            for i in range(c.dim)
-            for j, k, v in c.delta[i]
-        ],
-        "counit": {c.names[i]: f.fmt(v) for i, v in enumerate(c.counit) if not f.is_zero(v)},
-    }
-    if c.grading is not None:
-        out["degrees"] = {c.names[i]: c.grading[i] for i in range(c.dim)}
-    return out
+def _triples_obj(f: Field, table, src, left, right) -> list[list[str]]:
+    """The [src, left, right, coeff] entries of a delta, coaction or omega table, each name from its column's basis."""
+    return [[src[s], left[j], right[k], f.fmt(v)] for s, row in enumerate(table) for j, k, v in row]
 
 
-def _comodule_dict(com: Comodule, coalgebras: dict[str, Coalgebra]) -> dict:
-    f = com.base.field
-    base_name = _name_of(com.base, coalgebras, "comodule base")
-    names = [f"x{i}" for i in range(com.dim)]
-    return {
-        "base": base_name,
-        "basis": names,
-        "coaction": [
-            [names[s], names[t], com.base.names[u], f.fmt(v)]
-            for s in range(com.dim)
-            for t, u, v in com.coaction[s]
-        ],
-    }
+def _per_name_obj(names, values, write, is_zero) -> dict:
+    """A per-name map: each basis name whose value is not zero, to `write` of that value."""
+    return {n: write(v) for n, v in zip(names, values) if not is_zero(v)}
 
 
 def _name_of(obj, table: dict, what: str) -> str:
@@ -465,55 +399,37 @@ def _name_of(obj, table: dict, what: str) -> str:
 
 def specfile_to_dict(sf: SpecFile) -> dict:
     f = sf.field
-    doc: dict[str, Any] = {"schema": SCHEMA, "field": f.name}
-    if sf.coalgebras:
-        doc["coalgebras"] = {n: _coalgebra_dict(c) for n, c in sorted(sf.coalgebras.items())}
-    if sf.comodules:
-        doc["comodules"] = {
-            n: _comodule_dict(c, sf.coalgebras) for n, c in sorted(sf.comodules.items())
+    sections: dict[str, dict] = {key: {} for key in ("coalgebras", "comodules", "cocycles", "algebras", "morphisms")}
+    for n, c in sf.coalgebras.items():
+        block: dict[str, Any] = {"basis": list(c.names), "delta": _triples_obj(f, c.delta, c.names, c.names, c.names),
+                                 "counit": _per_name_obj(c.names, c.counit, f.fmt, f.is_zero)}
+        if c.grading is not None:
+            block["degrees"] = dict(zip(c.names, c.grading))
+        sections["coalgebras"][n] = block
+    for n, com in sf.comodules.items():
+        xn = [f"x{i}" for i in range(com.dim)]
+        sections["comodules"][n] = {"base": _name_of(com.base, sf.coalgebras, "comodule base"), "basis": xn,
+                                    "coaction": _triples_obj(f, com.coaction, xn, xn, com.base.names)}
+    for n, w in sf.cocycles.items():
+        xn, cn = [f"x{i}" for i in range(w.comodule.dim)], w.comodule.base.names
+        sections["cocycles"][n] = {"comodule": _name_of(w.comodule, sf.comodules, "cocycle comodule"),
+                                   "omega": _triples_obj(f, w.omega, xn, cn, cn)}
+    for n, alg in sf.algebras.items():
+        cn = alg.coalgebra.names
+        block = {"over": _name_of(alg.coalgebra, sf.coalgebras, "algebra base coalgebra"), "dim": alg.a_dim,
+                 "mult": _per_name_obj(cn, alg.m.components, _fmt_map, MultiMap.is_zero)}
+        if alg.unit is not None:
+            block["unit"] = _per_name_obj(cn, alg.unit.components, lambda u: [row[0] for row in _fmt_map(u)],
+                                          MultiMap.is_zero)
+        sections["algebras"][n] = block
+    for n, mor in sf.morphisms.items():
+        sections["morphisms"][n] = {
+            "over": _name_of(mor.coalgebra, sf.coalgebras, "morphism base coalgebra"), "a_dim": mor.a_dim,
+            "source_arity": mor.src_arity, "target_arity": mor.tgt_arity,
+            "components": _per_name_obj(mor.coalgebra.names, mor.components, _fmt_map, MultiMap.is_zero),
         }
-    if sf.cocycles:
-        doc["cocycles"] = {}
-        for n, w in sorted(sf.cocycles.items()):
-            com_name = _name_of(w.comodule, sf.comodules, "cocycle comodule")
-            xn = [f"x{i}" for i in range(w.comodule.dim)]
-            doc["cocycles"][n] = {
-                "comodule": com_name,
-                "omega": [
-                    [xn[s], w.comodule.base.names[j], w.comodule.base.names[k], f.fmt(v)]
-                    for s in range(w.comodule.dim)
-                    for j, k, v in w.omega[s]
-                ],
-            }
-    if sf.algebras:
-        doc["algebras"] = {}
-        for n, alg in sorted(sf.algebras.items()):
-            over = _name_of(alg.coalgebra, sf.coalgebras, "algebra base coalgebra")
-            block: dict[str, Any] = {"over": over, "dim": alg.a_dim, "mult": {}}
-            for cname, comp in zip(alg.coalgebra.names, alg.m.components):
-                if not comp.is_zero():
-                    block["mult"][cname] = _fmt_map(comp)
-            if alg.unit is not None:
-                block["unit"] = {}
-                for cname, comp in zip(alg.coalgebra.names, alg.unit.components):
-                    if not comp.is_zero():
-                        block["unit"][cname] = [row[0] for row in _fmt_map(comp)]
-            doc["algebras"][n] = block
-    if sf.morphisms:
-        doc["morphisms"] = {}
-        for n, mor in sorted(sf.morphisms.items()):
-            over = _name_of(mor.coalgebra, sf.coalgebras, "morphism base coalgebra")
-            block = {
-                "over": over,
-                "a_dim": mor.a_dim,
-                "source_arity": mor.src_arity,
-                "target_arity": mor.tgt_arity,
-                "components": {},
-            }
-            for cname, comp in zip(mor.coalgebra.names, mor.components):
-                if not comp.is_zero():
-                    block["components"][cname] = _fmt_map(comp)
-            doc["morphisms"][n] = block
+    doc: dict[str, Any] = {"schema": SCHEMA, "field": f.name}
+    doc.update((key, blocks) for key, blocks in sections.items() if blocks)
     if sf.task:
         doc["task"] = sf.task
     return doc

@@ -322,6 +322,51 @@ def test_oversized_degree_exits_1_at_once(capsys, degree):
     assert "Traceback" not in err
 
 
+_K = {"basis": ["1"], "delta": [["1", "1", "1", "1"]], "counit": {"1": "1"}}
+_T1 = {"basis": ["1", "t"], "delta": [["1", "1", "1", "1"], ["t", "1", "t", "1"], ["t", "t", "1", "1"]],
+       "counit": {"1": "1"}, "degrees": {"1": 0, "t": 1}}
+
+
+@pytest.mark.parametrize(
+    "argv, a_dim, shape",
+    [
+        (["deform"], 32, "2097152 x 65536"),  # d^2 of an x = 2 comodule: 2 * 32^4 x 2 * 32^3
+        (["obstruct"], 32, "2097152 x 65536"),
+        (["classify"], 32, "2097152 x 65536"),
+        # the degree-1 layer of k[t]_{<=1} has x = 1, so a = 32 would give exactly 2^20 rows, which the bound admits
+        (["series", "--max-degree", "1", "--coalgebra", "D"], 33, "1185921 x 35937"),
+    ],
+)
+def test_oversized_d2_is_refused_by_every_command(tmp_path, capsys, argv, a_dim, shape):
+    """A zero algebra whose d^2 is past 2^20 rows is refused before d^2 is built: exit 1 at once, no traceback."""
+    spec = {
+        "field": "Q",
+        "coalgebras": {"K": _K, "D": _T1},
+        "comodules": {"X": {"base": "K", "basis": ["x", "y"],
+                            "coaction": [["x", "x", "1", "1"], ["y", "y", "1", "1"]]}},
+        "cocycles": {"w": {"comodule": "X", "omega": []}},
+        "algebras": {"A": {"over": "K", "dim": a_dim}},
+    }
+    path = tmp_path / "zero_algebra.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"input error: d^2 would be {shape}, past the bound of 1048576 rows\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology", "obstruct", "deform", "classify", "series", "unit-gauge",
+                                     "invert"])
+def test_duplicate_comodule_basis_exits_1(tmp_path, capsys, command):
+    """A comodule basis that repeats a name is a reference error for every command, as a coalgebra's is."""
+    spec = json.loads((FIXTURES / "poly_t2_dual.json").read_text())
+    spec["comodules"]["X"]["basis"] = ["x", "x"]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == "input error: reference error: comodule 'X': duplicate basis names\n"
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

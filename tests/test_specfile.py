@@ -1,3 +1,4 @@
+import copy
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from convdef import MultiMap, SpecFileError
+from convdef.cli import main
 from convdef.fields import QQ, PrimeField
 from convdef.specfile import REPORT_SCHEMA, _fmt_map, parse_path, parse_text, render_report, serialize
 
@@ -142,6 +144,55 @@ def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(SpecFileError) as err:
         parse_path(str(tmp_path / "nope.json"))
     assert err.value.kind == "io"
+
+
+# one block of each kind, each using the shapes it reads: a basis, a triples table, per-name maps
+SHAPES = {
+    "schema": "convdef-spec v1",
+    "field": "Q",
+    "coalgebras": {"C": {"basis": ["1", "t"],
+                         "delta": [["1", "1", "1", "1"], ["t", "1", "t", "1"], ["t", "t", "1", "1"]],
+                         "counit": {"1": "1"}, "degrees": {"1": 0, "t": 1}}},
+    "comodules": {"X": {"base": "C", "basis": ["x"], "coaction": [["x", "x", "1", "1"]]}},
+    "cocycles": {"w": {"comodule": "X", "omega": [["x", "t", "t", "1"]]}},
+    "algebras": {"A": {"over": "C", "dim": 1, "mult": {"1": [["1"]]}, "unit": {"1": ["1"]}}},
+    "morphisms": {"f": {"over": "C", "a_dim": 1, "components": {"1": [["1"]]}}},
+}
+BASES = [("coalgebras", "basis"), ("comodules", "basis")]
+TRIPLES = [("coalgebras", "delta"), ("comodules", "coaction"), ("cocycles", "omega")]
+PER_NAME = [("coalgebras", "counit"), ("coalgebras", "degrees"), ("algebras", "mult"), ("algebras", "unit"),
+            ("morphisms", "components")]
+
+
+def _unknown_in_column(col):
+    return lambda entries: [entries[0][:col] + ["nope"] + entries[0][col + 1:], *entries[1:]]
+
+
+SHAPE_CASES = (
+    [pytest.param(sec, key, lambda basis: basis + basis[:1], "reference", id=f"{sec}.{key}-duplicate")
+     for sec, key in BASES]
+    + [pytest.param(sec, key, _unknown_in_column(col), "reference", id=f"{sec}.{key}-unknown-in-column-{col}")
+       for sec, key in TRIPLES for col in range(3)]
+    + [pytest.param(sec, key, lambda values: [values], "dimension", id=f"{sec}.{key}-not-an-object")
+       for sec, key in PER_NAME]
+    + [pytest.param(sec, key, lambda values: {**values, "nope": values["1"]}, "reference",
+                    id=f"{sec}.{key}-unknown-key") for sec, key in PER_NAME]
+)
+
+
+@pytest.mark.parametrize("section, key, broken, kind", SHAPE_CASES)
+def test_each_shape_fails_alike_in_every_block(tmp_path, capsys, section, key, broken, kind):
+    """One defect in a basis, a triples table or a per-name map is the same error kind whichever block has it."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SHAPES))
+    assert main(["validate", str(path)]) == 0
+    doc = copy.deepcopy(SHAPES)
+    ((name, block),) = doc[section].items()
+    block[key] = broken(block[key])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"input error: {kind} error: {section[:-1]} {name!r}: ")
 
 
 # strings with non-ASCII, quote, backslash and control characters, and the exact scalars reports hold
