@@ -24,8 +24,12 @@ sum of c'v'x' over D_rho D_m D_nu, and it becomes one `Fraction`; over F_p
 each sum is reduced mod p.  The composition-based cofaces these families
 expand are the test suite's independent oracle (`tests/helpers.py`,
 `oracle_coface`).  d^n is held as its columns, never densified:
-`ComplexSpec` eliminates its rows once (Z^n is their null space) and its
-columns once (they span B^(n+1)), each into a sparse `Subspace` per degree.
+`ComplexSpec` eliminates its columns once (they span B^(n+1)) and its rows
+once, with column c written at N-1-c: the canonical kernel of that RREF,
+mapped back, is the RREF of Z^n, held with no second elimination
+(`ComplexSpec.cocycles`).  The one exception is a degree that `solve` has
+already eliminated in the plain order, as every `mc_solve` does: there Z^n
+is the span of the kernel of the RREF `solve` cached.
 
 m is associative when its associator m * ((e (x) m) - (m (x) e)), e = eps(-) id_A,
 vanishes (`is_associative`); the obstruction zeta of `convdef.deformation` is
@@ -147,7 +151,8 @@ class ComplexSpec:
         self.x_dim = comodule.dim
         self.field = m.field
         self._differentials: dict[int, SparseMatrix] = {}
-        self._row_echelons: dict[int, Subspace] = {}  # RREF of the rows of d^n: Z^n is its null space
+        self._row_echelons: dict[int, Subspace] = {}  # RREF of the rows of d^n, left by `solve`
+        self._cocycles: dict[int, Subspace] = {}  # Z^n = ker d^n
         self._col_echelons: dict[int, Subspace] = {}  # RREF of the columns of d^n: B^(n+1)
 
     def cochain_dim(self, n: int) -> int:
@@ -251,11 +256,29 @@ class ComplexSpec:
             self._differentials[n] = SparseMatrix(self.field, self.cochain_dim(n + 1), self.cochain_dim(n), tuple(cols))
         return self._differentials[n]
 
-    def row_echelon(self, n: int) -> Subspace:
-        """The RREF of the rows of d^n, eliminated once and cached."""
-        if n not in self._row_echelons:
-            self._row_echelons[n] = self.differential_matrix(n).row_space()
-        return self._row_echelons[n]
+    def cocycles(self, n: int) -> Subspace:
+        """Z^n = ker d^n in RREF, cached: read off one elimination of the rows of d^n, not eliminated again.
+
+        The rows of d^n are eliminated with column c written at N-1-c (the
+        columns reversed) to an RREF R' with pivots P'.  Its canonical kernel
+        has one vector per free column f': a one at f' and -R'[p'][f'] at
+        each pivot p' < f'.  Mapped back by c -> N-1-c, that vector leads
+        with its one at N-1-f', and its other entries lie to the right, at
+        the columns N-1-p', which lead no other vector.  So the vectors are
+        the unique RREF of Z^n, held as they are.  When `solve(n, .)` has
+        already eliminated [d^n | rhs], as every `mc_solve` does, Z^n is
+        instead the span of the kernel of the left block `solve` cached.
+        """
+        if n not in self._cocycles:
+            d = self.differential_matrix(n)  # refuses an oversized d^n before cochain_dim(n) takes a power
+            f, last = self.field, d.cols - 1
+            if n in self._row_echelons:
+                self._cocycles[n] = Subspace(f, d.cols, self._row_echelons[n].kernel())
+            else:
+                mirrored = SparseMatrix(f, d.rows, d.cols, d.columns[::-1]).transpose().columns
+                kernel = ({last - c: v for c, v in vec.items()} for vec in Subspace(f, d.cols, mirrored).kernel())
+                self._cocycles[n] = Subspace._held(f, d.cols, {min(vec): vec for vec in kernel})
+        return self._cocycles[n]
 
     def image_echelon(self, n: int) -> Subspace:
         """The RREF of the columns of d^n, a basis of B^(n+1); eliminated once and cached."""
@@ -274,7 +297,7 @@ class ComplexSpec:
 
         One elimination of [d^n | rhs], rhs written into the rows of d^n as
         its last column; the left block is the RREF of the rows of d^n,
-        which is cached for Z^n unless already there.
+        which is cached, unless already there, for `cocycles` to read Z^n off.
         """
         if (rhs.degree, rhs.x_dim, rhs.a_dim) != (n + 1, self.x_dim, self.a_dim):
             raise ShapeError("right-hand side does not match d^n of the complex")
@@ -291,8 +314,7 @@ class ComplexSpec:
     def cohomology(self, n: int) -> CohomologyResult:
         """Z^n = ker d^n, B^n = im d^(n-1), with RREF-canonical H^n representatives."""
         f = self.field
-        kernel = self.row_echelon(n).kernel()  # refuses an oversized d^n before cochain_dim(n) takes a power
-        z_space = Subspace(f, self.cochain_dim(n), kernel)
+        z_space = self.cocycles(n)
         b_space = self.coboundaries(n)
         if not z_space.contains_space(b_space):
             raise ShapeError("differential does not square to zero; complex is inconsistent")

@@ -238,7 +238,7 @@ def split_extension(
         raise NotAnExtension("Delta(Ctilde) is not supported on Ctilde(x)C + C(x)Ctilde")
     # X := ker(lambda), canonical: z_s has a one at the s-th free column of lambda and
     # zeros at the others, so the coordinates of v in ker(lambda) are its free entries
-    lam_space = lam.row_space()
+    lam_space = Subspace(f, d, lam.transpose().columns)
     kb = lam_space.kernel()
     if not kb:
         raise NotAnExtension("the retract has trivial kernel; nothing to split off")

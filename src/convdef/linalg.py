@@ -552,7 +552,12 @@ class Subspace:
         return tuple(_dense(self.field, self.ambient, self.rows[piv]) for piv in self.pivots)
 
     def kernel(self) -> list[dict]:
-        """Canonical null-space basis of the rows: one vector per free column, free entry one."""
+        """Canonical null-space basis of the rows: one vector per free column, free entry one.
+
+        When the rows were eliminated with their columns reversed, the
+        vectors mapped back are the RREF of the null space; this is how
+        `ComplexSpec.cocycles` reads Z^n off d^n.
+        """
         f = self.field
         by_free: dict[int, dict] = {}
         for piv, row in self.rows.items():
@@ -635,9 +640,6 @@ class SparseMatrix(_Record):
             for r, v in col.items():
                 out[r][c] = v
         return SparseMatrix(self.field, self.cols, self.rows, out)
-
-    def row_space(self) -> Subspace:
-        return Subspace(self.field, self.cols, self.transpose().columns)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:

@@ -1,5 +1,7 @@
 import json
-import time
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from convdef.fields import QQ
 from helpers import full_space, matrix_inverse, oracle_invert_on_bottom, sparse_of, transport_coalgebra
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIXTURES.parent / "src"
 
 
 def fx(name: str) -> str:
@@ -67,6 +70,8 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("unit_gauge_t4", ["unit-gauge", fx("unit_gauge_t4.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
         ("invert_ungraded", ["invert", fx("invert_ungraded.json")], 0),
         ("cohomology_dense_fp", ["cohomology", fx("trunc4_dense_f32003.json"), "--degree", "2"], 0),
+        ("cohomology_dense_d3", ["cohomology", fx("trunc3_dense.json"), "--degree", "3"], 0),
+        ("cohomology_dense_fp_d3", ["cohomology", fx("trunc4_dense_f32003.json"), "--degree", "3"], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):
@@ -311,13 +316,35 @@ def test_input_errors_exit_1(tmp_path, capsys):
     assert "cochain file: integer literal" in capsys.readouterr().err
 
 
+# `main(argv)` under a 2 GiB address-space cap, timed around the call and printed last on stdout: a refusal that
+# regresses into building the refused d^n fails with a MemoryError or the timeout instead of exhausting the machine
+_CAPPED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from convdef.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def capped_main(argv: list[str]) -> tuple[int, str, float]:
+    """(exit code, stderr, seconds in `main`) of `main(argv)` run in a child process under the cap, for at most 30 s.
+
+    A child that dies inside `main` prints no time, and its seconds are infinite.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv], capture_output=True, text=True, env=env,
+                          timeout=30)
+    return done.returncode, done.stderr, float(done.stdout.split()[-1]) if done.stdout.strip() else float("inf")
+
+
 @pytest.mark.parametrize("degree", ["9", "12345678901234567890"])
-def test_oversized_degree_exits_1_at_once(capsys, degree):
+def test_oversized_degree_exits_1_at_once(degree):
     """A d^n of M_2 past 2^20 rows is refused before it is built: exit 1 in well under a second, with no traceback."""
-    start = time.perf_counter()
-    assert main(["cohomology", fx("mat2.json"), "--degree", degree]) == 1
-    assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
+    code, err, seconds = capped_main(["cohomology", fx("mat2.json"), "--degree", degree])
+    assert code == 1 and seconds < 1
     assert err.startswith(f"input error: d^{degree} would be ") and err.endswith(" past the bound of 1048576 rows\n")
     assert "Traceback" not in err
 
@@ -337,7 +364,7 @@ _T1 = {"basis": ["1", "t"], "delta": [["1", "1", "1", "1"], ["t", "1", "t", "1"]
         (["series", "--max-degree", "1", "--coalgebra", "D"], 33, "1185921 x 35937"),
     ],
 )
-def test_oversized_d2_is_refused_by_every_command(tmp_path, capsys, argv, a_dim, shape):
+def test_oversized_d2_is_refused_by_every_command(tmp_path, argv, a_dim, shape):
     """A zero algebra whose d^2 is past 2^20 rows is refused before d^2 is built: exit 1 at once, no traceback."""
     spec = {
         "field": "Q",
@@ -349,10 +376,9 @@ def test_oversized_d2_is_refused_by_every_command(tmp_path, capsys, argv, a_dim,
     }
     path = tmp_path / "zero_algebra.json"
     path.write_text(json.dumps(spec))
-    start = time.perf_counter()
-    assert main([argv[0], str(path), *argv[1:]]) == 1
-    assert time.perf_counter() - start < 1
-    assert capsys.readouterr().err == f"input error: d^2 would be {shape}, past the bound of 1048576 rows\n"
+    code, err, seconds = capped_main([argv[0], str(path), *argv[1:]])
+    assert code == 1 and seconds < 1
+    assert err == f"input error: d^2 would be {shape}, past the bound of 1048576 rows\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "cohomology", "obstruct", "deform", "classify", "series", "unit-gauge",

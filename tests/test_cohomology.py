@@ -25,7 +25,9 @@ from convdef import (
     rank1_reduce,
     trivial_k,
 )
+from convdef import linalg
 from convdef.fields import QQ, PrimeField
+from convdef.linalg import Matrix, Subspace
 
 import oracle_hochschild as oracle
 from helpers import (
@@ -34,6 +36,7 @@ from helpers import (
     F3,
     F5,
     cochain_act,
+    conjugate_mult,
     dense_compose,
     dense_differential_matrix,
     dense_tensor,
@@ -46,10 +49,12 @@ from helpers import (
     oracle_coface,
     oracle_differential,
     oracle_differential_matrix,
+    oracle_kernel,
     oracle_rref,
     random_algebra,
     random_gauge_transported_mult,
     random_grouplike_comodule,
+    random_invertible,
     random_mixed_mult,
     random_nilpotent_comodule,
     rank_one_square,
@@ -261,14 +266,60 @@ def test_differential_matrix_matches_oracle_on_random_specs():
     assert check_differentials(_oracle_differentials(specs, GATE_MAX_DIM)) >= 40
 
 
-def test_cached_echelons_match_oracle_rref_on_fixtures():
-    # the row echelon (Z^n) and column echelon (B^(n+1)) of each d^n against dense Gauss-Jordan
-    for label, spec, n, oracle_d in fixture_oracle_differentials(GATE_MAX_DIM):
-        for ech, dense in ((spec.row_echelon(n), oracle_d), (spec.image_echelon(n), oracle_d.transpose())):
-            red, pivots, rank = oracle_rref(dense)
-            assert (ech.pivots, ech.dim) == (pivots, rank), (label, n)
-            assert ech.dense_rows() == red.data[:rank], (label, n)
-        assert spec.row_echelon(n) is spec.row_echelon(n)
+def check_cocycles(oracles, rng, monkeypatch):
+    """cocycles(n) is the dense Gauss-Jordan RREF of the oracle null space of the oracle d^n, read off the mirrored
+    elimination of a fresh spec and off the left block a prior solve(n, random rhs) caches; returns the count."""
+    sets, init = [], Subspace.__init__
+
+    def recording(self, field, ambient, rows=()):
+        rows = list(rows)
+        sets.append(len(rows))
+        init(self, field, ambient, rows)
+
+    monkeypatch.setattr(Subspace, "__init__", recording)
+    for label, spec, n, oracle_d in oracles:
+        f, null = spec.field, oracle_kernel(oracle_d)
+        red, pivots, rank = oracle_rref(Matrix(f, len(null), oracle_d.cols, tuple(null)))
+        for solved in (False, True):
+            fresh = ComplexSpec(spec.m, spec.comodule)
+            if solved:
+                fresh.solve(n, rand_cochain(fresh, n + 1, rng))
+            sets.clear()
+            z = fresh.cocycles(n)
+            assert (z.pivots, z.dense_rows()) == (pivots, red.data[:rank]), (label, n, solved)
+            # one elimination: of the rows of d^n, or after a solve of the kernel of the left block it cached
+            assert sets == [len(null) if solved else oracle_d.rows] and fresh.cocycles(n) is z, (label, n, solved)
+    return len(oracles)
+
+
+def test_cached_echelons_match_oracle_rref_on_fixtures(monkeypatch):
+    # Z^n and the column echelon (B^(n+1)) of each d^n against dense Gauss-Jordan
+    oracles = fixture_oracle_differentials(GATE_MAX_DIM)
+    for label, spec, n, oracle_d in oracles:
+        ech = spec.image_echelon(n)
+        red, pivots, rank = oracle_rref(oracle_d.transpose())
+        assert (ech.pivots, ech.dim) == (pivots, rank), (label, n)
+        assert ech.dense_rows() == red.data[:rank], (label, n)
+        assert spec.image_echelon(n) is ech
+    assert check_cocycles(oracles, random.Random(3), monkeypatch) >= 20
+
+
+def test_cocycles_match_oracle_on_random_specs(monkeypatch):
+    # random layers over Q, F_2, F_3, F_5 and F_32003; k[x]/(x^3) over Q and M_2 over F_32003 in dense bases, whose
+    # 64 x 16 d^1 (9 nonzeros a row) is eliminated packed; and the zero algebra, whose d^n has rank 0
+    rng = random.Random(23)
+    specs = [(f"layer over {f.name}", spec) for f in (QQ, F2, F3, F5, F32003) for spec in _gate_specs(f, rng)]
+    specs += [(f"random {trial}", _random_spec(trial % 3, rng)) for trial in range(6)]
+    specs += [(f"dense {name} over {f.name}", hochschild_spec(conjugate_mult(m, random_invertible(f, m.a_dim, rng))))
+              for name, f, m in (("k[x]/(x^3)", QQ, truncated_poly(QQ, 3)), ("M_2", F32003, mat2_mult(F32003)))]
+    specs.append(("zero algebra", hochschild_spec(zero_mult(F5))))
+    packed, packed_rref = [], linalg._packed_rref
+    monkeypatch.setattr(linalg, "_packed_rref", lambda p, ambient, rows: packed.append((p, len(rows), ambient))
+                        or packed_rref(p, ambient, rows))
+    oracles = _oracle_differentials(specs, GATE_MAX_DIM)
+    assert check_cocycles(oracles, rng, monkeypatch) >= 60
+    assert (32003, 64, 16) in packed
+    assert sum(label == "zero algebra" and d.is_zero() for label, _spec, _n, d in oracles) >= 3
 
 
 def _random_spec(kind, rng):
