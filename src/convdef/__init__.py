@@ -23,7 +23,6 @@ from .fields import QQ, PrimeField, RationalField, field_by_name
 from .linalg import (
     SparseMatrix,
     Subspace,
-    image,
     rref,
 )
 from .coalgebra import (

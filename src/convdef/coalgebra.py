@@ -232,7 +232,7 @@ class Coalgebra:
         f, d = self.field, self.dim
         # a coordinate subspace is its own RREF: no elimination
         return [
-            Subspace._held(f, d, {i: {i: f.one} for i, g in enumerate(self.grading) if g <= n})
+            Subspace._held(f, d, {i: {i: 1} for i, g in enumerate(self.grading) if g <= n})
             for n in range(self.max_degree() + 1)
         ]
 

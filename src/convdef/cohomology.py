@@ -19,17 +19,22 @@ v = m_u[r][p*a + q]:
 `differential` runs it on one cochain, and `differential_matrix` on each
 unit cochain e_j, whose image is column j of d^n.  It sums ints, as
 `convolution._convolve` does: over Q, c' = D_rho c, v' = D_m v (cleared
-once per complex) and x' = D_nu x are ints, each sum of c*v*x is the int
-sum of c'v'x' over D_rho D_m D_nu, and it becomes one `Fraction`; over F_p
-each sum is reduced mod p.  The composition-based cofaces these families
-expand are the test suite's independent oracle (`tests/helpers.py`,
-`oracle_coface`).  d^n is held as its columns, never densified:
-`ComplexSpec` eliminates its columns once (they span B^(n+1)) and its rows
-once, with column c written at N-1-c: the canonical kernel of that RREF,
-mapped back, is the RREF of Z^n, held with no second elimination
-(`ComplexSpec.cocycles`).  The one exception is a degree that `solve` has
-already eliminated in the plain order, as every `mc_solve` does: there Z^n
-is the span of the kernel of the RREF `solve` cached.
+once per complex) and x' = D_nu x are ints, and each sum of c*v*x is the
+int sum of c'v'x' over D = D_rho D_m D_nu; over F_p each sum is reduced
+mod p and D = 1.  It returns D and the int sums.  The composition-based
+cofaces these families expand are the test suite's independent oracle
+(`tests/helpers.py`, `oracle_coface`).  d^n is held integral, as the int
+columns of D d^n with D beside them (D = D_rho D_m, the unit cochains
+being ints), and never densified.  D d^n has the row space, image and
+kernel of d^n, so `Subspace` eliminates those ints as they are: its
+columns once (they span B^(n+1)) and its rows once, with column c
+written at N-1-c: the kernel of that RREF, mapped back, is the RREF of
+Z^n, held with no second elimination (`ComplexSpec.cocycles`).  The one
+exception is a degree that `solve` has already eliminated in the plain
+order, as every `mc_solve` does: there Z^n is the span of the kernel of
+the RREF `solve` cached.  Over Q a `Fraction` is built only for a value
+that leaves: `differential`'s cochain, `differential_entries`, a
+solution and the H^n representatives.
 
 m is associative when its associator m * ((e (x) m) - (m (x) e)), e = eps(-) id_A,
 vanishes (`is_associative`); the obstruction zeta of `convdef.deformation` is
@@ -38,7 +43,6 @@ a block of the same sparse associator.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -47,7 +51,7 @@ from .convolution import ConvMorphism, Form, MultiMap, _convolve, _form_sum, _id
 from .errors import NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _dense, _normalized, _sum, image
+from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _dense, _fractions, _normalized, _sum
 
 
 class Cochain(_Record):
@@ -150,7 +154,7 @@ class ComplexSpec:
         self.a_dim = m.a_dim
         self.x_dim = comodule.dim
         self.field = m.field
-        self._differentials: dict[int, SparseMatrix] = {}
+        self._differentials: dict[int, tuple[int, SparseMatrix]] = {}  # (D, the int columns of D d^n)
         self._row_echelons: dict[int, Subspace] = {}  # RREF of the rows of d^n, left by `solve`
         self._cocycles: dict[int, Subspace] = {}  # Z^n = ker d^n
         self._col_echelons: dict[int, Subspace] = {}  # RREF of the columns of d^n: B^(n+1)
@@ -159,16 +163,20 @@ class ComplexSpec:
         return self.x_dim * self.a_dim ** (n + 1)
 
     def differential_entries(self, n: int) -> tuple[tuple[int, int, object], ...]:
-        """The nonzero entries (row, col, value) of d^n, column by column."""
-        return tuple((row, j, v) for j, col in enumerate(self.differential_matrix(n).columns) for row, v in col.items())
+        """The nonzero entries (row, col, value) of d^n, column by column: the held ints over D."""
+        cols = self.differential_matrix(n).columns
+        den = self._differentials[n][0]
+        if not self.field.char:
+            cols = [_fractions(col, den) for col in cols]
+        return tuple((row, j, v) for j, col in enumerate(cols) for row, v in col.items())
 
     def differential(self, nu: Cochain) -> Cochain:
         """d^n applied to a cochain, scattered from its nonzero entries; d^n is never built."""
         if nu.x_dim != self.x_dim or nu.a_dim != self.a_dim:
             raise ShapeError("cochain does not match the complex")
         f = require_same_field(self.field, nu.field)
-        (out,) = self._coboundaries(nu.degree, [nu.flat_entries()])
-        return Cochain.from_entries(f, self.a_dim, self.x_dim, nu.degree + 1, out)
+        den, (out,) = self._coboundaries(nu.degree, [nu.flat_entries()])
+        return Cochain.from_entries(f, self.a_dim, self.x_dim, nu.degree + 1, out if f.char else _fractions(out, den))
 
     @cached_property
     def _integral_indexes(self) -> tuple[int, list[list], list[dict], list[dict], list[dict]]:
@@ -188,8 +196,11 @@ class ComplexSpec:
                 by_r[u].setdefault(r, []).append((pq, v))
         return d_rho * d_m, by_t, by_q, by_p, by_r
 
-    def _coboundaries(self, n: int, cochains: Sequence[dict]) -> list[dict]:
-        """d^n of each cochain, given and returned as its nonzero flat entries {index: value}: the one coface loop."""
+    def _coboundaries(self, n: int, cochains: Sequence[dict]) -> tuple[int, list[dict]]:
+        """(D, D d^n of each cochain as ints): the one coface loop; cochains are nonzero flat entries {index: value}.
+
+        Over Q, D is the lcm of the constants' and the cochains' denominators; over F_p it is 1.
+        """
         f, a = self.field, self.a_dim
         an = a**n
         blk_in, blk_out = a * an, a * a * an
@@ -198,7 +209,6 @@ class ComplexSpec:
             d_nu, cochains = _cleared(cochains)
             den *= d_nu
         inner = [(i % 2, a ** (n - i)) for i in range(1, n + 1)]
-        frac: dict[int, Fraction] = {}  # one Fraction per distinct sum
         outs = []
         for entries in cochains:
             acc: dict[int, int] = {}
@@ -227,11 +237,8 @@ class ComplexSpec:
                         for pq, v in by_r[u].get(r, ()):
                             key = row0 + pq * lo
                             acc[key] = get(key, 0) + w * v
-            out = _normalized(f, acc)
-            if not f.char:
-                out = {key: frac.get(v) or frac.setdefault(v, Fraction(v, den)) for key, v in out.items()}
-            outs.append(out)
-        return outs
+            outs.append(_normalized(f, acc))
+        return den, outs
 
     def _require_within_bound(self, n: int) -> None:
         """Refuse a d^n with more than MAX_DIFFERENTIAL_ROWS rows, comparing n with the bound before any power.
@@ -249,25 +256,32 @@ class ComplexSpec:
         raise ShapeError(f"d^{n} would be {shape}, past the bound of {MAX_DIFFERENTIAL_ROWS} rows")
 
     def differential_matrix(self, n: int) -> SparseMatrix:
-        """d^n as its cochain_dim(n) columns, assembled once and cached: column j is d^n of the unit cochain e_j."""
+        """D d^n as its cochain_dim(n) int columns, assembled once and cached: column j is D d^n of the unit e_j.
+
+        D is the denominator `_coboundaries` returns, kept beside the columns;
+        over F_p it is 1, so this is d^n.  `differential_entries` gives the values.
+        """
         if n not in self._differentials:
             self._require_within_bound(n)
-            cols = self._coboundaries(n, [{j: 1} for j in range(self.cochain_dim(n))])
-            self._differentials[n] = SparseMatrix(self.field, self.cochain_dim(n + 1), self.cochain_dim(n), tuple(cols))
-        return self._differentials[n]
+            den, cols = self._coboundaries(n, [{j: 1} for j in range(self.cochain_dim(n))])
+            d = SparseMatrix(self.field, self.cochain_dim(n + 1), self.cochain_dim(n), tuple(cols))
+            self._differentials[n] = den, d
+        return self._differentials[n][1]
 
     def cocycles(self, n: int) -> Subspace:
         """Z^n = ker d^n in RREF, cached: read off one elimination of the rows of d^n, not eliminated again.
 
-        The rows of d^n are eliminated with column c written at N-1-c (the
-        columns reversed) to an RREF R' with pivots P'.  Its canonical kernel
-        has one vector per free column f': a one at f' and -R'[p'][f'] at
-        each pivot p' < f'.  Mapped back by c -> N-1-c, that vector leads
-        with its one at N-1-f', and its other entries lie to the right, at
-        the columns N-1-p', which lead no other vector.  So the vectors are
-        the unique RREF of Z^n, held as they are.  When `solve(n, .)` has
-        already eliminated [d^n | rhs], as every `mc_solve` does, Z^n is
-        instead the span of the kernel of the left block `solve` cached.
+        The int rows of D d^n are eliminated with column c written at N-1-c
+        (the columns reversed) to an RREF R' with pivots P'.  Its canonical
+        kernel has one vector per free column f': a one at f' and
+        -R'[p'][f'] at each pivot p' < f'.  Mapped back by c -> N-1-c, that
+        vector leads with its one at N-1-f', and its other entries lie to
+        the right, at the columns N-1-p', which lead no other vector.  So the
+        vectors are the unique RREF of Z^n, and `Subspace.kernel`'s int
+        multiples of them, positive at their leads, are its held rows.  When
+        `solve(n, .)` has already eliminated [D d^n | rhs], as every
+        `mc_solve` does, Z^n is instead the span of the kernel of the left
+        block `solve` cached.
         """
         if n not in self._cocycles:
             d = self.differential_matrix(n)  # refuses an oversized d^n before cochain_dim(n) takes a power
@@ -283,7 +297,8 @@ class ComplexSpec:
     def image_echelon(self, n: int) -> Subspace:
         """The RREF of the columns of d^n, a basis of B^(n+1); eliminated once and cached."""
         if n not in self._col_echelons:
-            self._col_echelons[n] = image(self.differential_matrix(n))
+            d = self.differential_matrix(n)
+            self._col_echelons[n] = Subspace(self.field, d.rows, d.columns)
         return self._col_echelons[n]
 
     def coboundaries(self, n: int) -> Subspace:
@@ -295,21 +310,28 @@ class ComplexSpec:
     def solve(self, n: int, rhs: Cochain) -> Optional[Cochain]:
         """The canonical cochain x with d^n x = rhs (free variables zero), or None when rhs is off B^(n+1).
 
-        One elimination of [d^n | rhs], rhs written into the rows of d^n as
-        its last column; the left block is the RREF of the rows of d^n,
-        which is cached, unless already there, for `cocycles` to read Z^n off.
+        One elimination of [D d^n | D E rhs] on ints, E the lcm of rhs's
+        denominators, D E rhs written into the rows of D d^n as its last
+        column.  Its canonical solution is E x, so x is that over E.  The
+        left block is the RREF of the rows of d^n, which is cached, unless
+        already there, for `cocycles` to read Z^n off.
         """
         if (rhs.degree, rhs.x_dim, rhs.a_dim) != (n + 1, self.x_dim, self.a_dim):
             raise ShapeError("right-hand side does not match d^n of the complex")
         f = require_same_field(self.field, rhs.field)
         d = self.differential_matrix(n)
+        den = self._differentials[n][0]
         rows = d.transpose().columns
-        for r, v in rhs.flat_entries().items():
-            rows[r][d.cols] = v
+        e, (b,) = _cleared((rhs.flat_entries(),))
+        for r, v in b.items():
+            rows[r][d.cols] = den * v
         aug = Subspace(f, d.cols + 1, rows)
         self._row_echelons.setdefault(n, aug.restrict(d.cols))
         sols = aug.solutions(d.cols)
-        return None if sols is None else Cochain.from_entries(f, self.a_dim, self.x_dim, n, sols[0])
+        if sols is None:
+            return None
+        x = sols[0] if e == 1 else {k: v / e for k, v in sols[0].items()}
+        return Cochain.from_entries(f, self.a_dim, self.x_dim, n, x)
 
     def cohomology(self, n: int) -> CohomologyResult:
         """Z^n = ker d^n, B^n = im d^(n-1), with RREF-canonical H^n representatives."""

@@ -332,7 +332,8 @@ def _right_inverse(f: ConvMorphism) -> ConvMorphism:
     Delta(c_i) = sum mu c_j (x) c_k, the same for every column z of g, and, at column
     n + z, column z's right-hand side eps(c_i) delta_xz.  Every equation is taken times
     D_mu D_f D_eps, the denominators of Delta's constants, f's entries and the counit,
-    so it is an int sum.
+    so it is an int sum, and `Subspace` eliminates those ints as they are; over Q a
+    Fraction is built only for each entry of the solution.
     """
     c, field, a, p = f.coalgebra, f.field, f.a_dim, f.src_arity
     if p != f.tgt_arity:

@@ -141,7 +141,7 @@ def _require_mc(nu: Cochain, zeta: Cochain, spec: ComplexSpec) -> None:
 
 def _certify_closed(report: DeformationReport, vectors: Sequence[Cochain]) -> None:
     """d^2(v) = 0 for every generator v, in one batched coface pass: base + sum c_i v_i then solves as base does."""
-    if any(report.spec._coboundaries(2, [v.flat_entries() for v in vectors])):
+    if any(report.spec._coboundaries(2, [v.flat_entries() for v in vectors])[1]):
         raise ShapeError("deformed multiplication is not associative")
 
 

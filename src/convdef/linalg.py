@@ -3,20 +3,22 @@
 `Subspace` is where every elimination runs and the one subspace type: it
 holds the reduced row-echelon form of a spanning set as dicts {column:
 nonzero}, keyed by pivot column, so equal subspaces compare equal as
-values.  It computes on plain ints: mod p over F_p, and over Q on
-primitive int rows R, each with its pivot entry R[c] > 0 as the
-denominator of the RREF row R / R[c].  Clearing pivot c from a row v is
-v <- R[c] v - v[c] R, then division by the gcd of v's entries; each RREF
-entry becomes one `Fraction` only when the elimination is done.  Over
-F_p a tall, dense row set (more rows than columns, at least 8 nonzeros a
-row) is eliminated instead on packed ints, `_packed_rref`: each held RREF
-row is one int of W-bit slots, a row is reduced by one multiply-add per
-pivot it hits and read mod p once, and the slot bound (r + 1)^2 p^3 + p,
-r <= ambient, fixes W; the RREF it returns is the one the dict loop gives.
+values.  It takes, holds and computes on plain ints: mod p over F_p, and
+over Q int rows (a caller with rational rows clears them first, as
+`Subspace.span` does), held as primitive int rows R, each with its pivot
+entry R[c] > 0 as the denominator of the RREF row R / R[c].  Clearing
+pivot c from a row v is v <- R[c] v - v[c] R, then division by the gcd
+of v's entries.  Over Q a `Fraction` is built only for a value that
+leaves: an entry of `rows` (on first read), of `quotient_basis`'s rows,
+of a solution or of a reduced vector.  Over F_p a tall, dense row set
+(more rows than columns, at least 8 nonzeros a row) is eliminated instead
+on packed ints, `_packed_rref`: each held RREF row is one int of W-bit
+slots, a row is reduced by one multiply-add per pivot it hits and read
+mod p once, and the slot bound (r + 1)^2 p^3 + p, r <= ambient, fixes W;
+the RREF it returns is the one the dict loop gives.
 `SparseMatrix` holds a map as its columns, one dict {row: nonzero} each,
 the library's one matrix type: the differentials d^n, Delta, the inclusion
-of an extension and its retract are read in the form they are built;
-`image` spans its columns.
+of an extension and its retract are read in the form they are built.
 `_lincomb` and `_sum` are the sparse accumulators the layers above share,
 and `_Record` the equality, hashing and repr of their plain record classes.
 `Matrix` is dense, tuple-of-tuples in row-major order; with `rref` it is
@@ -258,6 +260,16 @@ def _fractions(ints: dict, den: int) -> dict:
     return {c: Fraction(v, den) for c, v in ints.items()}
 
 
+def _integral(field: Field, rows: Iterable[dict]) -> Iterable[dict]:
+    """The rows as `Subspace` takes them: over Q each rational row times the lcm of its denominators; over F_p as given."""
+    return rows if field.char else [_cleared((row,))[1][0] for row in rows]
+
+
+def _field_row(field: Field, row: dict, col: int) -> dict:
+    """The int row divided by its entry at col, as field values: over Q one Fraction each; over F_p the row, 1 at col."""
+    return row if field.char else _fractions(row, row[col])
+
+
 def _sub_multiple(dst: dict, factor: int, src: dict, p: int, scale: int = 1) -> None:
     """dst <- scale * dst - factor * src in place on plain ints, dropping what cancels; over F_p (p > 0) mod p, scale 1."""
     if scale != 1:
@@ -390,10 +402,14 @@ def _packed_rref(p: int, ambient: int, rows: Sequence[dict]) -> dict[int, dict]:
 class Subspace:
     """A subspace of F^ambient in canonical form: the reduced row-echelon form of a spanning set, held sparse.
 
-    `Subspace(field, ambient, rows)` eliminates the row dicts {column:
-    nonzero}; every elimination runs here.  `rows` maps each pivot
-    column to its basis row, with a one at the pivot and nothing to its
-    left; callers must not mutate it.  The RREF is unique, so equal
+    `Subspace(field, ambient, rows)` eliminates the int row dicts {column:
+    nonzero}; every elimination runs here.  Over Q the rows must be ints: a
+    caller with rational rows scales each by the lcm of its denominators
+    first (`_integral`, as `span` does); a row times any nonzero int spans
+    the same line, so the subspace is the same.  `rows` maps each pivot
+    column to its basis row as field values, with a one at the pivot and
+    nothing to its left; over Q it is built on first read, one `Fraction`
+    per entry.  Callers must not mutate it.  The RREF is unique, so equal
     subspaces compare equal as values.  Rows are inserted shortest first,
     to limit fill-in.  Each is reduced against the pivot rows held so far
     and takes its least remaining column as its pivot, which is then
@@ -405,10 +421,11 @@ class Subspace:
     The loop computes on ints only.  Over F_p a held row R is the RREF row,
     R[c] = 1 at its pivot c, and values are reduced mod p.  Over Q it is
     the primitive int row R with R[c] > 0 (the gcd of its entries is 1),
-    so the RREF row is R / R[c]: a rational input row enters as its
-    entries times the lcm of their denominators, clearing pivot c from a
-    row v is v <- R[c] v - v[c] R followed by division by the gcd of v,
-    and `rows` is built once at the end, one `Fraction(v, R[c])` per entry.
+    so the RREF row is R / R[c]: clearing pivot c from a row v is
+    v <- R[c] v - v[c] R followed by division by the gcd of v.  The
+    primitive row with a positive pivot is unique, so the held rows are
+    canonical too; `kernel`, `reduce`, `contains_space`, `quotient_basis`
+    and `solutions` read them, and build Fractions only for what they return.
 
     Over F_p a row set with more rows than columns and at least 8 nonzeros
     a row on average (`_packs`) is eliminated on packed ints instead
@@ -420,7 +437,7 @@ class Subspace:
     the dict loop is the only path.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_ints")
+    __slots__ = ("field", "ambient", "pivots", "_ints", "_rows")
 
     def __init__(self, field: Field, ambient: int, rows: Iterable[dict] = ()):
         self.field = field
@@ -432,18 +449,16 @@ class Subspace:
         else:
             self._ints = {}
             for row in rows:
-                vec = dict(row) if p else _cleared((row,))[1][0]
-                self._clear(vec)
-                self._insert(vec)
-        self.rows = self._ints if p else {piv: _fractions(r, r[piv]) for piv, r in self._ints.items()}
-        self.pivots = tuple(sorted(self.rows))
+                self._insert(self._residue(row))
+        self._rows = self._ints if p else None
+        self.pivots = tuple(sorted(self._ints))
 
     @classmethod
-    def _held(cls, field: Field, ambient: int, rows: dict[int, dict]) -> Subspace:
-        # Trusted constructor: `rows` must already be an RREF keyed by pivot.
+    def _held(cls, field: Field, ambient: int, ints: dict[int, dict]) -> Subspace:
+        # Trusted constructor: `ints` must already be the held int rows of an RREF, keyed by pivot.
         out = cls.__new__(cls)
-        out.field, out.ambient, out.rows, out.pivots = field, ambient, rows, tuple(sorted(rows))
-        out._ints = rows if field.char else None
+        out.field, out.ambient, out._ints, out.pivots = field, ambient, ints, tuple(sorted(ints))
+        out._rows = ints if field.char else None
         return out
 
     @classmethod
@@ -453,18 +468,25 @@ class Subspace:
             if len(v) != ambient:
                 raise ShapeError(f"vector length {len(v)} vs ambient {ambient}")
             rows.append(_sparse([field.coerce(x) for x in v]))
-        return cls(field, ambient, rows)
+        return cls(field, ambient, _integral(field, rows))
+
+    @property
+    def rows(self) -> dict[int, dict]:
+        """The RREF rows as field values, by pivot; over Q built on first read."""
+        if self._rows is None:
+            self._rows = {piv: _field_row(self.field, row, piv) for piv, row in self._ints.items()}
+        return self._rows
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._ints)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self._ints == other._ints
         )
 
     def __hash__(self) -> int:
@@ -472,15 +494,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of F^{self.ambient})"
-
-    def _held_ints(self) -> dict[int, dict]:
-        """The held int rows; over Q a trusted-constructed subspace builds them on first use.
-
-        An RREF row times the lcm L of its denominators is primitive with L at its pivot.
-        """
-        if self._ints is None:
-            self._ints = {piv: _cleared((row,))[1][0] for piv, row in self.rows.items()}
-        return self._ints
 
     def _clear(self, vec: dict) -> int:
         """Zero the int row vec at every held pivot, in place; returns the factor L it was scaled by.
@@ -524,6 +537,12 @@ class Subspace:
                     _make_primitive(other, 1)
         held[piv] = row
 
+    def _residue(self, ints: dict) -> dict:
+        """A new int row: ints cleared at every held pivot, times the factor `_clear` returns."""
+        out = dict(ints)
+        self._clear(out)
+        return out
+
     def reduce(self, vec: dict) -> dict:
         """A new dict: vec minus its combination of the rows that leaves it zero at every pivot.
 
@@ -531,12 +550,9 @@ class Subspace:
         Over Q, vec times the lcm D of its denominators is reduced on ints
         by `_clear`, and each entry left is one Fraction(v, D * L).
         """
-        held = self._held_ints()
         if self.field.char:
-            out = dict(vec)
-            self._clear(out)
-            return out
-        if not any(c in held for c in vec):
+            return self._residue(vec)
+        if not any(c in self._ints for c in vec):
             return dict(vec)
         den, (out,) = _cleared((vec,))
         return _fractions(out, den * self._clear(out))
@@ -544,31 +560,44 @@ class Subspace:
     def restrict(self, ambient: int) -> Subspace:
         """The RREF of the first `ambient` columns of the rows, read off this one."""
         kept = {
-            piv: {c: v for c, v in row.items() if c < ambient} for piv, row in self.rows.items() if piv < ambient
+            piv: {c: v for c, v in row.items() if c < ambient} for piv, row in self._ints.items() if piv < ambient
         }
+        if not self.field.char:
+            for piv, row in kept.items():
+                _make_primitive(row, 1)
         return Subspace._held(self.field, ambient, kept)
 
     def dense_rows(self) -> tuple[Vector, ...]:
         return tuple(_dense(self.field, self.ambient, self.rows[piv]) for piv in self.pivots)
 
     def kernel(self) -> list[dict]:
-        """Canonical null-space basis of the rows: one vector per free column, free entry one.
+        """Null-space basis of the rows, as held int rows: one vector per free column f, positive at f.
 
-        When the rows were eliminated with their columns reversed, the
-        vectors mapped back are the RREF of the null space; this is how
+        Over F_p it is the canonical vector, with a one at f and -R[f] at
+        the pivot of each held row R; over Q the primitive int multiple of
+        the canonical vector, positive at f, its last column.  When the rows
+        were eliminated with their columns reversed, the vectors mapped back
+        are the held rows of the RREF of the null space; this is how
         `ComplexSpec.cocycles` reads Z^n off d^n.
         """
-        f = self.field
+        held, p = self._ints, self.field.char
         by_free: dict[int, dict] = {}
-        for piv, row in self.rows.items():
+        for piv, row in held.items():
             for c, x in row.items():
                 if c != piv:
-                    by_free.setdefault(c, {})[piv] = f.neg(x)
+                    by_free.setdefault(c, {})[piv] = -x % p if p else -x
         out = []
         for free in range(self.ambient):
-            if free not in self.rows:
+            if free not in held:
                 vec = by_free.get(free, {})
-                vec[free] = f.one
+                if p:
+                    vec[free] = 1
+                else:
+                    lead = math.lcm(*[held[q][q] for q in vec])
+                    for q in vec:
+                        vec[q] *= lead // held[q][q]
+                    vec[free] = lead
+                    _make_primitive(vec, lead)
                 out.append(vec)
         return out
 
@@ -579,15 +608,17 @@ class Subspace:
         solvable there is no pivot in B, and the RREF restricts to the RREF
         of each [M | b]: every solution is the one an elimination of
         [M | b] alone gives, free variables set to zero, so x[piv] is the
-        pivot row's entry in b's column.
+        pivot row's entry in b's column, R[b] / R[piv] over Q.
         """
         if self.pivots and self.pivots[-1] >= ncols:
             return None
+        p = self.field.char
         sols: list[dict] = [{} for _ in range(ncols, self.ambient)]
         for piv in self.pivots:
-            for c, v in self.rows[piv].items():
-                if c >= ncols:
-                    sols[c - ncols][piv] = v
+            row = self._ints[piv]
+            tail = {c: v for c, v in row.items() if c >= ncols}
+            for c, v in (tail if p else _fractions(tail, row[piv])).items():
+                sols[c - ncols][piv] = v
         return sols
 
     def contains_vector(self, v: Sequence) -> bool:
@@ -597,23 +628,25 @@ class Subspace:
 
     def contains_space(self, other: Subspace) -> bool:
         self._check_compatible(other)
-        return not any(self.reduce(row) for row in other.rows.values())
+        return not any(self._residue(row) for row in other._ints.values())
 
     def quotient_basis(self, sub: Subspace) -> list[dict]:
         """The RREF row dicts kept by a greedy scan: each row not in sub + the rows before it; not to be mutated.
 
         Their classes form a basis of self / sub; sub must lie inside self.
-        A vector of sub has coordinates v[p] in this basis, p running over
-        the pivots.  Row i is skipped exactly when some vector of sub has its
-        last nonzero coordinate at i, that is when i is a pivot of those
-        coordinates read right to left: one elimination of a dim sub x
-        dim self matrix.
+        A vector v of sub has coordinates v[p] in this basis, p running over
+        the pivots, and a held row of sub is a positive multiple of its RREF
+        row, so its int entries at the pivots are the coordinates of a
+        spanning vector.  Row i is skipped exactly when some vector of sub
+        has its last nonzero coordinate at i, that is when i is a pivot of
+        those coordinates read right to left: one elimination of a dim sub x
+        dim self int matrix.  Over Q only the kept rows become Fractions.
         """
         k = self.dim
         rev = {p: k - 1 - i for i, p in enumerate(self.pivots)}
-        coords = ({rev[c]: x for c, x in row.items() if c in rev} for row in sub.rows.values())
+        coords = ({rev[c]: x for c, x in row.items() if c in rev} for row in sub._ints.values())
         left_out = {k - 1 - c for c in Subspace(self.field, k, coords).pivots}
-        return [self.rows[p] for i, p in enumerate(self.pivots) if i not in left_out]
+        return [_field_row(self.field, self._ints[p], p) for i, p in enumerate(self.pivots) if i not in left_out]
 
     def _check_compatible(self, other: Subspace) -> None:
         require_same_field(self.field, other.field)
@@ -644,11 +677,6 @@ class SparseMatrix(_Record):
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row-echelon form: (R, pivot columns, rank)."""
-    ech = Subspace(m.field, m.cols, map(_sparse, m.data))
+    ech = Subspace(m.field, m.cols, _integral(m.field, map(_sparse, m.data)))
     zero_rows = ((m.field.zero,) * m.cols,) * (m.rows - ech.dim)
     return Matrix(m.field, m.rows, m.cols, ech.dense_rows() + zero_rows), ech.pivots, ech.dim
-
-
-def image(m: SparseMatrix) -> Subspace:
-    """Column space of m as a subspace of F^rows."""
-    return Subspace(m.field, m.rows, m.columns)

@@ -27,7 +27,7 @@ from convdef import (
 )
 from convdef.deformation import _gauge_from_cochain, complex_of
 from convdef.errors import ConvDefError, SpecMismatch
-from convdef.linalg import Matrix, _dense, _lincomb, _sparse
+from convdef.linalg import Matrix, _dense, _integral, _lincomb, _sparse
 from convdef.fields import PrimeField, require_same_field
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -63,6 +63,33 @@ def fraction_arithmetic_calls():
     finally:
         for name, fn in saved.items():
             setattr(Fraction, name, fn)
+
+
+@contextmanager
+def fraction_constructions():
+    """A one-element list holding the number of Fractions constructed inside the block.
+
+    `Fraction.__new__` is wrapped for the block and restored afterwards; a
+    probe first checks that the wrapper counts.  From Python 3.12 on,
+    Fraction's own arithmetic builds its results without `__new__`, so a
+    count that must not depend on the version is taken where no Fraction
+    arithmetic runs.
+    """
+    saved, original = vars(Fraction)["__new__"], Fraction.__new__
+    count = [0]
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return original(cls, *args, **kwargs)
+
+    try:
+        Fraction.__new__ = staticmethod(counting)
+        Fraction(1, 2)
+        assert count == [1]
+        count[0] = 0
+        yield count
+    finally:
+        Fraction.__new__ = saved
 
 
 def dense(m: MultiMap) -> Matrix:
@@ -330,7 +357,12 @@ def direct_sum(parts) -> Coalgebra:
 
 def full_space(field, n: int) -> Subspace:
     """F^n as a `Subspace`, its RREF the unit vectors, built without elimination."""
-    return Subspace._held(field, n, {i: {i: field.one} for i in range(n)})
+    return Subspace._held(field, n, {i: {i: 1} for i in range(n)})
+
+
+def image(m) -> Subspace:
+    """The column space of a `SparseMatrix` of field values, its columns cleared to the int rows `Subspace` takes."""
+    return Subspace(m.field, m.rows, _integral(m.field, m.columns))
 
 
 def xsq_deformation_algebra(field):

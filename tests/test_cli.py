@@ -72,6 +72,7 @@ SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
         ("cohomology_dense_fp", ["cohomology", fx("trunc4_dense_f32003.json"), "--degree", "2"], 0),
         ("cohomology_dense_d3", ["cohomology", fx("trunc3_dense.json"), "--degree", "3"], 0),
         ("cohomology_dense_fp_d3", ["cohomology", fx("trunc4_dense_f32003.json"), "--degree", "3"], 0),
+        ("deform_frac", ["deform", fx("deform_frac.json")], 0),
     ],
 )
 def test_reports_match_golden(tmp_path, capsys, name, argv, code):

@@ -12,7 +12,6 @@ from convdef import (
     find_grouplikes,
     graded_extension,
     grouplike_coalgebra,
-    image,
     polynomial_multi,
     trivial_k,
 )
@@ -32,6 +31,7 @@ from helpers import (
     direct_sum,
     expand_slot,
     full_space,
+    image,
     iterated_delta,
     oracle_is_coalgebra_filtration,
     reduce_dense,

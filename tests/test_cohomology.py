@@ -43,6 +43,7 @@ from helpers import (
     direct_sum_comodule,
     dual_numbers,
     fixture_specs,
+    fraction_constructions,
     greedy_quotient_rows,
     mat2_mult,
     matrix_units,
@@ -51,6 +52,7 @@ from helpers import (
     oracle_differential_matrix,
     oracle_kernel,
     oracle_rref,
+    oracle_solve_many,
     random_algebra,
     random_gauge_transported_mult,
     random_grouplike_comodule,
@@ -320,6 +322,66 @@ def test_cocycles_match_oracle_on_random_specs(monkeypatch):
     assert check_cocycles(oracles, rng, monkeypatch) >= 60
     assert (32003, 64, 16) in packed
     assert sum(label == "zero algebra" and d.is_zero() for label, _spec, _n, d in oracles) >= 3
+
+
+def _fractional_specs(rng):
+    """Complexes over Q with fractional constants in m, at least three of them in rho too."""
+    specs = [_random_spec(1, rng) for _ in range(8)] + _gate_specs(QQ, rng)
+    specs = [spec for spec in specs if _denominators(spec)[0] - {1}]
+    assert sum(bool(_denominators(spec)[1] - {1}) for spec in specs) >= 3
+    return specs
+
+
+def test_fractional_complexes_match_the_dense_oracle():
+    """Over Q with fractional constants in m and rho: differential_entries, cocycles (fresh and after a solve),
+    image_echelon and solve, on a coboundary with sevenths and on a random rhs, equal the dense oracle."""
+    rng = random.Random(61)
+    checked = fractional_rhs = 0
+    for spec in _fractional_specs(rng):
+        for n in range(3):
+            if spec.cochain_dim(n + 1) > GATE_MAX_DIM:
+                continue
+            oracle_d = oracle_differential_matrix(spec, n)
+            fresh = ComplexSpec(spec.m, spec.comodule)
+            assert dense_differential_matrix(fresh, n) == oracle_d
+            assert fresh._differentials[n][0] > 1  # the int columns of D d^n are held, D beside them
+            null = oracle_kernel(oracle_d)
+            red, pivots, rank = oracle_rref(Matrix(QQ, len(null), oracle_d.cols, tuple(null)))
+            z = fresh.cocycles(n)
+            assert (z.pivots, z.dense_rows()) == (pivots, red.data[:rank])
+            red_t, pivots_t, rank_t = oracle_rref(oracle_d.transpose())
+            b = fresh.image_echelon(n)
+            assert (b.pivots, b.dense_rows()) == (pivots_t, red_t.data[:rank_t])
+            sevenths = [Fraction(rng.randint(-3, 3), 7) for _ in range(spec.cochain_dim(n))]
+            coboundary = fresh.differential(Cochain.from_flat(QQ, spec.a_dim, spec.x_dim, n, sevenths))
+            fractional_rhs += any(v.denominator > 1 for v in coboundary.flat_entries().values())
+            for rhs in (coboundary, rand_cochain(fresh, n + 1, rng)):
+                solved = ComplexSpec(spec.m, spec.comodule)
+                x = solved.solve(n, rhs)
+                assert (None if x is None else [x.flatten()]) == oracle_solve_many(oracle_d, [rhs.flatten()])
+                assert (solved.cocycles(n).pivots, solved.cocycles(n).dense_rows()) == (pivots, red.data[:rank])
+            checked += 1
+    assert checked >= 8 and fractional_rhs >= 6
+
+
+def test_rational_cohomology_builds_fractions_only_for_its_representatives():
+    """Over Q, cohomology(n) of a fresh complex constructs one Fraction per entry of its H^n representatives and no
+    other: d^n, Z^n and B^n, the containment check and the quotient stay on ints."""
+    rng = random.Random(67)
+    specs = _fractional_specs(rng)
+    specs += [hochschild_spec(conjugate_mult(truncated_poly(QQ, 3), random_invertible(QQ, 3, rng)))]
+    built = entries = 0
+    for spec in specs:
+        for n in (1, 2):
+            if spec.cochain_dim(n + 1) > GATE_MAX_DIM:
+                continue
+            fresh = ComplexSpec(spec.m, spec.comodule)
+            with fraction_constructions() as count:
+                res = fresh.cohomology(n)
+            reps = sum(len(rep.flat_entries()) for rep in res.representatives)
+            assert count == [reps], n
+            built, entries = built + count[0], entries + reps
+    assert entries >= 20
 
 
 def _random_spec(kind, rng):

@@ -264,8 +264,6 @@ def test_mc_exhaustive_f2():
 
 def test_mc_solvability_equals_b3_membership():
     # solvable iff zeta lies in B^3 decided through the cohomology route
-    from convdef import image
-
     cases = []
     d = divided_power_t(2, QQ)
     cases.append((xsq_deformation_algebra(QQ), graded_extension(d, 2)))

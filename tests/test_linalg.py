@@ -10,10 +10,9 @@ from convdef import (
     ShapeError,
     SparseMatrix,
     Subspace,
-    image,
     rref,
 )
-from convdef.linalg import Matrix, _dense, _sparse
+from convdef.linalg import Matrix, _dense, _field_row, _integral, _sparse
 from convdef.fields import QQ, PrimeField
 
 from helpers import (
@@ -24,6 +23,7 @@ from helpers import (
     fraction_arithmetic_calls,
     full_space,
     greedy_quotient_rows,
+    image,
     oracle_kernel,
     oracle_rref,
     oracle_solve_many,
@@ -40,12 +40,25 @@ def rand_matrix(field, rows, cols, rng):
 
 
 def row_space(m: Matrix) -> Subspace:
-    return Subspace(m.field, m.cols, map(_sparse, m.data))
+    return Subspace(m.field, m.cols, _integral(m.field, map(_sparse, m.data)))
+
+
+def dense_kernel(space: Subspace) -> list:
+    """`Subspace.kernel` as dense canonical vectors: each held vector over its entry at its free column, its last.
+
+    Checks the held form on the way: positive at the free column, and over Q primitive.
+    """
+    f, out = space.field, []
+    for v in space.kernel():
+        free = max(v)
+        assert v[free] > 0 and (f.char or math.gcd(*v.values()) == 1)
+        out.append(_dense(f, space.ambient, _field_row(f, v, free)))
+    return out
 
 
 def kernel(m: Matrix) -> list:
     """The canonical kernel basis of m from `Subspace.kernel`, as dense vectors."""
-    return [_dense(m.field, m.cols, v) for v in row_space(m).kernel()]
+    return dense_kernel(row_space(m))
 
 
 def augmented(m: Matrix, rhs: list) -> Subspace:
@@ -55,7 +68,7 @@ def augmented(m: Matrix, rhs: list) -> Subspace:
         for row, x in zip(rows, map(m.field.coerce, b)):
             if x:
                 row[k] = x
-    return Subspace(m.field, m.cols + len(rhs), rows)
+    return Subspace(m.field, m.cols + len(rhs), _integral(m.field, rows))
 
 
 def dense_solutions(m: Matrix, ech: Subspace):
@@ -70,7 +83,7 @@ def solve(m: Matrix, rhs: list):
     Checked against `oracle_solve_many` and `oracle_kernel` on the way.
     """
     ech = augmented(m, rhs)
-    sols, ker = dense_solutions(m, ech), [_dense(m.field, m.cols, v) for v in ech.restrict(m.cols).kernel()]
+    sols, ker = dense_solutions(m, ech), dense_kernel(ech.restrict(m.cols))
     assert sols == oracle_solve_many(m, rhs)
     assert ker == oracle_kernel(m)
     return sols, ker
@@ -131,11 +144,11 @@ def test_empty_operands_keep_their_shape():
             assert (t.rows, t.cols, len(t.columns), len(m.columns)) == (m.cols, m.rows, m.rows, m.cols)
             assert t.transpose() == m and t.nnz == m.nnz
             dense = dense_of(m)
-            rows = Subspace(field, m.cols, t.columns)
+            rows = Subspace(field, m.cols, _integral(field, t.columns))
             for space, oracle in ((image(m), dense.transpose()), (rows, dense)):
                 red, _pivots, rank = oracle_rref(oracle)
                 assert space.dense_rows() == red.data[:rank]
-            assert [_dense(field, m.cols, v) for v in rows.kernel()] == oracle_kernel(dense)
+            assert dense_kernel(rows) == oracle_kernel(dense)
 
 
 def test_solve_identity():
@@ -340,13 +353,14 @@ def check_echelon_against_oracle(m):
     assert (ech.pivots, ech.dim) == (pivots, rank)
     assert ech.dense_rows() == red.data[:rank]
     # the RREF is unique: any insertion order gives the same rows
-    backwards = Subspace(m.field, m.cols, [{j: x for j, x in enumerate(r) if x} for r in reversed(m.data)])
+    backwards = Subspace(m.field, m.cols, _integral(m.field, [_sparse(r) for r in reversed(m.data)]))
     assert backwards.rows == ech.rows
     assert kernel(m) == oracle_kernel(m)
     # the left block of an echelon is the echelon of the left block
     k = m.cols // 2
     left = Matrix(m.field, m.rows, k, tuple(r[:k] for r in m.data))
-    assert ech.restrict(k).rows == row_space(left).rows
+    # equal as values: the restricted held int rows are primitive again, as an elimination of the left block leaves them
+    assert ech.restrict(k).rows == row_space(left).rows and ech.restrict(k) == row_space(left)
     red_t, _pivots_t, rank_t = oracle_rref(m.transpose())
     assert image(sparse_of(m)).dense_rows() == red_t.data[:rank_t]
 
@@ -438,7 +452,7 @@ def test_q_echelon_on_wide_rationals_matches_dense_gauss_jordan(m):
         got = ech.reduce(_sparse(v))
         assert all(_is_normalized_fraction(x) for x in got.values())
         assert _dense(QQ, m.cols, got) == _oracle_reduce(m, v)
-        # a restricted echelon is held as Fractions; its int rows are built on first use
+        # a restricted echelon keeps the int rows, made primitive again
         assert _dense(QQ, k, ech.restrict(k).reduce(_sparse(v[:k]))) == _oracle_reduce(left, v[:k])
     image_rhs = m.mul_vec(tuple(_wide(rng) for _ in range(m.cols)))
     for rhs in ([image_rhs], [image_rhs, tuple(_wide(rng) for _ in range(m.rows))]):
@@ -451,6 +465,29 @@ def test_q_echelon_on_wide_rationals_matches_dense_gauss_jordan(m):
             # the canonical solution: m x = b with every free variable zero
             assert m.mul_vec(x) == b
             assert all(x[j] == 0 for j in range(m.cols) if j not in ech.pivots)
+
+
+def test_int_rows_span_what_their_rational_rows_span():
+    """`Subspace` of int rows equals `Subspace.span` of the rows they scale, under any nonzero row scalars and order:
+    the same pivots, rows, held ints, kernel and hash."""
+    rng = random.Random(53)
+    for m in Q_WIDE_MATRICES + [rand_matrix(F5, rng.randint(1, 6), rng.randint(1, 6), rng) for _ in range(10)]:
+        f = m.field
+        span = Subspace.span(f, m.cols, m.data)
+        for _ in range(3):
+            scaled = []
+            for row in map(_sparse, m.data):
+                if f.char:
+                    c = rng.randrange(1, f.char)
+                    scaled.append({j: x * c % f.char for j, x in row.items()})
+                else:
+                    c = math.lcm(*(x.denominator for x in row.values())) * rng.choice((-1, 1)) * rng.randint(1, 2**40)
+                    scaled.append({j: int(x * c) for j, x in row.items()})
+            rng.shuffle(scaled)
+            ints = Subspace(f, m.cols, scaled)
+            assert ints == span and hash(ints) == hash(span)
+            assert (ints.pivots, ints.rows, ints._ints) == (span.pivots, span.rows, span._ints)
+            assert ints.kernel() == span.kernel()
 
 
 def test_q_elimination_makes_no_fraction_arithmetic():
@@ -466,7 +503,7 @@ def test_q_elimination_makes_no_fraction_arithmetic():
     results = []
     with fraction_arithmetic_calls() as calls:
         for m, rows, vecs in cases:
-            ech = Subspace(QQ, m.cols, rows)
+            ech = Subspace(QQ, m.cols, _integral(QQ, rows))
             left = ech.restrict(m.cols // 2)
             reduced = [ech.reduce(v) for v in vecs]
             reduced_left = [left.reduce({c: x for c, x in v.items() if c < left.ambient}) for v in vecs]
