@@ -222,10 +222,10 @@ def cmd_series(sf: SpecFile, args) -> dict:
     if strategy.startswith("file:"):
         user_cochains = {}
         for degree, mats in parse_cochain_file(strategy[5:], sf.field, alg.a_dim).items():
+            if not 1 <= degree <= d_coalg.max_degree():
+                raise SpecFileError("dimension", f"cochain file: degree {degree} is outside 1..{d_coalg.max_degree()}")
             if len(mats) != len(d_coalg.degree_indices(degree)):
-                raise SpecFileError(
-                    "dimension", f"cochain file: degree {degree} needs one matrix per layer element"
-                )
+                raise SpecFileError("dimension", f"cochain file: degree {degree} needs one matrix per layer element")
             user_cochains[degree] = Cochain(2, tuple(mats))
         strategy = "user"
     m0 = alg.m.components[0]

@@ -16,8 +16,9 @@ v = m_u[r][p*a + q]:
   - i = n+1, where p = y, adds (-1)^(n+1) c*v*x at (s, r, J*a + q);
   - each 1 <= i <= n, with J = (h, r, l) for h in a^(i-1) and l in a^(n-i),
     adds (-1)^i c*v*x at (s, y, (h, p, q, l)).
-`differential` runs it on one cochain, and `differential_matrix` on each
-unit cochain e_j, whose image is column j of d^n.  It sums ints, as
+`differential` runs it on one cochain, `solves` (the Maurer-Cartan
+residual, compared on ints) on a batch of them, and `differential_matrix`
+on each unit cochain e_j, whose image is column j of d^n.  It sums ints, as
 `convolution._convolve` does: over Q, c' = D_rho c, v' = D_m v (cleared
 once per complex) and x' = D_nu x are ints, and each sum of c*v*x is the
 int sum of c'v'x' over D = D_rho D_m D_nu; over F_p each sum is reduced
@@ -177,6 +178,22 @@ class ComplexSpec:
         f = require_same_field(self.field, nu.field)
         den, (out,) = self._coboundaries(nu.degree, [nu.flat_entries()])
         return Cochain.from_entries(f, self.a_dim, self.x_dim, nu.degree + 1, out if f.char else _fractions(out, den))
+
+    def solves(self, nus: Sequence[Cochain], zeta: Optional[Cochain] = None) -> bool:
+        """d^n(nu) = -zeta for every nu, or d^n(v) = 0 for every v when zeta is None: exactly, building no Fraction.
+
+        One batched `_coboundaries` pass gives D d^n(nu) as ints; with E the lcm
+        of zeta's denominators, E (D d^n(nu)) = -D (E zeta) is compared on ints.
+        """
+        n = nus[0].degree if nus else 0
+        if any((nu.degree, nu.x_dim, nu.a_dim, nu.field) != (n, self.x_dim, self.a_dim, self.field) for nu in nus):
+            raise ShapeError("cochain does not match the complex")
+        den, outs = self._coboundaries(n, [nu.flat_entries() for nu in nus])
+        if zeta is None:
+            return not any(outs)
+        e, (z,) = _cleared((zeta.flat_entries(),))
+        want = _normalized(self.field, {k: -den * v for k, v in z.items()})
+        return all(_normalized(self.field, {k: e * v for k, v in out.items()}) == want for out in outs)
 
     @cached_property
     def _integral_indexes(self) -> tuple[int, list[list], list[dict], list[dict], list[dict]]:

@@ -17,7 +17,8 @@ vanishes, and its X-block is zeta + d^2(nu).  Once the fiber condition
 holds, m (+) nu is associative exactly when d^2(nu) = -zeta, and d^2 is
 applied to nu's entries without being assembled.
 
-An enumerated family base + sum c_i v_i is checked once: the residual is
+Every check of that equation, and of d^3(zeta) = 0, is one call of the
+exact residual `ComplexSpec.solves`, which compares on ints.  An enumerated family base + sum c_i v_i is checked once: the residual is
 affine in nu, so once the base passes it and d^2(v_i) = 0 for each
 generator v_i, every member solves d^2(nu) = -zeta exactly.
 """
@@ -131,40 +132,30 @@ class Deformation(_Record):
         if not self.fiber_condition_holds():
             raise SpecMismatch("multiplication does not restrict to the base algebra")
         spec = complex_of(self.base, self.extension)
-        _require_mc(self.m_x, obstruction_zeta(self.base, self.extension, spec), spec)
+        _require_mc(spec, [self.m_x], obstruction_zeta(self.base, self.extension, spec))
 
 
-def _require_mc(nu: Cochain, zeta: Cochain, spec: ComplexSpec) -> None:
-    if spec.differential(nu) != -zeta:
+def _require_mc(spec: ComplexSpec, nus: Sequence[Cochain], zeta: Optional[Cochain] = None) -> None:
+    """d^2(nu) = -zeta for every nu, or d^2(v) = 0 for every generator v when zeta is None, or refuse."""
+    if not spec.solves(nus, zeta):
         raise ShapeError("deformed multiplication is not associative")
 
 
-def _certify_closed(report: DeformationReport, vectors: Sequence[Cochain]) -> None:
-    """d^2(v) = 0 for every generator v, in one batched coface pass: base + sum c_i v_i then solves as base does."""
-    if any(report.spec._coboundaries(2, [v.flat_entries() for v in vectors])[1]):
-        raise ShapeError("deformed multiplication is not associative")
-
-
-def make_deformation(
-    base: AlgebraMC, ext: Extension, nu: Cochain, *, _report: Optional[DeformationReport] = None, _certified: bool = False
-) -> Deformation:
+def make_deformation(base: AlgebraMC, ext: Extension, nu: Cochain, *, _certified: bool = False) -> Deformation:
     """Assemble mtilde with mtilde(c, x) = m(c) + nu(x) and verify it: mtilde is associative exactly when d^2(nu) = -zeta.
 
     The residual is one application of d^2 to nu's entries (see the module
     docstring).  mtilde starts with base.m's own components, so the fiber
     condition holds by construction and is not checked.  Within this
-    module `_report` is the `mc_solve` report of (base, ext), so its zeta
-    and complex are not rebuilt for each solution; `_certified` says nu lies
-    in a family `_certify_closed` has checked against that report.
+    module `_certified` says nu lies in a family whose base and generators
+    `_require_mc` has already checked, so no complex is built for it.
     """
     if nu.degree != 2 or nu.x_dim != ext.comodule.dim:
         raise ShapeError("solution cochain must be a degree-2 cochain on X")
     d = Deformation(base=base, extension=ext, mtilde=ConvMorphism(ext.ctilde, tuple(base.m.components) + nu.maps))
-    if _report is None:
+    if not _certified:
         spec = complex_of(base, ext)
-        _require_mc(nu, obstruction_zeta(base, ext, spec), spec)
-    elif not _certified:
-        _require_mc(nu, _report.zeta, _report.spec)
+        _require_mc(spec, [nu], obstruction_zeta(base, ext, spec))
     # m is associative (zeta's C-block) and d^2(nu) = -zeta: so is mtilde, and no complex over it re-checks
     _proved_associative(d.mtilde)
     return d
@@ -181,7 +172,7 @@ def obstruction_zeta(alg: AlgebraMC, ext: Extension, spec: Optional[ComplexSpec]
 
     On x only the omega terms of Delta(x) pair two nonzero components.  The
     C-block is the associator of m, so a non-associative m is refused here.
-    d^3(zeta) = 0 is checked in `spec`, the caller's `complex_of(alg, ext)`, built here when not given.
+    d^3(zeta) = 0 is checked by `spec.solves`, `spec` the caller's `complex_of(alg, ext)`, built here when not given.
     """
     if alg.coalgebra != ext.base:
         raise SpecMismatch("algebra and extension live over different coalgebras")
@@ -191,7 +182,7 @@ def obstruction_zeta(alg: AlgebraMC, ext: Extension, spec: Optional[ComplexSpec]
     if any(assoc[1][:dc]):
         raise ShapeError("multiplication is not associative in the convolution category")
     zeta = Cochain(3, _from_form(ext.ctilde, assoc, a, 3, 1).components[dc:])
-    if not (spec or complex_of(alg, ext)).differential(zeta).is_zero():
+    if not (spec or complex_of(alg, ext)).solves([zeta]):
         raise ConvDefError("obstruction is not a 3-cocycle; inputs are inconsistent")
     return zeta
 
@@ -199,18 +190,18 @@ def obstruction_zeta(alg: AlgebraMC, ext: Extension, spec: Optional[ComplexSpec]
 class DeformationReport(_Record):
     """Obstruction data, Maurer-Cartan solution set, and its cohomology classes: d^2(nu0) = zeta, base_solution = -nu0,
     coset_count = |F|^dim_h2 over finite fields, zeta_class_rep the canonical representative of [zeta] when nonzero.
-    spec, the complex it was solved in, is left out of ==, hash and repr."""
+    spec, the complex it was solved in, is left out of ==, hash and repr; Z^2 and B^2 are its cached
+    `spec.cocycles(2)` and `spec.coboundaries(2)`, so no cochain basis of them is built here."""
 
-    _fields = ("zeta", "obstruction_vanishes", "nu0", "base_solution", "z2_basis", "b2_basis", "h2_reps",
+    _fields = ("zeta", "obstruction_vanishes", "nu0", "base_solution", "h2_reps",
                "dim_z2", "dim_b2", "dim_h2", "coset_count", "zeta_class_rep")
     __slots__ = _fields + ("spec",)
 
     def __init__(self, zeta: Cochain, obstruction_vanishes: bool, nu0: Optional[Cochain],
-                 base_solution: Optional[Cochain], z2_basis: tuple[Cochain, ...], b2_basis: tuple[Cochain, ...],
-                 h2_reps: tuple[Cochain, ...], dim_z2: int, dim_b2: int, dim_h2: int, coset_count: Optional[int],
-                 zeta_class_rep: Optional[Cochain], spec: ComplexSpec):
+                 base_solution: Optional[Cochain], h2_reps: tuple[Cochain, ...], dim_z2: int, dim_b2: int,
+                 dim_h2: int, coset_count: Optional[int], zeta_class_rep: Optional[Cochain], spec: ComplexSpec):
         self.zeta, self.obstruction_vanishes = zeta, obstruction_vanishes
-        self.nu0, self.base_solution, self.z2_basis, self.b2_basis = nu0, base_solution, z2_basis, b2_basis
+        self.nu0, self.base_solution = nu0, base_solution
         self.h2_reps, self.dim_z2, self.dim_b2, self.dim_h2 = h2_reps, dim_z2, dim_b2, dim_h2
         self.coset_count, self.zeta_class_rep, self.spec = coset_count, zeta_class_rep, spec
 
@@ -226,10 +217,6 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
     # one elimination of [d^2 | zeta]: its left block is the RREF of d^2 that cohomology(2) reads Z^2 from
     nu0 = spec.solve(2, zeta)
     h2 = spec.cohomology(2)
-    z2, b2 = (
-        tuple(Cochain.from_entries(f, spec.a_dim, spec.x_dim, 2, space.rows[p]) for p in space.pivots)
-        for space in (h2.z_space, h2.b_space)
-    )
     rep = None
     if nu0 is None:
         # canonical representative of [zeta] modulo B^3 = im d^2
@@ -239,8 +226,6 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
         obstruction_vanishes=nu0 is not None,
         nu0=nu0,
         base_solution=None if nu0 is None else -nu0,
-        z2_basis=z2,
-        b2_basis=b2,
         h2_reps=h2.representatives,
         dim_z2=h2.dim_z,
         dim_b2=h2.dim_b,
@@ -250,8 +235,8 @@ def mc_solve(alg: AlgebraMC, ext: Extension) -> DeformationReport:
         spec=spec,
     )
     if nu0 is not None:
-        # end-to-end re-verification: the materialized multiplication must be associative
-        make_deformation(alg, ext, report.base_solution, _report=report)
+        # end-to-end re-verification: the base solution's own residual, so that base + Z^2 solves the equation
+        _require_mc(spec, [report.base_solution], zeta)
     return report
 
 
@@ -280,8 +265,8 @@ def classify(alg: AlgebraMC, ext: Extension, coset_cap: int = 64) -> ClassifyRes
         nus = _affine_span(base, report.h2_reps, f.char)
     else:
         nus = [base] + [base + h for h in report.h2_reps]
-    _certify_closed(report, report.h2_reps)
-    reps = tuple(make_deformation(alg, ext, nu, _report=report, _certified=True) for nu in nus)
+    _require_mc(report.spec, report.h2_reps)
+    reps = tuple(make_deformation(alg, ext, nu, _certified=True) for nu in nus)
     return ClassifyResult(report=report, representatives=reps)
 
 
@@ -409,7 +394,7 @@ def series_deform(
         raise ShapeError("degree-0 part has no basis group-like")
     start = AlgebraMC(m=epsilon_embed(m0, c0))
     start.require_valid()
-    # a branch is (steps, alg, stopped, pending): with pending = (ext, nu, report) its algebra is alg grown by nu
+    # a branch is (steps, alg, stopped, pending): with pending = (ext, nu) its algebra is alg grown by nu
     branches: list[tuple[list[SeriesStep], AlgebraMC, Optional[int], Optional[tuple]]] = [([], start, None, None)]
     for n in range(1, max_degree + 1):
         ext = graded_extension(d_coalg, n)
@@ -428,7 +413,7 @@ def series_deform(
             choices = _solution_choices(report, strategy, user_cochains, n)
             # no solution past the budget is drawn from the lazy choices, so none is built
             for nu in itertools.islice(choices, branch_budget - len(new_branches)):
-                new_branches.append((steps + [SeriesStep(n, report, nu)], alg, None, (ext, nu, report)))
+                new_branches.append((steps + [SeriesStep(n, report, nu)], alg, None, (ext, nu)))
         branches = new_branches
     return SeriesResult(branches=tuple(
         SeriesBranch(steps=tuple(steps), final=_grown(alg, pending), stopped_at=stopped)
@@ -436,10 +421,10 @@ def series_deform(
 
 
 def _grown(alg: AlgebraMC, pending: Optional[tuple]) -> AlgebraMC:
-    """alg, or with pending = (ext, nu, report) the deformation of alg by the certified solution nu."""
+    """alg, or with pending = (ext, nu) the deformation of alg by the certified solution nu."""
     if pending is None:
         return alg
-    return AlgebraMC(m=make_deformation(alg, *pending[:2], _report=pending[2], _certified=True).mtilde)
+    return AlgebraMC(m=make_deformation(alg, *pending, _certified=True).mtilde)
 
 
 def _solution_choices(
@@ -456,12 +441,15 @@ def _solution_choices(
         if degree not in user_cochains:
             return [base]
         nu = user_cochains[degree]
-        if report.spec.differential(nu) != -report.zeta:
+        if not report.spec.solves([nu], report.zeta):
             raise ShapeError(f"supplied degree-{degree} cochain does not solve the equation")
         return [nu]
     if strategy == "all":
-        _certify_closed(report, report.z2_basis)
-        return _affine_span(base, report.z2_basis, report.spec.field.char)
+        spec = report.spec
+        z2 = spec.cocycles(2)
+        gens = [Cochain.from_entries(spec.field, spec.a_dim, spec.x_dim, 2, z2.rows[p]) for p in z2.pivots]
+        _require_mc(spec, gens)
+        return _affine_span(base, gens, spec.field.char)
     raise ShapeError(f"unknown strategy {strategy!r}")
 
 

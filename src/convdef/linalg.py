@@ -5,7 +5,7 @@ holds the reduced row-echelon form of a spanning set as dicts {column:
 nonzero}, keyed by pivot column, so equal subspaces compare equal as
 values.  It takes, holds and computes on plain ints: mod p over F_p, and
 over Q int rows (a caller with rational rows clears them first, as
-`Subspace.span` does), held as primitive int rows R, each with its pivot
+`_integral` does), held as primitive int rows R, each with its pivot
 entry R[c] > 0 as the denominator of the RREF row R / R[c].  Clearing
 pivot c from a row v is v <- R[c] v - v[c] R, then division by the gcd
 of v's entries.  Over Q a `Fraction` is built only for a value that
@@ -405,7 +405,7 @@ class Subspace:
     `Subspace(field, ambient, rows)` eliminates the int row dicts {column:
     nonzero}; every elimination runs here.  Over Q the rows must be ints: a
     caller with rational rows scales each by the lcm of its denominators
-    first (`_integral`, as `span` does); a row times any nonzero int spans
+    first (`_integral`); a row times any nonzero int spans
     the same line, so the subspace is the same.  `rows` maps each pivot
     column to its basis row as field values, with a one at the pivot and
     nothing to its left; over Q it is built on first read, one `Fraction`
@@ -460,15 +460,6 @@ class Subspace:
         out.field, out.ambient, out._ints, out.pivots = field, ambient, ints, tuple(sorted(ints))
         out._rows = ints if field.char else None
         return out
-
-    @classmethod
-    def span(cls, field: Field, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
-        rows = []
-        for v in vectors:
-            if len(v) != ambient:
-                raise ShapeError(f"vector length {len(v)} vs ambient {ambient}")
-            rows.append(_sparse([field.coerce(x) for x in v]))
-        return cls(field, ambient, _integral(field, rows))
 
     @property
     def rows(self) -> dict[int, dict]:

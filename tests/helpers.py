@@ -101,6 +101,23 @@ def from_dense(mat: Matrix, a_dim: int, src_arity: int, tgt_arity: int) -> Multi
     return MultiMap.from_rows(mat.field, a_dim, src_arity, tgt_arity, mat.data)
 
 
+def subspace_span(field, ambient: int, vectors) -> Subspace:
+    """The `Subspace` spanned by dense vectors of length `ambient`, each coerced into the field and cleared to ints."""
+    rows = []
+    for v in vectors:
+        if len(v) != ambient:
+            raise ShapeError(f"vector length {len(v)} vs ambient {ambient}")
+        rows.append(_sparse([field.coerce(x) for x in v]))
+    return Subspace(field, ambient, _integral(field, rows))
+
+
+def z2_basis(report) -> list[Cochain]:
+    """The RREF rows of Z^2 as cochains, in pivot order: read off the report's cached `spec.cocycles(2)`."""
+    spec = report.spec
+    z2 = spec.cocycles(2)
+    return [Cochain.from_entries(spec.field, spec.a_dim, spec.x_dim, 2, z2.rows[p]) for p in z2.pivots]
+
+
 def reduce_dense(space, v) -> tuple:
     """The canonical representative of the dense vector v modulo a `Subspace`, as a dense vector."""
     if len(v) != space.ambient:
@@ -385,7 +402,7 @@ def greedy_quotient_rows(total, sub):
     for row in total.dense_rows():
         if not span.contains_vector(row):
             kept.append(row)
-            span = Subspace.span(total.field, total.ambient, span.dense_rows() + (row,))
+            span = subspace_span(total.field, total.ambient, span.dense_rows() + (row,))
     return kept
 
 
@@ -484,7 +501,7 @@ def oracle_is_coalgebra_filtration(c, layers) -> bool:
             for u in layers[i].dense_rows():
                 for v in layers[n - i].dense_rows():
                     vecs.append(tuple(f.mul(x, y) for x in u for y in v))
-        target = Subspace.span(f, d * d, vecs)
+        target = subspace_span(f, d * d, vecs)
         for row in layer.dense_rows():
             if not target.contains_vector(delta_matrix(c).mul_vec(row)):
                 return False
@@ -508,7 +525,7 @@ def transport_coalgebra(c, p: Matrix):
     counit = (counit_matrix(c) @ p_inv).data[0]
     moved = Coalgebra(f, [f"p({name})" for name in c.names], delta, counit)
     layers = [
-        Subspace.span(f, d, [p.mul_vec(row) for row in layer.dense_rows()])
+        subspace_span(f, d, [p.mul_vec(row) for row in layer.dense_rows()])
         for layer in c.grading_filtration()
     ]
     return moved, layers
@@ -1122,7 +1139,7 @@ def dense_eps(c, v):
 
 def dense_image(m: Matrix):
     """Column space of a dense matrix."""
-    return Subspace.span(m.field, m.rows, [m.col(j) for j in range(m.cols)])
+    return subspace_span(m.field, m.rows, [m.col(j) for j in range(m.cols)])
 
 
 def outer(field, u, v):

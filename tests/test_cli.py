@@ -49,34 +49,15 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SERIES_ARGS = ["--algebra", "A0", "--coalgebra", "D", "--max-degree", "2"]
 
 
-@pytest.mark.parametrize(
-    "name, argv, code",
-    [
-        ("cohomology", ["cohomology", fx("mat2.json"), "--degree", "2"], 0),
-        ("deform", ["deform", fx("poly_t2_dual.json")], 0),
-        ("series", ["series", fx("poly_t2_dual.json"), *SERIES_ARGS, "--strategy", "file:" + fx("xsq_t_cochain.json")], 0),
-        ("unit_gauge", ["unit-gauge", fx("poly_t2_dual.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
-        ("invert", ["invert", fx("invert.json")], 0),
-        ("obstructed", ["deform", fx("obstructed.json")], 2),
-        ("unit_gauge_broken", ["unit-gauge", fx("unit_gauge_broken.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
-        ("validate", ["validate", fx("poly_t2_dual.json")], 0),
-        ("classify", ["classify", fx("poly_t2_dual.json")], 0),
-        ("classify_f3", ["classify", fx("poly2_t2_f3.json")], 0),
-        ("invert_frac", ["invert", fx("invert_frac.json")], 0),
-        ("cohomology_dense", ["cohomology", fx("trunc3_dense.json"), "--degree", "2"], 0),
-        ("unit_gauge_frac", ["unit-gauge", fx("unit_gauge_frac.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
-        ("obstruct", ["obstruct", fx("obstructed.json")], 0),
-        ("series_all_f3", ["series", fx("poly_t2_f3.json"), *SERIES_ARGS, "--strategy", "all"], 0),
-        ("unit_gauge_t4", ["unit-gauge", fx("unit_gauge_t4.json"), "--algebra", "At", "--base-algebra", "A0"], 0),
-        ("invert_ungraded", ["invert", fx("invert_ungraded.json")], 0),
-        ("cohomology_dense_fp", ["cohomology", fx("trunc4_dense_f32003.json"), "--degree", "2"], 0),
-        ("cohomology_dense_d3", ["cohomology", fx("trunc3_dense.json"), "--degree", "3"], 0),
-        ("cohomology_dense_fp_d3", ["cohomology", fx("trunc4_dense_f32003.json"), "--degree", "3"], 0),
-        ("deform_frac", ["deform", fx("deform_frac.json")], 0),
-    ],
-)
-def test_reports_match_golden(tmp_path, capsys, name, argv, code):
+# (name, argv, exit code) per recorded report, paths relative to the repo root; CI replays the same table
+# through the installed console script
+GOLDEN_COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
+
+
+@pytest.mark.parametrize("name, argv, code", GOLDEN_COMMANDS)
+def test_reports_match_golden(tmp_path, capsys, monkeypatch, name, argv, code):
     """The README commands write the recorded reports, byte for byte (tests/golden/<name>.json)."""
+    monkeypatch.chdir(FIXTURES.parent)
     out = tmp_path / "r.json"
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
@@ -118,15 +99,15 @@ def test_unit_gauge_runs_one_associator_per_algebra_block(monkeypatch, fixture, 
 
 
 def test_series_all_materializes_only_expanded_or_returned_branches(tmp_path, monkeypatch):
-    """series --strategy all builds the 16 returned branches, the one degree-1 branch degree 2 expands and the
-    two mc_solve re-verifications: 19 deformations, and the same report."""
+    """series --strategy all builds the 16 returned branches and the one degree-1 branch degree 2 expands:
+    17 deformations (`mc_solve` checks its base solution without building one), and the same report."""
     calls, results, make, series = [], [], deformation.make_deformation, cli.series_deform
     monkeypatch.setattr(deformation, "make_deformation", lambda *a, **k: calls.append(a) or make(*a, **k))
     monkeypatch.setattr(cli, "series_deform", lambda *a, **k: results.append(series(*a, **k)) or results[-1])
     out = tmp_path / "r.json"
     argv = ["series", fx("poly_t2_f3.json"), *SERIES_ARGS, "--strategy", "all", "--out", str(out)]
     assert main(argv) == 0
-    assert len(calls) == 19
+    assert len(calls) == 17
     assert [len(r.branches) for r in results] == [16]
     assert out.read_bytes() == (GOLDEN / "series_all_f3.json").read_bytes()
 
@@ -446,6 +427,19 @@ def test_cochain_file_non_integer_degree_exits_1(tmp_path, capsys):
     doc = json.loads((FIXTURES / "xsq_t_cochain.json").read_text())
     assert _series_with_cochain_file(tmp_path, {"one": doc["1"]}) == 1
     assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{"5": []}, {"-1": []}, {"0": "one"}, {"5": "one"}], ids=["5 empty", "-1", "0", "5"])
+def test_cochain_file_degree_outside_the_coalgebra_exits_1(tmp_path, capsys, doc):
+    """A cochain-file degree outside 1..2, the positive degrees of k[t]_{<=2}, is refused by name, not run or
+    mistaken for a matrix count; "one" stands for the one matrix a degree-0 or degree-1 layer takes."""
+    one = json.loads((FIXTURES / "xsq_t_cochain.json").read_text())["1"]
+    doc = {key: one if mats == "one" else mats for key, mats in doc.items()}
+    assert _series_with_cochain_file(tmp_path, doc) == 1
+    captured = capsys.readouterr()
+    degree = next(iter(doc))
+    assert f"cochain file: degree {degree} is outside 1..2" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def _invert_with_filtration_exits_1(tmp_path, capsys, value: str) -> None:

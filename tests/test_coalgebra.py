@@ -22,6 +22,7 @@ from convdef.fields import QQ
 from convdef.specfile import parse_path
 
 from helpers import (
+    subspace_span,
     delta_matrix,
     triples_matrix,
     F2,
@@ -157,7 +158,8 @@ def test_grading_filtration_layers_are_spans_of_unit_vectors():
             layers = c.grading_filtration()
             assert len(layers) == c.max_degree() + 1
             for n, layer in enumerate(layers):
-                span = Subspace.span(field, c.dim, [unit_vec(field, c.dim, i) for i, g in enumerate(c.grading) if g <= n])
+                units = [unit_vec(field, c.dim, i) for i, g in enumerate(c.grading) if g <= n]
+                span = subspace_span(field, c.dim, units)
                 assert layer == span and layer.pivots == span.pivots
                 v = tuple(field.random_element(rng) for _ in range(c.dim))
                 assert reduce_dense(layer, v) == reduce_dense(span, v)
@@ -176,17 +178,17 @@ def test_subspace_is_one_value_across_construction_routes():
                 # an eliminated span of the same rows, scaled, mixed and listed in another order
                 mixed = [tuple(field.mul(field.random_element(rng) or field.one, x) for x in u) for u in kept[::-1]]
                 mixed += [tuple(field.add(a, b) for a, b in zip(u, v)) for u, v in zip(kept, kept[1:])]
-                routes = [layer, Subspace.span(field, d, kept), Subspace.span(field, d, mixed)]
+                routes = [layer, subspace_span(field, d, kept), subspace_span(field, d, mixed)]
                 # a restriction is trusted-constructed from the held rows
-                padded = Subspace.span(field, d + 2, [u + (field.random_element(rng),) * 2 for u in kept])
+                padded = subspace_span(field, d + 2, [u + (field.random_element(rng),) * 2 for u in kept])
                 routes.append(padded.restrict(d))
                 for a in routes:
                     for b in routes:
                         assert a == b and hash(a) == hash(b)
                 assert len(set(routes)) == 1
             full = full_space(field, d)
-            assert full == Subspace.span(field, d, units) == c.grading_filtration()[-1]
-            assert hash(full) == hash(Subspace.span(field, d, units[::-1]))
+            assert full == subspace_span(field, d, units) == c.grading_filtration()[-1]
+            assert hash(full) == hash(subspace_span(field, d, units[::-1]))
             assert full != Subspace(field, d) and full != full_space(field, d + 1)
         for ext in (graded_extension(divided_power_t(3, field), 2), graded_extension(polynomial_multi(2, 2, field), 1)):
             dt, dc = ext.ctilde.dim, ext.base.dim
@@ -195,7 +197,7 @@ def test_subspace_is_one_value_across_construction_routes():
                 for r, v in col.items():
                     cols[j][r] = v
             iota_image = image(ext.iota)
-            span = Subspace.span(field, dt, cols)
+            span = subspace_span(field, dt, cols)
             assert iota_image == span and hash(iota_image) == hash(span) and iota_image.dim == dc
 
 
@@ -203,9 +205,9 @@ def test_filtration_layers_of_the_wrong_ambient_raise():
     c = divided_power_t(2, QQ)
     wide = [unit_vec(QQ, 4, i) for i in range(3)]
     for layers in (
-        [Subspace.span(QQ, 4, wide[:1]), full_space(QQ, 3)],  # nesting compares F^4 with F^3
-        [Subspace.span(QQ, 4, wide)],  # exhaustive by dimension, but in F^4
-        [Subspace.span(QQ, 4, wide[:1]), Subspace.span(QQ, 4, wide)],
+        [subspace_span(QQ, 4, wide[:1]), full_space(QQ, 3)],  # nesting compares F^4 with F^3
+        [subspace_span(QQ, 4, wide)],  # exhaustive by dimension, but in F^4
+        [subspace_span(QQ, 4, wide[:1]), subspace_span(QQ, 4, wide)],
     ):
         with pytest.raises(ShapeError):
             oracle_is_coalgebra_filtration(c, layers)

@@ -13,7 +13,6 @@ from convdef import (
     NotCocommutative,
     NotInvertible,
     ShapeError,
-    Subspace,
     congruent_mod,
     conv_compose,
     conv_tensor,
@@ -34,6 +33,7 @@ from convdef.convolution import _right_inverse
 from convdef.fields import QQ
 
 from helpers import (
+    subspace_span,
     sparse_of,
     F2,
     F3,
@@ -622,7 +622,7 @@ def _bottom_cases(field, rng):
         moved, layers = transport_coalgebra(c, random_invertible(field, c.dim, rng))
         cases.append((moved, layers[0]))
     non_cocomm = non_cocommutative_coalgebra(field)
-    cases.append((non_cocomm, Subspace.span(field, 3, [[1, 0, 0], [0, 0, 1]])))
+    cases.append((non_cocomm, subspace_span(field, 3, [[1, 0, 0], [0, 0, 1]])))
     return cases
 
 

@@ -70,6 +70,7 @@ from helpers import (
     truncated_poly_3,
     unit_column,
     xsq_deformation_algebra,
+    z2_basis,
 )
 
 
@@ -183,12 +184,18 @@ def _readme_deform_instance():
 def test_mc_solve_checks_zeta_without_assembling_d3(monkeypatch):
     """`deform fixtures/poly_t2_dual.json`: only d^1 and d^2 are assembled; d^3 and d^2 are applied to entries.
 
-    d^3 to zeta (d(zeta) = 0), then d^2 to the base solution (its residual d^2(nu) = -zeta).
+    d^3 to zeta (d(zeta) = 0), then d^2 to the base solution (its residual d^2(nu) = -zeta), both by `solves`.
     """
     assembled, applied = [], []
-    matrix, differential = ComplexSpec.differential_matrix, ComplexSpec.differential
+    matrix, solves = ComplexSpec.differential_matrix, ComplexSpec.solves
     monkeypatch.setattr(ComplexSpec, "differential_matrix", lambda self, n: assembled.append(n) or matrix(self, n))
-    monkeypatch.setattr(ComplexSpec, "differential", lambda self, nu: applied.append(nu.degree) or differential(self, nu))
+    monkeypatch.setattr(ComplexSpec, "differential", lambda self, nu: pytest.fail("a Fraction cochain d(nu) built"))
+
+    def spy(self, nus, *zeta):
+        applied.append(nus[0].degree)
+        return solves(self, nus, *zeta)
+
+    monkeypatch.setattr(ComplexSpec, "solves", spy)
     assert mc_solve(*_readme_deform_instance()).obstruction_vanishes
     assert set(assembled) == {1, 2}
     assert applied == [3, 2]
@@ -236,7 +243,7 @@ def test_mc_solutions_form_affine_space_over_z2():
     assert report.obstruction_vanishes
     assert report.base_solution.is_zero()
     # every Z^2 shift is again a deformation (re-verified associative)
-    for z in report.z2_basis:
+    for z in z2_basis(report):
         make_deformation(alg, ext, z)
 
 
@@ -255,7 +262,7 @@ def test_mc_exhaustive_f2():
     predicted = set()
     for coeffs in itertools.product(range(2), repeat=report.dim_z2):
         nu = report.base_solution
-        for c, z in zip(coeffs, report.z2_basis):
+        for c, z in zip(coeffs, z2_basis(report)):
             nu = nu + z.scale(c)
         predicted.add(nu.flatten())
     assert sols == predicted
@@ -324,7 +331,7 @@ def test_equiv_distinguishes_cosets():
     d2 = make_deformation(alg, ext, shifted)
     assert equiv_check(d1, d2) is None
     # and they reduce to different canonical coset representatives
-    b2 = Subspace.span(QQ, len(shifted.flatten()), [b.flatten() for b in report.b2_basis])
+    b2 = report.spec.coboundaries(2)
     assert reduce_dense(b2, d1.m_x.flatten()) != reduce_dense(b2, d2.m_x.flatten())
 
 

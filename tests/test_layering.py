@@ -55,15 +55,16 @@ def _reads(tree: ast.AST, attr: str) -> int:
 
 
 def test_one_coface_loop_reads_the_integer_indexes():
-    """Only `ComplexSpec._coboundaries` reads the cached int constants of m and rho; d^n and d(nu) both go through it."""
+    """Only `ComplexSpec._coboundaries` reads the cached int constants of m and rho; d^n, d(nu) and the
+    Maurer-Cartan residual `solves` all go through it."""
     tree = ast.parse((SRC / "cohomology.py").read_text())
     spec = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ComplexSpec")
     methods = {fn.name: fn for fn in spec.body if isinstance(fn, ast.FunctionDef)}
     assert _reads(methods["_coboundaries"], "_integral_indexes") == _reads(tree, "_integral_indexes") == 1
-    for name in ("differential_matrix", "differential"):
+    for name in ("differential_matrix", "differential", "solves"):
         assert _reads(methods[name], "_coboundaries") == 1, name
-    assert _reads(tree, "_coboundaries") == 2
-    for name in ("differential_matrix", "differential", "_coboundaries"):
+    assert _reads(tree, "_coboundaries") == 3
+    for name in ("differential_matrix", "differential", "solves", "_coboundaries"):
         assert not {"add", "mul", "neg", "is_zero"} & _attributes(methods[name]), name  # ints, not Field arithmetic
     assert "_m_indexes" not in _names(tree)
 
@@ -85,6 +86,16 @@ def _callers(tree: ast.AST, called: set[str]) -> set[str]:
         if any(getattr(f, "id", None) in called or getattr(f, "attr", None) in called for f in funcs):
             out.add(name)
     return out
+
+
+def test_the_deformation_layer_checks_one_residual():
+    """deformation.py applies d only through `ComplexSpec.solves`: it builds no cochain d(nu) with `differential`,
+    reads no coface loop, and `make_deformation` has one private keyword."""
+    tree = ast.parse((SRC / "deformation.py").read_text())
+    assert not {"differential", "_coboundaries", "_certify_closed", "_report"} & _names(tree)
+    assert _callers(tree, {"solves"}) == {"_require_mc", "obstruction_zeta", "_solution_choices"}
+    make = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "make_deformation")
+    assert [arg.arg for arg in make.args.kwonlyargs if arg.arg.startswith("_")] == ["_certified"]
 
 
 def test_a_sparse_matrix_is_its_columns():

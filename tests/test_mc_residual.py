@@ -11,6 +11,8 @@ the `itertools.product` comprehension they replace.
 by d^2 of its generators, instead of each member by its residual.  Every
 member they return is held to the per-member residual and to
 `is_associative`, and a family with a generator off Z^2 is refused.
+`mc_solve` checks its base solution by the same residual, without
+materializing a deformation, and builds no Fraction for the check.
 """
 
 import itertools
@@ -26,6 +28,7 @@ from convdef import (
     MultiMap,
     ShapeError,
     SpecMismatch,
+    Subspace,
     build_extension,
     classify,
     divided_power_t,
@@ -53,8 +56,10 @@ from helpers import (
     direct_sum_comodule,
     dual_numbers,
     random_mixed_mult,
+    fraction_constructions,
     random_nilpotent_comodule,
     truncated_poly,
+    z2_basis,
 )
 
 FIELDS = pytest.mark.parametrize("field", [QQ, F2, F3, F5], ids=["Q", "F2", "F3", "F5"])
@@ -73,7 +78,7 @@ def _cubic_layer_two(field, rng):
     ext1 = graded_extension(d, 1)
     report = mc_solve(start, ext1)
     nu = report.base_solution
-    for z in report.z2_basis:
+    for z in z2_basis(report):
         nu = nu + z.scale(field.random_element(rng))
     return AlgebraMC(m=make_deformation(start, ext1, nu).mtilde), graded_extension(d, 2)
 
@@ -106,7 +111,7 @@ def _candidates(report, spec, rng):
     if report.obstruction_vanishes:
         for _ in range(3):
             nu = report.base_solution
-            for z in report.z2_basis:
+            for z in z2_basis(report):
                 nu = nu + z.scale(f.random_element(rng))
             out += [nu, nu + _random_cochain(spec, rng)]
     return out
@@ -146,12 +151,11 @@ def test_make_deformation_agrees_with_is_associative(field):
             mtilde = ConvMorphism(ext.ctilde, tuple(alg.m.components) + nu.maps)
             expect = is_associative(mtilde)
             outcomes.add(expect)
-            for make in (lambda: make_deformation(alg, ext, nu), lambda: make_deformation(alg, ext, nu, _report=report)):
-                if expect:
-                    assert make().mtilde == mtilde, label
-                else:
-                    with pytest.raises(ShapeError, match="deformed multiplication is not associative"):
-                        make()
+            if expect:
+                assert make_deformation(alg, ext, nu).mtilde == mtilde, label
+            else:
+                with pytest.raises(ShapeError, match="deformed multiplication is not associative"):
+                    make_deformation(alg, ext, nu)
             # the check a hand-built deformation runs on its own base
             d = Deformation(base=alg, extension=ext, mtilde=mtilde)
             if expect:
@@ -187,7 +191,6 @@ def test_require_valid_refuses_a_c_block_off_the_base(field, monkeypatch):
         report = mc_solve(alg, ext)
         if report.obstruction_vanishes:
             make_deformation(alg, ext, report.base_solution)
-            make_deformation(alg, ext, report.base_solution, _report=report)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -325,24 +328,85 @@ def test_classify_refuses_a_representative_off_z2(label, monkeypatch):
 
 
 def test_series_all_refuses_a_z2_generator_off_z2(monkeypatch):
-    """A Z^2 generator with d^2 != 0 is caught by the family certificate of `series --strategy all`."""
+    """A Z^2 generator with d^2 != 0 is caught by the family certificate of `series --strategy all`.
+
+    The generators are the rows of the report's cached `spec.cocycles(2)`; after `mc_solve`, that read returns
+    the span of Z^2 and a cochain off Z^2, so some RREF row it enumerates is off Z^2.
+    """
     sf = _fixture("poly_t2_f3.json")
-    _with_bad_generator(monkeypatch, "z2_basis")
+    solve = deformation.mc_solve
+
+    def bad(*args):
+        report = solve(*args)
+        spec, z2 = report.spec, report.spec.cocycles(2)
+        wider = Subspace(spec.field, z2.ambient, [*z2.rows.values(), _off_z2(report).flat_entries()])
+        monkeypatch.setattr(spec, "cocycles", lambda n: wider)
+        return report
+
+    monkeypatch.setattr(deformation, "mc_solve", bad)
     with pytest.raises(ShapeError, match="deformed multiplication is not associative"):
         series_deform(sf.algebras["A0"].m.components[0], sf.coalgebras["D"], 2, strategy="all")
 
 
 def test_families_check_one_residual_per_mc_solve(monkeypatch):
-    """`classify` and `series --strategy all` run the residual once per `mc_solve`, on its base solution."""
-    residuals, solves = [], []
+    """`classify` and `series --strategy all` run the residual once per `mc_solve`, on its base solution, and d^2
+    once per enumerated family, on all its generators together: no member is checked on its own."""
+    checks, solves = [], []  # (number of cochains, whether against zeta) per `_require_mc`
     require, solve = deformation._require_mc, deformation.mc_solve
-    monkeypatch.setattr(deformation, "_require_mc", lambda *a: residuals.append(1) or require(*a))
+
+    def spy(spec, nus, zeta=None):
+        checks.append((len(nus), zeta is not None))
+        return require(spec, nus, zeta)
+
+    monkeypatch.setattr(deformation, "_require_mc", spy)
     monkeypatch.setattr(deformation, "mc_solve", lambda *a: solves.append(1) or solve(*a))
     _label, alg, ext = _classify_cases()[0]
-    assert len(classify(alg, ext).representatives) == 27 and len(residuals) == len(solves) == 1
-    residuals.clear()
+    assert len(classify(alg, ext).representatives) == 27 and len(solves) == 1
+    assert checks == [(1, True), (3, False)]  # the base, then the three H^2 representatives
+    checks.clear()
     solves.clear()
     sf = _fixture("poly_t2_f3.json")
     result = series_deform(sf.algebras["A0"].m.components[0], sf.coalgebras["D"], 2, strategy="all")
-    # the first degree-1 branch fills the budget of 16 at degree 2, so two solves in all
-    assert len(result.branches) == 16 and len(residuals) == len(solves) == 2
+    # the first degree-1 branch fills the budget of 16 at degree 2, so two solves and two families in all
+    assert len(result.branches) == 16 and len(solves) == 2
+    assert [against for _n, against in checks] == [True, False, True, False]
+    assert [n for n, against in checks if against] == [1, 1]
+
+
+def test_mc_solve_checks_its_base_without_a_deformation(monkeypatch):
+    """`mc_solve` checks its base solution by the residual alone: no `make_deformation`, no Deformation."""
+    calls = []
+    monkeypatch.setattr(deformation, "make_deformation", lambda *a, **k: calls.append(a) or pytest.fail("built"))
+    for _label, alg, ext in _classify_cases():
+        assert mc_solve(alg, ext).obstruction_vanishes
+    assert calls == []
+
+
+def test_solves_refuses_a_cochain_off_the_complex():
+    """The residual refuses, as `differential` does, a cochain of another comodule, algebra or field, and a batch
+    that mixes degrees."""
+    _label, alg, ext = _classify_cases()[1]
+    spec, report = complex_of(alg, ext), mc_solve(alg, ext)
+    nu = report.base_solution
+    others = [Cochain(2, nu.maps * 2), Cochain.zero(QQ, nu.a_dim + 1, nu.x_dim, 2),
+              Cochain.zero(F3, nu.a_dim, nu.x_dim, 2)]
+    batches = [([other], None) for other in others] + [([nu, other], report.zeta) for other in others]
+    for nus, zeta in batches + [([nu, report.zeta], None)]:
+        with pytest.raises(ShapeError, match="cochain does not match the complex"):
+            spec.solves(nus, zeta)
+    assert spec.solves([nu], report.zeta) and spec.solves([report.zeta])
+    assert not spec.solves([nu, nu + _off_z2(report)], report.zeta) and not spec.solves([_off_z2(report)])
+
+
+def test_mc_solve_builds_fractions_only_for_its_answer():
+    """On fixtures/deform_frac.json `mc_solve` builds at most 130 Fractions (453 when it built Z^2 and B^2 cochain
+    bases and checked its base through Fraction cochains); the residual builds none."""
+    sf = _fixture("deform_frac.json")
+    alg, ext = sf.algebras["A"], build_extension(sf.cocycles["w"])
+    with fraction_constructions() as count:
+        report = mc_solve(alg, ext)
+    assert report.obstruction_vanishes and count[0] <= 130
+    spec, generators = report.spec, z2_basis(report)
+    with fraction_constructions() as count:
+        assert spec.solves([report.base_solution], report.zeta) and spec.solves(generators)
+    assert count == [0]

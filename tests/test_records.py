@@ -56,7 +56,7 @@ def _f(name: str, **kw):
     return (name, object, dataclasses.field(**kw))
 
 
-REPORT_FIELDS = ("zeta", "obstruction_vanishes", "nu0", "base_solution", "z2_basis", "b2_basis", "h2_reps",
+REPORT_FIELDS = ("zeta", "obstruction_vanishes", "nu0", "base_solution", "h2_reps",
                  "dim_z2", "dim_b2", "dim_h2", "coset_count", "zeta_class_rep")
 SPEC_TABLES = ("coalgebras", "comodules", "cocycles", "algebras", "morphisms", "task", "checks")
 # every record class with its former dataclass fields; all were frozen but SpecFile.  Comodule and Cocycle2 were
