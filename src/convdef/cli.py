@@ -228,7 +228,8 @@ def cmd_series(sf: SpecFile, args) -> dict:
                 raise SpecFileError("dimension", f"cochain file: degree {degree} needs one matrix per layer element")
             user_cochains[degree] = Cochain(2, tuple(mats))
         strategy = "user"
-    m0 = alg.m.components[0]
+    # the plain algebra is m at the group-like g = e / eps(e) of the one-dimensional coalgebra
+    m0 = alg.m.evaluate({0: sf.field.inv(alg.coalgebra.counit[0])})
     result = series_deform(m0, d_coalg, n_max, strategy=strategy, user_cochains=user_cochains)
     branch = result.primary
     steps_payload = []

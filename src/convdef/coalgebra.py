@@ -8,8 +8,10 @@ factor most significant, so index(t_1, ..., t_p) = sum t_a * dim^(p-1-a).
 matrix and `_lincomb` applies them: that is how Delta, a coaction or
 omega acts on a sparse vector.
 
-The axioms are checked once per coalgebra, on ints: `validate` reads
-Delta as `integral_delta` and keeps its report.
+Every identity of a coalgebra, a comodule or a 2-cocycle is read off
+whole tables by `_then` and the flip test `_is_symmetric`.  The coalgebra
+axioms are checked once per coalgebra, on ints: `validate` reads Delta as
+`integral_delta` and keeps its report.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import NoFiltration, ShapeError
 from .fields import Field
-from .linalg import Subspace, Vector, _Record, _cleared, _lincomb, _sum, unit_vec
+from .linalg import Subspace, Vector, _Record, _cleared, _lincomb, _normalized, unit_vec
 
 Triples = tuple[tuple[int, int, object], ...]
 
@@ -74,6 +76,27 @@ def _tensor(field: Field, u: dict, v: dict, right: int) -> dict:
     return {a * right + b: field.mul(x, y) for a, x in u.items() for b, y in v.items()}
 
 
+def _then(field: Field, inner, table, right: bool = False) -> dict:
+    """(inner (x) 1) o table keyed (s, a, b, k), or (1 (x) inner) o table keyed (s, j, a, b) when `right`.
+
+    Summed over every source s of table at once, on the stored values (ints or field values).  With the counit
+    as the table e_i -> eps(e_i) 1 (x) 1 it is (eps (x) 1) o table, keyed (s, 0, 0, k), or (1 (x) eps) o table.
+    """
+    acc: dict = {}
+    for s, triples in enumerate(table):
+        for j, k, c in triples:
+            for a, b, c2 in inner[k] if right else inner[j]:
+                key, t = (s, j, a, b) if right else (s, a, b, k), c * c2
+                acc[key] = acc[key] + t if key in acc else t
+    return _normalized(field, acc)
+
+
+def _is_symmetric(table) -> bool:
+    """table = flip o table, for a normalized table: every triple (j, k, c) of a source has its mirror (k, j, c)."""
+    coeffs = {(s, j, k): c for s, triples in enumerate(table) for j, k, c in triples}
+    return coeffs == {(s, k, j): c for (s, j, k), c in coeffs.items()}
+
+
 class CoalgebraReport(_Record):
     __slots__ = _fields = ("coassociative", "counit_left", "counit_right", "cocommutative", "grading_compatible")
 
@@ -84,22 +107,12 @@ class CoalgebraReport(_Record):
 
     @property
     def ok(self) -> bool:
-        checks = [self.coassociative, self.counit_left, self.counit_right]
-        if self.grading_compatible is not None:
-            checks.append(self.grading_compatible)
-        return all(checks)
+        return not self.failures()
 
     def failures(self) -> list[str]:
-        out = []
-        if not self.coassociative:
-            out.append("coassociativity")
-        if not self.counit_left:
-            out.append("left counit axiom")
-        if not self.counit_right:
-            out.append("right counit axiom")
-        if self.grading_compatible is False:
-            out.append("grading compatibility")
-        return out
+        checks = (self.coassociative, self.counit_left, self.counit_right, self.grading_compatible is not False)
+        names = ("coassociativity", "left counit axiom", "right counit axiom", "grading compatibility")
+        return [name for name, passed in zip(names, checks) if not passed]
 
 
 class GroupLikeSet(_Record):
@@ -156,9 +169,9 @@ class Coalgebra:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> CoalgebraReport:
-        """The axioms on the Delta triples: (Delta (x) 1)Delta = (1 (x) Delta)Delta and both counit axioms, per e_i.
+        """The axioms on the Delta triples: (Delta (x) 1)Delta = (1 (x) Delta)Delta and both counit axioms.
 
-        They are summed on ints.  With (D, mu') = `integral_delta` and
+        They are summed on ints by `_then`.  With (D, mu') = `integral_delta` and
         (E, eps') the counit cleared to ints, both sides of coassociativity
         at e_i are D^2 times the rational sums and both counit sides D E
         times theirs, so the int sums agree exactly when the rational ones
@@ -171,15 +184,8 @@ class Coalgebra:
     def _report(self) -> CoalgebraReport:
         f, (den, delta) = self.field, self.integral_delta
         e_den, (eps,) = _cleared(({i: x for i, x in enumerate(self.counit) if x},))
-        coassoc = counit_l = counit_r = True
-        for i, triples in enumerate(delta):
-            if coassoc:
-                left = _sum(f, (((a, b, k), c * c2) for j, k, c in triples for a, b, c2 in delta[j]))
-                right = _sum(f, (((j, a, b), c * c2) for j, k, c in triples for a, b, c2 in delta[k]))
-                coassoc = left == right
-            unit = {i: den * e_den}
-            counit_l = counit_l and _sum(f, ((k, c * eps[j]) for j, k, c in triples if j in eps)) == unit
-            counit_r = counit_r and _sum(f, ((j, c * eps[k]) for j, k, c in triples if k in eps)) == unit
+        counit = [((0, 0, eps[i]),) if i in eps else () for i in range(self.dim)]  # eps' as a table, for `_then`
+        u = den * e_den  # 1 over F_p
         grading_ok = None
         if self.grading is not None:
             g = self.grading
@@ -187,9 +193,9 @@ class Coalgebra:
                 g[j] + g[k] == g[i] for i, triples in enumerate(delta) for j, k, _c in triples
             ) and not any(eps.get(i) for i, n in enumerate(g) if n > 0)
         return CoalgebraReport(
-            coassociative=coassoc,
-            counit_left=counit_l,
-            counit_right=counit_r,
+            coassociative=_then(f, delta, delta) == _then(f, delta, delta, right=True),
+            counit_left=_then(f, counit, delta) == {(i, 0, 0, i): u for i in range(self.dim)},
+            counit_right=_then(f, counit, delta, right=True) == {(i, i, 0, 0): u for i in range(self.dim)},
             cocommutative=self.is_cocommutative,
             grading_compatible=grading_ok,
         )
@@ -201,12 +207,7 @@ class Coalgebra:
 
     @cached_property
     def is_cocommutative(self) -> bool:
-        for triples in self.delta:
-            coeffs = {(j, k): c for j, k, c in triples}
-            for (j, k), c in coeffs.items():
-                if coeffs.get((k, j), self.field.zero) != c:
-                    return False
-        return True
+        return _is_symmetric(self.delta)
 
     @cached_property
     def integral_delta(self) -> tuple[int, tuple[Triples, ...]]:

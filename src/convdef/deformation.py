@@ -57,6 +57,9 @@ from .extension import Extension, graded_extension
 from .fields import Field
 from .linalg import _Record, _normalized
 
+# Over a finite field `classify` materializes every H^2 class while there are at most this many.
+COSET_CAP = 64
+
 
 class AlgebraMC(_Record):
     """An algebra (A, m) in the convolution category over C, optionally unital."""
@@ -247,11 +250,11 @@ class ClassifyResult(_Record):
         self.report, self.representatives = report, representatives  # one representative per enumerated H^2 coset
 
 
-def classify(alg: AlgebraMC, ext: Extension, coset_cap: int = 64) -> ClassifyResult:
+def classify(alg: AlgebraMC, ext: Extension) -> ClassifyResult:
     """One deformation per gauge-equivalence class of the solution set.
 
     Over a finite field all |F|^dim H^2 classes are materialized while the
-    count stays within `coset_cap`; otherwise the base solution shifted by
+    count stays within `COSET_CAP`; otherwise the base solution shifted by
     each H^2 representative direction is returned.  The base passed its
     residual in `mc_solve`, and d^2(base + sum c_i h_i) + zeta = sum c_i d^2(h_i),
     so one d^2(h) = 0 check per representative h certifies every member.
@@ -261,7 +264,7 @@ def classify(alg: AlgebraMC, ext: Extension, coset_cap: int = 64) -> ClassifyRes
         return ClassifyResult(report=report, representatives=())
     f = alg.field
     base = report.base_solution
-    if f.char and report.coset_count is not None and report.coset_count <= coset_cap:
+    if f.char and report.coset_count is not None and report.coset_count <= COSET_CAP:
         nus = _affine_span(base, report.h2_reps, f.char)
     else:
         nus = [base] + [base + h for h in report.h2_reps]
@@ -375,6 +378,8 @@ def series_deform(
     Branches past the budget are never solved, and a branch is materialized
     only once a later degree expands it or it is returned.
     """
+    if strategy not in ("first", "user", "all"):
+        raise ShapeError(f"unknown strategy {strategy!r}")
     if d_coalg.grading is None:
         raise ShapeError("series deformation needs a graded coalgebra")
     if not d_coalg.is_cocommutative:
@@ -433,7 +438,7 @@ def _solution_choices(
     user_cochains: Optional[dict[int, Cochain]],
     degree: int,
 ) -> Iterable[Cochain]:
-    """The solutions to branch on, in order; "all" yields them lazily."""
+    """The solutions to branch on, in order; "all" yields them lazily.  `series_deform` refused any other strategy."""
     base = report.base_solution
     if strategy == "first":
         return [base]
@@ -444,13 +449,11 @@ def _solution_choices(
         if not report.spec.solves([nu], report.zeta):
             raise ShapeError(f"supplied degree-{degree} cochain does not solve the equation")
         return [nu]
-    if strategy == "all":
-        spec = report.spec
-        z2 = spec.cocycles(2)
-        gens = [Cochain.from_entries(spec.field, spec.a_dim, spec.x_dim, 2, z2.rows[p]) for p in z2.pivots]
-        _require_mc(spec, gens)
-        return _affine_span(base, gens, spec.field.char)
-    raise ShapeError(f"unknown strategy {strategy!r}")
+    spec = report.spec
+    z2 = spec.cocycles(2)
+    gens = [Cochain.from_entries(spec.field, spec.a_dim, spec.x_dim, 2, z2.rows[p]) for p in z2.pivots]
+    _require_mc(spec, gens)
+    return _affine_span(base, gens, spec.field.char)
 
 
 # -- unit normalization -----------------------------------------------------

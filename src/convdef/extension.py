@@ -10,9 +10,12 @@ being the flip of the right one) and whose C (x) C term is omega.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
-from .coalgebra import Coalgebra, GroupLikeSet, _is_grouplike, _tensor, normalize_triples, triples_columns
+from .coalgebra import (
+    Coalgebra, GroupLikeSet, _is_grouplike, _is_symmetric, _tensor, _then, normalize_triples, triples_columns,
+)
 from .errors import (
     CocycleViolation,
     EmptyLayer,
@@ -50,13 +53,10 @@ class Comodule(_Record):
         f, rho, c = self.base.field, self.coaction, self.base
         failures = []
         # coassociativity: (rho (x) C) o rho = (X (x) Delta) o rho, maps X -> X (x) C (x) C
-        if any(
-            _sum(f, (((t2, u2, u), c1 * c2) for t, u, c1 in rho[s] for t2, u2, c2 in rho[t]))
-            != _sum(f, (((t, j, k), c1 * c2) for t, u, c1 in rho[s] for j, k, c2 in c.delta[u]))
-            for s in range(self.dim)
-        ):
+        if _then(f, rho, rho) != _then(f, c.delta, rho, right=True):
             failures.append("coaction coassociativity")
-        if any(_sum(f, ((t, c1 * c.counit[u]) for t, u, c1 in rho[s])) != {s: f.one} for s in range(self.dim)):
+        counit = [((0, 0, x),) if x else () for x in c.counit]
+        if _then(f, counit, rho, right=True) != {(s, s, 0, 0): f.one for s in range(self.dim)}:
             failures.append("coaction counit axiom")
         return failures
 
@@ -92,39 +92,26 @@ class Cocycle2(_Record):
     def validate(self) -> list[str]:
         """Failed identities among: symmetry, normalization, the 2-cocycle identity; kept like `Comodule.validate`.
 
-        Each is summed over the triples of omega, the coaction and Delta, one X basis vector at a time.
+        Each is read off whole tables of omega, the coaction and Delta by `_then` and `_is_symmetric`.
         """
         return self._failures
 
     @cached_property
     def _failures(self) -> list[str]:
-        com, c = self.comodule, self.comodule.base
-        f, eps = c.field, c.counit
+        rho, om, c = self.comodule.coaction, self.omega, self.comodule.base
+        f = c.field
+        counit = [((0, 0, x),) if x else () for x in c.counit]
         failures = []
-        # symmetry: omega = flip o omega
-        if any({(j, k): v for j, k, v in om} != {(k, j): v for j, k, v in om} for om in self.omega):
+        if not _is_symmetric(om):
             failures.append("symmetry")
-
-        def counit_terms(om):
-            """(eps (x) C) o omega and (C (x) eps) o omega at one x, keyed by side."""
-            for j, k, v in om:
-                yield (0, k), f.mul(v, eps[j])
-                yield (1, j), f.mul(v, eps[k])
-
-        if any(_sum(f, counit_terms(om)) for om in self.omega):
+        if _then(f, counit, om) or _then(f, counit, om, right=True):
             failures.append("normalization")
-
-        def identity_terms(s):
-            """(C (x) omega) o rho_l - (Delta (x) C) o omega + (C (x) Delta) o omega - (omega (x) C) o rho at x_s."""
-            for t, u, cr in com.coaction[s]:
-                for j, k, v in self.omega[t]:
-                    yield (u, j, k), f.mul(cr, v)
-                    yield (j, k, u), f.neg(f.mul(cr, v))
-            for j, k, v in self.omega[s]:
-                yield from (((j1, j2, k), f.neg(f.mul(v, mu))) for j1, j2, mu in c.delta[j])
-                yield from (((j, k1, k2), f.mul(v, mu)) for k1, k2, mu in c.delta[k])
-
-        if any(_sum(f, identity_terms(s)) for s in range(com.dim)):
+        # (C (x) omega) o rho_l + (C (x) Delta) o omega = (Delta (x) C) o omega + (omega (x) C) o rho; with
+        # rho_l = flip o rho the first term is the last, keyed (s, j, k, u), with u moved to the front
+        w = _then(f, om, rho)
+        w_l = {(s, u, j, k): v for (s, j, k, u), v in w.items()}
+        lhs = _sum(f, chain(w_l.items(), _then(f, c.delta, om, right=True).items()))
+        if lhs != _sum(f, chain(w.items(), _then(f, c.delta, om).items())):
             failures.append("2-cocycle identity")
         return failures
 
@@ -290,44 +277,38 @@ def _restrict_coalgebra_along(ctilde: Coalgebra, iota: SparseMatrix, counit: Seq
 
 
 def graded_extension(d_coalg: Coalgebra, n: int) -> Extension:
-    """The extension D_{<n} -> D_{<=n} of a graded cocommutative coalgebra.
+    """The extension D_{<n} -> D_{<=n} of a valid graded cocommutative coalgebra D.
 
     X is the degree-n layer, the coaction keeps the (n, 0)-component of
     Delta and omega collects the middle components of degrees (i, n-i)
-    for 0 < i < n.
+    for 0 < i < n.  Nothing is built or checked per layer: D_{<=n} is
+    closed under Delta, so Delta(x) for x of degree n is rho(x), omega(x)
+    and its (0, n) part, which is flip o rho(x) as D is cocommutative, and
+    eps(x) = 0 by the grading.  So Ctilde = D_{<n} (+) X is D_{<=n}, and the
+    layer's comodule axioms and cocycle identities are components of D's
+    coassociativity, counit axioms and cocommutativity, which D's report
+    (computed once per coalgebra and kept) proves: both verdicts are kept as proved.
     """
-    if d_coalg.grading is None:
+    g = d_coalg.grading
+    if g is None:
         raise ShapeError("graded_extension needs a graded coalgebra")
     if not d_coalg.is_cocommutative:
         raise CocycleViolation("graded_extension needs a cocommutative coalgebra")
+    d_coalg.require_valid()
     if n < 1:
         raise ShapeError("layer index must be >= 1")
     x_idx = list(d_coalg.degree_indices(n))
     if not x_idx:
         raise EmptyLayer(f"degree {n} layer of the coalgebra is zero")
-    c_idx = [i for i, g in enumerate(d_coalg.grading) if g < n]
+    c_idx = [i for i, deg in enumerate(g) if deg < n]
     base = d_coalg.sub_on_indices(c_idx)
+    truncated = d_coalg.sub_on_indices(c_idx + x_idx)
     posc = {orig: new for new, orig in enumerate(c_idx)}
     posx = {orig: new for new, orig in enumerate(x_idx)}
-    coaction = []
-    omega = []
-    for orig in x_idx:
-        rho = []
-        om = []
-        for j, k, c in d_coalg.delta[orig]:
-            degj = d_coalg.grading[j]
-            if degj == n:
-                rho.append((posx[j], posc[k], c))
-            elif 0 < degj < n:
-                om.append((posc[j], posc[k], c))
-        coaction.append(rho)
-        omega.append(om)
+    coaction = [[(posx[j], posc[k], c) for j, k, c in d_coalg.delta[i] if g[j] == n] for i in x_idx]
+    omega = [[(posc[j], posc[k], c) for j, k, c in d_coalg.delta[i] if 0 < g[j] < n] for i in x_idx]
     cocycle = Cocycle2(Comodule(base, len(x_idx), coaction), omega)
-    ext = build_extension(cocycle)
-    # The built coalgebra must literally be D_{<=n} (up to basis renaming).
-    truncated = d_coalg.sub_on_indices(c_idx + x_idx)
-    if ext.ctilde.delta != truncated.delta or ext.ctilde.counit != truncated.counit:
-        raise CocycleViolation("built extension disagrees with the graded truncation")
+    cocycle.comodule.__dict__["_failures"], cocycle.__dict__["_failures"] = [], []  # proved from D's report
     return Extension(base=base, cocycle=cocycle, ctilde=truncated)
 
 

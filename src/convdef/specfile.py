@@ -358,6 +358,8 @@ def parse_cochain_file(path: str, f: Field, a_dim: int) -> dict[int, list[MultiM
             degree = int(key)
         except ValueError as exc:
             raise SpecFileError("syntax", f"cochain file: degree {key!r} is not an integer") from exc
+        if degree in out:
+            raise SpecFileError("syntax", f"cochain file: degree {degree} is given twice")
         if not isinstance(mats, list):
             raise SpecFileError(
                 "dimension", f"cochain file: degree {degree} needs one matrix per layer element"

@@ -442,6 +442,44 @@ def test_cochain_file_degree_outside_the_coalgebra_exits_1(tmp_path, capsys, doc
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("order", [("1", "01"), ("01", "1")])
+def test_cochain_file_naming_a_degree_twice_exits_1(tmp_path, capsys, order):
+    """Keys "1" and "01" both name degree 1: neither silently wins, in either order."""
+    one = json.loads((FIXTURES / "xsq_t_cochain.json").read_text())["1"]
+    zeros = [[["0"] * 4] * 2]
+    doc = {key: mats for key, mats in zip(order, (one, zeros))}
+    assert _series_with_cochain_file(tmp_path, doc) == 1
+    captured = capsys.readouterr()
+    assert "cochain file: degree 1 is given twice" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("max_degree", ["0", "1"])
+def test_series_refuses_an_unknown_strategy_before_any_degree(tmp_path, capsys, max_degree):
+    """An unknown strategy is an input error even when no degree is solved, and writes no report."""
+    out = tmp_path / "r.json"
+    argv = ["series", fx("poly_t2_dual.json"), "--algebra", "A0", "--coalgebra", "D", "--max-degree", max_degree]
+    assert main(argv + ["--strategy", "bogus", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "unknown strategy 'bogus'" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_series_deforms_the_algebra_at_the_grouplike(tmp_path, capsys):
+    """A base coalgebra k e with Delta(e) = e/2 (x) e and eps(e) = 2 has the group-like g = e/2, and A0 given at e
+    as 2 * (dual numbers) is the dual numbers at g: the report equals the one of poly_t2_dual.json."""
+    doc = json.loads((FIXTURES / "poly_t2_dual.json").read_text())
+    doc["coalgebras"]["K"].update(delta=[["1", "1", "1", "1/2"]], counit={"1": "2"})
+    doc["algebras"]["A0"].update(mult={"1": [["2", "0", "0", "0"], ["0", "2", "2", "0"]]}, unit={"1": ["2", "0"]})
+    spec = tmp_path / "scaled.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["validate", str(spec)]) == 0
+    scaled, plain = tmp_path / "scaled_report.json", tmp_path / "plain_report.json"
+    assert main(["series", str(spec)] + SERIES_ARGS + ["--out", str(scaled)]) == 0
+    assert main(["series", fx("poly_t2_dual.json")] + SERIES_ARGS + ["--out", str(plain)]) == 0
+    assert scaled.read_bytes() == plain.read_bytes()
+
+
 def _invert_with_filtration_exits_1(tmp_path, capsys, value: str) -> None:
     """`invert ... --filtration value` is a usage error, with no traceback and no report."""
     out = tmp_path / "r.json"

@@ -6,6 +6,8 @@ import pytest
 from convdef import (
     AlgebraMC,
     Cochain,
+    Cocycle2,
+    Comodule,
     ComplexSpec,
     ConvDefError,
     ConvMorphism,
@@ -38,7 +40,7 @@ from convdef import (
     unit_gauge,
 )
 from convdef.linalg import Matrix
-from convdef import cohomology, convolution, deformation
+from convdef import cohomology, convolution, deformation, extension
 from convdef.convolution import _lincomb
 from convdef.deformation import _gauge_from_cochain
 from convdef.fields import QQ
@@ -435,6 +437,20 @@ def test_series_runs_no_associator_on_a_grown_algebra(monkeypatch):
         assert res.primary.stopped_at is None and len(res.primary.steps) == 4
         assert len(calls) == 5, field
         assert oracle_is_associative(res.primary.final.m)
+
+
+def test_series_builds_no_extension_and_checks_no_layer(monkeypatch):
+    """Each layer is read off D under D's kept report: `series_deform` builds no Ctilde with `build_extension` and
+    runs the comodule and cocycle checks for no layer (at least one of each per degree before)."""
+    runs = []
+    for cls in (Comodule, Cocycle2):
+        prop = cls.__dict__["_failures"]
+        monkeypatch.setattr(prop, "func", lambda obj, func=prop.func: runs.append(obj) or func(obj))
+    monkeypatch.setattr(extension, "build_extension", lambda *args: pytest.fail("build_extension ran"))
+    for field, strategy in ((QQ, "first"), (F3, "all")):
+        res = series_deform(dual_numbers(field), divided_power_t(3, field), 3, strategy=strategy)
+        assert res.primary.stopped_at is None and len(res.primary.steps) == 3
+    assert runs == []
 
 
 def test_series_rigid_algebra_every_class_trivial():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from convdef import (
+    Coalgebra,
     Cocycle2,
     CocycleViolation,
     Comodule,
@@ -47,23 +48,37 @@ def test_build_trivial_cocycle_gives_divided_power_1():
     assert ext.ctilde.counit == expect.counit
 
 
+def _fresh(w: Cocycle2) -> Cocycle2:
+    """The same cocycle as a new value, so its comodule and it check their identities instead of reading kept ones."""
+    com = w.comodule
+    return Cocycle2(Comodule(com.base, com.dim, com.coaction), w.omega)
+
+
+def _primitive_coalgebra(field):
+    """1 in degree 0, x and y in degree 1 and z in degree 2, every element of positive degree primitive."""
+    delta = [[(0, 0, 1)]] + [[(0, i, 1), (i, 0, 1)] for i in (1, 2, 3)]
+    return Coalgebra(field, ["1", "x", "y", "z"], delta, [1, 0, 0, 0], grading=[0, 1, 1, 2])
+
+
 def test_graded_extension_divided_power():
     d = divided_power_t(2, QQ)
     ext = graded_extension(d, 2)
     assert ext.base.names == ("1", "t")
     assert ext.comodule.coaction == (((0, 0, QQ.one),),)
     assert ext.cocycle.omega == (((1, 1, QQ.one),),)
-    # built Ctilde literally matches the graded truncation
-    assert ext.ctilde.delta == d.delta
-    assert ext.ctilde.grading == d.grading
     assert ext.ctilde == d
-    # in general Ctilde is D_{<=n} in the basis D_{<n} first, the degree-n layer second, names and grading included
+    # in general Ctilde is D_{<=n} in the basis D_{<n} first, the degree-n layer second, names and grading included.
+    # The layer's parts are read off D and not checked themselves, so as an oracle `build_extension` checks fresh
+    # copies of its comodule and cocycle and assembles D_{<=n} from them, and the verdicts kept as proved agree with
+    # the dense oracles.
     cases = 0
     for field in (QQ, F2, F3):
         for c in (
             divided_power_t(4, field),
+            polynomial_multi(2, 2, field),
             polynomial_multi(2, 3, field),
             direct_sum([divided_power_t(3, field), divided_power_t(1, field)]),
+            _primitive_coalgebra(field),
         ):
             for n in range(1, c.max_degree() + 1):
                 ext = graded_extension(c, n)
@@ -72,8 +87,14 @@ def test_graded_extension_divided_power():
                 assert ext.ctilde == truncated
                 assert (ext.ctilde.names, ext.ctilde.grading) == (truncated.names, truncated.grading)
                 assert ext.ctilde.names[: ext.base.dim] == ext.base.names
+                fresh = _fresh(ext.cocycle)
+                built = build_extension(fresh).ctilde
+                assert (built.delta, built.counit) == (truncated.delta, truncated.counit)
+                assert ext.comodule.validate() == fresh.comodule.validate() == []
+                assert oracle_comodule_failures(fresh.comodule) == []
+                assert ext.cocycle.validate() == fresh.validate() == oracle_cocycle_failures(fresh) == []
                 cases += 1
-    assert cases == 30
+    assert cases == 42
 
 
 def test_graded_extension_layer_one_is_trivial():
@@ -95,6 +116,20 @@ def test_graded_extension_two_variables():
     assert by_x["t1^2"] == {(i_t1, i_t1)}
     assert by_x["t2^2"] == {(i_t2, i_t2)}
     assert by_x["t1*t2"] == {(i_t1, i_t2), (i_t2, i_t1)}
+
+
+def test_graded_extension_refuses_a_coalgebra_broken_above_the_layer():
+    """D is checked whole, not layer by layer: k[t]_{<=3} with Delta(t^3) = 2 1(x)t^3 + t(x)t^2 + t^2(x)t + 2 t^3(x)1
+    is broken at t^3 only (coassociativity and the counit axioms fail there) and its layer-1 parts pass, yet layer 1
+    is refused."""
+    d = divided_power_t(3, QQ)
+    delta = [list(triples) for triples in d.delta[:3]] + [[(0, 3, 2), (1, 2, 1), (2, 1, 1), (3, 0, 2)]]
+    bad = Coalgebra(QQ, d.names, delta, d.counit, grading=d.grading)
+    assert bad.is_cocommutative and "left counit axiom" in bad.validate().failures()
+    base = bad.sub_on_indices([0])
+    build_extension(Cocycle2(Comodule(base, 1, [[(0, 0, 1)]]), [[]]))
+    with pytest.raises(ShapeError, match="invalid coalgebra"):
+        graded_extension(bad, 1)
 
 
 def test_graded_extension_empty_layer():
@@ -287,9 +322,7 @@ def _perturbed(w, rng):
 def test_cocycle_validate_matches_dense_oracle(field):
     """The sum over triples and the dense Kronecker products report the same failures, in order."""
     rng = random.Random(41)
-    cocycles = [w for _name, sf in fixture_specfiles(field) for w in sf.cocycles.values()]
-    for d in (divided_power_t(4, field), polynomial_multi(2, 3, field)):
-        cocycles += [graded_extension(d, n).cocycle for n in range(1, d.max_degree() + 1)]
+    cocycles = _fixture_and_graded_cocycles(field)
     seen = set()
     for w in list(cocycles):
         assert w.validate() == oracle_cocycle_failures(w) == []
@@ -323,7 +356,7 @@ def _perturbed_coactions(com, rng):
 def _fixture_and_graded_cocycles(field):
     cocycles = [w for _name, sf in fixture_specfiles(field) for w in sf.cocycles.values()]
     for d in (divided_power_t(4, field), polynomial_multi(2, 3, field)):
-        cocycles += [graded_extension(d, n).cocycle for n in range(1, d.max_degree() + 1)]
+        cocycles += [_fresh(graded_extension(d, n).cocycle) for n in range(1, d.max_degree() + 1)]
     return cocycles
 
 

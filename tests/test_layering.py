@@ -98,6 +98,21 @@ def test_the_deformation_layer_checks_one_residual():
     assert [arg.arg for arg in make.args.kwonlyargs if arg.arg.startswith("_")] == ["_certified"]
 
 
+def test_the_structure_identities_go_through_the_table_helpers():
+    """Coalgebra, comodule and cocycle identities are read off whole tables by the helpers of coalgebra.py, with no
+    Field arithmetic, and `graded_extension` builds no Ctilde: it reads the layer off D under D's kept report."""
+    functions = {}
+    for module in ("coalgebra", "extension"):
+        functions.update(_functions(ast.parse((SRC / f"{module}.py").read_text())))
+    helpers = {"_then", "_is_symmetric"}
+    for name in ("Coalgebra._report", "Coalgebra.is_cocommutative", "Comodule._failures", "Cocycle2._failures"):
+        fn = functions[name]
+        assert not {"add", "mul", "neg", "sub"} & _attributes(fn), name
+        assert helpers & _names(fn), name
+    assert not {"build_extension", "validate"} & _names(functions["graded_extension"])
+    assert "require_valid" in _attributes(functions["graded_extension"])
+
+
 def test_a_sparse_matrix_is_its_columns():
     """`SparseMatrix` has one layout; rows are built by a transpose only where elimination or the retract needs them."""
     assert convdef.SparseMatrix.__slots__ == convdef.SparseMatrix._fields == ("field", "rows", "cols", "columns")
