@@ -38,21 +38,21 @@ that leaves: `differential`'s cochain, `differential_entries`, a
 solution and the H^n representatives.
 
 m is associative when its associator m * ((e (x) m) - (m (x) e)), e = eps(-) id_A,
-vanishes (`is_associative`); the obstruction zeta of `convdef.deformation` is
-a block of the same sparse associator.
+vanishes (`is_associative`), summed straight from the structure constants by
+`_associator_rows`; the obstruction zeta of `convdef.deformation` is that sum on X's rows.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .coalgebra import integral_triples, trivial_k
-from .convolution import ConvMorphism, Form, MultiMap, _convolve, _form_sum, _identity_form, epsilon_embed
-from .errors import NotCompletelyReducible, NotRankOne, ShapeError
+from .coalgebra import Coalgebra, integral_triples, trivial_k
+from .convolution import ConvMorphism, Form, MultiMap, _canonical, epsilon_embed
+from .errors import NotCocommutative, NotCompletelyReducible, NotRankOne, ShapeError
 from .extension import Comodule
 from .fields import Field, require_same_field
-from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _dense, _fractions, _normalized, _sum
+from .linalg import SparseMatrix, Subspace, Vector, _Record, _cleared, _dense, _fractions, _lincomb, _normalized, _sum
 
 
 class Cochain(_Record):
@@ -369,18 +369,49 @@ class ComplexSpec:
         )
 
 
-def _associator(m: ConvMorphism) -> Form:
-    """m * ((e (x) m) - (m (x) e)), e = eps(-) id_A, by the sparse convolution kernel, as a canonical integral form.
+def _associator_rows(c: Coalgebra, m: Form, a: int, rows: Iterable[int]) -> Form:
+    """The associator of m: A (x) A -> A at the basis elements `rows` of C, summed from the structure constants.
 
-    Convolution is linear in its right factor, so this is m * (e (x) m) - m * (m (x) e)
-    with one composition instead of two; the difference is taken on the ints.
+    With L_k = sum nu eps(c_p) m_q over Delta(c_k) = sum nu c_p (x) c_q, e (x) m = I (x) L_k and, C being
+    cocommutative, m (x) e = L_k (x) I at c_k; so at c_i it is sum mu m_j o (I (x) L_k - L_k (x) I) over Delta(c_i).
+    eps is contracted as it stands, also where the counit axioms fail.  On ints: with mu', eps', m' cleared over
+    D_mu, E, D_m, each L'_k is over D_mu E D_m and each sum over D_mu^2 E D_m^2; the form is then made canonical.
     """
-    c, a = m.coalgebra, m.a_dim
+    if not c.is_cocommutative:
+        raise NotCocommutative("tensor products in the convolution category need cocommutativity")
+    (d_mu, delta), (d_m, mm), f = c.integral_delta, m, c.field
+    d_eps, (eps,) = _cleared(({i: x for i, x in enumerate(c.counit) if x},))
+    ls = []  # L'_k by row y: [(column, value)]
+    for triples in delta:
+        by_row: dict[int, list] = {}
+        for (y, col), v in _lincomb(f, ((nu * eps[p], mm[q]) for p, q, nu in triples if p in eps)).items():
+            by_row.setdefault(y, []).append((col, v))
+        ls.append(by_row)
+    aa, out = a * a, []
+    for i in rows:
+        acc = {}
+        get = acc.get
+        for j, k, mu in delta[i]:
+            lk = ls[k]
+            if not (lk and mm[j]):
+                continue
+            for (r, col), w in mm[j].items():
+                w, (y1, y2) = mu * w, divmod(col, a)
+                for qt, v in lk.get(y2, ()):  # m_j[r][(p, y)] L_k[y][(q, t)] at (r, (p, q, t)), p = y1
+                    key = (r, y1 * aa + qt)
+                    acc[key] = get(key, 0) + w * v
+                for pq, v in lk.get(y1, ()):  # -m_j[r][(y, t)] L_k[y][(p, q)] at (r, (p, q, t)), t = y2
+                    key = (r, pq * a + y2)
+                    acc[key] = get(key, 0) - w * v
+        out.append(_normalized(f, acc))
+    return _canonical(d_mu * d_mu * d_eps * d_m * d_m, out)
+
+
+def _associator(m: ConvMorphism) -> Form:
+    """The associator of m at every basis element of C, by `_associator_rows`, as a canonical integral form."""
     if m.src_arity != 2 or m.tgt_arity != 1:
         raise ShapeError("multiplication must be a map C -> Hom(A(x)A, A)")
-    mm, ee = m.integral_form, _identity_form(c, a)
-    lhs, rhs = _convolve(c, ee, mm, (a, a * a)), _convolve(c, mm, ee, (a, a))
-    return _convolve(c, mm, _form_sum(c.field, (1, lhs), (-1, rhs)))
+    return _associator_rows(m.coalgebra, m.integral_form, m.a_dim, range(m.coalgebra.dim))
 
 
 def is_associative(m: ConvMorphism) -> bool:

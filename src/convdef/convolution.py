@@ -16,9 +16,9 @@ denominators, so gcd(D, every int) = 1 and two forms are equal exactly
 when the values are; over F_p it is (1, the entries).  `_convolve` takes
 two forms and returns the product's, and a product built by
 `conv_compose` or `conv_tensor` keeps it, so no operand is cleared twice.
-The associator, the unit check and the inverse check of `takeuchi_invert`
-subtract and compare forms; `Fraction`s are built once per returned
-morphism.
+The unit check and the inverse check of `takeuchi_invert` compare forms
+(the associator is summed from the structure constants in
+`convdef.cohomology`); `Fraction`s are built once per returned morphism.
 
 Inverses come from one exact solve.  Conv(C, End(A^(x)p)) is a
 finite-dimensional unital algebra, so a right inverse g of f is its unique

@@ -5,15 +5,16 @@ multiplication over Ctilde restricting to m on C.  It is determined by
 its restriction to X, and associativity is exactly the generalized
 Maurer-Cartan equation d^2(m_X) + zeta = 0, where zeta is the
 obstruction 3-cocycle built from m and the extension's 2-cocycle: the
-X-block of the associator of m (+) 0 over Ctilde.  Every product here is
-the sparse convolution kernel on the nonzero entries of each component.
+X-block of the associator of m (+) 0 over Ctilde, summed on X's rows
+alone.  Every other product here is the sparse convolution kernel on
+the nonzero entries of each component.
 
 A materialized deformation is checked by that equation, not by its
 associator.  Delta of Ctilde = C (+) X has no X (x) X term (every
 extension is supported on Ctilde (x) C + C (x) Ctilde) and eps vanishes
 on X, so the associator of m (+) nu is affine in nu: its C-block is the
-associator of m, which `obstruction_zeta` has refused unless it
-vanishes, and its X-block is zeta + d^2(nu).  Once the fiber condition
+associator of m, which `complex_of` has refused unless it vanishes,
+and its X-block is zeta + d^2(nu).  Once the fiber condition
 holds, m (+) nu is associative exactly when d^2(nu) = -zeta, and d^2 is
 applied to nu's entries without being assembled.
 
@@ -29,7 +30,7 @@ import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .coalgebra import Coalgebra, find_grouplikes
-from .cohomology import Cochain, ComplexSpec, _associator, _proved_associative, is_associative
+from .cohomology import Cochain, ComplexSpec, _associator_rows, _proved_associative, is_associative
 from .convolution import (
     ConvMorphism,
     Form,
@@ -55,7 +56,7 @@ from .errors import (
 )
 from .extension import Extension, graded_extension
 from .fields import Field
-from .linalg import _Record, _normalized
+from .linalg import _Record, _fractions, _normalized
 
 # Over a finite field `classify` materializes every H^2 class while there are at most this many.
 COSET_CAP = 64
@@ -173,19 +174,16 @@ def complex_of(alg: AlgebraMC, ext: Extension) -> ComplexSpec:
 def obstruction_zeta(alg: AlgebraMC, ext: Extension, spec: Optional[ComplexSpec] = None) -> Cochain:
     """zeta(x) = sum m(w1) o (A (x) m(w2) - m(w2) (x) A) over omega(x): the X-block of the associator of m (+) 0.
 
-    On x only the omega terms of Delta(x) pair two nonzero components.  The
-    C-block is the associator of m, so a non-associative m is refused here.
+    Only X's output rows of that associator are summed (`_associator_rows`); on x only
+    the omega terms of Delta(x) pair two nonzero components.  The C-block is the
+    associator of m, whose verdict `complex_of` keeps: it refuses a non-associative m.
     d^3(zeta) = 0 is checked by `spec.solves`, `spec` the caller's `complex_of(alg, ext)`, built here when not given.
     """
-    if alg.coalgebra != ext.base:
-        raise SpecMismatch("algebra and extension live over different coalgebras")
-    f, a, dc = alg.field, alg.a_dim, ext.base.dim
-    zero = MultiMap.zero(f, a, 2, 1)
-    assoc = _associator(ConvMorphism(ext.ctilde, tuple(alg.m.components) + (zero,) * ext.comodule.dim))
-    if any(assoc[1][:dc]):
-        raise ShapeError("multiplication is not associative in the convolution category")
-    zeta = Cochain(3, _from_form(ext.ctilde, assoc, a, 3, 1).components[dc:])
-    if not (spec or complex_of(alg, ext)).solves([zeta]):
+    spec = spec or complex_of(alg, ext)
+    f, a, dc, (d_m, mm) = alg.field, alg.a_dim, ext.base.dim, alg.m.integral_form
+    den, block = _associator_rows(ext.ctilde, (d_m, mm + [{}] * ext.comodule.dim), a, range(dc, ext.ctilde.dim))
+    zeta = Cochain(3, tuple(MultiMap(f, a, 3, 1, e if f.char else _fractions(e, den)) for e in block))
+    if not spec.solves([zeta]):
         raise ConvDefError("obstruction is not a 3-cocycle; inputs are inconsistent")
     return zeta
 

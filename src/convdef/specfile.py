@@ -274,7 +274,7 @@ def parse_text(text: str, strict: bool = True) -> tuple[SpecFile, list[str]]:
     always raise.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SpecFileError("syntax", exc.msg, line=exc.lineno, col=exc.colno) from exc
     except ValueError as exc:  # an integer literal past Python's int-string limit
@@ -332,7 +332,7 @@ def parse_path(path: str, strict: bool = True) -> tuple[SpecFile, list[str]]:
 def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise SpecFileError("io", f"cannot read {what}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -341,6 +341,16 @@ def _read_json(path: str, what: str):
         raise SpecFileError("syntax", f"{what}: {exc.msg}", exc.lineno, exc.colno) from exc
     except ValueError as exc:
         raise SpecFileError("syntax", f"{what}: {_too_long()}") from exc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict, refusing a key given twice, which `json` would read last-wins without a word."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen: set = set()
+        twice = next(key for key, _v in pairs if key in seen or seen.add(key))
+        raise SpecFileError("syntax", f"key {twice!r} is given twice in one object")
+    return out
 
 
 def _too_long() -> str:

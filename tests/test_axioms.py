@@ -1,8 +1,10 @@
 """The structure-constant associativity and unit checks against the dense oracle."""
 
 import random
+from fractions import Fraction
 
 from convdef import (
+    Coalgebra,
     ConvMorphism,
     MultiMap,
     SpecFileError,
@@ -153,3 +155,36 @@ def test_m3_over_truncated_polynomials_is_associative():
         rows[0][0] += 1  # E_11 E_11 picks up an extra E_11
         comps[index] = MultiMap.from_rows(QQ, 9, 2, 1, rows)
         assert not is_associative(ConvMorphism(c, tuple(comps)))
+
+
+def counit_broken(c, rng):
+    """c with eps = 0, then c with one counit value moved: both fail a counit axiom."""
+    f = c.field
+    moved = list(c.counit)
+    i = rng.randrange(c.dim)
+    moved[i] = f.add(moved[i], f.coerce(Fraction(2, 3) if not f.char else 1))
+    return [Coalgebra(f, c.names, c.delta, [f.zero] * c.dim), Coalgebra(f, c.names, c.delta, moved)]
+
+
+def test_associator_matches_oracle_where_the_counit_fails():
+    """The associator contracts eps as it stands, so its verdict is the dense oracle's where the counit axioms fail.
+
+    With eps = 0 both e (x) m and m (x) e vanish and every m is associative; a moved eps
+    breaks associative multiplications and leaves others associative.
+    """
+    rng = random.Random(41)
+    tally = {True: 0, False: 0}
+    for f in (QQ, F2, F3):
+        for c in (divided_power_t(2, f), polynomial_multi(2, 2, f)):
+            for moved_c in counit_broken(c, rng):
+                assert not (moved_c.validate().counit_left and moved_c.validate().counit_right)
+                for a in (1, 2):
+                    m, _u = random_unital_pair(c, a, rng)
+                    for mult in with_broken(m, rng) + [random_morphism(c, a, 2, rng)]:
+                        moved = ConvMorphism(moved_c, mult.components)
+                        got = is_associative(moved)
+                        assert got == oracle_is_associative(moved)
+                        assert got or any(moved_c.counit)
+                        tally[got] += 1
+    assert tally[True] >= 80 and tally[False] >= 10, tally
+

@@ -454,6 +454,23 @@ def test_cochain_file_naming_a_degree_twice_exits_1(tmp_path, capsys, order):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_repeated_json_key_exits_1(tmp_path, capsys):
+    """A spec with a second "task" key and a cochain file naming "1" twice are input errors, not read last-wins."""
+    spec = tmp_path / "spec.json"
+    spec.write_text((FIXTURES / "poly_t2_dual.json").read_text().replace("{", '{"task": {"command": "obstruct"}, ', 1))
+    one = json.dumps(json.loads((FIXTURES / "xsq_t_cochain.json").read_text())["1"])
+    cochains = tmp_path / "cochains.json"
+    cochains.write_text(f'{{"1": {one}, "1": {one}}}')
+    runs = [(["deform", str(spec)], "task"),
+            (["series", fx("poly_t2_dual.json"), "--algebra", "A0", "--coalgebra", "D", "--max-degree", "2",
+              "--strategy", f"file:{cochains}"], "1")]
+    for argv, key in runs:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: syntax error: key {key!r} is given twice in one object\n"
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("max_degree", ["0", "1"])
 def test_series_refuses_an_unknown_strategy_before_any_degree(tmp_path, capsys, max_degree):
     """An unknown strategy is an input error even when no degree is solved, and writes no report."""

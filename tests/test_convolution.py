@@ -54,6 +54,7 @@ from helpers import (
     oracle_invert_on_bottom,
     oracle_is_associative,
     oracle_is_unit_of,
+    path_coalgebra,
     random_invertible,
     transport_coalgebra,
     unit_column,
@@ -148,13 +149,17 @@ def test_conv_tensor_requires_cocommutative():
 
 
 def test_axiom_checks_require_cocommutative():
+    """Both axiom checks refuse a non-cocommutative coalgebra, whatever its counit (eps = 0 included)."""
     rng = random.Random(7)
-    c = non_cocommutative_coalgebra(QQ)
-    m = rand_conv(c, 2, 2, 1, rng)
-    with pytest.raises(NotCocommutative):
-        is_associative(m)
-    with pytest.raises(NotCocommutative):
-        is_unit_of(m, rand_conv(c, 2, 0, 1, rng))
+    for field in (QQ, F2, F3):
+        for c in (non_cocommutative_coalgebra(field), path_coalgebra(field)):
+            for eps in (c.counit, [field.zero] * c.dim):
+                moved = Coalgebra(field, c.names, c.delta, eps)
+                m = rand_conv(moved, 2, 2, 1, rng)
+                with pytest.raises(NotCocommutative):
+                    is_associative(m)
+                with pytest.raises(NotCocommutative):
+                    is_unit_of(m, rand_conv(moved, 2, 0, 1, rng))
 
 
 def test_axiom_checks_refuse_wrong_arity():

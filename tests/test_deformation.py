@@ -1,10 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from convdef import (
     AlgebraMC,
+    Coalgebra,
     Cochain,
     Cocycle2,
     Comodule,
@@ -66,6 +68,7 @@ from helpers import (
     oracle_obstruction_zeta,
     oracle_unit_gauge,
     random_gauge_transported_mult,
+    random_mixed_mult,
     reduce_dense,
     square_zero_3,
     truncated_poly,
@@ -147,9 +150,31 @@ def _first_order_cases(field, rng):
     return out
 
 
+def _rescaled(d, rng):
+    """D in the basis s_i e_i, s_i = 1 in degree 0: Delta's constants, and so each layer's omega, become s_i / (s_j s_k)."""
+    f = d.field
+    scales = [x for x in (2, 3, 4) if x % f.char] if f.char else [2, Fraction(-1, 3), Fraction(5, 7)]
+    s = [f.one if g == 0 else f.coerce(rng.choice(scales)) for g in d.grading]
+    delta = [[(j, k, f.div(f.mul(s[i], c), f.mul(s[j], s[k]))) for j, k, c in triples] for i, triples in enumerate(d.delta)]
+    return Coalgebra(f, d.names, delta, d.counit, grading=d.grading)
+
+
+def _layer_cases(field, rng):
+    """(label, alg, ext): a gauge transport of a random algebra over D_{<n}, along every layer D_{<n} -> D_{<=n} of
+    k[t]_{<=4} and polynomial_multi(2, 3), as they are and rescaled so that omega's constants are not all 1."""
+    out = []
+    for d in (divided_power_t(4, field), polynomial_multi(2, 3, field)):
+        for coalg in (d, _rescaled(d, rng)):
+            for n in range(1, coalg.max_degree() + 1):
+                ext = graded_extension(coalg, n)
+                out.append((f"{coalg!r} layer {n}", AlgebraMC(m=random_mixed_mult(ext.base, rng)), ext))
+    return out
+
+
 @pytest.mark.parametrize("field", [QQ, F3, F5], ids=["Q", "F3", "F5"])
 def test_obstruction_zeta_matches_dense_oracle(field):
-    """zeta off the sparse associator of m (+) 0 equals the dense omega sum: fixtures and first-order deformations."""
+    """zeta off X's rows of the associator of m (+) 0 equals the dense omega sum: fixtures (deform_frac.json among
+    them over Q and F_3), first-order deformations, and gauge-transported algebras along graded layers."""
     rng = random.Random(53)
     cases = [
         (f"{name}:{aname}/{wname}", alg, build_extension(w))
@@ -158,14 +183,15 @@ def test_obstruction_zeta_matches_dense_oracle(field):
         for aname, alg in sf.algebras.items()
         if alg.coalgebra == w.comodule.base
     ]
-    assert len(cases) >= 3
-    cases += _first_order_cases(field, rng)
-    nonzero = 0
+    assert len(cases) >= 3 and (field is not QQ or any(label.startswith("deform_frac.json:") for label, *_ in cases))
+    cases += _first_order_cases(field, rng) + _layer_cases(field, rng)
+    nonzero = scaled = 0
     for label, alg, ext in cases:
         zeta = obstruction_zeta(alg, ext)
         assert zeta == oracle_obstruction_zeta(alg, ext), label
         nonzero += not zeta.is_zero()
-    assert nonzero >= 8
+        scaled += any(c != 1 for triples in ext.cocycle.omega for _j, _k, c in triples)
+    assert nonzero >= 16 and scaled >= 4, (nonzero, scaled)
 
 
 def test_obstruction_zeta_refuses_non_associative_m():
@@ -226,13 +252,13 @@ def test_obstruction_zeta_refuses_a_non_cocycle(monkeypatch):
     spec = ComplexSpec(alg.m, ext.comodule)
     bump = {(0, 0): QQ.one}
     assert not oracle_differential(spec, Cochain(3, (MultiMap(QQ, 2, 3, 1, bump),))).is_zero()
-    associator = deformation._associator
+    rows = deformation._associator_rows
 
-    def perturbed(m):
-        den, assoc = associator(m)  # the canonical integral form: the values are assoc / den
-        return den, assoc[:-1] + [_lincomb(QQ, ((1, assoc[-1]), (den, {key: 1 for key in bump})))]
+    def perturbed(*args):
+        den, block = rows(*args)  # the canonical integral form of zeta: the values are block / den
+        return den, block[:-1] + [_lincomb(QQ, ((1, block[-1]), (den, {key: 1 for key in bump})))]
 
-    monkeypatch.setattr(deformation, "_associator", perturbed)
+    monkeypatch.setattr(deformation, "_associator_rows", perturbed)
     with pytest.raises(ConvDefError, match="obstruction is not a 3-cocycle"):
         obstruction_zeta(alg, ext)
 
@@ -426,16 +452,15 @@ def test_series_recovers_xsq_deformation():
 
 def test_series_runs_no_associator_on_a_grown_algebra(monkeypatch):
     """Along k[t]_{<=4} each grown algebra keeps the verdict d^2(nu) = -zeta proved: one associator for the start
-    algebra and one per degree for zeta, none for the complex over a grown algebra (8 before the verdict was kept)."""
-    associator = deformation._associator
+    algebra, one zeta block per degree, and no associator for the complex over a grown algebra."""
+    associator, rows = cohomology._associator, deformation._associator_rows
     for field in (QQ, F3):
-        calls = []
-        counted = lambda m: calls.append(m) or associator(m)
-        monkeypatch.setattr(cohomology, "_associator", counted)
-        monkeypatch.setattr(deformation, "_associator", counted)
+        calls, blocks = [], []
+        monkeypatch.setattr(cohomology, "_associator", lambda m: calls.append(m) or associator(m))
+        monkeypatch.setattr(deformation, "_associator_rows", lambda *a: blocks.append(a) or rows(*a))
         res = series_deform(dual_numbers(field), divided_power_t(4, field), 4)
         assert res.primary.stopped_at is None and len(res.primary.steps) == 4
-        assert len(calls) == 5, field
+        assert len(calls) == 1 and len(blocks) == 4, field
         assert oracle_is_associative(res.primary.final.m)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from convdef import MultiMap, SpecFileError
 from convdef.cli import main
 from convdef.fields import QQ, PrimeField
-from convdef.specfile import REPORT_SCHEMA, _fmt_map, parse_path, parse_text, render_report, serialize
+from convdef.specfile import REPORT_SCHEMA, _fmt_map, parse_cochain_file, parse_path, parse_text, render_report, serialize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -138,6 +138,28 @@ def test_prime_field_literals():
     sf, failures = parse_text(json.dumps(doc))
     # 1/2 = 3 in F5
     assert sf.algebras["A"].m.components[0].rows()[0][0] == 3
+
+
+def test_repeated_key_is_syntax_error(tmp_path):
+    """A key given twice in one object is refused, not read last-wins: a spec's second "task", a nested repeat,
+    and a cochain file's second "1"."""
+    text = (FIXTURES / "poly_t2_dual.json").read_text()
+    repeats = {
+        "task": text.replace("{", '{"task": {"command": "obstruct"}, ', 1),
+        "1": text.replace('"counit": {"1": "1"}', '"counit": {"1": "1", "1": "0"}', 1),
+    }
+    for key, doc in repeats.items():
+        assert doc != text
+        with pytest.raises(SpecFileError) as err:
+            parse_text(doc)
+        assert err.value.kind == "syntax"
+        assert str(err.value) == f"syntax error: key {key!r} is given twice in one object"
+    one = json.dumps(json.loads((FIXTURES / "xsq_t_cochain.json").read_text())["1"])
+    path = tmp_path / "cochains.json"
+    path.write_text(f'{{"1": {one}, "1": {one}}}')
+    with pytest.raises(SpecFileError, match="key '1' is given twice in one object") as err:
+        parse_cochain_file(str(path), QQ, 2)
+    assert err.value.kind == "syntax"
 
 
 def test_missing_file_is_io_error(tmp_path):
